@@ -32,6 +32,16 @@ multiplier-free parabola orientation * (constant - y^2/2) survives as the
 capacity construction (`solve_constant`, `capacity_margin`), which sets
 the solvability verdict.
 
+Every quadrature of the slope starts from panels graded geometrically
+toward the stress zeros in the support (`_graded_edges`).  Next to a zero
+the slope has a log-type layer, slope^2 ~ alpha^2 + 2 eps ln|theta|,
+which bisection would reach one level per round, over 20 to 35 rounds;
+graded panels each see the layer on their own scale, so one or two
+vectorized rounds settle a quadrature.  The assembly's cumulative pass
+inserts the same graded edges into its grid, so it integrates the same
+panels next to the zeros as the root solves did, and the closing
+density keeps the sign the crossing solve gave it.
+
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
 parameters, while l = ln lambda stays representable for eps down to 1e-6.
@@ -53,12 +63,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import CapacityError, DomainError, OutOfRange
-from .numerics import _adaptive, integrate, refine_to_residual, solve_root
-from .problem import ApproxParams, MongeProblemSpec, validate_spec
+from .errors import CapacityError, DomainError, MaxIterations, OutOfRange
+from .numerics import _adaptive, _cell_edges, integrate, refine_to_residual, solve_root
+from .problem import MongeProblemSpec, validate_spec
 
 _BRACKET_SLACK = 1e-12     # admissible negative slack on alpha^2 + 2 eps l
 _DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
+_NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
+_GRADE_ULPS = 64           # finest graded panel, in ulps of the support's magnitude
 
 
 # -- scalar algebra -----------------------------------------------------------
@@ -108,7 +120,9 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     small; in the deep tail (slope_sq << alpha^2) that division is
     already exact and the polish is skipped.
 
-    No cap at l = 0: T > alpha^2 continues smoothly into l > 0.
+    No cap at l = 0: T > alpha^2 continues smoothly into l > 0.  Raises
+    MaxIterations when Newton has not converged after 80 steps (a NaN
+    stress, for instance).
     """
     T = np.asarray(stress_sq, dtype=float)
     a2 = alpha * alpha
@@ -128,12 +142,16 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
         w = np.where(z > -a2 / epsilon,
                      np.log(np.maximum(a2 + epsilon * z, 1e-300)),
                      log_t + a2 / epsilon)
-        for _ in range(80):
+        for _ in range(_NEWTON_MAX_ITER):
             ew = np.exp(w)
             step = ((ew - a2) / epsilon + w - log_t) / (ew / epsilon + 1.0)
             w = w - step
             if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(w)))):
                 break
+        else:
+            raise MaxIterations(
+                f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
+                f"Newton steps (last step {float(np.max(np.abs(step))):.3e})")
         u = np.exp(w)
         l = (u - a2) / (2.0 * epsilon)
         polish = u > _DEEP_TAIL * a2
@@ -281,14 +299,36 @@ def _level_zeros(r, orientation):
     return (-orientation * root, orientation * root)
 
 
+def _graded_edges(support, zeros):
+    """Panel edges graded geometrically toward each stress zero in the
+    support: the zero p itself and p -+ width 2^-k for k = 1, 2, ...,
+    down to a step of _GRADE_ULPS ulps of the support's magnitude.
+
+    Next to a zero the slope has a log-type layer,
+    slope^2 ~ alpha^2 + 2 eps ln|theta|, which adaptive bisection would
+    reach only one level per round.  Each graded panel [p + s, p + 2s]
+    sees the same shape on its own scale, so a single Gauss-Kronrod panel
+    resolves it and the adaptive loop starts from the mesh bisection
+    would have built.  Edges outside the support are left to the caller
+    to drop.
+    """
+    lo, hi = support
+    floor = _GRADE_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
+    levels = max(int(math.log2((hi - lo) / floor)), 0)
+    steps = (hi - lo) * 0.5 ** np.arange(1, levels + 1)
+    inside = [p for p in zeros if lo <= p <= hi]
+    return np.concatenate([np.asarray(inside, dtype=float)]
+                          + [p + side * steps for p in inside for side in (-1.0, 1.0)])
+
+
 def _slope_integral(weight, zeros, support, spec, epsilon, quad_tol):
-    """Integral over the support of weight(y) * slope(theta(y)), with the
-    interior crossing as a breakpoint."""
+    """Integral over the support of weight(y) * slope(theta(y)), on panels
+    graded toward the stress zeros."""
     o = spec.orientation
     f = lambda y: weight(y) * _slope_many(_stress_on(y, zeros, o),
                                           spec.alpha, epsilon)
     return integrate(f, support[0], support[1], tol=quad_tol,
-                     breakpoints=(zeros[1],))
+                     breakpoints=_graded_edges(support, zeros))
 
 
 def _constant_bracket(support):
@@ -587,7 +627,10 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # above a node is its cell's right end.
     to_right_end = lambda y: grid[np.minimum(np.searchsorted(grid, y),
                                              grid.size - 1)] - y
-    sums, _, moments = _adaptive(slope_arr, grid, np.arange(grid.size - 1),
+    # The panels next to the stress zeros are the ones the solves
+    # integrated, each tagged to the grid cell that contains it.
+    edges, cell_id = _cell_edges(grid, _graded_edges(support, dual.zeros))
+    sums, _, moments = _adaptive(slope_arr, edges, cell_id,
                                  min(1e-13, 0.1 * crossing_tol), 60,
                                  weight=to_right_end)
     cums = np.concatenate([[0.0], np.cumsum(sums)])
@@ -651,8 +694,3 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         clip_depth=clip_depth, grid_n=grid_n, cell_masses=cell_masses,
         _profile=profile)
 
-
-def solve_problem(spec: MongeProblemSpec, params: ApproxParams) -> DensitySolution:
-    """`assemble_density` driven by an ApproxParams bundle."""
-    return assemble_density(spec, params.epsilon, params.grid_n,
-                            root_tol=params.root_tol, quad_tol=params.quad_tol)

@@ -5,11 +5,16 @@ Design notes
 ------------
 * Quadrature is a batched adaptive Gauss-Kronrod 15(7) scheme.  All panels
   that still need refinement are evaluated in a single vectorized call per
-  round, so integrands must accept numpy arrays.  The integrands produced
-  by the dual solver have an interior boundary layer whose width shrinks
-  like exp(-alpha^2/(2*eps)); resolving its contribution to tolerance tol
-  needs roughly log2(scale/tol) bisection levels, which is why the depth
-  cap is 60 rather than the usual 20.
+  round, so integrands must accept numpy arrays.  A round costs a fixed
+  overhead whatever its size, so the number of rounds sets the time.
+  Bisection reaches a singular point one level per round, and a log-type
+  layer such as the slope's next to a stress zero needs 20 to 35 levels
+  at the solver's tolerances.  Callers that know such a point pass
+  breakpoints graded geometrically toward it (the dual solver does, see
+  `duality`): the loop then starts from the mesh bisection would have
+  built and finishes in one or two rounds.
+  The depth cap of 60 levels, rather than the usual 20, still lets an
+  integrand without graded breakpoints reach such a layer by bisection.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -17,6 +22,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,12 +85,20 @@ def _gk_panels(f, a, b, weight=None):
 
 
 def _initial_edges(l, r, breakpoints):
-    cuts = [l, r]
-    for p in breakpoints:
-        p = float(p)
-        if l < p < r:
-            cuts.append(p)
-    return np.array(sorted(set(cuts)))
+    """Sorted, distinct panel edges: l, r and the breakpoints inside (l, r)."""
+    cuts = np.asarray(breakpoints, dtype=float).ravel()
+    return np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
+
+
+def _cell_edges(grid, breakpoints):
+    """Panel edges for a per-cell quadrature over a sorted grid: the grid
+    nodes plus the breakpoints inside it, each panel tagged with the grid
+    cell that contains it."""
+    edges = _initial_edges(grid[0], grid[-1], np.concatenate(
+        [grid[1:-1], np.asarray(breakpoints, dtype=float).ravel()]))
+    cell_id = np.clip(np.searchsorted(grid, edges[:-1], side="right") - 1,
+                      0, grid.size - 2)
+    return edges, cell_id
 
 
 def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
@@ -188,13 +202,7 @@ def cumulative(f, l, r, n, tol=_DEFAULT_TOL, *, breakpoints=(),
     if n < 2:
         raise ValueError("cumulative needs at least two grid nodes")
     grid = np.linspace(l, r, n)
-    inner = [float(p) for p in breakpoints if l < float(p) < r]
-    if inner:
-        edges = np.array(sorted(set(grid.tolist()) | set(inner)))
-    else:
-        edges = grid
-    # Map each panel to the grid cell that contains it.
-    cell_id = np.clip(np.searchsorted(grid, edges[:-1], side="right") - 1, 0, n - 2)
+    edges, cell_id = _cell_edges(grid, breakpoints)
     sums, fmin, _ = _adaptive(f, edges, cell_id, tol, max_depth)
     if fmin < -1e-12:
         raise NegativeIntegrand(f"integrand reaches {fmin:.3e} below -1e-12")
@@ -399,26 +407,43 @@ def refine_to_residual(f, lo, hi, x, tol_residual, max_extra=200):
     """Polish a root by extra bisection until |f(x)| <= tol_residual.
 
     `solve_root` guarantees a narrow bracket in x; for the nested solvers
-    the contract is on the residual instead, so this helper bisects from
-    the best available bracket until the residual target holds (or the
-    interval collapses to machine width, whichever comes first).
+    the contract is on the residual instead.  When x misses it, this
+    helper steps out from x toward the sign change (first step twice the
+    secant distance through f(lo), doubling after) to the tightest bracket
+    around x, then bisects it until the residual target holds (or the
+    interval collapses to machine width, whichever comes first, returning
+    the best point seen).  Returns x when f keeps its sign on [lo, hi].
     """
+    x = float(x)
     fx = float(f(x))
     if abs(fx) <= tol_residual:
         return x
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        return x
-    if (fx > 0) == (fb > 0):
-        b, fb = x, fx
-    else:
-        a, fa = x, fx
+    lo, hi = float(lo), float(hi)
+    flo = float(f(lo))
+    if flo == 0.0:
+        return lo
+    end = hi if (flo > 0) == (fx > 0) else lo
+    secant = abs(fx * (x - lo) / (fx - flo)) if fx != flo else 0.0
+    step = 4.0 * float(np.spacing(abs(x) + (hi - lo)))
+    if math.isfinite(secant):
+        step = max(2.0 * secant, step)
     best, fbest = x, fx
+    a = x
+    for _ in range(max_extra):
+        b = end if step >= abs(end - x) else x + math.copysign(step, end - x)
+        fb = float(f(b))
+        if abs(fb) < abs(fbest):
+            best, fbest = b, fb
+        if abs(fb) <= tol_residual:
+            return b
+        if (fb > 0) != (fx > 0):
+            break
+        if b == end:
+            return x
+        a = b
+        step *= 2.0
+    else:
+        return best
     for _ in range(max_extra):
         m = 0.5 * (a + b)
         if m == a or m == b:
@@ -431,5 +456,5 @@ def refine_to_residual(f, lo, hi, x, tol_residual, max_extra=200):
         if (fm > 0) == (fb > 0):
             b, fb = m, fm
         else:
-            a, fa = m, fm
+            a = m
     return best

@@ -26,7 +26,6 @@ from scipy.sparse import eye_array, vstack
 
 from .errors import CapacityError, MaxIterations
 from .problem import MongeProblemSpec, SourceDensity
-from .duality import DensitySolution
 
 _MASS_TOL = 1e-10
 _SLOPE_SLACK = 1e-10
@@ -342,11 +341,6 @@ def mirror_transform(spec: MongeProblemSpec) -> MongeProblemSpec:
         alpha=spec.alpha,
         source_density=mirrored,
     )
-
-
-def mirror_solution_values(solution: DensitySolution, y):
-    """Sample a solved density through the mirror: u(-y)."""
-    return solution(-np.asarray(y, dtype=float))
 
 
 # -- fixtures -----------------------------------------------------------------

@@ -122,12 +122,14 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
 def _evaluate_cost(mapping, spec: MongeProblemSpec,
                    quad_tol=_DEFAULT_QUAD_TOL) -> float:
     a, b = spec.source_interval
+    density = spec.source_density
 
     def integrand(x):
-        return np.abs(x - mapping(x)) * np.asarray(
-            spec.source_density(x), dtype=float)
+        return np.abs(x - mapping(x)) * np.asarray(density(x), dtype=float)
 
-    return float(integrate(integrand, a, b, tol=quad_tol))
+    # The density, and with it the map's slope, kinks at the source nodes.
+    return float(integrate(integrand, a, b, tol=quad_tol,
+                           breakpoints=density.nodes or ()))
 
 
 def transport_cost(map_solution: TransportMapSolution,

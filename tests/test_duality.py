@@ -1,11 +1,13 @@
 """Unit tests for the dual algebra and the density solver."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge1d import duality
 from monge1d.duality import (
     DualField,
     assemble_density,
@@ -17,10 +19,12 @@ from monge1d.duality import (
     invert_E,
     slope_from_theta,
     solve_constant,
+    solve_crossing,
     solve_support,
     total_mass,
 )
-from monge1d.errors import CapacityError, DomainError, OutOfRange
+from monge1d.errors import CapacityError, DomainError, MaxIterations, OutOfRange
+from monge1d.numerics import integrate
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 
@@ -147,6 +151,15 @@ class TestSlopeFromTheta:
         v = slope_from_theta(theta, 1.0, eps)
         forward = v * math.exp(min((v * v - 1.0) / (2.0 * eps), 0.0))
         assert forward == pytest.approx(theta, abs=1e-9)
+
+    def test_nan_stress_raises(self):
+        # Newton never converges on a NaN; the inversion must not return
+        # a value silently.
+        with pytest.raises(MaxIterations):
+            slope_from_theta(math.nan, 1.0, 0.1)
+        fld = DualField.from_zeros((3.0, 5.0), 3.0, 4.0, 1.0, 1.0, 0.1)
+        with pytest.raises(MaxIterations):
+            fld.slope(np.array([3.5, math.nan]))
 
 
 class TestBoundaryResidual:
@@ -453,3 +466,66 @@ class TestDualField:
         assert np.allclose(slope, fld.slope(ys), rtol=0, atol=1e-14)
         # The algebra ties the three together pointwise.
         assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12
+
+
+def _graded_case(alpha, eps, offset, assumption):
+    """Spec with target [offset, offset + w] (mirrored under II), a free
+    zero 0.3 w inside the free end and its solved crossing."""
+    w = 3.0 / math.sqrt(alpha)
+    spec = uniform_spec((offset + w + 1.0, offset + w + 3.0),
+                        (offset, offset + w), "I", alpha)
+    if assumption == "II":
+        spec = mirror_transform(spec)
+    lo, hi = spec.target_interval
+    zero = lo + 0.3 * w if assumption == "I" else hi - 0.3 * w
+    support = (zero, hi) if assumption == "I" else (lo, zero)
+    return spec, zero, support, solve_crossing(support, zero, spec, eps)
+
+
+class TestGradedPanels:
+    """The quadratures of the slope start from panels graded toward the
+    stress zeros.  They must agree with plain adaptive refinement from
+    the support split at the crossing, within the sum of the two
+    quadratures' error targets."""
+
+    CASES = list(itertools.product((0.5, 4.0), (1e-1, 1e-6), (0.0, 1e3),
+                                   ("I", "II")))
+
+    @pytest.mark.parametrize("alpha,eps,offset,assumption", CASES)
+    def test_match_plain_refinement(self, alpha, eps, offset, assumption):
+        spec, zero, support, crossing = _graded_case(alpha, eps, offset,
+                                                     assumption)
+        start = support[0] if assumption == "I" else support[1]
+        # The solved crossing (residual near 0) and a trial halfway to the
+        # anchor (residual of order 1).
+        anchor = spec.anchor
+        for c in (crossing, 0.5 * (crossing + anchor)):
+            fld = DualField.from_zeros(support, zero, c, spec.orientation,
+                                       alpha, eps)
+            graded = boundary_residual(c, support, spec, eps, zero=zero,
+                                       quad_tol=1e-13)
+            plain = integrate(fld.slope, *support, tol=1e-13,
+                              breakpoints=(c,))
+            assert abs(graded - plain) <= 2e-13 * max(1.0, abs(plain))
+            graded = total_mass(zero, spec, eps, crossing=c, quad_tol=1e-11)
+            plain = integrate(lambda y: (start - y) * fld.slope(y), *support,
+                              tol=1e-11, breakpoints=(c,))
+            assert abs(graded - plain) <= 2e-11 * max(1.0, abs(plain))
+
+    def test_one_round_per_quadrature(self, monkeypatch):
+        # Adaptive bisection toward the log-type layers at the stress zeros
+        # took about 25 vectorized rounds per call; the graded panels
+        # leave at most a few.
+        spec, zero, support, crossing = _graded_case(1.0, 1e-4, 0.0, "I")
+        rounds = []
+        plain = duality.integrate
+
+        def counting(f, *args, **kwargs):
+            def counted(y):
+                rounds.append(np.size(y))
+                return f(y)
+            return plain(counted, *args, **kwargs)
+
+        monkeypatch.setattr(duality, "integrate", counting)
+        boundary_residual(crossing, support, spec, 1e-4, zero=zero)
+        assert 1 <= len(rounds) <= 4

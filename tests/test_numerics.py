@@ -1,5 +1,7 @@
 """Unit tests for the quadrature, root-finding, and profile kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,27 @@ class TestSolveRoot:
         # A sloppy starting point gets polished until |f| is tiny.
         x = refine_to_residual(f, 0.0, 1.0, 0.6, 1e-30)
         assert abs(f(x)) <= 1e-30 or abs(x - 0.7) < 1e-10
+
+    def test_refine_to_residual_bisects_a_tight_bracket(self):
+        # Brent's point, bracketed to 1e-9, misses a 1e-12 residual target.
+        # Restarting the bisection from the whole [0, 1] took 41
+        # evaluations; stepping out from the point finds a tight bracket.
+        g = lambda t: math.tanh(4.0 * (t - 0.3)) + 0.1 * (t - 0.3) ** 2
+        x = solve_root(g, 0.0, 1.0, tol=1e-9)
+        assert abs(g(x)) > 1e-12
+        seen = []
+
+        def counted(t):
+            seen.append(t)
+            return g(t)
+
+        y = refine_to_residual(counted, 0.0, 1.0, x, 1e-12)
+        assert abs(g(y)) <= 1e-12
+        assert len(seen) <= 15
+
+    def test_refine_to_residual_without_sign_change(self):
+        f = lambda t: t * t + 1.0
+        assert refine_to_residual(f, -1.0, 1.0, 0.5, 1e-12) == 0.5
 
 
 class TestIntegrate:

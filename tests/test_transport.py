@@ -6,7 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from monge1d.problem import MongeProblemSpec, SourceDensity, uniform_spec
+from monge1d.problem import (
+    MongeProblemSpec,
+    SourceDensity,
+    normalize_density,
+    uniform_spec,
+)
 from monge1d.transport import (
     TransportMapSolution,
     build_map,
@@ -150,6 +155,21 @@ class TestTransportCost:
         inc = build_map(RAMP, sol, "increasing")
         identity = RAMP.source_density.barycenter() - sol.expectation
         assert abs(inc.cost - identity) <= 1e-8
+
+    def test_unequally_spaced_source(self, maps):
+        # The map's slope kinks wherever the source density does; the cost
+        # quadrature must split there (without it, 2e-6 off the identity).
+        sol = maps[0]
+        source = normalize_density(SourceDensity(
+            interval=(6.0, 8.0), kind="piecewise-linear",
+            nodes=(6.0, 6.1475, 6.1877, 6.7828, 6.8475, 6.8571, 6.9523,
+                   7.1414, 8.0),
+            values=(1.26, 0.42, 1.88, 1.43, 1.68, 1.81, 1.25, 0.27, 1.48)))
+        spec = dataclasses.replace(SPEC_I, source_density=source)
+        identity = source.barycenter() - sol.expectation
+        for variant in ("increasing", "decreasing"):
+            cost = build_map(spec, sol, variant).cost
+            assert abs(cost - identity) <= 1e-9
 
 
 class TestPushforwardResidual:
