@@ -15,7 +15,6 @@ from .errors import (
     MaxDepth,
     MaxIterations,
     Monge1dError,
-    NegativeIntegrand,
     NoSignChange,
     NonPositiveDensity,
     NotADensity,
@@ -29,7 +28,6 @@ __all__ = [
     "NoSignChange",
     "MaxIterations",
     "MaxDepth",
-    "NegativeIntegrand",
     "OutOfRange",
     "DomainError",
     "CapacityError",

@@ -43,7 +43,6 @@ from .errors import (
     MaxDepth,
     MaxIterations,
     Monge1dError,
-    NegativeIntegrand,
     NoSignChange,
 )
 from .oracles import load_fixture, tent_limit_density
@@ -65,7 +64,6 @@ _STAGE_LABELS = {
     NoSignChange: "constant bracketing",
     MaxIterations: "root refinement",
     MaxDepth: "quadrature subdivision",
-    NegativeIntegrand: "cumulative assembly",
 }
 
 
@@ -393,11 +391,10 @@ def _check(name, ok, detail) -> VerifyCheck:
     return VerifyCheck(name, "pass" if ok else "fail", detail)
 
 
-def _battery_for(config: RunConfig, epsilon: float) -> list[VerifyCheck]:
-    spec = config.spec
-    alpha = spec.alpha
+def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
+    alpha = config.spec.alpha
+    epsilon = sol.epsilon
     out = []
-    sol = _solve_one(config, epsilon)
     report = duality_gap(sol, quad_tol=config.quad_tol)
     res = report.constraint_residuals
 
@@ -451,27 +448,43 @@ def _battery_for(config: RunConfig, epsilon: float) -> list[VerifyCheck]:
     return out
 
 
-def _fixture_checks(config: RunConfig) -> list[VerifyCheck]:
+def _fixture_checks(config: RunConfig, solved: dict) -> list[VerifyCheck]:
+    """One check per oracle fixture under the output directory, against
+    the density solved at the fixture's epsilon (the last configured one
+    when the fixture has none).  `solved` maps epsilon to the solutions
+    the battery already made; a fixture epsilon outside it is solved and
+    added."""
     paths = sorted(config.out_dir.glob("oracle*.csv"))
     if not paths:
         return [VerifyCheck("oracle fixtures", "skipped",
                             f"no oracle*.csv under {config.out_dir}")]
     out = []
     for path in paths:
+        name = f"oracle {path.name}"
         try:
             run = load_fixture(path)
         except (OSError, ValueError) as exc:
-            out.append(_check(f"oracle {path.name}", False, str(exc)))
+            out.append(_check(name, False, str(exc)))
             continue
         problems = run.density.violations()
         if problems:
-            out.append(_check(f"oracle {path.name}", False, problems[0]))
+            out.append(_check(name, False, problems[0]))
             continue
         eps = run.epsilon if run.epsilon is not None else config.epsilons[-1]
-        sol = _solve_one(config, eps)
-        dist = float(np.max(np.abs(run.density.values
-                                   - sol(run.density.nodes))))
-        out.append(_check(f"oracle {path.name}", dist <= 0.05,
+        if not (math.isfinite(eps) and eps >= EPSILON_FLOOR):
+            out.append(_check(name, False, f"fixture epsilon {eps!r} is not "
+                              f"a finite value >= {EPSILON_FLOOR!r}"))
+            continue
+        if eps not in solved:
+            try:
+                solved[eps] = _solve_one(config, eps)
+            except Monge1dError as exc:
+                out.append(_check(name, False, f"solve at epsilon={eps!r} "
+                                  f"failed: {type(exc).__name__}: {exc}"))
+                continue
+        values = solved[eps](run.density.nodes)
+        dist = float(np.max(np.abs(run.density.values - values)))
+        out.append(_check(name, dist <= 0.05,
                           f"sup distance to solved density = {dist:.3e}"))
     return out
 
@@ -481,15 +494,18 @@ def cmd_verify(config: RunConfig) -> int:
     if code:
         return code
     checks = []
+    solved = {}
     for eps in config.epsilons:
         try:
-            checks.extend((eps, c) for c in _battery_for(config, eps))
+            if eps not in solved:
+                solved[eps] = _solve_one(config, eps)
+            checks.extend((eps, c) for c in _battery_for(config, solved[eps]))
         except CapacityError as exc:
             _fail(f"capacity: fail at epsilon={eps!r}: {exc}")
             return 3
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
-    checks.extend((None, c) for c in _fixture_checks(config))
+    checks.extend((None, c) for c in _fixture_checks(config, solved))
 
     failed = [c for _, c in checks if c.status == "fail"]
     for eps, check in checks:

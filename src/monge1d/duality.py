@@ -215,42 +215,34 @@ def _slope_many(theta, alpha, epsilon):
 class DualField:
     """Closed-form stress parabola plus the pointwise scale/slope algebra.
 
-    The stress theta = orientation * (constant - y^2/2) - multiplier * y
-    is evaluated in the factored form -orientation (y - z)(y - c)/2
-    through its two zeros `zeros = (z, c)`: c is the crossing (the
-    density peak) and z the free zero, which is the free support endpoint
-    or, when the support fills the target, a point beyond the far edge.
-    The factored form keeps theta(z) = 0 exact; the expanded form loses it
-    to cancellation.  Built from (constant, multiplier) alone, the zeros
-    are derived; `from_zeros` goes the other way.  multiplier is the
-    unit-mass multiplier mu of the stress equation theta_y = -|y| - mu.
+    The stress is held through its two zeros `zeros = (z, c)` and
+    evaluated in the factored form theta = -orientation (y - z)(y - c)/2:
+    c is the crossing (the density peak) and z the free zero, which is the
+    free support endpoint or, when the support fills the target, a point
+    beyond the far edge.  The factored form keeps theta(z) = 0 exact; the
+    expanded form orientation * (constant - y^2/2) - multiplier * y loses
+    it to cancellation, so `constant` and `multiplier` are only read out.
+    multiplier is the unit-mass multiplier mu of the stress equation
+    theta_y = -|y| - mu.
     """
 
     support: tuple[float, float]
-    constant: float
+    zeros: tuple[float, float]
     orientation: float
     alpha: float
     epsilon: float
-    multiplier: float = 0.0
-    zeros: tuple[float, float] | None = None
 
-    def __post_init__(self):
-        if self.zeros is None:
-            o, mu = self.orientation, self.multiplier
-            disc = mu * mu + 2.0 * self.constant
-            if disc < 0.0:
-                raise ValueError("stress parabola has no real zero")
-            root = math.sqrt(disc)
-            object.__setattr__(self, "zeros", (-o * (mu + root), o * (root - mu)))
+    @property
+    def constant(self) -> float:
+        """Level of the expanded form, -z c / 2."""
+        z, c = self.zeros
+        return -0.5 * z * c
 
-    @classmethod
-    def from_zeros(cls, support, zero, crossing, orientation, alpha, epsilon):
-        """The field whose stress vanishes at `zero` and at `crossing`."""
-        zero, crossing = float(zero), float(crossing)
-        return cls(support=support, constant=-0.5 * zero * crossing,
-                   orientation=orientation, alpha=alpha, epsilon=epsilon,
-                   multiplier=-0.5 * orientation * (zero + crossing),
-                   zeros=(zero, crossing))
+    @property
+    def multiplier(self) -> float:
+        """Unit-mass multiplier, -orientation (z + c) / 2."""
+        z, c = self.zeros
+        return -0.5 * self.orientation * (z + c)
 
     @property
     def crossing(self) -> float:
@@ -461,12 +453,6 @@ def capacity_margin(spec: MongeProblemSpec, epsilon, *, constant_tol=1e-12,
                            spec, epsilon, quad_tol)
 
 
-def check_capacity(spec: MongeProblemSpec, epsilon) -> bool:
-    """True iff the target interval is wide enough to hold unit mass
-    under the slope bound (full-width mass above 1)."""
-    return capacity_margin(spec, epsilon) > 1.0
-
-
 def solve_support(spec: MongeProblemSpec, epsilon, tol=1e-10, *,
                   root_tol=1e-12):
     """Free zero of the stress, fixed by the unit-mass condition.
@@ -552,10 +538,6 @@ class DensitySolution:
     _profile: PchipInterpolator = field(repr=False)
 
     @property
-    def grid(self):
-        return self.nodes, self.values
-
-    @property
     def support_nodes(self):
         return self.nodes[self.support_slice]
 
@@ -611,8 +593,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # on the aim of solve_crossing rather than anywhere within tol.
     crossing = solve_crossing(support, zero, spec, epsilon, tol=crossing_tol,
                               root_tol=0.01 * root_tol)
-    dual = DualField.from_zeros(support, zero, crossing, spec.orientation,
-                                spec.alpha, epsilon)
+    dual = DualField(support, (zero, crossing), spec.orientation, spec.alpha,
+                     epsilon)
     lo, hi = support
     m = lo if spec.assumption == "I" else hi
 
@@ -630,9 +612,9 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # The panels next to the stress zeros are the ones the solves
     # integrated, each tagged to the grid cell that contains it.
     edges, cell_id = _cell_edges(grid, _graded_edges(support, dual.zeros))
-    sums, _, moments = _adaptive(slope_arr, edges, cell_id,
-                                 min(1e-13, 0.1 * crossing_tol), 60,
-                                 weight=to_right_end)
+    sums, moments = _adaptive(slope_arr, edges, cell_id,
+                              min(1e-13, 0.1 * crossing_tol), 60,
+                              weight=to_right_end)
     cums = np.concatenate([[0.0], np.cumsum(sums)])
     if spec.assumption == "I":
         raw = cums - cums[-1]

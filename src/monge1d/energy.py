@@ -21,10 +21,13 @@ difference probes use expm1 so that O(t) perturbations are resolved
 without cancellation.
 
 Profile protocol: evaluators accept any object with a `support` tuple,
-value evaluation via `__call__(y)`, and a `slope(y)` method (vectorized).
+a slope bound (`alpha`, or `spec.alpha` on a DensitySolution), value
+evaluation via `__call__(y)` and a `slope(y)` method (vectorized).
 Assembled DensitySolution objects also expose an exact first moment and
 an exact per-node slope; the evaluators use those fast paths when
-present.
+present.  The variational probes perturb a solution along any object
+with vectorized `__call__` and `slope` that vanishes at the support
+ends, such as `SinePerturbation`.
 """
 
 from __future__ import annotations
@@ -41,46 +44,7 @@ from .numerics import integrate
 _DEFAULT_QUAD_TOL = 1e-10
 
 
-# -- small profile helpers ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ZeroProfile:
-    """The identically-zero profile on an interval (a trivial competitor)."""
-
-    support: tuple[float, float]
-    alpha: float
-
-    def __call__(self, y):
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        return out if np.ndim(y) else 0.0
-
-    def slope(self, y):
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        return out if np.ndim(y) else 0.0
-
-
-@dataclass(frozen=True)
-class ShiftedProfile:
-    """base + t * bump, the competitor used by the primal probes."""
-
-    base: object
-    bump: object
-    t: float
-
-    @property
-    def support(self):
-        return self.base.support
-
-    @property
-    def alpha(self):
-        return self.base.alpha
-
-    def __call__(self, y):
-        return self.base(y) + self.t * self.bump(y)
-
-    def slope(self, y):
-        return self.base.slope(y) + self.t * self.bump.slope(y)
-
+# -- perturbations ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SinePerturbation:

@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; plain ValueError is reserved for programming errors (bad argument
-shapes, misuse of internal helpers).
+shapes, misuse of internal helpers) and for malformed oracle fixture
+files, which `verify` reports as failed checks.  `ConfigError` covers
+the JSON documents a user writes.
 """
 
 
@@ -20,10 +22,6 @@ class MaxIterations(Monge1dError):
 
 class MaxDepth(Monge1dError):
     """Adaptive subdivision exceeded the recursion depth cap."""
-
-
-class NegativeIntegrand(Monge1dError):
-    """A cumulative integrand went negative where a CDF was requested."""
 
 
 class OutOfRange(Monge1dError):

@@ -1,5 +1,6 @@
-"""Low-level numerical kernels: bracketed root finding, adaptive quadrature,
-cumulative integrals, and monotone profile interpolation/inversion.
+"""Low-level numerical kernels: bracketed root finding, adaptive quadrature
+(whole-interval and per grid cell), and monotone profile interpolation
+and inversion.
 
 Design notes
 ------------
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import MaxDepth, MaxIterations, NegativeIntegrand, NoSignChange, OutOfRange
+from .errors import MaxDepth, MaxIterations, NoSignChange, OutOfRange
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1] (QUADPACK values).
 _XGK_HALF = np.array([
@@ -71,9 +72,9 @@ _ROOT_MAX_ITER = 200
 
 
 def _gk_panels(f, a, b, weight=None):
-    """Kronrod and Gauss estimates plus the minimum sampled value for each
-    panel [a[i], b[i]], using one vectorized integrand call; with `weight`,
-    also the Kronrod estimate of weight * f from the same samples."""
+    """Kronrod and Gauss estimates for each panel [a[i], b[i]], using one
+    vectorized integrand call; with `weight`, also the Kronrod estimate of
+    weight * f from the same samples."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
@@ -81,7 +82,7 @@ def _gk_panels(f, a, b, weight=None):
     kron = half * (vals @ _WGK)
     gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
     weighted = None if weight is None else half * ((weight(nodes) * vals) @ _WGK)
-    return kron, gauss, float(vals.min()) if vals.size else np.inf, weighted
+    return kron, gauss, weighted
 
 
 def _initial_edges(l, r, breakpoints):
@@ -104,14 +105,13 @@ def _cell_edges(grid, breakpoints):
 def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
     """Shared refinement loop.  `edges` defines the initial panels, `cell_id`
     tags each panel with the output cell it accumulates into.  Returns the
-    per-cell Kronrod sums, the minimum integrand value seen, and (None
-    without `weight`) the per-cell sums of weight * f on the same panels;
-    refinement follows f alone."""
+    per-cell Kronrod sums and (None without `weight`) the per-cell sums of
+    weight * f on the same panels; refinement follows f alone."""
     a = edges[:-1].copy()
     b = edges[1:].copy()
     cells = cell_id.copy()
     depth = np.zeros(a.size, dtype=int)
-    kron, gauss, fmin, wkron = _gk_panels(f, a, b, weight)
+    kron, gauss, wkron = _gk_panels(f, a, b, weight)
     err = np.abs(kron - gauss)
 
     while True:
@@ -136,9 +136,8 @@ def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
         new_b = np.concatenate([b[keep], mids, b[split]])
         new_cells = np.concatenate([cells[keep], cells[split], cells[split]])
         new_depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
-        k2, g2, fm, w2 = _gk_panels(f, np.concatenate([a[split], mids]),
-                                    np.concatenate([mids, b[split]]), weight)
-        fmin = min(fmin, fm)
+        k2, g2, w2 = _gk_panels(f, np.concatenate([a[split], mids]),
+                                np.concatenate([mids, b[split]]), weight)
         kron = np.concatenate([kron[keep], k2])
         if weight is not None:
             wkron = np.concatenate([wkron[keep], w2])
@@ -155,7 +154,7 @@ def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
         np.add.at(out, cells[order], panel_sums[order])
         return out
 
-    return per_cell(kron), fmin, None if weight is None else per_cell(wkron)
+    return per_cell(kron), None if weight is None else per_cell(wkron)
 
 
 def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
@@ -180,36 +179,8 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
         return 0.0
     edges = _initial_edges(l, r, breakpoints)
     cell_id = np.zeros(edges.size - 1, dtype=int)
-    sums, _, _ = _adaptive(f, edges, cell_id, tol, max_depth)
+    sums, _ = _adaptive(f, edges, cell_id, tol, max_depth)
     return float(sums[0])
-
-
-def cumulative(f, l, r, n, tol=_DEFAULT_TOL, *, breakpoints=(),
-               max_depth=_MAX_PANEL_DEPTH):
-    """Cumulative integral y -> int_l^y f on a uniform n-node grid.
-
-    Returns a MonotoneProfile whose node values are the running sums of
-    per-cell integrals, each cell resolved by the same adaptive scheme as
-    `integrate` (all cells share one refinement loop, so the global error
-    target applies to the final value).  The integrand must be nonnegative,
-    or the result would not be monotone: any sampled value below -1e-12
-    raises NegativeIntegrand.
-    """
-    l = float(l)
-    r = float(r)
-    if not r > l:
-        raise ValueError("cumulative expects l < r")
-    if n < 2:
-        raise ValueError("cumulative needs at least two grid nodes")
-    grid = np.linspace(l, r, n)
-    edges, cell_id = _cell_edges(grid, breakpoints)
-    sums, fmin, _ = _adaptive(f, edges, cell_id, tol, max_depth)
-    if fmin < -1e-12:
-        raise NegativeIntegrand(f"integrand reaches {fmin:.3e} below -1e-12")
-    # Rounding can leave a cell sum at -1e-17 where the integrand vanishes;
-    # clip so the running sums stay nondecreasing.
-    values = np.concatenate([[0.0], np.cumsum(np.maximum(sums, 0.0))])
-    return MonotoneProfile(nodes=grid, values=values, increasing=True)
 
 
 @dataclass
@@ -217,15 +188,14 @@ class MonotoneProfile:
     """A sampled monotone function with shape-preserving evaluation and a
     bracketed inverse.
 
-    Interpolation is monotone cubic (PCHIP) by default, which cannot
-    overshoot the node values, so evaluations stay inside
-    [min(values), max(values)] and the inverse is well posed cell by cell.
+    Interpolation is monotone cubic (PCHIP), which cannot overshoot the
+    node values, so evaluations stay inside [min(values), max(values)] and
+    the inverse is well posed cell by cell.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     increasing: bool = True
-    method: str = "pchip"
     _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -242,12 +212,7 @@ class MonotoneProfile:
             raise ValueError("values are not nondecreasing")
         if not self.increasing and np.any(diffs > 1e-30):
             raise ValueError("values are not nonincreasing")
-        if self.method == "pchip":
-            self._interp = PchipInterpolator(self.nodes, self.values, extrapolate=False)
-
-    @property
-    def domain(self):
-        return float(self.nodes[0]), float(self.nodes[-1])
+        self._interp = PchipInterpolator(self.nodes, self.values, extrapolate=False)
 
     @property
     def range(self):
@@ -257,21 +222,7 @@ class MonotoneProfile:
 
     def __call__(self, y):
         y_arr = np.clip(np.asarray(y, dtype=float), self.nodes[0], self.nodes[-1])
-        if self.method == "pchip":
-            out = self._interp(y_arr)
-        else:
-            out = np.interp(y_arr, self.nodes, self.values)
-        return out if np.ndim(y) else float(out)
-
-    def derivative(self, y):
-        y_arr = np.clip(np.asarray(y, dtype=float), self.nodes[0], self.nodes[-1])
-        if self.method == "pchip":
-            out = self._interp.derivative()(y_arr)
-        else:
-            idx = np.clip(np.searchsorted(self.nodes, y_arr, side="right") - 1,
-                          0, self.nodes.size - 2)
-            out = (self.values[idx + 1] - self.values[idx]) / (
-                self.nodes[idx + 1] - self.nodes[idx])
+        out = self._interp(y_arr)
         return out if np.ndim(y) else float(out)
 
     def _oriented(self):

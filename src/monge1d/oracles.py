@@ -367,7 +367,11 @@ def save_fixture(run: OracleRun, csv_path, *, alpha=None) -> Path:
 
 
 def load_fixture(csv_path) -> OracleRun:
-    """Read back a fixture written by save_fixture."""
+    """Read back a fixture written by save_fixture.
+
+    Raises ValueError naming the problem when the CSV header or the JSON
+    sidecar is not what save_fixture writes.
+    """
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -375,13 +379,22 @@ def load_fixture(csv_path) -> OracleRun:
         if header != ["y", "u"]:
             raise ValueError(f"unexpected fixture header {header!r}")
         rows = [(float(y), float(u)) for y, u in reader]
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar.name}: expected an object")
+    for key in ("alpha", "objective", "iterations", "epsilon"):
+        if key not in meta:
+            raise ValueError(f"{sidecar.name}: missing key {key!r}")
+    try:
+        alpha, objective = float(meta["alpha"]), float(meta["objective"])
+        iterations = int(meta["iterations"])
+        epsilon = None if meta["epsilon"] is None else float(meta["epsilon"])
+    except TypeError as exc:
+        raise ValueError(f"{sidecar.name}: {exc}") from exc
     nodes = np.array([y for y, _ in rows])
     values = np.array([u for _, u in rows])
     density = GridDensity(nodes=nodes, values=values,
-                          step=float(nodes[1] - nodes[0]),
-                          alpha=float(meta["alpha"]))
-    return OracleRun(density=density, objective=float(meta["objective"]),
-                     iterations=int(meta["iterations"]),
-                     epsilon=(None if meta["epsilon"] is None
-                              else float(meta["epsilon"])))
+                          step=float(nodes[1] - nodes[0]), alpha=alpha)
+    return OracleRun(density=density, objective=objective,
+                     iterations=iterations, epsilon=epsilon)

@@ -332,33 +332,6 @@ def validate_spec(spec: MongeProblemSpec) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
-class ApproxParams:
-    """Resolution knobs for one smoothing level.
-
-    epsilon is the smoothing strength; grid_n the number of profile
-    sampling nodes; root_tol / quad_tol the root-bracket width and
-    quadrature tolerance handed to the numeric kernels.
-    """
-
-    epsilon: float
-    grid_n: int = 2001
-    root_tol: float = 1e-12
-    quad_tol: float = 1e-10
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 33):
-            raise ValueError(f"grid_n must be an integer >= 33, got {self.grid_n!r}")
-        for name in ("root_tol", "quad_tol"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (0.0 < v <= 1e-4):
-                raise ValueError(f"{name} must lie in (0, 1e-4], got {v!r}")
-
-
 # -- JSON problem documents ---------------------------------------------------
 
 def _expect_object(doc, path, required, optional=()):

@@ -10,14 +10,17 @@ because the anchoring convention admits either, and nothing here ranks
 them.
 
 Maps evaluate lazily: each call composes the exact closed-form source
-CDF with a bisection inversion of the sampled target cumulative, which
-keeps the pushforward residual at root-solve precision instead of
-map-interpolation precision.
+CDF (`SourceDensity.cdf`) with a bisection inversion of the target
+cumulative, which keeps the pushforward residual at root-solve precision
+instead of map-interpolation precision.  The target cumulative is the
+running sum of the assembly's exact cell masses.  The cost is a
+quadrature of |x - s(x)| against the source density; with the source
+wholly on one side of the target it must equal the source barycenter
+minus the target expectation, which makes it a check on the whole chain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,7 @@ from .duality import DensitySolution
 from .numerics import MonotoneProfile, integrate
 from .problem import MongeProblemSpec
 
-_DEFAULT_QUAD_TOL = 1e-10
+_COST_QUAD_TOL = 1e-10
 
 
 def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -38,19 +41,6 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     k = np.arange(n, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid - half * np.cos(np.pi * k / (n - 1))
-
-
-def source_cdf(spec: MongeProblemSpec, n: int = 513) -> MonotoneProfile:
-    """Cumulative mass of the source density as a monotone profile.
-
-    The underlying CDF is an exact closed form; this samples it densely
-    for callers that want a profile object.  Map construction composes
-    with the exact form directly.
-    """
-    a, b = spec.source_interval
-    xs = np.linspace(a, b, n)
-    return MonotoneProfile(nodes=xs, values=spec.source_density.cdf(xs),
-                           increasing=True)
 
 
 def target_cdf(solution: DensitySolution) -> MonotoneProfile:
@@ -73,7 +63,6 @@ class QuantileMap:
 
     source_density: object
     target_profile: MonotoneProfile
-    domain: tuple[float, float]
     decreasing: bool = False
 
     def __call__(self, x):
@@ -86,12 +75,12 @@ class QuantileMap:
 
 @dataclass(frozen=True)
 class TransportMapSolution:
-    """A monotone transport map with its two CDFs and evaluated cost."""
+    """A monotone transport map with the target CDF it inverts and its
+    evaluated cost."""
 
     variant: str
     assumption: str
     map: QuantileMap
-    source_cdf: MonotoneProfile
     target_cdf: MonotoneProfile
     cost: float
 
@@ -108,19 +97,15 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
     if variant not in ("increasing", "decreasing"):
         raise ValueError(f"unknown variant {variant!r}")
     q = target_cdf(solution)
-    f = source_cdf(spec)
     mapping = QuantileMap(source_density=spec.source_density,
                           target_profile=q,
-                          domain=spec.source_interval,
                           decreasing=(variant == "decreasing"))
     cost = _evaluate_cost(mapping, spec)
     return TransportMapSolution(variant=variant, assumption=spec.assumption,
-                                map=mapping, source_cdf=f, target_cdf=q,
-                                cost=cost)
+                                map=mapping, target_cdf=q, cost=cost)
 
 
-def _evaluate_cost(mapping, spec: MongeProblemSpec,
-                   quad_tol=_DEFAULT_QUAD_TOL) -> float:
+def _evaluate_cost(mapping, spec: MongeProblemSpec) -> float:
     a, b = spec.source_interval
     density = spec.source_density
 
@@ -128,15 +113,8 @@ def _evaluate_cost(mapping, spec: MongeProblemSpec,
         return np.abs(x - mapping(x)) * np.asarray(density(x), dtype=float)
 
     # The density, and with it the map's slope, kinks at the source nodes.
-    return float(integrate(integrand, a, b, tol=quad_tol,
+    return float(integrate(integrand, a, b, tol=_COST_QUAD_TOL,
                            breakpoints=density.nodes or ()))
-
-
-def transport_cost(map_solution: TransportMapSolution,
-                   spec: MongeProblemSpec, *,
-                   quad_tol=_DEFAULT_QUAD_TOL) -> float:
-    """Transported-distance cost of a map against the source density."""
-    return _evaluate_cost(map_solution.map, spec, quad_tol)
 
 
 def pushforward_residual(map_solution: TransportMapSolution,

@@ -384,3 +384,85 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "slope" in captured.out
         assert "oracle oracle_bad.csv" in captured.err
+
+    @staticmethod
+    def _lp_fixture(out, alpha):
+        from monge1d.oracles import discrete_expectation_optimizer
+        from monge1d.problem import uniform_spec
+
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+        out.mkdir()
+        return save_fixture(discrete_expectation_optimizer(spec, 201),
+                            out / "oracle_lp.csv")
+
+    @pytest.mark.parametrize("edit, detail", [
+        ({"epsilon": -0.1}, "fixture epsilon -0.1 is not a finite value"),
+        ({"epsilon": 0.0}, "fixture epsilon 0.0 is not a finite value"),
+        ({"iterations": None}, "missing key 'iterations'"),
+    ])
+    def test_bad_sidecar_fails_its_check(self, tmp_path, capsys, edit,
+                                         detail):
+        # A sidecar comes from outside the program: a bad epsilon or a
+        # missing key fails the fixture's check instead of the command.
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["problem"]["alpha"] = 4.0
+        out = tmp_path / "art"
+        sidecar = self._lp_fixture(out, 4.0)
+        meta = json.loads(sidecar.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        code = main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--grid", "801"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "verify: failed oracle oracle_lp.csv" in captured.err
+        assert detail in captured.out
+
+    def test_solves_each_epsilon_once(self, tmp_path, monkeypatch, capsys):
+        # The fixture carries no epsilon, so it is checked against the
+        # last configured one, which the battery has already solved.
+        import monge1d.cli
+
+        calls = []
+        solve = monge1d.cli.assemble_density
+
+        def counted(spec, epsilon, *args, **kwargs):
+            calls.append(epsilon)
+            return solve(spec, epsilon, *args, **kwargs)
+
+        monkeypatch.setattr(monge1d.cli, "assemble_density", counted)
+        out = tmp_path / "art"
+        self._lp_fixture(out, 1.0)
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["epsilons"] = [0.1, 0.01, 0.001]
+        code = main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--grid", "801"])
+        assert code == 5
+        assert "pass     oracle oracle_lp.csv" in capsys.readouterr().out
+        assert calls == [0.1, 0.01, 0.001]
+
+
+NEAR_CAPACITY_DOC = {
+    "problem": {
+        "assumption": "I",
+        "source": {"interval": [2.54, 4.54], "density": {"kind": "uniform"}},
+        "target": [0, 2.04],
+        "alpha": 1.0,
+    },
+    "epsilons": [0.1],
+}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "validate judges capacity by the sharp-limit width 2/sqrt(alpha); solve "
+    "by the smoothed capacity margin, 0.9888 on this target (see ROADMAP)"))
+def test_validate_and_solve_agree_near_capacity(tmp_path):
+    config = write_config(tmp_path, NEAR_CAPACITY_DOC)
+    validated = main(["validate", "--config", config, "--quiet"])
+    solved = main(["solve", "--config", config, "--quiet",
+                   "--out", str(tmp_path / "art"), "--grid", "401"])
+    assert (validated == 3) == (solved == 3)

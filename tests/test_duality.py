@@ -13,7 +13,6 @@ from monge1d.duality import (
     assemble_density,
     boundary_residual,
     capacity_margin,
-    check_capacity,
     eval_E,
     eval_E_log,
     invert_E,
@@ -157,7 +156,7 @@ class TestSlopeFromTheta:
         # a value silently.
         with pytest.raises(MaxIterations):
             slope_from_theta(math.nan, 1.0, 0.1)
-        fld = DualField.from_zeros((3.0, 5.0), 3.0, 4.0, 1.0, 1.0, 0.1)
+        fld = DualField((3.0, 5.0), (3.0, 4.0), 1.0, 1.0, 0.1)
         with pytest.raises(MaxIterations):
             fld.slope(np.array([3.5, math.nan]))
 
@@ -238,15 +237,15 @@ class TestTotalMass:
 
 class TestCapacity:
     def test_wide_enough(self):
-        assert check_capacity(SPEC_I, 1e-3)
+        assert capacity_margin(SPEC_I, 1e-3) > 1.0
 
     def test_too_narrow(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 1.0), "I", 1.0)
-        assert not check_capacity(spec, 1e-3)
+        assert capacity_margin(spec, 1e-3) <= 1.0
 
     def test_slope_bound_too_small(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 0.1)
-        assert not check_capacity(spec, 1e-3)
+        assert capacity_margin(spec, 1e-3) <= 1.0
 
     def test_margin_value(self):
         assert capacity_margin(SPEC_I, 1e-3) == pytest.approx(6.25, abs=0.05)
@@ -254,7 +253,7 @@ class TestCapacity:
     def test_invalid_spec_rejected(self):
         bad = uniform_spec((6.0, 8.0), (0.0, 7.0), "I", 1.0)
         with pytest.raises(DomainError):
-            check_capacity(bad, 1e-3)
+            capacity_margin(bad, 1e-3)
 
 
 class TestSolveSupport:
@@ -440,25 +439,37 @@ class TestTranslationInvariance:
 
 class TestDualField:
     def test_stress_equation_exact(self):
-        fld = DualField(support=(3.0, 5.0), constant=8.0, orientation=1.0,
-                        alpha=1.0, epsilon=0.1)
+        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
+                        orientation=1.0, alpha=1.0, epsilon=0.1)
         ys = np.linspace(3.0, 5.0, 101)
         h = 1e-6
         dtheta = (fld.theta(ys + h) - fld.theta(ys - h)) / (2 * h)
         assert np.abs(dtheta + np.abs(ys)).max() < 1e-7
 
     def test_crossing(self):
-        fld = DualField(support=(3.0, 5.0), constant=8.0, orientation=1.0,
-                        alpha=1.0, epsilon=0.1)
+        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
+                        orientation=1.0, alpha=1.0, epsilon=0.1)
         assert fld.crossing == pytest.approx(4.0)
         assert abs(fld.theta(fld.crossing)) < 1e-14
-        mirrored = DualField(support=(-5.0, -3.0), constant=8.0,
+        mirrored = DualField(support=(-5.0, -3.0), zeros=(4.0, -4.0),
                              orientation=-1.0, alpha=1.0, epsilon=0.1)
         assert mirrored.crossing == pytest.approx(-4.0)
 
+    def test_expanded_form(self):
+        # theta = orientation (constant - y^2/2) - multiplier y, with the
+        # constant and the multiplier read out of the zeros.
+        for o, zeros in ((1.0, (3.0, 4.2)), (-1.0, (-3.0, -4.2))):
+            fld = DualField(support=(3.0, 5.0), zeros=zeros, orientation=o,
+                            alpha=1.0, epsilon=0.1)
+            assert fld.constant == -0.5 * zeros[0] * zeros[1]
+            assert fld.multiplier == -0.5 * o * (zeros[0] + zeros[1])
+            ys = np.linspace(-5.0, 5.0, 41)
+            expanded = o * (fld.constant - 0.5 * ys ** 2) - fld.multiplier * ys
+            assert np.abs(fld.theta(ys) - expanded).max() < 1e-12
+
     def test_fields_at_consistent(self):
-        fld = DualField(support=(3.0, 5.0), constant=8.0, orientation=1.0,
-                        alpha=1.0, epsilon=0.01)
+        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
+                        orientation=1.0, alpha=1.0, epsilon=0.01)
         ys = np.linspace(3.0, 5.0, 57)
         theta, log_lam, slope = fld.fields_at(ys)
         assert np.allclose(theta, fld.theta(ys), rtol=0, atol=0)
@@ -500,8 +511,7 @@ class TestGradedPanels:
         # anchor (residual of order 1).
         anchor = spec.anchor
         for c in (crossing, 0.5 * (crossing + anchor)):
-            fld = DualField.from_zeros(support, zero, c, spec.orientation,
-                                       alpha, eps)
+            fld = DualField(support, (zero, c), spec.orientation, alpha, eps)
             graded = boundary_residual(c, support, spec, eps, zero=zero,
                                        quad_tol=1e-13)
             plain = integrate(fld.slope, *support, tol=1e-13,

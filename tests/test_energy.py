@@ -2,6 +2,7 @@
 and the sign structure of the variational probes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from monge1d.energy import (
     ConstraintResiduals,
     ProbeReport,
     SinePerturbation,
-    ZeroProfile,
     dual_energy,
     duality_gap,
     expectation,
@@ -28,6 +28,22 @@ from monge1d.problem import uniform_spec
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
+
+
+@dataclass(frozen=True)
+class ZeroProfile:
+    """The identically-zero profile on an interval (a trivial competitor)."""
+
+    support: tuple[float, float]
+    alpha: float
+
+    def __call__(self, y):
+        out = np.zeros_like(np.asarray(y, dtype=float))
+        return out if np.ndim(y) else 0.0
+
+    def slope(self, y):
+        out = np.zeros_like(np.asarray(y, dtype=float))
+        return out if np.ndim(y) else 0.0
 
 
 def _const(value):

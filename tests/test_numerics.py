@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d.errors import MaxDepth, NegativeIntegrand, NoSignChange, OutOfRange
+from monge1d.errors import MaxDepth, NoSignChange, OutOfRange
 from monge1d.numerics import (
     MonotoneProfile,
-    cumulative,
+    _adaptive,
+    _cell_edges,
     integrate,
     refine_to_residual,
     solve_root,
@@ -123,27 +124,25 @@ class TestIntegrate:
 
 
 class TestCumulative:
+    """The per-cell pass behind `assemble_density`'s cumulative quadrature."""
+
+    @staticmethod
+    def _running_sums(f, grid, tol):
+        edges, cell_id = _cell_edges(grid, ())
+        sums, _ = _adaptive(f, edges, cell_id, tol, 60)
+        return np.concatenate([[0.0], np.cumsum(sums)])
+
     def test_matches_integrate(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
-        prof = cumulative(f, 0.0, 3.0, 41, tol=1e-12)
+        sums = self._running_sums(f, np.linspace(0.0, 3.0, 41), 1e-12)
         direct = integrate(f, 0.0, 3.0, tol=1e-12)
-        assert abs(prof.values[-1] - direct) < 1e-12
+        assert abs(sums[-1] - direct) < 1e-12
 
     def test_node_values_are_partial_integrals(self):
-        f = lambda x: np.exp(-x)
-        prof = cumulative(f, 0.0, 2.0, 21, tol=1e-12)
+        grid = np.linspace(0.0, 2.0, 21)
+        sums = self._running_sums(lambda x: np.exp(-x), grid, 1e-12)
         for k in (5, 10, 17):
-            y = prof.nodes[k]
-            assert abs(prof.values[k] - (1.0 - np.exp(-y))) < 1e-10
-
-    def test_negative_integrand_rejected(self):
-        with pytest.raises(NegativeIntegrand):
-            cumulative(np.sin, -1.0, 1.0, 11)
-
-    def test_tiny_negative_noise_tolerated(self):
-        f = lambda x: np.maximum(x, 0.0) - 1e-15
-        prof = cumulative(f, 0.0, 1.0, 11)
-        assert abs(prof.values[-1] - 0.5) < 1e-9
+            assert abs(sums[k] - (1.0 - np.exp(-grid[k]))) < 1e-10
 
 
 class TestMonotoneProfile:
@@ -206,12 +205,6 @@ class TestMonotoneProfile:
         many = prof.invert_many(np.array([t]))
         assert abs(many[0] - 0.4) < 1e-9
 
-    def test_linear_method(self):
-        x = np.linspace(0.0, 1.0, 5)
-        prof = MonotoneProfile(nodes=x, values=2.0 * x, method="linear")
-        assert abs(prof(0.3) - 0.6) < 1e-14
-        assert abs(prof.invert(0.6) - 0.3) < 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MonotoneProfile(nodes=np.array([0.0, 0.0, 1.0]),
@@ -219,12 +212,6 @@ class TestMonotoneProfile:
         with pytest.raises(ValueError):
             MonotoneProfile(nodes=np.array([0.0, 1.0]),
                             values=np.array([1.0, 0.0]), increasing=True)
-
-    def test_derivative(self):
-        # PCHIP derivatives carry O(h^2) error between nodes.
-        prof = self._exp_profile(201)
-        y = 0.8
-        assert abs(prof.derivative(y) - np.exp(-y)) < 1e-4
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=0.05, max_value=1.95))

@@ -1,6 +1,7 @@
 """Ground-truth generators: tent closed form, LP expectation optimizer,
 projected-descent primal oracle, mirror transform, fixture round trip."""
 
+import json
 import math
 
 import numpy as np
@@ -259,3 +260,23 @@ class TestFixtures:
         (tmp_path / "bad.json").write_text("{}")
         with pytest.raises(ValueError, match="header"):
             load_fixture(path)
+
+    @pytest.mark.parametrize("key", ["alpha", "objective", "iterations",
+                                     "epsilon"])
+    def test_missing_sidecar_key_is_named(self, tmp_path, key):
+        run = discrete_expectation_optimizer(SPEC_I, 201)
+        sidecar = save_fixture(run, tmp_path / "oracle.csv")
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            load_fixture(tmp_path / "oracle.csv")
+
+    def test_non_numeric_sidecar_value_is_a_value_error(self, tmp_path):
+        run = discrete_expectation_optimizer(SPEC_I, 201)
+        sidecar = save_fixture(run, tmp_path / "oracle.csv")
+        meta = json.loads(sidecar.read_text())
+        meta["alpha"] = None
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="oracle.json"):
+            load_fixture(tmp_path / "oracle.csv")

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from monge1d.errors import ConfigError, NonPositiveDensity
 from monge1d.problem import (
-    ApproxParams,
     MongeProblemSpec,
     SourceDensity,
     normalize_density,
@@ -184,24 +183,6 @@ class TestValidateSpec:
     def test_spec_hashable(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
         assert spec in {spec}
-
-
-class TestApproxParams:
-    def test_defaults(self):
-        p = ApproxParams(epsilon=0.1)
-        assert p.grid_n == 2001
-        assert p.root_tol == 1e-12
-        assert p.quad_tol == 1e-10
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ApproxParams(epsilon=0.0)
-        with pytest.raises(ValueError):
-            ApproxParams(epsilon=0.1, grid_n=10)
-        with pytest.raises(ValueError):
-            ApproxParams(epsilon=0.1, quad_tol=1e-3)
-        with pytest.raises(ValueError):
-            ApproxParams(epsilon=0.1, root_tol=0.0)
 
 
 CANONICAL_DOC = {
