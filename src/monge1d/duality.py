@@ -2,7 +2,7 @@
 
 The density minimizes the integral of H(u_y) - |y| u over nonnegative,
 unit-mass profiles on the target.  The chain of reasoning implemented
-here, all in closed form up to two nested scalar root solves:
+here, all in closed form up to one two-unknown root solve:
 
 1. On its support the stress field is an explicit parabola satisfying
    the stress equation theta_y = -|y| - mu exactly, where mu is the
@@ -16,18 +16,22 @@ here, all in closed form up to two nested scalar root solves:
    scale factor lambda = e^l; the density slope is then
    slope = sign(theta) * sqrt(alpha^2 + 2 eps l), which is the exact
    inverse of the smoothed-penalty derivative.
-3. For a trial free zero, the crossing is fixed by requiring the density
-   to vanish at both support endpoints (inner root solve, monotone in the
-   crossing); the free zero is fixed by requiring unit mass (outer root
-   solve, nested over the first).  When even the free zero at the far
+3. The two zeros are fixed together by two conditions: the density
+   vanishes at both support endpoints (closure) and holds unit mass.  One
+   safeguarded Newton iteration on (z, c) solves both, starting from the
+   sharp-limit tent; each iterate costs one quadrature pass, which yields
+   both residuals (`_solve_zeros`).  When even the free zero at the far
    target edge leaves less than unit mass, the support is the whole
    target: the far edge is then a Dirichlet end with theta > 0 there, and
-   the free zero lies beyond it.
+   the free zero lies beyond it; the same iteration reaches it by letting
+   z cross the far edge.
 4. The density itself is the cumulative integral of the slope from the
    anchored endpoint.
 
-Everything is written in offsets from the zeros and the support, so a
-problem shifted along the axis gives the shifted solution.  The
+The quadratures of the slope, the solve's unknowns and the assembly's
+grid are all offsets from the anchor, so a problem shifted along the axis
+gives the shifted solution, and the zeros resolve to ulps of the target's
+width rather than of its distance from the origin.  The
 multiplier-free parabola orientation * (constant - y^2/2) survives as the
 capacity construction (`solve_constant`, `capacity_margin`), which sets
 the solvability verdict.
@@ -39,8 +43,8 @@ which bisection would reach one level per round, over 20 to 35 rounds;
 graded panels each see the layer on their own scale, so one or two
 vectorized rounds settle a quadrature.  The assembly's cumulative pass
 inserts the same graded edges into its grid, so it integrates the same
-panels next to the zeros as the root solves did, and the closing
-density keeps the sign the crossing solve gave it.
+panels next to the zeros as the solve did, and the closing density
+keeps the sign the solve gave it.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -64,13 +68,16 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import CapacityError, DomainError, MaxIterations, OutOfRange
-from .numerics import _adaptive, _cell_edges, integrate, refine_to_residual, solve_root
+from .numerics import (_MAX_PANEL_DEPTH, _adaptive, _cell_edges, _initial_edges,
+                       integrate, refine_to_residual, solve_root)
 from .problem import MongeProblemSpec, validate_spec
 
 _BRACKET_SLACK = 1e-12     # admissible negative slack on alpha^2 + 2 eps l
 _DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
-_GRADE_ULPS = 64           # finest graded panel, in ulps of the support's magnitude
+_GRADE_ULPS = 64           # finest graded panel, in ulps of the span's magnitude
+_ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
+_FD_STEP = 2.0 ** -24      # forward-difference step, in target widths
 
 
 # -- scalar algebra -----------------------------------------------------------
@@ -313,14 +320,24 @@ def _graded_edges(support, zeros):
                           + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
-def _slope_integral(weight, zeros, support, spec, epsilon, quad_tol):
-    """Integral over the support of weight(y) * slope(theta(y)), on panels
-    graded toward the stress zeros."""
-    o = spec.orientation
-    f = lambda y: weight(y) * _slope_many(_stress_on(y, zeros, o),
-                                          spec.alpha, epsilon)
-    return integrate(f, support[0], support[1], tol=quad_tol,
-                     breakpoints=_graded_edges(support, zeros))
+def _offsets(points, spec: MongeProblemSpec):
+    """Offsets p - anchor of absolute points."""
+    return tuple(float(p) - spec.anchor for p in points)
+
+
+def _offset_slope(shifted, spec: MongeProblemSpec, epsilon):
+    """Slope at offsets t = y - anchor of the stress whose zeros sit at
+    the offsets `shifted`."""
+    return lambda t: _slope_many(_stress_on(t, shifted, spec.orientation),
+                                 spec.alpha, epsilon)
+
+
+def _slope_integral(weight, shifted, span, spec, epsilon, quad_tol):
+    """Integral over the span of weight(t) * slope, on panels graded toward
+    the stress zeros; zeros, span and t are offsets from the anchor."""
+    slope = _offset_slope(shifted, spec, epsilon)
+    return integrate(lambda t: weight(t) * slope(t), span[0], span[1],
+                     tol=quad_tol, breakpoints=_graded_edges(span, shifted))
 
 
 def _constant_bracket(support):
@@ -329,10 +346,11 @@ def _constant_bracket(support):
     return (min(lo2, hi2), max(lo2, hi2))
 
 
-def _support_of(zero, spec: MongeProblemSpec):
+def _support_of(zero, spec: MongeProblemSpec, ref=0.0):
     """Support of the density whose stress has its free zero at `zero`:
-    from the zero to the anchor, clamped to the far edge."""
-    far, anchor = spec.far_edge, spec.anchor
+    from the zero to the anchor, clamped to the far edge; `zero` and the
+    result are offsets from `ref`."""
+    far, anchor = spec.far_edge - ref, spec.anchor - ref
     if spec.assumption == "I":
         return (max(float(zero), far), anchor)
     return (anchor, min(float(zero), far))
@@ -356,9 +374,9 @@ def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
     if not lo < hi:
         raise ValueError(f"support [{lo}, {hi}] is degenerate")
     zeros = (_level_zeros(r, spec.orientation) if zero is None
-             else (float(zero), float(r)))
-    return _slope_integral(lambda y: 1.0, zeros, (lo, hi), spec, epsilon,
-                           quad_tol)
+             else (zero, r))
+    return _slope_integral(lambda t: 1.0, _offsets(zeros, spec),
+                           _offsets((lo, hi), spec), spec, epsilon, quad_tol)
 
 
 def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12, *,
@@ -368,7 +386,7 @@ def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12, *,
     Bracketed between the parabola levels that put the stress zero at
     either support endpoint; the returned value drives
     |boundary_residual| below tol.  This is the construction behind
-    `capacity_margin`; the solved density uses `solve_crossing`.
+    `capacity_margin`; the solved density uses `_solve_zeros`.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
@@ -383,7 +401,8 @@ def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12, *,
 def solve_crossing(support, zero, spec: MongeProblemSpec, epsilon, tol=1e-12,
                    *, root_tol=1e-12):
     """Crossing of the stress parabola with free zero `zero` that closes
-    the density on the support (inner root solve).
+    the density on the support (bracketed root solve for a given zero;
+    `_solve_zeros` fixes both zeros at once and lands on the same aim).
 
     The residual is monotone in the crossing and changes sign between
     the support endpoints; the returned crossing drives
@@ -425,9 +444,9 @@ def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,
         return 0.0
     if crossing is None:
         crossing = solve_crossing(support, zero, spec, epsilon, tol=constant_tol)
-    start = lo if spec.assumption == "I" else hi
-    return _slope_integral(lambda y: start - y, (zero, crossing), support,
-                           spec, epsilon, quad_tol)
+    start = (lo if spec.assumption == "I" else hi) - spec.anchor
+    return _slope_integral(lambda t: start - t, _offsets((zero, crossing), spec),
+                           _offsets(support, spec), spec, epsilon, quad_tol)
 
 
 def _require_valid(spec: MongeProblemSpec):
@@ -447,55 +466,125 @@ def capacity_margin(spec: MongeProblemSpec, epsilon, *, constant_tol=1e-12,
     _require_valid(spec)
     support = tuple(sorted(spec.target_interval))
     constant = solve_constant(support, spec, epsilon, tol=constant_tol)
-    far = spec.far_edge
-    return _slope_integral(lambda y: far - y,
-                           _level_zeros(constant, spec.orientation), support,
-                           spec, epsilon, quad_tol)
+    far = spec.far_edge - spec.anchor
+    return _slope_integral(lambda t: far - t,
+                           _offsets(_level_zeros(constant, spec.orientation), spec),
+                           _offsets(support, spec), spec, epsilon, quad_tol)
+
+
+def _zero_residuals(shifted, spec: MongeProblemSpec, epsilon, aim, quad_tol):
+    """Closure and mass residuals of the stress with zeros at the offsets
+    `shifted` from the anchor, from one quadrature pass over the support:
+    integral of slope + aim, and integral of (start - t) slope - 1 taken
+    from the same samples."""
+    span = _support_of(shifted[0], spec, spec.anchor)
+    start = span[0] if spec.assumption == "I" else span[1]
+    edges = _initial_edges(*span, _graded_edges(span, shifted))
+    sums, moments = _adaptive(_offset_slope(shifted, spec, epsilon), edges,
+                              np.zeros(edges.size - 1, dtype=int), quad_tol,
+                              _MAX_PANEL_DEPTH, weight=lambda t: start - t)
+    return np.array([sums[0] + aim, moments[0] - 1.0])
+
+
+@dataclass(frozen=True)
+class _ZeroSolve:
+    """Outcome of the coupled solve: the zeros (z, c) as offsets from the
+    anchor, the Newton steps taken and the final residuals."""
+
+    shifted: tuple[float, float]
+    steps: int
+    closure: float
+    mass_residual: float
+
+
+def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
+                 root_tol) -> _ZeroSolve:
+    """Free zero z and crossing c from one safeguarded Newton iteration on
+    the closure and unit-mass conditions (`_zero_residuals`).
+
+    The unknowns are the offsets of the zeros from the anchor, so they
+    resolve to ulps of the target's width however far it lies from the
+    origin: in absolute coordinates one ulp of c moves the closure by
+    about 4e-13 at |y| ~ 500, more than its aim.  Starts from the
+    sharp-limit tent (z = anchor -+ 2/sqrt(alpha), c in the middle of the
+    support).  The Jacobian is taken by forward differences until both
+    contracts hold, then kept for the closing steps.  Each step is cut
+    back to half way to any bound it would cross, so that c stays
+    strictly inside the support and on the anchor's side of z; z may
+    cross the far edge, which is the full-target regime.  Converged when
+    |mass - 1| <= mass_tol, the closure lands on `solve_crossing`'s aim
+    within 0.9 crossing_tol, and the last step moved neither zero by more
+    than root_tol; raises MaxIterations otherwise.
+    """
+    o = spec.orientation
+    far = spec.far_edge - spec.anchor
+    aim = 0.1 * crossing_tol * o
+    quad_tol = min(1e-13, 0.1 * crossing_tol)
+    h = _FD_STEP * spec.target_width
+
+    def start_of(z):
+        # The support's closing end: z clamped to the far edge.
+        return _support_of(z, spec, spec.anchor)[0 if o > 0 else 1]
+
+    z = -o * 2.0 / math.sqrt(spec.alpha)
+    c = 0.5 * start_of(z)
+    F = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+    J = None
+    step = math.inf
+    for k in range(_ZERO_MAX_STEPS):
+        if not np.all(np.isfinite(F)):
+            break
+        held = abs(F[1]) <= mass_tol and abs(F[0]) <= 0.9 * crossing_tol
+        if held and step <= root_tol + 4.0 * float(np.spacing(max(abs(z), abs(c)))):
+            return _ZeroSolve((z, c), k, float(F[0]), float(F[1]))
+        if J is None or not held:
+            # z moves away from c; c toward the farther end of its support.
+            hc = -o * h if o * (c - start_of(z)) > -o * c else o * h
+            Fz = _zero_residuals((z - o * h, c), spec, epsilon, aim, quad_tol)
+            Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)
+            J = np.column_stack([(Fz - F) / (-o * h), (Fc - F) / hc])
+        try:
+            dz, dc = (float(d) for d in np.linalg.solve(J, -F))
+        except np.linalg.LinAlgError:
+            break
+        # Bounds: o (0 - c) > 0 (anchor), o (c - far) > 0, o (c - z) > 0.
+        t = 1.0
+        for g0, dg in ((-o * c, -o * dc), (o * (c - far), o * dc),
+                       (o * (c - z), o * (dc - dz))):
+            if g0 + dg <= 0.0:
+                t = min(t, 0.5 * g0 / -dg)
+        z, c = z + t * dz, c + t * dc
+        step = t * max(abs(dz), abs(dc))
+        F = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+    raise MaxIterations(
+        f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
+        f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")
 
 
 def solve_support(spec: MongeProblemSpec, epsilon, tol=1e-10, *,
                   root_tol=1e-12):
-    """Free zero of the stress, fixed by the unit-mass condition.
+    """Free zero of the stress, fixed with the crossing by the closure and
+    unit-mass conditions (`_solve_zeros`, crossing tolerance 0.01 tol).
 
-    Nested solve: for every trial zero the crossing is re-solved at
-    0.01x this tolerance, then the held mass (`total_mass`) is compared
-    to 1.  The result is the free support endpoint, where the stress
-    vanishes, whenever the density with its free end at the far edge
-    holds at least unit mass.  Otherwise the support is the whole target
-    and the result lies beyond the far edge, between it and the free zero
-    of the multiplier-free full-target parabola, whose mass is the
-    capacity margin.  Raises CapacityError when that margin is not above 1.
+    The result is the free support endpoint, where the stress vanishes,
+    whenever the density with its free end at the far edge holds at least
+    unit mass; otherwise the support is the whole target and the result
+    lies beyond the far edge.  Raises CapacityError when the capacity
+    margin is not above 1.
     """
-    _require_valid(spec)
-    inner_tol = 0.01 * tol
-    margin = capacity_margin(spec, epsilon, constant_tol=inner_tol,
+    _require_capacity(spec, epsilon, tol)
+    solved = _solve_zeros(spec, epsilon, tol, 0.01 * tol, root_tol)
+    return spec.anchor + solved.shifted[0]
+
+
+def _require_capacity(spec: MongeProblemSpec, epsilon, tol):
+    margin = capacity_margin(spec, epsilon, constant_tol=0.01 * tol,
                              quad_tol=0.1 * tol)
     if margin <= 1.0:
         raise CapacityError(
             f"target of width {spec.target_width:.6g} holds at most mass "
             f"{margin:.6g} < 1 under slope bound {spec.alpha:.6g}; width "
             f"around {2.0 / math.sqrt(spec.alpha):.6g} is needed")
-    anchor = spec.anchor
-    far = spec.far_edge
-    seen = {}
-
-    def residual(z):
-        # Brent and the residual polish revisit bracket ends; each value
-        # costs a nested solve, so it is computed once.
-        if z not in seen:
-            seen[z] = total_mass(z, spec, epsilon, constant_tol=inner_tol,
-                                 quad_tol=0.1 * tol) - 1.0
-        return seen[z]
-
-    if residual(far) >= 0.0:
-        lo, hi = far, anchor
-    else:
-        support = tuple(sorted(spec.target_interval))
-        constant = solve_constant(support, spec, epsilon, tol=inner_tol,
-                                  root_tol=root_tol)
-        lo, hi = _level_zeros(constant, spec.orientation)[0], far
-    z = solve_root(residual, lo, hi, tol=root_tol)
-    return refine_to_residual(residual, lo, hi, z, tol)
 
 
 # -- assembled density --------------------------------------------------------
@@ -514,7 +603,10 @@ class DensitySolution:
     clamping it (see the module docstring).  cell_masses holds the mass
     of each support cell, h u_i + integral of (y_i+1 - s) u'(s) ds, taken
     from the same quadrature of the slope as the values, so no
-    interpolant of the density enters it.
+    interpolant of the density enters it.  newton_steps, closure_residual
+    and mass_residual record what the coupled zero solve did: its Newton
+    steps and its final closure (measured from the aim) and mass - 1
+    residuals.  No CLI artifact writes them.
     """
 
     spec: MongeProblemSpec
@@ -534,6 +626,9 @@ class DensitySolution:
     boundary_gap: float
     clip_depth: float
     grid_n: int
+    newton_steps: int
+    closure_residual: float
+    mass_residual: float
     cell_masses: np.ndarray = field(repr=False)
     _profile: PchipInterpolator = field(repr=False)
 
@@ -572,49 +667,57 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
                      mass_tol=1e-10) -> DensitySolution:
     """Full solve: free zero, crossing, and the sampled density.
 
-    The density is the cumulative integral of the recovered slope,
+    The zeros come from one coupled solve (`_solve_zeros`, mass contract
+    mass_tol, closure contract 0.01 mass_tol, Newton step bound
+    root_tol), after the capacity check; the assembly uses them as they
+    are.  The density is the cumulative integral of the recovered slope,
     anchored at the target endpoint adjacent to the source (it vanishes
-    there by construction and at the other support end by the crossing
-    solve).  The cumulative quadrature runs at the crossing solve's
-    tolerance, so the values near the free endpoint, where the stress
-    vanishes, keep the sign the solve gives them.  The grid is uniform
-    over the support with the stress zero inserted as an extra exact
+    there by construction and at the other support end by the closure
+    condition).  The cumulative quadrature runs in the solve's offsets
+    and at its tolerance, so the values near the free endpoint, where
+    the stress vanishes, keep the sign the solve gives them.  The grid is
+    uniform over the support with the crossing inserted as an extra exact
     node, plus a zero extension over the rest of the target at matching
-    resolution.  `quad_tol` applies to the expectation.
+    resolution.  The mass is the solve's own; `quad_tol` applies to the
+    expectation.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
     if grid_n < 33:
         raise ValueError(f"grid_n must be >= 33, got {grid_n}")
-    zero = solve_support(spec, epsilon, tol=mass_tol, root_tol=root_tol)
-    support = _support_of(zero, spec)
+    _require_capacity(spec, epsilon, mass_tol)
     crossing_tol = 0.01 * mass_tol
-    # Bracketed 100x finer than the trial solves, so the residual lands
-    # on the aim of solve_crossing rather than anywhere within tol.
-    crossing = solve_crossing(support, zero, spec, epsilon, tol=crossing_tol,
-                              root_tol=0.01 * root_tol)
+    solved = _solve_zeros(spec, epsilon, mass_tol, crossing_tol, root_tol)
+    anchor = spec.anchor
+    shifted = solved.shifted
+    zero, crossing = anchor + shifted[0], anchor + shifted[1]
+    support = _support_of(zero, spec)
     dual = DualField(support, (zero, crossing), spec.orientation, spec.alpha,
                      epsilon)
     lo, hi = support
     m = lo if spec.assumption == "I" else hi
 
-    base = np.linspace(lo, hi, grid_n)
-    if lo < crossing < hi and float(np.min(np.abs(base - crossing))) > 1e-13:
-        grid = np.sort(np.append(base, crossing))
+    # The grid and the cumulative pass run in offsets from the anchor, on
+    # the span and zeros the solve used; absolute nodes only for output.
+    span = _support_of(shifted[0], spec, anchor)
+    base = np.linspace(span[0], span[1], grid_n)
+    dc = shifted[1]
+    if span[0] < dc < span[1] and float(np.min(np.abs(base - dc))) > 1e-13:
+        grid_t = np.sort(np.append(base, dc))
     else:
-        grid = base
-    slope_arr = lambda y: _slope_many(_stress_on(y, dual.zeros, spec.orientation),
-                                      spec.alpha, epsilon)
+        grid_t = base
+    grid = anchor + grid_t
+    grid[[0, -1]] = support     # a far edge exactly, not anchor + (far - anchor)
     # Quadrature nodes lie inside their cell; the first grid node at or
     # above a node is its cell's right end.
-    to_right_end = lambda y: grid[np.minimum(np.searchsorted(grid, y),
-                                             grid.size - 1)] - y
-    # The panels next to the stress zeros are the ones the solves
+    to_right_end = lambda t: grid_t[np.minimum(np.searchsorted(grid_t, t),
+                                               grid_t.size - 1)] - t
+    # The panels next to the stress zeros are the ones the solve
     # integrated, each tagged to the grid cell that contains it.
-    edges, cell_id = _cell_edges(grid, _graded_edges(support, dual.zeros))
-    sums, moments = _adaptive(slope_arr, edges, cell_id,
-                              min(1e-13, 0.1 * crossing_tol), 60,
-                              weight=to_right_end)
+    edges, cell_id = _cell_edges(grid_t, _graded_edges(span, shifted))
+    sums, moments = _adaptive(_offset_slope(shifted, spec, epsilon), edges,
+                              cell_id, min(1e-13, 0.1 * crossing_tol),
+                              _MAX_PANEL_DEPTH, weight=to_right_end)
     cums = np.concatenate([[0.0], np.cumsum(sums)])
     if spec.assumption == "I":
         raw = cums - cums[-1]
@@ -630,7 +733,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     values_support[0] = 0.0
     values_support[-1] = 0.0
     # On a cell, integral of u = h u_i + integral of (y_i+1 - s) u'(s) ds.
-    cell_masses = np.maximum(np.diff(grid) * values_support[:-1] + moments, 0.0)
+    cell_masses = np.maximum(np.diff(grid_t) * values_support[:-1] + moments, 0.0)
 
     h = (hi - lo) / (grid_n - 1)
     tl, tr = spec.target_interval
@@ -649,7 +752,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
         support_slice = slice(0, grid.size)
 
-    slope_nodes = slope_arr(grid)
+    slope_nodes = dual.slope(grid)
     # |theta| peaks at a support end or at the parabola's vertex.
     probes = [lo, hi]
     vertex = 0.5 * (zero + crossing)
@@ -658,14 +761,14 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     stress_max = float(np.max(np.abs(dual.theta(np.array(probes)))))
     l_max, u_max = _invert_stress_sq(np.array([stress_max ** 2]),
                                      spec.alpha, epsilon)
-    mass = total_mass(zero, spec, epsilon, crossing=crossing,
-                      quad_tol=0.1 * mass_tol)
+    mass = 1.0 + solved.mass_residual
     # integral of y u = m * mass + integral of (y - m) u, and the latter
     # integrates by parts to -1/2 integral of (y - m)^2 slope: the
-    # quadrature only sees offsets from the support, so a shifted problem
-    # gives the shifted expectation.
+    # quadrature only sees offsets, so a shifted problem gives the
+    # shifted expectation.
+    dm = span[0] if spec.assumption == "I" else span[1]
     expectation = m * mass - 0.5 * _slope_integral(
-        lambda y: (y - m) ** 2, dual.zeros, support, spec, epsilon, quad_tol)
+        lambda t: (t - dm) ** 2, shifted, span, spec, epsilon, quad_tol)
     profile = PchipInterpolator(grid, values_support, extrapolate=False)
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
@@ -673,6 +776,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         slope_nodes=slope_nodes, support_slice=support_slice, mass=float(mass),
         expectation=float(expectation), max_abs_slope=float(np.sqrt(u_max[0])),
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
-        clip_depth=clip_depth, grid_n=grid_n, cell_masses=cell_masses,
+        clip_depth=clip_depth, grid_n=grid_n, newton_steps=solved.steps,
+        closure_residual=solved.closure, mass_residual=solved.mass_residual,
+        cell_masses=cell_masses,
         _profile=profile)
 

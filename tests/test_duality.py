@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d import duality
+from monge1d import duality, numerics
 from monge1d.duality import (
     DualField,
     assemble_density,
@@ -435,6 +435,91 @@ class TestTranslationInvariance:
         assert abs(moved.expectation - (sol.expectation + d)) <= 1e-9
         assert moved.max_log_lambda == pytest.approx(sol.max_log_lambda,
                                                      abs=1e-9)
+
+
+def _regime_spec(alpha, factor, offset):
+    """Target [offset, offset + factor * 2/sqrt(alpha)], source 0.5 beyond."""
+    w = factor * 2.0 / math.sqrt(alpha)
+    return uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                        (offset, offset + w), "I", alpha)
+
+
+class TestCoupledSolve:
+    """The coupled Newton on (z, c) meets both contracts, and agrees with
+    the bracketed solves it replaced: the nested crossing solve at its
+    free zero and the nested mass at that zero."""
+
+    REGIMES = {
+        "eps_floor": (_regime_spec(1.0, 2.5, 0.0), 1e-6),
+        "near_capacity": (_regime_spec(1.0, 1.02, 0.0), 1e-2),
+        "offset_1000": (_regime_spec(1.0, 2.5, 1000.0), 1e-2),
+        "alpha_0.5": (_regime_spec(0.5, 2.5, 0.0), 1e-2),
+        "alpha_4": (_regime_spec(4.0, 2.5, 0.0), 1e-2),
+        "full_target": (TestFullTargetRegime.SPEC, 0.1),
+    }
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_contracts_and_nested_reference(self, regime, assumption):
+        spec, eps = self.REGIMES[regime]
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        sol = assemble_density(spec, eps, 201)
+        z, c = sol.dual.zeros
+        assert sol.newton_steps >= 1
+        assert abs(sol.mass_residual) <= 1e-10
+        assert abs(sol.closure_residual) <= 0.9e-12
+        assert sol.clip_depth == 0.0
+        assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
+        assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
+        assert solve_support(spec, eps) == z
+        if regime == "full_target":
+            assert sol.support == spec.target_interval
+
+    @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
+                                           (4.0, 1e-1), (4.0, 1e-3)])
+    def test_quadrature_pass_budget(self, monkeypatch, alpha, eps):
+        # Every adaptive quadrature pass of one canonical solve, capacity
+        # check included; the nested root solves took 100 to 130.
+        calls = []
+        plain = numerics._adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_adaptive", counted)
+        monkeypatch.setattr(duality, "_adaptive", counted)
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+        sol = assemble_density(spec, eps)
+        assert len(calls) <= 30
+        assert 1 <= sol.newton_steps <= 8
+
+    def test_exhausted_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(duality, "_ZERO_MAX_STEPS", 1)
+        with pytest.raises(MaxIterations):
+            assemble_density(SPEC_I, 1e-3, 101)
+
+    @pytest.mark.parametrize("residuals", [(math.nan, 0.0), (1e-3, 1e-3)],
+                             ids=["non_finite", "singular_jacobian"])
+    def test_unusable_residuals_raise(self, monkeypatch, residuals):
+        # Residuals that are NaN, or do not move with the zeros, give no
+        # Newton step; the solve must say so.
+        monkeypatch.setattr(duality, "_zero_residuals",
+                            lambda *args: np.array(residuals))
+        with pytest.raises(MaxIterations):
+            solve_support(SPEC_I, 1e-3)
+
+    def test_closing_density_far_from_origin_is_not_clipped(self):
+        # A solve_grid point (seed 11, point 9) whose closing density was
+        # clipped by 7.5e-15: in absolute coordinates one ulp of the
+        # crossing moved the closure by more than its aim.
+        spec = uniform_spec((-536.8845492704947, -535.43048541621),
+                            (-533.6722982019968, -530.3899184890694), "II",
+                            1.7645193252795843)
+        sol = assemble_density(spec, 0.0010772613122307722, 7965)
+        assert sol.clip_depth == 0.0
+        assert sol.boundary_gap > 0.0
 
 
 class TestDualField:
