@@ -43,10 +43,10 @@ from .errors import (
     MaxDepth,
     MaxIterations,
     Monge1dError,
-    NoSignChange,
 )
-from .oracles import load_fixture, tent_limit_density
-from .problem import MongeProblemSpec, spec_from_document, validate_spec
+from .oracles import load_fixture
+from .problem import (MongeProblemSpec, require_capacity, spec_from_document,
+                      validate_spec)
 from .sweep import (
     EPSILON_FLOOR,
     SweepRow,
@@ -59,10 +59,10 @@ from .transport import build_map, pushforward_residual
 _CONFIG_KEYS = ("problem", "epsilons", "grid_n", "tolerances", "out")
 _TOLERANCE_KEYS = ("root", "quad")
 
-# Stage labels for solver failures, keyed by what actually broke.
+# Stage labels for solver failures, keyed by what actually broke: the
+# coupled zero solve and the slope inversion are the Newton iterations.
 _STAGE_LABELS = {
-    NoSignChange: "constant bracketing",
-    MaxIterations: "root refinement",
+    MaxIterations: "Newton iteration",
     MaxDepth: "quadrature subdivision",
 }
 
@@ -249,26 +249,20 @@ def _solver_failure(epsilon, exc) -> int:
     return 4
 
 
-def _required_width(alpha: float) -> float:
-    return 2.0 / math.sqrt(alpha)
-
-
 def cmd_validate(config: RunConfig) -> int:
-    report = validate_spec(config.spec)
+    spec = config.spec
+    report = validate_spec(spec)
     if not report.ok:
         _fail(f"spec: invalid: {report.message()}")
         return 2
     _emit(config, "spec: ok")
-    required = _required_width(config.spec.alpha)
     try:
-        tent_limit_density(config.spec)
+        require_capacity(spec)
     except CapacityError as exc:
-        _fail(f"capacity: fail: {exc} (unit mass under the slope bound "
-              f"needs width 2/sqrt(alpha) = {required!r}, target width is "
-              f"{config.spec.target_width!r})")
+        _fail(f"capacity: fail: {exc}")
         return 3
-    _emit(config, f"capacity: ok (target width {config.spec.target_width!r} "
-                  f">= 2/sqrt(alpha) = {required!r})")
+    _emit(config, f"capacity: ok (target width {spec.target_width!r} "
+                  f">= 2/sqrt(alpha) = {spec.sharp_width!r})")
     return 0
 
 

@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 from scipy.sparse import eye_array, vstack
 
 from .errors import CapacityError, MaxIterations
-from .problem import MongeProblemSpec, SourceDensity
+from .problem import MongeProblemSpec, SourceDensity, require_capacity
 
 _MASS_TOL = 1e-10
 _SLOPE_SLACK = 1e-10
@@ -80,15 +80,12 @@ class TentDensity:
 def tent_limit_density(spec: MongeProblemSpec) -> TentDensity:
     """Closed-form limit density for a spec (no smoothing parameter).
 
-    Raises CapacityError when the target is narrower than 2/sqrt(alpha),
-    the width the unit-mass tent needs.
+    Raises CapacityError when the target is narrower than the tent
+    (`problem.require_capacity`).
     """
-    width = 2.0 / math.sqrt(spec.alpha)
+    require_capacity(spec)
+    width = spec.sharp_width
     tl, tr = spec.target_interval
-    if tr - tl < width:
-        raise CapacityError(
-            f"target width {tr - tl} cannot hold the limit profile; "
-            f"width {width} is needed")
     if spec.assumption == "I":
         support = (tr - width, tr)
     else:
@@ -210,10 +207,14 @@ def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
 
     Maximizes sum(y_i u_i) h under orientation I, minimizes it under II;
     the polytope (zero endpoints, slope bound, unit trapezoidal mass) is
-    handed to a deterministic LP solve.  CapacityError when it is empty.
+    handed to a deterministic LP solve.  CapacityError when the target
+    fails `problem.require_capacity`, or when the polytope is empty on
+    this grid (at the sharp width an odd number of cells misses unit mass
+    by a fraction 1/(n-1)^2).
     """
     if n < 101:
         raise ValueError("need at least 101 grid nodes")
+    require_capacity(spec)
     nodes, h = _grid(spec, n)
     d = eye_array(n - 1, n, k=1) - eye_array(n - 1, n)
     a_ub = vstack([d, -d], format="csr")
@@ -263,19 +264,14 @@ def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon, n: int,
     step, re-projects (slope clip, nonnegativity, mass shift), and keeps
     the step only if the objective did not increase, halving otherwise,
     so the recorded trace is nonincreasing by construction.  Returns when
-    the relative objective change drops below 1e-10.
+    the relative objective change drops below 1e-10.  Raises CapacityError
+    through the tent it starts from (`problem.require_capacity`).
     """
     if n < 101:
         raise ValueError("need at least 101 grid nodes")
     if epsilon < 1e-3:
         raise ValueError("smoothing below 1e-3 makes the discrete "
                          "objective too stiff for this oracle")
-    width = 2.0 / math.sqrt(spec.alpha)
-    tl, tr = spec.target_interval
-    if tr - tl < width:
-        raise CapacityError(
-            f"target width {tr - tl} cannot hold unit mass; "
-            f"width {width} is needed")
     nodes, h = _grid(spec, n)
     values = _make_feasible(tent_limit_density(spec)(nodes), h, spec.alpha)
     obj = _discrete_objective(values, nodes, h, spec.alpha, epsilon)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDensity
+from .errors import CapacityError, ConfigError, NonPositiveDensity
 
 _DENSITY_KINDS = ("uniform", "piecewise-linear", "tabulated")
 _MASS_TOL = 1e-8
@@ -239,13 +239,19 @@ class MongeProblemSpec:
 
     @property
     def far_edge(self) -> float:
-        """Target endpoint farthest from the source; the capacity condition
-        is evaluated there."""
+        """Target endpoint farthest from the source; the support grows
+        toward it from the anchor."""
         return self.target_interval[0] if self.assumption == "I" else self.target_interval[1]
 
     @property
     def target_width(self) -> float:
         return self.target_interval[1] - self.target_interval[0]
+
+    @property
+    def sharp_width(self) -> float:
+        """Width 2/sqrt(alpha) of the unit-mass tent with slopes +-alpha,
+        the sharp limit of the smoothed densities."""
+        return 2.0 / math.sqrt(self.alpha)
 
     @property
     def source_width(self) -> float:
@@ -286,9 +292,9 @@ def validate_spec(spec: MongeProblemSpec) -> ValidationReport:
 
     Ordering per the declared orientation, finiteness, positive slope
     bound, interval disjointness, density positivity, and the unit-mass
-    balance within 1e-8.  Capacity of the target (whether it can actually
-    hold unit mass under the slope bound) depends on the solved stress and
-    is checked by the dual solver, not here.
+    balance within 1e-8.  Capacity of the target (whether it can hold
+    unit mass under the slope bound) is `require_capacity`'s verdict, so
+    that a valid but too narrow target keeps its own failure.
     """
     out = []
     sl, sr = spec.source_interval
@@ -330,6 +336,21 @@ def validate_spec(spec: MongeProblemSpec) -> ValidationReport:
         out.append(f"source density mass {dens.mass():.12g} is not 1 "
                    f"within {_MASS_TOL:g}")
     return ValidationReport(tuple(out))
+
+
+def require_capacity(spec: MongeProblemSpec) -> None:
+    """Raise CapacityError when the target is narrower than
+    `spec.sharp_width`.
+
+    The one capacity rule of the package: every command and oracle
+    applies it.  It depends on the target's width and the slope bound
+    alone, so a problem shifted along the axis keeps its verdict.
+    """
+    if spec.target_width < spec.sharp_width:
+        raise CapacityError(
+            f"target width {spec.target_width!r} is below 2/sqrt(alpha) = "
+            f"{spec.sharp_width!r}, the narrowest width that holds unit "
+            f"mass under the slope bound")
 
 
 # -- JSON problem documents ---------------------------------------------------

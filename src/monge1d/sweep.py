@@ -5,7 +5,7 @@ and collects per-row diagnostics: the solved constant and moving support
 endpoint, constraint residuals, the three-way energy agreement, and the
 sup-distance to the sharp-limit tent profile.  A failed epsilon is
 recorded in its row rather than aborting the sweep, so a ladder that
-walks into a capacity or solver failure still documents where it broke.
+walks into a solver failure still documents where it broke.
 
 `convergence_report` condenses successful rows into the quantities the
 limit study cares about: the observed order of the tent distance against
@@ -107,8 +107,9 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
     Returns a list of SweepRow.  Epsilons below EPSILON_FLOOR are
     rejected up front (the whole request is malformed, not one row);
     per-epsilon solver failures land in their row's `error` field.
-    Raises CapacityError if the target cannot hold unit mass even in the
-    sharp limit, since then no row has a tent to compare against.
+    Raises CapacityError up front when the target is narrower than the
+    sharp-limit tent (`problem.require_capacity`, the verdict every row
+    would reach), since then no row has a tent to compare against.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:

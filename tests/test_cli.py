@@ -1,13 +1,19 @@
 """CLI driver: config parsing, artifact files, exit codes, determinism."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from monge1d import duality
 from monge1d.cli import load_run_config, main, parse_run_config
-from monge1d.errors import ConfigError
-from monge1d.oracles import GridDensity, OracleRun, save_fixture
+from monge1d.duality import assemble_density
+from monge1d.errors import CapacityError, ConfigError
+from monge1d.oracles import (GridDensity, OracleRun, save_fixture,
+                             tent_limit_density)
+from monge1d.problem import spec_from_document
 
 TENT_DOC = {
     "problem": {
@@ -166,6 +172,17 @@ def solve_artifacts(tmp_path_factory):
 
 
 class TestSolve:
+    def test_newton_failure_names_its_stage(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(duality, "_zero_residuals",
+                            lambda *args: np.array([math.nan, 0.0]))
+        code = main(["solve", "--config", tent_config(tmp_path), "--quiet",
+                     "--out", str(tmp_path / "art"), "--grid", "101"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert ("solve failed at epsilon=0.01 in Newton iteration: coupled "
+                "zero solve did not meet its contracts") in err
+
     def test_exit_and_files(self, solve_artifacts):
         code, target = solve_artifacts
         assert code == 0
@@ -457,12 +474,61 @@ NEAR_CAPACITY_DOC = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "validate judges capacity by the sharp-limit width 2/sqrt(alpha); solve "
-    "by the smoothed capacity margin, 0.9888 on this target (see ROADMAP)"))
 def test_validate_and_solve_agree_near_capacity(tmp_path):
     config = write_config(tmp_path, NEAR_CAPACITY_DOC)
     validated = main(["validate", "--config", config, "--quiet"])
     solved = main(["solve", "--config", config, "--quiet",
                    "--out", str(tmp_path / "art"), "--grid", "401"])
     assert (validated == 3) == (solved == 3)
+
+
+def _capacity_doc(alpha, factor, offset, assumption, epsilon):
+    """Config whose target starts at `offset` and is factor * 2/sqrt(alpha)
+    wide (its right end rounded up to the next float where the sum
+    rounds down), source 0.5 beyond it; mirrored through the origin
+    under orientation II."""
+    width = factor * 2.0 / math.sqrt(alpha)
+    lo, hi = offset, offset + width
+    while hi - lo < width:
+        hi = math.nextafter(hi, math.inf)
+    target, source = [lo, hi], [hi + 0.5, hi + 2.5]
+    if assumption == "II":
+        target, source = [-hi, -lo], [-hi - 2.5, -hi - 0.5]
+    return {"problem": {"assumption": assumption,
+                        "source": {"interval": source,
+                                   "density": {"kind": "uniform"}},
+                        "target": target, "alpha": alpha},
+            "epsilons": [epsilon]}
+
+
+@pytest.mark.parametrize("alpha,eps", [(0.5, 1e-6), (1.0, 0.1), (4.0, 1e-6)])
+def test_one_capacity_verdict_for_every_command(tmp_path, alpha, eps):
+    # validate, the solve and the tent oracle accept the same targets, at
+    # any distance from the origin, and every accepted one solves with
+    # both Newton contracts met.
+    accepted = {}
+    for factor, offset, assumption in itertools.product(
+            (0.999, 1.0, 1.001, 1.02), (0.0, 1000.0), ("I", "II")):
+        doc = _capacity_doc(alpha, factor, offset, assumption, eps)
+        validated = main(["validate", "--config", write_config(tmp_path, doc),
+                          "--quiet"])
+        spec = spec_from_document(doc["problem"])
+        try:
+            tent_limit_density(spec)
+            tent_ok = True
+        except CapacityError:
+            tent_ok = False
+        try:
+            sol = assemble_density(spec, eps, 101)
+            solved = True
+        except CapacityError:
+            solved = False
+        assert validated in (0, 3)
+        assert (validated == 0) == tent_ok == solved
+        if solved:
+            assert abs(sol.mass_residual) <= 1e-10
+            assert abs(sol.closure_residual) <= 0.9e-12
+            assert sol.clip_depth == 0.0
+        accepted.setdefault((factor, assumption), set()).add(solved)
+    assert accepted == {(f, a): {f >= 1.0} for f, a in accepted}
+

@@ -12,20 +12,18 @@ from monge1d.duality import (
     DualField,
     assemble_density,
     boundary_residual,
-    capacity_margin,
     eval_E,
     eval_E_log,
     invert_E,
     slope_from_theta,
     solve_constant,
     solve_crossing,
-    solve_support,
     total_mass,
 )
 from monge1d.errors import CapacityError, DomainError, MaxIterations, OutOfRange
 from monge1d.numerics import integrate
-from monge1d.oracles import mirror_transform
-from monge1d.problem import uniform_spec
+from monge1d.oracles import TentDensity, mirror_transform, tent_limit_density
+from monge1d.problem import require_capacity, uniform_spec
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -236,44 +234,59 @@ class TestTotalMass:
 
 
 class TestCapacity:
+    # One closed-form rule: the target must be at least as wide as the
+    # unit-mass tent, 2/sqrt(alpha).
     def test_wide_enough(self):
-        assert capacity_margin(SPEC_I, 1e-3) > 1.0
+        assert SPEC_I.sharp_width == 2.0
+        require_capacity(SPEC_I)
 
     def test_too_narrow(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 1.0), "I", 1.0)
-        assert capacity_margin(spec, 1e-3) <= 1.0
+        with pytest.raises(CapacityError, match="1.0 is below 2/sqrt"):
+            require_capacity(spec)
 
     def test_slope_bound_too_small(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 0.1)
-        assert capacity_margin(spec, 1e-3) <= 1.0
+        with pytest.raises(CapacityError, match="6.32"):
+            require_capacity(spec)
 
     def test_margin_value(self):
-        assert capacity_margin(SPEC_I, 1e-3) == pytest.approx(6.25, abs=0.05)
+        # The tent of the sharp width holds unit mass; spread over the
+        # whole canonical target it would hold alpha width^2 / 4 = 6.25.
+        for alpha in (0.5, 1.0, 4.0):
+            spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+            tent = tent_limit_density(spec)
+            assert tent.support[1] - tent.support[0] == spec.sharp_width
+            assert tent.mass == pytest.approx(1.0, rel=1e-15)
+        full = TentDensity((0.0, 5.0), 1.0, (0.0, 5.0))
+        assert full.mass == 6.25
 
     def test_invalid_spec_rejected(self):
-        bad = uniform_spec((6.0, 8.0), (0.0, 7.0), "I", 1.0)
+        # Admissibility is checked before capacity: a negative slope bound
+        # is a DomainError, not a failed square root.
+        bad = uniform_spec((6.0, 8.0), (0.0, 7.0), "I", -1.0)
         with pytest.raises(DomainError):
-            capacity_margin(bad, 1e-3)
+            assemble_density(bad, 1e-3, 101)
 
 
 class TestSolveSupport:
-    def test_sharp_limit_endpoint(self):
+    def test_sharp_limit_endpoint(self, solved):
         # Sharp-interface support width is 2/sqrt(alpha) = 2, so the free
         # endpoint sits near 3.
-        p = solve_support(SPEC_I, 1e-3)
+        p = solved(SPEC_I, 1e-3).support_endpoint
         assert p == pytest.approx(3.0, abs=0.05)
         assert abs(total_mass(p, SPEC_I, 1e-3) - 1.0) <= 1e-10
 
-    def test_mirror(self):
-        p = solve_support(SPEC_I, 1e-3)
-        q = solve_support(SPEC_II, 1e-3)
+    def test_mirror(self, solved):
+        p = solved(SPEC_I, 1e-3).support_endpoint
+        q = solved(SPEC_II, 1e-3).support_endpoint
         assert q == pytest.approx(-3.0, abs=0.05)
         assert q == pytest.approx(-p, abs=1e-9)
 
     def test_capacity_error(self):
         spec = uniform_spec((6.0, 8.0), (0.0, 1.0), "I", 1.0)
-        with pytest.raises(CapacityError, match="width"):
-            solve_support(spec, 1e-3)
+        with pytest.raises(CapacityError, match="width 1.0 .* = 2.0"):
+            assemble_density(spec, 1e-3, 101)
 
 
 class TestAssembleDensity:
@@ -402,7 +415,7 @@ class TestFullTargetRegime:
         spec = self.SPEC
         assert total_mass(spec.far_edge, spec, 0.1) == pytest.approx(
             0.861, abs=1e-3)
-        assert capacity_margin(spec, 0.1) == pytest.approx(1.122, abs=1e-3)
+        assert spec.target_width == pytest.approx(1.02 * spec.sharp_width)
         sol = solved(spec, 0.1, 801)
         assert sol.support == spec.target_interval
         assert sol.support_endpoint == spec.far_edge
@@ -444,6 +457,13 @@ def _regime_spec(alpha, factor, offset):
                         (offset, offset + w), "I", alpha)
 
 
+def _assert_contracts(sol):
+    """Both contracts of the coupled solve, and no clipped density."""
+    assert abs(sol.mass_residual) <= 1e-10
+    assert abs(sol.closure_residual) <= 0.9e-12
+    assert sol.clip_depth == 0.0
+
+
 class TestCoupledSolve:
     """The coupled Newton on (z, c) meets both contracts, and agrees with
     the bracketed solves it replaced: the nested crossing solve at its
@@ -467,20 +487,39 @@ class TestCoupledSolve:
         sol = assemble_density(spec, eps, 201)
         z, c = sol.dual.zeros
         assert sol.newton_steps >= 1
-        assert abs(sol.mass_residual) <= 1e-10
-        assert abs(sol.closure_residual) <= 0.9e-12
-        assert sol.clip_depth == 0.0
+        _assert_contracts(sol)
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
-        assert solve_support(spec, eps) == z
+        solo = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12)
+        assert spec.anchor + solo.shifted[0] == z
         if regime == "full_target":
+            assert sol.support == spec.target_interval
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    def test_converges_at_the_sharp_width(self, alpha, assumption):
+        # The narrowest target the capacity rule accepts, down the epsilon
+        # ladder.  The support fills the target and the free zero lies
+        # beyond the far edge, where the residuals depend on it only
+        # through the slope's log layer: they reach their rounding floor
+        # (closure 1e-16, mass residual 0) while |dz| stays above root_tol
+        # (alpha 0.5, eps 1e-6), and a difference step in z of a fixed
+        # fraction of the width changes them by less than their rounding
+        # (alpha 4, eps 1e-6, orientation I).
+        spec = _regime_spec(alpha, 1.0, 0.0)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        assert spec.target_width == spec.sharp_width
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            sol = assemble_density(spec, eps, 101)
+            _assert_contracts(sol)
             assert sol.support == spec.target_interval
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
     def test_quadrature_pass_budget(self, monkeypatch, alpha, eps):
-        # Every adaptive quadrature pass of one canonical solve, capacity
-        # check included; the nested root solves took 100 to 130.
+        # Every adaptive quadrature pass of one canonical solve: 10 to 16,
+        # with no root solve besides the coupled Newton.
         calls = []
         plain = numerics._adaptive
 
@@ -492,7 +531,7 @@ class TestCoupledSolve:
         monkeypatch.setattr(duality, "_adaptive", counted)
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         sol = assemble_density(spec, eps)
-        assert len(calls) <= 30
+        assert len(calls) <= 18
         assert 1 <= sol.newton_steps <= 8
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
@@ -508,7 +547,7 @@ class TestCoupledSolve:
         monkeypatch.setattr(duality, "_zero_residuals",
                             lambda *args: np.array(residuals))
         with pytest.raises(MaxIterations):
-            solve_support(SPEC_I, 1e-3)
+            assemble_density(SPEC_I, 1e-3, 101)
 
     def test_closing_density_far_from_origin_is_not_clipped(self):
         # A solve_grid point (seed 11, point 9) whose closing density was
