@@ -1,9 +1,10 @@
 """Smoothed 1-D mass transfer between disjoint intervals.
 
 The package solves a smoothed dual formulation of the one-dimensional
-transfer problem in closed form up to two scalar root solves, assembles
-the resulting target density, verifies the primal/dual energy identity,
-and builds the monotone transport map between source and target.
+transfer problem in closed form up to one coupled Newton solve for the
+stress's two zeros, assembles the resulting target density, verifies the
+primal/dual energy identity, and builds the monotone transport map
+between source and target.
 """
 
 from .errors import (

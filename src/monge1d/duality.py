@@ -71,7 +71,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, MaxIterations, OutOfRange
 from .numerics import (_MAX_PANEL_DEPTH, _adaptive, _cell_edges, _initial_edges,
-                       integrate, refine_to_residual, solve_root)
+                       integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _BRACKET_SLACK = 1e-12     # admissible negative slack on alpha^2 + 2 eps l
@@ -343,12 +343,6 @@ def _slope_integral(weight, shifted, span, spec, epsilon, quad_tol):
                      tol=quad_tol, breakpoints=_graded_edges(span, shifted))
 
 
-def _constant_bracket(support):
-    lo, hi = support
-    lo2, hi2 = 0.5 * lo * lo, 0.5 * hi * hi
-    return (min(lo2, hi2), max(lo2, hi2))
-
-
 def _support_of(zero, spec: MongeProblemSpec, ref=0.0):
     """Support of the density whose stress has its free zero at `zero`:
     from the zero to the anchor, clamped to the far edge; `zero` and the
@@ -382,38 +376,38 @@ def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
                            _offsets((lo, hi), spec), spec, epsilon, quad_tol)
 
 
-def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12, *,
-                   root_tol=1e-12):
+def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12):
     """Level of the multiplier-free stress parabola for a given support.
 
-    Bracketed between the parabola levels that put the stress zero at
-    either support endpoint; the returned value drives
-    |boundary_residual| below tol.  A reference construction without the
-    mass multiplier (criterion 05 of the acceptance suite checks its
-    monotonicity); the solved density uses `_solve_zeros`.
+    One bracketed root solve between the parabola levels that put the
+    stress zero at either support endpoint; the returned level has
+    |boundary_residual| <= tol, or the solve raises.  A reference
+    construction without the mass multiplier (criterion 05 of the
+    acceptance suite checks its monotonicity); the solved density uses
+    `_solve_zeros`.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ValueError(f"support [{lo}, {hi}] is degenerate")
     quad_tol = min(1e-13, 0.1 * tol)
     f = lambda r: boundary_residual(r, (lo, hi), spec, epsilon, quad_tol=quad_tol)
-    r_lo, r_hi = _constant_bracket((lo, hi))
-    r = solve_root(f, r_lo, r_hi, tol=root_tol)
-    return refine_to_residual(f, r_lo, r_hi, r, tol)
+    r_lo, r_hi = sorted((0.5 * lo * lo, 0.5 * hi * hi))
+    return solve_root(f, r_lo, r_hi, tol=tol)
 
 
-def solve_crossing(support, zero, spec: MongeProblemSpec, epsilon, tol=1e-12,
-                   *, root_tol=1e-12):
+def solve_crossing(support, zero, spec: MongeProblemSpec, epsilon, tol=1e-12):
     """Crossing of the stress parabola with free zero `zero` that closes
-    the density on the support (bracketed root solve for a given zero;
-    `_solve_zeros` fixes both zeros at once and lands on the same aim).
+    the density on the support (one bracketed root solve for a given
+    zero; `_solve_zeros` fixes both zeros at once and lands on the same
+    aim).
 
     The residual is monotone in the crossing and changes sign between
-    the support endpoints; the returned crossing drives
-    |boundary_residual| below tol.  The solve aims the density's value at
-    the closing endpoint at tol/10 rather than at zero: quadrature noise
-    in the assembly (about 1e-14) then cannot take the density below zero
-    next to the free endpoint, where the stress vanishes.
+    the support endpoints.  The solve aims the density's value at the
+    closing endpoint at tol/10 rather than at zero, and returns a
+    crossing within 0.9 tol of that aim, so |boundary_residual| <= tol;
+    otherwise it raises.  Quadrature noise in the assembly (about 1e-14)
+    then cannot take the density below zero next to the free endpoint,
+    where the stress vanishes.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
@@ -423,8 +417,7 @@ def solve_crossing(support, zero, spec: MongeProblemSpec, epsilon, tol=1e-12,
     aim = 0.1 * tol * spec.orientation
     f = lambda c: boundary_residual(c, (lo, hi), spec, epsilon, zero=zero,
                                     quad_tol=quad_tol) + aim
-    c = solve_root(f, lo, hi, tol=root_tol)
-    return refine_to_residual(f, lo, hi, c, 0.9 * tol)
+    return solve_root(f, lo, hi, tol=0.9 * tol)
 
 
 def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,

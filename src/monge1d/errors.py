@@ -17,7 +17,8 @@ class NoSignChange(Monge1dError):
 
 
 class MaxIterations(Monge1dError):
-    """An iterative solver hit its iteration budget before converging."""
+    """An iterative solver stopped short of its contract: its step budget
+    ran out, or its bracket collapsed, before the tolerance was met."""
 
 
 class MaxDepth(Monge1dError):

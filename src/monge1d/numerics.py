@@ -1,6 +1,7 @@
-"""Low-level numerical kernels: bracketed root finding, adaptive quadrature
-(whole-interval and per grid cell), and monotone profile interpolation
-and inversion.
+"""Low-level numerical kernels: adaptive quadrature (whole-interval and
+per grid cell), monotone profile interpolation with a vectorized inverse,
+and a bracketed root solve to a residual tolerance (the reference
+solves of `duality`).
 
 Design notes
 ------------
@@ -23,13 +24,12 @@ Design notes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import MaxDepth, MaxIterations, NoSignChange, OutOfRange
+from .errors import MaxDepth, MaxIterations, NoSignChange
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1] (QUADPACK values).
 _XGK_HALF = np.array([
@@ -186,7 +186,7 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
 @dataclass
 class MonotoneProfile:
     """A sampled monotone function with shape-preserving evaluation and a
-    bracketed inverse.
+    vectorized inverse (`invert_many`).
 
     Interpolation is monotone cubic (PCHIP), which cannot overshoot the
     node values, so evaluations stay inside [min(values), max(values)] and
@@ -229,45 +229,11 @@ class MonotoneProfile:
         """Values with ascending orientation, for bracketing searches."""
         return self.values if self.increasing else -self.values
 
-    def invert(self, target, tol=1e-12):
-        """Solve profile(y) = target for y, bracketed to the containing cell.
-
-        Targets beyond the profile range by more than 1e-12 (relative to
-        max(1, |target|)) raise OutOfRange; targets at or marginally beyond
-        an endpoint return the corresponding domain endpoint.  The residual
-        |profile(y) - target| ends below 1e-10 * max(1, |target|).
-        """
-        target = float(target)
-        lo, hi = self.range
-        slack = 1e-12 * max(1.0, abs(target))
-        if target < lo - slack or target > hi + slack:
-            raise OutOfRange(f"target {target!r} outside profile range [{lo}, {hi}]")
-        t = min(max(target, lo), hi)
-        vals = self._oriented()
-        t_o = t if self.increasing else -t
-        k = int(np.searchsorted(vals, t_o, side="left"))
-        if k == 0:
-            k = 1
-        k = min(k, vals.size - 1)
-        ya, yb = float(self.nodes[k - 1]), float(self.nodes[k])
-        fa = float(self(ya)) - t
-        fb = float(self(yb)) - t
-        if fa == 0.0:
-            return ya
-        if fb == 0.0:
-            return yb
-        if fa * fb > 0.0:
-            # Flat cell to rounding: either endpoint satisfies the residual.
-            return ya if abs(fa) <= abs(fb) else yb
-        y = solve_root(lambda x: float(self(x)) - t, ya, yb, tol=tol)
-        return float(y)
-
     def invert_many(self, targets):
         """Vectorized inverse by fixed-count bisection (64 halvings).
 
-        Targets are clipped into the profile range; use `invert` when the
-        out-of-range diagnostic matters.  Deterministic and array-safe, used
-        by the transport-map quadratures.
+        Targets are clipped into the profile range.  Deterministic and
+        array-safe, used by the transport-map quadratures.
         """
         t = np.asarray(targets, dtype=float)
         lo, hi = self.range
@@ -293,119 +259,45 @@ class MonotoneProfile:
 
 
 def solve_root(f, lo, hi, tol=1e-12, max_iter=_ROOT_MAX_ITER):
-    """Brent-style bracketed root finder.
+    """Bracketed root of f on [lo, hi], to the residual |f(x)| <= tol.
 
-    The returned point stays inside [lo, hi]; the bracket is narrowed to
-    width tol (plus a machine-epsilon floor proportional to |x|).  Raises
-    NoSignChange when f(lo) and f(hi) have the same nonzero sign and
-    MaxIterations past `max_iter` loop passes.  Interpolation steps fall
-    back to bisection whenever they would leave the bracket or stall.
+    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
+    1971): when the same bracket end is replaced twice in a row, the value
+    kept at the other end is halved, so neither end stalls.  A
+    false-position point outside the open bracket falls back to the
+    midpoint.  Returns only an x in [lo, hi] with |f(x)| <= tol.  Raises
+    NoSignChange when f(lo) and f(hi) share a sign beyond tol, and
+    MaxIterations when the bracket collapses to adjacent floats or
+    `max_iter` steps pass before the residual is met.
     """
     a, b = float(lo), float(hi)
     fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
+    if abs(fa) <= tol:
         return a
-    if fb == 0.0:
+    if abs(fb) <= tol:
         return b
     if (fa > 0) == (fb > 0):
         raise NoSignChange(f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} "
                            "have the same sign")
-    c, fc = a, fa
-    d = e = b - a
+    side = 0
     for _ in range(max_iter):
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        eps = np.finfo(float).eps
-        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += tol1 if xm > 0 else -tol1
-        fb = float(f(b))
-    raise MaxIterations(f"root not bracketed to {tol} in {max_iter} iterations")
-
-
-def refine_to_residual(f, lo, hi, x, tol_residual, max_extra=200):
-    """Polish a root by extra bisection until |f(x)| <= tol_residual.
-
-    `solve_root` guarantees a narrow bracket in x; for the nested solvers
-    the contract is on the residual instead.  When x misses it, this
-    helper steps out from x toward the sign change (first step twice the
-    secant distance through f(lo), doubling after) to the tightest bracket
-    around x, then bisects it until the residual target holds (or the
-    interval collapses to machine width, whichever comes first, returning
-    the best point seen).  Returns x when f keeps its sign on [lo, hi].
-    """
-    x = float(x)
-    fx = float(f(x))
-    if abs(fx) <= tol_residual:
-        return x
-    lo, hi = float(lo), float(hi)
-    flo = float(f(lo))
-    if flo == 0.0:
-        return lo
-    end = hi if (flo > 0) == (fx > 0) else lo
-    secant = abs(fx * (x - lo) / (fx - flo)) if fx != flo else 0.0
-    step = 4.0 * float(np.spacing(abs(x) + (hi - lo)))
-    if math.isfinite(secant):
-        step = max(2.0 * secant, step)
-    best, fbest = x, fx
-    a = x
-    for _ in range(max_extra):
-        b = end if step >= abs(end - x) else x + math.copysign(step, end - x)
-        fb = float(f(b))
-        if abs(fb) < abs(fbest):
-            best, fbest = b, fb
-        if abs(fb) <= tol_residual:
-            return b
-        if (fb > 0) != (fx > 0):
-            break
-        if b == end:
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = float(f(x))
+        if abs(fx) <= tol:
             return x
-        a = b
-        step *= 2.0
-    else:
-        return best
-    for _ in range(max_extra):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = float(f(m))
-        if abs(fm) < abs(fbest):
-            best, fbest = m, fm
-        if abs(fm) <= tol_residual:
-            return m
-        if (fm > 0) == (fb > 0):
-            b, fb = m, fm
+        if (fx > 0) == (fb > 0):
+            b, fb = x, fx
+            if side < 0:
+                fa *= 0.5
+            side = -1
         else:
-            a = m
-    return best
+            a, fa = x, fx
+            if side > 0:
+                fb *= 0.5
+            side = 1
+    raise MaxIterations(f"|f| stayed above {tol} down to the bracket "
+                        f"[{a!r}, {b!r}] of [{lo}, {hi}]")

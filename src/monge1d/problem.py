@@ -253,10 +253,6 @@ class MongeProblemSpec:
         the sharp limit of the smoothed densities."""
         return 2.0 / math.sqrt(self.alpha)
 
-    @property
-    def source_width(self) -> float:
-        return self.source_interval[1] - self.source_interval[0]
-
 
 def uniform_spec(source, target, assumption, alpha) -> MongeProblemSpec:
     """Spec with the normalized uniform density on the source interval."""

@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d.errors import MaxDepth, NoSignChange, OutOfRange
+from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
     MonotoneProfile,
     _adaptive,
     _cell_edges,
     integrate,
-    refine_to_residual,
     solve_root,
 )
 
 
 class TestSolveRoot:
+    """The one contract: a returned x lies in [lo, hi] with |f(x)| <= tol;
+    anything else raises."""
+
     def test_sqrt2(self):
         x = solve_root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-14)
+        assert abs(x * x - 2.0) <= 1e-14
         assert abs(x - np.sqrt(2.0)) < 1e-12
 
     def test_cubic(self):
@@ -45,34 +48,48 @@ class TestSolveRoot:
            st.floats(min_value=1e-3, max_value=4.0))
     def test_linear_family(self, c, a):
         x = solve_root(lambda t: a * (t - c), c - 1.0, c + 1.0, tol=1e-13)
+        assert abs(a * (x - c)) <= 1e-13
         assert abs(x - c) < 1e-11
 
-    def test_refine_to_residual(self):
-        f = lambda t: (t - 0.7) ** 3
-        # A sloppy starting point gets polished until |f| is tiny.
-        x = refine_to_residual(f, 0.0, 1.0, 0.6, 1e-30)
-        assert abs(f(x)) <= 1e-30 or abs(x - 0.7) < 1e-10
+    def test_jump_across_zero_raises(self):
+        # No point has |f| <= tol: the bracket collapses onto the jump.
+        with pytest.raises(MaxIterations):
+            solve_root(lambda t: math.copysign(1.0, t - 0.3), 0.0, 1.0)
 
-    def test_refine_to_residual_bisects_a_tight_bracket(self):
-        # Brent's point, bracketed to 1e-9, misses a 1e-12 residual target.
-        # Restarting the bisection from the whole [0, 1] took 41
-        # evaluations; stepping out from the point finds a tight bracket.
+    def test_step_budget_raises(self):
+        with pytest.raises(MaxIterations):
+            solve_root(lambda t: np.tanh(50.0 * (t - 0.3)), -1.0, 1.0,
+                       max_iter=3)
+
+    def test_tight_residual_in_few_evaluations(self):
+        # A residual slope of 4 at the root: a point bracketed to 1e-12 in
+        # x can still miss a 1e-12 residual, so the residual is the stop.
         g = lambda t: math.tanh(4.0 * (t - 0.3)) + 0.1 * (t - 0.3) ** 2
-        x = solve_root(g, 0.0, 1.0, tol=1e-9)
-        assert abs(g(x)) > 1e-12
         seen = []
 
         def counted(t):
             seen.append(t)
             return g(t)
 
-        y = refine_to_residual(counted, 0.0, 1.0, x, 1e-12)
-        assert abs(g(y)) <= 1e-12
+        x = solve_root(counted, 0.0, 1.0, tol=1e-12)
+        assert 0.0 <= x <= 1.0
+        assert abs(g(x)) <= 1e-12
         assert len(seen) <= 15
 
-    def test_refine_to_residual_without_sign_change(self):
-        f = lambda t: t * t + 1.0
-        assert refine_to_residual(f, -1.0, 1.0, 0.5, 1e-12) == 0.5
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.floats(min_value=-5.0, max_value=5.0),
+           st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-3, max_value=5.0),
+           st.floats(min_value=1e-3, max_value=5.0),
+           st.sampled_from((-1.0, 1.0)),
+           st.sampled_from((1e-8, 1e-12)))
+    def test_monotone_cubic_family(self, r, a, b, left, right, sign, tol):
+        f = lambda t: sign * (a * (t - r) ** 3 + b * (t - r))
+        lo, hi = r - left, r + right
+        x = solve_root(f, lo, hi, tol=tol)
+        assert lo <= x <= hi
+        assert abs(f(x)) <= tol
 
 
 class TestIntegrate:
@@ -167,43 +184,40 @@ class TestMonotoneProfile:
         prof = self._exp_profile(101)
         rng = np.random.default_rng(7)
         ys = rng.uniform(0.0, 2.0, 100)
-        for y in ys:
-            t = prof(float(y))
-            assert abs(prof.invert(t) - y) < 1e-8
+        ts = prof(ys)
+        back = prof.invert_many(ts)
+        assert np.abs(prof(back) - ts).max() <= 1e-15
+        assert np.abs(back - ys).max() < 1e-8
 
-    def test_invert_many_matches_scalar(self):
+    def test_invert_many_inverts_forward_values(self):
         prof = self._exp_profile(101)
         targets = np.linspace(prof.range[0], prof.range[1], 37)
-        many = prof.invert_many(targets)
-        for t, y in zip(targets, many):
-            assert abs(prof.invert(float(t)) - y) < 1e-9
+        ys = prof.invert_many(targets)
+        assert np.all(np.diff(ys) > 0)
+        assert np.abs(prof(ys) - targets).max() <= 1e-15
 
     def test_invert_endpoints(self):
         prof = self._exp_profile()
         lo, hi = prof.range
-        assert prof.invert(lo) == prof.nodes[0]
-        assert abs(prof.invert(hi) - prof.nodes[-1]) < 1e-9
-
-    def test_invert_out_of_range(self):
-        prof = self._exp_profile()
-        with pytest.raises(OutOfRange):
-            prof.invert(prof.range[1] + 1e-3)
-        with pytest.raises(OutOfRange):
-            prof.invert(-1e-3)
+        assert prof.invert_many(lo) == prof.nodes[0]
+        assert prof.invert_many(hi) == prof.nodes[-1]
 
     def test_marginally_out_of_range_clips(self):
         prof = self._exp_profile()
-        hi = prof.range[1]
-        y = prof.invert(hi + 1e-15)
-        assert abs(y - prof.nodes[-1]) < 1e-9
+        lo, hi = prof.range
+        assert prof.invert_many(hi + 1e-15) == prof.nodes[-1]
+        assert prof.invert_many(lo - 1e-15) == prof.nodes[0]
 
     def test_decreasing_profile(self):
         x = np.linspace(0.0, 1.0, 21)
         prof = MonotoneProfile(nodes=x, values=np.exp(-3.0 * x), increasing=False)
         t = prof(0.4)
-        assert abs(prof.invert(t) - 0.4) < 1e-9
+        y = prof.invert_many(t)
+        assert isinstance(y, float)
+        assert abs(prof(y) - t) <= 1e-15
+        assert abs(y - 0.4) < 1e-9
         many = prof.invert_many(np.array([t]))
-        assert abs(many[0] - 0.4) < 1e-9
+        assert many.shape == (1,) and many[0] == y
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,4 +231,7 @@ class TestMonotoneProfile:
     @given(st.floats(min_value=0.05, max_value=1.95))
     def test_round_trip_property(self, y):
         prof = self._exp_profile(101)
-        assert abs(prof.invert(prof(y)) - y) < 1e-8
+        t = prof(y)
+        back = prof.invert_many(t)
+        assert abs(prof(back) - t) <= 1e-15
+        assert abs(back - y) < 1e-8

@@ -101,6 +101,19 @@ class TestExpectationOptimizer:
         with pytest.raises(ValueError, match="101"):
             discrete_expectation_optimizer(SPEC_I, 51)
 
+    def test_grid_parity_at_the_sharp_width(self):
+        # At exactly the sharp width 2/sqrt(alpha) only the tent itself
+        # fits.  A grid with an even number of cells carries it; on 2k+1
+        # cells the discrete tent holds 1 - 1/(n-1)^2, so the LP has no
+        # feasible point although `require_capacity` accepts the spec.
+        spec = uniform_spec((6.0, 8.0), (0.0, 2.0), "I", 1.0)
+        for n in (101, 201):
+            run = discrete_expectation_optimizer(spec, n)
+            assert run.density.violations() == ()
+        for n in (102, 202):
+            with pytest.raises(CapacityError, match="no grid density"):
+                discrete_expectation_optimizer(spec, n)
+
 
 # -- primal minimizer ---------------------------------------------------------
 
