@@ -67,17 +67,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, MaxIterations, OutOfRange
-from .numerics import (_MAX_PANEL_DEPTH, _adaptive, _cell_edges, _initial_edges,
-                       integrate, solve_root)
+from .numerics import (_MAX_PANEL_DEPTH, MonotoneCubic, _adaptive, _cell_edges,
+                       _graded_edges, _initial_edges, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _BRACKET_SLACK = 1e-12     # admissible negative slack on alpha^2 + 2 eps l
 _DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
-_GRADE_ULPS = 64           # finest graded panel, in ulps of the span's magnitude
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
 _FD_STEP = 2.0 ** -24      # forward-difference step, in target widths
 _FD_BEYOND = 2.0 ** -13    # z's step past the far edge, in distances from it
@@ -299,28 +297,6 @@ def _level_zeros(r, orientation):
     orientation * (r - y^2/2)."""
     root = math.sqrt(max(2.0 * r, 0.0))
     return (-orientation * root, orientation * root)
-
-
-def _graded_edges(support, zeros):
-    """Panel edges graded geometrically toward each stress zero in the
-    support: the zero p itself and p -+ width 2^-k for k = 1, 2, ...,
-    down to a step of _GRADE_ULPS ulps of the support's magnitude.
-
-    Next to a zero the slope has a log-type layer,
-    slope^2 ~ alpha^2 + 2 eps ln|theta|, which adaptive bisection would
-    reach only one level per round.  Each graded panel [p + s, p + 2s]
-    sees the same shape on its own scale, so a single Gauss-Kronrod panel
-    resolves it and the adaptive loop starts from the mesh bisection
-    would have built.  Edges outside the support are left to the caller
-    to drop.
-    """
-    lo, hi = support
-    floor = _GRADE_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
-    levels = max(int(math.log2((hi - lo) / floor)), 0)
-    steps = (hi - lo) * 0.5 ** np.arange(1, levels + 1)
-    inside = [p for p in zeros if lo <= p <= hi]
-    return np.concatenate([np.asarray(inside, dtype=float)]
-                          + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
 def _offsets(points, spec: MongeProblemSpec):
@@ -599,7 +575,7 @@ class DensitySolution:
     closure_residual: float
     mass_residual: float
     cell_masses: np.ndarray = field(repr=False)
-    _profile: PchipInterpolator = field(repr=False)
+    _profile: MonotoneCubic = field(repr=False)
 
     @property
     def support_nodes(self):
@@ -613,7 +589,7 @@ class DensitySolution:
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self._profile(np.clip(y_arr, lo, hi)), 0.0)
+        out = np.where(inside, self._profile(y_arr), 0.0)
         out = np.maximum(out, 0.0)
         return out if np.ndim(y) else float(out)
 
@@ -739,7 +715,6 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     dm = span[0] if spec.assumption == "I" else span[1]
     expectation = m * mass - 0.5 * _slope_integral(
         lambda t: (t - dm) ** 2, shifted, span, spec, epsilon, quad_tol)
-    profile = PchipInterpolator(grid, values_support, extrapolate=False)
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,
@@ -749,5 +724,5 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         clip_depth=clip_depth, grid_n=grid_n, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
         cell_masses=cell_masses,
-        _profile=profile)
+        _profile=MonotoneCubic(grid, values_support))
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import eye_array, vstack
 
 from .errors import CapacityError, MaxIterations
 from .problem import MongeProblemSpec, SourceDensity, require_capacity
@@ -212,6 +210,11 @@ def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
     this grid (at the sharp width an odd number of cells misses unit mass
     by a fraction 1/(n-1)^2).
     """
+    # The LP is the package's only scipy call; importing it here keeps
+    # scipy off every other import path (the CLI's among them).
+    from scipy.optimize import linprog
+    from scipy.sparse import eye_array, vstack
+
     if n < 101:
         raise ValueError("need at least 101 grid nodes")
     require_capacity(spec)

@@ -10,13 +10,15 @@ because the anchoring convention admits either, and nothing here ranks
 them.
 
 Maps evaluate lazily: each call composes the exact closed-form source
-CDF (`SourceDensity.cdf`) with a bisection inversion of the target
-cumulative, which keeps the pushforward residual at root-solve precision
-instead of map-interpolation precision.  The target cumulative is the
-running sum of the assembly's exact cell masses.  The cost is a
-quadrature of |x - s(x)| against the source density; with the source
-wholly on one side of the target it must equal the source barycenter
-minus the target expectation, which makes it a check on the whole chain.
+CDF (`SourceDensity.cdf`) with the cell-by-cell inverse of the target
+cumulative's monotone cubic (`MonotoneProfile.invert_many`), which keeps
+the pushforward residual at rounding level instead of map-interpolation
+precision.  The target cumulative is the running sum of the assembly's
+exact cell masses.  The cost is a quadrature of |x - s(x)| against the
+source density, on panels graded toward both source ends, where the map
+has square-root ends; with the source wholly on one side of the target
+it must equal the source barycenter minus the target expectation, which
+makes it a check on the whole chain.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DensitySolution
-from .numerics import MonotoneProfile, integrate
+from .numerics import MonotoneProfile, _graded_edges, integrate
 from .problem import MongeProblemSpec
 
 _COST_QUAD_TOL = 1e-10
@@ -100,21 +102,28 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
     mapping = QuantileMap(source_density=spec.source_density,
                           target_profile=q,
                           decreasing=(variant == "decreasing"))
-    cost = _evaluate_cost(mapping, spec)
+    cost = _evaluate_cost(mapping, spec, solution.crossing)
     return TransportMapSolution(variant=variant, assumption=spec.assumption,
                                 map=mapping, target_cdf=q, cost=cost)
 
 
-def _evaluate_cost(mapping, spec: MongeProblemSpec) -> float:
+def _evaluate_cost(mapping, spec: MongeProblemSpec, crossing: float) -> float:
     a, b = spec.source_interval
     density = spec.source_density
 
     def integrand(x):
         return np.abs(x - mapping(x)) * np.asarray(density(x), dtype=float)
 
-    # The density, and with it the map's slope, kinks at the source nodes.
-    return float(integrate(integrand, a, b, tol=_COST_QUAD_TOL,
-                           breakpoints=density.nodes or ()))
+    # The map's slope kinks wherever the source density does, and where
+    # the map passes the crossing, the density's peak, whose slope turns
+    # within a layer far thinner than any panel.  At both source ends the
+    # map leaves the support's flat ends like a square root, so the panels
+    # are graded toward them.
+    q = float(mapping.target_profile(crossing))
+    peak = density.quantile(1.0 - q if mapping.decreasing else q)
+    edges = np.concatenate([density.nodes or (), [peak],
+                            _graded_edges((a, b), (a, b))])
+    return float(integrate(integrand, a, b, tol=_COST_QUAD_TOL, breakpoints=edges))
 
 
 def pushforward_residual(map_solution: TransportMapSolution,

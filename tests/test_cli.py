@@ -3,10 +3,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monge1d
 from monge1d import duality
 from monge1d.cli import load_run_config, main, parse_run_config
 from monge1d.duality import assemble_density
@@ -532,3 +537,28 @@ def test_one_capacity_verdict_for_every_command(tmp_path, alpha, eps):
         accepted.setdefault((factor, assumption), set()).add(solved)
     assert accepted == {(f, a): {f >= 1.0} for f, a in accepted}
 
+
+
+_IMPORT_PROBE = """
+import sys
+import monge1d.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+from monge1d.oracles import discrete_expectation_optimizer
+from monge1d.problem import uniform_spec
+run = discrete_expectation_optimizer(uniform_spec((6, 8), (0, 5), "I", 1.0), 201)
+print(loaded, run.density.trapezoid_mass, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is the LP oracle's alone: importing the CLI loads none of it,
+    # and the oracle still solves, importing its LP on first use.
+    src = str(Path(monge1d.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded, mass, lp_imported = done.stdout.rsplit(None, 2)
+    assert loaded == "[]"
+    assert abs(float(mass) - 1.0) <= 1e-9
+    assert lp_imported == "True"

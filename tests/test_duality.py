@@ -337,7 +337,7 @@ class TestAssembleDensity:
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
-        # Interpolant derivative vs the analytic slope, away from the two
+        # Monotone-cubic derivative vs the analytic slope, away from the two
         # stress zeros (the peak and the free endpoint), where the profile
         # curvature blows up as eps shrinks.
         sol = solved(SPEC_I, 1e-3)
@@ -345,7 +345,7 @@ class TestAssembleDensity:
         keep = ((np.abs(y - sol.crossing) > 0.2)
                 & (np.abs(y - sol.support_endpoint) > 0.2))
         keep[[0, -1]] = False
-        dv = sol._profile.derivative()(y[keep])
+        dv = sol._profile.derivative(y[keep])
         assert np.abs(dv - sol.slope_nodes[keep]).max() < 1e-4
 
     def test_mirror_density(self, solved):

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
+    MonotoneCubic,
     MonotoneProfile,
     _adaptive,
     _cell_edges,
     integrate,
     solve_root,
 )
+from monge1d.problem import uniform_spec
+from monge1d.transport import target_cdf
+
+SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 
 
 class TestSolveRoot:
@@ -162,6 +168,50 @@ class TestCumulative:
             assert abs(sums[k] - (1.0 - np.exp(-grid[k]))) < 1e-10
 
 
+def _assert_matches_scipy(x, v):
+    """Values and derivatives of MonotoneCubic against scipy's PCHIP, the
+    reference, at the nodes and on a fine probe, to 1e-14 relative."""
+    ours = MonotoneCubic(x, v)
+    ref = PchipInterpolator(x, v)
+    y = np.concatenate([x, np.linspace(x[0], x[-1], 997)])
+    scale = max(float(np.max(np.abs(v))), np.finfo(float).tiny)
+    assert np.max(np.abs(ours(y) - ref(y))) <= 1e-14 * scale
+    dref = ref.derivative()(y)
+    dscale = max(float(np.max(np.abs(dref))), np.finfo(float).tiny)
+    assert np.max(np.abs(ours.derivative(y) - dref)) <= 1e-14 * dscale
+
+
+# Secant steps: flat runs (0), rises and falls, so the slopes change sign.
+_STEPS = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+
+
+class TestMonotoneCubic:
+    def test_solved_density_and_cdf(self, solved):
+        sol = solved(SPEC_I, 1e-3)
+        _assert_matches_scipy(sol.support_nodes, sol.support_values)
+        cdf = target_cdf(sol)
+        _assert_matches_scipy(cdf.nodes, cdf.values)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.floats(1e-2, 10.0), _STEPS), min_size=1, max_size=12),
+           st.floats(-100.0, 100.0), st.booleans())
+    @example([(1.0, 2.0)], 0.0, False)
+    @example([(1.0, 2.0), (0.5, 0.0)], 1.0, False)
+    @example([(0.3, -1.0), (2.0, 4.0)], -3.0, False)
+    def test_drawn_data(self, cells, start, monotone):
+        dx, dv = np.array(cells).T
+        if monotone:
+            dv = np.abs(dv)
+        x = np.concatenate([[start], start + np.cumsum(dx)])
+        v = np.concatenate([[0.0], np.cumsum(dv)])
+        _assert_matches_scipy(x, v)
+
+    def test_evaluation_clamps_to_nodes(self):
+        cubic = MonotoneCubic([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])
+        assert cubic(-4.0) == 1.0 and cubic(7.0) == 0.0
+        assert isinstance(cubic(0.5), float)
+
+
 class TestMonotoneProfile:
     def _exp_profile(self, n=41):
         x = np.linspace(0.0, 2.0, n)
@@ -218,6 +268,58 @@ class TestMonotoneProfile:
         assert abs(y - 0.4) < 1e-9
         many = prof.invert_many(np.array([t]))
         assert many.shape == (1,) and many[0] == y
+
+    def test_node_value_targets_return_their_nodes(self):
+        prof = self._exp_profile()
+        assert np.array_equal(prof.invert_many(prof.values), prof.nodes)
+        flat = MonotoneProfile(nodes=np.arange(5.0),
+                               values=np.array([0.0, 0.5, 0.5, 0.5, 1.0]))
+        assert flat.invert_many(0.5) == 1.0
+        dec = MonotoneProfile(nodes=prof.nodes, values=prof.values[::-1],
+                              increasing=False)
+        assert np.array_equal(dec.invert_many(dec.values), dec.nodes)
+
+    def test_flat_end_cells_of_a_cdf(self, solved):
+        # The density vanishes at both support ends, so the target CDF
+        # leaves 0 and reaches 1 with zero slope; a few ulps inside the
+        # range the inverse follows a square root into the end cell.
+        prof = target_cdf(solved(SPEC_I, 1e-3))
+        ulps = np.arange(1.0, 6.0)
+        low = ulps * np.nextafter(0.0, 1.0)
+        high = 1.0 - ulps * np.spacing(0.5)
+        for targets, cell in ((low, 0), (high, prof.nodes.size - 2)):
+            ys = prof.invert_many(targets)
+            assert np.all((ys >= prof.nodes[cell]) & (ys <= prof.nodes[cell + 1]))
+            assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
+        assert np.all(np.diff(prof.invert_many(high)) <= 0.0)
+
+    def test_zero_dimensional_input(self):
+        prof = self._exp_profile()
+        t = prof(0.7)
+        y = prof.invert_many(np.array(t))
+        assert isinstance(y, float) and abs(prof(y) - t) <= 1e-15
+        assert prof.invert_many(np.float64(t)) == y
+
+    def test_decreasing_many(self):
+        x = np.linspace(0.0, 1.0, 21)
+        prof = MonotoneProfile(nodes=x, values=np.exp(-3.0 * x), increasing=False)
+        targets = np.linspace(prof.range[0], prof.range[1], 101)
+        ys = prof.invert_many(targets)
+        assert np.all(np.diff(ys) < 0.0)
+        assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
+
+    @pytest.mark.parametrize("broken", [np.nan, 0.0])
+    def test_broken_cell_raises(self, broken):
+        # A cell whose cubic is NaN, or stays at its left value, holds no
+        # root of a target between its node values: the loop must raise.
+        prof = self._exp_profile()
+        k = 10
+        prof._cubic.coeffs[:3, k] = broken
+        if np.isnan(broken):
+            prof._cubic.coeffs[3, k] = broken
+        t = 0.5 * (prof.values[k] + prof.values[k + 1])
+        with pytest.raises(MaxIterations):
+            prof.invert_many(np.array([prof(0.01), t]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
