@@ -9,17 +9,15 @@ stationarity, zero gap, variational probes, remainder bound, and oracle
 fixtures when present) and reports a pass/fail table.
 
 Exit codes: 0 success, 2 config or validation problem, 3 capacity
-failure, 4 solver failure, 5 verification failure.  Scalar flags
-override config fields, which override built-in defaults.  All file
-writes go through a temp-file rename so a crash never leaves a partial
-artifact, and floats are serialized with repr so identical inputs give
-byte-identical files.
+failure (both verdicts are taken before any solve), 4 solver failure,
+5 verification failure.  Scalar flags override config fields, which
+override built-in defaults.  All file writes go through a temp-file
+rename so a crash never leaves a partial artifact, and floats are
+serialized with repr so identical inputs give byte-identical files.
 """
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -175,18 +173,23 @@ def _eps_dir(out_dir: Path, epsilon: float) -> Path:
     return out_dir / f"eps_{epsilon!r}"
 
 
+def _csv_text(header, columns) -> str:
+    """CSV text with one row per index of the float columns, each value
+    written with repr."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def density_csv(solution) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["y", "u", "theta", "log_lambda", "slope"])
-    theta = solution.dual.theta(solution.nodes)
-    log_lam = solution.dual.log_lambda(solution.nodes)
-    slope = solution.slope(solution.nodes)
-    for i, y in enumerate(solution.nodes):
-        writer.writerow([repr(float(y)), repr(float(solution.values[i])),
-                         repr(float(theta[i])), repr(float(log_lam[i])),
-                         repr(float(slope[i]))])
-    return buffer.getvalue()
+    # One inversion pass gives theta, log lambda and the slope; the
+    # density's slope is zero off the support, as DensitySolution.slope.
+    nodes = solution.nodes
+    theta, log_lam, slope = solution.dual.fields_at(nodes)
+    lo, hi = solution.support
+    slope = np.where((nodes >= lo) & (nodes <= hi), slope, 0.0)
+    return _csv_text(["y", "u", "theta", "log_lambda", "slope"],
+                     [nodes, solution.values, theta, log_lam, slope])
 
 
 def energy_json_document(solution, report) -> dict:
@@ -210,14 +213,8 @@ def energy_json_document(solution, report) -> dict:
 def map_csv(spec, increasing, decreasing, grid_n) -> str:
     lo, hi = spec.source_interval
     xs = np.linspace(lo, hi, grid_n)
-    inc_vals = increasing.map(xs)
-    dec_vals = decreasing.map(xs)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x", "s_increasing", "s_decreasing"])
-    for x, si, sd in zip(xs, inc_vals, dec_vals):
-        writer.writerow([repr(float(x)), repr(float(si)), repr(float(sd))])
-    return buffer.getvalue()
+    return _csv_text(["x", "s_increasing", "s_decreasing"],
+                     [xs, increasing.map(xs), decreasing.map(xs)])
 
 
 def cost_json_document(spec, solution, increasing, decreasing) -> dict:
@@ -249,30 +246,40 @@ def _solver_failure(epsilon, exc) -> int:
     return 4
 
 
-def cmd_validate(config: RunConfig) -> int:
+def _verdicts(config: RunConfig, *, announce=False) -> int:
+    """Verdicts on the spec alone, taken before any solve: 2 for an invalid
+    spec, 3 for a target narrower than the sharp width, else 0 (announced
+    by `validate`)."""
     spec = config.spec
     report = validate_spec(spec)
     if not report.ok:
         _fail(f"spec: invalid: {report.message()}")
         return 2
-    _emit(config, "spec: ok")
+    if announce:
+        _emit(config, "spec: ok")
     try:
         require_capacity(spec)
     except CapacityError as exc:
         _fail(f"capacity: fail: {exc}")
         return 3
-    _emit(config, f"capacity: ok (target width {spec.target_width!r} "
-                  f">= 2/sqrt(alpha) = {spec.sharp_width!r})")
+    if announce:
+        _emit(config, f"capacity: ok (target width {spec.target_width!r} "
+                      f">= 2/sqrt(alpha) = {spec.sharp_width!r})")
     return 0
 
 
-def _check_floor(config: RunConfig) -> int:
+def cmd_validate(config: RunConfig) -> int:
+    return _verdicts(config, announce=True)
+
+
+def _precheck(config: RunConfig) -> int:
+    """The epsilon floor, then the spec and capacity verdicts."""
     for eps in config.epsilons:
         if eps < EPSILON_FLOOR:
             _fail(f"config.epsilons: {eps!r} is below the supported floor "
                   f"{EPSILON_FLOOR!r}")
             return 2
-    return 0
+    return _verdicts(config)
 
 
 def _solve_one(config: RunConfig, epsilon: float):
@@ -282,15 +289,12 @@ def _solve_one(config: RunConfig, epsilon: float):
 
 
 def cmd_solve(config: RunConfig) -> int:
-    code = _check_floor(config)
+    code = _precheck(config)
     if code:
         return code
     for eps in config.epsilons:
         try:
             solution = _solve_one(config, eps)
-        except CapacityError as exc:
-            _fail(f"capacity: fail at epsilon={eps!r}: {exc}")
-            return 3
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
         report = duality_gap(solution, quad_tol=config.quad_tol)
@@ -305,15 +309,12 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_map(config: RunConfig) -> int:
-    code = _check_floor(config)
+    code = _precheck(config)
     if code:
         return code
     for eps in config.epsilons:
         try:
             solution = _solve_one(config, eps)
-        except CapacityError as exc:
-            _fail(f"capacity: fail at epsilon={eps!r}: {exc}")
-            return 3
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
         try:
@@ -343,15 +344,16 @@ def _floor_row(epsilon: float) -> SweepRow:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    code = _verdicts(config)
+    if code:
+        return code
     # sub-floor epsilons become flagged rows instead of aborting the
     # sweep: the table then documents exactly which rung broke
     valid = [e for e in config.epsilons if e >= EPSILON_FLOOR]
-    try:
-        solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n)
-                           if valid else [])
-    except CapacityError as exc:
-        _fail(f"capacity: fail: {exc}")
-        return 3
+    solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n,
+                                     root_tol=config.root_tol,
+                                     quad_tol=config.quad_tol)
+                       if valid else [])
     rows = [next(solved_rows) if eps >= EPSILON_FLOOR else _floor_row(eps)
             for eps in config.epsilons]
 
@@ -484,7 +486,7 @@ def _fixture_checks(config: RunConfig, solved: dict) -> list[VerifyCheck]:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    code = _check_floor(config)
+    code = _precheck(config)
     if code:
         return code
     checks = []
@@ -494,9 +496,6 @@ def cmd_verify(config: RunConfig) -> int:
             if eps not in solved:
                 solved[eps] = _solve_one(config, eps)
             checks.extend((eps, c) for c in _battery_for(config, solved[eps]))
-        except CapacityError as exc:
-            _fail(f"capacity: fail at epsilon={eps!r}: {exc}")
-            return 3
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
     checks.extend((None, c) for c in _fixture_checks(config, solved))

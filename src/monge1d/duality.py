@@ -29,12 +29,16 @@ here, all in closed form up to one two-unknown root solve:
    anchored endpoint.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
-grid are all offsets from the anchor, so a problem shifted along the axis
-gives the shifted solution, and the zeros resolve to ulps of the target's
-width rather than of its distance from the origin.  Whether the target
-can hold unit mass at all is decided before the solve, in closed form,
-by `problem.require_capacity`: the target must be at least as wide as
-the sharp-limit tent, 2/sqrt(alpha).  The multiplier-free parabola
+grid are all depths s = orientation (anchor - y), 0 at the anchored edge
+and the target width at the far edge.  In depth both orientations are one
+problem, with stress (s - z)(s - c)/2 on the support [0, min(z, width)],
+so orientation enters only where depths map back to y, and a mirrored
+problem gives the bitwise mirrored solution.  A shifted problem gives the
+shifted solution, and the zeros resolve to ulps of the target's width
+rather than of its distance from the origin.  Whether the target can hold
+unit mass at all is decided before the solve, in closed form, by
+`problem.require_capacity`: the target must be at least as wide as the
+sharp-limit tent, 2/sqrt(alpha).  The multiplier-free parabola
 orientation * (constant - y^2/2) survives only as a reference
 construction (`solve_constant`).
 
@@ -299,34 +303,40 @@ def _level_zeros(r, orientation):
     return (-orientation * root, orientation * root)
 
 
-def _offsets(points, spec: MongeProblemSpec):
-    """Offsets p - anchor of absolute points."""
-    return tuple(float(p) - spec.anchor for p in points)
+def _depths(points, spec: MongeProblemSpec):
+    """Depths orientation * (anchor - p) of absolute points: 0 at the
+    anchored edge, the target width at the far edge."""
+    return tuple(spec.orientation * (spec.anchor - float(p)) for p in points)
 
 
-def _offset_slope(shifted, spec: MongeProblemSpec, epsilon):
-    """Slope at offsets t = y - anchor of the stress whose zeros sit at
-    the offsets `shifted`."""
-    return lambda t: _slope_many(_stress_on(t, shifted, spec.orientation),
-                                 spec.alpha, epsilon)
+def _depth_slope(zeros, alpha, epsilon):
+    """du/ds at depths s, for the stress with zeros at the depths `zeros`:
+    in depth both orientations carry the stress (s - z)(s - c)/2."""
+    z, c = zeros
+    return lambda s: _slope_many(0.5 * (s - z) * (s - c), alpha, epsilon)
 
 
-def _slope_integral(weight, shifted, span, spec, epsilon, quad_tol):
-    """Integral over the span of weight(t) * slope, on panels graded toward
-    the stress zeros; zeros, span and t are offsets from the anchor."""
-    slope = _offset_slope(shifted, spec, epsilon)
-    return integrate(lambda t: weight(t) * slope(t), span[0], span[1],
-                     tol=quad_tol, breakpoints=_graded_edges(span, shifted))
+def _depth_integral(weight, zeros, span, spec, epsilon, quad_tol):
+    """Integral over the depth span of weight(s) du/ds, on panels graded
+    toward the stress zeros; zeros, span and s are depths."""
+    slope = _depth_slope(zeros, spec.alpha, epsilon)
+    return integrate(lambda s: weight(s) * slope(s), span[0], span[1],
+                     tol=quad_tol, breakpoints=_graded_edges(span, zeros))
 
 
-def _support_of(zero, spec: MongeProblemSpec, ref=0.0):
-    """Support of the density whose stress has its free zero at `zero`:
-    from the zero to the anchor, clamped to the far edge; `zero` and the
-    result are offsets from `ref`."""
-    far, anchor = spec.far_edge - ref, spec.anchor - ref
-    if spec.assumption == "I":
-        return (max(float(zero), far), anchor)
-    return (anchor, min(float(zero), far))
+def _support_of(zero, spec: MongeProblemSpec):
+    """Depth span [0, S] of the support whose free zero lies at depth
+    `zero`: from the anchor to the zero, clamped to the far edge."""
+    return (0.0, min(float(zero), spec.target_width))
+
+
+def _support_in_y(zero, spec: MongeProblemSpec):
+    """Support in y, ascending, of the density whose free zero lies at
+    `zero`, and its closing end: the zero clamped to the target, so the
+    far edge exactly once the zero lies beyond it."""
+    tl, tr = spec.target_interval
+    m = min(max(float(zero), tl), tr)
+    return tuple(sorted((spec.anchor, m))), m
 
 
 def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
@@ -348,8 +358,10 @@ def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
         raise ValueError(f"support [{lo}, {hi}] is degenerate")
     zeros = (_level_zeros(r, spec.orientation) if zero is None
              else (zero, r))
-    return _slope_integral(lambda t: 1.0, _offsets(zeros, spec),
-                           _offsets((lo, hi), spec), spec, epsilon, quad_tol)
+    # Depth runs against y under orientation I: flip the integral back.
+    return -spec.orientation * _depth_integral(
+        lambda s: 1.0, _depths(zeros, spec), sorted(_depths((lo, hi), spec)),
+        spec, epsilon, quad_tol)
 
 
 def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12):
@@ -406,20 +418,20 @@ def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,
     stress.  Solves the crossing for that support to the residual
     `constant_tol` (unless one is passed in), then uses the exact
     reduction
-        integral of u  =  integral of (start - y) * slope(y) dy,
-    which folds the double integral of the cumulative construction into a
-    single quadrature.
+        integral of u  =  integral of (S - s) du/ds ds
+    over the support's depths s in [0, S], which folds the double
+    integral of the cumulative construction into a single quadrature.
     """
     zero = float(endpoint)
-    support = _support_of(zero, spec)
-    lo, hi = support
-    if not lo < hi:
+    support, _ = _support_in_y(zero, spec)
+    if not support[0] < support[1]:
         return 0.0
     if crossing is None:
         crossing = solve_crossing(support, zero, spec, epsilon, tol=constant_tol)
-    start = (lo if spec.assumption == "I" else hi) - spec.anchor
-    return _slope_integral(lambda t: start - t, _offsets((zero, crossing), spec),
-                           _offsets(support, spec), spec, epsilon, quad_tol)
+    zeros = _depths((zero, crossing), spec)
+    span = _support_of(zeros[0], spec)
+    return _depth_integral(lambda s: span[1] - s, zeros, span, spec, epsilon,
+                           quad_tol)
 
 
 def _require_valid(spec: MongeProblemSpec):
@@ -428,26 +440,25 @@ def _require_valid(spec: MongeProblemSpec):
         raise DomainError(f"inadmissible problem: {report.message()}")
 
 
-def _zero_residuals(shifted, spec: MongeProblemSpec, epsilon, aim, quad_tol):
-    """Closure and mass residuals of the stress with zeros at the offsets
-    `shifted` from the anchor, from one quadrature pass over the support:
-    integral of slope + aim, and integral of (start - t) slope - 1 taken
-    from the same samples."""
-    span = _support_of(shifted[0], spec, spec.anchor)
-    start = span[0] if spec.assumption == "I" else span[1]
-    edges = _initial_edges(*span, _graded_edges(span, shifted))
-    sums, moments = _adaptive(_offset_slope(shifted, spec, epsilon), edges,
+def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
+    """Closure and mass residuals of the stress with zeros at the depths
+    `zeros`, from one quadrature pass over the support [0, S]: the
+    closing density integral of du/ds less its aim, and integral of
+    (S - s) du/ds - 1 taken from the same samples."""
+    span = _support_of(zeros[0], spec)
+    edges = _initial_edges(*span, _graded_edges(span, zeros))
+    sums, moments = _adaptive(_depth_slope(zeros, spec.alpha, epsilon), edges,
                               np.zeros(edges.size - 1, dtype=int), quad_tol,
-                              _MAX_PANEL_DEPTH, weight=lambda t: start - t)
-    return np.array([sums[0] + aim, moments[0] - 1.0])
+                              _MAX_PANEL_DEPTH, weight=lambda s: span[1] - s)
+    return np.array([sums[0] - aim, moments[0] - 1.0])
 
 
 @dataclass(frozen=True)
 class _ZeroSolve:
-    """Outcome of the coupled solve: the zeros (z, c) as offsets from the
-    anchor, the Newton steps taken and the final residuals."""
+    """Outcome of the coupled solve: the zeros (z, c) as depths, the
+    Newton steps taken and the final residuals."""
 
-    shifted: tuple[float, float]
+    zeros: tuple[float, float]
     steps: int
     closure: float
     mass_residual: float
@@ -458,44 +469,39 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`).
 
-    The unknowns are the offsets of the zeros from the anchor, so they
-    resolve to ulps of the target's width however far it lies from the
-    origin: in absolute coordinates one ulp of c moves the closure by
-    about 4e-13 at |y| ~ 500, more than its aim.  Starts from the
-    sharp-limit tent (z = anchor -+ 2/sqrt(alpha), c in the middle of the
-    support).  The Jacobian is taken by forward differences until both
-    contracts hold, then kept for the closing steps.  Each step is cut
-    back to half way to any bound it would cross, so that c stays
-    strictly inside the support and on the anchor's side of z; z may
-    cross the far edge, which is the full-target regime.
+    The unknowns are depths, so both orientations run the same iteration
+    on the same numbers (orientation enters only where the caller maps
+    depths back to y), and the zeros resolve to ulps of the target's
+    width: in y one ulp of c moves the closure by about 4e-13 at
+    |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
+    z = 2/sqrt(alpha) and c = S/2 on the support [0, S = min(z, width)].
+    The Jacobian is taken by forward differences until both contracts
+    hold, then kept for the closing steps.  Each step is cut back to half
+    way to any bound it would cross, keeping 0 < c < width and c < z; z
+    may cross the far edge, which is the full-target regime.
 
     Beyond the far edge the support no longer moves with z, and the
     residuals follow z only through the log layer of the slope,
     slope^2 ~ alpha^2 + 2 eps ln|theta|: they change by about eps per
-    e-fold of the distance d past the edge.  The difference step in z is
-    therefore d 2^-13 there; a fixed fraction of the width would change
-    the residuals by less than their rounding at eps 1e-6.
+    e-fold of the distance z - width past the edge.  The difference step
+    in z is therefore max(h, 2^-13 (z - width)); a fixed fraction h of the
+    width would change the residuals by less than their rounding at
+    eps 1e-6.
 
-    Converged when |mass - 1| <= mass_tol, the closure lands on
-    `solve_crossing`'s aim within 0.9 crossing_tol, and the last step
-    either moved neither zero by more than root_tol or no longer halved
-    max |residual|.  The second case is the residuals' rounding floor:
-    where they barely depend on z, rounding noise over the small Jacobian
-    column keeps |dz| above root_tol with nothing left to reduce.  Raises
-    MaxIterations otherwise.
+    Converged when |mass - 1| <= mass_tol, the closing density lands on
+    `solve_crossing`'s aim (+crossing_tol/10) within 0.9 crossing_tol,
+    and the last step either moved neither zero by more than root_tol or
+    no longer halved max |residual|.  The second case is the residuals'
+    rounding floor: where they barely depend on z, rounding noise over
+    the small Jacobian column keeps |dz| above root_tol with nothing left
+    to reduce.  Raises MaxIterations otherwise.
     """
-    o = spec.orientation
-    far = spec.far_edge - spec.anchor
-    aim = 0.1 * crossing_tol * o
+    width = spec.target_width
+    aim = 0.1 * crossing_tol
     quad_tol = min(1e-13, 0.1 * crossing_tol)
-    h = _FD_STEP * spec.target_width
-
-    def start_of(z):
-        # The support's closing end: z clamped to the far edge.
-        return _support_of(z, spec, spec.anchor)[0 if o > 0 else 1]
-
-    z = -o * spec.sharp_width
-    c = 0.5 * start_of(z)
+    h = _FD_STEP * width
+    z = spec.sharp_width
+    c = 0.5 * _support_of(z, spec)[1]
     F = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     J = None
     step = size = math.inf
@@ -509,19 +515,18 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
             return _ZeroSolve((z, c), k, float(F[0]), float(F[1]))
         if J is None or not held:
             # z moves away from c; c toward the farther end of its support.
-            hz = max(h, _FD_BEYOND * o * (far - z))
-            hc = -o * h if o * (c - start_of(z)) > -o * c else o * h
-            Fz = _zero_residuals((z - o * hz, c), spec, epsilon, aim, quad_tol)
+            hz = max(h, _FD_BEYOND * (z - width))
+            hc = h if _support_of(z, spec)[1] - c > c else -h
+            Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)
             Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)
-            J = np.column_stack([(Fz - F) / (-o * hz), (Fc - F) / hc])
+            J = np.column_stack([(Fz - F) / hz, (Fc - F) / hc])
         try:
             dz, dc = (float(d) for d in np.linalg.solve(J, -F))
         except np.linalg.LinAlgError:
             break
-        # Bounds: o (0 - c) > 0 (anchor), o (c - far) > 0, o (c - z) > 0.
+        # Bounds: c > 0 (anchor), width - c > 0 (far edge), z - c > 0.
         t = 1.0
-        for g0, dg in ((-o * c, -o * dc), (o * (c - far), o * dc),
-                       (o * (c - z), o * (dc - dz))):
+        for g0, dg in ((c, dc), (width - c, -dc), (z - c, dz - dc)):
             if g0 + dg <= 0.0:
                 t = min(t, 0.5 * g0 / -dg)
         z, c = z + t * dz, c + t * dc
@@ -546,10 +551,10 @@ class DensitySolution:
     the crossing-solve residual.  max_abs_slope and max_log_lambda report
     how far the solution runs above the nominal scale ceiling instead of
     clamping it (see the module docstring).  cell_masses holds the mass
-    of each support cell, h u_i + integral of (y_i+1 - s) u'(s) ds, taken
-    from the same quadrature of the slope as the values, so no
-    interpolant of the density enters it.  newton_steps, closure_residual
-    and mass_residual record what the coupled zero solve did: its Newton
+    of each support cell, h u_i + integral of (s_i+1 - s) du/ds ds in
+    depths s, taken from the same quadrature of the slope as the values,
+    so no interpolant of the density enters it.  newton_steps,
+    closure_residual and mass_residual record what the coupled zero solve did: its Newton
     steps and its final closure (measured from the aim) and mass - 1
     residuals.  No CLI artifact writes them.
     """
@@ -620,7 +625,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     slope, anchored at the target endpoint adjacent to the source (it
     vanishes there by construction and at the other support end by the
     closure condition).  The cumulative quadrature runs in the solve's
-    offsets and at its tolerance, so the values near the free endpoint,
+    depths and at its tolerance, so the values near the free endpoint,
     where the stress vanishes, keep the sign the solve gives them.  The
     grid is uniform over the support with the crossing inserted as an
     extra exact node, plus a zero extension over the rest of the target
@@ -634,43 +639,28 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     require_capacity(spec)
     crossing_tol = 0.01 * mass_tol
     solved = _solve_zeros(spec, epsilon, mass_tol, crossing_tol, root_tol)
-    anchor = spec.anchor
-    shifted = solved.shifted
-    zero, crossing = anchor + shifted[0], anchor + shifted[1]
-    support = _support_of(zero, spec)
-    dual = DualField(support, (zero, crossing), spec.orientation, spec.alpha,
-                     epsilon)
-    lo, hi = support
-    m = lo if spec.assumption == "I" else hi
-
-    # The grid and the cumulative pass run in offsets from the anchor, on
-    # the span and zeros the solve used; absolute nodes only for output.
-    span = _support_of(shifted[0], spec, anchor)
+    # The grid and the cumulative pass run in the solve's depths, on its
+    # span and zeros: the density rises from 0 at depth 0, the anchor.
+    zeros = solved.zeros
+    span = _support_of(zeros[0], spec)
     base = np.linspace(span[0], span[1], grid_n)
-    dc = shifted[1]
+    dc = zeros[1]
     if span[0] < dc < span[1] and float(np.min(np.abs(base - dc))) > 1e-13:
-        grid_t = np.sort(np.append(base, dc))
+        grid_s = np.sort(np.append(base, dc))
     else:
-        grid_t = base
-    grid = anchor + grid_t
-    grid[[0, -1]] = support     # a far edge exactly, not anchor + (far - anchor)
+        grid_s = base
     # Quadrature nodes lie inside their cell; the first grid node at or
-    # above a node is its cell's right end.
-    to_right_end = lambda t: grid_t[np.minimum(np.searchsorted(grid_t, t),
-                                               grid_t.size - 1)] - t
+    # past a node's depth is its cell's deeper end.
+    to_cell_end = lambda s: grid_s[np.minimum(np.searchsorted(grid_s, s),
+                                              grid_s.size - 1)] - s
     # The panels next to the stress zeros are the ones the solve
     # integrated, each tagged to the grid cell that contains it.
-    edges, cell_id = _cell_edges(grid_t, _graded_edges(span, shifted))
-    sums, moments = _adaptive(_offset_slope(shifted, spec, epsilon), edges,
+    edges, cell_id = _cell_edges(grid_s, _graded_edges(span, zeros))
+    sums, moments = _adaptive(_depth_slope(zeros, spec.alpha, epsilon), edges,
                               cell_id, min(1e-13, 0.1 * crossing_tol),
-                              _MAX_PANEL_DEPTH, weight=to_right_end)
-    cums = np.concatenate([[0.0], np.cumsum(sums)])
-    if spec.assumption == "I":
-        raw = cums - cums[-1]
-        boundary_gap = float(raw[0])
-    else:
-        raw = cums
-        boundary_gap = float(raw[-1])
+                              _MAX_PANEL_DEPTH, weight=to_cell_end)
+    raw = np.concatenate([[0.0], np.cumsum(sums)])
+    boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
     # residual tolerance, and interior rounding can graze zero, so clip
     # (recording how deep the clip went) and pin both Dirichlet ends.
@@ -678,25 +668,28 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     values_support = np.maximum(raw, 0.0)
     values_support[0] = 0.0
     values_support[-1] = 0.0
-    # On a cell, integral of u = h u_i + integral of (y_i+1 - s) u'(s) ds.
-    cell_masses = np.maximum(np.diff(grid_t) * values_support[:-1] + moments, 0.0)
+    # On a cell, integral of u = h u_i + integral of (s_i+1 - s) du/ds ds.
+    cell_masses = np.maximum(np.diff(grid_s) * values_support[:-1] + moments, 0.0)
 
-    h = (hi - lo) / (grid_n - 1)
-    tl, tr = spec.target_interval
-    if spec.assumption == "I":
-        zero_len = lo - tl
-        n_zero = int(math.ceil(zero_len / h)) if zero_len > 0 else 0
-        zero_nodes = np.linspace(tl, lo, n_zero + 1)[:-1] if n_zero else np.empty(0)
-        nodes = np.concatenate([zero_nodes, grid])
-        values = np.concatenate([np.zeros(zero_nodes.size), values_support])
+    # Back to y: depth s sits at anchor - orientation * s.
+    o, anchor = spec.orientation, spec.anchor
+    zero, crossing = anchor - o * zeros[0], anchor - o * zeros[1]
+    support, m = _support_in_y(zero, spec)
+    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
+    lo, hi = support
+    grid = anchor - o * grid_s
+    grid[-1] = m                # a far edge exactly, not anchor - o * width
+    # The zero extension runs on at the support's resolution.
+    n_zero = math.ceil(abs(spec.far_edge - m) / ((hi - lo) / (grid_n - 1)))
+    zero_nodes = np.linspace(m, spec.far_edge, n_zero + 1)[1:]
+    nodes = np.concatenate([grid, zero_nodes])
+    values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
+    support_slice = slice(0, grid.size)
+    if o > 0:
+        # Under assumption I depth runs against y: reverse to ascending y.
+        grid, values_support, cell_masses, nodes, values = (
+            a[::-1] for a in (grid, values_support, cell_masses, nodes, values))
         support_slice = slice(zero_nodes.size, nodes.size)
-    else:
-        zero_len = tr - hi
-        n_zero = int(math.ceil(zero_len / h)) if zero_len > 0 else 0
-        zero_nodes = np.linspace(hi, tr, n_zero + 1)[1:] if n_zero else np.empty(0)
-        nodes = np.concatenate([grid, zero_nodes])
-        values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
-        support_slice = slice(0, grid.size)
 
     slope_nodes = dual.slope(grid)
     # |theta| peaks at a support end or at the parabola's vertex.
@@ -709,12 +702,12 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
                                      spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual
     # integral of y u = m * mass + integral of (y - m) u, and the latter
-    # integrates by parts to -1/2 integral of (y - m)^2 slope: the
-    # quadrature only sees offsets, so a shifted problem gives the
-    # shifted expectation.
-    dm = span[0] if spec.assumption == "I" else span[1]
-    expectation = m * mass - 0.5 * _slope_integral(
-        lambda t: (t - dm) ** 2, shifted, span, spec, epsilon, quad_tol)
+    # integrates by parts to -1/2 integral of (y - m)^2 u_y dy, which is
+    # orientation/2 times integral of (s - S)^2 du/ds ds in depth: the
+    # quadrature only sees depths, so a shifted problem gives the shifted
+    # expectation and a mirrored one the negated expectation.
+    expectation = m * mass + 0.5 * o * _depth_integral(
+        lambda s: (s - span[1]) ** 2, zeros, span, spec, epsilon, quad_tol)
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,

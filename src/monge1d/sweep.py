@@ -74,11 +74,13 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
     return np.linspace(lo, hi, _DISTANCE_GRID_N)
 
 
-def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
+def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol,
+               quad_tol) -> SweepRow:
     start = time.perf_counter()
     try:
-        solution = assemble_density(spec, epsilon, grid_n)
-        report = duality_gap(solution)
+        solution = assemble_density(spec, epsilon, grid_n, root_tol=root_tol,
+                                    quad_tol=quad_tol)
+        report = duality_gap(solution, quad_tol=quad_tol)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
         wall = (time.perf_counter() - start) * 1e3
@@ -101,13 +103,15 @@ def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
         wall_ms=wall)
 
 
-def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
+def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
+                  root_tol=1e-12, quad_tol=1e-10):
     """Run the solve pipeline at each epsilon, in input order.
 
-    Returns a list of SweepRow.  Epsilons below EPSILON_FLOOR are
-    rejected up front (the whole request is malformed, not one row);
-    per-epsilon solver failures land in their row's `error` field.
-    Raises CapacityError up front when the target is narrower than the
+    The tolerances reach `assemble_density` and `duality_gap` as `solve`
+    passes them, so a row holds the numbers `solve` writes.  Returns a
+    list of SweepRow.  Epsilons below EPSILON_FLOOR are rejected up front
+    (the whole request is malformed, not one row); per-epsilon solver
+    failures land in their row's `error` field.  Raises CapacityError up front when the target is narrower than the
     sharp-limit tent (`problem.require_capacity`, the verdict every row
     would reach), since then no row has a tent to compare against.
     """
@@ -122,7 +126,8 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
                 f"exponential term at that scale")
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
-    return [_solve_row(spec, eps, grid_n, tent, grid) for eps in eps_list]
+    return [_solve_row(spec, eps, grid_n, tent, grid, root_tol, quad_tol)
+            for eps in eps_list]
 
 
 def _format_cell(value) -> str:

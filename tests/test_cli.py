@@ -339,6 +339,45 @@ class TestSweep:
         assert "InsufficientRows" in doc["error"]
 
 
+    def test_rows_use_the_configured_tolerances(self, tmp_path):
+        # A sweep row holds the numbers `solve` writes for the same config.
+        config = tent_config(tmp_path, tolerances={"root": 1e-6, "quad": 1e-6})
+        assert main(["solve", "--config", config, "--quiet",
+                     "--out", str(tmp_path / "solve"), "--grid", "801"]) == 0
+        assert main(["sweep", "--config", config, "--quiet",
+                     "--out", str(tmp_path / "sweep"), "--grid", "801"]) == 0
+        energy = json.loads(
+            (tmp_path / "solve" / "eps_0.01" / "energy.json").read_text())
+        header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["primal"]) == energy["primal"]
+        assert float(cells["dual"]) == energy["dual"]
+        assert float(cells["gap"]) == energy["gap_primal_dual"]
+
+
+@pytest.mark.parametrize("target,code,message", [
+    ([0, 6.5], 2, "target_right < source_left"),
+    ([0, 1], 3, "2/sqrt(alpha) = 2.0"),
+], ids=["invalid_spec", "below_sharp_width"])
+def test_verdicts_come_before_any_solve(tmp_path, capsys, target, code,
+                                        message):
+    # Every command reaches validate's verdict, with its exit code and its
+    # message, and writes nothing.
+    doc = json.loads(json.dumps(TENT_DOC))
+    doc["problem"]["target"] = target
+    config = write_config(tmp_path, doc)
+    assert main(["validate", "--config", config]) == code
+    expected = capsys.readouterr().err
+    assert message in expected
+    for command in ("solve", "map", "sweep", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestVerify:
     def test_tent_defaults_fail_slope_bound(self, tmp_path, capsys):
         # at this width the solved scale factor runs above 1 and the

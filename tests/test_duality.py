@@ -491,7 +491,7 @@ class TestCoupledSolve:
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
         solo = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12)
-        assert spec.anchor + solo.shifted[0] == z
+        assert spec.anchor - spec.orientation * solo.zeros[0] == z
         if regime == "full_target":
             assert sol.support == spec.target_interval
 
@@ -559,6 +559,27 @@ class TestCoupledSolve:
         sol = assemble_density(spec, 0.0010772613122307722, 7965)
         assert sol.clip_depth == 0.0
         assert sol.boundary_gap > 0.0
+
+
+class TestMirrorExactness:
+    """The solve and the assembly run in depths from the anchored edge,
+    where the two orientations are one problem, so a mirrored spec gives
+    the mirrored solution bit for bit."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.37, 533.67, 1000.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.76, 4.0])
+    def test_mirror_pairs_are_bitwise_equal(self, alpha, offset):
+        for factor, eps in itertools.product((1.001, 1.02, 2.5),
+                                             (0.1, 1e-3, 1e-6)):
+            spec = _regime_spec(alpha, factor, offset)
+            sol = assemble_density(spec, eps, 201)
+            mir = assemble_density(mirror_transform(spec), eps, 201)
+            assert np.array_equal(mir.values, sol.values[::-1])
+            assert np.array_equal(mir.cell_masses, sol.cell_masses[::-1])
+            assert np.array_equal(mir.nodes, -sol.nodes[::-1])
+            assert np.array_equal(mir.slope_nodes, -sol.slope_nodes[::-1])
+            assert mir.mass == sol.mass
+            assert mir.expectation == -sol.expectation
 
 
 class TestDualField:
