@@ -18,8 +18,6 @@ from .errors import (
     Monge1dError,
     NoSignChange,
     NonPositiveDensity,
-    NotADensity,
-    OutOfRange,
 )
 
 __version__ = "0.1.0"
@@ -29,11 +27,9 @@ __all__ = [
     "NoSignChange",
     "MaxIterations",
     "MaxDepth",
-    "OutOfRange",
     "DomainError",
     "CapacityError",
     "NonPositiveDensity",
-    "NotADensity",
     "InvalidPerturbation",
     "InsufficientRows",
     "ConfigError",

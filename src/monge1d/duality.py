@@ -72,12 +72,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MaxIterations, OutOfRange
+from .errors import DomainError, MaxIterations
 from .numerics import (_MAX_PANEL_DEPTH, MonotoneCubic, _adaptive, _cell_edges,
                        _graded_edges, _initial_edges, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
-_BRACKET_SLACK = 1e-12     # admissible negative slack on alpha^2 + 2 eps l
+_MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
 _DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
@@ -85,40 +85,7 @@ _FD_STEP = 2.0 ** -24      # forward-difference step, in target widths
 _FD_BEYOND = 2.0 ** -13    # z's step past the far edge, in distances from it
 
 
-# -- scalar algebra -----------------------------------------------------------
-
-def eval_E(lam, alpha, epsilon):
-    """Squared stress produced by a scale factor: lambda^2 (alpha^2 + 2 eps ln lambda).
-
-    Strictly increasing in lambda wherever defined.  The classical domain
-    is (0, 1]; larger factors evaluate the same formula (used by
-    diagnostics).  Raises DomainError when the slope-squared bracket
-    alpha^2 + 2 eps ln lambda drops below -1e-12; values in [-1e-12, 0)
-    round up to zero stress.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr <= 0.0):
-        raise DomainError("scale factor must be positive")
-    bracket = alpha * alpha + 2.0 * epsilon * np.log(lam_arr)
-    if np.any(bracket < -_BRACKET_SLACK):
-        raise DomainError(
-            f"scale factor below the admissible floor: bracket reaches "
-            f"{float(np.min(bracket)):.3e}")
-    out = lam_arr * lam_arr * np.maximum(bracket, 0.0)
-    return out if np.ndim(lam) else float(out)
-
-
-def eval_E_log(log_lam, alpha, epsilon):
-    """`eval_E` with the scale factor given in log form (survives eps=1e-6)."""
-    l_arr = np.asarray(log_lam, dtype=float)
-    bracket = alpha * alpha + 2.0 * epsilon * l_arr
-    if np.any(bracket < -_BRACKET_SLACK):
-        raise DomainError(
-            f"log scale factor below the admissible floor: bracket reaches "
-            f"{float(np.min(bracket)):.3e}")
-    out = np.exp(2.0 * l_arr) * np.maximum(bracket, 0.0)
-    return out if np.ndim(log_lam) else float(out)
-
+# -- pointwise inversion ------------------------------------------------------
 
 def _invert_stress_sq(stress_sq, alpha, epsilon):
     """Solve e^{2l} (alpha^2 + 2 eps l) = T for each T >= 0.
@@ -179,39 +146,6 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
         l_out[pos] = l
         u_out[pos] = u
     return l_out, u_out
-
-
-def invert_E(theta_sq, alpha, epsilon):
-    """Inverse of `eval_E` on the classical range, returned in log form.
-
-    Accepts theta_sq in [0, alpha^2] (with 1e-14 / relative 1e-12 slack
-    below/above; anything further out raises OutOfRange) and returns
-    l = ln lambda in [-alpha^2/(2 eps), 0] satisfying
-    |e^{2l}(alpha^2 + 2 eps l) - theta_sq| <= 1e-12 max(1, theta_sq).
-    """
-    t = float(theta_sq)
-    a2 = alpha * alpha
-    if t < -1e-14 or t > a2 * (1.0 + 1e-12):
-        raise OutOfRange(f"squared stress {t!r} outside [0, {a2!r}]")
-    t = min(max(t, 0.0), a2)
-    l, _ = _invert_stress_sq(np.array([t]), alpha, epsilon)
-    return min(float(l[0]), 0.0)
-
-
-def slope_from_theta(theta, alpha, epsilon):
-    """Density slope carried by a stress value: sign(theta) sqrt(alpha^2 + 2 eps l).
-
-    Odd and strictly increasing in theta, with |result| <= alpha; the
-    returned v satisfies theta = v e^{(v^2 - alpha^2)/(2 eps)} exactly up
-    to the root-solve residual.  |theta| beyond alpha (1 + 1e-12) raises
-    OutOfRange.
-    """
-    th = float(theta)
-    if abs(th) > alpha * (1.0 + 1e-12):
-        raise OutOfRange(f"stress {th!r} exceeds the slope bound {alpha!r}")
-    t = min(th * th, alpha * alpha)
-    _, u = _invert_stress_sq(np.array([t]), alpha, epsilon)
-    return math.copysign(math.sqrt(float(u[0])), th)
 
 
 def _slope_many(theta, alpha, epsilon):
@@ -575,7 +509,6 @@ class DensitySolution:
     max_log_lambda: float
     boundary_gap: float
     clip_depth: float
-    grid_n: int
     newton_steps: int
     closure_residual: float
     mass_residual: float
@@ -613,14 +546,13 @@ class DensitySolution:
 
 
 def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
-                     root_tol=1e-12, quad_tol=1e-10,
-                     mass_tol=1e-10) -> DensitySolution:
+                     root_tol=1e-12, quad_tol=1e-10) -> DensitySolution:
     """Full solve: free zero, crossing, and the sampled density.
 
     Raises CapacityError when the target is narrower than the sharp-limit
     tent (`problem.require_capacity`).  The zeros come from one coupled
-    solve (`_solve_zeros`, mass contract mass_tol, closure contract
-    0.01 mass_tol, Newton step bound root_tol); the assembly uses them as
+    solve (`_solve_zeros`, mass contract `_MASS_TOL`, closure contract
+    0.01 `_MASS_TOL`, Newton step bound root_tol); the assembly uses them as
     they are.  The density is the cumulative integral of the recovered
     slope, anchored at the target endpoint adjacent to the source (it
     vanishes there by construction and at the other support end by the
@@ -637,8 +569,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     if grid_n < 33:
         raise ValueError(f"grid_n must be >= 33, got {grid_n}")
     require_capacity(spec)
-    crossing_tol = 0.01 * mass_tol
-    solved = _solve_zeros(spec, epsilon, mass_tol, crossing_tol, root_tol)
+    crossing_tol = 0.01 * _MASS_TOL
+    solved = _solve_zeros(spec, epsilon, _MASS_TOL, crossing_tol, root_tol)
     # The grid and the cumulative pass run in the solve's depths, on its
     # span and zeros: the density rises from 0 at depth 0, the anchor.
     zeros = solved.zeros
@@ -714,7 +646,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         slope_nodes=slope_nodes, support_slice=support_slice, mass=float(mass),
         expectation=float(expectation), max_abs_slope=float(np.sqrt(u_max[0])),
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
-        clip_depth=clip_depth, grid_n=grid_n, newton_steps=solved.steps,
+        clip_depth=clip_depth, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
         cell_masses=cell_masses,
         _profile=MonotoneCubic(grid, values_support))

@@ -25,9 +25,10 @@ a slope bound (`alpha`, or `spec.alpha` on a DensitySolution), value
 evaluation via `__call__(y)` and a `slope(y)` method (vectorized).
 Assembled DensitySolution objects also expose an exact first moment and
 an exact per-node slope; the evaluators use those fast paths when
-present.  The variational probes perturb a solution along any object
-with vectorized `__call__` and `slope` that vanishes at the support
-ends, such as `SinePerturbation`.
+present.  The mean position has no evaluator here: callers read the
+exact `DensitySolution.expectation`.  The variational probes perturb a
+solution along any object with vectorized `__call__` and `slope` that
+vanishes at the support ends, such as `SinePerturbation`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DensitySolution, DualField
-from .errors import DomainError, InvalidPerturbation, NotADensity
+from .errors import DomainError, InvalidPerturbation
 from .numerics import integrate
 
 _DEFAULT_QUAD_TOL = 1e-10
@@ -372,7 +373,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     )
 
 
-# -- expansion remainder and expectation --------------------------------------
+# -- expansion remainder ------------------------------------------------------
 
 def taylor_remainder_check(alpha, epsilon, n_grid=2001) -> float:
     """Largest deviation of the squared stress from its cubic expansion.
@@ -389,22 +390,3 @@ def taylor_remainder_check(alpha, epsilon, n_grid=2001) -> float:
     exact = lam2 * (a2 + 2.0 * epsilon * ls)
     expansion = (a2 - 2.0 * epsilon) * lam2 + 2.0 * epsilon * np.exp(3.0 * ls)
     return float(np.max(np.abs(exact - expansion)))
-
-
-def expectation(profile, *, quad_tol=_DEFAULT_QUAD_TOL) -> float:
-    """Mean position of a unit-mass profile: integral of y u(y).
-
-    Raises NotADensity when the mass deviates from 1 by more than 1e-6.
-    """
-    if _is_solution(profile):
-        mass = profile.mass
-        if abs(mass - 1.0) > 1e-6:
-            raise NotADensity(f"mass is {mass:.9g}, not 1")
-        return float(profile.expectation)
-    lo, hi = profile.support
-    mass = integrate(lambda y: np.asarray(profile(y), dtype=float), lo, hi,
-                     tol=quad_tol)
-    if abs(mass - 1.0) > 1e-6:
-        raise NotADensity(f"mass is {mass:.9g}, not 1")
-    return float(integrate(lambda y: y * np.asarray(profile(y), dtype=float),
-                           lo, hi, tol=quad_tol))

@@ -25,10 +25,6 @@ class MaxDepth(Monge1dError):
     """Adaptive subdivision exceeded the recursion depth cap."""
 
 
-class OutOfRange(Monge1dError):
-    """An input left the documented numeric range of an operation."""
-
-
 class DomainError(Monge1dError):
     """An input left the mathematical domain of a formula."""
 
@@ -39,10 +35,6 @@ class CapacityError(Monge1dError):
 
 class NonPositiveDensity(Monge1dError):
     """A source density is zero or negative somewhere on its interval."""
-
-
-class NotADensity(Monge1dError):
-    """A profile handed to an expectation is not unit-mass."""
 
 
 class InvalidPerturbation(Monge1dError):

@@ -293,17 +293,16 @@ class MonotoneCubic:
 
 @dataclass
 class MonotoneProfile:
-    """A sampled monotone function with shape-preserving evaluation and a
-    vectorized inverse (`invert_many`).
+    """A sampled nondecreasing function with shape-preserving evaluation
+    and a vectorized inverse (`invert_many`).
 
     Interpolation is the monotone cubic (`MonotoneCubic`), which cannot
     overshoot the node values, so evaluations stay inside
-    [min(values), max(values)] and the inverse is well posed cell by cell.
+    [values[0], values[-1]] and the inverse is well posed cell by cell.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    increasing: bool = True
     _cubic: MonotoneCubic = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -315,18 +314,13 @@ class MonotoneProfile:
             raise ValueError("nodes and values must have matching shapes")
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("profile nodes must be strictly increasing")
-        diffs = np.diff(self.values)
-        if self.increasing and np.any(diffs < -1e-30):
+        if np.any(np.diff(self.values) < -1e-30):
             raise ValueError("values are not nondecreasing")
-        if not self.increasing and np.any(diffs > 1e-30):
-            raise ValueError("values are not nonincreasing")
         self._cubic = MonotoneCubic(self.nodes, self.values)
 
     @property
     def range(self):
-        lo = float(min(self.values[0], self.values[-1]))
-        hi = float(max(self.values[0], self.values[-1]))
-        return lo, hi
+        return float(self.values[0]), float(self.values[-1])
 
     def __call__(self, y):
         return self._cubic(y)
@@ -343,17 +337,17 @@ class MonotoneProfile:
         """
         t = np.clip(np.asarray(targets, dtype=float), *self.range)
         x, v = self.nodes, self.values
-        sgn = 1.0 if self.increasing else -1.0
-        k = np.searchsorted(sgn * v, sgn * t, side="left")
+        k = np.searchsorted(v, t, side="left")
         out = np.where(v[k] == t, x[k], np.nan)
         out = np.where(t == v[-1], x[-1], out)
         open_ = np.flatnonzero(np.isnan(out))
         if open_.size:
-            out.flat[open_] = self._solve_cells(k.flat[open_] - 1, t.flat[open_], sgn)
+            out.flat[open_] = self._solve_cells(k.flat[open_] - 1,
+                                                t.flat[open_])
         return out if np.ndim(targets) else float(out)
 
-    def _solve_cells(self, k, t, sgn):
-        """Root in cell k of g = sgn (cubic - t), for targets strictly
+    def _solve_cells(self, k, t):
+        """Root in cell k of g = cubic - t, for targets strictly
         between the cell's node values (g < 0 at its left node).
 
         Newton's iteration, kept inside each target's sign-change bracket:
@@ -374,9 +368,9 @@ class MonotoneProfile:
         # cell end nearer in value; where the cubic leaves a node with zero
         # slope (the flat ends of a CDF) the root goes like a square root,
         # which a chord start would reach only by halvings.
-        c0, c1, c2, _ = sgn * cubic.coeffs[:, k]
-        near_left = 2.0 * (sgn * t) < sgn * (v[k] + v[k + 1])
-        gap = np.where(near_left, sgn * (t - v[k]), sgn * (v[k + 1] - t))
+        c0, c1, c2, _ = cubic.coeffs[:, k]
+        near_left = 2.0 * t < v[k] + v[k + 1]
+        gap = np.where(near_left, t - v[k], v[k + 1] - t)
         lin = np.where(near_left, c2, c2 + 2.0 * c1 * h + 3.0 * c0 * h * h)
         quad = np.where(near_left, c1, -(c1 + 3.0 * c0 * h))
         disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
@@ -387,13 +381,13 @@ class MonotoneProfile:
         out = np.empty_like(t)
         live = np.arange(t.size)
         for _ in range(_INVERT_MAX_ITER):
-            g = sgn * (cubic._value(k, s) - t)
+            g = cubic._value(k, s) - t
             hit = np.abs(g) <= _EPS * np.abs(t)
             below = g < 0.0
             a = np.where(below, s, a)
             b = np.where(below, b, s)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / (sgn * cubic._slope(k, s))
+                step = g / cubic._slope(k, s)
             nxt = s - step
             newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
             nxt = np.where(newton, nxt, 0.5 * (a + b))

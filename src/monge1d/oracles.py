@@ -27,6 +27,7 @@ from .problem import MongeProblemSpec, SourceDensity, require_capacity
 
 _MASS_TOL = 1e-10
 _SLOPE_SLACK = 1e-10
+_DESCENT_MAX_ITER = 100_000
 
 
 # -- sharp-limit tent ---------------------------------------------------------
@@ -82,14 +83,10 @@ def tent_limit_density(spec: MongeProblemSpec) -> TentDensity:
     (`problem.require_capacity`).
     """
     require_capacity(spec)
-    width = spec.sharp_width
-    tl, tr = spec.target_interval
-    if spec.assumption == "I":
-        support = (tr - width, tr)
-    else:
-        support = (tl, tl + width)
+    anchor = spec.anchor
+    support = tuple(sorted((anchor, anchor - spec.orientation * spec.sharp_width)))
     return TentDensity(support=support, alpha=spec.alpha,
-                       target=(tl, tr))
+                       target=spec.target_interval)
 
 
 # -- discretized feasible set -------------------------------------------------
@@ -225,8 +222,7 @@ def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
     a_eq = np.full((1, n), h)
     a_eq[0, 0] = a_eq[0, -1] = 0.5 * h
     bounds = [(0.0, 0.0)] + [(0.0, None)] * (n - 2) + [(0.0, 0.0)]
-    sign = -1.0 if spec.assumption == "I" else 1.0
-    result = linprog(sign * h * nodes, A_ub=a_ub, b_ub=b_ub,
+    result = linprog(-spec.orientation * h * nodes, A_ub=a_ub, b_ub=b_ub,
                      A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
     if result.status == 2:
         raise CapacityError(
@@ -257,8 +253,8 @@ def _objective_gradient(values, nodes, h, alpha, epsilon):
     return grad
 
 
-def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon, n: int,
-                              max_iterations: int = 100_000) -> OracleRun:
+def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon,
+                              n: int) -> OracleRun:
     """Minimize the literal discrete smoothed objective by projected
     descent over the feasible polytope.
 
@@ -281,7 +277,7 @@ def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon, n: int,
     trace = [obj]
     # curvature of the H term bounds the useful step
     step = h / (2.0 * (1.0 + spec.alpha ** 2 / epsilon))
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _DESCENT_MAX_ITER + 1):
         grad = _objective_gradient(values, nodes, h, spec.alpha, epsilon)
         accepted = False
         for _ in range(40):
@@ -302,7 +298,7 @@ def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon, n: int,
             break
     else:
         raise MaxIterations(
-            f"no convergence within {max_iterations} descent iterations")
+            f"no convergence within {_DESCENT_MAX_ITER} descent iterations")
     values = _make_feasible(values, h, spec.alpha)
     density = GridDensity(nodes=nodes, values=values, step=h, alpha=spec.alpha)
     return OracleRun(density=density,
@@ -344,7 +340,7 @@ def mirror_transform(spec: MongeProblemSpec) -> MongeProblemSpec:
 
 # -- fixtures -----------------------------------------------------------------
 
-def save_fixture(run: OracleRun, csv_path, *, alpha=None) -> Path:
+def save_fixture(run: OracleRun, csv_path) -> Path:
     """Write (y, u) rows to csv_path and the run metadata to a JSON
     sidecar next to it; returns the sidecar path."""
     csv_path = Path(csv_path)
@@ -358,7 +354,7 @@ def save_fixture(run: OracleRun, csv_path, *, alpha=None) -> Path:
         "objective": run.objective,
         "n": run.density.n,
         "epsilon": run.epsilon,
-        "alpha": run.density.alpha if alpha is None else alpha,
+        "alpha": run.density.alpha,
         "iterations": run.iterations,
     }
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
@@ -369,15 +365,18 @@ def load_fixture(csv_path) -> OracleRun:
     """Read back a fixture written by save_fixture.
 
     Raises ValueError naming the problem when the CSV header or the JSON
-    sidecar is not what save_fixture writes.
+    sidecar is not what save_fixture writes, or when the CSV holds fewer
+    than two rows.
     """
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["y", "u"]:
-            raise ValueError(f"unexpected fixture header {header!r}")
-        rows = [(float(y), float(u)) for y, u in reader]
+        lines = list(csv.reader(fh))
+    if lines and lines[0] != ["y", "u"]:
+        raise ValueError(f"unexpected fixture header {lines[0]!r}")
+    if len(lines) < 3:
+        raise ValueError(f"{csv_path.name}: {max(len(lines) - 1, 0)} data "
+                         f"row(s) after the y,u header, a fixture needs two")
+    rows = [(float(y), float(u)) for y, u in lines[1:]]
     sidecar = csv_path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
     if not isinstance(meta, dict):

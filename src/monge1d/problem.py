@@ -10,6 +10,9 @@ supported:
 * orientation "II":  source_left < source_right < target_left < target_right <= 0
   (mirror image on the negative axis; mass moves right).
 
+The source density's kinds are input labels: every kind is evaluated on
+one piecewise-linear path (`SourceDensity._cells`).
+
 Everything in this module is immutable and hashable, so specs can key
 caches directly.  Construction only enforces structural sanity (shapes,
 finite numbers); semantic admissibility is reported by `validate_spec`,
@@ -35,11 +38,10 @@ class SourceDensity:
 
     Kinds:
       * "uniform": constant `level` on the interval (level None means the
-        normalized constant 1/width).
+        normalized constant 1/width), evaluated as one cell (level, level).
       * "piecewise-linear": explicit node/value breakpoints.
       * "tabulated": samples of some underlying density, interpolated
-        piecewise-linearly; mathematically identical to piecewise-linear,
-        the kind only records where the numbers came from.
+        piecewise-linearly; the kind only records where the numbers came from.
 
     Mass, cumulative mass, barycenter, and quantiles are all exact closed
     forms per cell, never quadrature, so the transport maps built on top
@@ -89,12 +91,14 @@ class SourceDensity:
     def width(self) -> float:
         return self.interval[1] - self.interval[0]
 
-    def _level(self) -> float:
-        return (1.0 / self.width) if self.level is None else self.level
-
     def _cells(self):
-        x = np.asarray(self.nodes)
-        v = np.asarray(self.values)
+        """Breakpoints, values, widths and exact masses of the cells every
+        method evaluates; a uniform density is one cell (level, level)."""
+        if self.kind == "uniform":
+            level = 1.0 / self.width if self.level is None else self.level
+            x, v = np.asarray(self.interval), np.array([level, level])
+        else:
+            x, v = np.asarray(self.nodes), np.asarray(self.values)
         h = np.diff(x)
         cell_mass = 0.5 * h * (v[:-1] + v[1:])
         return x, v, h, cell_mass
@@ -102,85 +106,65 @@ class SourceDensity:
     def min_value(self) -> float:
         """Smallest value attained on the interval (exact: extrema of a
         piecewise-linear function sit at nodes)."""
-        if self.kind == "uniform":
-            return self._level()
-        return float(min(self.values))
+        return float(np.min(self._cells()[1]))
 
     def mass(self) -> float:
         """Total integral over the interval, exact."""
-        if self.kind == "uniform":
-            return self._level() * self.width
-        _, _, h, cell_mass = self._cells()
-        return float(np.sum(cell_mass))
+        return float(np.sum(self._cells()[3]))
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        lo, hi = self.interval
-        if self.kind == "uniform":
-            out = np.where((x_arr >= lo) & (x_arr <= hi), self._level(), 0.0)
-        else:
-            out = np.interp(x_arr, self.nodes, self.values, left=0.0, right=0.0)
+        xs, v, _, _ = self._cells()
+        out = np.interp(np.asarray(x, dtype=float), xs, v, left=0.0, right=0.0)
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x):
         """Cumulative mass from the left endpoint, exact per cell."""
         x_arr = np.asarray(x, dtype=float)
         lo, hi = self.interval
-        if self.kind == "uniform":
-            out = self._level() * (np.clip(x_arr, lo, hi) - lo)
-        else:
-            xs, v, h, cell_mass = self._cells()
-            cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-            xc = np.clip(x_arr, lo, hi)
-            i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, h.size - 1)
-            t = xc - xs[i]
-            slope = (v[i + 1] - v[i]) / h[i]
-            out = cum[i] + v[i] * t + 0.5 * slope * t * t
+        xs, v, h, cell_mass = self._cells()
+        cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+        xc = np.clip(x_arr, lo, hi)
+        i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, h.size - 1)
+        t = xc - xs[i]
+        slope = (v[i + 1] - v[i]) / h[i]
+        out = cum[i] + v[i] * t + 0.5 * slope * t * t
         return out if np.ndim(x) else float(out)
 
     def quantile(self, q):
         """Inverse of `cdf`: the point with the given mass to its left.
 
-        Accepts q in [0, mass] (clipped by a 1e-12 margin); solving the
-        per-cell quadratic in the 2q/(v + sqrt(...)) form keeps the result
-        stable when the cell slope is near zero.
+        Accepts q in [0, mass] (clipped into it); solving the per-cell
+        quadratic in the 2q/(v + sqrt(...)) form keeps the result stable
+        when the cell slope is near zero.
         """
-        q_arr = np.asarray(q, dtype=float)
-        total = self.mass()
-        qc = np.clip(q_arr, 0.0, total)
         lo, hi = self.interval
-        if self.kind == "uniform":
-            out = lo + qc / self._level()
-        else:
-            xs, v, h, cell_mass = self._cells()
-            cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-            cum[-1] = total
-            i = np.clip(np.searchsorted(cum, qc, side="right") - 1, 0, h.size - 1)
-            rest = qc - cum[i]
-            slope = (v[i + 1] - v[i]) / h[i]
-            disc = np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope * rest, 0.0))
-            denom = v[i] + disc
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = np.where(denom > 0.0, 2.0 * rest / denom, 0.0)
-            out = np.minimum(xs[i] + t, xs[i + 1])
-        out = np.clip(out, lo, hi)
+        xs, v, h, cell_mass = self._cells()
+        cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+        # The last node holds the whole mass, as `mass` sums it.
+        cum[-1] = np.sum(cell_mass)
+        qc = np.clip(np.asarray(q, dtype=float), 0.0, cum[-1])
+        i = np.clip(np.searchsorted(cum, qc, side="right") - 1, 0, h.size - 1)
+        rest = qc - cum[i]
+        slope = (v[i + 1] - v[i]) / h[i]
+        disc = np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope * rest, 0.0))
+        denom = v[i] + disc
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.where(denom > 0.0, 2.0 * rest / denom, 0.0)
+        out = np.clip(np.minimum(xs[i] + t, xs[i + 1]), lo, hi)
         return out if np.ndim(q) else float(out)
 
     def barycenter(self) -> float:
         """Mass-weighted mean position, exact."""
-        lo, hi = self.interval
-        if self.kind == "uniform":
-            return 0.5 * (lo + hi)
-        xs, v, h, _ = self._cells()
+        xs, v, h, cell_mass = self._cells()
         slope = (v[1:] - v[:-1]) / h
         # int over a cell of (x0 + t)(v0 + slope t) dt for t in [0, h].
         first = xs[:-1] * (v[:-1] * h + 0.5 * slope * h * h)
         second = 0.5 * v[:-1] * h * h + slope * h**3 / 3.0
-        return float(np.sum(first + second) / self.mass())
+        return float(np.sum(first + second) / np.sum(cell_mass))
 
     def scaled(self, factor: float) -> "SourceDensity":
         if self.kind == "uniform":
-            return replace(self, level=self._level() * factor)
+            return replace(self, level=float(self._cells()[1][0]) * factor)
         return replace(self, values=tuple(v * factor for v in self.values))
 
 

@@ -54,8 +54,7 @@ def target_cdf(solution: DensitySolution) -> MonotoneProfile:
     carries a logarithmic term no interpolant follows).
     """
     cdf = np.concatenate([[0.0], np.cumsum(solution.cell_masses)])
-    return MonotoneProfile(nodes=solution.support_nodes, values=cdf / cdf[-1],
-                           increasing=True)
+    return MonotoneProfile(nodes=solution.support_nodes, values=cdf / cdf[-1])
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class TransportMapSolution:
     evaluated cost."""
 
     variant: str
-    assumption: str
     map: QuantileMap
     target_cdf: MonotoneProfile
     cost: float
@@ -103,8 +101,8 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
                           target_profile=q,
                           decreasing=(variant == "decreasing"))
     cost = _evaluate_cost(mapping, spec, solution.crossing)
-    return TransportMapSolution(variant=variant, assumption=spec.assumption,
-                                map=mapping, target_cdf=q, cost=cost)
+    return TransportMapSolution(variant=variant, map=mapping, target_cdf=q,
+                                cost=cost)
 
 
 def _evaluate_cost(mapping, spec: MongeProblemSpec, crossing: float) -> float:

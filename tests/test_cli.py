@@ -483,6 +483,27 @@ class TestVerify:
         assert "verify: failed oracle oracle_lp.csv" in captured.err
         assert detail in captured.out
 
+    def test_short_fixture_fails_its_check(self, tmp_path, capsys):
+        # An empty fixture and a one-row fixture each fail their own
+        # check; the command reports them instead of crashing.
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["problem"]["alpha"] = 4.0
+        out = tmp_path / "art"
+        out.mkdir()
+        (out / "oracle_empty.csv").write_text("")
+        (out / "oracle_one.csv").write_text("y,u\n0.0,0.0\n")
+        code = main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--grid", "801"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert ("verify: failed oracle oracle_empty.csv, oracle oracle_one.csv"
+                in captured.err)
+        for name, rows in (("oracle_empty.csv", 0), ("oracle_one.csv", 1)):
+            line = next(ln for ln in captured.out.splitlines() if name in ln)
+            assert line.startswith("fail")
+            assert f"{rows} data row(s)" in line
+
     def test_solves_each_epsilon_once(self, tmp_path, monkeypatch, capsys):
         # The fixture carries no epsilon, so it is checked against the
         # last configured one, which the battery has already solved.

@@ -12,15 +12,11 @@ from monge1d.duality import (
     DualField,
     assemble_density,
     boundary_residual,
-    eval_E,
-    eval_E_log,
-    invert_E,
-    slope_from_theta,
     solve_constant,
     solve_crossing,
     total_mass,
 )
-from monge1d.errors import CapacityError, DomainError, MaxIterations, OutOfRange
+from monge1d.errors import CapacityError, DomainError, MaxIterations
 from monge1d.numerics import integrate
 from monge1d.oracles import TentDensity, mirror_transform, tent_limit_density
 from monge1d.problem import require_capacity, uniform_spec
@@ -29,67 +25,85 @@ SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
 
 
+def forward(l, alpha, eps):
+    """Squared stress e^{2l} (alpha^2 + 2 eps l) carried by a log scale
+    factor l: the forward map `_invert_stress_sq` inverts."""
+    return math.exp(2.0 * l) * (alpha * alpha + 2.0 * eps * l)
+
+
+def log_scale(t, alpha, eps):
+    l, _ = duality._invert_stress_sq(np.array([t]), alpha, eps)
+    return float(l[0])
+
+
+def slope_of(theta, alpha, eps):
+    return float(duality._slope_many(np.array([theta]), alpha, eps)[0])
+
+
 class TestEvalE:
+    """The inversion kernel against the forward map, written out here."""
+
     def test_at_one(self):
-        assert eval_E(1.0, 1.0, 0.1) == pytest.approx(1.0, abs=1e-15)
+        l, u = duality._invert_stress_sq(np.array([1.0]), 1.0, 0.1)
+        assert abs(l[0]) < 1e-15 and u[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_at_floor(self):
-        # The lower endpoint annihilates the slope-squared bracket.
-        assert abs(eval_E(math.exp(-5.0), 1.0, 0.1)) < 1e-16
-        assert eval_E_log(-5.0, 1.0, 0.1) == 0.0
+        # Zero stress sits at the floor, where the slope-squared bracket
+        # alpha^2 + 2 eps l vanishes.
+        l, u = duality._invert_stress_sq(np.array([0.0]), 1.0, 0.1)
+        assert l[0] == -5.0 and u[0] == 0.0
+        assert forward(-5.0, 1.0, 0.1) == 0.0
 
     def test_half(self):
         # 0.25 * (1 + 0.2 ln 0.5), closed form.
-        assert eval_E(0.5, 1.0, 0.1) == pytest.approx(0.21534264097200273,
-                                                      rel=1e-12)
-
-    def test_below_floor_rejected(self):
-        with pytest.raises(DomainError):
-            eval_E(1e-30, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            eval_E(0.0, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            eval_E_log(-50.0, 1.0, 0.1)
+        assert forward(math.log(0.5), 1.0, 0.1) == pytest.approx(
+            0.21534264097200273, rel=1e-12)
+        assert log_scale(0.21534264097200273, 1.0, 0.1) == pytest.approx(
+            math.log(0.5), abs=1e-12)
 
     def test_strictly_increasing(self):
-        lams = np.linspace(math.exp(-5.0) + 1e-6, 1.0, 50)
-        vals = eval_E(lams, 1.0, 0.1)
-        assert np.all(np.diff(vals) > 0)
+        # Larger squared stresses carry larger scale factors and slopes,
+        # on and past the classical range [0, alpha^2].
+        t = np.linspace(1e-6, 2.0, 50)
+        l, u = duality._invert_stress_sq(t, 1.0, 0.1)
+        assert np.all(np.diff(l) > 0) and np.all(np.diff(u) > 0)
 
     def test_log_form_matches(self):
-        for lam in (0.9, 0.5, 0.1, 0.01):
-            assert eval_E_log(math.log(lam), 1.0, 0.1) == pytest.approx(
-                eval_E(lam, 1.0, 0.1), rel=1e-12)
+        # slope_sq is alpha^2 + 2 eps l, returned without cancellation.
+        t = np.array([0.9, 0.5, 0.1, 0.01, 1e-8])
+        l, u = duality._invert_stress_sq(t, 1.0, 0.1)
+        assert u == pytest.approx(1.0 + 0.2 * l, rel=1e-12, abs=1e-15)
 
 
 class TestInvertE:
     def test_at_top(self):
-        assert abs(invert_E(1.0, 1.0, 0.1)) < 1e-12
+        assert abs(log_scale(1.0, 1.0, 0.1)) < 1e-12
 
     def test_at_zero(self):
-        assert invert_E(0.0, 1.0, 0.1) == -5.0
+        assert log_scale(0.0, 1.0, 0.1) == -5.0
 
     def test_half_round_trip(self):
-        assert invert_E(0.21534264097200273, 1.0, 0.1) == pytest.approx(
+        assert log_scale(0.21534264097200273, 1.0, 0.1) == pytest.approx(
             math.log(0.5), abs=1e-10)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            invert_E(-1e-13, 1.0, 0.1)
-        with pytest.raises(OutOfRange):
-            invert_E(1.0 + 1e-11, 1.0, 0.1)
+        # No clamp to the classical range: a negative squared stress is
+        # the floor, one above alpha^2 continues into l > 0.
+        assert log_scale(-1e-13, 1.0, 0.1) == -5.0
+        l = log_scale(1.0 + 1e-2, 1.0, 0.1)
+        assert l > 0.0
+        assert forward(l, 1.0, 0.1) == pytest.approx(1.0 + 1e-2, rel=1e-14)
 
     def test_marginal_slack_tolerated(self):
-        assert invert_E(-5e-15, 1.0, 0.1) == -5.0
-        assert abs(invert_E(1.0 + 5e-13, 1.0, 0.1)) < 1e-10
+        assert log_scale(-5e-15, 1.0, 0.1) == -5.0
+        assert abs(log_scale(1.0 + 5e-13, 1.0, 0.1)) < 1e-10
 
     def test_residual_contract(self):
         for alpha, eps in ((1.0, 0.1), (2.0, 0.01), (0.5, 1e-3), (2.0, 1e-6)):
             for frac in (1e-12, 1e-6, 0.1, 0.5, 0.9, 0.999999, 1.0):
                 t = frac * alpha * alpha
-                l = invert_E(t, alpha, eps)
-                back = math.exp(2.0 * l) * max(alpha * alpha + 2.0 * eps * l, 0.0)
-                assert abs(back - t) <= 1e-12 * max(1.0, t)
+                l = log_scale(t, alpha, eps)
+                assert abs(forward(l, alpha, eps) - t) <= 1e-12 * max(1.0, t)
                 assert -alpha * alpha / (2.0 * eps) <= l <= 0.0
 
     def test_round_trip_sampled(self):
@@ -101,43 +115,41 @@ class TestInvertE:
             lo = max(l_min, math.log(1e-150))
             ls = rng.uniform(lo, 0.0, 100)
             for l in ls:
-                t = eval_E_log(float(l), alpha, eps)
-                assert invert_E(t, alpha, eps) == pytest.approx(float(l), abs=1e-8)
+                t = forward(float(l), alpha, eps)
+                assert log_scale(t, alpha, eps) == pytest.approx(float(l), abs=1e-8)
 
 
 class TestSlopeFromTheta:
     def test_odd_zero(self):
-        assert slope_from_theta(0.0, 1.0, 0.1) == 0.0
+        assert slope_of(0.0, 1.0, 0.1) == 0.0
 
     def test_at_bound(self):
-        assert slope_from_theta(1.0, 1.0, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert slope_of(1.0, 1.0, 0.1) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_forward_value(self):
         # 0.8 e^{(0.64-1)/0.2} = 0.8 e^{-1.8}.
         theta = 0.8 * math.exp(-1.8)
-        assert slope_from_theta(theta, 1.0, 0.1) == pytest.approx(0.8, abs=1e-10)
+        assert slope_of(theta, 1.0, 0.1) == pytest.approx(0.8, abs=1e-10)
 
     def test_exactly_odd(self):
         for theta in (0.3, 0.77, 0.132):
-            assert slope_from_theta(-theta, 1.0, 0.1) == -slope_from_theta(
-                theta, 1.0, 0.1)
+            assert slope_of(-theta, 1.0, 0.1) == -slope_of(theta, 1.0, 0.1)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            slope_from_theta(1.0 + 1e-11, 1.0, 0.1)
-        with pytest.raises(OutOfRange):
-            slope_from_theta(-1.1, 1.0, 0.1)
+        # Past the slope bound the slope runs above alpha, still odd.
+        assert slope_of(1.1, 1.0, 0.1) > 1.0
+        assert slope_of(-1.1, 1.0, 0.1) == -slope_of(1.1, 1.0, 0.1)
 
     def test_strictly_increasing(self):
         thetas = np.linspace(-1.0, 1.0, 101)
-        vals = np.array([slope_from_theta(float(t), 1.0, 0.1) for t in thetas])
+        vals = duality._slope_many(thetas, 1.0, 0.1)
         assert np.all(np.diff(vals) > 0)
 
     def test_scale_times_slope_is_theta(self):
         for alpha, eps in ((1.0, 0.1), (2.0, 1e-3)):
             for theta in np.linspace(-alpha, alpha, 41):
-                l = invert_E(float(theta) ** 2, alpha, eps)
-                v = slope_from_theta(float(theta), alpha, eps)
+                l = log_scale(float(theta) ** 2, alpha, eps)
+                v = slope_of(float(theta), alpha, eps)
                 assert abs(math.exp(l) * v - theta) <= 1e-10
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -145,15 +157,15 @@ class TestSlopeFromTheta:
            eps=st.floats(min_value=1e-6, max_value=0.5))
     def test_forward_consistency(self, theta, eps):
         # v e^{(v^2 - 1)/(2 eps)} must reproduce theta (alpha = 1).
-        v = slope_from_theta(theta, 1.0, eps)
-        forward = v * math.exp(min((v * v - 1.0) / (2.0 * eps), 0.0))
-        assert forward == pytest.approx(theta, abs=1e-9)
+        v = slope_of(theta, 1.0, eps)
+        back = v * math.exp(min((v * v - 1.0) / (2.0 * eps), 0.0))
+        assert back == pytest.approx(theta, abs=1e-9)
 
     def test_nan_stress_raises(self):
         # Newton never converges on a NaN; the inversion must not return
         # a value silently.
         with pytest.raises(MaxIterations):
-            slope_from_theta(math.nan, 1.0, 0.1)
+            slope_of(math.nan, 1.0, 0.1)
         fld = DualField((3.0, 5.0), (3.0, 4.0), 1.0, 1.0, 0.1)
         with pytest.raises(MaxIterations):
             fld.slope(np.array([3.5, math.nan]))

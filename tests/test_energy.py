@@ -15,13 +15,12 @@ from monge1d.energy import (
     SinePerturbation,
     dual_energy,
     duality_gap,
-    expectation,
     primal_energy,
     second_variation_probe,
     taylor_remainder_check,
     total_complementary,
 )
-from monge1d.errors import DomainError, InvalidPerturbation, NotADensity
+from monge1d.errors import DomainError, InvalidPerturbation
 from monge1d.numerics import integrate
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
@@ -303,9 +302,9 @@ class TestTaylorRemainder:
     def test_frozen_point_value(self):
         # remainder at lambda = 1/2 for (1, 0.1), against the closed form
         # 2 eps lam^2 (ln lam - lam + 1)
-        from monge1d.duality import eval_E
         lam = 0.5
-        direct = eval_E(lam, 1.0, 0.1) - (1.0 - 0.2) * lam ** 2 - 0.2 * lam ** 3
+        e_lam = lam ** 2 * (1.0 + 0.2 * math.log(lam))
+        direct = e_lam - (1.0 - 0.2) * lam ** 2 - 0.2 * lam ** 3
         closed = 2.0 * 0.1 * lam ** 2 * (math.log(lam) - lam + 1.0)
         assert direct == pytest.approx(closed, rel=1e-12)
         assert direct == pytest.approx(-0.009657359027997266, rel=1e-12)
@@ -326,23 +325,6 @@ class TestTaylorRemainder:
 # -- expectation --------------------------------------------------------------
 
 class TestExpectation:
-    def test_uniform_profile(self):
-        class Uniform:
-            support = (0.0, 5.0)
-            alpha = 1.0
-
-            def __call__(self, y):
-                return np.full(np.shape(y), 0.2)
-
-            def slope(self, y):
-                return np.zeros(np.shape(y))
-
-        assert expectation(Uniform()) == pytest.approx(2.5, rel=1e-10)
-
     def test_solution_values(self, solved):
-        assert expectation(solved(SPEC_I, 1e-3)) == pytest.approx(4.0, abs=0.02)
-        assert expectation(solved(SPEC_II, 1e-3)) == pytest.approx(-4.0, abs=0.02)
-
-    def test_not_a_density(self):
-        with pytest.raises(NotADensity, match="mass"):
-            expectation(ZeroProfile((0.0, 5.0), 1.0))
+        assert solved(SPEC_I, 1e-3).expectation == pytest.approx(4.0, abs=0.02)
+        assert solved(SPEC_II, 1e-3).expectation == pytest.approx(-4.0, abs=0.02)

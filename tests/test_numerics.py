@@ -258,26 +258,12 @@ class TestMonotoneProfile:
         assert prof.invert_many(hi + 1e-15) == prof.nodes[-1]
         assert prof.invert_many(lo - 1e-15) == prof.nodes[0]
 
-    def test_decreasing_profile(self):
-        x = np.linspace(0.0, 1.0, 21)
-        prof = MonotoneProfile(nodes=x, values=np.exp(-3.0 * x), increasing=False)
-        t = prof(0.4)
-        y = prof.invert_many(t)
-        assert isinstance(y, float)
-        assert abs(prof(y) - t) <= 1e-15
-        assert abs(y - 0.4) < 1e-9
-        many = prof.invert_many(np.array([t]))
-        assert many.shape == (1,) and many[0] == y
-
     def test_node_value_targets_return_their_nodes(self):
         prof = self._exp_profile()
         assert np.array_equal(prof.invert_many(prof.values), prof.nodes)
         flat = MonotoneProfile(nodes=np.arange(5.0),
                                values=np.array([0.0, 0.5, 0.5, 0.5, 1.0]))
         assert flat.invert_many(0.5) == 1.0
-        dec = MonotoneProfile(nodes=prof.nodes, values=prof.values[::-1],
-                              increasing=False)
-        assert np.array_equal(dec.invert_many(dec.values), dec.nodes)
 
     def test_flat_end_cells_of_a_cdf(self, solved):
         # The density vanishes at both support ends, so the target CDF
@@ -299,14 +285,8 @@ class TestMonotoneProfile:
         y = prof.invert_many(np.array(t))
         assert isinstance(y, float) and abs(prof(y) - t) <= 1e-15
         assert prof.invert_many(np.float64(t)) == y
-
-    def test_decreasing_many(self):
-        x = np.linspace(0.0, 1.0, 21)
-        prof = MonotoneProfile(nodes=x, values=np.exp(-3.0 * x), increasing=False)
-        targets = np.linspace(prof.range[0], prof.range[1], 101)
-        ys = prof.invert_many(targets)
-        assert np.all(np.diff(ys) < 0.0)
-        assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
+        many = prof.invert_many(np.array([t]))
+        assert many.shape == (1,) and many[0] == y
 
     @pytest.mark.parametrize("broken", [np.nan, 0.0])
     def test_broken_cell_raises(self, broken):
@@ -327,7 +307,7 @@ class TestMonotoneProfile:
                             values=np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ValueError):
             MonotoneProfile(nodes=np.array([0.0, 1.0]),
-                            values=np.array([1.0, 0.0]), increasing=True)
+                            values=np.array([1.0, 0.0]))
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=0.05, max_value=1.95))

@@ -73,6 +73,27 @@ class TestSourceDensity:
         # x f = 2x^2, mass 1, mean 2/3.
         assert f.barycenter() == pytest.approx(2.0 / 3.0, abs=1e-14)
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(lo=st.floats(min_value=-1e3, max_value=1e3),
+           width=st.floats(min_value=1e-3, max_value=1e2),
+           level=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3)),
+           fracs=st.lists(st.floats(min_value=-0.25, max_value=1.25),
+                          min_size=1, max_size=8))
+    def test_uniform_is_its_one_cell(self, lo, width, level, fracs):
+        # A uniform density and the piecewise-linear cell (L, L) on the
+        # same interval evaluate to the same bits.
+        hi = lo + width
+        uniform = SourceDensity(interval=(lo, hi), level=level)
+        L = 1.0 / uniform.width if level is None else level
+        cell = SourceDensity(interval=(lo, hi), kind="piecewise-linear",
+                             nodes=(lo, hi), values=(L, L))
+        xs = lo + np.array(fracs) * (hi - lo)
+        qs = np.array(fracs) * uniform.mass()
+        assert uniform.mass() == cell.mass()
+        assert np.array_equal(uniform(xs), cell(xs))
+        assert np.array_equal(uniform.cdf(xs), cell.cdf(xs))
+        assert np.array_equal(uniform.quantile(qs), cell.quantile(qs))
+
     def test_construction_errors(self):
         with pytest.raises(ValueError):
             SourceDensity(interval=(1.0, 1.0))

@@ -118,7 +118,6 @@ class TestBuildMap:
         _, inc, _ = maps
         assert isinstance(inc, TransportMapSolution)
         assert inc.variant == "increasing"
-        assert inc.assumption == "I"
 
 
 class TestTransportCost:
