@@ -284,8 +284,7 @@ def _precheck(config: RunConfig) -> int:
 
 def _solve_one(config: RunConfig, epsilon: float):
     return assemble_density(config.spec, epsilon, config.grid_n,
-                            root_tol=config.root_tol,
-                            quad_tol=config.quad_tol)
+                            root_tol=config.root_tol)
 
 
 def cmd_solve(config: RunConfig) -> int:

@@ -50,7 +50,10 @@ graded panels each see the layer on their own scale, so one or two
 vectorized rounds settle a quadrature.  The assembly's cumulative pass
 inserts the same graded edges into its grid, so it integrates the same
 panels next to the zeros as the solve did, and the closing density
-keeps the sign the solve gave it.
+keeps the sign the solve gave it.  A pass integrates a stack of rows of
+one inversion (`_depth_integral`): the solve's passes carry the
+expectation, and `DualField.integrate` gives energies and probes the
+same panels.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -74,7 +77,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterations
 from .numerics import (_MAX_PANEL_DEPTH, MonotoneCubic, _adaptive, _cell_edges,
-                       _graded_edges, _initial_edges, integrate, solve_root)
+                       _graded_edges, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -197,7 +200,9 @@ class DualField:
         return self.zeros[1]
 
     def theta(self, y):
-        out = _stress_on(y, self.zeros, self.orientation)
+        z, c = self.zeros
+        y_arr = np.asarray(y, dtype=float)
+        out = -0.5 * self.orientation * (y_arr - z) * (y_arr - c)
         return out if np.ndim(y) else float(out)
 
     def theta_y(self, y):
@@ -223,11 +228,16 @@ class DualField:
         l, u = _invert_stress_sq(th * th, self.alpha, self.epsilon)
         return th, l, np.copysign(np.sqrt(u), th)
 
-
-def _stress_on(y, zeros, orientation):
-    z, c = zeros
-    y_arr = np.asarray(y, dtype=float)
-    return -0.5 * orientation * (y_arr - z) * (y_arr - c)
+    def integrate(self, fn, tol):
+        """Support integrals of the rows fn(y, log_lambda, slope), from one
+        `_depth_integral` pass in depths from the anchored support end (the
+        upper one under orientation I); refinement follows row 0."""
+        o, (lo, hi) = self.orientation, self.support
+        anchor = hi if o > 0 else lo
+        zeros = tuple(o * (anchor - p) for p in self.zeros)
+        return _depth_integral(lambda s, l, g: fn(anchor - o * s, l, -o * g),
+                               zeros, (0.0, hi - lo), self.alpha, self.epsilon,
+                               tol)[:, 0]
 
 
 def _level_zeros(r, orientation):
@@ -243,19 +253,22 @@ def _depths(points, spec: MongeProblemSpec):
     return tuple(spec.orientation * (spec.anchor - float(p)) for p in points)
 
 
-def _depth_slope(zeros, alpha, epsilon):
-    """du/ds at depths s, for the stress with zeros at the depths `zeros`:
-    in depth both orientations carry the stress (s - z)(s - c)/2."""
+def _depth_integral(fn, zeros, grid, alpha, epsilon, tol):
+    """(rows, cells) integrals of the rows fn(s, l, du/ds) over the cells
+    of the depth grid (a span [0, S] is one cell), from one adaptive pass
+    on panels graded toward the stress zeros; refinement follows row 0.
+    In depth both orientations carry the stress (s - z)(s - c)/2, whose
+    one inversion per node gives l = ln lambda and du/ds."""
     z, c = zeros
-    return lambda s: _slope_many(0.5 * (s - z) * (s - c), alpha, epsilon)
 
+    def rows(s):
+        theta = 0.5 * (s - z) * (s - c)
+        l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
+        return fn(s, l, np.copysign(np.sqrt(u), theta))
 
-def _depth_integral(weight, zeros, span, spec, epsilon, quad_tol):
-    """Integral over the depth span of weight(s) du/ds, on panels graded
-    toward the stress zeros; zeros, span and s are depths."""
-    slope = _depth_slope(zeros, spec.alpha, epsilon)
-    return integrate(lambda s: weight(s) * slope(s), span[0], span[1],
-                     tol=quad_tol, breakpoints=_graded_edges(span, zeros))
+    grid = np.asarray(grid, dtype=float)
+    edges, cell_id = _cell_edges(grid, _graded_edges((grid[0], grid[-1]), zeros))
+    return _adaptive(rows, edges, cell_id, tol, _MAX_PANEL_DEPTH)
 
 
 def _support_of(zero, spec: MongeProblemSpec):
@@ -294,8 +307,8 @@ def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
              else (zero, r))
     # Depth runs against y under orientation I: flip the integral back.
     return -spec.orientation * _depth_integral(
-        lambda s: 1.0, _depths(zeros, spec), sorted(_depths((lo, hi), spec)),
-        spec, epsilon, quad_tol)
+        lambda s, l, g: g, _depths(zeros, spec), sorted(_depths((lo, hi), spec)),
+        spec.alpha, epsilon, quad_tol)[0, 0]
 
 
 def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12):
@@ -364,8 +377,8 @@ def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,
         crossing = solve_crossing(support, zero, spec, epsilon, tol=constant_tol)
     zeros = _depths((zero, crossing), spec)
     span = _support_of(zeros[0], spec)
-    return _depth_integral(lambda s: span[1] - s, zeros, span, spec, epsilon,
-                           quad_tol)
+    return _depth_integral(lambda s, l, g: (span[1] - s) * g, zeros, span,
+                           spec.alpha, epsilon, quad_tol)[0, 0]
 
 
 def _require_valid(spec: MongeProblemSpec):
@@ -376,32 +389,34 @@ def _require_valid(spec: MongeProblemSpec):
 
 def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     """Closure and mass residuals of the stress with zeros at the depths
-    `zeros`, from one quadrature pass over the support [0, S]: the
-    closing density integral of du/ds less its aim, and integral of
-    (S - s) du/ds - 1 taken from the same samples."""
-    span = _support_of(zeros[0], spec)
-    edges = _initial_edges(*span, _graded_edges(span, zeros))
-    sums, moments = _adaptive(_depth_slope(zeros, spec.alpha, epsilon), edges,
-                              np.zeros(edges.size - 1, dtype=int), quad_tol,
-                              _MAX_PANEL_DEPTH, weight=lambda s: span[1] - s)
-    return np.array([sums[0] - aim, moments[0] - 1.0])
+    `zeros`, and its expectation moment, from one quadrature pass over
+    the support [0, S]: the closing density integral of du/ds less its
+    aim, integral of (S - s) du/ds - 1 and integral of (S - s)^2 du/ds,
+    all taken from the same samples."""
+    S = _support_of(zeros[0], spec)[1]
+    closure, mass, moment = _depth_integral(
+        lambda s, l, g: (g, (S - s) * g, (S - s) ** 2 * g), zeros, (0.0, S),
+        spec.alpha, epsilon, quad_tol)[:, 0]
+    return np.array([closure - aim, mass - 1.0, moment])
 
 
 @dataclass(frozen=True)
 class _ZeroSolve:
     """Outcome of the coupled solve: the zeros (z, c) as depths, the
-    Newton steps taken and the final residuals."""
+    Newton steps taken, the final residuals and expectation moment."""
 
     zeros: tuple[float, float]
     steps: int
     closure: float
     mass_residual: float
+    moment: float
 
 
 def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                  root_tol) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
-    the closure and unit-mass conditions (`_zero_residuals`).
+    the closure and unit-mass conditions (`_zero_residuals`); the final
+    pass's expectation moment rides along.
 
     The unknowns are depths, so both orientations run the same iteration
     on the same numbers (orientation enters only where the caller maps
@@ -443,19 +458,19 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         if not np.all(np.isfinite(F)):
             break
         held = abs(F[1]) <= mass_tol and abs(F[0]) <= 0.9 * crossing_tol
-        last, size = size, float(np.max(np.abs(F)))
+        last, size = size, float(np.max(np.abs(F[:2])))
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
         if held and (step <= root_tol + ulps or size >= 0.5 * last):
-            return _ZeroSolve((z, c), k, float(F[0]), float(F[1]))
+            return _ZeroSolve((z, c), k, *(float(f) for f in F))
         if J is None or not held:
             # z moves away from c; c toward the farther end of its support.
             hz = max(h, _FD_BEYOND * (z - width))
             hc = h if _support_of(z, spec)[1] - c > c else -h
             Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)
             Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)
-            J = np.column_stack([(Fz - F) / hz, (Fc - F) / hc])
+            J = np.column_stack([(Fz - F)[:2] / hz, (Fc - F)[:2] / hc])
         try:
-            dz, dc = (float(d) for d in np.linalg.solve(J, -F))
+            dz, dc = (float(d) for d in np.linalg.solve(J, -F[:2]))
         except np.linalg.LinAlgError:
             break
         # Bounds: c > 0 (anchor), width - c > 0 (far edge), z - c > 0.
@@ -546,7 +561,7 @@ class DensitySolution:
 
 
 def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
-                     root_tol=1e-12, quad_tol=1e-10) -> DensitySolution:
+                     root_tol=1e-12) -> DensitySolution:
     """Full solve: free zero, crossing, and the sampled density.
 
     Raises CapacityError when the target is narrower than the sharp-limit
@@ -561,8 +576,9 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     where the stress vanishes, keep the sign the solve gives them.  The
     grid is uniform over the support with the crossing inserted as an
     extra exact node, plus a zero extension over the rest of the target
-    at matching resolution.  The mass is the solve's own; `quad_tol`
-    applies to the expectation.
+    at matching resolution.  The mass and the expectation are the
+    solve's own: its last Newton pass integrates the expectation moment
+    next to the closure and the mass, at the solve's tolerance.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -587,10 +603,9 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
                                               grid_s.size - 1)] - s
     # The panels next to the stress zeros are the ones the solve
     # integrated, each tagged to the grid cell that contains it.
-    edges, cell_id = _cell_edges(grid_s, _graded_edges(span, zeros))
-    sums, moments = _adaptive(_depth_slope(zeros, spec.alpha, epsilon), edges,
-                              cell_id, min(1e-13, 0.1 * crossing_tol),
-                              _MAX_PANEL_DEPTH, weight=to_cell_end)
+    sums, moments = _depth_integral(lambda s, l, g: (g, to_cell_end(s) * g),
+                                    zeros, grid_s, spec.alpha, epsilon,
+                                    min(1e-13, 0.1 * crossing_tol))
     raw = np.concatenate([[0.0], np.cumsum(sums)])
     boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
@@ -635,11 +650,11 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     mass = 1.0 + solved.mass_residual
     # integral of y u = m * mass + integral of (y - m) u, and the latter
     # integrates by parts to -1/2 integral of (y - m)^2 u_y dy, which is
-    # orientation/2 times integral of (s - S)^2 du/ds ds in depth: the
-    # quadrature only sees depths, so a shifted problem gives the shifted
-    # expectation and a mirrored one the negated expectation.
-    expectation = m * mass + 0.5 * o * _depth_integral(
-        lambda s: (s - span[1]) ** 2, zeros, span, spec, epsilon, quad_tol)
+    # orientation/2 times integral of (s - S)^2 du/ds ds in depth, the
+    # moment of the solve's final pass: the quadrature only sees depths,
+    # so a shifted problem gives the shifted expectation and a mirrored
+    # one the negated expectation.
+    expectation = m * mass + 0.5 * o * solved.moment
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,

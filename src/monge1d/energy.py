@@ -23,12 +23,13 @@ without cancellation.
 Profile protocol: evaluators accept any object with a `support` tuple,
 a slope bound (`alpha`, or `spec.alpha` on a DensitySolution), value
 evaluation via `__call__(y)` and a `slope(y)` method (vectorized).
-Assembled DensitySolution objects also expose an exact first moment and
-an exact per-node slope; the evaluators use those fast paths when
-present.  The mean position has no evaluator here: callers read the
-exact `DensitySolution.expectation`.  The variational probes perturb a
-solution along any object with vectorized `__call__` and `slope` that
-vanishes at the support ends, such as `SinePerturbation`.
+On a DensitySolution or a dual field the integrals run through
+`DualField.integrate`, one depth pass on panels graded toward both stress
+zeros: the H-term, dual and mixed integrands are the rows of one pass,
+and the moment term is the solve's `expectation`.  The variational
+probes perturb a solution along any object with vectorized `__call__`
+and `slope` that vanishes at the support ends, such as
+`SinePerturbation`.
 """
 
 from __future__ import annotations
@@ -75,25 +76,21 @@ def _profile_alpha(profile) -> float:
     return float(profile.spec.alpha)
 
 
-def _is_solution(profile) -> bool:
-    return isinstance(profile, DensitySolution)
-
-
-def _abs_moment(profile, quad_tol) -> float:
-    """Integral of |y| u(y) over the support.
-
-    For an assembled solution the stored expectation is exact (computed
-    by the one-quadrature reduction) and the target sits on one side of
-    the origin, so |y|-weighting is a sign flip at most.
-    """
-    if _is_solution(profile):
-        return abs(profile.expectation)
-    lo, hi = profile.support
-    return integrate(lambda y: np.abs(y) * np.asarray(profile(y), dtype=float),
-                     lo, hi, tol=quad_tol)
-
-
 # -- the three energies -------------------------------------------------------
+
+def _field_integrals(dual: DualField, epsilon, quad_tol):
+    """Integrals of the H-term eps lam, -lam (g^2 - eps) and
+    lam ((g^2 - a^2)/2 - eps (l - 1)) on the field's own algebra, from one
+    pass refined on the H-term."""
+    a2 = dual.alpha * dual.alpha
+
+    def rows(y, l, g):
+        lam = np.exp(l)
+        return (epsilon * lam, -lam * (g * g - epsilon),
+                lam * (0.5 * (g * g - a2) - epsilon * (l - 1.0)))
+
+    return dual.integrate(rows, quad_tol)
+
 
 def primal_energy(profile, epsilon, domain_convention="support", *,
                   quad_tol=_DEFAULT_QUAD_TOL) -> float:
@@ -108,11 +105,12 @@ def primal_energy(profile, epsilon, domain_convention="support", *,
         raise ValueError(f"unknown domain convention {domain_convention!r}")
     alpha = _profile_alpha(profile)
     lo, hi = profile.support
-    if _is_solution(profile):
-        dual = profile.dual
-        h_term = epsilon * integrate(
-            lambda y: np.exp(dual.log_lambda(y)), lo, hi, tol=quad_tol,
-            breakpoints=(profile.crossing,))
+    solution = isinstance(profile, DensitySolution)
+    if solution:
+        # The target sits on one side of the origin, so the moment of |y|
+        # is the expectation up to sign.
+        h_term = _field_integrals(profile.dual, epsilon, quad_tol)[0]
+        moment = abs(profile.expectation)
     else:
         def h_of_slope(y):
             g = np.asarray(profile.slope(y), dtype=float)
@@ -120,10 +118,11 @@ def primal_energy(profile, epsilon, domain_convention="support", *,
             return epsilon * np.exp(np.minimum(expo, 700.0))
 
         h_term = integrate(h_of_slope, lo, hi, tol=quad_tol)
-    out = h_term - _abs_moment(profile, quad_tol)
+        moment = integrate(lambda y: np.abs(y) * np.asarray(profile(y), dtype=float),
+                           lo, hi, tol=quad_tol)
+    out = h_term - moment
     if domain_convention == "full_target":
-        target = (profile.spec.target_interval if _is_solution(profile)
-                  else profile.target)
+        target = profile.spec.target_interval if solution else profile.target
         rest = (target[1] - target[0]) - (hi - lo)
         out += epsilon * math.exp(-alpha * alpha / (2.0 * epsilon)) * rest
     return float(out)
@@ -145,30 +144,30 @@ def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
     The integral of -H*(theta) over the support plus multiplier * 1, the
     unit mass the multiplier prices.  With no override the field's own
     scale factor is used; the locking identity
-    th^2/lam = lam (a^2 + 2 eps l) then collapses the integrand to
-    -lam (a^2 + 2 eps l - eps), which is exact and free of the 1/lam
-    blow-up near the stress zero.  An override must map y to a
-    log scale factor in (-inf, 0] (the classical window; DomainError
-    otherwise); the solved field itself is evaluated on its own algebra,
-    which can run above the window (see the solver's module docstring).
+    th^2/lam = lam g^2, g^2 = a^2 + 2 eps l, then collapses the integrand
+    to -lam (g^2 - eps), which is exact and free of the 1/lam blow-up
+    near the stress zero.  An override must map y to a log scale factor
+    in (-inf, 0] (the classical window; DomainError otherwise); the
+    solved field itself is evaluated on its own algebra, which can run
+    above the window (see the solver's module docstring).  Both paths
+    integrate on the field's depth panels (`DualField.integrate`).
     """
-    a2 = dual.alpha * dual.alpha
-    lo, hi = dual.support
     if log_lambda_override is None:
-        def integrand(y):
-            _, l, _ = dual.fields_at(y)
-            return -np.exp(l) * (a2 + 2.0 * epsilon * l - epsilon)
-    else:
-        def integrand(y):
-            th = np.asarray(dual.theta(y), dtype=float)
-            lt = np.asarray(log_lambda_override(y), dtype=float)
-            lt = np.broadcast_to(lt, th.shape)
-            _check_override_window(lt)
-            return -0.5 * (th * th * np.exp(-lt)
-                           + np.exp(lt) * (a2 + 2.0 * epsilon * (lt - 1.0)))
+        return float(_field_integrals(dual, epsilon, quad_tol)[1]
+                     + dual.multiplier)
+    a2 = dual.alpha * dual.alpha
 
-    return float(integrate(integrand, lo, hi, tol=quad_tol,
-                           breakpoints=(dual.crossing,)) + dual.multiplier)
+    def integrand(y, l, g):
+        th = np.asarray(dual.theta(y), dtype=float)
+        lt = np.asarray(log_lambda_override(y), dtype=float)
+        lt = np.broadcast_to(lt, th.shape)
+        _check_override_window(lt)
+        # th^2/lam as a square: th is exactly 0 at a stress zero, where
+        # 1/lam alone can overflow.
+        return -0.5 * (np.square(th * np.exp(-0.5 * lt))
+                       + np.exp(lt) * (a2 + 2.0 * epsilon * (lt - 1.0)))
+
+    return float(dual.integrate(integrand, quad_tol)[0] + dual.multiplier)
 
 
 def total_complementary(profile, dual: DualField | None, epsilon, *,
@@ -199,7 +198,7 @@ def total_complementary(profile, dual: DualField | None, epsilon, *,
         def log_lam_at(y):
             return np.asarray(dual.log_lambda(y), dtype=float)
 
-    exact_moment = _is_solution(profile)
+    exact_moment = isinstance(profile, DensitySolution)
 
     def integrand(y):
         l = log_lam_at(y)
@@ -245,16 +244,18 @@ class EnergyReport:
 
 def duality_gap(solution: DensitySolution, *,
                 quad_tol=_DEFAULT_QUAD_TOL) -> EnergyReport:
-    """Evaluate all three energies at the solved critical pair.
+    """Evaluate all three energies at the solved critical pair, from one
+    pass over the solved field; `primal` and `dual` are the bits of
+    `primal_energy` and `dual_energy`.
 
     Uses the "support" convention (the zero-extension contribution is
     reported separately as `full_target_offset`).
     """
     eps = solution.epsilon
     alpha = solution.spec.alpha
-    primal = primal_energy(solution, eps, "support", quad_tol=quad_tol)
-    dual_val = dual_energy(solution.dual, eps, quad_tol=quad_tol)
-    xi = total_complementary(solution, solution.dual, eps, quad_tol=quad_tol)
+    h_term, dual_term, xi_term = _field_integrals(solution.dual, eps, quad_tol)
+    primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
+    dual_val = float(dual_term + solution.dual.multiplier)
     tl, tr = solution.spec.target_interval
     lo, hi = solution.support
     offset = eps * math.exp(-alpha * alpha / (2.0 * eps)) * ((tr - tl) - (hi - lo))
@@ -325,51 +326,41 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
             raise InvalidPerturbation(
                 f"perturbation is {v:.3e} at support endpoint {endpoint}")
     eps = solution.epsilon
-    alpha = solution.spec.alpha
-    a2 = alpha * alpha
+    a2 = solution.spec.alpha ** 2
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
-    crossing = solution.crossing
 
-    def primal_delta(t):
+    def primal_diff(t, y, l, g):
+        dg = np.asarray(perturbation.slope(y), dtype=float)
+        # H(g + t dg) - H(g) = eps lam expm1(t dg (2 g + t dg)/(2 eps));
+        # the exponent is clipped only to keep wild probes finite.
+        expo = np.minimum(t * dg * (2.0 * g + t * dg) / (2.0 * eps), 700.0)
+        h_diff = eps * np.exp(l) * np.expm1(expo)
+        forcing = -dual.theta_y(y)
+        return h_diff - t * forcing * np.asarray(perturbation(y), dtype=float)
+
+    def dual_diff(t, y, l, g):
+        shift = np.minimum(t * np.asarray(psi(y), dtype=float),
+                           np.maximum(-l, 0.0))
+        lam = np.exp(l)
+        # th^2/lam = lam (a2 + 2 eps l) via the locking identity, so
+        # the ratio term under the shifted factor stays representable.
+        ratio_diff = lam * (a2 + 2.0 * eps * l) * np.expm1(-shift)
+        rest_diff = lam * ((a2 + 2.0 * eps * (l - 1.0)) * np.expm1(shift)
+                           + np.exp(shift) * 2.0 * eps * shift)
+        return -0.5 * (ratio_diff + rest_diff)
+
+    def delta(diff, t):
+        """One pass over the field per nonzero t; t = 0 is exactly 0."""
         if t == 0.0:
             return 0.0
-
-        def diff(y):
-            th, l, g = dual.fields_at(y)
-            dg = np.asarray(perturbation.slope(y), dtype=float)
-            # H(g + t dg) - H(g) = eps lam expm1(t dg (2 g + t dg)/(2 eps));
-            # the exponent is clipped only to keep wild probes finite.
-            expo = np.minimum(t * dg * (2.0 * g + t * dg) / (2.0 * eps), 700.0)
-            h_diff = eps * np.exp(l) * np.expm1(expo)
-            forcing = -dual.theta_y(y)
-            return h_diff - t * forcing * np.asarray(perturbation(y), dtype=float)
-
-        return integrate(diff, lo, hi, tol=quad_tol, breakpoints=(crossing,))
-
-    def dual_delta(t):
-        if t == 0.0:
-            return 0.0
-
-        def diff(y):
-            th, l, g = dual.fields_at(y)
-            shift = np.minimum(t * np.asarray(psi(y), dtype=float),
-                               np.maximum(-l, 0.0))
-            lam = np.exp(l)
-            # th^2/lam = lam (a2 + 2 eps l) via the locking identity, so
-            # the ratio term under the shifted factor stays representable.
-            ratio_diff = lam * (a2 + 2.0 * eps * l) * np.expm1(-shift)
-            rest_diff = lam * ((a2 + 2.0 * eps * (l - 1.0)) * np.expm1(shift)
-                               + np.exp(shift) * 2.0 * eps * shift)
-            return -0.5 * (ratio_diff + rest_diff)
-
-        return integrate(diff, lo, hi, tol=quad_tol, breakpoints=(crossing,))
+        return float(dual.integrate(lambda *fields: diff(t, *fields), quad_tol)[0])
 
     ts = tuple(float(t) for t in t_values)
     return ProbeReport(
         t_values=ts,
-        primal_deltas=tuple(float(primal_delta(t)) for t in ts),
-        dual_deltas=tuple(float(dual_delta(t)) for t in ts),
+        primal_deltas=tuple(delta(primal_diff, t) for t in ts),
+        dual_deltas=tuple(delta(dual_diff, t) for t in ts),
     )
 
 

@@ -20,6 +20,11 @@ Design notes
   rounds.
   The depth cap of 60 levels, rather than the usual 20, still lets an
   integrand without graded breakpoints reach such a layer by bisection.
+* An integrand may return a stack of rows from its one call per round.
+  Refinement follows row 0 alone and every row is summed on the same
+  panels, so integrals of one costly field (the dual solver's slope
+  inversion) share a single pass: the solve's closure, mass and
+  expectation, or the three energies of a solved pair.
 * The monotone cubic stores power-form coefficients per cell, built and
   summed in the order scipy's `PchipInterpolator` uses, so the two agree
   to rounding (the tests hold scipy as the reference, to 1e-14).  Its
@@ -83,32 +88,27 @@ _INVERT_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 
 
-def _gk_panels(f, a, b, weight=None):
-    """Kronrod and Gauss estimates for each panel [a[i], b[i]], using one
-    vectorized integrand call; with `weight`, also the Kronrod estimate of
-    weight * f from the same samples."""
+def _gk_panels(f, a, b):
+    """Kronrod estimates of every row of the stacked integrand f on each
+    panel [a[i], b[i]], and the error estimate |Kronrod - Gauss| of row 0,
+    from one vectorized call.  f maps a flat node array to one row of
+    values or a stack of rows."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    kron = half * (vals @ _WGK)
-    gauss = half * (vals[:, _GAUSS_IDX] @ _WG)
-    weighted = None if weight is None else half * ((weight(nodes) * vals) @ _WGK)
-    return kron, gauss, weighted
-
-
-def _initial_edges(l, r, breakpoints):
-    """Sorted, distinct panel edges: l, r and the breakpoints inside (l, r)."""
-    cuts = np.asarray(breakpoints, dtype=float).ravel()
-    return np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, *nodes.shape)
+    kron = np.stack([half * (v @ _WGK) for v in vals])
+    gauss = half * (vals[0][:, _GAUSS_IDX] @ _WG)
+    return kron, np.abs(kron[0] - gauss)
 
 
 def _cell_edges(grid, breakpoints):
-    """Panel edges for a per-cell quadrature over a sorted grid: the grid
-    nodes plus the breakpoints inside it, each panel tagged with the grid
-    cell that contains it."""
-    edges = _initial_edges(grid[0], grid[-1], np.concatenate(
-        [grid[1:-1], np.asarray(breakpoints, dtype=float).ravel()]))
+    """Sorted, distinct panel edges for a per-cell quadrature over a sorted
+    grid: the grid nodes plus the breakpoints inside it, each panel tagged
+    with the grid cell that contains it."""
+    l, r = grid[0], grid[-1]
+    cuts = np.concatenate([grid[1:-1], np.asarray(breakpoints, dtype=float).ravel()])
+    edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     cell_id = np.clip(np.searchsorted(grid, edges[:-1], side="right") - 1,
                       0, grid.size - 2)
     return edges, cell_id
@@ -136,20 +136,20 @@ def _graded_edges(span, points):
                           + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
-def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
+def _adaptive(f, edges, cell_id, tol, max_depth):
     """Shared refinement loop.  `edges` defines the initial panels, `cell_id`
-    tags each panel with the output cell it accumulates into.  Returns the
-    per-cell Kronrod sums and (None without `weight`) the per-cell sums of
-    weight * f on the same panels; refinement follows f alone."""
+    tags each panel with the output cell it accumulates into.  f may
+    return a stack of rows: refinement follows row 0 alone, and every row
+    is summed per cell on the same panels.  Returns the (rows, cells)
+    array of Kronrod sums."""
     a = edges[:-1].copy()
     b = edges[1:].copy()
     cells = cell_id.copy()
     depth = np.zeros(a.size, dtype=int)
-    kron, gauss, wkron = _gk_panels(f, a, b, weight)
-    err = np.abs(kron - gauss)
+    kron, err = _gk_panels(f, a, b)
 
     while True:
-        total = abs(float(np.sum(kron)))
+        total = abs(float(np.sum(kron[0])))
         target = tol * max(1.0, total)
         esum = float(np.sum(err))
         if esum <= target or a.size == 0:
@@ -170,25 +170,18 @@ def _adaptive(f, edges, cell_id, tol, max_depth, weight=None):
         new_b = np.concatenate([b[keep], mids, b[split]])
         new_cells = np.concatenate([cells[keep], cells[split], cells[split]])
         new_depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
-        k2, g2, w2 = _gk_panels(f, np.concatenate([a[split], mids]),
-                                np.concatenate([mids, b[split]]), weight)
-        kron = np.concatenate([kron[keep], k2])
-        if weight is not None:
-            wkron = np.concatenate([wkron[keep], w2])
-        gauss = np.concatenate([gauss[keep], g2])
-        err = np.concatenate([err[keep], np.abs(k2 - g2)])
+        k2, e2 = _gk_panels(f, np.concatenate([a[split], mids]),
+                            np.concatenate([mids, b[split]]))
+        kron = np.concatenate([kron[:, keep], k2], axis=1)
+        err = np.concatenate([err[keep], e2])
         a, b, cells, depth = new_a, new_b, new_cells, new_depth
 
-    n_cells = int(cell_id.max()) + 1 if cell_id.size else 0
+    out = np.zeros((kron.shape[0], int(cell_id.max()) + 1 if cell_id.size else 0))
     # Deterministic accumulation order: sort panels by (cell, left edge).
     order = np.lexsort((a, cells))
-
-    def per_cell(panel_sums):
-        out = np.zeros(n_cells)
-        np.add.at(out, cells[order], panel_sums[order])
-        return out
-
-    return per_cell(kron), None if weight is None else per_cell(wkron)
+    for row, panel_sums in zip(out, kron):
+        np.add.at(row, cells[order], panel_sums[order])
+    return out
 
 
 def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
@@ -211,10 +204,8 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
         raise ValueError("integrate expects l <= r")
     if r == l:
         return 0.0
-    edges = _initial_edges(l, r, breakpoints)
-    cell_id = np.zeros(edges.size - 1, dtype=int)
-    sums, _ = _adaptive(f, edges, cell_id, tol, max_depth)
-    return float(sums[0])
+    edges, cell_id = _cell_edges(np.array([l, r]), breakpoints)
+    return float(_adaptive(f, edges, cell_id, tol, max_depth)[0, 0])
 
 
 def _pchip_slopes(h, m):

@@ -67,6 +67,8 @@ class SourceDensity:
                 raise ValueError("uniform density takes no nodes/values")
             if self.level is not None:
                 object.__setattr__(self, "level", float(self.level))
+                if not math.isfinite(self.level):
+                    raise ValueError(f"uniform density level {self.level!r} is not finite")
         else:
             if self.level is not None:
                 raise ValueError(f"{self.kind} density takes no level")

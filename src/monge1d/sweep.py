@@ -78,8 +78,7 @@ def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol,
                quad_tol) -> SweepRow:
     start = time.perf_counter()
     try:
-        solution = assemble_density(spec, epsilon, grid_n, root_tol=root_tol,
-                                    quad_tol=quad_tol)
+        solution = assemble_density(spec, epsilon, grid_n, root_tol=root_tol)
         report = duality_gap(solution, quad_tol=quad_tol)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
@@ -107,11 +106,12 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
                   root_tol=1e-12, quad_tol=1e-10):
     """Run the solve pipeline at each epsilon, in input order.
 
-    The tolerances reach `assemble_density` and `duality_gap` as `solve`
-    passes them, so a row holds the numbers `solve` writes.  Returns a
-    list of SweepRow.  Epsilons below EPSILON_FLOOR are rejected up front
-    (the whole request is malformed, not one row); per-epsilon solver
-    failures land in their row's `error` field.  Raises CapacityError up front when the target is narrower than the
+    The tolerances reach `assemble_density` (root_tol) and `duality_gap`
+    (quad_tol) as `solve` passes them, so a row holds the numbers `solve`
+    writes.  Returns a list of SweepRow.  Epsilons below EPSILON_FLOOR
+    are rejected up front (the whole request is malformed, not one row);
+    per-epsilon solver failures land in their row's `error` field.
+    Raises CapacityError up front when the target is narrower than the
     sharp-limit tent (`problem.require_capacity`, the verdict every row
     would reach), since then no row has a tent to compare against.
     """

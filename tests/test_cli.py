@@ -166,6 +166,20 @@ class TestValidate:
                      write_config(tmp_path, doc)]) == 2
         assert "target_right < source_left" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_is_a_config_error(self, tmp_path, capsys, level):
+        # Python's JSON reader accepts NaN and Infinity; a uniform level
+        # of either must stop every command before any solve.
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["problem"]["source"]["density"]["level"] = level
+        config = write_config(tmp_path, doc)
+        for command in ("validate", "map"):
+            assert main([command, "--config", config, "--quiet",
+                         "--out", str(tmp_path / "art")]) == 2
+            err = capsys.readouterr().err
+            assert "problem.source.density" in err and "not finite" in err
+        assert not (tmp_path / "art").exists()
+
 
 @pytest.fixture(scope="module")
 def solve_artifacts(tmp_path_factory):

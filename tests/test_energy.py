@@ -1,6 +1,7 @@
 """Energy evaluators: frozen values, the zero-gap identity, weak duality,
 and the sign structure of the variational probes."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge1d import duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.energy import (
     ConstraintResiduals,
@@ -21,7 +23,7 @@ from monge1d.energy import (
     total_complementary,
 )
 from monge1d.errors import DomainError, InvalidPerturbation
-from monge1d.numerics import integrate
+from monge1d.numerics import _graded_edges, integrate
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
 
@@ -247,10 +249,51 @@ class TestDualityGap:
         assert b.dual == pytest.approx(a.dual, abs=1e-10)
 
     def test_gap_across_smoothing_levels(self, solved):
-        for eps in (0.1, 0.01):
-            report = duality_gap(solved(SPEC_I, eps))
-            assert abs(report.gap_primal_dual) <= 1e-6 * max(
+        # The canonical spec at alpha 1 and 4: the gap is the one pass's
+        # rounding, far inside verify's 1e-6 bound.
+        for alpha, eps in itertools.product((1.0, 4.0), (1e-1, 1e-2, 1e-3, 1e-4)):
+            spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+            report = duality_gap(solved(spec, eps))
+            assert abs(report.gap_primal_dual) <= 2e-13 * max(
                 1.0, abs(report.primal))
+
+    def test_one_pass_on_a_solution(self, solved, monkeypatch):
+        # The three energies share one depth pass over the solved field.
+        sol = solved(SPEC_I, 1e-3)
+        calls = []
+        plain = numerics._adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_adaptive", counted)
+        monkeypatch.setattr(duality, "_adaptive", counted)
+        duality_gap(sol)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_energies_are_the_evaluators(self, solved, spec, eps):
+        sol = solved(spec, eps)
+        report = duality_gap(sol)
+        assert report.primal == primal_energy(sol, eps)
+        assert report.dual == dual_energy(sol.dual, eps)
+
+    REGIMES = [(alpha, eps, offset, assumption)
+               for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-6)
+               for offset in (0.0, 1000.0) for assumption in ("I", "II")]
+
+    @pytest.mark.parametrize("alpha,eps,offset,assumption", REGIMES)
+    def test_gap_at_solver_precision(self, alpha, eps, offset, assumption):
+        # Target [offset, offset + 5/sqrt(alpha)], source 0.5 beyond it.
+        w = 5.0 / math.sqrt(alpha)
+        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                            (offset, offset + w), "I", alpha)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        report = duality_gap(assemble_density(spec, eps, 201))
+        assert abs(report.gap_primal_dual) <= 2e-13 * max(1.0, abs(report.primal))
 
 
 # -- probes -------------------------------------------------------------------
@@ -328,3 +371,28 @@ class TestExpectation:
     def test_solution_values(self, solved):
         assert solved(SPEC_I, 1e-3).expectation == pytest.approx(4.0, abs=0.02)
         assert solved(SPEC_II, 1e-3).expectation == pytest.approx(-4.0, abs=0.02)
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_matches_reference_moment(self, solved, offset, assumption, eps):
+        # The expectation comes from the solve's last pass, refined on the
+        # closure.  Against it: a separate quadrature of the moment
+        # integral of (s - S)^2 du/ds over the depths s in [0, S], refined
+        # on the moment itself to 1e-15.
+        spec = uniform_spec((6.0 + offset, 8.0 + offset),
+                            (offset, 5.0 + offset), "I", 1.0)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        sol = solved(spec, eps)
+        o, anchor = spec.orientation, spec.anchor
+        z, c = (o * (anchor - p) for p in sol.dual.zeros)
+        span = (0.0, o * (anchor - sol.support_endpoint))
+
+        def moment(s):
+            slope = duality._slope_many(0.5 * (s - z) * (s - c), 1.0, eps)
+            return (s - span[1]) ** 2 * slope
+
+        ref = sol.support_endpoint * sol.mass + 0.5 * o * integrate(
+            moment, *span, tol=1e-15, breakpoints=_graded_edges(span, (z, c)))
+        assert abs(sol.expectation - ref) <= 1e-14 * abs(ref)

@@ -152,7 +152,7 @@ class TestCumulative:
     @staticmethod
     def _running_sums(f, grid, tol):
         edges, cell_id = _cell_edges(grid, ())
-        sums, _ = _adaptive(f, edges, cell_id, tol, 60)
+        (sums,) = _adaptive(f, edges, cell_id, tol, 60)
         return np.concatenate([[0.0], np.cumsum(sums)])
 
     def test_matches_integrate(self):
@@ -166,6 +166,33 @@ class TestCumulative:
         sums = self._running_sums(lambda x: np.exp(-x), grid, 1e-12)
         for k in (5, 10, 17):
             assert abs(sums[k] - (1.0 - np.exp(-grid[k]))) < 1e-10
+
+
+class TestStackedRows:
+    """An integrand may return a stack of rows: refinement follows row 0,
+    and every row is summed on its panels."""
+
+    def test_rows_share_the_panels_of_row_zero(self):
+        f = lambda x: 1.0 + np.sin(x) ** 2
+        sums = _adaptive(lambda x: (f(x), np.cos(x)), np.array([0.0, 3.0]),
+                         np.zeros(1, dtype=int), 1e-12, 60)
+        assert sums.shape == (2, 1)
+        assert sums[0, 0] == integrate(f, 0.0, 3.0, tol=1e-12)
+        assert abs(sums[1, 0] - np.sin(3.0)) < 1e-12
+
+    def test_later_rows_do_not_refine(self):
+        # A jump in row 1 would exhaust the depth cap on its own; behind an
+        # exactly integrated row 0 it costs no second round.
+        rounds = []
+
+        def f(x):
+            rounds.append(x.size)
+            return np.ones_like(x), (x > 1.0 / 3.0).astype(float)
+
+        sums = _adaptive(f, np.array([0.0, 1.0]), np.zeros(1, dtype=int),
+                         1e-15, 12)
+        assert len(rounds) == 1
+        assert sums[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def _assert_matches_scipy(x, v):
