@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterations
 from .numerics import (_MAX_PANEL_DEPTH, MonotoneCubic, _adaptive, _cell_edges,
-                       _graded_edges, solve_root)
+                       _graded_edges, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -231,13 +231,13 @@ class DualField:
     def integrate(self, fn, tol):
         """Support integrals of the rows fn(y, log_lambda, slope), from one
         `_depth_integral` pass in depths from the anchored support end (the
-        upper one under orientation I); refinement follows row 0."""
+        upper one under orientation I)."""
         o, (lo, hi) = self.orientation, self.support
         anchor = hi if o > 0 else lo
         zeros = tuple(o * (anchor - p) for p in self.zeros)
         return _depth_integral(lambda s, l, g: fn(anchor - o * s, l, -o * g),
                                zeros, (0.0, hi - lo), self.alpha, self.epsilon,
-                               tol)[:, 0]
+                               tol)
 
 
 def _level_zeros(r, orientation):
@@ -253,12 +253,10 @@ def _depths(points, spec: MongeProblemSpec):
     return tuple(spec.orientation * (spec.anchor - float(p)) for p in points)
 
 
-def _depth_integral(fn, zeros, grid, alpha, epsilon, tol):
-    """(rows, cells) integrals of the rows fn(s, l, du/ds) over the cells
-    of the depth grid (a span [0, S] is one cell), from one adaptive pass
-    on panels graded toward the stress zeros; refinement follows row 0.
-    In depth both orientations carry the stress (s - z)(s - c)/2, whose
-    one inversion per node gives l = ln lambda and du/ds."""
+def _depth_rows(fn, zeros, alpha, epsilon):
+    """The rows fn(s, l, du/ds) as an integrand in depth s.  In depth both
+    orientations carry the stress (s - z)(s - c)/2, whose one inversion
+    per node gives l = ln lambda and du/ds."""
     z, c = zeros
 
     def rows(s):
@@ -266,9 +264,15 @@ def _depth_integral(fn, zeros, grid, alpha, epsilon, tol):
         l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
         return fn(s, l, np.copysign(np.sqrt(u), theta))
 
-    grid = np.asarray(grid, dtype=float)
-    edges, cell_id = _cell_edges(grid, _graded_edges((grid[0], grid[-1]), zeros))
-    return _adaptive(rows, edges, cell_id, tol, _MAX_PANEL_DEPTH)
+    return rows
+
+
+def _depth_integral(fn, zeros, span, alpha, epsilon, tol):
+    """Integrals over the depth span of the rows fn(s, l, du/ds) (a float
+    for one row), from one `integrate` pass on panels graded toward the
+    stress zeros; refinement follows row 0."""
+    return integrate(_depth_rows(fn, zeros, alpha, epsilon), span[0], span[1],
+                     tol, breakpoints=_graded_edges(span, zeros))
 
 
 def _support_of(zero, spec: MongeProblemSpec):
@@ -308,7 +312,7 @@ def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
     # Depth runs against y under orientation I: flip the integral back.
     return -spec.orientation * _depth_integral(
         lambda s, l, g: g, _depths(zeros, spec), sorted(_depths((lo, hi), spec)),
-        spec.alpha, epsilon, quad_tol)[0, 0]
+        spec.alpha, epsilon, quad_tol)
 
 
 def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12):
@@ -378,7 +382,7 @@ def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,
     zeros = _depths((zero, crossing), spec)
     span = _support_of(zeros[0], spec)
     return _depth_integral(lambda s, l, g: (span[1] - s) * g, zeros, span,
-                           spec.alpha, epsilon, quad_tol)[0, 0]
+                           spec.alpha, epsilon, quad_tol)
 
 
 def _require_valid(spec: MongeProblemSpec):
@@ -396,7 +400,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     S = _support_of(zeros[0], spec)[1]
     closure, mass, moment = _depth_integral(
         lambda s, l, g: (g, (S - s) * g, (S - s) ** 2 * g), zeros, (0.0, S),
-        spec.alpha, epsilon, quad_tol)[:, 0]
+        spec.alpha, epsilon, quad_tol)
     return np.array([closure - aim, mass - 1.0, moment])
 
 
@@ -603,9 +607,11 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
                                               grid_s.size - 1)] - s
     # The panels next to the stress zeros are the ones the solve
     # integrated, each tagged to the grid cell that contains it.
-    sums, moments = _depth_integral(lambda s, l, g: (g, to_cell_end(s) * g),
-                                    zeros, grid_s, spec.alpha, epsilon,
-                                    min(1e-13, 0.1 * crossing_tol))
+    edges, cell_id = _cell_edges(grid_s, _graded_edges(span, zeros))
+    sums, moments = _adaptive(
+        _depth_rows(lambda s, l, g: (g, to_cell_end(s) * g), zeros,
+                    spec.alpha, epsilon),
+        edges, cell_id, min(1e-13, 0.1 * crossing_tol), _MAX_PANEL_DEPTH)
     raw = np.concatenate([[0.0], np.cumsum(sums)])
     boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the

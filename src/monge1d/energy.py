@@ -128,13 +128,16 @@ def primal_energy(profile, epsilon, domain_convention="support", *,
     return float(out)
 
 
-def _check_override_window(log_lam):
-    if np.any(~np.isfinite(log_lam)):
+def _override_at(log_lambda_override, y):
+    """The override's log scale factors at y, inside the window (-inf, 0]."""
+    lt = np.broadcast_to(np.asarray(log_lambda_override(y), dtype=float),
+                         np.shape(y))
+    if np.any(~np.isfinite(lt)):
         raise DomainError("scale-factor profile must be finite")
-    if np.any(log_lam > 1e-12):
+    if np.any(lt > 1e-12):
         raise DomainError(
-            f"scale-factor profile exceeds 1: max log is "
-            f"{float(np.max(log_lam)):.3e}")
+            f"scale-factor profile exceeds 1: max log is {float(np.max(lt)):.3e}")
+    return lt
 
 
 def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
@@ -159,15 +162,14 @@ def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
 
     def integrand(y, l, g):
         th = np.asarray(dual.theta(y), dtype=float)
-        lt = np.asarray(log_lambda_override(y), dtype=float)
-        lt = np.broadcast_to(lt, th.shape)
-        _check_override_window(lt)
-        # th^2/lam as a square: th is exactly 0 at a stress zero, where
-        # 1/lam alone can overflow.
-        return -0.5 * (np.square(th * np.exp(-0.5 * lt))
+        lt = _override_at(log_lambda_override, y)
+        # th^2/lam as a square, and exactly 0 where th is: a node can
+        # round onto a stress zero, where 1/lam alone can overflow.
+        inv_root = np.exp(-0.5 * np.where(th == 0.0, 0.0, lt))
+        return -0.5 * (np.square(th * inv_root)
                        + np.exp(lt) * (a2 + 2.0 * epsilon * (lt - 1.0)))
 
-    return float(dual.integrate(integrand, quad_tol)[0] + dual.multiplier)
+    return float(dual.integrate(integrand, quad_tol) + dual.multiplier)
 
 
 def total_complementary(profile, dual: DualField | None, epsilon, *,
@@ -177,43 +179,34 @@ def total_complementary(profile, dual: DualField | None, epsilon, *,
 
     The scale factor comes from `log_lambda_override` when given, else
     from the dual field's own algebra (one of the two must be present).
-    Integration runs over the profile's support.  For a fixed profile
-    this functional is maximized over admissible scale factors exactly
-    when the Fenchel-Young inequality is tight, which is the locking
-    identity; paired with the solved field it reproduces the primal
-    energy up to rounding.
+    With a dual field the integral runs over the field's support on its
+    depth panels (`DualField.integrate`); with an override alone, over
+    the profile's support.  For a fixed profile this functional is
+    maximized over admissible scale factors exactly when the
+    Fenchel-Young inequality is tight, which is the locking identity;
+    paired with its own solved field a solution gives the mixed row of
+    the pass `duality_gap` reports.
     """
     if dual is None and log_lambda_override is None:
         raise ValueError("need a dual field or an explicit scale-factor profile")
-    alpha = _profile_alpha(profile)
-    a2 = alpha * alpha
-    lo, hi = profile.support
-    if log_lambda_override is not None:
-        def log_lam_at(y):
-            lt = np.asarray(log_lambda_override(y), dtype=float)
-            lt = np.broadcast_to(lt, np.shape(y))
-            _check_override_window(lt)
-            return lt
-    else:
-        def log_lam_at(y):
-            return np.asarray(dual.log_lambda(y), dtype=float)
+    solution = isinstance(profile, DensitySolution)
+    if solution and log_lambda_override is None and dual == profile.dual:
+        return float(_field_integrals(dual, epsilon, quad_tol)[2]
+                     - abs(profile.expectation))
+    a2 = _profile_alpha(profile) ** 2
 
-    exact_moment = isinstance(profile, DensitySolution)
-
-    def integrand(y):
-        l = log_lam_at(y)
-        lam = np.exp(l)
+    def integrand(y, l=None, g=None):
+        if log_lambda_override is not None:
+            l = _override_at(log_lambda_override, y)
         g = np.asarray(profile.slope(y), dtype=float)
-        out = lam * (0.5 * (g * g - a2) - epsilon * (l - 1.0))
-        if not exact_moment:
+        out = np.exp(l) * (0.5 * (g * g - a2) - epsilon * (l - 1.0))
+        if not solution:
             out = out - np.abs(y) * np.asarray(profile(y), dtype=float)
         return out
 
-    breakpoints = (dual.crossing,) if dual is not None else ()
-    out = integrate(integrand, lo, hi, tol=quad_tol, breakpoints=breakpoints)
-    if exact_moment:
-        out -= abs(profile.expectation)
-    return float(out)
+    out = (integrate(integrand, *profile.support, tol=quad_tol) if dual is None
+           else dual.integrate(integrand, quad_tol))
+    return float(out - abs(profile.expectation) if solution else out)
 
 
 # -- reports ------------------------------------------------------------------
@@ -354,7 +347,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
         """One pass over the field per nonzero t; t = 0 is exactly 0."""
         if t == 0.0:
             return 0.0
-        return float(dual.integrate(lambda *fields: diff(t, *fields), quad_tol)[0])
+        return dual.integrate(lambda *fields: diff(t, *fields), quad_tol)
 
     ts = tuple(float(t) for t in t_values)
     return ProbeReport(

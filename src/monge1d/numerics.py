@@ -185,7 +185,8 @@ def _adaptive(f, edges, cell_id, tol, max_depth):
 
 
 def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
-    """Integral of a vectorized integrand over [l, r].
+    """Integral of a vectorized integrand over [l, r], or the array of row
+    integrals of one that returns a stack of rows (refined on row 0).
 
     The absolute error is driven below tol * max(1, |result|).  Known
     interior kinks can be passed as `breakpoints`; points outside (l, r)
@@ -205,7 +206,8 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
     if r == l:
         return 0.0
     edges, cell_id = _cell_edges(np.array([l, r]), breakpoints)
-    return float(_adaptive(f, edges, cell_id, tol, max_depth)[0, 0])
+    out = _adaptive(f, edges, cell_id, tol, max_depth)[:, 0]
+    return float(out[0]) if out.size == 1 else out
 
 
 def _pchip_slopes(h, m):

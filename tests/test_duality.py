@@ -692,7 +692,7 @@ class TestGradedPanels:
         # leave at most a few.
         spec, zero, support, crossing = _graded_case(1.0, 1e-4, 0.0, "I")
         rounds = []
-        plain = duality._adaptive
+        plain = duality.integrate
 
         def counting(f, *args, **kwargs):
             def counted(y):
@@ -700,6 +700,6 @@ class TestGradedPanels:
                 return f(y)
             return plain(counted, *args, **kwargs)
 
-        monkeypatch.setattr(duality, "_adaptive", counting)
+        monkeypatch.setattr(duality, "integrate", counting)
         boundary_residual(crossing, support, spec, 1e-4, zero=zero)
         assert 1 <= len(rounds) <= 4

@@ -1,6 +1,7 @@
 """Energy evaluators: frozen values, the zero-gap identity, weak duality,
 and the sign structure of the variational probes."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,6 +170,20 @@ class TestDualEnergy:
             assert dual_energy(sol.dual, 1e-3,
                                log_lambda_override=log_lam) <= primal + 1e-8
 
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_detuned_override_at_a_steep_slope(self, solved, spec):
+        # The field's own log factor shifted everywhere, at alpha 4 and
+        # eps 1e-3: a graded panel node can round onto a stress zero,
+        # where exp(-l/2) overflows but the th^2/lam term is exactly 0.
+        spec = dataclasses.replace(spec, alpha=4.0)
+        sol = solved(spec, 1e-3)
+        critical = dual_energy(sol.dual, 1e-3)
+        for shift in (-0.1, -0.01, 0.0):
+            out = dual_energy(sol.dual, 1e-3, log_lambda_override=(
+                lambda y, s=shift: np.minimum(sol.dual.log_lambda(y) + s, 0.0)))
+            assert math.isfinite(out)
+            assert out <= critical + 1e-12
+
     def test_out_of_window_override_rejected(self, solved):
         sol = solved(SPEC_I, 1e-3)
         with pytest.raises(DomainError, match="exceeds 1"):
@@ -205,6 +220,12 @@ class TestTotalComplementary:
             out = total_complementary(sol, sol.dual, 1e-3,
                                       log_lambda_override=_const(level))
             assert out <= primal + 1e-8
+
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_solved_pair_is_the_reported_mixed_energy(self, solved, spec):
+        sol = solved(spec, 1e-3)
+        assert (total_complementary(sol, sol.dual, 1e-3)
+                == duality_gap(sol).xi_total)
 
     @settings(deadline=None, derandomize=True, max_examples=25)
     @given(st.floats(min_value=-6.0, max_value=0.0,

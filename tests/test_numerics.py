@@ -180,6 +180,15 @@ class TestStackedRows:
         assert sums[0, 0] == integrate(f, 0.0, 3.0, tol=1e-12)
         assert abs(sums[1, 0] - np.sin(3.0)) < 1e-12
 
+    def test_integrate_returns_one_integral_per_row(self):
+        f = lambda x: 1.0 + np.sin(x) ** 2
+        one = integrate(f, 0.0, 3.0, tol=1e-12)
+        both = integrate(lambda x: (f(x), np.cos(x)), 0.0, 3.0, tol=1e-12)
+        assert isinstance(one, float)
+        assert both.shape == (2,)
+        assert both[0] == one
+        assert abs(both[1] - np.sin(3.0)) < 1e-12
+
     def test_later_rows_do_not_refine(self):
         # A jump in row 1 would exhaust the depth cap on its own; behind an
         # exactly integrated row 0 it costs no second round.
