@@ -425,7 +425,8 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
     probe = second_variation_probe(
         sol, SinePerturbation(sol.support, k=1),
         (-1e-2, -1e-3, 1e-3, 1e-2),
-        dual_perturbation=lambda y: np.full(np.shape(y), 1.0))
+        dual_perturbation=lambda y: np.full(np.shape(y), 1.0),
+        quad_tol=config.quad_tol)
     out.append(_check(
         "variational probes",
         probe.min_primal_delta >= -1e-10 and probe.max_dual_delta <= 1e-10,

@@ -26,7 +26,9 @@ here, all in closed form up to one two-unknown root solve:
    the free zero lies beyond it; the same iteration reaches it by letting
    z cross the far edge.
 4. The density itself is the cumulative integral of the slope from the
-   anchored endpoint.
+   anchored endpoint, sampled at the grid nodes with each cell's exact
+   mass.  Between the nodes it is the derivative of one cubic, the
+   target CDF's Hermite interpolant of those masses and values.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -76,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MaxIterations
-from .numerics import (_MAX_PANEL_DEPTH, MonotoneCubic, _adaptive, _cell_edges,
+from .numerics import (_MAX_PANEL_DEPTH, MonotoneProfile, _adaptive, _cell_edges,
                        _graded_edges, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
@@ -510,6 +512,14 @@ class DensitySolution:
     closure_residual and mass_residual record what the coupled zero solve did: its Newton
     steps and its final closure (measured from the aim) and mass - 1
     residuals.  No CLI artifact writes them.
+
+    The solution holds one cubic, the target CDF (`transport.target_cdf`):
+    the Hermite interpolant of the running sums of cell_masses in
+    ascending y, with the nodal density as its node slopes, both divided
+    by the total so that it ends at exactly 1.  The delivered density
+    (calling the solution) is the total times its derivative, zero off the
+    support and clipped at 0: it meets the nodal values at the nodes, and
+    its mass on every cell is that cell's exact mass.
     """
 
     spec: MongeProblemSpec
@@ -532,7 +542,8 @@ class DensitySolution:
     closure_residual: float
     mass_residual: float
     cell_masses: np.ndarray = field(repr=False)
-    _profile: MonotoneCubic = field(repr=False)
+    _cdf: MonotoneProfile = field(repr=False)
+    _cdf_scale: float = field(repr=False)
 
     @property
     def support_nodes(self):
@@ -546,7 +557,7 @@ class DensitySolution:
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self._profile(y_arr), 0.0)
+        out = np.where(inside, self._cdf_scale * self._cdf.derivative(y_arr), 0.0)
         out = np.maximum(out, 0.0)
         return out if np.ndim(y) else float(out)
 
@@ -578,11 +589,14 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     closure condition).  The cumulative quadrature runs in the solve's
     depths and at its tolerance, so the values near the free endpoint,
     where the stress vanishes, keep the sign the solve gives them.  The
-    grid is uniform over the support with the crossing inserted as an
-    extra exact node, plus a zero extension over the rest of the target
-    at matching resolution.  The mass and the expectation are the
-    solve's own: its last Newton pass integrates the expectation moment
-    next to the closure and the mass, at the solve's tolerance.
+    grid is uniform over the support with the crossing as an exact node
+    (inserted, or moved onto from an interior node within 1/64 of the
+    spacing), plus a zero extension over the rest of the target at
+    matching resolution.  The mass and the expectation are the solve's
+    own: its last Newton pass integrates the expectation moment next to
+    the closure and the mass, at the solve's tolerance.  Between the
+    nodes the density is the derivative of the target CDF's Hermite cubic
+    (see `DensitySolution`).
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -595,12 +609,19 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # span and zeros: the density rises from 0 at depth 0, the anchor.
     zeros = solved.zeros
     span = _support_of(zeros[0], spec)
+    # The crossing, where the density kinks, is a node (the solve keeps it
+    # inside the support).  An interior node within 1/64 of the spacing
+    # moves onto it instead of leaving a thinner cell: the CDF's cubic reads
+    # the density from each cell's mass, and a thin cell's mass would be
+    # mostly the rounding of the running sum.
     base = np.linspace(span[0], span[1], grid_n)
     dc = zeros[1]
-    if span[0] < dc < span[1] and float(np.min(np.abs(base - dc))) > 1e-13:
-        grid_s = np.sort(np.append(base, dc))
+    near = int(np.argmin(np.abs(base[1:-1] - dc))) + 1
+    if abs(base[near] - dc) <= (span[1] - span[0]) / (64 * (grid_n - 1)):
+        grid_s = base.copy()
+        grid_s[near] = dc
     else:
-        grid_s = base
+        grid_s = np.sort(np.append(base, dc))
     # Quadrature nodes lie inside their cell; the first grid node at or
     # past a node's depth is its cell's deeper end.
     to_cell_end = lambda s: grid_s[np.minimum(np.searchsorted(grid_s, s),
@@ -661,6 +682,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # so a shifted problem gives the shifted expectation and a mirrored
     # one the negated expectation.
     expectation = m * mass + 0.5 * o * solved.moment
+    # The target CDF sums the exact cell masses in ascending y.
+    cdf = np.concatenate([[0.0], np.cumsum(cell_masses)])
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,
@@ -670,5 +693,6 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         clip_depth=clip_depth, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
         cell_masses=cell_masses,
-        _profile=MonotoneCubic(grid, values_support))
+        _cdf=MonotoneProfile(grid, cdf / cdf[-1], values_support / cdf[-1]),
+        _cdf_scale=float(cdf[-1]))
 

@@ -1,9 +1,8 @@
 """Low-level numerical kernels: adaptive quadrature (whole-interval and
-per grid cell), the Fritsch-Carlson monotone cubic (PCHIP) that
-interpolates sampled densities and CDFs, monotone profiles with a
-vectorized inverse exact cell by cell, and a bracketed root solve to a
-residual tolerance (the reference solves of `duality`).  numpy is the
-only dependency.
+per grid cell), monotone profiles held as cubic Hermite interpolants of
+given node values and slopes, with a vectorized inverse exact cell by
+cell, and a bracketed root solve to a residual tolerance (the reference
+solves of `duality`).  numpy is the only dependency.
 
 Design notes
 ------------
@@ -25,12 +24,14 @@ Design notes
   panels, so integrals of one costly field (the dual solver's slope
   inversion) share a single pass: the solve's closure, mass and
   expectation, or the three energies of a solved pair.
-* The monotone cubic stores power-form coefficients per cell, built and
-  summed in the order scipy's `PchipInterpolator` uses, so the two agree
-  to rounding (the tests hold scipy as the reference, to 1e-14).  Its
-  inverse solves each target's cell cubic by a bracketed Newton
-  iteration: a handful of vectorized steps, each one cubic evaluation
-  per target still unconverged.
+* A profile's node slopes are data, not a rule such as the Fritsch-Carlson
+  PCHIP's: the solved target CDF passes the exact nodal density, so the
+  cubic's derivative is a density that meets the nodal values and the
+  exact cell masses at once.  The cubic stores power-form coefficients
+  per cell, those of scipy's `CubicHermiteSpline` (the tests hold scipy
+  as the reference, to 1e-14).  Its inverse solves each target's cell
+  cubic by a bracketed Newton iteration: a handful of vectorized steps,
+  each one cubic evaluation per target still unconverged.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -39,7 +40,6 @@ Design notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,9 +125,11 @@ def _graded_edges(span, points):
     Each graded panel [p + s, p + 2s] sees the same shape on its own
     scale, so a single Gauss-Kronrod panel resolves it and the adaptive
     loop starts from the mesh bisection would have built.  Edges outside
-    the span are left to the caller to drop.
+    the span are left to the caller to drop.  An empty span has none.
     """
     lo, hi = span
+    if not lo < hi:
+        return np.empty(0)
     floor = _GRADE_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
     levels = max(int(math.log2((hi - lo) / floor)), 0)
     steps = (hi - lo) * 0.5 ** np.arange(1, levels + 1)
@@ -210,53 +212,39 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
     return float(out[0]) if out.size == 1 else out
 
 
-def _pchip_slopes(h, m):
-    """Node derivatives of the Fritsch-Carlson monotone cubic, by scipy's
-    `PchipInterpolator` rule: zero where the secant slopes m on either side
-    differ in sign or one vanishes, else their weighted harmonic mean; at
-    the two ends the three-point one-sided formula, set to zero when its
-    sign differs from the end secant's and clamped to three times that
-    secant when the two end secants differ in sign (Fritsch & Carlson,
-    SIAM J. Numer. Anal. 17, 1980; Moler, Numerical Computing with MATLAB,
-    ch. 3).  Two nodes give the line."""
-    if h.size == 1:
-        return np.concatenate([m, m])
-    d = np.zeros(h.size + 1)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][inner] = 1.0 / whmean[inner]
-    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
-                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
-        de = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(de) != np.sign(m0):
-            de = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(de) > 3.0 * abs(m0):
-            de = 3.0 * m0
-        d[end] = de
-    return d
+class MonotoneProfile:
+    """A nondecreasing function held as the piecewise cubic Hermite
+    interpolant of its node values and node slopes, with a vectorized
+    inverse (`invert_many`).
 
-
-class MonotoneCubic:
-    """Piecewise cubic Hermite interpolant with Fritsch-Carlson node
-    derivatives (`_pchip_slopes`): monotone wherever the data are, so it
-    never overshoots them.
-
-    Each cell [x_k, x_k+1] holds its cubic in power form in s = y - x_k,
-    c3 + c2 s + c1 s^2 + c0 s^3, built and summed as scipy's
-    `PchipInterpolator` does.  Evaluation clamps y into [x_0, x_n].
+    The slopes are data, not a rule: a caller that knows the derivative at
+    the nodes (the target CDF's density) passes it, and the cubic's
+    derivative then meets it exactly at every node.  A cell's cubic is
+    nondecreasing when its two slopes are at most three times its secant
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980), as they are for a
+    density's CDF on a grid that resolves it; the inverse needs only the
+    node values to bracket each target.  Each cell [x_k, x_k+1] holds its
+    cubic in power form in s = y - x_k, c3 + c2 s + c1 s^2 + c0 s^3, with
+    the coefficients of scipy's `CubicHermiteSpline`.  Evaluation clamps
+    y into [x_0, x_n].
     """
 
-    def __init__(self, nodes, values):
-        x = np.asarray(nodes, dtype=float)
-        v = np.asarray(values, dtype=float)
+    def __init__(self, nodes, values, slopes):
+        x, v, d = (np.asarray(a, dtype=float) for a in (nodes, values, slopes))
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("profile needs at least two nodes")
+        if x.shape != v.shape or x.shape != d.shape:
+            raise ValueError("nodes, values and slopes must have matching shapes")
+        if not np.all(np.diff(x) > 0):
+            raise ValueError("profile nodes must be strictly increasing")
+        if np.any(np.diff(v) < -1e-30):
+            raise ValueError("values are not nondecreasing")
+        if not np.all(d >= 0.0):
+            raise ValueError("slopes are not nonnegative")
         h = np.diff(x)
         m = np.diff(v) / h
-        d = _pchip_slopes(h, m)
         t = (d[:-1] + d[1:] - 2.0 * m) / h
-        self.nodes = x
+        self.nodes, self.values = x, v
         self.coeffs = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], v[:-1]])
 
     def _cells(self, y):
@@ -283,40 +271,9 @@ class MonotoneCubic:
         out = self._slope(*self._cells(y))
         return out if np.ndim(y) else float(out)
 
-
-@dataclass
-class MonotoneProfile:
-    """A sampled nondecreasing function with shape-preserving evaluation
-    and a vectorized inverse (`invert_many`).
-
-    Interpolation is the monotone cubic (`MonotoneCubic`), which cannot
-    overshoot the node values, so evaluations stay inside
-    [values[0], values[-1]] and the inverse is well posed cell by cell.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    _cubic: MonotoneCubic = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.ndim != 1 or self.nodes.size < 2:
-            raise ValueError("profile needs at least two nodes")
-        if self.nodes.shape != self.values.shape:
-            raise ValueError("nodes and values must have matching shapes")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("profile nodes must be strictly increasing")
-        if np.any(np.diff(self.values) < -1e-30):
-            raise ValueError("values are not nondecreasing")
-        self._cubic = MonotoneCubic(self.nodes, self.values)
-
     @property
     def range(self):
         return float(self.values[0]), float(self.values[-1])
-
-    def __call__(self, y):
-        return self._cubic(y)
 
     def invert_many(self, targets):
         """Vectorized inverse, exact to the resolution of the nodes.
@@ -354,14 +311,14 @@ class MonotoneProfile:
         cubic's rounding.  Raises MaxIterations when a target misses that
         bound or _INVERT_MAX_ITER steps pass.
         """
-        cubic, x, v = self._cubic, self.nodes, self.values
+        x, v = self.nodes, self.values
         h = x[k + 1] - x[k]
         res = np.spacing(np.maximum(np.abs(x[k]), np.abs(x[k + 1])))
         # Start from the root of the cubic's quadratic Taylor model at the
         # cell end nearer in value; where the cubic leaves a node with zero
         # slope (the flat ends of a CDF) the root goes like a square root,
         # which a chord start would reach only by halvings.
-        c0, c1, c2, _ = cubic.coeffs[:, k]
+        c0, c1, c2, _ = self.coeffs[:, k]
         near_left = 2.0 * t < v[k] + v[k + 1]
         gap = np.where(near_left, t - v[k], v[k + 1] - t)
         lin = np.where(near_left, c2, c2 + 2.0 * c1 * h + 3.0 * c0 * h * h)
@@ -374,13 +331,13 @@ class MonotoneProfile:
         out = np.empty_like(t)
         live = np.arange(t.size)
         for _ in range(_INVERT_MAX_ITER):
-            g = cubic._value(k, s) - t
+            g = self._value(k, s) - t
             hit = np.abs(g) <= _EPS * np.abs(t)
             below = g < 0.0
             a = np.where(below, s, a)
             b = np.where(below, b, s)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / cubic._slope(k, s)
+                step = g / self._slope(k, s)
             nxt = s - step
             newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
             nxt = np.where(newton, nxt, 0.5 * (a + b))
@@ -402,13 +359,12 @@ class MonotoneProfile:
                             f"unconverged after {_INVERT_MAX_ITER} steps")
 
     def _check_residual(self, k, s, t, res):
-        cubic = self._cubic
-        c0, c1, c2, c3 = np.abs(cubic.coeffs[:, k])
+        c0, c1, c2, c3 = np.abs(self.coeffs[:, k])
         h = self.nodes[k + 1] - self.nodes[k]
         terms = c3 + c2 * s + c1 * s * s + c0 * s * s * s + np.abs(t)
-        bound = (np.abs(cubic._slope(k, s)) * res + (c1 + 3.0 * c0 * h) * res * res
+        bound = (np.abs(self._slope(k, s)) * res + (c1 + 3.0 * c0 * h) * res * res
                  + 8.0 * _EPS * terms)
-        residual = np.abs(cubic._value(k, s) - t)
+        residual = np.abs(self._value(k, s) - t)
         miss = ~(residual <= bound)
         if miss.any():
             i = int(np.argmax(miss))

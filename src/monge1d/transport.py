@@ -10,11 +10,12 @@ because the anchoring convention admits either, and nothing here ranks
 them.
 
 Maps evaluate lazily: each call composes the exact closed-form source
-CDF (`SourceDensity.cdf`) with the cell-by-cell inverse of the target
-cumulative's monotone cubic (`MonotoneProfile.invert_many`), which keeps
-the pushforward residual at rounding level instead of map-interpolation
-precision.  The target cumulative is the running sum of the assembly's
-exact cell masses.  The cost is a quadrature of |x - s(x)| against the
+CDF (`SourceDensity.cdf`) with the cell-by-cell inverse of the solution's
+Hermite CDF (`MonotoneProfile.invert_many`), which keeps the pushforward
+residual at rounding level instead of map-interpolation precision.  That
+CDF is the one cubic the assembly built: it interpolates the running sums
+of the exact cell masses with the nodal density as its slopes, so its
+derivative is the delivered density.  The cost is a quadrature of |x - s(x)| against the
 source density, on panels graded toward both source ends, where the map
 has square-root ends; with the source wholly on one side of the target
 it must equal the source barycenter minus the target expectation, which
@@ -49,12 +50,12 @@ def target_cdf(solution: DensitySolution) -> MonotoneProfile:
     """Cumulative mass of a solved density over its support, scaled to
     end exactly at 1 so quantile lookups cover the full unit interval.
 
-    Node values are running sums of the solution's exact cell masses, so
-    no interpolant of the density enters them (near the free endpoint u'
-    carries a logarithmic term no interpolant follows).
+    This is the solution's own cubic, built once by the assembly: node
+    values are running sums of the exact cell masses and node slopes the
+    nodal density, so its derivative is the delivered density (up to the
+    scale) and no second interpolant enters the maps.
     """
-    cdf = np.concatenate([[0.0], np.cumsum(solution.cell_masses)])
-    return MonotoneProfile(nodes=solution.support_nodes, values=cdf / cdf[-1])
+    return solution._cdf
 
 
 @dataclass(frozen=True)

@@ -541,6 +541,25 @@ class TestVerify:
         assert "pass     oracle oracle_lp.csv" in capsys.readouterr().out
         assert calls == [0.1, 0.01, 0.001]
 
+    def test_probes_use_the_configured_quadrature_tolerance(
+            self, tmp_path, monkeypatch, capsys):
+        import monge1d.cli
+
+        seen = []
+        probe = monge1d.cli.second_variation_probe
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["quad_tol"])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(monge1d.cli, "second_variation_probe", recorded)
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["problem"]["alpha"] = 4.0
+        doc["tolerances"] = {"quad": 1e-12}
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--grid", "201"]) == 0
+        assert seen == [1e-12]
+
 
 NEAR_CAPACITY_DOC = {
     "problem": {

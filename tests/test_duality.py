@@ -349,16 +349,18 @@ class TestAssembleDensity:
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
-        # Monotone-cubic derivative vs the analytic slope, away from the two
-        # stress zeros (the peak and the free endpoint), where the profile
-        # curvature blows up as eps shrinks.
+        # The delivered density's derivative, by central differences of the
+        # solution across each node, vs the analytic slope, away from the
+        # two stress zeros (the peak and the free endpoint), where the
+        # profile curvature blows up as eps shrinks.
         sol = solved(SPEC_I, 1e-3)
         y = sol.support_nodes
         keep = ((np.abs(y - sol.crossing) > 0.2)
                 & (np.abs(y - sol.support_endpoint) > 0.2))
         keep[[0, -1]] = False
-        dv = sol._profile.derivative(y[keep])
-        assert np.abs(dv - sol.slope_nodes[keep]).max() < 1e-4
+        d = 1e-6
+        dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
+        assert np.abs(dv - sol.slope_nodes[keep]).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -552,6 +554,14 @@ class TestCoupledSolve:
         sol = assemble_density(spec, eps)
         assert len(calls) == len(residuals) + 1 <= 18
         assert 1 <= sol.newton_steps <= 8
+
+    def test_empty_depth_span_integrates_to_zero(self):
+        # A zero-width span, as a query at a grid node gives, grades no
+        # panels and integrates nothing.
+        zeros = (2.0, 1.0)
+        for span in ((1.0, 1.0), (0.5, 0.5)):
+            assert duality._depth_integral(lambda s, l, g: g, zeros, span,
+                                           1.0, 1e-3, 1e-15) == 0.0
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
         monkeypatch.setattr(duality, "_ZERO_MAX_STEPS", 1)

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
-    MonotoneCubic,
     MonotoneProfile,
     _adaptive,
     _cell_edges,
+    _graded_edges,
     integrate,
     solve_root,
 )
@@ -138,6 +138,13 @@ class TestIntegrate:
         val = integrate(f, 0.0, 1.0, tol=1e-12)
         assert abs(val - 0.7) < 1e-11
 
+    def test_empty_span_has_no_graded_edges(self):
+        # A zero-width span grades nothing, so its integral is 0.
+        assert _graded_edges((1.5, 1.5), (1.5,)).size == 0
+        assert integrate(np.sin, 1.5, 1.5,
+                         breakpoints=_graded_edges((1.5, 1.5), (1.5,))) == 0.0
+        assert _graded_edges((1.0, 2.0), (1.5,)).size > 1
+
     def test_depth_cap(self):
         # A genuine discontinuity off the dyadic grid cannot be resolved to
         # 1e-15, producing a clean depth failure rather than a silent loop.
@@ -204,11 +211,12 @@ class TestStackedRows:
         assert sums[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
-def _assert_matches_scipy(x, v):
-    """Values and derivatives of MonotoneCubic against scipy's PCHIP, the
-    reference, at the nodes and on a fine probe, to 1e-14 relative."""
-    ours = MonotoneCubic(x, v)
-    ref = PchipInterpolator(x, v)
+def _assert_matches_scipy(x, v, d):
+    """Values and derivatives of MonotoneProfile against scipy's
+    `CubicHermiteSpline` on the same data, the reference, at the nodes and
+    on a fine probe, to 1e-14 relative."""
+    ours = MonotoneProfile(x, v, d)
+    ref = CubicHermiteSpline(x, v, d)
     y = np.concatenate([x, np.linspace(x[0], x[-1], 997)])
     scale = max(float(np.max(np.abs(v))), np.finfo(float).tiny)
     assert np.max(np.abs(ours(y) - ref(y))) <= 1e-14 * scale
@@ -217,41 +225,54 @@ def _assert_matches_scipy(x, v):
     assert np.max(np.abs(ours.derivative(y) - dref)) <= 1e-14 * dscale
 
 
-# Secant steps: flat runs (0), rises and falls, so the slopes change sign.
-_STEPS = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+# Secant steps: flat runs (0) and rises; node slopes: zero or positive.
+_STEPS = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+_SLOPES = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
 
 
 class TestMonotoneCubic:
+    """The profile's cubic: the Hermite interpolant of its node values and
+    node slopes."""
+
     def test_solved_density_and_cdf(self, solved):
+        # The solved CDF is scipy's Hermite spline of the running cell
+        # masses with the nodal density as its slopes, both over their
+        # total, and the density is the total times its derivative.
         sol = solved(SPEC_I, 1e-3)
-        _assert_matches_scipy(sol.support_nodes, sol.support_values)
-        cdf = target_cdf(sol)
-        _assert_matches_scipy(cdf.nodes, cdf.values)
+        cum = np.concatenate([[0.0], np.cumsum(sol.cell_masses)])
+        ref = CubicHermiteSpline(sol.support_nodes, cum / cum[-1],
+                                 sol.support_values / cum[-1])
+        y = np.concatenate([sol.support_nodes, np.linspace(*sol.support, 997)])
+        assert np.max(np.abs(target_cdf(sol)(y) - ref(y))) <= 1e-14
+        assert (np.max(np.abs(sol(y) - cum[-1] * ref.derivative()(y)))
+                <= 1e-14 * sol.support_values.max())
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(st.lists(st.tuples(st.floats(1e-2, 10.0), _STEPS), min_size=1, max_size=12),
-           st.floats(-100.0, 100.0), st.booleans())
-    @example([(1.0, 2.0)], 0.0, False)
-    @example([(1.0, 2.0), (0.5, 0.0)], 1.0, False)
-    @example([(0.3, -1.0), (2.0, 4.0)], -3.0, False)
-    def test_drawn_data(self, cells, start, monotone):
-        dx, dv = np.array(cells).T
-        if monotone:
-            dv = np.abs(dv)
+    @given(st.lists(st.tuples(st.floats(1e-2, 10.0), _STEPS, _SLOPES),
+                    min_size=1, max_size=12),
+           st.floats(-100.0, 100.0), _SLOPES)
+    @example([(1.0, 2.0, 2.0)], 0.0, 2.0)
+    @example([(1.0, 2.0, 0.0), (0.5, 0.0, 0.0)], 1.0, 0.0)
+    @example([(0.3, 1.0, 9.0), (2.0, 4.0, 0.0)], -3.0, 0.5)
+    def test_drawn_data(self, cells, start, first_slope):
+        dx, dv, d = np.array(cells).T
         x = np.concatenate([[start], start + np.cumsum(dx)])
         v = np.concatenate([[0.0], np.cumsum(dv)])
-        _assert_matches_scipy(x, v)
+        _assert_matches_scipy(x, v, np.concatenate([[first_slope], d]))
 
     def test_evaluation_clamps_to_nodes(self):
-        cubic = MonotoneCubic([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])
-        assert cubic(-4.0) == 1.0 and cubic(7.0) == 0.0
+        cubic = MonotoneProfile([0.0, 1.0, 3.0], [1.0, 2.0, 2.5], [0.0, 1.0, 3.0])
+        assert cubic(-4.0) == 1.0 and cubic(7.0) == 2.5
+        assert cubic.derivative(-4.0) == 0.0 and cubic.derivative(7.0) == 3.0
         assert isinstance(cubic(0.5), float)
+        assert isinstance(cubic.derivative(0.5), float)
 
 
 class TestMonotoneProfile:
     def _exp_profile(self, n=41):
+        # 1 - e^-x with its exact derivative e^-x as the node slopes.
         x = np.linspace(0.0, 2.0, n)
-        return MonotoneProfile(nodes=x, values=1.0 - np.exp(-x))
+        return MonotoneProfile(x, 1.0 - np.exp(-x), np.exp(-x))
 
     def test_call_scalar_and_array(self):
         prof = self._exp_profile()
@@ -260,6 +281,18 @@ class TestMonotoneProfile:
         arr = prof(np.array([0.0, 1.0, 2.0]))
         assert arr.shape == (3,)
         assert abs(arr[0]) < 1e-14
+
+    def test_exact_slopes_give_fourth_order(self):
+        # With the exact node slopes the cubic's error is at most
+        # h^4 max|f^(4)| / 384 and its derivative's h^3 max|f^(4)| / 72;
+        # here max|f^(4)| = 1, and the derivative meets e^-x at the nodes.
+        prof = self._exp_profile()
+        h = 2.0 / 40
+        y = np.linspace(0.0, 2.0, 1001)
+        assert np.max(np.abs(prof(y) - (1.0 - np.exp(-y)))) <= h**4 / 384
+        assert np.max(np.abs(prof.derivative(y) - np.exp(-y))) <= h**3 / 72
+        x = prof.nodes
+        assert np.max(np.abs(prof.derivative(x) - np.exp(-x))) <= 4 * np.spacing(1.0)
 
     def test_call_clamps_outside_domain(self):
         prof = self._exp_profile()
@@ -297,8 +330,7 @@ class TestMonotoneProfile:
     def test_node_value_targets_return_their_nodes(self):
         prof = self._exp_profile()
         assert np.array_equal(prof.invert_many(prof.values), prof.nodes)
-        flat = MonotoneProfile(nodes=np.arange(5.0),
-                               values=np.array([0.0, 0.5, 0.5, 0.5, 1.0]))
+        flat = MonotoneProfile(np.arange(5.0), [0.0, 0.5, 0.5, 0.5, 1.0], np.zeros(5))
         assert flat.invert_many(0.5) == 1.0
 
     def test_flat_end_cells_of_a_cdf(self, solved):
@@ -330,20 +362,23 @@ class TestMonotoneProfile:
         # root of a target between its node values: the loop must raise.
         prof = self._exp_profile()
         k = 10
-        prof._cubic.coeffs[:3, k] = broken
+        prof.coeffs[:3, k] = broken
         if np.isnan(broken):
-            prof._cubic.coeffs[3, k] = broken
+            prof.coeffs[3, k] = broken
         t = 0.5 * (prof.values[k] + prof.values[k + 1])
         with pytest.raises(MaxIterations):
             prof.invert_many(np.array([prof(0.01), t]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MonotoneProfile(nodes=np.array([0.0, 0.0, 1.0]),
-                            values=np.array([0.0, 0.5, 1.0]))
+            MonotoneProfile([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], np.ones(3))
         with pytest.raises(ValueError):
-            MonotoneProfile(nodes=np.array([0.0, 1.0]),
-                            values=np.array([1.0, 0.0]))
+            MonotoneProfile([0.0, 1.0], [1.0, 0.0], np.ones(2))
+        with pytest.raises(ValueError):
+            MonotoneProfile([0.0, 1.0], [0.0, 1.0], np.ones(3))
+        for bad in (-1e-300, np.nan):
+            with pytest.raises(ValueError):
+                MonotoneProfile([0.0, 1.0], [0.0, 1.0], [1.0, bad])
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=0.05, max_value=1.95))
