@@ -25,9 +25,9 @@ here, all in closed form up to one two-unknown root solve:
    target: the far edge is then a Dirichlet end with theta > 0 there, and
    the free zero lies beyond it; the same iteration reaches it by letting
    z cross the far edge.
-4. The density itself is the cumulative integral of the slope from the
-   anchored endpoint, sampled at the grid nodes with each cell's exact
-   mass.  Between the nodes it is the derivative of one cubic, the
+4. The density is the cumulative integral of the slope from the anchored
+   endpoint, its nodal values and cell masses in closed form on one pass's
+   panels.  Between the nodes it is the derivative of one cubic, the
    target CDF's Hermite interpolant of those masses and values.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
@@ -49,13 +49,12 @@ toward the stress zeros in the support (`_graded_edges`).  Next to a zero
 the slope has a log-type layer, slope^2 ~ alpha^2 + 2 eps ln|theta|,
 which bisection would reach one level per round, over 20 to 35 rounds;
 graded panels each see the layer on their own scale, so one or two
-vectorized rounds settle a quadrature.  The assembly's cumulative pass
-inserts the same graded edges into its grid, so it integrates the same
-panels next to the zeros as the solve did, and the closing density
-keeps the sign the solve gave it.  A pass integrates a stack of rows of
-one inversion (`_depth_integral`): the solve's passes carry the
-expectation, and `DualField.integrate` gives energies and probes the
-same panels.
+vectorized rounds settle a quadrature.  The assembly's pass repeats the
+solve's last one, on the same panels, so the closing density keeps the
+sign the solve gave it, and a finer grid adds no panel.  A pass
+integrates a stack of rows of one inversion (`_depth_integral`): the
+solve's passes carry the expectation, and `DualField.integrate` gives
+energies and probes the same panels.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -78,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MaxIterations
-from .numerics import (_MAX_PANEL_DEPTH, MonotoneProfile, _adaptive, _cell_edges,
-                       _graded_edges, integrate, solve_root)
+from .numerics import (_MAX_PANEL_DEPTH, MonotoneProfile, _adaptive, _graded_edges,
+                       _panel_cumulative, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -101,7 +100,8 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     increasing, so Newton converges globally (at worst one overshoot,
     then monotone).  A final two-step polish directly in l removes the
     cancellation incurred by l = (e^w - alpha^2)/(2 eps) when eps is
-    small; in the deep tail (slope_sq << alpha^2) that division is
+    small, and slope_sq is then T e^{-2l} below alpha^2/2, where the sum
+    cancels; in the deep tail (slope_sq << alpha^2) the division is
     already exact and the polish is skipped.
 
     No cap at l = 0: T > alpha^2 continues smoothly into l > 0.  Raises
@@ -147,7 +147,10 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
                 g = 2.0 * lp + np.log(up) - ltp
                 lp = lp - g / (2.0 + 2.0 * epsilon / up)
             l[polish] = lp
-            u[polish] = a2 + 2.0 * epsilon * lp
+            up = a2 + 2.0 * epsilon * lp
+            cancel = up < 0.5 * a2
+            up[cancel] = t[polish][cancel] * np.exp(-2.0 * lp[cancel])
+            u[polish] = up
         l_out[pos] = l
         u_out[pos] = u
     return l_out, u_out
@@ -507,9 +510,9 @@ class DensitySolution:
     how far the solution runs above the nominal scale ceiling instead of
     clamping it (see the module docstring).  cell_masses holds the mass
     of each support cell, h u_i + integral of (s_i+1 - s) du/ds ds in
-    depths s, taken from the same quadrature of the slope as the values,
-    so no interpolant of the density enters it.  newton_steps,
-    closure_residual and mass_residual record what the coupled zero solve did: its Newton
+    depths s, taken like the values from the slope's Kronrod interpolant
+    on the solve's panels.  newton_steps, closure_residual and
+    mass_residual record what the coupled zero solve did: its Newton
     steps and its final closure (measured from the aim) and mass - 1
     residuals.  No CLI artifact writes them.
 
@@ -575,6 +578,19 @@ class DensitySolution:
         return self.crossing, float(self(self.crossing))
 
 
+def _depth_grid(span, crossing, grid_n):
+    """Uniform depths over the span with the crossing, where the density
+    kinks, as a node: an interior node within 1/64 of the spacing moves
+    onto it, since the CDF's cubic reads the density from each cell's mass
+    and a thinner cell's would be mostly the rounding of the running sum."""
+    grid = np.linspace(span[0], span[1], grid_n)
+    near = int(np.argmin(np.abs(grid[1:-1] - crossing))) + 1
+    if abs(grid[near] - crossing) > (span[1] - span[0]) / (64 * (grid_n - 1)):
+        return np.sort(np.append(grid, crossing))
+    grid[near] = crossing
+    return grid
+
+
 def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
                      root_tol=1e-12) -> DensitySolution:
     """Full solve: free zero, crossing, and the sampled density.
@@ -586,17 +602,17 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     they are.  The density is the cumulative integral of the recovered
     slope, anchored at the target endpoint adjacent to the source (it
     vanishes there by construction and at the other support end by the
-    closure condition).  The cumulative quadrature runs in the solve's
-    depths and at its tolerance, so the values near the free endpoint,
-    where the stress vanishes, keep the sign the solve gives them.  The
-    grid is uniform over the support with the crossing as an exact node
-    (inserted, or moved onto from an interior node within 1/64 of the
-    spacing), plus a zero extension over the rest of the target at
-    matching resolution.  The mass and the expectation are the solve's
-    own: its last Newton pass integrates the expectation moment next to
-    the closure and the mass, at the solve's tolerance.  Between the
-    nodes the density is the derivative of the target CDF's Hermite cubic
-    (see `DensitySolution`).
+    closure condition).  Its values and cell masses are read off one pass
+    in the solve's depths, on its panels and at its tolerance
+    (`numerics._panel_cumulative`), so the values near the free endpoint,
+    where the stress vanishes, keep the sign the solve gives them, and
+    the grid costs no inversion per cell.  The grid is uniform over the
+    support with the crossing as a node (`_depth_grid`), plus a zero
+    extension over the rest of the target at matching resolution.  The
+    mass and the expectation are the solve's own: its last Newton pass
+    integrates the expectation moment next to the closure and the mass.
+    Between the nodes the density is the derivative of the target CDF's
+    Hermite cubic (see `DensitySolution`).
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -605,35 +621,15 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     require_capacity(spec)
     crossing_tol = 0.01 * _MASS_TOL
     solved = _solve_zeros(spec, epsilon, _MASS_TOL, crossing_tol, root_tol)
-    # The grid and the cumulative pass run in the solve's depths, on its
-    # span and zeros: the density rises from 0 at depth 0, the anchor.
+    # The grid and the pass run in the solve's depths, on its span, graded
+    # edges and tolerance: the density rises from 0 at depth 0, the anchor.
     zeros = solved.zeros
     span = _support_of(zeros[0], spec)
-    # The crossing, where the density kinks, is a node (the solve keeps it
-    # inside the support).  An interior node within 1/64 of the spacing
-    # moves onto it instead of leaving a thinner cell: the CDF's cubic reads
-    # the density from each cell's mass, and a thin cell's mass would be
-    # mostly the rounding of the running sum.
-    base = np.linspace(span[0], span[1], grid_n)
-    dc = zeros[1]
-    near = int(np.argmin(np.abs(base[1:-1] - dc))) + 1
-    if abs(base[near] - dc) <= (span[1] - span[0]) / (64 * (grid_n - 1)):
-        grid_s = base.copy()
-        grid_s[near] = dc
-    else:
-        grid_s = np.sort(np.append(base, dc))
-    # Quadrature nodes lie inside their cell; the first grid node at or
-    # past a node's depth is its cell's deeper end.
-    to_cell_end = lambda s: grid_s[np.minimum(np.searchsorted(grid_s, s),
-                                              grid_s.size - 1)] - s
-    # The panels next to the stress zeros are the ones the solve
-    # integrated, each tagged to the grid cell that contains it.
-    edges, cell_id = _cell_edges(grid_s, _graded_edges(span, zeros))
-    sums, moments = _adaptive(
-        _depth_rows(lambda s, l, g: (g, to_cell_end(s) * g), zeros,
-                    spec.alpha, epsilon),
-        edges, cell_id, min(1e-13, 0.1 * crossing_tol), _MAX_PANEL_DEPTH)
-    raw = np.concatenate([[0.0], np.cumsum(sums)])
+    grid_s = _depth_grid(span, zeros[1], grid_n)
+    edges, sums, samples = _adaptive(
+        _depth_rows(lambda s, l, g: g, zeros, spec.alpha, epsilon), *span,
+        _graded_edges(span, zeros), min(1e-13, 0.1 * crossing_tol), _MAX_PANEL_DEPTH)
+    raw, moments = _panel_cumulative(edges, sums[0], samples, grid_s)
     boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
     # residual tolerance, and interior rounding can graze zero, so clip

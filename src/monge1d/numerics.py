@@ -1,6 +1,6 @@
-"""Low-level numerical kernels: adaptive quadrature (whole-interval and
-per grid cell), monotone profiles held as cubic Hermite interpolants of
-given node values and slopes, with a vectorized inverse exact cell by
+"""Low-level numerical kernels: adaptive quadrature with running integrals
+read off its panels, monotone profiles held as cubic Hermite interpolants
+of given node values and slopes, with a vectorized inverse exact cell by
 cell, and a bracketed root solve to a residual tolerance (the reference
 solves of `duality`).  numpy is the only dependency.
 
@@ -24,6 +24,9 @@ Design notes
   panels, so integrals of one costly field (the dual solver's slope
   inversion) share a single pass: the solve's closure, mass and
   expectation, or the three energies of a solved pair.
+* Running integrals at any number of points cost no integrand call: a
+  pass hands back row 0's Kronrod samples, whose interpolants integrate in
+  closed form (`_panel_cumulative`; Greengard, SIAM J. Numer. Anal. 1991).
 * A profile's node slopes are data, not a rule such as the Fritsch-Carlson
   PCHIP's: the solved target CDF passes the exact nodal density, so the
   cubic's derivative is a density that meets the nodal values and the
@@ -90,28 +93,16 @@ _EPS = float(np.finfo(float).eps)
 
 def _gk_panels(f, a, b):
     """Kronrod estimates of every row of the stacked integrand f on each
-    panel [a[i], b[i]], and the error estimate |Kronrod - Gauss| of row 0,
-    from one vectorized call.  f maps a flat node array to one row of
-    values or a stack of rows."""
+    panel [a[i], b[i]], the error estimate |Kronrod - Gauss| and the 15
+    samples of row 0, from one vectorized call.  f maps a flat node array
+    to one row of values or a stack of rows."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, *nodes.shape)
     kron = np.stack([half * (v @ _WGK) for v in vals])
     gauss = half * (vals[0][:, _GAUSS_IDX] @ _WG)
-    return kron, np.abs(kron[0] - gauss)
-
-
-def _cell_edges(grid, breakpoints):
-    """Sorted, distinct panel edges for a per-cell quadrature over a sorted
-    grid: the grid nodes plus the breakpoints inside it, each panel tagged
-    with the grid cell that contains it."""
-    l, r = grid[0], grid[-1]
-    cuts = np.concatenate([grid[1:-1], np.asarray(breakpoints, dtype=float).ravel()])
-    edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
-    cell_id = np.clip(np.searchsorted(grid, edges[:-1], side="right") - 1,
-                      0, grid.size - 2)
-    return edges, cell_id
+    return kron, np.abs(kron[0] - gauss), vals[0]
 
 
 def _graded_edges(span, points):
@@ -138,17 +129,18 @@ def _graded_edges(span, points):
                           + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
-def _adaptive(f, edges, cell_id, tol, max_depth):
-    """Shared refinement loop.  `edges` defines the initial panels, `cell_id`
-    tags each panel with the output cell it accumulates into.  f may
-    return a stack of rows: refinement follows row 0 alone, and every row
-    is summed per cell on the same panels.  Returns the (rows, cells)
-    array of Kronrod sums."""
+def _adaptive(f, l, r, breakpoints, tol, max_depth):
+    """Shared refinement loop over [l, r], from the panels the breakpoints
+    inside it cut.  f may return a stack of rows: refinement follows row 0
+    alone, and every row is summed on the same panels.  Returns the sorted
+    panel edges, the (rows, panels) Kronrod sums and row 0's (panels, 15)
+    samples."""
+    cuts = np.asarray(breakpoints, dtype=float).ravel()
+    edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
     b = edges[1:].copy()
-    cells = cell_id.copy()
     depth = np.zeros(a.size, dtype=int)
-    kron, err = _gk_panels(f, a, b)
+    kron, err, samples = _gk_panels(f, a, b)
 
     while True:
         total = abs(float(np.sum(kron[0])))
@@ -168,22 +160,16 @@ def _adaptive(f, edges, cell_id, tol, max_depth):
                 f"(remaining error {esum:.3e}, target {target:.3e})")
         keep = ~split
         mids = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[keep], a[split], mids])
-        new_b = np.concatenate([b[keep], mids, b[split]])
-        new_cells = np.concatenate([cells[keep], cells[split], cells[split]])
-        new_depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
-        k2, e2 = _gk_panels(f, np.concatenate([a[split], mids]),
-                            np.concatenate([mids, b[split]]))
+        lo, hi = np.concatenate([a[split], mids]), np.concatenate([mids, b[split]])
+        k2, e2, s2 = _gk_panels(f, lo, hi)
+        a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
+        depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
         kron = np.concatenate([kron[:, keep], k2], axis=1)
         err = np.concatenate([err[keep], e2])
-        a, b, cells, depth = new_a, new_b, new_cells, new_depth
+        samples = np.concatenate([samples[keep], s2])
 
-    out = np.zeros((kron.shape[0], int(cell_id.max()) + 1 if cell_id.size else 0))
-    # Deterministic accumulation order: sort panels by (cell, left edge).
-    order = np.lexsort((a, cells))
-    for row, panel_sums in zip(out, kron):
-        np.add.at(row, cells[order], panel_sums[order])
-    return out
+    order = np.argsort(a)   # split halves share their midpoint: the panels tile
+    return np.append(a[order], b[order[-1]]), kron[:, order], samples[order]
 
 
 def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
@@ -192,7 +178,8 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
 
     The absolute error is driven below tol * max(1, |result|).  Known
     interior kinks can be passed as `breakpoints`; points outside (l, r)
-    are ignored.  Raises MaxDepth when refinement stalls.
+    are ignored.  An empty span gives a zero per row.  Raises MaxDepth
+    when refinement stalls.
 
     Like any sampling-based adaptive rule, refinement is triggered by
     disagreement between the embedded estimates: a feature narrow enough to
@@ -201,15 +188,72 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
     jump-like transitions, the shape this package produces, are resolved
     because their plateaus shift the coarse estimates.
     """
-    l = float(l)
-    r = float(r)
+    l, r = float(l), float(r)
     if r < l:
         raise ValueError("integrate expects l <= r")
     if r == l:
-        return 0.0
-    edges, cell_id = _cell_edges(np.array([l, r]), breakpoints)
-    out = _adaptive(f, edges, cell_id, tol, max_depth)[:, 0]
+        rows = np.asarray(f(np.empty(0)), dtype=float)
+        out = np.zeros(rows.shape[0] if rows.ndim > 1 else 1)
+    else:               # the panels summed one after another, ascending
+        out = np.cumsum(_adaptive(f, l, r, breakpoints, tol, max_depth)[1],
+                        axis=1)[:, -1]
     return float(out[0]) if out.size == 1 else out
+
+
+def _legendre_integrals(x):
+    """Lists of P_n(x) and its integrals from -1, I_n = (P_n+1 - P_n-1)/(2n + 1)
+    and J_n = (I_n+1 - I_n-1)/(2n + 1), with I_0 = x + 1, J_0 = (x + 1)^2/2.
+    The recurrence gives P_n(-1) = (-1)^n exactly: I_n, J_n read 0 there."""
+    p = [np.ones_like(x), x]
+    for n in range(1, 16):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    i = [x + 1.0] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, 16)]
+    j = [(x + 1.0) ** 2 / 2] + [(i[n + 1] - i[n - 1]) / (2 * n + 1) for n in range(1, 15)]
+    return p, i, j
+
+
+# Legendre coefficients (rows) of the interpolant of Kronrod samples (columns).
+_KRONROD_TO_LEGENDRE = np.linalg.inv(np.transpose(_legendre_integrals(_XGK)[0][:15]))
+
+
+def _panel_cumulative(edges, sums, samples, t):
+    """Running integrals of an `_adaptive` pass's row 0 f at sorted points
+    t_i in [edges[0], edges[-1]]: from edges[0] to each t_i, and the moment
+    integral of (t_i+1 - s) f(s) ds over each [t_i, t_i+1].
+
+    Each panel's f is its degree-14 interpolant through the 15 Kronrod
+    samples, in Legendre form, integrated in closed form.  The Kronrod rule
+    is exact for it, so a point reads the running Kronrod sum of the panels
+    before its own plus the interpolant's integral up to it: exactly that
+    running sum on a panel's left edge.
+
+    The pass's error control covers the interpolant: the |Kronrod - Gauss|
+    estimate that accepted a panel measures f's distance from polynomials
+    there, and the interpolant is within (1 + L) times that distance of f,
+    L = 3.8 being the Lebesgue constant of the 15 Kronrod nodes: the
+    estimate bounds every partial integral on the panel, up to L.
+    """
+    a, half = edges[:-1], 0.5 * np.diff(edges)
+    coeffs = _KRONROD_TO_LEGENDRE @ samples.T
+    cuts = np.union1d(t, edges[(edges > t[0]) & (edges < t[-1])])
+    # Each cut in the panel it starts (the last edge in the last panel).
+    k = np.minimum(np.searchsorted(edges, cuts, side="right") - 1, sums.size - 1)
+    x = (cuts - a[k]) / half[k] - 1.0
+    c, (_, once, twice) = coeffs[:, k], _legendre_integrals(x)
+    once, twice = (sum(c[n] * v[n] for n in range(15)) for v in (once, twice))
+    running = np.concatenate([[0.0], np.cumsum(sums)])
+    value = np.where(cuts == edges[-1], running[-1], running[k] + half[k] * once)
+    # A piece [p, q] between consecutive cuts lies in the panel of p, where
+    # q reads as the next cut does or, if that starts the next panel, at
+    # x = 1 (J_0 = 2, J_1 = -2/3, all others 0).
+    kp, same = k[:-1], k[1:] == k[:-1]
+    xq = np.where(same, x[1:], 1.0)
+    twice_q = np.where(same, twice[1:], 2.0 * coeffs[0, kp] - coeffs[1, kp] / 1.5)
+    moment = half[kp] ** 2 * (twice_q - twice[:-1] - (xq - x[:-1]) * once[:-1])
+    start = np.searchsorted(cuts, t)
+    closing = t[np.searchsorted(t, cuts[1:])]
+    return value[start], np.add.reduceat(
+        moment + (closing - cuts[1:]) * np.diff(value), start[:-1])
 
 
 class MonotoneProfile:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from monge1d.duality import _depth_integral
-from monge1d.numerics import integrate, solve_root
+from monge1d.duality import (_MASS_TOL, _depth_grid, _depth_integral, _depth_rows,
+                              _solve_zeros, _support_of)
+from monge1d.numerics import _adaptive, _graded_edges, integrate, solve_root
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import build_map, target_cdf
@@ -39,12 +40,45 @@ def exact_reference(sol, ys):
         n, q = o * (anchor - x[i]), o * (anchor - y)
         rise, moment = _depth_integral(
             lambda s, l, g: (g, (q - s) * g), zeros, sorted((n, q)),
-            spec.alpha, sol.epsilon, _REFERENCE_TOL) if n != q else (0.0, 0.0)
+            spec.alpha, sol.epsilon, _REFERENCE_TOL)
         if q < n:
             rise, moment = -rise, -moment
         density.append(u[i] + rise)
         cdf.append((cum[i] - o * ((q - n) * u[i] + moment)) / cum[-1])
     return np.array(density), np.array(cdf)
+
+
+def exact_nodes(sol, grid_n):
+    """Nodal values and cell masses in depth order, the solution's and an
+    exact reference's, on the solution's own depth grid (rebuilt from the
+    solve, since depths mapped back from y lose their last bits).
+
+    The reference is one pass of the depth integrand at tolerance 1e-15
+    with every grid node a panel edge, rows du/ds and (s_i+1 - s) du/ds:
+    the running sums of its panel sums are the integrals of the slope from
+    0 to each node's depth, and each cell's are the moment of its mass,
+    h u_i + integral of (s_i+1 - s) du/ds, taken from the solution's u_i.
+    No interpolant enters it.
+    """
+    spec = sol.spec
+    solved = _solve_zeros(spec, sol.epsilon, _MASS_TOL, 0.01 * _MASS_TOL, 1e-12)
+    span = _support_of(solved.zeros[0], spec)
+    depths = _depth_grid(span, solved.zeros[1], grid_n)
+    step = -1 if spec.orientation > 0 else 1        # ascending depth
+    u, masses = sol.support_values[::step], sol.cell_masses[::step]
+    assert np.array_equal(spec.anchor - spec.orientation * depths[:-1],
+                          sol.support_nodes[::step][:-1])
+    deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
+                                         depths.size - 1)]
+    edges, sums, _ = _adaptive(
+        _depth_rows(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
+                    spec.alpha, sol.epsilon),
+        *span, np.concatenate([depths, _graded_edges(span, solved.zeros)]),
+        _REFERENCE_TOL, 60)
+    cell = np.searchsorted(depths, edges[:-1], side="right") - 1
+    rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
+    values = np.concatenate([[0.0], np.cumsum(rise)])
+    return (u, values), (masses, np.diff(depths) * u[:-1] + moment)
 
 
 def exact_quantile(sol, t):
@@ -153,6 +187,24 @@ class TestDeliveredShape:
         lowest = np.minimum(np.minimum(c2, c2 + 2.0 * c1 * h + 3.0 * c0 * h * h),
                             c2 + 2.0 * c1 * inner + 3.0 * c0 * inner * inner)
         assert scale * np.min(lowest) >= -1e-15 * np.max(sol.support_values)
+
+
+@pytest.mark.parametrize("grid_n", [201, 2001])
+@pytest.mark.parametrize("assumption", ["I", "II"])
+@pytest.mark.parametrize("alpha,eps,factor", _REGIMES)
+def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
+                                   grid_n):
+    # The values and cell masses read off the solve's panels meet an exact
+    # depth reference; the last value, pinned to 0, as the boundary gap.
+    spec = _width_spec(alpha, factor / math.sqrt(alpha))
+    if assumption == "II":
+        spec = mirror_transform(spec)
+    sol = solved(spec, eps, grid_n)
+    (u, values), (masses, exact) = exact_nodes(sol, grid_n)
+    assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
+    assert abs(sol.boundary_gap - values[-1]) <= 1e-14
+    assert np.max(np.abs(masses - exact)) <= 1e-15
+    assert sol.clip_depth == 0.0
 
 
 @pytest.mark.parametrize("assumption", ["I", "II"])

@@ -161,6 +161,14 @@ class TestSlopeFromTheta:
         back = v * math.exp(min((v * v - 1.0) / (2.0 * eps), 0.0))
         assert back == pytest.approx(theta, abs=1e-9)
 
+    def test_slope_next_to_the_deep_tail_keeps_its_digits(self):
+        # Just above the 1e-8 alpha^2 cut alpha^2 + 2 eps l cancels, which
+        # lost up to 8e-9 relative; e^{2l} slope^2 = T holds to rounding.
+        theta = np.logspace(-12, -6, 601)
+        l, slope_sq = duality._invert_stress_sq(theta * theta, 0.5, 0.01)
+        identity = np.exp(2.0 * l) * slope_sq / (theta * theta)
+        assert np.max(np.abs(identity - 1.0)) <= 1e-13
+
     def test_nan_stress_raises(self):
         # Newton never converges on a NaN; the inversion must not return
         # a value silently.
@@ -554,6 +562,29 @@ class TestCoupledSolve:
         sol = assemble_density(spec, eps)
         assert len(calls) == len(residuals) + 1 <= 18
         assert 1 <= sol.newton_steps <= 8
+
+    @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
+                                           (4.0, 1e-1), (4.0, 1e-3)])
+    def test_assembly_work_does_not_grow_with_the_grid(self, monkeypatch,
+                                                       alpha, eps):
+        # The assembly reads the grid off the solve-resolution panels and
+        # inverts no node per cell: a finer grid adds only the slope_nodes
+        # readout, one inversion per added node.
+        plain = duality._invert_stress_sq
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+
+        def inverted(grid_n):
+            count = []
+
+            def counted(stress_sq, *args):
+                count.append(np.size(stress_sq))
+                return plain(stress_sq, *args)
+
+            monkeypatch.setattr(duality, "_invert_stress_sq", counted)
+            assemble_density(spec, eps, grid_n)
+            return sum(count)
+
+        assert inverted(8001) - inverted(2001) <= 8001 - 2001
 
     def test_empty_depth_span_integrates_to_zero(self):
         # A zero-width span, as a query at a grid node gives, grades no

@@ -11,8 +11,8 @@ from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
     MonotoneProfile,
     _adaptive,
-    _cell_edges,
     _graded_edges,
+    _panel_cumulative,
     integrate,
     solve_root,
 )
@@ -145,6 +145,13 @@ class TestIntegrate:
                          breakpoints=_graded_edges((1.5, 1.5), (1.5,))) == 0.0
         assert _graded_edges((1.0, 2.0), (1.5,)).size > 1
 
+    def test_empty_span_gives_one_zero_per_row(self):
+        # As a nonempty span does, with the rows counted from the integrand.
+        both = integrate(lambda x: (x, x * x), 1.0, 1.0)
+        assert both.shape == (2,) and not both.any()
+        assert integrate(lambda x: (x,), 1.0, 1.0) == 0.0
+        assert integrate(lambda x: (x, x * x), 1.0, 2.0).shape == (2,)
+
     def test_depth_cap(self):
         # A genuine discontinuity off the dyadic grid cannot be resolved to
         # 1e-15, producing a clean depth failure rather than a silent loop.
@@ -154,25 +161,64 @@ class TestIntegrate:
 
 
 class TestCumulative:
-    """The per-cell pass behind `assemble_density`'s cumulative quadrature."""
+    """The panel cumulative behind `assemble_density`: running integrals
+    and interval moments read off one whole-span pass."""
 
     @staticmethod
-    def _running_sums(f, grid, tol):
-        edges, cell_id = _cell_edges(grid, ())
-        (sums,) = _adaptive(f, edges, cell_id, tol, 60)
-        return np.concatenate([[0.0], np.cumsum(sums)])
+    def _pass(f, l, r, tol=1e-12, breakpoints=()):
+        edges, sums, samples = _adaptive(f, l, r, breakpoints, tol, 60)
+        return edges, sums[0], samples
 
     def test_matches_integrate(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
-        sums = self._running_sums(f, np.linspace(0.0, 3.0, 41), 1e-12)
-        direct = integrate(f, 0.0, 3.0, tol=1e-12)
-        assert abs(sums[-1] - direct) < 1e-12
+        grid = np.linspace(0.0, 3.0, 41)
+        values, _ = _panel_cumulative(*self._pass(f, 0.0, 3.0), grid)
+        assert values[0] == 0.0
+        assert values[-1] == integrate(f, 0.0, 3.0, tol=1e-12)
 
     def test_node_values_are_partial_integrals(self):
+        # Values and moments of e^-x on a grid that cuts the panels.
         grid = np.linspace(0.0, 2.0, 21)
-        sums = self._running_sums(lambda x: np.exp(-x), grid, 1e-12)
-        for k in (5, 10, 17):
-            assert abs(sums[k] - (1.0 - np.exp(-grid[k]))) < 1e-10
+        edges = self._pass(lambda x: np.exp(-x), 0.0, 2.0, 1e-15, (0.7, 1.3))
+        values, moments = _panel_cumulative(*edges, grid)
+        assert np.max(np.abs(values - (1.0 - np.exp(-grid)))) <= 1e-15
+        a, b = grid[:-1], grid[1:]
+        exact = (b - a) * np.exp(-a) - (np.exp(-a) - np.exp(-b))
+        assert np.max(np.abs(moments - exact)) <= 1e-15
+
+    @pytest.mark.parametrize("degree", range(15))
+    def test_reproduces_polynomials(self, degree):
+        # The interpolant of degree 14 is the polynomial itself: running
+        # integrals and moments at arbitrary points, to rounding.
+        rng = np.random.default_rng(degree)
+        coeffs = rng.normal(size=degree + 1)
+        f = lambda x: np.polyval(coeffs, x)
+        edges = self._pass(f, -1.0, 2.0, 1e-12, (-0.3, 0.5, 1.1))
+        t = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 2.0, 40)), [2.0]])
+        values, moments = _panel_cumulative(*edges, t)
+        anti = np.polyint(coeffs)
+        exact = np.polyval(anti, t) - np.polyval(anti, -1.0)
+        # The moment on [a, b] is the integral of the running integral
+        # less (b - a) times its value at a.
+        twice = np.polyint(anti)
+        a, b = t[:-1], t[1:]
+        moment = (np.polyval(twice, b) - np.polyval(twice, a)
+                  - (b - a) * np.polyval(anti, a))
+        scale = 2.0 ** degree * np.sum(np.abs(coeffs))
+        assert np.max(np.abs(values - exact)) <= 1e-14 * scale
+        assert np.max(np.abs(moments - moment)) <= 1e-14 * scale
+
+    def test_panel_edge_reads_the_running_sum(self):
+        # A point on a panel's left edge reads the Kronrod sums of the
+        # panels before it, with no rounding from its own panel.
+        f = lambda x: np.cos(3.0 * x) + 2.0
+        edges, sums, samples = self._pass(f, 0.0, 4.0, 1e-12, (0.5, 1.7, 2.9))
+        points = np.sort(np.append(edges, [0.3, 3.3]))
+        values, _ = _panel_cumulative(edges, sums, samples, points)
+        running = np.concatenate([[0.0], np.cumsum(sums)])
+        assert np.array_equal(values[np.isin(points, edges)], running)
+        assert np.array_equal(_panel_cumulative(edges, sums, samples, edges)[0],
+                              running)
 
 
 class TestStackedRows:
@@ -181,11 +227,13 @@ class TestStackedRows:
 
     def test_rows_share_the_panels_of_row_zero(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
-        sums = _adaptive(lambda x: (f(x), np.cos(x)), np.array([0.0, 3.0]),
-                         np.zeros(1, dtype=int), 1e-12, 60)
-        assert sums.shape == (2, 1)
-        assert sums[0, 0] == integrate(f, 0.0, 3.0, tol=1e-12)
-        assert abs(sums[1, 0] - np.sin(3.0)) < 1e-12
+        edges, sums, samples = _adaptive(lambda x: (f(x), np.cos(x)), 0.0, 3.0,
+                                         (), 1e-12, 60)
+        alone, (row,), _ = _adaptive(f, 0.0, 3.0, (), 1e-12, 60)
+        assert sums.shape == (2, edges.size - 1) == (2, samples.shape[0])
+        assert np.array_equal(edges, alone) and np.array_equal(sums[0], row)
+        assert np.cumsum(sums[0])[-1] == integrate(f, 0.0, 3.0, tol=1e-12)
+        assert abs(np.sum(sums[1]) - np.sin(3.0)) < 1e-12
 
     def test_integrate_returns_one_integral_per_row(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
@@ -205,8 +253,7 @@ class TestStackedRows:
             rounds.append(x.size)
             return np.ones_like(x), (x > 1.0 / 3.0).astype(float)
 
-        sums = _adaptive(f, np.array([0.0, 1.0]), np.zeros(1, dtype=int),
-                         1e-15, 12)
+        _, sums, _ = _adaptive(f, 0.0, 1.0, (), 1e-15, 12)
         assert len(rounds) == 1
         assert sums[0, 0] == pytest.approx(1.0, abs=1e-15)
 
