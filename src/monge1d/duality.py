@@ -26,8 +26,8 @@ here, all in closed form up to one two-unknown root solve:
    the free zero lies beyond it; the same iteration reaches it by letting
    z cross the far edge.
 4. The density is the cumulative integral of the slope from the anchored
-   endpoint, its nodal values and cell masses in closed form on one pass's
-   panels.  Between the nodes it is the derivative of one cubic, the
+   endpoint: nodal values and cell masses in closed form on the solve's
+   last pass.  Between the nodes it is the derivative of one cubic, the
    target CDF's Hermite interpolant of those masses and values.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
@@ -49,12 +49,12 @@ toward the stress zeros in the support (`_graded_edges`).  Next to a zero
 the slope has a log-type layer, slope^2 ~ alpha^2 + 2 eps ln|theta|,
 which bisection would reach one level per round, over 20 to 35 rounds;
 graded panels each see the layer on their own scale, so one or two
-vectorized rounds settle a quadrature.  The assembly's pass repeats the
-solve's last one, on the same panels, so the closing density keeps the
-sign the solve gave it, and a finer grid adds no panel.  A pass
-integrates a stack of rows of one inversion (`_depth_integral`): the
+vectorized rounds settle a quadrature.  The assembly runs no pass of its
+own: it reads the solve's last one, so the closing density keeps the
+sign the solve gave it, and a finer grid adds no panel and no
+inversion.  A pass integrates a stack of rows of one inversion: the
 solve's passes carry the expectation, and `DualField.integrate` gives
-energies and probes the same panels.
+energies and probes the same panels (`_depth_integral`).
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -401,31 +401,36 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     `zeros`, and its expectation moment, from one quadrature pass over
     the support [0, S]: the closing density integral of du/ds less its
     aim, integral of (S - s) du/ds - 1 and integral of (S - s)^2 du/ds,
-    all taken from the same samples."""
+    all taken from the same samples, summed panel after panel as
+    `integrate` sums them; and the pass itself, `_adaptive`'s edges, row
+    sums and du/ds samples."""
     S = _support_of(zeros[0], spec)[1]
-    closure, mass, moment = _depth_integral(
-        lambda s, l, g: (g, (S - s) * g, (S - s) ** 2 * g), zeros, (0.0, S),
-        spec.alpha, epsilon, quad_tol)
-    return np.array([closure - aim, mass - 1.0, moment])
+    rows = _depth_rows(lambda s, l, g: (g, (S - s) * g, (S - s) ** 2 * g),
+                       zeros, spec.alpha, epsilon)
+    done = _adaptive(rows, 0.0, S, _graded_edges((0.0, S), zeros), quad_tol,
+                     _MAX_PANEL_DEPTH)
+    closure, mass, moment = np.cumsum(done[1], axis=1)[:, -1]
+    return np.array([closure - aim, mass - 1.0, moment]), done
 
 
 @dataclass(frozen=True)
 class _ZeroSolve:
     """Outcome of the coupled solve: the zeros (z, c) as depths, the
-    Newton steps taken, the final residuals and expectation moment."""
+    Newton steps taken, the final residuals, expectation moment and pass."""
 
     zeros: tuple[float, float]
     steps: int
     closure: float
     mass_residual: float
     moment: float
+    final_pass: tuple = field(repr=False)
 
 
 def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                  root_tol) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`); the final
-    pass's expectation moment rides along.
+    pass and its expectation moment ride along.
 
     The unknowns are depths, so both orientations run the same iteration
     on the same numbers (orientation enters only where the caller maps
@@ -460,7 +465,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     h = _FD_STEP * width
     z = spec.sharp_width
     c = 0.5 * _support_of(z, spec)[1]
-    F = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+    F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     J = None
     step = size = math.inf
     for k in range(_ZERO_MAX_STEPS):
@@ -470,13 +475,13 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         last, size = size, float(np.max(np.abs(F[:2])))
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
         if held and (step <= root_tol + ulps or size >= 0.5 * last):
-            return _ZeroSolve((z, c), k, *(float(f) for f in F))
+            return _ZeroSolve((z, c), k, *(float(f) for f in F), final)
         if J is None or not held:
             # z moves away from c; c toward the farther end of its support.
             hz = max(h, _FD_BEYOND * (z - width))
             hc = h if _support_of(z, spec)[1] - c > c else -h
-            Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)
-            Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)
+            Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)[0]
+            Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)[0]
             J = np.column_stack([(Fz - F)[:2] / hz, (Fc - F)[:2] / hc])
         try:
             dz, dc = (float(d) for d in np.linalg.solve(J, -F[:2]))
@@ -489,7 +494,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                 t = min(t, 0.5 * g0 / -dg)
         z, c = z + t * dz, c + t * dc
         step = t * max(abs(dz), abs(dc))
-        F = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+        F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
         f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")
@@ -503,15 +508,15 @@ class DensitySolution:
 
     nodes/values cover the whole target interval (zero extension
     included); support_slice marks the support portion.  slope_nodes
-    holds the recovered slope at the support nodes, which is the exact
-    derivative of the cumulative construction.  boundary_gap is the
+    is the recovered slope at the support nodes, the exact derivative of
+    the cumulative construction, inverted when read.  boundary_gap is the
     (pre-clip) density value at the closing endpoint, a direct readout of
     the crossing-solve residual.  max_abs_slope and max_log_lambda report
     how far the solution runs above the nominal scale ceiling instead of
     clamping it (see the module docstring).  cell_masses holds the mass
     of each support cell, h u_i + integral of (s_i+1 - s) du/ds ds in
     depths s, taken like the values from the slope's Kronrod interpolant
-    on the solve's panels.  newton_steps, closure_residual and
+    on the solve's last pass.  newton_steps, closure_residual and
     mass_residual record what the coupled zero solve did: its Newton
     steps and its final closure (measured from the aim) and mass - 1
     residuals.  No CLI artifact writes them.
@@ -533,7 +538,6 @@ class DensitySolution:
     crossing: float
     nodes: np.ndarray
     values: np.ndarray
-    slope_nodes: np.ndarray
     support_slice: slice
     mass: float
     expectation: float
@@ -555,6 +559,10 @@ class DensitySolution:
     @property
     def support_values(self):
         return self.values[self.support_slice]
+
+    @property
+    def slope_nodes(self):
+        return self.dual.slope(self.support_nodes)
 
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
@@ -602,33 +610,31 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     they are.  The density is the cumulative integral of the recovered
     slope, anchored at the target endpoint adjacent to the source (it
     vanishes there by construction and at the other support end by the
-    closure condition).  Its values and cell masses are read off one pass
-    in the solve's depths, on its panels and at its tolerance
-    (`numerics._panel_cumulative`), so the values near the free endpoint,
-    where the stress vanishes, keep the sign the solve gives them, and
-    the grid costs no inversion per cell.  The grid is uniform over the
+    closure condition).  Its values and cell masses are read off the
+    solve's last pass, in its depths (`numerics._panel_cumulative`), so
+    the values near the free endpoint, where the stress vanishes, keep
+    the sign the solve gives them, and the assembly runs no quadrature
+    and inverts no grid node.  The grid is uniform over the
     support with the crossing as a node (`_depth_grid`), plus a zero
     extension over the rest of the target at matching resolution.  The
     mass and the expectation are the solve's own: its last Newton pass
     integrates the expectation moment next to the closure and the mass.
     Between the nodes the density is the derivative of the target CDF's
-    Hermite cubic (see `DensitySolution`).
+    Hermite cubic (see `DensitySolution`).  Raises ValueError unless
+    epsilon is finite and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
-    if grid_n < 33:
-        raise ValueError(f"grid_n must be >= 33, got {grid_n}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 33:
+        raise ValueError(f"grid_n must be an integer >= 33, got {grid_n!r}")
     require_capacity(spec)
-    crossing_tol = 0.01 * _MASS_TOL
-    solved = _solve_zeros(spec, epsilon, _MASS_TOL, crossing_tol, root_tol)
-    # The grid and the pass run in the solve's depths, on its span, graded
-    # edges and tolerance: the density rises from 0 at depth 0, the anchor.
+    solved = _solve_zeros(spec, epsilon, _MASS_TOL, 0.01 * _MASS_TOL, root_tol)
+    # In the solve's depths the density rises from 0 at depth 0, the anchor.
     zeros = solved.zeros
-    span = _support_of(zeros[0], spec)
-    grid_s = _depth_grid(span, zeros[1], grid_n)
-    edges, sums, samples = _adaptive(
-        _depth_rows(lambda s, l, g: g, zeros, spec.alpha, epsilon), *span,
-        _graded_edges(span, zeros), min(1e-13, 0.1 * crossing_tol), _MAX_PANEL_DEPTH)
+    grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
+    edges, sums, samples = solved.final_pass
     raw, moments = _panel_cumulative(edges, sums[0], samples, grid_s)
     boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
@@ -661,7 +667,6 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
             a[::-1] for a in (grid, values_support, cell_masses, nodes, values))
         support_slice = slice(zero_nodes.size, nodes.size)
 
-    slope_nodes = dual.slope(grid)
     # |theta| peaks at a support end or at the parabola's vertex.
     probes = [lo, hi]
     vertex = 0.5 * (zero + crossing)
@@ -683,7 +688,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,
-        slope_nodes=slope_nodes, support_slice=support_slice, mass=float(mass),
+        support_slice=support_slice, mass=float(mass),
         expectation=float(expectation), max_abs_slope=float(np.sqrt(u_max[0])),
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
         clip_depth=clip_depth, newton_steps=solved.steps,

@@ -387,15 +387,13 @@ def _density_from_document(doc, interval, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def spec_from_document(doc, *, renormalize: bool = False) -> MongeProblemSpec:
+def spec_from_document(doc) -> MongeProblemSpec:
     """Parse the strict JSON problem document.
 
     Shape: {"assumption": "I"|"II", "source": {"interval": [a, b],
     "density": {...}}, "target": [left, right], "alpha": number}.
     Unknown keys anywhere are rejected (ConfigError), numbers are 64-bit
-    floats, and booleans do not count as numbers.  With renormalize=True
-    the parsed density is rescaled to unit mass (tabulated inputs often
-    carry sampling error in their mass).
+    floats, and booleans do not count as numbers.
     """
     _expect_object(doc, "problem", required=("assumption", "source", "target", "alpha"))
     assumption = doc["assumption"]
@@ -410,11 +408,6 @@ def spec_from_document(doc, *, renormalize: bool = False) -> MongeProblemSpec:
                           f"got {list(source_interval)}")
     density = _density_from_document(doc["source"]["density"], source_interval,
                                      "problem.source.density")
-    if renormalize:
-        try:
-            density = normalize_density(density)
-        except NonPositiveDensity as exc:
-            raise ConfigError(f"problem.source.density: {exc}") from exc
     return MongeProblemSpec(
         source_interval=source_interval,
         target_interval=target_interval,

@@ -281,18 +281,6 @@ class TestDocuments:
         with pytest.raises(ConfigError):
             spec_from_document(doc)
 
-    def test_renormalize_flag(self):
-        doc = {
-            "assumption": "I",
-            "source": {"interval": [6.0, 8.0],
-                       "density": {"kind": "uniform", "level": 2.0}},
-            "target": [0.0, 5.0],
-            "alpha": 1.0,
-        }
-        assert not validate_spec(spec_from_document(doc)).ok
-        spec = spec_from_document(doc, renormalize=True)
-        assert validate_spec(spec).ok
-
     def test_mixed_density_keys_rejected(self):
         doc = {
             "assumption": "I",
