@@ -410,10 +410,8 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
     out.append(_check("endpoints", edge == 0.0 and extension == 0.0,
                       f"edge = {edge:.3e}, extension = {extension:.3e}"))
 
-    nodes = sol.support_nodes
-    lam = np.exp(sol.dual.log_lambda(nodes))
-    stationarity = float(np.max(np.abs(lam * sol.slope_nodes
-                                       - sol.dual.theta(nodes))))
+    theta, log_lam, slope = sol.dual.fields_at(sol.support_nodes)
+    stationarity = float(np.max(np.abs(np.exp(log_lam) * slope - theta)))
     out.append(_check("stationarity", stationarity <= 1e-8,
                       f"sup|lambda u_y - theta| = {stationarity:.3e}"))
 

@@ -19,8 +19,9 @@ here, all in closed form up to one two-unknown root solve:
 3. The two zeros are fixed together by two conditions: the density
    vanishes at both support endpoints (closure) and holds unit mass.  One
    safeguarded Newton iteration on (z, c) solves both, starting from the
-   sharp-limit tent; each iterate costs one quadrature pass, which yields
-   both residuals (`_solve_zeros`).  When even the free zero at the far
+   sharp-limit tent with one difference Jacobian that secant updates then
+   carry; each iterate costs one quadrature pass, which yields both
+   residuals (`_solve_zeros`).  When even the free zero at the far
    target edge leaves less than unit mass, the support is the whole
    target: the far edge is then a Dirichlet end with theta > 0 there, and
    the free zero lies beyond it; the same iteration reaches it by letting
@@ -438,10 +439,14 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     width: in y one ulp of c moves the closure by about 4e-13 at
     |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
     z = 2/sqrt(alpha) and c = S/2 on the support [0, S = min(z, width)].
-    The Jacobian is taken by forward differences until both contracts
-    hold, then kept for the closing steps.  Each step is cut back to half
-    way to any bound it would cross, keeping 0 < c < width and c < z; z
-    may cross the far edge, which is the full-target regime.
+    The Jacobian is taken once, by forward differences at the start (two
+    passes), and after every step Broyden's good rank-one update
+    J += (dF - J dx) dx^T / (dx . dx) makes it carry the secant of the step
+    dx taken (C. G. Broyden, Math. Comp. 19 (1965) 577-593), so each step
+    costs one pass.  A zero step or a non-finite change dF leaves J as it
+    is.  Each step is cut back to half way to any bound it would cross,
+    keeping 0 < c < width and c < z; z may cross the far edge, which is
+    the full-target regime.
 
     Beyond the far edge the support no longer moves with z, and the
     residuals follow z only through the log layer of the slope,
@@ -457,7 +462,8 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     no longer halved max |residual|.  The second case is the residuals'
     rounding floor: where they barely depend on z, rounding noise over
     the small Jacobian column keeps |dz| above root_tol with nothing left
-    to reduce.  Raises MaxIterations otherwise.
+    to reduce.  Raises MaxIterations otherwise: after _ZERO_MAX_STEPS
+    steps, on a non-finite residual or on a singular J.
     """
     width = spec.target_width
     aim = 0.1 * crossing_tol
@@ -466,7 +472,12 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     z = spec.sharp_width
     c = 0.5 * _support_of(z, spec)[1]
     F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
-    J = None
+    # z moves away from c; c toward the farther end of its support.
+    hz = max(h, _FD_BEYOND * (z - width))
+    hc = h if _support_of(z, spec)[1] - c > c else -h
+    Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)[0]
+    Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)[0]
+    J = np.column_stack([(Fz - F)[:2] / hz, (Fc - F)[:2] / hc])
     step = size = math.inf
     for k in range(_ZERO_MAX_STEPS):
         if not np.all(np.isfinite(F)):
@@ -476,13 +487,6 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
         if held and (step <= root_tol + ulps or size >= 0.5 * last):
             return _ZeroSolve((z, c), k, *(float(f) for f in F), final)
-        if J is None or not held:
-            # z moves away from c; c toward the farther end of its support.
-            hz = max(h, _FD_BEYOND * (z - width))
-            hc = h if _support_of(z, spec)[1] - c > c else -h
-            Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)[0]
-            Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)[0]
-            J = np.column_stack([(Fz - F)[:2] / hz, (Fc - F)[:2] / hc])
         try:
             dz, dc = (float(d) for d in np.linalg.solve(J, -F[:2]))
         except np.linalg.LinAlgError:
@@ -494,7 +498,11 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                 t = min(t, 0.5 * g0 / -dg)
         z, c = z + t * dz, c + t * dc
         step = t * max(abs(dz), abs(dc))
+        dx, previous = t * np.array([dz, dc]), F[:2]
         F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+        dF = F[:2] - previous
+        if dx @ dx > 0.0 and np.all(np.isfinite(dF)):
+            J += np.outer(dF - J @ dx, dx) / (dx @ dx)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
         f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")

@@ -541,6 +541,34 @@ class TestVerify:
         assert "pass     oracle oracle_lp.csv" in capsys.readouterr().out
         assert calls == [0.1, 0.01, 0.001]
 
+    def test_stationarity_inverts_the_support_once(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # theta, log lambda and the slope of the stationarity check come
+        # from one inversion of the support nodes per epsilon.
+        import monge1d.cli
+
+        sizes, supports = [], []
+        invert, solve = duality._invert_stress_sq, monge1d.cli.assemble_density
+
+        def counted_invert(stress_sq, *args):
+            sizes.append(np.size(stress_sq))
+            return invert(stress_sq, *args)
+
+        def recorded_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            supports.append(sol.support_nodes.size)
+            return sol
+
+        monkeypatch.setattr(duality, "_invert_stress_sq", counted_invert)
+        monkeypatch.setattr(monge1d.cli, "assemble_density", recorded_solve)
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["epsilons"] = [0.1, 0.01, 0.001]
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--grid", "801"]) == 5
+        assert "stationarity" in capsys.readouterr().out
+        assert len(supports) == 3
+        assert sorted(n for n in sizes if n in supports) == sorted(supports)
+
     def test_probes_use_the_configured_quadrature_tolerance(
             self, tmp_path, monkeypatch, capsys):
         import monge1d.cli

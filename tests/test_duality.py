@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,9 +546,12 @@ class TestCoupledSolve:
             spec = mirror_transform(spec)
         assert spec.target_width == spec.sharp_width
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            sol = assemble_density(spec, eps, 101)
+            with mock.patch.object(duality, "_zero_residuals",
+                                   wraps=duality._zero_residuals) as counted:
+                sol = assemble_density(spec, eps, 101)
             _assert_contracts(sol)
             assert sol.support == spec.target_interval
+            assert counted.call_count == sol.newton_steps + 3
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -555,7 +559,9 @@ class TestCoupledSolve:
         # Every adaptive quadrature pass of one canonical solve is a Newton
         # residual evaluation: the expectation and the assembly's values
         # and cell masses ride on the solve's last pass, and no root solve
-        # runs besides the coupled Newton.
+        # runs besides the coupled Newton.  The Jacobian is differenced
+        # once, at the start (two passes), and then updated: one pass per
+        # step, plus the start's.
         calls, residuals = [], []
         plain, plain_residuals = numerics._adaptive, duality._zero_residuals
 
@@ -572,7 +578,7 @@ class TestCoupledSolve:
         monkeypatch.setattr(duality, "_zero_residuals", counted_residuals)
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         sol = assemble_density(spec, eps)
-        assert len(calls) == len(residuals) <= 18
+        assert len(calls) == len(residuals) == sol.newton_steps + 3 <= 12
         assert 1 <= sol.newton_steps <= 8
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
@@ -619,6 +625,75 @@ class TestCoupledSolve:
                             lambda *args: (np.array(residuals), None))
         with pytest.raises(MaxIterations):
             assemble_density(SPEC_I, 1e-3, 101)
+
+    def test_vanishing_z_column_raises(self, monkeypatch):
+        # Residuals that follow both zeros through the start and its two
+        # difference passes, then no longer move with z, so that no root
+        # exists: the secant updates run on, and the solve must raise
+        # without ever stepping to a NaN.
+        seen = []
+
+        def residuals(zeros, *args):
+            seen.append(zeros)
+            z, c = zeros
+            k = z - 2.0 if len(seen) <= 3 else 0.0
+            return np.array([k + (c - 1.0) + 0.5, k + 2.0 * (c - 1.0) + 0.25,
+                             0.0]), None
+
+        monkeypatch.setattr(duality, "_zero_residuals", residuals)
+        with pytest.raises(MaxIterations):
+            duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
+        assert len(seen) > 4
+        assert np.all(np.isfinite(seen))
+
+    def test_exact_root_takes_no_secant_update(self, monkeypatch):
+        # Residuals that vanish exactly after the first step leave a zero
+        # step next, across which no secant exists (dx . dx = 0): the update
+        # is skipped, and the solve stops on its step test.
+        seen = []
+
+        def residuals(zeros, *args):
+            seen.append(zeros)
+            z, c = zeros
+            f = [(z - 2.0) + (c - 1.0) + 0.5, (z - 2.0) - (c - 1.0) + 0.25]
+            return np.array(f + [0.0] if len(seen) <= 3 else [0.0] * 3), None
+
+        monkeypatch.setattr(duality, "_zero_residuals", residuals)
+        solved = duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
+        assert solved.steps == 2 and len(seen) == solved.steps + 3
+        assert solved.zeros == seen[3] == seen[4]
+        assert solved.closure == solved.mass_residual == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(alpha=st.floats(min_value=0.5, max_value=4.0),
+           log_eps=st.floats(min_value=-6.0, max_value=-1.0),
+           factor=st.floats(min_value=1.0, max_value=3.0),
+           offset=st.floats(min_value=0.0, max_value=1000.0),
+           assumption=st.sampled_from(["I", "II"]))
+    def test_edge_regimes_meet_both_contracts(self, alpha, log_eps, factor,
+                                              offset, assumption):
+        # Both contracts, no clip and the nested reference over the edge
+        # regimes: steep and shallow alpha, the eps floor, targets from the
+        # sharp width to three times it, far from the origin.  At an
+        # offset, offset + width may round below the sharp width, which the
+        # capacity rule refuses: the far edge then moves up by ulps.
+        spec = _regime_spec(alpha, factor, offset)
+        while spec.target_width < spec.sharp_width:
+            lo, hi = spec.target_interval
+            spec = uniform_spec(spec.source_interval,
+                                (lo, float(np.nextafter(hi, math.inf))), "I",
+                                alpha)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        eps = 10.0 ** log_eps
+        with mock.patch.object(duality, "_zero_residuals",
+                               wraps=duality._zero_residuals) as counted:
+            sol = assemble_density(spec, eps, 101)
+        assert counted.call_count == sol.newton_steps + 3
+        _assert_contracts(sol)
+        z, c = sol.dual.zeros
+        assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
+        assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
 
     def test_closing_density_far_from_origin_is_not_clipped(self):
         # A solve_grid point (seed 11, point 9) whose closing density was
