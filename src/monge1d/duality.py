@@ -276,7 +276,7 @@ def _depth_rows(fn, zeros, alpha, epsilon):
 def _depth_integral(fn, zeros, span, alpha, epsilon, tol):
     """Integrals over the depth span of the rows fn(s, l, du/ds) (a float
     for one row), from one `integrate` pass on panels graded toward the
-    stress zeros; refinement follows row 0."""
+    stress zeros, refined until every row meets the tolerance."""
     return integrate(_depth_rows(fn, zeros, alpha, epsilon), span[0], span[1],
                      tol, breakpoints=_graded_edges(span, zeros))
 

@@ -29,7 +29,7 @@ zeros: the H-term, dual and mixed integrands are the rows of one pass,
 and the moment term is the solve's `expectation`.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
-`SinePerturbation`.
+`SinePerturbation`; all their deltas are the rows of one more pass.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _profile_alpha(profile) -> float:
 def _field_integrals(dual: DualField, epsilon, quad_tol):
     """Integrals of the H-term eps lam, -lam (g^2 - eps) and
     lam ((g^2 - a^2)/2 - eps (l - 1)) on the field's own algebra, from one
-    pass refined on the H-term."""
+    pass."""
     a2 = dual.alpha * dual.alpha
 
     def rows(y, l, g):
@@ -311,6 +311,12 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     psi = dual_perturbation (default: the same perturbation), clipped so
     the factor never exceeds max(1, its critical value); additive moves
     in log form keep the factor positive automatically.
+
+    Every delta is a row of one pass over the field: the primal rows for
+    the nonzero t, in input order, then the dual rows, each refined to
+    the tolerance relative to its own total.  The perturbation, psi and
+    the field are evaluated once per node for all of them.  A t of 0
+    costs no row and reads exactly 0.0; when every t is 0 no pass runs.
     """
     lo, hi = solution.support
     for endpoint in (lo, hi):
@@ -318,43 +324,45 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
         if abs(v) > 1e-12:
             raise InvalidPerturbation(
                 f"perturbation is {v:.3e} at support endpoint {endpoint}")
+    ts = tuple(float(t) for t in t_values)
+    live = np.array([[t] for t in ts if t != 0.0])
+    if not live.size:
+        return ProbeReport(t_values=ts, primal_deltas=(0.0,) * len(ts),
+                           dual_deltas=(0.0,) * len(ts))
     eps = solution.epsilon
     a2 = solution.spec.alpha ** 2
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
 
-    def primal_diff(t, y, l, g):
+    def rows(y, l, g):
+        """The primal difference integrands for the nonzero t, in input
+        order, then the dual ones."""
+        bump = np.asarray(perturbation(y), dtype=float)
         dg = np.asarray(perturbation.slope(y), dtype=float)
+        forcing = -dual.theta_y(y)
+        lam = np.exp(l)
         # H(g + t dg) - H(g) = eps lam expm1(t dg (2 g + t dg)/(2 eps));
         # the exponent is clipped only to keep wild probes finite.
-        expo = np.minimum(t * dg * (2.0 * g + t * dg) / (2.0 * eps), 700.0)
-        h_diff = eps * np.exp(l) * np.expm1(expo)
-        forcing = -dual.theta_y(y)
-        return h_diff - t * forcing * np.asarray(perturbation(y), dtype=float)
-
-    def dual_diff(t, y, l, g):
-        shift = np.minimum(t * np.asarray(psi(y), dtype=float),
+        expo = np.minimum(live * dg * (2.0 * g + live * dg) / (2.0 * eps), 700.0)
+        primal = eps * lam * np.expm1(expo) - live * forcing * bump
+        shift = np.minimum(live * np.asarray(psi(y), dtype=float),
                            np.maximum(-l, 0.0))
-        lam = np.exp(l)
         # th^2/lam = lam (a2 + 2 eps l) via the locking identity, so
         # the ratio term under the shifted factor stays representable.
         ratio_diff = lam * (a2 + 2.0 * eps * l) * np.expm1(-shift)
         rest_diff = lam * ((a2 + 2.0 * eps * (l - 1.0)) * np.expm1(shift)
                            + np.exp(shift) * 2.0 * eps * shift)
-        return -0.5 * (ratio_diff + rest_diff)
+        return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    def delta(diff, t):
-        """One pass over the field per nonzero t; t = 0 is exactly 0."""
-        if t == 0.0:
-            return 0.0
-        return dual.integrate(lambda *fields: diff(t, *fields), quad_tol)
+    sums = dual.integrate(rows, quad_tol)
 
-    ts = tuple(float(t) for t in t_values)
-    return ProbeReport(
-        t_values=ts,
-        primal_deltas=tuple(delta(primal_diff, t) for t in ts),
-        dual_deltas=tuple(delta(dual_diff, t) for t in ts),
-    )
+    def deltas(side):
+        """One delta per t, in input order: t = 0 reads exactly 0."""
+        side = iter(side)
+        return tuple(float(next(side)) if t != 0.0 else 0.0 for t in ts)
+
+    return ProbeReport(t_values=ts, primal_deltas=deltas(sums[:live.size]),
+                       dual_deltas=deltas(sums[live.size:]))
 
 
 # -- expansion remainder ------------------------------------------------------

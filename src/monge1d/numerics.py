@@ -20,10 +20,13 @@ Design notes
   The depth cap of 60 levels, rather than the usual 20, still lets an
   integrand without graded breakpoints reach such a layer by bisection.
 * An integrand may return a stack of rows from its one call per round.
-  Refinement follows row 0 alone and every row is summed on the same
-  panels, so integrals of one costly field (the dual solver's slope
-  inversion) share a single pass: the solve's closure, mass and
-  expectation, or the three energies of a solved pair.
+  Every row is summed on the same panels, and refinement goes on until
+  each row's error is within the tolerance relative to its own total, so
+  integrals of one costly field (the dual solver's slope inversion) share
+  a single pass: the solve's closure, mass and expectation, the three
+  energies of a solved pair, or every row of the variational probes.
+  A panel is split when it holds more than its share of any row's
+  budget; for one row this is the usual rule.
 * Running integrals at any number of points cost no integrand call: a
   pass hands back row 0's Kronrod samples, whose interpolants integrate in
   closed form (`_panel_cumulative`; Greengard, SIAM J. Numer. Anal. 1991).
@@ -93,16 +96,16 @@ _EPS = float(np.finfo(float).eps)
 
 def _gk_panels(f, a, b):
     """Kronrod estimates of every row of the stacked integrand f on each
-    panel [a[i], b[i]], the error estimate |Kronrod - Gauss| and the 15
-    samples of row 0, from one vectorized call.  f maps a flat node array
-    to one row of values or a stack of rows."""
+    panel [a[i], b[i]], each row's error estimate |Kronrod - Gauss| and
+    the 15 samples of row 0, from one vectorized call.  f maps a flat node
+    array to one row of values or a stack of rows."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, *nodes.shape)
     kron = np.stack([half * (v @ _WGK) for v in vals])
-    gauss = half * (vals[0][:, _GAUSS_IDX] @ _WG)
-    return kron, np.abs(kron[0] - gauss), vals[0]
+    gauss = np.stack([half * (v[:, _GAUSS_IDX] @ _WG) for v in vals])
+    return kron, np.abs(kron - gauss), vals[0]
 
 
 def _graded_edges(span, points):
@@ -131,10 +134,11 @@ def _graded_edges(span, points):
 
 def _adaptive(f, l, r, breakpoints, tol, max_depth):
     """Shared refinement loop over [l, r], from the panels the breakpoints
-    inside it cut.  f may return a stack of rows: refinement follows row 0
-    alone, and every row is summed on the same panels.  Returns the sorted
-    panel edges, the (rows, panels) Kronrod sums and row 0's (panels, 15)
-    samples."""
+    inside it cut.  f may return a stack of rows, all summed on the same
+    panels: the loop refines until each row's error estimate is within
+    tol * max(1, |row total|), splitting every panel that holds more than
+    its share of any row's budget.  Returns the sorted panel edges, the
+    (rows, panels) Kronrod sums and row 0's (panels, 15) samples."""
     cuts = np.asarray(breakpoints, dtype=float).ravel()
     edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
@@ -143,21 +147,23 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
     kron, err, samples = _gk_panels(f, a, b)
 
     while True:
-        total = abs(float(np.sum(kron[0])))
-        target = tol * max(1.0, total)
-        esum = float(np.sum(err))
-        if esum <= target or a.size == 0:
+        target = np.array([tol * max(1.0, abs(float(np.sum(k)))) for k in kron])
+        esum = np.array([float(np.sum(e)) for e in err])
+        if np.all(esum <= target) or a.size == 0:
             break
-        # Split every panel holding more than its share of the error budget;
-        # always split at least the worst one so the loop makes progress.
-        split = err > target / (2.0 * a.size)
+        # Split every panel holding more than its share of any row's error
+        # budget; always split at least the worst panel of the row furthest
+        # over budget, so the loop makes progress.
+        split = np.any(err > target[:, None] / (2.0 * a.size), axis=0)
+        worst = int(np.argmax(esum / target))
         if not split.any():
             split = np.zeros(a.size, dtype=bool)
-            split[int(np.argmax(err))] = True
+            split[int(np.argmax(err[worst]))] = True
         if int(depth[split].max()) >= max_depth:
             raise MaxDepth(
                 f"adaptive quadrature exceeded {max_depth} subdivision levels "
-                f"(remaining error {esum:.3e}, target {target:.3e})")
+                f"(row {worst}: remaining error {esum[worst]:.3e}, "
+                f"target {target[worst]:.3e})")
         keep = ~split
         mids = 0.5 * (a[split] + b[split])
         lo, hi = np.concatenate([a[split], mids]), np.concatenate([mids, b[split]])
@@ -165,7 +171,7 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
         a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
         depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
         kron = np.concatenate([kron[:, keep], k2], axis=1)
-        err = np.concatenate([err[keep], e2])
+        err = np.concatenate([err[:, keep], e2], axis=1)
         samples = np.concatenate([samples[keep], s2])
 
     order = np.argsort(a)   # split halves share their midpoint: the panels tile
@@ -174,12 +180,13 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
 
 def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
     """Integral of a vectorized integrand over [l, r], or the array of row
-    integrals of one that returns a stack of rows (refined on row 0).
+    integrals of one that returns a stack of rows.
 
-    The absolute error is driven below tol * max(1, |result|).  Known
+    The absolute error of every row is driven below
+    tol * max(1, |that row's result|).  Known
     interior kinks can be passed as `breakpoints`; points outside (l, r)
-    are ignored.  An empty span gives a zero per row.  Raises MaxDepth
-    when refinement stalls.
+    are ignored.  An empty span gives a zero per row.  Raises MaxDepth,
+    naming the row still over its budget, when refinement stalls.
 
     Like any sampling-based adaptive rule, refinement is triggered by
     disagreement between the embedded estimates: a feature narrow enough to

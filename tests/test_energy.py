@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from monge1d import duality, numerics
 from monge1d.duality import assemble_density
@@ -319,6 +320,56 @@ class TestDualityGap:
 
 # -- probes -------------------------------------------------------------------
 
+# The amplitudes `verify` probes with, under a constant log-scale bump.
+PROBE_T = (-1e-2, -1e-3, 1e-3, 1e-2)
+_ONE = _const(1.0)
+
+
+def _dual_diff(sol, t, psi, l):
+    """The probe's dual difference integrand under the log bump t * psi,
+    at log scale factors l."""
+    eps, a2 = sol.epsilon, sol.spec.alpha ** 2
+    shift = np.minimum(t * psi, np.maximum(-l, 0.0))
+    return -0.5 * np.exp(l) * ((a2 + 2.0 * eps * l) * np.expm1(-shift)
+                               + (a2 + 2.0 * eps * (l - 1.0)) * np.expm1(shift)
+                               + np.exp(shift) * 2.0 * eps * shift)
+
+
+def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
+    """(primal, dual) delta at one t, each from its own one-row pass over
+    the field: the probe's two difference integrands, written out here."""
+    eps, dual = sol.epsilon, sol.dual
+
+    def primal(y, l, g):
+        dg = perturbation.slope(y)
+        expo = np.minimum(t * dg * (2.0 * g + t * dg) / (2.0 * eps), 700.0)
+        return (eps * np.exp(l) * np.expm1(expo)
+                + t * dual.theta_y(y) * perturbation(y))
+
+    return (dual.integrate(primal, quad_tol),
+            dual.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol))
+
+
+def _clip_reference(sol, t):
+    """Dual delta under the log bump t * 1 from scipy's `quad`, between
+    the points where the clip min(t, max(-l, 0)) kinks (l = 0 at
+    theta^2 = alpha^2, l = -t at theta^2 = e^{-2t} (alpha^2 - 2 eps t))
+    and the stress zeros."""
+    dual, eps, a2 = sol.dual, sol.epsilon, sol.spec.alpha ** 2
+    f = lambda y: float(_dual_diff(sol, t, 1.0, dual.log_lambda(np.array([y])))[0])
+    (lo, hi), (z, c) = sol.support, dual.zeros
+    cuts = [lo, hi, z, c]
+    # theta = -+(y - z)(y - c)/2 meets +-theta_k at the roots of a quadratic.
+    for theta_sq in (a2, math.exp(-2.0 * t) * (a2 - 2.0 * eps * t)):
+        for level in (2.0 * math.sqrt(theta_sq), -2.0 * math.sqrt(theta_sq)):
+            disc = (0.5 * (z - c)) ** 2 + level
+            if disc >= 0.0:
+                cuts += [0.5 * (z + c) + side * math.sqrt(disc) for side in (-1, 1)]
+    cuts = sorted({p for p in cuts if lo <= p <= hi})
+    return math.fsum(quad(f, a, b, epsabs=1e-16, epsrel=1e-14, limit=500)[0]
+                     for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 class TestSecondVariationProbe:
     def test_zero_perturbation_is_exactly_zero(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -359,6 +410,70 @@ class TestSecondVariationProbe:
         assert report.min_primal_delta >= -1e-10
         assert report.max_dual_delta <= 1e-10
 
+    @pytest.mark.parametrize("t_values", [(1e-3, -1e-2), (0.0, 0.0), ()],
+                             ids=["nonzero", "zeros", "empty"])
+    def test_one_pass_per_probe(self, solved, monkeypatch, t_values):
+        # Every nonzero t's primal and dual rows ride on one pass over the
+        # field; t = 0 costs no row, so all-zero t values run no pass.
+        sol = solved(SPEC_I, 1e-3)
+        calls = []
+        plain = numerics._adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_adaptive", counted)
+        report = second_variation_probe(sol, SinePerturbation(sol.support),
+                                        t_values, dual_perturbation=_ONE)
+        assert len(calls) == (1 if any(t_values) else 0)
+        if not any(t_values):
+            zeros = (0.0,) * len(t_values)
+            assert report.primal_deltas == report.dual_deltas == zeros
+
+    def test_deltas_keep_input_order_and_duplicates(self, solved):
+        # The same nonzero t values in another order, repeated and mixed
+        # with zeros, give the same rows and so the same panels: each delta
+        # lands at its t's place, bit for bit.
+        sol = solved(SPEC_I, 1e-3)
+        pert = SinePerturbation(sol.support)
+        base = second_variation_probe(sol, pert, (1e-3, -1e-2),
+                                      dual_perturbation=_ONE)
+        mixed = second_variation_probe(sol, pert, (-1e-2, 0.0, 1e-3, -1e-2),
+                                       dual_perturbation=_ONE)
+        assert mixed.t_values == (-1e-2, 0.0, 1e-3, -1e-2)
+        for got, (a, b) in ((mixed.primal_deltas, base.primal_deltas),
+                            (mixed.dual_deltas, base.dual_deltas)):
+            assert got == (b, 0.0, a, b)
+
+    @pytest.mark.parametrize("alpha,eps", list(itertools.product(
+        (1.0, 4.0), (1e-1, 1e-2, 1e-3, 1e-4))))
+    def test_stacked_deltas_match_single_row_passes(self, solved, alpha, eps):
+        # Each row meets its own tolerance on the shared panels, so every
+        # delta is its own one-row pass's, to the tolerance.  Not the dual
+        # row at t = +1e-3 at alpha 1, eps <= 1e-3: its one-row pass misses
+        # the clip layer (see test_dual_clip_layer_is_resolved).
+        sol = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+        pert = SinePerturbation(sol.support)
+        report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
+        for t, got_p, got_d in zip(PROBE_T, report.primal_deltas, report.dual_deltas):
+            ref_p, ref_d = _single_row_deltas(sol, pert, _ONE, t)
+            assert abs(got_p - ref_p) <= 1e-10 * max(1.0, abs(ref_p))
+            if not (alpha == 1.0 and eps <= 1e-3 and t == 1e-3):
+                assert abs(got_d - ref_d) <= 1e-10 * max(1.0, abs(ref_d))
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_dual_clip_layer_is_resolved(self, solved, eps):
+        # Under the constant bump at t = +1e-3 the clip min(t, max(-l, 0))
+        # is active only in a narrow layer next to |theta| = alpha.  A pass
+        # refined on that row alone misses it by 5.6e-10 (2.6e-10 at eps
+        # 1e-4) at any tolerance; the stacked pass resolves it.
+        sol = solved(SPEC_I, eps)
+        report = second_variation_probe(sol, SinePerturbation(sol.support),
+                                        PROBE_T, dual_perturbation=_ONE)
+        ref = _clip_reference(sol, 1e-3)
+        assert abs(report.dual_deltas[2] - ref) <= 1e-10
+
 
 # -- expansion remainder ------------------------------------------------------
 
@@ -397,8 +512,8 @@ class TestExpectation:
     @pytest.mark.parametrize("assumption", ["I", "II"])
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
     def test_matches_reference_moment(self, solved, offset, assumption, eps):
-        # The expectation comes from the solve's last pass, refined on the
-        # closure.  Against it: a separate quadrature of the moment
+        # The expectation comes from the solve's last pass, refined to the
+        # solve's tolerance.  Against it: a separate quadrature of the moment
         # integral of (s - S)^2 du/ds over the depths s in [0, S], refined
         # on the moment itself to 1e-15.
         spec = uniform_spec((6.0 + offset, 8.0 + offset),

@@ -155,8 +155,10 @@ class TestIntegrate:
     def test_depth_cap(self):
         # A genuine discontinuity off the dyadic grid cannot be resolved to
         # 1e-15, producing a clean depth failure rather than a silent loop.
+        # The message names the row over budget, its error and its target.
         f = lambda x: (x > 1.0 / 3.0).astype(float)
-        with pytest.raises(MaxDepth):
+        with pytest.raises(MaxDepth, match=r"12 subdivision levels \(row 0: "
+                           r"remaining error \d\.\d{3}e-\d+, target 1\.000e-15\)"):
             integrate(f, 0.0, 1.0, tol=1e-15, max_depth=12)
 
 
@@ -222,8 +224,9 @@ class TestCumulative:
 
 
 class TestStackedRows:
-    """An integrand may return a stack of rows: refinement follows row 0,
-    and every row is summed on its panels."""
+    """An integrand may return a stack of rows: every row is summed on the
+    same panels, and refinement goes on until each row meets its own
+    tolerance."""
 
     def test_rows_share_the_panels_of_row_zero(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
@@ -244,18 +247,32 @@ class TestStackedRows:
         assert both[0] == one
         assert abs(both[1] - np.sin(3.0)) < 1e-12
 
-    def test_later_rows_do_not_refine(self):
-        # A jump in row 1 would exhaust the depth cap on its own; behind an
-        # exactly integrated row 0 it costs no second round.
+    def test_jump_in_a_later_row_refines_to_the_depth_cap(self):
+        # Row 0 is integrated exactly on the first panel; the jump in row 1
+        # drives refinement on its own, until the depth cap names it.
         rounds = []
 
         def f(x):
             rounds.append(x.size)
             return np.ones_like(x), (x > 1.0 / 3.0).astype(float)
 
-        _, sums, _ = _adaptive(f, 0.0, 1.0, (), 1e-15, 12)
-        assert len(rounds) == 1
-        assert sums[0, 0] == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(MaxDepth, match=r"\(row 1: remaining error "):
+            _adaptive(f, 0.0, 1.0, (), 1e-15, 12)
+        assert len(rounds) == 13
+
+    def test_smooth_later_row_meets_its_own_tolerance(self):
+        # Row 0 is exact on one panel; row 1 needs several, and ends within
+        # tol * max(1, |total|) of its integral, on more panels than row 0
+        # alone would build.
+        tol = 1e-12
+        g = lambda x: np.exp(-x) * np.cos(8.0 * x)
+        edges, sums, _ = _adaptive(lambda x: (np.ones_like(x), g(x)), 0.0, 5.0,
+                                   (), tol, 60)
+        exact = (1.0 - np.exp(-5.0) * (np.cos(40.0) - 8.0 * np.sin(40.0))) / 65.0
+        assert edges.size > 2
+        assert sums[0].sum() == pytest.approx(5.0, abs=1e-14)
+        assert abs(sums[1].sum() - exact) <= tol * max(1.0, abs(exact))
+        assert _adaptive(np.ones_like, 0.0, 5.0, (), tol, 60)[0].size == 2
 
 
 def _assert_matches_scipy(x, v, d):
