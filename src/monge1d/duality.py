@@ -27,9 +27,9 @@ here, all in closed form up to one two-unknown root solve:
    the free zero lies beyond it; the same iteration reaches it by letting
    z cross the far edge.
 4. The density is the cumulative integral of the slope from the anchored
-   endpoint: nodal values and cell masses in closed form on the solve's
-   last pass.  Between the nodes it is the derivative of one cubic, the
-   target CDF's Hermite interpolant of those masses and values.
+   endpoint, and its CDF the cumulative integral of the density: both are
+   read in closed form off the solve's last pass, at the grid's nodes and
+   between them alike (`numerics.MonotoneProfile`).
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterations
 from .numerics import (_MAX_PANEL_DEPTH, MonotoneProfile, _adaptive, _graded_edges,
-                       _panel_cumulative, integrate, solve_root)
+                       integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -521,21 +521,16 @@ class DensitySolution:
     (pre-clip) density value at the closing endpoint, a direct readout of
     the crossing-solve residual.  max_abs_slope and max_log_lambda report
     how far the solution runs above the nominal scale ceiling instead of
-    clamping it (see the module docstring).  cell_masses holds the mass
-    of each support cell, h u_i + integral of (s_i+1 - s) du/ds ds in
-    depths s, taken like the values from the slope's Kronrod interpolant
-    on the solve's last pass.  newton_steps, closure_residual and
-    mass_residual record what the coupled zero solve did: its Newton
-    steps and its final closure (measured from the aim) and mass - 1
-    residuals.  No CLI artifact writes them.
+    clamping it (see the module docstring).  newton_steps,
+    closure_residual and mass_residual record what the coupled zero solve
+    did: its Newton steps and its final closure (measured from the aim)
+    and mass - 1 residuals.  No CLI artifact writes them.
 
-    The solution holds one cubic, the target CDF (`transport.target_cdf`):
-    the Hermite interpolant of the running sums of cell_masses in
-    ascending y, with the nodal density as its node slopes, both divided
-    by the total so that it ends at exactly 1.  The delivered density
-    (calling the solution) is the total times its derivative, zero off the
-    support and clipped at 0: it meets the nodal values at the nodes, and
-    its mass on every cell is that cell's exact mass.
+    The solution holds one representation of the density, the solve's last
+    pass read as a `numerics.MonotoneProfile`: the target CDF
+    (`transport.target_cdf`) and, by calling the solution, the delivered
+    density, zero off the support and clipped at 0.  A node reads its own
+    value; the depth a y maps to has lost the node's last bits.
     """
 
     spec: MongeProblemSpec
@@ -556,9 +551,7 @@ class DensitySolution:
     newton_steps: int
     closure_residual: float
     mass_residual: float
-    cell_masses: np.ndarray = field(repr=False)
-    _cdf: MonotoneProfile = field(repr=False)
-    _cdf_scale: float = field(repr=False)
+    _profile: MonotoneProfile = field(repr=False)
 
     @property
     def support_nodes(self):
@@ -576,8 +569,10 @@ class DensitySolution:
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self._cdf_scale * self._cdf.derivative(y_arr), 0.0)
-        out = np.maximum(out, 0.0)
+        profile = self._profile
+        out = np.where(inside, profile.density(profile.depth(y_arr)), 0.0)
+        k = np.minimum(np.searchsorted(self.nodes, y_arr), self.nodes.size - 1)
+        out = np.maximum(np.where(self.nodes[k] == y_arr, self.values[k], out), 0.0)
         return out if np.ndim(y) else float(out)
 
     def slope(self, y):
@@ -596,15 +591,8 @@ class DensitySolution:
 
 def _depth_grid(span, crossing, grid_n):
     """Uniform depths over the span with the crossing, where the density
-    kinks, as a node: an interior node within 1/64 of the spacing moves
-    onto it, since the CDF's cubic reads the density from each cell's mass
-    and a thinner cell's would be mostly the rounding of the running sum."""
-    grid = np.linspace(span[0], span[1], grid_n)
-    near = int(np.argmin(np.abs(grid[1:-1] - crossing))) + 1
-    if abs(grid[near] - crossing) > (span[1] - span[0]) / (64 * (grid_n - 1)):
-        return np.sort(np.append(grid, crossing))
-    grid[near] = crossing
-    return grid
+    kinks, as a node: inserted, unless a node already equals it."""
+    return np.union1d(np.linspace(span[0], span[1], grid_n), crossing)
 
 
 def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
@@ -618,17 +606,17 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     they are.  The density is the cumulative integral of the recovered
     slope, anchored at the target endpoint adjacent to the source (it
     vanishes there by construction and at the other support end by the
-    closure condition).  Its values and cell masses are read off the
-    solve's last pass, in its depths (`numerics._panel_cumulative`), so
-    the values near the free endpoint, where the stress vanishes, keep
-    the sign the solve gives them, and the assembly runs no quadrature
-    and inverts no grid node.  The grid is uniform over the
-    support with the crossing as a node (`_depth_grid`), plus a zero
-    extension over the rest of the target at matching resolution.  The
-    mass and the expectation are the solve's own: its last Newton pass
-    integrates the expectation moment next to the closure and the mass.
-    Between the nodes the density is the derivative of the target CDF's
-    Hermite cubic (see `DensitySolution`).  Raises ValueError unless
+    closure condition).  The solve's last pass, read as a
+    `numerics.MonotoneProfile`, is the density: its nodal values are read
+    off it in the pass's depths, so the values near the free endpoint,
+    where the stress vanishes, keep the sign the solve gives them, and the
+    assembly runs no quadrature and inverts no grid node.  The grid is
+    uniform over the support with the crossing as a node (`_depth_grid`),
+    plus a zero extension over the rest of the target at matching
+    resolution.  The mass and the expectation are the solve's own: its
+    last Newton pass integrates the expectation moment next to the closure
+    and the mass.  Between the nodes, and as the target CDF, the solution
+    reads the same pass (see `DensitySolution`).  Raises ValueError unless
     epsilon is finite and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
@@ -639,11 +627,16 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         raise ValueError(f"grid_n must be an integer >= 33, got {grid_n!r}")
     require_capacity(spec)
     solved = _solve_zeros(spec, epsilon, _MASS_TOL, 0.01 * _MASS_TOL, root_tol)
-    # In the solve's depths the density rises from 0 at depth 0, the anchor.
+    # Depth s sits at anchor - orientation * s; the density rises from 0 at
+    # depth 0, the anchor, and its support closes at depth S, y = m.
     zeros = solved.zeros
-    grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
+    o, anchor = spec.orientation, spec.anchor
+    zero, crossing = anchor - o * zeros[0], anchor - o * zeros[1]
+    support, m = _support_in_y(zero, spec)
     edges, sums, samples = solved.final_pass
-    raw, moments = _panel_cumulative(edges, sums[0], samples, grid_s)
+    profile = MonotoneProfile(edges, sums[0], samples, anchor, m, singular=zeros)
+    grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
+    raw = profile.density(grid_s)
     boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
     # residual tolerance, and interior rounding can graze zero, so clip
@@ -652,13 +645,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     values_support = np.maximum(raw, 0.0)
     values_support[0] = 0.0
     values_support[-1] = 0.0
-    # On a cell, integral of u = h u_i + integral of (s_i+1 - s) du/ds ds.
-    cell_masses = np.maximum(np.diff(grid_s) * values_support[:-1] + moments, 0.0)
 
-    # Back to y: depth s sits at anchor - orientation * s.
-    o, anchor = spec.orientation, spec.anchor
-    zero, crossing = anchor - o * zeros[0], anchor - o * zeros[1]
-    support, m = _support_in_y(zero, spec)
     dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
     lo, hi = support
     grid = anchor - o * grid_s
@@ -671,8 +658,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     support_slice = slice(0, grid.size)
     if o > 0:
         # Under assumption I depth runs against y: reverse to ascending y.
-        grid, values_support, cell_masses, nodes, values = (
-            a[::-1] for a in (grid, values_support, cell_masses, nodes, values))
+        nodes, values = nodes[::-1], values[::-1]
         support_slice = slice(zero_nodes.size, nodes.size)
 
     # |theta| peaks at a support end or at the parabola's vertex.
@@ -691,8 +677,6 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     # so a shifted problem gives the shifted expectation and a mirrored
     # one the negated expectation.
     expectation = m * mass + 0.5 * o * solved.moment
-    # The target CDF sums the exact cell masses in ascending y.
-    cdf = np.concatenate([[0.0], np.cumsum(cell_masses)])
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,
@@ -701,7 +685,5 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
         clip_depth=clip_depth, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
-        cell_masses=cell_masses,
-        _cdf=MonotoneProfile(grid, cdf / cdf[-1], values_support / cdf[-1]),
-        _cdf_scale=float(cdf[-1]))
+        _profile=profile)
 

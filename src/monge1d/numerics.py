@@ -1,8 +1,8 @@
-"""Low-level numerical kernels: adaptive quadrature with running integrals
-read off its panels, monotone profiles held as cubic Hermite interpolants
-of given node values and slopes, with a vectorized inverse exact cell by
-cell, and a bracketed root solve to a residual tolerance (the reference
-solves of `duality`).  numpy is the only dependency.
+"""Low-level numerical kernels: adaptive quadrature, a solved density and
+its CDF read off one quadrature pass's panels (`MonotoneProfile`), with a
+vectorized inverse exact panel by panel, and a bracketed root solve to a
+residual tolerance (the reference solves of `duality`).  numpy is the
+only dependency.
 
 Design notes
 ------------
@@ -28,16 +28,14 @@ Design notes
   A panel is split when it holds more than its share of any row's
   budget; for one row this is the usual rule.
 * Running integrals at any number of points cost no integrand call: a
-  pass hands back row 0's Kronrod samples, whose interpolants integrate in
-  closed form (`_panel_cumulative`; Greengard, SIAM J. Numer. Anal. 1991).
-* A profile's node slopes are data, not a rule such as the Fritsch-Carlson
-  PCHIP's: the solved target CDF passes the exact nodal density, so the
-  cubic's derivative is a density that meets the nodal values and the
-  exact cell masses at once.  The cubic stores power-form coefficients
-  per cell, those of scipy's `CubicHermiteSpline` (the tests hold scipy
-  as the reference, to 1e-14).  Its inverse solves each target's cell
-  cubic by a bracketed Newton iteration: a handful of vectorized steps,
-  each one cubic evaluation per target still unconverged.
+  pass hands back row 0's Kronrod samples, whose interpolants integrate
+  once and twice in closed form (Greengard, SIAM J. Numer. Anal. 1991).
+  The dual solver's last pass is its density's slope, so the density and
+  the CDF are those integrals, between the grid's nodes as at them: no
+  second interpolant stands between the solve and the transport maps.
+  The CDF's inverse solves each target's panel polynomial by a bracketed
+  Newton iteration: a handful of vectorized steps, each one Horner
+  evaluation per target still unconverged.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -208,220 +206,235 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
 
 
 def _legendre_integrals(x):
-    """Lists of P_n(x) and its integrals from -1, I_n = (P_n+1 - P_n-1)/(2n + 1)
-    and J_n = (I_n+1 - I_n-1)/(2n + 1), with I_0 = x + 1, J_0 = (x + 1)^2/2.
-    The recurrence gives P_n(-1) = (-1)^n exactly: I_n, J_n read 0 there."""
+    """Lists of P_n(x) and its integrals from -1,
+    I_n = (P_n+1 - P_n-1)/(2n + 1) with I_0 = x + 1.  The recurrence gives
+    P_n(-1) = (-1)^n exactly: I_n reads 0 there."""
     p = [np.ones_like(x), x]
     for n in range(1, 16):
         p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
-    i = [x + 1.0] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, 16)]
-    j = [(x + 1.0) ** 2 / 2] + [(i[n + 1] - i[n - 1]) / (2 * n + 1) for n in range(1, 15)]
-    return p, i, j
+    return p, [x + 1.0] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, 16)]
 
 
 # Legendre coefficients (rows) of the interpolant of Kronrod samples (columns).
 _KRONROD_TO_LEGENDRE = np.linalg.inv(np.transpose(_legendre_integrals(_XGK)[0][:15]))
 
 
-def _panel_cumulative(edges, sums, samples, t):
-    """Running integrals of an `_adaptive` pass's row 0 f at sorted points
-    t_i in [edges[0], edges[-1]]: from edges[0] to each t_i, and the moment
-    integral of (t_i+1 - s) f(s) ds over each [t_i, t_i+1].
+# Taylor coefficients at x = -1 of J_n, the double antiderivative of P_n
+# from -1: row d, column n holds P_n^(d)(-1) / (d + 2)!, the coefficient of
+# (x + 1)^(d + 2), where P_n^(d)(-1) = (-1)^(n - d) (n + d)! / (2^d d! (n - d)!).
+_J_TAYLOR = np.array([[(-1) ** (n - d) * math.factorial(n + d)
+                       / (2 ** d * math.factorial(d) * math.factorial(n - d)
+                          * math.factorial(d + 2)) if d <= n else 0.0
+                       for n in range(15)] for d in range(15)])
 
-    Each panel's f is its degree-14 interpolant through the 15 Kronrod
-    samples, in Legendre form, integrated in closed form.  The Kronrod rule
-    is exact for it, so a point reads the running Kronrod sum of the panels
-    before its own plus the interpolant's integral up to it: exactly that
-    running sum on a panel's left edge.
 
-    The pass's error control covers the interpolant: the |Kronrod - Gauss|
-    estimate that accepted a panel measures f's distance from polynomials
-    there, and the interpolant is within (1 + L) times that distance of f,
-    L = 3.8 being the Lebesgue constant of the 15 Kronrod nodes: the
-    estimate bounds every partial integral on the panel, up to L.
-    """
-    a, half = edges[:-1], 0.5 * np.diff(edges)
-    coeffs = _KRONROD_TO_LEGENDRE @ samples.T
-    cuts = np.union1d(t, edges[(edges > t[0]) & (edges < t[-1])])
-    # Each cut in the panel it starts (the last edge in the last panel).
-    k = np.minimum(np.searchsorted(edges, cuts, side="right") - 1, sums.size - 1)
-    x = (cuts - a[k]) / half[k] - 1.0
-    c, (_, once, twice) = coeffs[:, k], _legendre_integrals(x)
-    once, twice = (sum(c[n] * v[n] for n in range(15)) for v in (once, twice))
-    running = np.concatenate([[0.0], np.cumsum(sums)])
-    value = np.where(cuts == edges[-1], running[-1], running[k] + half[k] * once)
-    # A piece [p, q] between consecutive cuts lies in the panel of p, where
-    # q reads as the next cut does or, if that starts the next panel, at
-    # x = 1 (J_0 = 2, J_1 = -2/3, all others 0).
-    kp, same = k[:-1], k[1:] == k[:-1]
-    xq = np.where(same, x[1:], 1.0)
-    twice_q = np.where(same, twice[1:], 2.0 * coeffs[0, kp] - coeffs[1, kp] / 1.5)
-    moment = half[kp] ** 2 * (twice_q - twice[:-1] - (xq - x[:-1]) * once[:-1])
-    start = np.searchsorted(cuts, t)
-    closing = t[np.searchsorted(t, cuts[1:])]
-    return value[start], np.add.reduceat(
-        moment + (closing - cuts[1:]) * np.diff(value), start[:-1])
+def _horner(rows, w):
+    """Value and derivative at w of the polynomials whose coefficient rows,
+    in ascending powers of w, are stacked in `rows`."""
+    value, slope = rows[-1].copy(), np.zeros_like(w)
+    for row in rows[-2::-1]:
+        slope *= w
+        slope += value
+        value *= w
+        value += row
+    return value, slope
 
 
 class MonotoneProfile:
-    """A nondecreasing function held as the piecewise cubic Hermite
-    interpolant of its node values and node slopes, with a vectorized
-    inverse (`invert_many`).
+    """A solved density and its CDF, read off one `_adaptive` pass, with a
+    vectorized inverse (`invert_many`).
 
-    The slopes are data, not a rule: a caller that knows the derivative at
-    the nodes (the target CDF's density) passes it, and the cubic's
-    derivative then meets it exactly at every node.  A cell's cubic is
-    nondecreasing when its two slopes are at most three times its secant
-    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980), as they are for a
-    density's CDF on a grid that resolves it; the inverse needs only the
-    node values to bracket each target.  Each cell [x_k, x_k+1] holds its
-    cubic in power form in s = y - x_k, c3 + c2 s + c1 s^2 + c0 s^3, with
-    the coefficients of scipy's `CubicHermiteSpline`.  Evaluation clamps
-    y into [x_0, x_n].
+    Row 0 of the pass is the density's slope g in depth s.  Its running
+    integral from the first edge is the density u, and the running integral
+    of u is the mass M.  On each panel [a, a + 2 half], g is the degree-14
+    interpolant of the 15 Kronrod samples, held by its Legendre coefficients
+    c_n in x = (s - a)/half - 1, so both integrals are closed forms
+    (Greengard, SIAM J. Numer. Anal. 1991):
+        u = U_a + half sum c_n I_n(x),
+        M = M_a + half (U_a (x + 1) + half sum c_n J_n(x)),
+    with U_a and M_a their running values at the panel's left edge and I_n,
+    J_n the single and double integrals of P_n from -1.  The Kronrod rule
+    is exact for the interpolant, so U_a are the pass's running Kronrod
+    sums and a left edge reads them with no rounding of its own.  The
+    density is summed in the Legendre form (`_legendre_integrals`).  The
+    mass, over its total, is held in ascending powers of w = x + 1
+    (`_J_TAYLOR`), read by Horner's rule, for the CDF and its inverse
+    alike.
+
+    The pass's error control covers the interpolant: the |Kronrod - Gauss|
+    estimate that accepted a panel measures g's distance from polynomials
+    there, and the interpolant is within (1 + L) times that distance of g,
+    L = 3.8 being the Lebesgue constant of the 15 Kronrod nodes: the
+    estimate bounds every partial integral on the panel, up to L.  Next to
+    a point where g is singular (a stress zero) the interpolant overshoots
+    its samples, by up to 10% on the graded panels that end there, 64 ulps
+    wide: a panel with one of the `singular` depths as an edge holds g's
+    Kronrod mean c_0 alone.  That constant is a positive-weight average of
+    the samples, so |g| stays within their range, and it keeps the panel's
+    Kronrod sum; u moves by less than the panel's width times g's spread.
+
+    Depth s sits at y = anchor - orientation s, the orientation being the
+    sign of anchor - far, and the last edge at exactly y = far.  Calling the
+    profile gives the CDF in y, M / M_total from the lower support end; it
+    clamps y into the support.
     """
 
-    def __init__(self, nodes, values, slopes):
-        x, v, d = (np.asarray(a, dtype=float) for a in (nodes, values, slopes))
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("profile needs at least two nodes")
-        if x.shape != v.shape or x.shape != d.shape:
-            raise ValueError("nodes, values and slopes must have matching shapes")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("profile nodes must be strictly increasing")
-        if np.any(np.diff(v) < -1e-30):
-            raise ValueError("values are not nondecreasing")
-        if not np.all(d >= 0.0):
-            raise ValueError("slopes are not nonnegative")
-        h = np.diff(x)
-        m = np.diff(v) / h
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        self.nodes, self.values = x, v
-        self.coeffs = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], v[:-1]])
+    def __init__(self, edges, sums, samples, anchor, far, singular=()):
+        edges, sums, samples = (np.asarray(a, dtype=float)
+                                for a in (edges, sums, samples))
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
+            raise ValueError("panel edges must be strictly increasing")
+        if sums.shape != (edges.size - 1,) or samples.shape != (edges.size - 1, 15):
+            raise ValueError("a pass has one sum and 15 samples per panel")
+        if not anchor != far:
+            raise ValueError("the anchor and the far end must differ")
+        self.edges, self.half = edges, 0.5 * np.diff(edges)
+        self.coeffs = _KRONROD_TO_LEGENDRE @ samples.T
+        ends_at = np.isin(edges, singular)
+        self.coeffs[1:, ends_at[:-1] | ends_at[1:]] = 0.0
+        self.edge_density = np.concatenate([[0.0], np.cumsum(sums)])
+        # A panel's mass is M at x = 1: J_0(1) = 2, J_1(1) = -2/3, others 0.
+        mass = np.concatenate([[0.0], np.cumsum(self.half * (
+            2.0 * self.edge_density[:-1]
+            + self.half * (2.0 * self.coeffs[0] - self.coeffs[1] / 1.5)))])
+        self.total = float(mass[-1])
+        if not 0.0 < self.total < math.inf:
+            raise ValueError(f"the profile's mass {self.total} is not positive")
+        self.fractions = mass / self.total
+        self.anchor, self.far = float(anchor), float(far)
+        self.orientation = 1.0 if self.anchor > self.far else -1.0
+        self.support = (min(self.anchor, self.far), max(self.anchor, self.far))
+        # Each panel's mass fraction in ascending powers of w = x + 1, and
+        # the sum of its terms' sizes over the panel, w <= 2.
+        self._taylor = np.vstack([mass[:-1], self.half * self.edge_density[:-1],
+                                  self.half ** 2 * (_J_TAYLOR @ self.coeffs)]) / self.total
+        self._size = 2.0 ** np.arange(17) @ np.abs(self._taylor)
 
-    def _cells(self, y):
-        """Cell index and local coordinate of each (clamped) point."""
-        x = self.nodes
-        y = np.clip(np.asarray(y, dtype=float), x[0], x[-1])
-        k = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
-        return k, y - x[k]
+    def depth(self, y):
+        """Depth of each y, clamped to the pass; the far end reads the last
+        edge exactly."""
+        y = np.asarray(y, dtype=float)
+        s = np.clip(self.orientation * (self.anchor - y), self.edges[0], self.edges[-1])
+        return np.where(y == self.far, self.edges[-1], s)
 
-    def _value(self, k, s):
-        c0, c1, c2, c3 = self.coeffs[:, k]
-        s2 = s * s
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+    def _panels(self, s):
+        """Panel index and w = x + 1 of each depth (the last edge in the
+        last panel)."""
+        k = np.minimum(np.searchsorted(self.edges, s, side="right") - 1,
+                       self.half.size - 1)
+        return k, (s - self.edges[k]) / self.half[k]
 
-    def _slope(self, k, s):
-        c0, c1, c2, _ = self.coeffs[:, k]
-        return c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
+    def density(self, s):
+        """Density at depths s within the pass, the running integral of
+        row 0 from the first edge."""
+        s = np.asarray(s, dtype=float)
+        k, w = self._panels(s)
+        c, once = self.coeffs[:, k], _legendre_integrals(w - 1.0)[1]
+        once = sum(c[n] * once[n] for n in range(15))
+        return np.where(s == self.edges[-1], self.edge_density[-1],
+                        self.edge_density[k] + self.half[k] * once)
+
+    def fraction(self, s):
+        """Mass between the first edge and depths s within the pass, over
+        the total: 1 exactly at the last edge."""
+        s = np.asarray(s, dtype=float)
+        k, w = self._panels(s)
+        return np.where(s == self.edges[-1], 1.0, _horner(self._taylor[:, k], w)[0])
 
     def __call__(self, y):
-        out = self._value(*self._cells(y))
+        fraction = self.fraction(self.depth(y))
+        out = 1.0 - fraction if self.orientation > 0 else fraction
         return out if np.ndim(y) else float(out)
-
-    def derivative(self, y):
-        out = self._slope(*self._cells(y))
-        return out if np.ndim(y) else float(out)
-
-    @property
-    def range(self):
-        return float(self.values[0]), float(self.values[-1])
 
     def invert_many(self, targets):
-        """Vectorized inverse, exact to the resolution of the nodes.
+        """Vectorized inverse of the CDF, exact to the pass's resolution.
 
-        Targets are clipped into the profile range.  A target equal to a
-        node value returns that node: the first node of a flat run, and
-        the last node for the far end of the range.  Any other target lies
-        strictly between the values of one cell, found by `searchsorted`,
-        and is the root of that cell's cubic (`_solve_cells`).
-        Deterministic and array-safe, used by the transport maps.
+        Targets are clipped into [0, 1].  In depth a target t is the mass
+        fraction f = t ahead of the anchor (orientation -1) or 1 - t
+        (orientation 1).  An f of 1 returns the far end exactly, although
+        the fractions may round to 1 a few panels before it; any other f
+        equal to an edge's running fraction returns that edge, the first of
+        a flat run.  Any other f lies strictly between the fractions of one
+        panel's edges, found by `searchsorted`, and is the root of that
+        panel's mass (`_solve_panels`).  Deterministic and array-safe, used
+        by the transport maps.
         """
-        t = np.clip(np.asarray(targets, dtype=float), *self.range)
-        x, v = self.nodes, self.values
-        k = np.searchsorted(v, t, side="left")
-        out = np.where(v[k] == t, x[k], np.nan)
-        out = np.where(t == v[-1], x[-1], out)
-        open_ = np.flatnonzero(np.isnan(out))
-        if open_.size:
-            out.flat[open_] = self._solve_cells(k.flat[open_] - 1,
-                                                t.flat[open_])
-        return out if np.ndim(targets) else float(out)
+        t = np.clip(np.asarray(targets, dtype=float), 0.0, 1.0).ravel()
+        f = 1.0 - t if self.orientation > 0 else t
+        k = np.where(f == 1.0, self.edges.size - 1,
+                     np.searchsorted(self.fractions, f, side="left"))
+        s = self.edges[k]
+        open_ = self.fractions[k] != f
+        if open_.any():
+            s[open_] = self._solve_panels(k[open_] - 1, f[open_])
+        out = np.where(s == self.edges[-1], self.far, self.anchor - self.orientation * s)
+        return out.reshape(np.shape(targets)) if np.ndim(targets) else float(out[0])
 
-    def _solve_cells(self, k, t):
-        """Root in cell k of g = cubic - t, for targets strictly
-        between the cell's node values (g < 0 at its left node).
+    def _solve_panels(self, k, f):
+        """Depth in panel k where the mass fraction reaches f, for f strictly
+        between the fractions of the panel's edges.
 
-        Newton's iteration, kept inside each target's sign-change bracket:
-        a step that would leave the bracket, or that is more than half the
-        step before the last one, becomes a bisection.  Only targets not
-        yet converged iterate.  A target has converged when |g| <= eps |t|
-        (the cubic meets the target to rounding), or when its step falls
-        within one ulp of the cell's nodes; the point then returned must
-        have |g| <= |g'| ulp + (|c1| + 3 |c0| h) ulp^2 + 8 eps (sum of the
-        cubic's terms + |t|), the bound for a root within one ulp plus the
-        cubic's rounding.  Raises MaxIterations when a target misses that
-        bound or _INVERT_MAX_ITER steps pass.
+        Newton's iteration in w = x + 1 on [0, 2], on the panel's mass
+        fraction held in powers of w (Horner's rule gives value and slope),
+        kept inside each target's sign-change bracket: a step that would
+        leave the bracket, or that is more than half the step before the
+        last one, becomes a bisection.  It starts from the root of the
+        quadratic Taylor model at the left edge, which a CDF leaving a zero
+        density follows like a square root.  Only targets not yet converged
+        iterate.  A target has converged when its residual r meets
+        |r| <= 2 eps f, or when the step that reached it fell within one
+        ulp of the panel's depths; the point then returned must have
+        |r| <= 2 |r'| ulp + 32 eps (sum of the polynomial's |terms| on the
+        panel + f), the bound for a root within one ulp plus the rounding of
+        Horner's rule.  Raises MaxIterations when a target misses that bound
+        or _INVERT_MAX_ITER steps pass.
         """
-        x, v = self.nodes, self.values
-        h = x[k + 1] - x[k]
-        res = np.spacing(np.maximum(np.abs(x[k]), np.abs(x[k + 1])))
-        # Start from the root of the cubic's quadratic Taylor model at the
-        # cell end nearer in value; where the cubic leaves a node with zero
-        # slope (the flat ends of a CDF) the root goes like a square root,
-        # which a chord start would reach only by halvings.
-        c0, c1, c2, _ = self.coeffs[:, k]
-        near_left = 2.0 * t < v[k] + v[k + 1]
-        gap = np.where(near_left, t - v[k], v[k + 1] - t)
-        lin = np.where(near_left, c2, c2 + 2.0 * c1 * h + 3.0 * c0 * h * h)
-        quad = np.where(near_left, c1, -(c1 + 3.0 * c0 * h))
+        left, half, size = self.edges[k], self.half[k], self._size[k]
+        res = np.spacing(np.maximum(np.abs(left), np.abs(self.edges[k + 1]))) / half
+        rows = self._taylor[:, k]
+        gap, lin, quad = f - rows[0], rows[1], rows[2]
         disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
-        with np.errstate(divide="ignore"):   # no slope, no curvature: clipped
-            step = 2.0 * gap / (lin + disc)
-        s = np.clip(np.where(near_left, step, h - step), 0.0, h)
-        a, b, prev, last = np.zeros_like(h), h, h, h
-        out = np.empty_like(t)
-        live = np.arange(t.size)
+        with np.errstate(divide="ignore", invalid="ignore"):   # no slope: clipped
+            w = np.clip(2.0 * gap / (lin + disc), 0.0, 2.0)
+        a, b = np.zeros_like(w), np.full_like(w, 2.0)
+        prev, last = b, b
+        out = np.empty_like(w)
+        live = np.arange(w.size)
         for _ in range(_INVERT_MAX_ITER):
-            g = self._value(k, s) - t
-            hit = np.abs(g) <= _EPS * np.abs(t)
-            below = g < 0.0
-            a = np.where(below, s, a)
-            b = np.where(below, b, s)
+            value, slope = _horner(rows, w)
+            r = value - f
+            done = np.abs(r) <= 2.0 * _EPS * f
+            close = ~done & (last <= res)
+            if close.any():
+                bound = 2.0 * np.abs(slope) * res + 32.0 * _EPS * (size + f)
+                miss = close & ~(np.abs(r) <= bound)
+                if miss.any():
+                    i = int(np.argmax(miss))
+                    raise MaxIterations(
+                        f"panel inversion stalled in panel {int(k[live[i]])}: "
+                        f"residual {abs(r[i]):.3e} above its bound {bound[i]:.3e}")
+                done |= close
+            below = r < 0.0
+            a = np.where(below, w, a)
+            b = np.where(below, b, w)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / self._slope(k, s)
-            nxt = s - step
+                step = r / slope
+            nxt = w - step
             newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
             nxt = np.where(newton, nxt, 0.5 * (a + b))
-            prev, last = last, np.abs(nxt - s)
-            s = np.where(hit, s, nxt)
-            close = ~hit & (last <= res)
-            if close.any():
-                self._check_residual(k[close], s[close], t[close], res[close])
-            done = hit | close
-            if not done.any():
-                continue
-            out[live[done]] = x[k[done]] + s[done]
-            keep = ~done
-            live, k, t, s, a, b, prev, last, res = (
-                arr[keep] for arr in (live, k, t, s, a, b, prev, last, res))
-            if not live.size:
-                return out
-        raise MaxIterations(f"cubic inversion left {live.size} targets "
+            prev, last = last, np.abs(nxt - w)
+            if done.any():
+                out[live[done]] = left[done] + half[done] * w[done]
+                keep = ~done
+                live, f, a, b, prev, last, res, left, half, size, nxt = (
+                    arr[keep] for arr in (live, f, a, b, prev, last, res, left, half,
+                                          size, nxt))
+                rows = rows[:, keep]
+                if not live.size:
+                    return out
+            w = nxt
+        raise MaxIterations(f"panel inversion left {live.size} targets "
                             f"unconverged after {_INVERT_MAX_ITER} steps")
-
-    def _check_residual(self, k, s, t, res):
-        c0, c1, c2, c3 = np.abs(self.coeffs[:, k])
-        h = self.nodes[k + 1] - self.nodes[k]
-        terms = c3 + c2 * s + c1 * s * s + c0 * s * s * s + np.abs(t)
-        bound = (np.abs(self._slope(k, s)) * res + (c1 + 3.0 * c0 * h) * res * res
-                 + 8.0 * _EPS * terms)
-        residual = np.abs(self._value(k, s) - t)
-        miss = ~(residual <= bound)
-        if miss.any():
-            i = int(np.argmax(miss))
-            raise MaxIterations(f"cubic inversion stalled in cell {int(k[i])}: "
-                                f"residual {residual[i]:.3e} above its bound "
-                                f"{bound[i]:.3e}")
 
 
 def solve_root(f, lo, hi, tol=1e-12, max_iter=_ROOT_MAX_ITER):

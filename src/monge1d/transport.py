@@ -10,15 +10,15 @@ because the anchoring convention admits either, and nothing here ranks
 them.
 
 Maps evaluate lazily: each call composes the exact closed-form source
-CDF (`SourceDensity.cdf`) with the cell-by-cell inverse of the solution's
-Hermite CDF (`MonotoneProfile.invert_many`), which keeps the pushforward
-residual at rounding level instead of map-interpolation precision.  That
-CDF is the one cubic the assembly built: it interpolates the running sums
-of the exact cell masses with the nodal density as its slopes, so its
-derivative is the delivered density.  The cost is a quadrature of |x - s(x)| against the
-source density, on panels graded toward both source ends, where the map
-has square-root ends; with the source wholly on one side of the target
-it must equal the source barycenter minus the target expectation, which
+CDF (`SourceDensity.cdf`) with the panel-by-panel inverse of the
+solution's CDF (`MonotoneProfile.invert_many`), which keeps the
+pushforward residual at rounding level instead of map-interpolation
+precision.  That CDF is the solve's last pass read in closed form, the
+same reading that gives the delivered density, so no interpolant enters
+the maps.  The cost is a quadrature of |x - s(x)| against the source
+density, on panels graded toward both source ends, where the map has
+square-root ends; with the source wholly on one side of the target it
+must equal the source barycenter minus the target expectation, which
 makes it a check on the whole chain.
 """
 
@@ -47,15 +47,14 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def target_cdf(solution: DensitySolution) -> MonotoneProfile:
-    """Cumulative mass of a solved density over its support, scaled to
-    end exactly at 1 so quantile lookups cover the full unit interval.
+    """Cumulative mass of a solved density over its support, divided by
+    the total so that quantile lookups cover the full unit interval.
 
-    This is the solution's own cubic, built once by the assembly: node
-    values are running sums of the exact cell masses and node slopes the
-    nodal density, so its derivative is the delivered density (up to the
-    scale) and no second interpolant enters the maps.
+    This is the solution's own reading of the solve's last pass, the one
+    that also gives the delivered density, so no second representation
+    enters the maps.
     """
-    return solution._cdf
+    return solution._profile
 
 
 @dataclass(frozen=True)

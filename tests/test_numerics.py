@@ -4,18 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicHermiteSpline
+from hypothesis import given, settings, strategies as st
 
 from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
     MonotoneProfile,
     _adaptive,
     _graded_edges,
-    _panel_cumulative,
     integrate,
     solve_root,
 )
+from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import target_cdf
 
@@ -163,64 +162,67 @@ class TestIntegrate:
 
 
 class TestCumulative:
-    """The panel cumulative behind `assemble_density`: running integrals
-    and interval moments read off one whole-span pass."""
+    """The running integrals behind `MonotoneProfile`: the density and the
+    mass fraction read off one whole-span pass."""
 
     @staticmethod
-    def _pass(f, l, r, tol=1e-12, breakpoints=()):
+    def _profile(f, l, r, tol=1e-12, breakpoints=()):
+        # Only depths are read here: the map to y is left at y = s.
         edges, sums, samples = _adaptive(f, l, r, breakpoints, tol, 60)
-        return edges, sums[0], samples
+        return MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
 
     def test_matches_integrate(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
         grid = np.linspace(0.0, 3.0, 41)
-        values, _ = _panel_cumulative(*self._pass(f, 0.0, 3.0), grid)
+        values = self._profile(f, 0.0, 3.0).density(grid)
         assert values[0] == 0.0
         assert values[-1] == integrate(f, 0.0, 3.0, tol=1e-12)
 
     def test_node_values_are_partial_integrals(self):
-        # Values and moments of e^-x on a grid that cuts the panels.
+        # Density and mass of e^-x on a grid that cuts the panels.
         grid = np.linspace(0.0, 2.0, 21)
-        edges = self._pass(lambda x: np.exp(-x), 0.0, 2.0, 1e-15, (0.7, 1.3))
-        values, moments = _panel_cumulative(*edges, grid)
+        prof = self._profile(lambda x: np.exp(-x), 0.0, 2.0, 1e-15, (0.7, 1.3))
+        values, masses = prof.density(grid), prof.total * prof.fraction(grid)
         assert np.max(np.abs(values - (1.0 - np.exp(-grid)))) <= 1e-15
-        a, b = grid[:-1], grid[1:]
-        exact = (b - a) * np.exp(-a) - (np.exp(-a) - np.exp(-b))
-        assert np.max(np.abs(moments - exact)) <= 1e-15
+        exact = grid - 1.0 + np.exp(-grid)
+        assert np.max(np.abs(masses - exact)) <= 1e-15
 
     @pytest.mark.parametrize("degree", range(15))
     def test_reproduces_polynomials(self, degree):
-        # The interpolant of degree 14 is the polynomial itself: running
-        # integrals and moments at arbitrary points, to rounding.
+        # The interpolant of degree 14 is the polynomial itself: density
+        # and mass at arbitrary points, to rounding.  The polynomial is
+        # raised by the bound on its size over the span, so that it holds
+        # mass.
         rng = np.random.default_rng(degree)
         coeffs = rng.normal(size=degree + 1)
-        f = lambda x: np.polyval(coeffs, x)
-        edges = self._pass(f, -1.0, 2.0, 1e-12, (-0.3, 0.5, 1.1))
-        t = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 2.0, 40)), [2.0]])
-        values, moments = _panel_cumulative(*edges, t)
-        anti = np.polyint(coeffs)
-        exact = np.polyval(anti, t) - np.polyval(anti, -1.0)
-        # The moment on [a, b] is the integral of the running integral
-        # less (b - a) times its value at a.
-        twice = np.polyint(anti)
-        a, b = t[:-1], t[1:]
-        moment = (np.polyval(twice, b) - np.polyval(twice, a)
-                  - (b - a) * np.polyval(anti, a))
         scale = 2.0 ** degree * np.sum(np.abs(coeffs))
+        coeffs[-1] += scale
+        f = lambda x: np.polyval(coeffs, x)
+        prof = self._profile(f, -1.0, 2.0, 1e-12, (-0.3, 0.5, 1.1))
+        t = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 2.0, 40)), [2.0]])
+        values, masses = prof.density(t), prof.total * prof.fraction(t)
+        anti = np.polyint(coeffs)
+        twice = np.polyint(anti)
+        exact = np.polyval(anti, t) - np.polyval(anti, -1.0)
+        mass = (np.polyval(twice, t) - np.polyval(twice, -1.0)
+                - (t + 1.0) * np.polyval(anti, -1.0))
         assert np.max(np.abs(values - exact)) <= 1e-14 * scale
-        assert np.max(np.abs(moments - moment)) <= 1e-14 * scale
+        assert np.max(np.abs(masses - mass)) <= 1e-14 * scale
 
     def test_panel_edge_reads_the_running_sum(self):
-        # A point on a panel's left edge reads the Kronrod sums of the
+        # A point on a panel's left edge reads the running sums of the
         # panels before it, with no rounding from its own panel.
         f = lambda x: np.cos(3.0 * x) + 2.0
-        edges, sums, samples = self._pass(f, 0.0, 4.0, 1e-12, (0.5, 1.7, 2.9))
+        prof = self._profile(f, 0.0, 4.0, 1e-12, (0.5, 1.7, 2.9))
+        edges = prof.edges
         points = np.sort(np.append(edges, [0.3, 3.3]))
-        values, _ = _panel_cumulative(edges, sums, samples, points)
-        running = np.concatenate([[0.0], np.cumsum(sums)])
-        assert np.array_equal(values[np.isin(points, edges)], running)
-        assert np.array_equal(_panel_cumulative(edges, sums, samples, edges)[0],
-                              running)
+        running = np.concatenate([[0.0], np.cumsum(_adaptive(
+            f, 0.0, 4.0, (0.5, 1.7, 2.9), 1e-12, 60)[1][0])])
+        on_edge = np.isin(points, edges)
+        assert np.array_equal(prof.density(points)[on_edge], running)
+        assert np.array_equal(prof.fraction(points)[on_edge],
+                              prof.fractions)
+        assert np.array_equal(prof.density(edges), running)
 
 
 class TestStackedRows:
@@ -275,144 +277,128 @@ class TestStackedRows:
         assert _adaptive(np.ones_like, 0.0, 5.0, (), tol, 60)[0].size == 2
 
 
-def _assert_matches_scipy(x, v, d):
-    """Values and derivatives of MonotoneProfile against scipy's
-    `CubicHermiteSpline` on the same data, the reference, at the nodes and
-    on a fine probe, to 1e-14 relative."""
-    ours = MonotoneProfile(x, v, d)
-    ref = CubicHermiteSpline(x, v, d)
-    y = np.concatenate([x, np.linspace(x[0], x[-1], 997)])
-    scale = max(float(np.max(np.abs(v))), np.finfo(float).tiny)
-    assert np.max(np.abs(ours(y) - ref(y))) <= 1e-14 * scale
-    dref = ref.derivative()(y)
-    dscale = max(float(np.max(np.abs(dref))), np.finfo(float).tiny)
-    assert np.max(np.abs(ours.derivative(y) - dref)) <= 1e-14 * dscale
+def _sin_profile(orientation=-1.0):
+    """The density sin s and its CDF 1 - cos s on depths [0, pi/2], read
+    off one pass of cos s, with y = -orientation s."""
+    edges, sums, samples = _adaptive(np.cos, 0.0, 0.5 * np.pi,
+                                     np.linspace(0.0, 0.5 * np.pi, 9), 1e-15, 60)
+    return MonotoneProfile(edges, sums[0], samples, 0.0, -orientation * 0.5 * np.pi)
 
 
-# Secant steps: flat runs (0) and rises; node slopes: zero or positive.
-_STEPS = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
-_SLOPES = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
-
-
-class TestMonotoneCubic:
-    """The profile's cubic: the Hermite interpolant of its node values and
-    node slopes."""
-
-    def test_solved_density_and_cdf(self, solved):
-        # The solved CDF is scipy's Hermite spline of the running cell
-        # masses with the nodal density as its slopes, both over their
-        # total, and the density is the total times its derivative.
-        sol = solved(SPEC_I, 1e-3)
-        cum = np.concatenate([[0.0], np.cumsum(sol.cell_masses)])
-        ref = CubicHermiteSpline(sol.support_nodes, cum / cum[-1],
-                                 sol.support_values / cum[-1])
-        y = np.concatenate([sol.support_nodes, np.linspace(*sol.support, 997)])
-        assert np.max(np.abs(target_cdf(sol)(y) - ref(y))) <= 1e-14
-        assert (np.max(np.abs(sol(y) - cum[-1] * ref.derivative()(y)))
-                <= 1e-14 * sol.support_values.max())
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(st.lists(st.tuples(st.floats(1e-2, 10.0), _STEPS, _SLOPES),
-                    min_size=1, max_size=12),
-           st.floats(-100.0, 100.0), _SLOPES)
-    @example([(1.0, 2.0, 2.0)], 0.0, 2.0)
-    @example([(1.0, 2.0, 0.0), (0.5, 0.0, 0.0)], 1.0, 0.0)
-    @example([(0.3, 1.0, 9.0), (2.0, 4.0, 0.0)], -3.0, 0.5)
-    def test_drawn_data(self, cells, start, first_slope):
-        dx, dv, d = np.array(cells).T
-        x = np.concatenate([[start], start + np.cumsum(dx)])
-        v = np.concatenate([[0.0], np.cumsum(dv)])
-        _assert_matches_scipy(x, v, np.concatenate([[first_slope], d]))
-
-    def test_evaluation_clamps_to_nodes(self):
-        cubic = MonotoneProfile([0.0, 1.0, 3.0], [1.0, 2.0, 2.5], [0.0, 1.0, 3.0])
-        assert cubic(-4.0) == 1.0 and cubic(7.0) == 2.5
-        assert cubic.derivative(-4.0) == 0.0 and cubic.derivative(7.0) == 3.0
-        assert isinstance(cubic(0.5), float)
-        assert isinstance(cubic.derivative(0.5), float)
+def _exact_cdf(prof, y):
+    """1 - cos s from the anchor, as a CDF in y."""
+    mass = 1.0 - np.cos(np.abs(y))
+    return 1.0 - mass if prof.orientation > 0 else mass
 
 
 class TestMonotoneProfile:
-    def _exp_profile(self, n=41):
-        # 1 - e^-x with its exact derivative e^-x as the node slopes.
-        x = np.linspace(0.0, 2.0, n)
-        return MonotoneProfile(x, 1.0 - np.exp(-x), np.exp(-x))
+    """The solved density's one representation: density and CDF read off
+    a pass, and the CDF's inverse, in both orientations."""
 
     def test_call_scalar_and_array(self):
-        prof = self._exp_profile()
+        prof = _sin_profile()
         v = prof(1.0)
         assert isinstance(v, float)
-        arr = prof(np.array([0.0, 1.0, 2.0]))
+        arr = prof(np.array([0.0, 1.0, 1.5]))
         assert arr.shape == (3,)
-        assert abs(arr[0]) < 1e-14
+        assert arr[0] == 0.0
 
-    def test_exact_slopes_give_fourth_order(self):
-        # With the exact node slopes the cubic's error is at most
-        # h^4 max|f^(4)| / 384 and its derivative's h^3 max|f^(4)| / 72;
-        # here max|f^(4)| = 1, and the derivative meets e^-x at the nodes.
-        prof = self._exp_profile()
-        h = 2.0 / 40
-        y = np.linspace(0.0, 2.0, 1001)
-        assert np.max(np.abs(prof(y) - (1.0 - np.exp(-y)))) <= h**4 / 384
-        assert np.max(np.abs(prof.derivative(y) - np.exp(-y))) <= h**3 / 72
-        x = prof.nodes
-        assert np.max(np.abs(prof.derivative(x) - np.exp(-x))) <= 4 * np.spacing(1.0)
+    def test_reads_the_running_integrals(self):
+        # Density sin s and mass 1 - cos s at the depths of a fine probe,
+        # and the CDF at the matching y; the total mass is 1.
+        s = np.linspace(0.0, 0.5 * np.pi, 1001)
+        for orientation in (1.0, -1.0):
+            prof = _sin_profile(orientation)
+            density, mass = prof.density(s), prof.total * prof.fraction(s)
+            assert np.max(np.abs(density - np.sin(s))) <= 1e-15
+            assert np.max(np.abs(mass - (1.0 - np.cos(s)))) <= 1e-15
+            assert abs(prof.total - 1.0) <= 1e-15
+            y = -orientation * s
+            assert np.max(np.abs(prof(y) - _exact_cdf(prof, y))) <= 1e-15
 
     def test_call_clamps_outside_domain(self):
-        prof = self._exp_profile()
-        assert prof(-5.0) == prof(0.0)
-        assert prof(99.0) == prof(2.0)
+        for orientation in (1.0, -1.0):
+            prof = _sin_profile(orientation)
+            lo, hi = prof.support
+            assert prof(lo - 5.0) == prof(lo) == 0.0
+            assert prof(hi + 99.0) == prof(hi) == 1.0
 
     def test_invert_round_trip(self):
-        prof = self._exp_profile(101)
         rng = np.random.default_rng(7)
-        ys = rng.uniform(0.0, 2.0, 100)
-        ts = prof(ys)
-        back = prof.invert_many(ts)
-        assert np.abs(prof(back) - ts).max() <= 1e-15
-        assert np.abs(back - ys).max() < 1e-8
+        for orientation in (1.0, -1.0):
+            prof = _sin_profile(orientation)
+            ys = rng.uniform(*prof.support, 100)
+            ts = prof(ys)
+            back = prof.invert_many(ts)
+            assert np.abs(prof(back) - ts).max() <= 1e-15
+            assert np.abs(back - ys).max() < 1e-8
 
     def test_invert_many_inverts_forward_values(self):
-        prof = self._exp_profile(101)
-        targets = np.linspace(prof.range[0], prof.range[1], 37)
+        prof = _sin_profile()
+        targets = np.linspace(0.0, 1.0, 37)
         ys = prof.invert_many(targets)
         assert np.all(np.diff(ys) > 0)
         assert np.abs(prof(ys) - targets).max() <= 1e-15
 
     def test_invert_endpoints(self):
-        prof = self._exp_profile()
-        lo, hi = prof.range
-        assert prof.invert_many(lo) == prof.nodes[0]
-        assert prof.invert_many(hi) == prof.nodes[-1]
+        for orientation in (1.0, -1.0):
+            prof = _sin_profile(orientation)
+            lo, hi = prof.support
+            assert prof.invert_many(0.0) == lo
+            assert prof.invert_many(1.0) == hi
 
     def test_marginally_out_of_range_clips(self):
-        prof = self._exp_profile()
-        lo, hi = prof.range
-        assert prof.invert_many(hi + 1e-15) == prof.nodes[-1]
-        assert prof.invert_many(lo - 1e-15) == prof.nodes[0]
+        prof = _sin_profile()
+        lo, hi = prof.support
+        assert prof.invert_many(1.0 + 1e-15) == hi
+        assert prof.invert_many(-1e-15) == lo
+
+    def test_singular_panels_hold_their_mean(self):
+        # A slope that jumps at 0.5 after a log-type approach: the two
+        # graded panels ending there hold their Kronrod mean c_0 alone,
+        # within their samples' range, and the other panels, the running
+        # density at every edge and the mass are those of the plain pass.
+        g = lambda s: np.sign(s - 0.5) * (-1.0 - 1.0 / np.log(np.abs(s - 0.5) / 4.0))
+        edges, sums, samples = _adaptive(g, 0.0, 1.0, _graded_edges((0.0, 1.0), (0.5,)),
+                                         1e-12, 60)
+        plain = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
+        flat = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0, singular=(0.5,))
+        ends = np.flatnonzero((edges[:-1] == 0.5) | (edges[1:] == 0.5))
+        assert ends.size == 2 and np.all(flat.coeffs[1:, ends] == 0.0)
+        assert np.all(np.abs(flat.coeffs[0, ends]) <= np.max(np.abs(samples[ends]), axis=1))
+        others = np.setdiff1d(np.arange(edges.size - 1), ends)
+        assert np.array_equal(flat.coeffs[:, others], plain.coeffs[:, others])
+        assert np.array_equal(flat.density(edges), plain.density(edges))
+        assert flat.total == pytest.approx(plain.total, abs=1e-15)
 
     def test_node_value_targets_return_their_nodes(self):
-        prof = self._exp_profile()
-        assert np.array_equal(prof.invert_many(prof.values), prof.nodes)
-        flat = MonotoneProfile(np.arange(5.0), [0.0, 0.5, 0.5, 0.5, 1.0], np.zeros(5))
-        assert flat.invert_many(0.5) == 1.0
+        # A target equal to a panel edge's running fraction returns that
+        # edge; in a flat run (a panel holding no mass), the first.
+        prof = _sin_profile()
+        assert np.array_equal(prof.invert_many(prof.fractions[:-1]), prof.edges[:-1])
+        slope = lambda s: np.select([s < 1.0, s < 2.0, s < 3.0], [1.0, -1.0, 0.0], 1.0)
+        edges, sums, samples = _adaptive(slope, 0.0, 4.0, (1.0, 2.0, 3.0), 1e-15, 60)
+        flat = MonotoneProfile(edges, sums[0], samples, 0.0, 4.0)
+        assert flat(2.0) == flat(3.0) == 2.0 / 3.0
+        assert flat.invert_many(flat(2.5)) == 2.0
 
     def test_flat_end_cells_of_a_cdf(self, solved):
         # The density vanishes at both support ends, so the target CDF
         # leaves 0 and reaches 1 with zero slope; a few ulps inside the
-        # range the inverse follows a square root into the end cell.
-        prof = target_cdf(solved(SPEC_I, 1e-3))
+        # range the inverse follows a square root into the end panels.
         ulps = np.arange(1.0, 6.0)
         low = ulps * np.nextafter(0.0, 1.0)
         high = 1.0 - ulps * np.spacing(0.5)
-        for targets, cell in ((low, 0), (high, prof.nodes.size - 2)):
-            ys = prof.invert_many(targets)
-            assert np.all((ys >= prof.nodes[cell]) & (ys <= prof.nodes[cell + 1]))
-            assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
-        assert np.all(np.diff(prof.invert_many(high)) <= 0.0)
+        for spec in (SPEC_I, mirror_transform(SPEC_I)):
+            prof = target_cdf(solved(spec, 1e-3))
+            for targets, end in ((low, prof.support[0]), (high, prof.support[1])):
+                ys = prof.invert_many(targets)
+                assert np.max(np.abs(ys - end)) <= 1e-7
+                assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
+            assert np.all(np.diff(prof.invert_many(high)) <= 0.0)
 
     def test_zero_dimensional_input(self):
-        prof = self._exp_profile()
+        prof = _sin_profile()
         t = prof(0.7)
         y = prof.invert_many(np.array(t))
         assert isinstance(y, float) and abs(prof(y) - t) <= 1e-15
@@ -422,32 +408,33 @@ class TestMonotoneProfile:
 
     @pytest.mark.parametrize("broken", [np.nan, 0.0])
     def test_broken_cell_raises(self, broken):
-        # A cell whose cubic is NaN, or stays at its left value, holds no
-        # root of a target between its node values: the loop must raise.
-        prof = self._exp_profile()
-        k = 10
-        prof.coeffs[:3, k] = broken
+        # A panel whose mass is NaN, or stays at its left edge's value,
+        # holds no root of a target between its edges' fractions: the loop
+        # must raise rather than return a point.
+        prof = _sin_profile()
+        k = 4
+        prof._taylor[1:, k] = broken
         if np.isnan(broken):
-            prof.coeffs[3, k] = broken
-        t = 0.5 * (prof.values[k] + prof.values[k + 1])
+            prof._taylor[0, k] = broken
+        t = 0.5 * (prof.fractions[k] + prof.fractions[k + 1])
         with pytest.raises(MaxIterations):
             prof.invert_many(np.array([prof(0.01), t]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MonotoneProfile([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], np.ones(3))
-        with pytest.raises(ValueError):
-            MonotoneProfile([0.0, 1.0], [1.0, 0.0], np.ones(2))
-        with pytest.raises(ValueError):
-            MonotoneProfile([0.0, 1.0], [0.0, 1.0], np.ones(3))
-        for bad in (-1e-300, np.nan):
-            with pytest.raises(ValueError):
-                MonotoneProfile([0.0, 1.0], [0.0, 1.0], [1.0, bad])
+        edges, sums, samples = _adaptive(np.cos, 0.0, 1.0, (0.5,), 1e-12, 60)
+        with pytest.raises(ValueError, match="increasing"):
+            MonotoneProfile(edges[::-1], sums[0], samples, 0.0, 1.0)
+        with pytest.raises(ValueError, match="15 samples"):
+            MonotoneProfile(edges, sums[0], samples[:, :7], 0.0, 1.0)
+        with pytest.raises(ValueError, match="differ"):
+            MonotoneProfile(edges, sums[0], samples, 1.0, 1.0)
+        with pytest.raises(ValueError, match="not positive"):
+            MonotoneProfile(edges, -sums[0], -samples, 0.0, 1.0)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(st.floats(min_value=0.05, max_value=1.95))
+    @given(st.floats(min_value=0.05, max_value=1.5))
     def test_round_trip_property(self, y):
-        prof = self._exp_profile(101)
+        prof = _sin_profile()
         t = prof(y)
         back = prof.invert_many(t)
         assert abs(prof(back) - t) <= 1e-15

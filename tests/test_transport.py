@@ -59,10 +59,10 @@ class TestSourceCdf:
 
 class TestTargetCdf:
     def test_endpoints(self, maps):
-        _, inc, _ = maps
+        sol, inc, _ = maps
         q = inc.target_cdf
-        assert q.values[0] == 0.0
-        assert q.values[-1] == 1.0
+        assert q(sol.support[0]) == 0.0
+        assert q(sol.support[1]) == 1.0
 
     def test_median_at_tent_peak(self, maps):
         # near the sharp limit the density is the symmetric tent, whose
@@ -76,9 +76,9 @@ class TestTargetCdf:
         assert q(-4.0) == pytest.approx(0.5, abs=5e-3)
 
     def test_strictly_increasing_inside(self, maps):
-        _, inc, _ = maps
+        sol, inc, _ = maps
         q = inc.target_cdf
-        assert np.all(np.diff(q.values) > 0.0)
+        assert np.all(np.diff(q(sol.support_nodes)) > 0.0)
 
 
 class TestBuildMap:
@@ -214,6 +214,14 @@ class TestPushforwardResidual:
 
 
 class TestMirrorMaps:
+    def test_target_cdfs_mirror(self, solved, maps):
+        # The mirrored pair reads the same pass at the same depths, so the
+        # mirrored CDF is one minus the CDF, bit for bit.
+        sol = maps[0]
+        msol = solved(SPEC_II, 1e-3)
+        ys = np.concatenate([np.linspace(*sol.support, 997), sol.support_nodes])
+        assert np.array_equal(target_cdf(sol)(ys), 1.0 - target_cdf(msol)(-ys))
+
     def test_maps_mirror(self, solved, maps):
         _, inc, dec = maps
         msol = solved(SPEC_II, 1e-3)
