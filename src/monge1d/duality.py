@@ -19,13 +19,12 @@ here, all in closed form up to one two-unknown root solve:
 3. The two zeros are fixed together by two conditions: the density
    vanishes at both support endpoints (closure) and holds unit mass.  One
    safeguarded Newton iteration on (z, c) solves both, starting from the
-   sharp-limit tent with one difference Jacobian that secant updates then
-   carry; each iterate costs one quadrature pass, which yields both
-   residuals (`_solve_zeros`).  When even the free zero at the far
-   target edge leaves less than unit mass, the support is the whole
-   target: the far edge is then a Dirichlet end with theta > 0 there, and
-   the free zero lies beyond it; the same iteration reaches it by letting
-   z cross the far edge.
+   sharp-limit tent; each iterate costs one quadrature pass, which yields
+   both residuals and their exact Jacobian (`_solve_zeros`).  When even
+   the free zero at the far target edge leaves less than unit mass, the
+   support is the whole target: the far edge is then a Dirichlet end with
+   theta > 0 there, and the free zero lies beyond it; the same iteration
+   reaches it by letting z cross the far edge.
 4. The density is the cumulative integral of the slope from the anchored
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass, at the grid's nodes and
@@ -78,16 +77,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MaxIterations
-from .numerics import (_MAX_PANEL_DEPTH, MonotoneProfile, _adaptive, _graded_edges,
-                       integrate, solve_root)
+from .numerics import (_KRONROD_ENDS, _MAX_PANEL_DEPTH, MonotoneProfile, _adaptive,
+                       _graded_edges, integrate, solve_root)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
 _DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
-_FD_STEP = 2.0 ** -24      # forward-difference step, in target widths
-_FD_BEYOND = 2.0 ** -13    # z's step past the far edge, in distances from it
 
 
 # -- pointwise inversion ------------------------------------------------------
@@ -398,20 +395,31 @@ def _require_valid(spec: MongeProblemSpec):
 
 
 def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
-    """Closure and mass residuals of the stress with zeros at the depths
-    `zeros`, and its expectation moment, from one quadrature pass over
-    the support [0, S]: the closing density integral of du/ds less its
-    aim, integral of (S - s) du/ds - 1 and integral of (S - s)^2 du/ds,
-    all taken from the same samples, summed panel after panel as
-    `integrate` sums them; and the pass itself, `_adaptive`'s edges, row
-    sums and du/ds samples."""
-    S = _support_of(zeros[0], spec)[1]
-    rows = _depth_rows(lambda s, l, g: (g, (S - s) * g, (S - s) ** 2 * g),
-                       zeros, spec.alpha, epsilon)
-    done = _adaptive(rows, 0.0, S, _graded_edges((0.0, S), zeros), quad_tol,
-                     _MAX_PANEL_DEPTH)
-    closure, mass, moment = np.cumsum(done[1], axis=1)[:, -1]
-    return np.array([closure - aim, mass - 1.0, moment]), done
+    """Closure and mass residuals of the stress with zeros (z, c) at the
+    depths `zeros`, with its expectation moment, from one quadrature pass
+    over the support [0, S]: the closing density integral of du/ds less
+    its aim, integral of (S - s) du/ds - 1 and integral of
+    (S - s)^2 du/ds, summed panel after panel as `integrate` sums them.
+    Also their exact Jacobian in (z, c), from two more rows of the same
+    pass (see `_solve_zeros`), and the pass itself, `_adaptive`'s edges,
+    row sums and du/ds samples."""
+    z, c = zeros
+    S = _support_of(z, spec)[1]
+
+    def fn(s, l, g):
+        h = epsilon * g / (g * g + epsilon)     # theta dg/dtheta
+        return g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h
+
+    done = _adaptive(_depth_rows(fn, zeros, spec.alpha, epsilon), 0.0, S,
+                     _graded_edges((0.0, S), zeros), quad_tol, _MAX_PANEL_DEPTH)
+    I, M, moment, K, L = np.cumsum(done[1], axis=1)[:, -1]
+    # The slope at depths 0 and S, off the end panels' interpolants.
+    g0, gS = _KRONROD_ENDS[0] @ done[2][0], _KRONROD_ENDS[1] @ done[2][-1]
+    J = (np.outer([I + 2.0 * K, 2.0 * (M + L)], [1.0, -1.0])
+         + np.outer([g0, S * g0], [-c, z]))
+    if z > S:                   # the far edge, not z, closes the support
+        J += np.outer([gS, I], [c - S, S - z])
+    return np.array([I - aim, M - 1.0, moment]), J / (z - c), done
 
 
 @dataclass(frozen=True)
@@ -439,22 +447,26 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     width: in y one ulp of c moves the closure by about 4e-13 at
     |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
     z = 2/sqrt(alpha) and c = S/2 on the support [0, S = min(z, width)].
-    The Jacobian is taken once, by forward differences at the start (two
-    passes), and after every step Broyden's good rank-one update
-    J += (dF - J dx) dx^T / (dx . dx) makes it carry the secant of the step
-    dx taken (C. G. Broyden, Math. Comp. 19 (1965) 577-593), so each step
-    costs one pass.  A zero step or a non-finite change dF leaves J as it
-    is.  Each step is cut back to half way to any bound it would cross,
+    Each step is cut back to half way to any bound it would cross,
     keeping 0 < c < width and c < z; z may cross the far edge, which is
     the full-target regime.
 
-    Beyond the far edge the support no longer moves with z, and the
-    residuals follow z only through the log layer of the slope,
-    slope^2 ~ alpha^2 + 2 eps ln|theta|: they change by about eps per
-    e-fold of the distance z - width past the edge.  The difference step
-    in z is therefore max(h, 2^-13 (z - width)); a fixed fraction h of the
-    width would change the residuals by less than their rounding at
-    eps 1e-6.
+    The Jacobian is exact and rides on the residual pass, so each step
+    costs one pass.  With s = c + D t, D = z - c, the stress is
+    D^2 t (t - 1)/2, whose zeros stay at t = 0 and 1, so z and c enter
+    only through D and the ends of the support in t.  Differentiating
+    theta^2 = lambda^2 (alpha^2 + 2 eps ln lambda) gives
+    theta dg/dtheta = eps g/(g^2 + eps) = h for the slope g, bounded by
+    sqrt(eps)/2, and the pass adds the rows K = integral of h and
+    L = integral of (S - s) h to I = integral of g and
+    M = integral of (S - s) g.  With g0 and gS the slope at depths 0 and S,
+    A = (I + 2K)/D and B = 2 (M + L)/D, the closure row is
+    (A - g0 c/D, -A + g0 z/D) in (z, c) and the mass row
+    (B - S g0 c/D, -B + S g0 z/D).  When z is past the far edge the
+    support's end S = width no longer moves with z, and the rows gain
+    (gS, I) (c - S, S - z)/D.  There the residuals follow z only through
+    the log layer of the slope, slope^2 ~ alpha^2 + 2 eps ln|theta|: they
+    change by about eps per e-fold of the distance z - width.
 
     Converged when |mass - 1| <= mass_tol, the closing density lands on
     `solve_crossing`'s aim (+crossing_tol/10) within 0.9 crossing_tol,
@@ -463,24 +475,17 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     rounding floor: where they barely depend on z, rounding noise over
     the small Jacobian column keeps |dz| above root_tol with nothing left
     to reduce.  Raises MaxIterations otherwise: after _ZERO_MAX_STEPS
-    steps, on a non-finite residual or on a singular J.
+    steps, on a non-finite residual or Jacobian, or on a singular one.
     """
     width = spec.target_width
     aim = 0.1 * crossing_tol
     quad_tol = min(1e-13, 0.1 * crossing_tol)
-    h = _FD_STEP * width
     z = spec.sharp_width
     c = 0.5 * _support_of(z, spec)[1]
-    F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
-    # z moves away from c; c toward the farther end of its support.
-    hz = max(h, _FD_BEYOND * (z - width))
-    hc = h if _support_of(z, spec)[1] - c > c else -h
-    Fz = _zero_residuals((z + hz, c), spec, epsilon, aim, quad_tol)[0]
-    Fc = _zero_residuals((z, c + hc), spec, epsilon, aim, quad_tol)[0]
-    J = np.column_stack([(Fz - F)[:2] / hz, (Fc - F)[:2] / hc])
+    F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     step = size = math.inf
     for k in range(_ZERO_MAX_STEPS):
-        if not np.all(np.isfinite(F)):
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
             break
         held = abs(F[1]) <= mass_tol and abs(F[0]) <= 0.9 * crossing_tol
         last, size = size, float(np.max(np.abs(F[:2])))
@@ -498,11 +503,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                 t = min(t, 0.5 * g0 / -dg)
         z, c = z + t * dz, c + t * dc
         step = t * max(abs(dz), abs(dc))
-        dx, previous = t * np.array([dz, dc]), F[:2]
-        F, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
-        dF = F[:2] - previous
-        if dx @ dx > 0.0 and np.all(np.isfinite(dF)):
-            J += np.outer(dF - J @ dx, dx) / (dx @ dx)
+        F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
         f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")

@@ -217,6 +217,8 @@ def _legendre_integrals(x):
 
 # Legendre coefficients (rows) of the interpolant of Kronrod samples (columns).
 _KRONROD_TO_LEGENDRE = np.linalg.inv(np.transpose(_legendre_integrals(_XGK)[0][:15]))
+# Weights (rows) of that interpolant's values at x = -1 and x = 1.
+_KRONROD_ENDS = np.array([(-1.0) ** np.arange(15), np.ones(15)]) @ _KRONROD_TO_LEGENDRE
 
 
 # Taylor coefficients at x = -1 of J_n, the double antiderivative of P_n
@@ -357,9 +359,11 @@ class MonotoneProfile:
         a flat run.  Any other f lies strictly between the fractions of one
         panel's edges, found by `searchsorted`, and is the root of that
         panel's mass (`_solve_panels`).  Deterministic and array-safe, used
-        by the transport maps.
+        by the transport maps.  A NaN target raises ValueError.
         """
         t = np.clip(np.asarray(targets, dtype=float), 0.0, 1.0).ravel()
+        if np.isnan(t).any():
+            raise ValueError(f"CDF target {int(np.argmax(np.isnan(t)))} is NaN")
         f = 1.0 - t if self.orientation > 0 else t
         k = np.where(f == 1.0, self.edges.size - 1,
                      np.searchsorted(self.fractions, f, side="left"))

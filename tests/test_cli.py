@@ -194,7 +194,7 @@ class TestSolve:
     def test_newton_failure_names_its_stage(self, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.setattr(duality, "_zero_residuals",
-                            lambda *args: (np.array([math.nan, 0.0]), None))
+                            lambda *args: (np.array([math.nan, 0.0]), np.eye(2), None))
         code = main(["solve", "--config", tent_config(tmp_path), "--quiet",
                      "--out", str(tmp_path / "art"), "--grid", "101"])
         assert code == 4

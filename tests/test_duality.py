@@ -538,9 +538,8 @@ class TestCoupledSolve:
         # beyond the far edge, where the residuals depend on it only
         # through the slope's log layer: they reach their rounding floor
         # (closure 1e-16, mass residual 0) while |dz| stays above root_tol
-        # (alpha 0.5, eps 1e-6), and a difference step in z of a fixed
-        # fraction of the width changes them by less than their rounding
-        # (alpha 4, eps 1e-6, orientation I).
+        # (alpha 0.5, eps 1e-6).  The tent start has z exactly at the far
+        # edge, where the support's end min(z, width) kinks.
         spec = _regime_spec(alpha, 1.0, 0.0)
         if assumption == "II":
             spec = mirror_transform(spec)
@@ -551,7 +550,7 @@ class TestCoupledSolve:
                 sol = assemble_density(spec, eps, 101)
             _assert_contracts(sol)
             assert sol.support == spec.target_interval
-            assert counted.call_count == sol.newton_steps + 3
+            assert counted.call_count == sol.newton_steps + 1
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -559,9 +558,8 @@ class TestCoupledSolve:
         # Every adaptive quadrature pass of one canonical solve is a Newton
         # residual evaluation: the expectation and the assembly's values
         # and cell masses ride on the solve's last pass, and no root solve
-        # runs besides the coupled Newton.  The Jacobian is differenced
-        # once, at the start (two passes), and then updated: one pass per
-        # step, plus the start's.
+        # runs besides the coupled Newton, whose Jacobian rides on the
+        # same pass: one pass per step, plus the start's.
         calls, residuals = [], []
         plain, plain_residuals = numerics._adaptive, duality._zero_residuals
 
@@ -578,8 +576,8 @@ class TestCoupledSolve:
         monkeypatch.setattr(duality, "_zero_residuals", counted_residuals)
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         sol = assemble_density(spec, eps)
-        assert len(calls) == len(residuals) == sol.newton_steps + 3 <= 12
-        assert 1 <= sol.newton_steps <= 8
+        assert len(calls) == len(residuals) == sol.newton_steps + 1 <= 6
+        assert 1 <= sol.newton_steps <= 5
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -616,53 +614,105 @@ class TestCoupledSolve:
         with pytest.raises(MaxIterations):
             assemble_density(SPEC_I, 1e-3, 101)
 
-    @pytest.mark.parametrize("residuals", [(math.nan, 0.0), (1e-3, 1e-3)],
-                             ids=["non_finite", "singular_jacobian"])
-    def test_unusable_residuals_raise(self, monkeypatch, residuals):
-        # Residuals that are NaN, or do not move with the zeros, give no
-        # Newton step; the solve must say so.
+    @pytest.mark.parametrize("residuals,jacobian",
+                             [((math.nan, 0.0), np.eye(2)),
+                              ((1e-3, 1e-3), np.eye(2) * math.nan),
+                              ((1e-3, 1e-3), np.zeros((2, 2)))],
+                             ids=["non_finite", "non_finite_jacobian",
+                                  "singular_jacobian"])
+    def test_unusable_residuals_raise(self, monkeypatch, residuals, jacobian):
+        # Residuals or a Jacobian that are NaN, or residuals that do not
+        # move with the zeros, give no Newton step; the solve must say so.
         monkeypatch.setattr(duality, "_zero_residuals",
-                            lambda *args: (np.array(residuals), None))
+                            lambda *args: (np.array(residuals), jacobian, None))
         with pytest.raises(MaxIterations):
             assemble_density(SPEC_I, 1e-3, 101)
 
     def test_vanishing_z_column_raises(self, monkeypatch):
-        # Residuals that follow both zeros through the start and its two
-        # difference passes, then no longer move with z, so that no root
-        # exists: the secant updates run on, and the solve must raise
-        # without ever stepping to a NaN.
+        # Residuals that follow both zeros at the start, and after one step
+        # no longer move with z, so that no root exists: the exact
+        # Jacobian is singular there, and the solve must raise without
+        # ever stepping to a NaN.
         seen = []
 
         def residuals(zeros, *args):
             seen.append(zeros)
             z, c = zeros
-            k = z - 2.0 if len(seen) <= 3 else 0.0
-            return np.array([k + (c - 1.0) + 0.5, k + 2.0 * (c - 1.0) + 0.25,
-                             0.0]), None
+            k = 1.0 if len(seen) == 1 else 0.0
+            F = [k * (z - 2.0) + (c - 1.0) + 0.5,
+                 k * (z - 2.0) + 2.0 * (c - 1.0) + 0.25, 0.0]
+            return np.array(F), np.array([[k, 1.0], [k, 2.0]]), None
 
         monkeypatch.setattr(duality, "_zero_residuals", residuals)
         with pytest.raises(MaxIterations):
             duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
-        assert len(seen) > 4
+        assert len(seen) == 2
         assert np.all(np.isfinite(seen))
 
-    def test_exact_root_takes_no_secant_update(self, monkeypatch):
-        # Residuals that vanish exactly after the first step leave a zero
-        # step next, across which no secant exists (dx . dx = 0): the update
-        # is skipped, and the solve stops on its step test.
+    def test_exact_root_stops_on_a_zero_step(self, monkeypatch):
+        # Residuals that vanish exactly after the first step give a zero
+        # Newton step next, and the solve stops on its step test: one pass
+        # per step, plus the start's.
         seen = []
 
         def residuals(zeros, *args):
             seen.append(zeros)
             z, c = zeros
             f = [(z - 2.0) + (c - 1.0) + 0.5, (z - 2.0) - (c - 1.0) + 0.25]
-            return np.array(f + [0.0] if len(seen) <= 3 else [0.0] * 3), None
+            F = f + [0.0] if len(seen) == 1 else [0.0] * 3
+            return np.array(F), np.array([[1.0, 1.0], [1.0, -1.0]]), None
 
         monkeypatch.setattr(duality, "_zero_residuals", residuals)
         solved = duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
-        assert solved.steps == 2 and len(seen) == solved.steps + 3
-        assert solved.zeros == seen[3] == seen[4]
+        assert solved.steps == 2 and len(seen) == solved.steps + 1
+        assert solved.zeros == seen[1] == seen[2]
         assert solved.closure == solved.mass_residual == 0.0
+
+    @pytest.mark.parametrize("factor", [1.0, 1.02, 2.5])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    def test_jacobian_matches_central_differences(self, alpha, eps, factor):
+        # The exact Jacobian at the tent start and at the solution, with z
+        # inside the target (factor 2.5) and past its far edge (the sharp
+        # width, and 1.02 at eps 1e-1 for alpha <= 1), against central
+        # differences.  At the sharp width the tent start has z exactly at
+        # the far edge, where S = min(z, width) kinks and the residuals
+        # have no derivative in z: there the z column is the left-sided
+        # one, which the Jacobian gives, and is checked by the one-sided
+        # second-order difference from below.
+        spec = _regime_spec(alpha, factor, 0.0)
+        width = spec.target_width
+        tent = (spec.sharp_width, 0.5 * min(spec.sharp_width, width))
+        solution = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12).zeros
+        for zeros in (tent, solution):
+            F = lambda dz, dc: duality._zero_residuals(
+                (zeros[0] + dz, zeros[1] + dc), spec, eps, 0.0, 1e-13)[0][:2]
+            _, J, _ = duality._zero_residuals(zeros, spec, eps, 0.0, 1e-13)
+            hz, hc = 1e-6 * max(width, zeros[0] - width), 1e-6 * width
+            if zeros[0] == width:
+                dz = 3.0 * F(0.0, 0.0) - 4.0 * F(-hz, 0.0) + F(-2.0 * hz, 0.0)
+            else:
+                dz = F(hz, 0.0) - F(-hz, 0.0)
+            dc = F(0.0, hc) - F(0.0, -hc)
+            differences = np.column_stack([dz / (2.0 * hz), dc / (2.0 * hc)])
+            assert np.max(np.abs(J - differences)) <= 1e-9 * np.max(np.abs(J))
+
+    def test_work_counts_are_pinned(self, monkeypatch):
+        # Newton steps and quadrature passes over a fixed set of regimes.
+        # Both are counts, bitwise repeatable: a change that does more
+        # work shows here as a new count.
+        plain, passes = numerics._adaptive, []
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "_adaptive", counted)
+        steps = sum(
+            assemble_density(_regime_spec(alpha, factor, 0.0), eps, 101).newton_steps
+            for alpha, eps, factor in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4),
+                                                        (1.02, 2.5)))
+        assert (steps, len(passes)) == (50, 62)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=st.floats(min_value=0.5, max_value=4.0),
@@ -689,7 +739,7 @@ class TestCoupledSolve:
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as counted:
             sol = assemble_density(spec, eps, 101)
-        assert counted.call_count == sol.newton_steps + 3
+        assert counted.call_count == sol.newton_steps + 1
         _assert_contracts(sol)
         z, c = sol.dual.zeros
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9

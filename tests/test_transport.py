@@ -80,6 +80,13 @@ class TestTargetCdf:
         q = inc.target_cdf
         assert np.all(np.diff(q(sol.support_nodes)) > 0.0)
 
+    def test_nan_target_is_named(self, solved):
+        # searchsorted sorts NaN past the last fraction: the inverse must
+        # refuse it by name, not index past its panels.
+        q = target_cdf(solved(SPEC_I, 1e-2))
+        with pytest.raises(ValueError, match="CDF target 1 is NaN"):
+            q.invert_many(np.array([0.5, np.nan]))
+
 
 class TestBuildMap:
     def test_increasing_endpoints(self, maps):
