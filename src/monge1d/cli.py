@@ -334,10 +334,7 @@ def cmd_map(config: RunConfig) -> int:
 
 
 def _floor_row(epsilon: float) -> SweepRow:
-    return SweepRow(epsilon=epsilon, constant=None, support_endpoint=None,
-                    mass_err=None, sup_slope=None, expectation=None,
-                    primal=None, dual=None, gap=None, dist_tent=None,
-                    wall_ms=0.0,
+    return SweepRow(epsilon=epsilon, wall_ms=0.0,
                     error=f"ValueError: epsilon {epsilon!r} below the "
                           f"supported floor {EPSILON_FLOOR!r}")
 

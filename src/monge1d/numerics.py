@@ -14,7 +14,7 @@ Design notes
   layer such as the slope's next to a stress zero needs 20 to 35 levels
   at the solver's tolerances.  Callers that know such a point pass
   breakpoints graded geometrically toward it (`_graded_edges`; the dual
-  solver's quadratures and the transport cost do): the loop then starts
+  solver's quadratures do): the loop then starts
   from the mesh bisection would have built and finishes in one or two
   rounds.
   The depth cap of 60 levels, rather than the usual 20, still lets an
@@ -112,8 +112,8 @@ def _graded_edges(span, points):
     of _GRADE_ULPS ulps of the span's magnitude.
 
     Next to a point where the integrand has a layer (the slope's log-type
-    layer at a stress zero, the quantile map's square root at a source
-    end) adaptive bisection would reach it only one level per round.
+    layer at a stress zero) adaptive bisection would reach it only one
+    level per round.
     Each graded panel [p + s, p + 2s] sees the same shape on its own
     scale, so a single Gauss-Kronrod panel resolves it and the adaptive
     loop starts from the mesh bisection would have built.  Edges outside

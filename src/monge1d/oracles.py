@@ -27,6 +27,7 @@ from .problem import MongeProblemSpec, SourceDensity, require_capacity
 
 _MASS_TOL = 1e-10
 _SLOPE_SLACK = 1e-10
+_FIXTURE_STEP_TOL = 1e-9
 _DESCENT_MAX_ITER = 100_000
 
 
@@ -195,6 +196,20 @@ def _make_feasible(values: np.ndarray, step: float, alpha: float,
     return np.maximum(out, 0.0)
 
 
+def _feasible_density(nodes, values, step, alpha) -> GridDensity:
+    """The grid density an oracle returns: `values` projected onto the
+    feasible set.  Raises MaxIterations naming the first violation when
+    the projection's rounds run out before every constraint holds."""
+    density = GridDensity(nodes=nodes,
+                          values=_make_feasible(values, step, alpha),
+                          step=step, alpha=alpha)
+    problems = density.violations()
+    if problems:
+        raise MaxIterations(f"projection onto the feasible set left "
+                            f"{problems[0]}")
+    return density
+
+
 # -- expectation optimizer (linear program) -----------------------------------
 
 def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
@@ -230,8 +245,7 @@ def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
             f"on {spec.target_interval}")
     if not result.success:
         raise RuntimeError(f"optimizer failed: {result.message}")
-    values = _make_feasible(np.maximum(result.x, 0.0), h, spec.alpha)
-    density = GridDensity(nodes=nodes, values=values, step=h, alpha=spec.alpha)
+    density = _feasible_density(nodes, np.maximum(result.x, 0.0), h, spec.alpha)
     return OracleRun(density=density, objective=density.expectation(),
                      iterations=int(result.nit))
 
@@ -299,10 +313,9 @@ def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon,
     else:
         raise MaxIterations(
             f"no convergence within {_DESCENT_MAX_ITER} descent iterations")
-    values = _make_feasible(values, h, spec.alpha)
-    density = GridDensity(nodes=nodes, values=values, step=h, alpha=spec.alpha)
+    density = _feasible_density(nodes, values, h, spec.alpha)
     return OracleRun(density=density,
-                     objective=_discrete_objective(values, nodes, h,
+                     objective=_discrete_objective(density.values, nodes, h,
                                                    spec.alpha, epsilon),
                      iterations=iteration, epsilon=epsilon,
                      objective_trace=tuple(trace))
@@ -365,8 +378,11 @@ def load_fixture(csv_path) -> OracleRun:
     """Read back a fixture written by save_fixture.
 
     Raises ValueError naming the problem when the CSV header or the JSON
-    sidecar is not what save_fixture writes, or when the CSV holds fewer
-    than two rows.
+    sidecar is not what save_fixture writes, when the CSV holds fewer
+    than two rows, or when its nodes are not increasing and equally
+    spaced (the trapezoidal mass and the slopes read every cell with the
+    first step), naming the first row whose step departs from the first
+    by more than 1e-9 relative.
     """
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
@@ -392,6 +408,17 @@ def load_fixture(csv_path) -> OracleRun:
         raise ValueError(f"{sidecar.name}: {exc}") from exc
     nodes = np.array([y for y, _ in rows])
     values = np.array([u for _, u in rows])
+    steps = np.diff(nodes)
+    bad = ~(np.abs(steps - steps[0]) <= _FIXTURE_STEP_TOL * steps[0])
+    bad[0] = not steps[0] > 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        # Data row k + 2 (counting from 1) ends step k.
+        raise ValueError(
+            f"{csv_path.name}: row {k + 2} (y = {float(nodes[k + 1])!r}) is "
+            f"{float(steps[k])!r} past the row before it, but the first "
+            f"step is {float(steps[0])!r}: fixture nodes must increase in "
+            f"equal steps")
     density = GridDensity(nodes=nodes, values=values,
                           step=float(nodes[1] - nodes[0]), alpha=alpha)
     return OracleRun(density=density, objective=objective,

@@ -43,9 +43,9 @@ class SourceDensity:
       * "tabulated": samples of some underlying density, interpolated
         piecewise-linearly; the kind only records where the numbers came from.
 
-    Mass, cumulative mass, barycenter, and quantiles are all exact closed
-    forms per cell, never quadrature, so the transport maps built on top
-    inherit no discretization error from the source side.
+    Mass, cumulative mass and barycenter are exact closed forms per cell,
+    never quadrature, so the transport maps and their cost inherit no
+    discretization error from the source side.
     """
 
     interval: tuple[float, float]
@@ -131,29 +131,6 @@ class SourceDensity:
         slope = (v[i + 1] - v[i]) / h[i]
         out = cum[i] + v[i] * t + 0.5 * slope * t * t
         return out if np.ndim(x) else float(out)
-
-    def quantile(self, q):
-        """Inverse of `cdf`: the point with the given mass to its left.
-
-        Accepts q in [0, mass] (clipped into it); solving the per-cell
-        quadratic in the 2q/(v + sqrt(...)) form keeps the result stable
-        when the cell slope is near zero.
-        """
-        lo, hi = self.interval
-        xs, v, h, cell_mass = self._cells()
-        cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-        # The last node holds the whole mass, as `mass` sums it.
-        cum[-1] = np.sum(cell_mass)
-        qc = np.clip(np.asarray(q, dtype=float), 0.0, cum[-1])
-        i = np.clip(np.searchsorted(cum, qc, side="right") - 1, 0, h.size - 1)
-        rest = qc - cum[i]
-        slope = (v[i + 1] - v[i]) / h[i]
-        disc = np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope * rest, 0.0))
-        denom = v[i] + disc
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(denom > 0.0, 2.0 * rest / denom, 0.0)
-        out = np.clip(np.minimum(xs[i] + t, xs[i + 1]), lo, hi)
-        return out if np.ndim(q) else float(out)
 
     def barycenter(self) -> float:
         """Mass-weighted mean position, exact."""

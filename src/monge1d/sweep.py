@@ -42,25 +42,26 @@ _CSV_COLUMNS = ("epsilon", "constant", "support_endpoint", "mass_err",
                 "dist_tent", "ms", "error")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
     """One epsilon's worth of pipeline output.
 
-    Numeric fields are None when `error` is non-empty.  `wall_ms` is
-    measured for every row but never serialized (the CSV keeps its `ms`
-    column empty so identical inputs give identical bytes).
+    Numeric fields default to None, which is what a failed row holds: it
+    is built from `epsilon`, `wall_ms` and a non-empty `error` alone.
+    `wall_ms` is measured for every row but never serialized (the CSV
+    keeps its `ms` column empty so identical inputs give identical bytes).
     """
 
     epsilon: float
-    constant: float | None
-    support_endpoint: float | None
-    mass_err: float | None
-    sup_slope: float | None
-    expectation: float | None
-    primal: float | None
-    dual: float | None
-    gap: float | None
-    dist_tent: float | None
+    constant: float | None = None
+    support_endpoint: float | None = None
+    mass_err: float | None = None
+    sup_slope: float | None = None
+    expectation: float | None = None
+    primal: float | None = None
+    dual: float | None = None
+    gap: float | None = None
+    dist_tent: float | None = None
     wall_ms: float
     error: str = ""
 
@@ -83,10 +84,8 @@ def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol,
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
         wall = (time.perf_counter() - start) * 1e3
-        return SweepRow(epsilon=epsilon, constant=None, support_endpoint=None,
-                        mass_err=None, sup_slope=None, expectation=None,
-                        primal=None, dual=None, gap=None, dist_tent=None,
-                        wall_ms=wall, error=f"{type(exc).__name__}: {exc}")
+        return SweepRow(epsilon=epsilon, wall_ms=wall,
+                        error=f"{type(exc).__name__}: {exc}")
     wall = (time.perf_counter() - start) * 1e3
     return SweepRow(
         epsilon=epsilon,

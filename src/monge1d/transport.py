@@ -3,11 +3,8 @@
 Both monotone rearrangements of the source onto a solved density are
 built as quantile couplings: the increasing map is Q^{-1}(F(x)) with F
 the source cumulative and Q the target cumulative, the decreasing map
-flips F to 1 - F.  With supports on opposite sides of the source the
-transport cost |x - s(x)| is effectively linear, so every rearrangement
-of the same pair of marginals has equal cost; the two variants exist
-because the anchoring convention admits either, and nothing here ranks
-them.
+flips F to 1 - F.  The two variants exist because the anchoring
+convention admits either, and nothing here ranks them.
 
 Maps evaluate lazily: each call composes the exact closed-form source
 CDF (`SourceDensity.cdf`) with the panel-by-panel inverse of the
@@ -15,11 +12,15 @@ solution's CDF (`MonotoneProfile.invert_many`), which keeps the
 pushforward residual at rounding level instead of map-interpolation
 precision.  That CDF is the solve's last pass read in closed form, the
 same reading that gives the delivered density, so no interpolant enters
-the maps.  The cost is a quadrature of |x - s(x)| against the source
-density, on panels graded toward both source ends, where the map has
-square-root ends; with the source wholly on one side of the target it
-must equal the source barycenter minus the target expectation, which
-makes it a check on the whole chain.
+the maps.
+
+The source and the target lie on disjoint intervals, so x - s(x) has
+one sign for every map s that pushes the source density f onto the
+normalized target density u/M, and its cost, the integral of
+|x - s(x)| f(x), is |integral of x f - integral of y u / M|: the gap
+between the source barycenter and the target mean.  `build_map` reads
+the cost off that identity, so both variants carry the same cost, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,18 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DensitySolution
-from .numerics import MonotoneProfile, _graded_edges, integrate
+from .numerics import MonotoneProfile
 from .problem import MongeProblemSpec
-
-_COST_QUAD_TOL = 1e-10
 
 
 def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     """n Chebyshev points on [lo, hi], endpoints included, ascending.
 
     Clusters quadratically near the ends, where the quantile maps have
-    square-root behavior and uniform grids sample worst.
+    square-root behavior and uniform grids sample worst.  Raises
+    ValueError for n < 2, which leaves no room for both endpoints.
     """
+    if n < 2:
+        raise ValueError("chebyshev_nodes needs n >= 2 to hold both "
+                         f"endpoints, got {n!r}")
     k = np.arange(n, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid - half * np.cos(np.pi * k / (n - 1))
@@ -77,7 +80,7 @@ class QuantileMap:
 @dataclass(frozen=True)
 class TransportMapSolution:
     """A monotone transport map with the target CDF it inverts and its
-    evaluated cost."""
+    cost, the gap between the source barycenter and the target mean."""
 
     variant: str
     map: QuantileMap
@@ -92,7 +95,8 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
 
     The increasing variant sends the source's left edge to the support's
     left edge; the decreasing variant reverses.  Both push the source
-    forward onto the density (same marginals, same cost).
+    forward onto the normalized density, so both cost
+    |source barycenter - expectation / mass| (see the module docstring).
     """
     if variant not in ("increasing", "decreasing"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -100,28 +104,10 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
     mapping = QuantileMap(source_density=spec.source_density,
                           target_profile=q,
                           decreasing=(variant == "decreasing"))
-    cost = _evaluate_cost(mapping, spec, solution.crossing)
+    cost = abs(spec.source_density.barycenter()
+               - solution.expectation / solution.mass)
     return TransportMapSolution(variant=variant, map=mapping, target_cdf=q,
                                 cost=cost)
-
-
-def _evaluate_cost(mapping, spec: MongeProblemSpec, crossing: float) -> float:
-    a, b = spec.source_interval
-    density = spec.source_density
-
-    def integrand(x):
-        return np.abs(x - mapping(x)) * np.asarray(density(x), dtype=float)
-
-    # The map's slope kinks wherever the source density does, and where
-    # the map passes the crossing, the density's peak, whose slope turns
-    # within a layer far thinner than any panel.  At both source ends the
-    # map leaves the support's flat ends like a square root, so the panels
-    # are graded toward them.
-    q = float(mapping.target_profile(crossing))
-    peak = density.quantile(1.0 - q if mapping.decreasing else q)
-    edges = np.concatenate([density.nodes or (), [peak],
-                            _graded_edges((a, b), (a, b))])
-    return float(integrate(integrand, a, b, tol=_COST_QUAD_TOL, breakpoints=edges))
 
 
 def pushforward_residual(map_solution: TransportMapSolution,

@@ -1,10 +1,11 @@
 """Monotone transport maps out of the solved density.
 
-With disjoint ordered intervals the transport cost is linear in the
-map, so the increasing and the decreasing rearrangement cost exactly
-the same, and that cost equals the gap between the source and target
-means.  Both maps come from composing the source CDF with the target
-quantile function.
+Both maps come from composing the source CDF with the target quantile
+function.  With disjoint ordered intervals x - s(x) has one sign, so
+every map that pushes the source onto the density costs the gap between
+the source and target means; `build_map` reports that closed form, and
+the increasing and the decreasing rearrangement cost exactly the same.
+What checks the maps is the pushforward residual.
 """
 
 import numpy as np
@@ -30,10 +31,8 @@ print()
 print(f"cost (increasing): {increasing.cost:.10f}")
 print(f"cost (decreasing): {decreasing.cost:.10f}")
 print(f"difference:        {increasing.cost - decreasing.cost:+.2e}")
-
-identity = spec.source_density.barycenter() - sol.expectation
-print(f"mean gap E[X] - E[Y]: {identity:.10f} "
-      f"(cost matches within {abs(increasing.cost - identity):.1e})")
+print(f"source mean {spec.source_density.barycenter():.10f}, target mean "
+      f"{sol.expectation / sol.mass:.10f}")
 
 print()
 print("pushforward residuals (how exactly the map carries the source "

@@ -1,13 +1,16 @@
-"""Shared fixtures: a session-wide cache of assembled solutions.
+"""Shared fixtures: a session-wide cache of assembled solutions, and the
+quadrature reference for a transport map's cost.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
 are cached for the whole session keyed by the hashable spec.
 """
 
+import numpy as np
 import pytest
 
 from monge1d.duality import assemble_density
+from monge1d.numerics import _graded_edges, integrate
 from monge1d.oracles import discrete_primal_minimizer
 
 
@@ -36,3 +39,28 @@ def primal_oracle():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def reference_cost():
+    """The integral of |x - s(x)| f(x) over the source by adaptive
+    quadrature, independent of the closed form `build_map` reports.
+
+    The map's slope kinks wherever the source density does, so the
+    source's nodes are breakpoints; at both source ends the map leaves
+    the support's flat ends like a square root, so the panels are graded
+    toward them.  Each node inverts the target CDF.
+    """
+
+    def cost(map_solution, spec, tol=1e-10):
+        a, b = spec.source_interval
+        density = spec.source_density
+
+        def integrand(x):
+            return np.abs(x - map_solution.map(x)) * density(x)
+
+        edges = np.concatenate([density.nodes or (),
+                                _graded_edges((a, b), (a, b))])
+        return float(integrate(integrand, a, b, tol=tol, breakpoints=edges))
+
+    return cost

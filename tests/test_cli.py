@@ -285,7 +285,8 @@ class TestMap:
     def test_cost_document(self, map_artifacts):
         _, target = map_artifacts
         doc = json.loads((target / "cost.json").read_text())
-        assert abs(doc["cost_increasing"] - doc["cost_decreasing"]) <= 1e-8
+        assert doc["cost_increasing"] == doc["cost_decreasing"]
+        assert doc["cost_difference"] == 0.0
         assert doc["cost_increasing"] == pytest.approx(3.0, abs=0.05)
         assert doc["residual_increasing"] <= 1e-6
         assert doc["residual_decreasing"] <= 1e-6

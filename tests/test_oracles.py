@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge1d import oracles
 from monge1d.energy import primal_energy
-from monge1d.errors import CapacityError
+from monge1d.errors import CapacityError, MaxIterations
 from monge1d.oracles import (
     GridDensity,
     OracleRun,
@@ -168,6 +169,31 @@ class TestPrimalMinimizer:
 
 # -- grid density invariants --------------------------------------------------
 
+class TestInfeasibleReturn:
+    """An oracle whose final projection runs out of rounds raises instead
+    of returning the infeasible density."""
+
+    @pytest.fixture
+    def half_mass_projection(self, monkeypatch):
+        # The final projections (default rounds) come back at half mass;
+        # the descent's 8-round trial projections stay intact.
+        real = oracles._make_feasible
+
+        def projection(values, step, alpha, rounds=60):
+            out = real(values, step, alpha, rounds)
+            return out if rounds != 60 else 0.5 * out
+
+        monkeypatch.setattr(oracles, "_make_feasible", projection)
+
+    def test_expectation_optimizer(self, half_mass_projection):
+        with pytest.raises(MaxIterations, match="trapezoidal mass 0.5"):
+            discrete_expectation_optimizer(SPEC_I, 201)
+
+    def test_primal_minimizer(self, half_mass_projection):
+        with pytest.raises(MaxIterations, match="trapezoidal mass 0.5"):
+            discrete_primal_minimizer(SPEC_I, 0.1, 101)
+
+
 class TestGridDensity:
     def _tent_grid(self, n=201):
         nodes = np.linspace(0.0, 5.0, n)
@@ -292,4 +318,21 @@ class TestFixtures:
         meta["alpha"] = None
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="oracle.json"):
+            load_fixture(tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("ys, row", [
+        # Trapezoids read with the first step give these samples mass
+        # 1.5; their true mass is 1.25.
+        ((0.0, 1.0, 1.5, 3.0), "row 3 "),
+        ((3.0, 2.0, 1.0, 0.0), "row 2 "),
+        ((0.0, 1.0, 1.0, 2.0), "row 3 ")],
+        ids=["unequal", "decreasing", "repeated"])
+    def test_unequal_or_non_increasing_nodes_are_named(self, tmp_path, ys,
+                                                       row):
+        (tmp_path / "oracle.json").write_text(json.dumps(
+            {"alpha": 1.0, "objective": 0.0, "iterations": 0,
+             "epsilon": None}))
+        rows = [f"{y!r},{u!r}" for y, u in zip(ys, (0.0, 1.0, 0.5, 0.0))]
+        (tmp_path / "oracle.csv").write_text("\n".join(["y,u"] + rows) + "\n")
+        with pytest.raises(ValueError, match=f"oracle.csv: {row}"):
             load_fixture(tmp_path / "oracle.csv")

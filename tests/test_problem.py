@@ -31,7 +31,6 @@ class TestSourceDensity:
         assert f(7.0) == pytest.approx(0.5)
         assert f(5.9) == 0.0
         assert f.cdf(7.0) == pytest.approx(0.5)
-        assert f.quantile(0.5) == pytest.approx(7.0)
         assert f.barycenter() == pytest.approx(7.0)
 
     def test_uniform_with_level(self):
@@ -49,23 +48,11 @@ class TestSourceDensity:
         ref = np.trapezoid(f(xs), xs)
         assert f.cdf(1.5) == pytest.approx(ref, abs=1e-8)
 
-    def test_quantile_inverts_cdf(self):
-        f = _linear_density()
-        for q in np.linspace(0.0, f.mass(), 17):
-            x = f.quantile(float(q))
-            assert f.cdf(x) == pytest.approx(float(q), abs=1e-12)
-
-    def test_quantile_flat_slope_stable(self):
-        f = SourceDensity(interval=(0.0, 1.0), kind="tabulated",
-                          nodes=(0.0, 1.0), values=(3.0, 3.0))
-        assert f.quantile(1.5) == pytest.approx(0.5)
-
     def test_vectorized_calls(self):
         f = _linear_density()
         xs = np.array([6.0, 7.0, 8.0])
         assert f(xs).shape == (3,)
         assert f.cdf(xs).shape == (3,)
-        assert f.quantile(np.array([0.0, 1.0])).shape == (2,)
 
     def test_barycenter_linear(self):
         f = SourceDensity(interval=(0.0, 1.0), kind="piecewise-linear",
@@ -88,11 +75,10 @@ class TestSourceDensity:
         cell = SourceDensity(interval=(lo, hi), kind="piecewise-linear",
                              nodes=(lo, hi), values=(L, L))
         xs = lo + np.array(fracs) * (hi - lo)
-        qs = np.array(fracs) * uniform.mass()
         assert uniform.mass() == cell.mass()
         assert np.array_equal(uniform(xs), cell(xs))
         assert np.array_equal(uniform.cdf(xs), cell.cdf(xs))
-        assert np.array_equal(uniform.quantile(qs), cell.quantile(qs))
+        assert uniform.barycenter() == cell.barycenter()
 
     def test_construction_errors(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Transport maps: CDF endpoints, quantile composition, cost identities,
-pushforward residuals, and mirror agreement."""
+"""Transport maps: CDF endpoints, quantile composition, the cost against
+its quadrature, pushforward residuals, and mirror agreement."""
 
 import dataclasses
 
@@ -127,24 +127,34 @@ class TestBuildMap:
         assert inc.variant == "increasing"
 
 
+UNEQUAL = dataclasses.replace(SPEC_I, source_density=normalize_density(
+    SourceDensity(interval=(6.0, 8.0), kind="piecewise-linear",
+                  nodes=(6.0, 6.1475, 6.1877, 6.7828, 6.8475, 6.8571, 6.9523,
+                         7.1414, 8.0),
+                  values=(1.26, 0.42, 1.88, 1.43, 1.68, 1.81, 1.25, 0.27,
+                          1.48))))
+
+
 class TestTransportCost:
-    def test_variants_agree(self, maps):
+    @pytest.mark.parametrize("variant", ["increasing", "decreasing"])
+    @pytest.mark.parametrize("spec, solve_spec", [
+        (SPEC_I, SPEC_I), (SPEC_II, SPEC_II), (RAMP, RAMP),
+        # An unequally spaced source onto the uniform source's density:
+        # the reference quadrature splits at its kinks.
+        (UNEQUAL, SPEC_I)], ids=["I", "II", "ramp", "unequal"])
+    def test_matches_the_quadrature(self, solved, reference_cost, spec,
+                                    solve_spec, variant):
+        # The closed form against the integral of |x - s(x)| f(x) along
+        # the map it prices: the check on the whole chain.
+        sol = solved(solve_spec, 1e-3)
+        built = build_map(spec, sol, variant)
+        assert abs(built.cost - reference_cost(built, spec)) <= 1e-9
+
+    def test_variants_agree_bitwise(self, maps):
         # disjoint ordered supports make the cost linear in the map, so
         # every rearrangement of the same marginals costs the same
         _, inc, dec = maps
-        assert abs(inc.cost - dec.cost) <= 1e-8
-
-    def test_cost_identity(self, maps):
-        sol, inc, _ = maps
-        identity = SPEC_I.source_density.barycenter() - sol.expectation
-        assert abs(inc.cost - identity) <= 1e-8
-
-    def test_mirrored_cost_identity(self, solved):
-        sol = solved(SPEC_II, 1e-3)
-        inc = build_map(SPEC_II, sol, "increasing")
-        identity = sol.expectation - SPEC_II.source_density.barycenter()
-        assert SPEC_II.source_density.barycenter() < 0.0
-        assert abs(inc.cost - identity) <= 1e-8
+        assert inc.cost == dec.cost
 
     def test_sharp_limit_value(self, maps):
         # means 7 and 4: the limit cost is 3
@@ -155,27 +165,6 @@ class TestTransportCost:
         # Rebuilding the map reproduces its cost bit for bit.
         sol, inc, _ = maps
         assert build_map(SPEC_I, sol, "increasing").cost == inc.cost
-
-    def test_ramp_source(self, solved):
-        sol = solved(RAMP, 1e-3)
-        inc = build_map(RAMP, sol, "increasing")
-        identity = RAMP.source_density.barycenter() - sol.expectation
-        assert abs(inc.cost - identity) <= 1e-8
-
-    def test_unequally_spaced_source(self, maps):
-        # The map's slope kinks wherever the source density does; the cost
-        # quadrature must split there (without it, 2e-6 off the identity).
-        sol = maps[0]
-        source = normalize_density(SourceDensity(
-            interval=(6.0, 8.0), kind="piecewise-linear",
-            nodes=(6.0, 6.1475, 6.1877, 6.7828, 6.8475, 6.8571, 6.9523,
-                   7.1414, 8.0),
-            values=(1.26, 0.42, 1.88, 1.43, 1.68, 1.81, 1.25, 0.27, 1.48)))
-        spec = dataclasses.replace(SPEC_I, source_density=source)
-        identity = source.barycenter() - sol.expectation
-        for variant in ("increasing", "decreasing"):
-            cost = build_map(spec, sol, variant).cost
-            assert abs(cost - identity) <= 1e-9
 
 
 class TestPushforwardResidual:
@@ -246,6 +235,12 @@ class TestMirrorMaps:
 
 
 class TestChebyshevNodes:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_nodes_raise(self, n):
+        # one node cannot hold both endpoints (the spacing would be 0/0)
+        with pytest.raises(ValueError, match="n >= 2"):
+            chebyshev_nodes(0.0, 1.0, n)
+
     def test_structure(self):
         xs = chebyshev_nodes(0.0, 1.0, 9)
         assert xs[0] == 0.0
