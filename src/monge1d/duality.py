@@ -231,16 +231,41 @@ class DualField:
         l, u = _invert_stress_sq(th * th, self.alpha, self.epsilon)
         return th, l, np.copysign(np.sqrt(u), th)
 
-    def integrate(self, fn, tol):
+    def integrate(self, fn, tol, levels=(), keep=None):
         """Support integrals of the rows fn(y, log_lambda, slope), from one
         `_depth_integral` pass in depths from the anchored support end (the
-        upper one under orientation I)."""
+        upper one under orientation I).
+
+        Rows that kink where |theta| takes one of the `levels` get those
+        points as panel edges, so no round of the pass hunts a kink by
+        bisection.  The depths are the closed-form roots of
+        (s - z)(s - c) = +-2 level in the depth zeros, accurate to ulps of
+        the support's width wherever it lies.  With `keep`, only the points
+        y inside the support where keep(y) holds are cut.
+        """
         o, (lo, hi) = self.orientation, self.support
         anchor = hi if o > 0 else lo
         zeros = tuple(o * (anchor - p) for p in self.zeros)
+        span = (0.0, hi - lo)
+        cuts = _level_depths(zeros, span, levels)
+        if keep is not None:
+            cuts = cuts[np.broadcast_to(keep(anchor - o * cuts), cuts.shape)]
         return _depth_integral(lambda s, l, g: fn(anchor - o * s, l, -o * g),
-                               zeros, (0.0, hi - lo), self.alpha, self.epsilon,
-                               tol)
+                               zeros, span, self.alpha, self.epsilon, tol,
+                               cuts=cuts)
+
+
+def _level_depths(zeros, span, levels):
+    """Depths inside the open span where the depth stress (s - z)(s - c)/2
+    has magnitude equal to one of the levels: s = m +- sqrt(h^2 +- 2 level)
+    with m = (z + c)/2, h = (z - c)/2."""
+    z, c = zeros
+    m, h2 = 0.5 * (z + c), (0.5 * (z - c)) ** 2
+    disc = np.concatenate([h2 + 2.0 * np.asarray(levels, dtype=float),
+                           h2 - 2.0 * np.asarray(levels, dtype=float)])
+    root = np.sqrt(disc[disc >= 0.0])
+    s = np.concatenate([m - root, m + root])
+    return s[(s > span[0]) & (s < span[1])]
 
 
 def _level_zeros(r, orientation):
@@ -270,12 +295,14 @@ def _depth_rows(fn, zeros, alpha, epsilon):
     return rows
 
 
-def _depth_integral(fn, zeros, span, alpha, epsilon, tol):
+def _depth_integral(fn, zeros, span, alpha, epsilon, tol, cuts=()):
     """Integrals over the depth span of the rows fn(s, l, du/ds) (a float
     for one row), from one `integrate` pass on panels graded toward the
-    stress zeros, refined until every row meets the tolerance."""
+    stress zeros and cut at the depths `cuts`, refined until every row
+    meets the tolerance."""
     return integrate(_depth_rows(fn, zeros, alpha, epsilon), span[0], span[1],
-                     tol, breakpoints=_graded_edges(span, zeros))
+                     tol, breakpoints=np.concatenate([_graded_edges(span, zeros),
+                                                      cuts]))
 
 
 def _support_of(zero, spec: MongeProblemSpec):

@@ -29,7 +29,8 @@ zeros: the H-term, dual and mixed integrands are the rows of one pass,
 and the moment term is the solve's `expectation`.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
-`SinePerturbation`; all their deltas are the rows of one more pass.
+`SinePerturbation`; all their deltas are the rows of one more pass, cut
+where the dual bump's clip kinks.
 """
 
 from __future__ import annotations
@@ -317,6 +318,15 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     the tolerance relative to its own total.  The perturbation, psi and
     the field are evaluated once per node for all of them.  A t of 0
     costs no row and reads exactly 0.0; when every t is 0 no pass runs.
+    A non-finite t raises ValueError.
+
+    Where t psi > 0 the clip kinks at l = 0 (|theta| = alpha) and at
+    l = -t psi (|theta| = e^{-t psi} sqrt(alpha^2 - 2 eps t psi), when
+    t psi < alpha^2/(2 eps)).  The pass is cut at these stress levels,
+    taken with psi's value at the support's midpoint, wherever psi has
+    that value, which is where the cut sits on its kink: a constant psi
+    is cut at every kink, so no round of the pass hunts one by bisection;
+    a varying psi's kinks are left to refinement.
     """
     lo, hi = solution.support
     for endpoint in (lo, hi):
@@ -325,14 +335,23 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
             raise InvalidPerturbation(
                 f"perturbation is {v:.3e} at support endpoint {endpoint}")
     ts = tuple(float(t) for t in t_values)
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError(f"probe amplitudes must be finite, got {ts}")
     live = np.array([[t] for t in ts if t != 0.0])
     if not live.size:
         return ProbeReport(t_values=ts, primal_deltas=(0.0,) * len(ts),
                            dual_deltas=(0.0,) * len(ts))
     eps = solution.epsilon
-    a2 = solution.spec.alpha ** 2
+    alpha = solution.spec.alpha
+    a2 = alpha ** 2
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
+    psi_bar = float(np.ravel(psi(np.array([0.5 * (lo + hi)])))[0])
+    up = live.ravel() * psi_bar
+    up = up[up > 0.0]
+    below = up[up < a2 / (2.0 * eps)]
+    levels = np.concatenate([[alpha] if up.size else [],
+                             np.exp(-below) * np.sqrt(a2 - 2.0 * eps * below)])
 
     def rows(y, l, g):
         """The primal difference integrands for the nonzero t, in input
@@ -354,7 +373,8 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + np.exp(shift) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = dual.integrate(rows, quad_tol)
+    sums = dual.integrate(rows, quad_tol, levels,
+                          keep=lambda y: np.asarray(psi(y), dtype=float) == psi_bar)
 
     def deltas(side):
         """One delta per t, in input order: t = 0 reads exactly 0."""

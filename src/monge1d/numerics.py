@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import MaxDepth, MaxIterations, NoSignChange
+from .errors import DomainError, MaxDepth, MaxIterations, NoSignChange
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1] (QUADPACK values).
 _XGK_HALF = np.array([
@@ -135,8 +135,10 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
     inside it cut.  f may return a stack of rows, all summed on the same
     panels: the loop refines until each row's error estimate is within
     tol * max(1, |row total|), splitting every panel that holds more than
-    its share of any row's budget.  Returns the sorted panel edges, the
-    (rows, panels) Kronrod sums and row 0's (panels, 15) samples."""
+    its share of any row's budget.  Raises DomainError, naming the row, as
+    soon as a row's total or error estimate is NaN: no split compares with
+    NaN, so refinement would never stop.  Returns the sorted panel edges,
+    the (rows, panels) Kronrod sums and row 0's (panels, 15) samples."""
     cuts = np.asarray(breakpoints, dtype=float).ravel()
     edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
@@ -145,8 +147,15 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
     kron, err, samples = _gk_panels(f, a, b)
 
     while True:
-        target = np.array([tol * max(1.0, abs(float(np.sum(k)))) for k in kron])
+        totals = np.array([float(np.sum(k)) for k in kron])
         esum = np.array([float(np.sum(e)) for e in err])
+        nan = np.isnan(totals) | np.isnan(esum)
+        if nan.any():
+            row = int(np.argmax(nan))
+            k = int(np.argmax(np.isnan(kron[row]) | np.isnan(err[row])))
+            raise DomainError(f"integrand row {row} is NaN on the panel "
+                              f"[{a[k]!r}, {b[k]!r}]")
+        target = tol * np.maximum(1.0, np.abs(totals))
         if np.all(esum <= target) or a.size == 0:
             break
         # Split every panel holding more than its share of any row's error
@@ -184,7 +193,8 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
     tol * max(1, |that row's result|).  Known
     interior kinks can be passed as `breakpoints`; points outside (l, r)
     are ignored.  An empty span gives a zero per row.  Raises MaxDepth,
-    naming the row still over its budget, when refinement stalls.
+    naming the row still over its budget, when refinement stalls, and
+    DomainError, naming the row, on a NaN integral or error estimate.
 
     Like any sampling-based adaptive rule, refinement is triggered by
     disagreement between the embedded estimates: a feature narrow enough to

@@ -335,9 +335,20 @@ def _dual_diff(sol, t, psi, l):
                                + np.exp(shift) * 2.0 * eps * shift)
 
 
+def _clip_levels(sol, t):
+    """Stress magnitudes where the clip min(t, max(-l, 0)) kinks: l = 0 at
+    |theta| = alpha and l = -t at |theta| = e^{-t} sqrt(alpha^2 - 2 eps t),
+    for t > 0."""
+    eps, alpha = sol.epsilon, sol.spec.alpha
+    if t <= 0.0:
+        return ()
+    return (alpha, math.exp(-t) * math.sqrt(alpha * alpha - 2.0 * eps * t))
+
+
 def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
     """(primal, dual) delta at one t, each from its own one-row pass over
-    the field: the probe's two difference integrands, written out here."""
+    the field: the probe's two difference integrands, written out here.
+    The dual pass is cut at the clip's kinks under the constant bump."""
     eps, dual = sol.epsilon, sol.dual
 
     def primal(y, l, g):
@@ -347,7 +358,8 @@ def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
                 + t * dual.theta_y(y) * perturbation(y))
 
     return (dual.integrate(primal, quad_tol),
-            dual.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol))
+            dual.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol,
+                           _clip_levels(sol, t)))
 
 
 def _clip_reference(sol, t):
@@ -450,29 +462,82 @@ class TestSecondVariationProbe:
         (1.0, 4.0), (1e-1, 1e-2, 1e-3, 1e-4))))
     def test_stacked_deltas_match_single_row_passes(self, solved, alpha, eps):
         # Each row meets its own tolerance on the shared panels, so every
-        # delta is its own one-row pass's, to the tolerance.  Not the dual
-        # row at t = +1e-3 at alpha 1, eps <= 1e-3: its one-row pass misses
-        # the clip layer (see test_dual_clip_layer_is_resolved).
+        # delta is its own one-row pass's, to the tolerance.
         sol = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
         pert = SinePerturbation(sol.support)
         report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
         for t, got_p, got_d in zip(PROBE_T, report.primal_deltas, report.dual_deltas):
             ref_p, ref_d = _single_row_deltas(sol, pert, _ONE, t)
             assert abs(got_p - ref_p) <= 1e-10 * max(1.0, abs(ref_p))
-            if not (alpha == 1.0 and eps <= 1e-3 and t == 1e-3):
-                assert abs(got_d - ref_d) <= 1e-10 * max(1.0, abs(ref_d))
+            assert abs(got_d - ref_d) <= 1e-10 * max(1.0, abs(ref_d))
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
-    def test_dual_clip_layer_is_resolved(self, solved, eps):
-        # Under the constant bump at t = +1e-3 the clip min(t, max(-l, 0))
-        # is active only in a narrow layer next to |theta| = alpha.  A pass
-        # refined on that row alone misses it by 5.6e-10 (2.6e-10 at eps
-        # 1e-4) at any tolerance; the stacked pass resolves it.
-        sol = solved(SPEC_I, eps)
+    # A target far from the origin, where bisection toward the unmarked
+    # kink at l = -t left the t = +1e-2 dual row 3.65e-10 off.
+    FAR = (uniform_spec((359.1705053898625, 360.20252525725147),
+                        (352.0698544719311, 357.96130004151917), "I",
+                        1.0048877247979175), 0.003700872303645173)
+
+    @pytest.mark.parametrize("spec,eps", [
+        (uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+        for alpha in (0.5, 1.0) for eps in (1e-3, 1e-4)] + [FAR],
+        ids=["a0.5-e1e-3", "a0.5-e1e-4", "a1-e1e-3", "a1-e1e-4", "far"])
+    def test_dual_clip_layer_is_resolved(self, solved, spec, eps):
+        # Under the constant bump at t > 0 the clip min(t, max(-l, 0))
+        # kinks at |theta| = alpha and where l = -t.  The pass is cut at
+        # both, so each dual row meets the scipy reference to rounding.
+        sol = solved(spec, eps)
         report = second_variation_probe(sol, SinePerturbation(sol.support),
                                         PROBE_T, dual_perturbation=_ONE)
-        ref = _clip_reference(sol, 1e-3)
-        assert abs(report.dual_deltas[2] - ref) <= 1e-10
+        for t, got in zip(PROBE_T[2:], report.dual_deltas[2:]):
+            assert abs(got - _clip_reference(sol, t)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha,eps", list(itertools.product(
+        (0.5, 1.0), (1e-1, 1e-2))))
+    def test_kinked_probe_takes_one_round(self, solved, monkeypatch, alpha, eps):
+        # With the clip's kinks as panel edges no row needs refining: the
+        # pass is one vectorized round of Gauss-Kronrod panels.
+        sol = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+        rounds = []
+        plain = numerics._gk_panels
+
+        def counted(*args):
+            rounds.append(1)
+            return plain(*args)
+
+        monkeypatch.setattr(numerics, "_gk_panels", counted)
+        second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                               dual_perturbation=_ONE)
+        assert len(rounds) == 1
+
+    def test_varying_psi_gets_no_level_cut(self, solved, monkeypatch):
+        # The levels take psi at the support's midpoint; where psi differs,
+        # the level's depths are not the kink l = -t psi, and are not cut.
+        sol = solved(SPEC_I, 1e-3)
+        (lo, hi), t = sol.support, 1e-2
+        tilted = lambda y: 1.0 + 0.1 * (np.asarray(y) - 0.5 * (lo + hi))
+        breakpoints = []
+        plain = numerics._adaptive
+
+        def recorded(f, l, r, cuts, *args):
+            breakpoints.append(np.asarray(cuts))
+            return plain(f, l, r, cuts, *args)
+
+        monkeypatch.setattr(numerics, "_adaptive", recorded)
+        level = _clip_levels(sol, t)[1]
+        span = (0.0, hi - lo)
+        depth_zeros = tuple(hi - p for p in sol.dual.zeros)
+        kinks = duality._level_depths(depth_zeros, span, [level])
+        assert kinks.size
+        for psi, cut in ((_ONE, True), (tilted, False)):
+            second_variation_probe(sol, SinePerturbation(sol.support), (t,),
+                                   dual_perturbation=psi)
+            assert np.isin(kinks, breakpoints.pop()).tolist() == [cut] * kinks.size
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, solved, t):
+        sol = solved(SPEC_I, 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            second_variation_probe(sol, SinePerturbation(sol.support), (1e-3, t))
 
 
 # -- expansion remainder ------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d.errors import MaxDepth, MaxIterations, NoSignChange
+from monge1d.errors import DomainError, MaxDepth, MaxIterations, NoSignChange
 from monge1d.numerics import (
     MonotoneProfile,
     _adaptive,
@@ -261,6 +261,24 @@ class TestStackedRows:
         with pytest.raises(MaxDepth, match=r"\(row 1: remaining error "):
             _adaptive(f, 0.0, 1.0, (), 1e-15, 12)
         assert len(rounds) == 13
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_row_raises_at_once(self, row):
+        # No split compares with NaN, so a NaN row would refine breadth-first
+        # forever; it is named after the first round instead.
+        rounds = []
+
+        def f(x):
+            rounds.append(x.size)
+            out = [np.ones_like(x), np.cos(x)]
+            out[row] = np.where(x > 0.7, np.nan, out[row])
+            return out
+
+        with pytest.raises(DomainError, match=rf"row {row} is NaN on the panel"):
+            integrate(f, 0.0, 1.0)
+        assert len(rounds) == 1
+        with pytest.raises(DomainError, match="row 0 is NaN"):
+            integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
     def test_smooth_later_row_meets_its_own_tolerance(self):
         # Row 0 is exact on one panel; row 1 needs several, and ends within
