@@ -73,7 +73,7 @@ class RunConfig:
     epsilons: tuple[float, ...]
     grid_n: int = 2001
     root_tol: float = 1e-12
-    quad_tol: float = 1e-10
+    quad_tol: float = 1e-10     # verify's variational probes only
     out_dir: Path = Path("out")
     quiet: bool = False
 
@@ -296,7 +296,7 @@ def cmd_solve(config: RunConfig) -> int:
             solution = _solve_one(config, eps)
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
-        report = duality_gap(solution, quad_tol=config.quad_tol)
+        report = duality_gap(solution)
         target = _eps_dir(config.out_dir, eps)
         _write_atomic(target / "density.csv", density_csv(solution))
         _write_json(target / "energy.json",
@@ -347,8 +347,7 @@ def cmd_sweep(config: RunConfig) -> int:
     # sweep: the table then documents exactly which rung broke
     valid = [e for e in config.epsilons if e >= EPSILON_FLOOR]
     solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n,
-                                     root_tol=config.root_tol,
-                                     quad_tol=config.quad_tol)
+                                     root_tol=config.root_tol)
                        if valid else [])
     rows = [next(solved_rows) if eps >= EPSILON_FLOOR else _floor_row(eps)
             for eps in config.epsilons]
@@ -387,7 +386,7 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
     alpha = config.spec.alpha
     epsilon = sol.epsilon
     out = []
-    report = duality_gap(sol, quad_tol=config.quad_tol)
+    report = duality_gap(sol)
     res = report.constraint_residuals
 
     out.append(_check("mass", res.mass_error <= 1e-8,

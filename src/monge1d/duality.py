@@ -53,8 +53,8 @@ vectorized rounds settle a quadrature.  The assembly runs no pass of its
 own: it reads the solve's last one, so the closing density keeps the
 sign the solve gave it, and a finer grid adds no panel and no
 inversion.  A pass integrates a stack of rows of one inversion: the
-solve's passes carry the expectation, and `DualField.integrate` gives
-energies and probes the same panels (`_depth_integral`).
+solve's passes carry the expectation and the energies, and
+`DualField.integrate` gives probes the same panels (`_depth_integral`).
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -175,7 +175,9 @@ class DualField:
     expanded form orientation * (constant - y^2/2) - multiplier * y loses
     it to cancellation, so `constant` and `multiplier` are only read out.
     multiplier is the unit-mass multiplier mu of the stress equation
-    theta_y = -|y| - mu.
+    theta_y = -|y| - mu.  `energy_integrals`, rows of a solve's last pass
+    (`_zero_residuals`), are the H-term, dual and mixed integrals `energy`
+    reads; None on a field built by hand, and left out of comparisons.
     """
 
     support: tuple[float, float]
@@ -183,6 +185,7 @@ class DualField:
     orientation: float
     alpha: float
     epsilon: float
+    energy_integrals: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def constant(self) -> float:
@@ -217,8 +220,7 @@ class DualField:
         return out if np.ndim(y) else float(out)
 
     def log_lambda(self, y):
-        th = np.asarray(self.theta(y), dtype=float)
-        l, _ = _invert_stress_sq(th * th, self.alpha, self.epsilon)
+        l = self.fields_at(y)[1]
         return l if np.ndim(y) else float(l)
 
     def slope(self, y):
@@ -423,42 +425,47 @@ def _require_valid(spec: MongeProblemSpec):
 
 def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     """Closure and mass residuals of the stress with zeros (z, c) at the
-    depths `zeros`, with its expectation moment, from one quadrature pass
-    over the support [0, S]: the closing density integral of du/ds less
-    its aim, integral of (S - s) du/ds - 1 and integral of
-    (S - s)^2 du/ds, summed panel after panel as `integrate` sums them.
-    Also their exact Jacobian in (z, c), from two more rows of the same
-    pass (see `_solve_zeros`), and the pass itself, `_adaptive`'s edges,
-    row sums and du/ds samples."""
+    depths `zeros`, with its expectation moment and energy integrals, from
+    one quadrature pass over the support [0, S]: the closing density
+    integral of du/ds less its aim, integral of (S - s) du/ds - 1,
+    integral of (S - s)^2 du/ds and `DualField.energy_integrals`, summed
+    panel after panel as `integrate` sums them.  Also the residuals' exact
+    Jacobian in (z, c), from two more rows of the same pass (see
+    `_solve_zeros`), and the pass itself, `_adaptive`'s edges, row sums
+    and du/ds samples."""
     z, c = zeros
     S = _support_of(z, spec)[1]
+    a2 = spec.alpha * spec.alpha
 
     def fn(s, l, g):
         h = epsilon * g / (g * g + epsilon)     # theta dg/dtheta
-        return g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h
+        lam, g2 = np.exp(l), g * g
+        return (g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h, epsilon * lam,
+                -lam * (g2 - epsilon), lam * (0.5 * (g2 - a2) - epsilon * (l - 1.0)))
 
     done = _adaptive(_depth_rows(fn, zeros, spec.alpha, epsilon), 0.0, S,
                      _graded_edges((0.0, S), zeros), quad_tol, _MAX_PANEL_DEPTH)
-    I, M, moment, K, L = np.cumsum(done[1], axis=1)[:, -1]
+    I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1]
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = _KRONROD_ENDS[0] @ done[2][0], _KRONROD_ENDS[1] @ done[2][-1]
     J = (np.outer([I + 2.0 * K, 2.0 * (M + L)], [1.0, -1.0])
          + np.outer([g0, S * g0], [-c, z]))
     if z > S:                   # the far edge, not z, closes the support
         J += np.outer([gS, I], [c - S, S - z])
-    return np.array([I - aim, M - 1.0, moment]), J / (z - c), done
+    return np.array([I - aim, M - 1.0, moment, *energies]), J / (z - c), done
 
 
 @dataclass(frozen=True)
 class _ZeroSolve:
-    """Outcome of the coupled solve: the zeros (z, c) as depths, the
-    Newton steps taken, the final residuals, expectation moment and pass."""
+    """Outcome of the coupled solve: the zeros (z, c) as depths, the Newton
+    steps taken, the final residuals, moment, energy integrals and pass."""
 
     zeros: tuple[float, float]
     steps: int
     closure: float
     mass_residual: float
     moment: float
+    energy_integrals: tuple[float, ...]
     final_pass: tuple = field(repr=False)
 
 
@@ -466,7 +473,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
                  root_tol) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`); the final
-    pass and its expectation moment ride along.
+    pass, its expectation moment and its energy integrals ride along.
 
     The unknowns are depths, so both orientations run the same iteration
     on the same numbers (orientation enters only where the caller maps
@@ -518,7 +525,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         last, size = size, float(np.max(np.abs(F[:2])))
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
         if held and (step <= root_tol + ulps or size >= 0.5 * last):
-            return _ZeroSolve((z, c), k, *(float(f) for f in F), final)
+            return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
         try:
             dz, dc = (float(d) for d in np.linalg.solve(J, -F[:2]))
         except np.linalg.LinAlgError:
@@ -641,11 +648,11 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     assembly runs no quadrature and inverts no grid node.  The grid is
     uniform over the support with the crossing as a node (`_depth_grid`),
     plus a zero extension over the rest of the target at matching
-    resolution.  The mass and the expectation are the solve's own: its
-    last Newton pass integrates the expectation moment next to the closure
-    and the mass.  Between the nodes, and as the target CDF, the solution
-    reads the same pass (see `DensitySolution`).  Raises ValueError unless
-    epsilon is finite and > 0 and grid_n an integer >= 33.
+    resolution.  The mass, the expectation and the field's
+    `energy_integrals` come from rows of the solve's last Newton pass.
+    Between the nodes, and as the target CDF, the solution reads the same
+    pass (see `DensitySolution`).  Raises ValueError unless epsilon is
+    finite and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -674,7 +681,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     values_support[0] = 0.0
     values_support[-1] = 0.0
 
-    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
+    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon,
+                     solved.energy_integrals)
     lo, hi = support
     grid = anchor - o * grid_s
     grid[-1] = m                # a far edge exactly, not anchor - o * width

@@ -23,14 +23,16 @@ without cancellation.
 Profile protocol: evaluators accept any object with a `support` tuple,
 a slope bound (`alpha`, or `spec.alpha` on a DensitySolution), value
 evaluation via `__call__(y)` and a `slope(y)` method (vectorized).
-On a DensitySolution or a dual field the integrals run through
-`DualField.integrate`, one depth pass on panels graded toward both stress
-zeros: the H-term, dual and mixed integrands are the rows of one pass,
-and the moment term is the solve's `expectation`.  The variational
+On a solution and its own field no quadrature runs: the H-term, dual and
+mixed integrals are the solve's (`DualField.energy_integrals`), and the
+moment term is its `expectation`.  They hold at the solve's epsilon only:
+read at another, the field's own scale factor raises ValueError.  Other
+pairings integrate on the field's depth panels (`DualField.integrate`),
+or without a field by `numerics.integrate`.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
-`SinePerturbation`; all their deltas are the rows of one more pass, cut
-where the dual bump's clip kinks.
+`SinePerturbation`; all their deltas are the rows of one pass, cut
+where the dual bump's clip kinks, at the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -79,28 +81,28 @@ def _profile_alpha(profile) -> float:
 
 # -- the three energies -------------------------------------------------------
 
-def _field_integrals(dual: DualField, epsilon, quad_tol):
-    """Integrals of the H-term eps lam, -lam (g^2 - eps) and
-    lam ((g^2 - a^2)/2 - eps (l - 1)) on the field's own algebra, from one
-    pass."""
-    a2 = dual.alpha * dual.alpha
-
-    def rows(y, l, g):
-        lam = np.exp(l)
-        return (epsilon * lam, -lam * (g * g - epsilon),
-                lam * (0.5 * (g * g - a2) - epsilon * (l - 1.0)))
-
-    return dual.integrate(rows, quad_tol)
+def _own_epsilon(dual: DualField, epsilon):
+    """The field's scale factor with another epsilon mixes two smoothings."""
+    if epsilon != dual.epsilon:
+        raise ValueError(f"the field's scale factor is solved at epsilon "
+                         f"{dual.epsilon!r}, not at epsilon {epsilon!r}")
 
 
-def primal_energy(profile, epsilon, domain_convention="support", *,
-                  quad_tol=_DEFAULT_QUAD_TOL) -> float:
+def _own_integrals(dual: DualField, epsilon):
+    _own_epsilon(dual, epsilon)
+    if dual.energy_integrals is None:
+        raise ValueError("only a solve's own field carries energy integrals")
+    return dual.energy_integrals
+
+
+def primal_energy(profile, epsilon, domain_convention="support") -> float:
     """Smoothed transport energy of a profile.
 
     Under the "support" convention the integral runs over the profile's
     support; "full_target" adds the flat contribution of the zero
     extension, eps e^{-a^2/(2 eps)} per unit length, which needs a
-    `target` or `spec.target_interval` on the profile.
+    `target` or `spec.target_interval` on the profile.  On a solution
+    epsilon must be the solution's (ValueError otherwise).
     """
     if domain_convention not in ("support", "full_target"):
         raise ValueError(f"unknown domain convention {domain_convention!r}")
@@ -110,7 +112,7 @@ def primal_energy(profile, epsilon, domain_convention="support", *,
     if solution:
         # The target sits on one side of the origin, so the moment of |y|
         # is the expectation up to sign.
-        h_term = _field_integrals(profile.dual, epsilon, quad_tol)[0]
+        h_term = _own_integrals(profile.dual, epsilon)[0]
         moment = abs(profile.expectation)
     else:
         def h_of_slope(y):
@@ -118,9 +120,9 @@ def primal_energy(profile, epsilon, domain_convention="support", *,
             expo = (g * g - alpha * alpha) / (2.0 * epsilon)
             return epsilon * np.exp(np.minimum(expo, 700.0))
 
-        h_term = integrate(h_of_slope, lo, hi, tol=quad_tol)
+        h_term = integrate(h_of_slope, lo, hi, tol=_DEFAULT_QUAD_TOL)
         moment = integrate(lambda y: np.abs(y) * np.asarray(profile(y), dtype=float),
-                           lo, hi, tol=quad_tol)
+                           lo, hi, tol=_DEFAULT_QUAD_TOL)
     out = h_term - moment
     if domain_convention == "full_target":
         target = profile.spec.target_interval if solution else profile.target
@@ -141,8 +143,7 @@ def _override_at(log_lambda_override, y):
     return lt
 
 
-def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
-                quad_tol=_DEFAULT_QUAD_TOL) -> float:
+def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None) -> float:
     """Dual energy of the stress field, multiplier term included.
 
     The integral of -H*(theta) over the support plus multiplier * 1, the
@@ -150,15 +151,15 @@ def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
     scale factor is used; the locking identity
     th^2/lam = lam g^2, g^2 = a^2 + 2 eps l, then collapses the integrand
     to -lam (g^2 - eps), which is exact and free of the 1/lam blow-up
-    near the stress zero.  An override must map y to a log scale factor
-    in (-inf, 0] (the classical window; DomainError otherwise); the
-    solved field itself is evaluated on its own algebra, which can run
-    above the window (see the solver's module docstring).  Both paths
-    integrate on the field's depth panels (`DualField.integrate`).
+    near the stress zero; the solve integrated it, at the field's epsilon
+    only (ValueError otherwise).  An override must map y to a log scale
+    factor in (-inf, 0] (the classical window; DomainError otherwise),
+    integrated on the field's depth panels; the solved field itself runs
+    on its own algebra, which can go above the window (see the solver's
+    module docstring).
     """
     if log_lambda_override is None:
-        return float(_field_integrals(dual, epsilon, quad_tol)[1]
-                     + dual.multiplier)
+        return float(_own_integrals(dual, epsilon)[1] + dual.multiplier)
     a2 = dual.alpha * dual.alpha
 
     def integrand(y, l, g):
@@ -170,12 +171,11 @@ def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None,
         return -0.5 * (np.square(th * inv_root)
                        + np.exp(lt) * (a2 + 2.0 * epsilon * (lt - 1.0)))
 
-    return float(dual.integrate(integrand, quad_tol) + dual.multiplier)
+    return float(dual.integrate(integrand, _DEFAULT_QUAD_TOL) + dual.multiplier)
 
 
 def total_complementary(profile, dual: DualField | None, epsilon, *,
-                        log_lambda_override=None,
-                        quad_tol=_DEFAULT_QUAD_TOL) -> float:
+                        log_lambda_override=None) -> float:
     """Mixed energy pairing a profile with a scale-factor field.
 
     The scale factor comes from `log_lambda_override` when given, else
@@ -185,15 +185,18 @@ def total_complementary(profile, dual: DualField | None, epsilon, *,
     the profile's support.  For a fixed profile this functional is
     maximized over admissible scale factors exactly when the
     Fenchel-Young inequality is tight, which is the locking identity;
-    paired with its own solved field a solution gives the mixed row of
-    the pass `duality_gap` reports.
+    paired with its own field a solution gives the solve's mixed row,
+    which `duality_gap` reports.  Without an override, epsilon must be the
+    field's (ValueError otherwise).
     """
     if dual is None and log_lambda_override is None:
         raise ValueError("need a dual field or an explicit scale-factor profile")
     solution = isinstance(profile, DensitySolution)
-    if solution and log_lambda_override is None and dual == profile.dual:
-        return float(_field_integrals(dual, epsilon, quad_tol)[2]
-                     - abs(profile.expectation))
+    if log_lambda_override is None:
+        _own_epsilon(dual, epsilon)
+        if solution and dual == profile.dual:
+            return float(_own_integrals(profile.dual, epsilon)[2]
+                         - abs(profile.expectation))
     a2 = _profile_alpha(profile) ** 2
 
     def integrand(y, l=None, g=None):
@@ -205,8 +208,8 @@ def total_complementary(profile, dual: DualField | None, epsilon, *,
             out = out - np.abs(y) * np.asarray(profile(y), dtype=float)
         return out
 
-    out = (integrate(integrand, *profile.support, tol=quad_tol) if dual is None
-           else dual.integrate(integrand, quad_tol))
+    out = (integrate(integrand, *profile.support, tol=_DEFAULT_QUAD_TOL)
+           if dual is None else dual.integrate(integrand, _DEFAULT_QUAD_TOL))
     return float(out - abs(profile.expectation) if solution else out)
 
 
@@ -236,18 +239,16 @@ class EnergyReport:
     constraint_residuals: ConstraintResiduals
 
 
-def duality_gap(solution: DensitySolution, *,
-                quad_tol=_DEFAULT_QUAD_TOL) -> EnergyReport:
-    """Evaluate all three energies at the solved critical pair, from one
-    pass over the solved field; `primal` and `dual` are the bits of
-    `primal_energy` and `dual_energy`.
+def duality_gap(solution: DensitySolution) -> EnergyReport:
+    """All three energies at the solved critical pair, read off the solve's
+    last Newton pass with no quadrature (`DualField.energy_integrals`):
+    `primal` and `dual` are the bits of `primal_energy` and `dual_energy`.
 
     Uses the "support" convention (the zero-extension contribution is
     reported separately as `full_target_offset`).
     """
-    eps = solution.epsilon
-    alpha = solution.spec.alpha
-    h_term, dual_term, xi_term = _field_integrals(solution.dual, eps, quad_tol)
+    eps, alpha = solution.epsilon, solution.spec.alpha
+    h_term, dual_term, xi_term = _own_integrals(solution.dual, eps)
     primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
     dual_val = float(dual_term + solution.dual.multiplier)
     tl, tr = solution.spec.target_interval
@@ -256,17 +257,12 @@ def duality_gap(solution: DensitySolution, *,
     residuals = ConstraintResiduals(
         mass_error=abs(solution.mass - 1.0),
         slope_excess=max(0.0, solution.max_abs_slope - alpha),
-        negativity=solution.clip_depth,
-    )
+        negativity=solution.clip_depth)
     return EnergyReport(
-        primal=primal, dual=dual_val, xi_total=xi,
-        gap_primal_dual=primal - dual_val,
-        gap_primal_xi=primal - xi,
-        gap_xi_dual=xi - dual_val,
-        domain_convention="support",
-        full_target_offset=offset,
-        constraint_residuals=residuals,
-    )
+        primal=primal, dual=dual_val, xi_total=xi, gap_primal_dual=primal - dual_val,
+        gap_primal_xi=primal - xi, gap_xi_dual=xi - dual_val,
+        domain_convention="support", full_target_offset=offset,
+        constraint_residuals=residuals)
 
 
 # -- variational probes -------------------------------------------------------

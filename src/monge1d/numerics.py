@@ -23,8 +23,8 @@ Design notes
   Every row is summed on the same panels, and refinement goes on until
   each row's error is within the tolerance relative to its own total, so
   integrals of one costly field (the dual solver's slope inversion) share
-  a single pass: the solve's closure, mass and expectation, the three
-  energies of a solved pair, or every row of the variational probes.
+  a single pass: the solve's closure, mass, expectation and the three
+  energies of the solved pair, or every row of the variational probes.
   A panel is split when it holds more than its share of any row's
   budget; for one row this is the usual rule.
 * Running integrals at any number of points cost no integrand call: a
@@ -101,9 +101,8 @@ def _gk_panels(f, a, b):
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, *nodes.shape)
-    kron = np.stack([half * (v @ _WGK) for v in vals])
-    gauss = np.stack([half * (v[:, _GAUSS_IDX] @ _WG) for v in vals])
-    return kron, np.abs(kron - gauss), vals[0]
+    kron = half * (vals @ _WGK)
+    return kron, np.abs(kron - half * (vals[..., _GAUSS_IDX] @ _WG)), vals[0]
 
 
 def _graded_edges(span, points):
@@ -147,8 +146,7 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
     kron, err, samples = _gk_panels(f, a, b)
 
     while True:
-        totals = np.array([float(np.sum(k)) for k in kron])
-        esum = np.array([float(np.sum(e)) for e in err])
+        totals, esum = kron.sum(axis=1), err.sum(axis=1)
         nan = np.isnan(totals) | np.isnan(esum)
         if nan.any():
             row = int(np.argmax(nan))

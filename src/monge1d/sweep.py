@@ -75,12 +75,11 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
     return np.linspace(lo, hi, _DISTANCE_GRID_N)
 
 
-def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol,
-               quad_tol) -> SweepRow:
+def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol) -> SweepRow:
     start = time.perf_counter()
     try:
         solution = assemble_density(spec, epsilon, grid_n, root_tol=root_tol)
-        report = duality_gap(solution, quad_tol=quad_tol)
+        report = duality_gap(solution)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
         wall = (time.perf_counter() - start) * 1e3
@@ -102,11 +101,11 @@ def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol,
 
 
 def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
-                  root_tol=1e-12, quad_tol=1e-10):
+                  root_tol=1e-12):
     """Run the solve pipeline at each epsilon, in input order.
 
-    The tolerances reach `assemble_density` (root_tol) and `duality_gap`
-    (quad_tol) as `solve` passes them, so a row holds the numbers `solve`
+    root_tol reaches `assemble_density` as `solve` passes it, and the
+    energies are the solve's own, so a row holds the numbers `solve`
     writes.  Returns a list of SweepRow.  Epsilons below EPSILON_FLOOR
     are rejected up front (the whole request is malformed, not one row);
     per-epsilon solver failures land in their row's `error` field.
@@ -125,7 +124,7 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
                 f"exponential term at that scale")
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
-    return [_solve_row(spec, eps, grid_n, tent, grid, root_tol, quad_tol)
+    return [_solve_row(spec, eps, grid_n, tent, grid, root_tol)
             for eps in eps_list]
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: a session-wide cache of assembled solutions, and the
-quadrature reference for a transport map's cost.
+"""Shared fixtures: a session-wide cache of assembled solutions, the
+quadrature reference for a transport map's cost, and a count of
+adaptive quadrature passes.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
@@ -9,6 +10,7 @@ are cached for the whole session keyed by the hashable spec.
 import numpy as np
 import pytest
 
+from monge1d import duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.numerics import _graded_edges, integrate
 from monge1d.oracles import discrete_primal_minimizer
@@ -64,3 +66,20 @@ def reference_cost():
         return float(integrate(integrand, a, b, tol=tol, breakpoints=edges))
 
     return cost
+
+
+@pytest.fixture
+def adaptive_passes(monkeypatch):
+    """A list that gains one entry per `_adaptive` pass for the rest of
+    the test, whether the pass is the solve's (`duality`) or an
+    `integrate` call's (`numerics`).  Clear it to count from a point on."""
+    passes = []
+    plain = numerics._adaptive
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_adaptive", counted)
+    monkeypatch.setattr(duality, "_adaptive", counted)
+    return passes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d import duality, numerics
+from monge1d import duality
 from monge1d.duality import (
     DualField,
     assemble_density,
@@ -554,29 +554,18 @@ class TestCoupledSolve:
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
-    def test_quadrature_pass_budget(self, monkeypatch, alpha, eps):
+    def test_quadrature_pass_budget(self, adaptive_passes, alpha, eps):
         # Every adaptive quadrature pass of one canonical solve is a Newton
         # residual evaluation: the expectation and the assembly's values
         # and cell masses ride on the solve's last pass, and no root solve
         # runs besides the coupled Newton, whose Jacobian rides on the
         # same pass: one pass per step, plus the start's.
-        calls, residuals = [], []
-        plain, plain_residuals = numerics._adaptive, duality._zero_residuals
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return plain(*args, **kwargs)
-
-        def counted_residuals(*args, **kwargs):
-            residuals.append(1)
-            return plain_residuals(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_adaptive", counted)
-        monkeypatch.setattr(duality, "_adaptive", counted)
-        monkeypatch.setattr(duality, "_zero_residuals", counted_residuals)
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
-        sol = assemble_density(spec, eps)
-        assert len(calls) == len(residuals) == sol.newton_steps + 1 <= 6
+        with mock.patch.object(duality, "_zero_residuals",
+                               wraps=duality._zero_residuals) as residuals:
+            sol = assemble_density(spec, eps)
+        assert (len(adaptive_passes) == residuals.call_count
+                == sol.newton_steps + 1 <= 6)
         assert 1 <= sol.newton_steps <= 5
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
@@ -697,22 +686,15 @@ class TestCoupledSolve:
             differences = np.column_stack([dz / (2.0 * hz), dc / (2.0 * hc)])
             assert np.max(np.abs(J - differences)) <= 1e-9 * np.max(np.abs(J))
 
-    def test_work_counts_are_pinned(self, monkeypatch):
+    def test_work_counts_are_pinned(self, adaptive_passes):
         # Newton steps and quadrature passes over a fixed set of regimes.
         # Both are counts, bitwise repeatable: a change that does more
         # work shows here as a new count.
-        plain, passes = numerics._adaptive, []
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return plain(*args, **kwargs)
-
-        monkeypatch.setattr(duality, "_adaptive", counted)
         steps = sum(
             assemble_density(_regime_spec(alpha, factor, 0.0), eps, 101).newton_steps
             for alpha, eps, factor in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4),
                                                         (1.02, 2.5)))
-        assert (steps, len(passes)) == (50, 62)
+        assert (steps, len(adaptive_passes)) == (50, 62)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=st.floats(min_value=0.5, max_value=4.0),

@@ -129,6 +129,13 @@ class TestPrimalEnergy:
         with pytest.raises(ValueError, match="convention"):
             primal_energy(solved(SPEC_I, 1e-3), 1e-3, "everywhere")
 
+    def test_foreign_epsilon_rejected(self, solved):
+        # The solution's H-term is its solve's, at its own epsilon: another
+        # epsilon would pair the field's scale factor with a second
+        # smoothing.
+        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
+            primal_energy(solved(SPEC_I, 1e-3), 1e-2)
+
 
 # -- dual ---------------------------------------------------------------------
 
@@ -196,6 +203,23 @@ class TestDualEnergy:
         with pytest.raises(DomainError, match="finite"):
             dual_energy(sol.dual, 1e-3, log_lambda_override=_const(math.nan))
 
+    def test_foreign_epsilon_rejected(self, solved):
+        # The field's own scale factor holds at its own epsilon only; an
+        # override carries its own scale factor and may take any epsilon.
+        sol = solved(SPEC_I, 1e-3)
+        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
+            dual_energy(sol.dual, 1e-2)
+        assert math.isfinite(dual_energy(sol.dual, 1e-2,
+                                         log_lambda_override=_const(0.0)))
+
+    def test_hand_built_field_carries_no_energies(self, solved):
+        # Only a solve's field carries the energy integrals of its pass.
+        sol = solved(SPEC_I, 1e-3)
+        bare = dataclasses.replace(sol.dual, energy_integrals=None)
+        assert bare == sol.dual
+        with pytest.raises(ValueError, match="carries energy integrals"):
+            dual_energy(bare, 1e-3)
+
 
 # -- mixed --------------------------------------------------------------------
 
@@ -227,6 +251,16 @@ class TestTotalComplementary:
         sol = solved(spec, 1e-3)
         assert (total_complementary(sol, sol.dual, 1e-3)
                 == duality_gap(sol).xi_total)
+
+    @pytest.mark.parametrize("own", [True, False], ids=["solution", "profile"])
+    def test_foreign_epsilon_rejected(self, solved, own):
+        # Without an override the field's own scale factor is paired with
+        # the caller's epsilon, whether the profile is the field's solution
+        # or another one.
+        sol = solved(SPEC_I, 1e-3)
+        profile = sol if own else tent_limit_density(SPEC_I)
+        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
+            total_complementary(profile, sol.dual, 1e-2)
 
     @settings(deadline=None, derandomize=True, max_examples=25)
     @given(st.floats(min_value=-6.0, max_value=0.0,
@@ -279,20 +313,29 @@ class TestDualityGap:
             assert abs(report.gap_primal_dual) <= 2e-13 * max(
                 1.0, abs(report.primal))
 
-    def test_one_pass_on_a_solution(self, solved, monkeypatch):
-        # The three energies share one depth pass over the solved field.
+    def test_no_pass_on_a_solution(self, solved, adaptive_passes):
+        # The three energies are rows of the solve's last Newton pass:
+        # reading them off a solution runs no pass of its own.
         sol = solved(SPEC_I, 1e-3)
-        calls = []
-        plain = numerics._adaptive
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return plain(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_adaptive", counted)
-        monkeypatch.setattr(duality, "_adaptive", counted)
+        adaptive_passes.clear()
         duality_gap(sol)
-        assert len(calls) == 1
+        primal_energy(sol, 1e-3, "full_target")
+        dual_energy(sol.dual, 1e-3)
+        total_complementary(sol, sol.dual, 1e-3)
+        assert adaptive_passes == []
+
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_solve_and_energies_cost_the_solve_alone(self, adaptive_passes,
+                                                     spec, eps):
+        # A solve runs one pass per Newton step plus the start's; its gap
+        # and its three energies add none.
+        sol = assemble_density(spec, eps, 201)
+        duality_gap(sol)
+        primal_energy(sol, eps)
+        dual_energy(sol.dual, eps)
+        total_complementary(sol, sol.dual, eps)
+        assert len(adaptive_passes) == sol.newton_steps + 1
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
@@ -316,6 +359,34 @@ class TestDualityGap:
             spec = mirror_transform(spec)
         report = duality_gap(assemble_density(spec, eps, 201))
         assert abs(report.gap_primal_dual) <= 2e-13 * max(1.0, abs(report.primal))
+
+    @pytest.mark.parametrize("alpha,eps,offset,assumption", REGIMES)
+    def test_energies_meet_an_independent_pass(self, solved, alpha, eps,
+                                               offset, assumption):
+        # The energies have no pass of their own: integrate their three
+        # rows afresh on the field's own panels, at 1e-13, and compare.
+        # The worst difference measured over these regimes is 1.6e-16 of
+        # max(1, |energy|), one rounding of a sum near 1000.
+        w = 5.0 / math.sqrt(alpha)
+        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                            (offset, offset + w), "I", alpha)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        sol = solved(spec, eps, 201)
+        a2 = alpha * alpha
+
+        def rows(y, l, g):
+            lam = np.exp(l)
+            return (eps * lam, -lam * (g * g - eps),
+                    lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
+
+        h_term, dual_term, xi_term = sol.dual.integrate(rows, 1e-13)
+        moment = abs(sol.expectation)
+        report = duality_gap(sol)
+        for got, ref in ((report.primal, h_term - moment),
+                         (report.dual, dual_term + sol.dual.multiplier),
+                         (report.xi_total, xi_term - moment)):
+            assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
 # -- probes -------------------------------------------------------------------
@@ -424,21 +495,14 @@ class TestSecondVariationProbe:
 
     @pytest.mark.parametrize("t_values", [(1e-3, -1e-2), (0.0, 0.0), ()],
                              ids=["nonzero", "zeros", "empty"])
-    def test_one_pass_per_probe(self, solved, monkeypatch, t_values):
+    def test_one_pass_per_probe(self, solved, adaptive_passes, t_values):
         # Every nonzero t's primal and dual rows ride on one pass over the
         # field; t = 0 costs no row, so all-zero t values run no pass.
         sol = solved(SPEC_I, 1e-3)
-        calls = []
-        plain = numerics._adaptive
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return plain(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_adaptive", counted)
+        adaptive_passes.clear()
         report = second_variation_probe(sol, SinePerturbation(sol.support),
                                         t_values, dual_perturbation=_ONE)
-        assert len(calls) == (1 if any(t_values) else 0)
+        assert len(adaptive_passes) == (1 if any(t_values) else 0)
         if not any(t_values):
             zeros = (0.0,) * len(t_values)
             assert report.primal_deltas == report.dual_deltas == zeros
