@@ -16,7 +16,6 @@ from .errors import (
     MaxDepth,
     MaxIterations,
     Monge1dError,
-    NoSignChange,
     NonPositiveDensity,
 )
 
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Monge1dError",
-    "NoSignChange",
     "MaxIterations",
     "MaxDepth",
     "DomainError",

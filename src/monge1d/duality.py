@@ -40,9 +40,7 @@ shifted solution, and the zeros resolve to ulps of the target's width
 rather than of its distance from the origin.  Whether the target can hold
 unit mass at all is decided before the solve, in closed form, by
 `problem.require_capacity`: the target must be at least as wide as the
-sharp-limit tent, 2/sqrt(alpha).  The multiplier-free parabola
-orientation * (constant - y^2/2) survives only as a reference
-construction (`solve_constant`).
+sharp-limit tent, 2/sqrt(alpha).
 
 Every quadrature of the slope starts from panels graded geometrically
 toward the stress zeros in the support (`_graded_edges`).  Next to a zero
@@ -78,7 +76,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterations
 from .numerics import (_KRONROD_ENDS, _MAX_PANEL_DEPTH, MonotoneProfile, _adaptive,
-                       _graded_edges, integrate, solve_root)
+                       _graded_edges, integrate)
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -270,19 +268,6 @@ def _level_depths(zeros, span, levels):
     return s[(s > span[0]) & (s < span[1])]
 
 
-def _level_zeros(r, orientation):
-    """Zeros (free zero, crossing) of the multiplier-free parabola
-    orientation * (r - y^2/2)."""
-    root = math.sqrt(max(2.0 * r, 0.0))
-    return (-orientation * root, orientation * root)
-
-
-def _depths(points, spec: MongeProblemSpec):
-    """Depths orientation * (anchor - p) of absolute points: 0 at the
-    anchored edge, the target width at the far edge."""
-    return tuple(spec.orientation * (spec.anchor - float(p)) for p in points)
-
-
 def _depth_rows(fn, zeros, alpha, epsilon):
     """The rows fn(s, l, du/ds) as an integrand in depth s.  In depth both
     orientations carry the stress (s - z)(s - c)/2, whose one inversion
@@ -311,110 +296,6 @@ def _support_of(zero, spec: MongeProblemSpec):
     """Depth span [0, S] of the support whose free zero lies at depth
     `zero`: from the anchor to the zero, clamped to the far edge."""
     return (0.0, min(float(zero), spec.target_width))
-
-
-def _support_in_y(zero, spec: MongeProblemSpec):
-    """Support in y, ascending, of the density whose free zero lies at
-    `zero`, and its closing end: the zero clamped to the target, so the
-    far edge exactly once the zero lies beyond it."""
-    tl, tr = spec.target_interval
-    m = min(max(float(zero), tl), tr)
-    return tuple(sorted((spec.anchor, m))), m
-
-
-def boundary_residual(r, support, spec: MongeProblemSpec, epsilon, *,
-                      zero=None, quad_tol=1e-13):
-    """Density value forced at the closing endpoint by a trial stress.
-
-    Integrates the recovered slope across the support: the result is the
-    value the density would take at the end of the sweep when pinned to
-    zero at the start, so the admissible trial value is this function's
-    root.  Without `zero`, r is the level of the multiplier-free parabola
-    orientation * (r - y^2/2) (`solve_constant`); the residual is
-    strictly increasing in r under orientation I, strictly decreasing
-    under II.  With `zero`, r is the crossing of the parabola factored
-    through (zero, r), and the residual is strictly increasing in r for
-    both orientations.
-    """
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ValueError(f"support [{lo}, {hi}] is degenerate")
-    zeros = (_level_zeros(r, spec.orientation) if zero is None
-             else (zero, r))
-    # Depth runs against y under orientation I: flip the integral back.
-    return -spec.orientation * _depth_integral(
-        lambda s, l, g: g, _depths(zeros, spec), sorted(_depths((lo, hi), spec)),
-        spec.alpha, epsilon, quad_tol)
-
-
-def solve_constant(support, spec: MongeProblemSpec, epsilon, tol=1e-12):
-    """Level of the multiplier-free stress parabola for a given support.
-
-    One bracketed root solve between the parabola levels that put the
-    stress zero at either support endpoint; the returned level has
-    |boundary_residual| <= tol, or the solve raises.  A reference
-    construction without the mass multiplier (criterion 05 of the
-    acceptance suite checks its monotonicity); the solved density uses
-    `_solve_zeros`.
-    """
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ValueError(f"support [{lo}, {hi}] is degenerate")
-    quad_tol = min(1e-13, 0.1 * tol)
-    f = lambda r: boundary_residual(r, (lo, hi), spec, epsilon, quad_tol=quad_tol)
-    r_lo, r_hi = sorted((0.5 * lo * lo, 0.5 * hi * hi))
-    return solve_root(f, r_lo, r_hi, tol=tol)
-
-
-def solve_crossing(support, zero, spec: MongeProblemSpec, epsilon, tol=1e-12):
-    """Crossing of the stress parabola with free zero `zero` that closes
-    the density on the support (one bracketed root solve for a given
-    zero; `_solve_zeros` fixes both zeros at once and lands on the same
-    aim).
-
-    The residual is monotone in the crossing and changes sign between
-    the support endpoints.  The solve aims the density's value at the
-    closing endpoint at tol/10 rather than at zero, and returns a
-    crossing within 0.9 tol of that aim, so |boundary_residual| <= tol;
-    otherwise it raises.  Quadrature noise in the assembly (about 1e-14)
-    then cannot take the density below zero next to the free endpoint,
-    where the stress vanishes.
-    """
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ValueError(f"support [{lo}, {hi}] is degenerate")
-    quad_tol = min(1e-13, 0.1 * tol)
-    # The density closes with value -orientation * residual.
-    aim = 0.1 * tol * spec.orientation
-    f = lambda c: boundary_residual(c, (lo, hi), spec, epsilon, zero=zero,
-                                    quad_tol=quad_tol) + aim
-    return solve_root(f, lo, hi, tol=0.9 * tol)
-
-
-def total_mass(endpoint, spec: MongeProblemSpec, epsilon, *, crossing=None,
-               constant_tol=1e-12, quad_tol=1e-11):
-    """Mass held by the density whose stress vanishes at `endpoint`.
-
-    Inside the target the endpoint is the free support end (stress zero
-    there, support up to the anchor).  Past the far edge the support is
-    the whole target and the far edge is a Dirichlet end with positive
-    stress.  Solves the crossing for that support to the residual
-    `constant_tol` (unless one is passed in), then uses the exact
-    reduction
-        integral of u  =  integral of (S - s) du/ds ds
-    over the support's depths s in [0, S], which folds the double
-    integral of the cumulative construction into a single quadrature.
-    """
-    zero = float(endpoint)
-    support, _ = _support_in_y(zero, spec)
-    if not support[0] < support[1]:
-        return 0.0
-    if crossing is None:
-        crossing = solve_crossing(support, zero, spec, epsilon, tol=constant_tol)
-    zeros = _depths((zero, crossing), spec)
-    span = _support_of(zeros[0], spec)
-    return _depth_integral(lambda s, l, g: (span[1] - s) * g, zeros, span,
-                           spec.alpha, epsilon, quad_tol)
 
 
 def _require_valid(spec: MongeProblemSpec):
@@ -503,7 +384,8 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     change by about eps per e-fold of the distance z - width.
 
     Converged when |mass - 1| <= mass_tol, the closing density lands on
-    `solve_crossing`'s aim (+crossing_tol/10) within 0.9 crossing_tol,
+    its aim, +crossing_tol/10, within 0.9 crossing_tol (so quadrature
+    noise in the assembly cannot take it below zero next to the free end),
     and the last step either moved neither zero by more than root_tol or
     no longer halved max |residual|.  The second case is the residuals'
     rounding floor: where they barely depend on z, rounding noise over
@@ -667,7 +549,11 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     zeros = solved.zeros
     o, anchor = spec.orientation, spec.anchor
     zero, crossing = anchor - o * zeros[0], anchor - o * zeros[1]
-    support, m = _support_in_y(zero, spec)
+    # The closing end: the zero clamped to the target, so the far edge
+    # exactly once the zero lies beyond it.
+    tl, tr = spec.target_interval
+    m = min(max(zero, tl), tr)
+    support = tuple(sorted((anchor, m)))
     edges, sums, samples = solved.final_pass
     profile = MonotoneProfile(edges, sums[0], samples, anchor, m, singular=zeros)
     grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)

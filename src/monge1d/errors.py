@@ -12,10 +12,6 @@ class Monge1dError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NoSignChange(Monge1dError):
-    """Root bracket endpoints have the same sign."""
-
-
 class MaxIterations(Monge1dError):
     """An iterative solver stopped short of its contract: its step budget
     ran out, or its bracket collapsed, before the tolerance was met."""

@@ -1,8 +1,7 @@
-"""Low-level numerical kernels: adaptive quadrature, a solved density and
-its CDF read off one quadrature pass's panels (`MonotoneProfile`), with a
-vectorized inverse exact panel by panel, and a bracketed root solve to a
-residual tolerance (the reference solves of `duality`).  numpy is the
-only dependency.
+"""Low-level numerical kernels: adaptive quadrature, and a solved density
+and its CDF read off one quadrature pass's panels (`MonotoneProfile`),
+with a vectorized inverse exact panel by panel.  numpy is the only
+dependency.
 
 Design notes
 ------------
@@ -47,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, MaxDepth, MaxIterations, NoSignChange
+from .errors import DomainError, MaxDepth, MaxIterations
 
 # Gauss-Kronrod 15(7) nodes and weights on [-1, 1] (QUADPACK values).
 _XGK_HALF = np.array([
@@ -87,7 +86,6 @@ _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 _DEFAULT_TOL = 1e-10
 _MAX_PANEL_DEPTH = 60
 _GRADE_ULPS = 64           # finest graded panel, in ulps of the span's magnitude
-_ROOT_MAX_ITER = 200
 _INVERT_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 
@@ -447,48 +445,3 @@ class MonotoneProfile:
             w = nxt
         raise MaxIterations(f"panel inversion left {live.size} targets "
                             f"unconverged after {_INVERT_MAX_ITER} steps")
-
-
-def solve_root(f, lo, hi, tol=1e-12, max_iter=_ROOT_MAX_ITER):
-    """Bracketed root of f on [lo, hi], to the residual |f(x)| <= tol.
-
-    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
-    1971): when the same bracket end is replaced twice in a row, the value
-    kept at the other end is halved, so neither end stalls.  A
-    false-position point outside the open bracket falls back to the
-    midpoint.  Returns only an x in [lo, hi] with |f(x)| <= tol.  Raises
-    NoSignChange when f(lo) and f(hi) share a sign beyond tol, and
-    MaxIterations when the bracket collapses to adjacent floats or
-    `max_iter` steps pass before the residual is met.
-    """
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if abs(fa) <= tol:
-        return a
-    if abs(fb) <= tol:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise NoSignChange(f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} "
-                           "have the same sign")
-    side = 0
-    for _ in range(max_iter):
-        x = a - fa * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if not a < x < b:
-                break
-        fx = float(f(x))
-        if abs(fx) <= tol:
-            return x
-        if (fx > 0) == (fb > 0):
-            b, fb = x, fx
-            if side < 0:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = x, fx
-            if side > 0:
-                fb *= 0.5
-            side = 1
-    raise MaxIterations(f"|f| stayed above {tol} down to the bracket "
-                        f"[{a!r}, {b!r}] of [{lo}, {hi}]")

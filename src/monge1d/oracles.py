@@ -96,8 +96,9 @@ def tent_limit_density(spec: MongeProblemSpec) -> TentDensity:
 class GridDensity:
     """A density sampled on a uniform grid over the full target interval.
 
-    Feasibility means: zero endpoint values, trapezoidal mass 1 within
-    1e-10, and per-cell slopes within alpha (1e-10 relative slack).
+    Feasibility means: finite nodes, values and alpha, zero endpoint
+    values, trapezoidal mass 1 within 1e-10, and per-cell slopes within
+    alpha (1e-10 relative slack).
     """
 
     nodes: np.ndarray
@@ -122,7 +123,20 @@ class GridDensity:
         return float(np.trapezoid(self.nodes * self.values, dx=self.step))
 
     def violations(self) -> tuple[str, ...]:
+        """The failed feasibility conditions.  Non-finite nodes, values or
+        alpha are reported alone: every comparison with NaN is False, so
+        the checks that read them would pass a NaN."""
         out = []
+        for name, arr in (("node", self.nodes), ("value", self.values)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                k = int(np.argmax(bad))
+                out.append(f"{int(bad.sum())} non-finite {name}(s), the first "
+                           f"{float(arr[k])} at index {k}")
+        if not math.isfinite(self.alpha):
+            out.append(f"non-finite slope bound alpha = {self.alpha}")
+        if out:
+            return tuple(out)
         if self.values[0] != 0.0 or self.values[-1] != 0.0:
             out.append(f"endpoint values ({self.values[0]}, {self.values[-1]}) "
                        "are not zero")
@@ -378,11 +392,14 @@ def load_fixture(csv_path) -> OracleRun:
     """Read back a fixture written by save_fixture.
 
     Raises ValueError naming the problem when the CSV header or the JSON
-    sidecar is not what save_fixture writes, when the CSV holds fewer
-    than two rows, or when its nodes are not increasing and equally
-    spaced (the trapezoidal mass and the slopes read every cell with the
-    first step), naming the first row whose step departs from the first
-    by more than 1e-9 relative.
+    sidecar is not what save_fixture writes, when the sidecar's alpha or
+    objective is not finite or its epsilon neither null nor finite (`json`
+    reads NaN and Infinity), when the CSV holds fewer than two rows, or
+    when its nodes are not increasing and equally spaced (the trapezoidal
+    mass and the slopes read every cell with the first step), naming the
+    first row whose step departs from the first by more than 1e-9
+    relative.  A non-finite u is a feasibility violation
+    (`GridDensity.violations`), not a malformed file.
     """
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
@@ -406,6 +423,10 @@ def load_fixture(csv_path) -> OracleRun:
         epsilon = None if meta["epsilon"] is None else float(meta["epsilon"])
     except TypeError as exc:
         raise ValueError(f"{sidecar.name}: {exc}") from exc
+    for key, value in (("alpha", alpha), ("objective", objective),
+                       ("epsilon", epsilon)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{sidecar.name}: {key} {value!r} is not finite")
     nodes = np.array([y for y, _ in rows])
     values = np.array([u for _, u in rows])
     steps = np.diff(nodes)

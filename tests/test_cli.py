@@ -475,11 +475,13 @@ class TestVerify:
         ({"epsilon": -0.1}, "fixture epsilon -0.1 is not a finite value"),
         ({"epsilon": 0.0}, "fixture epsilon 0.0 is not a finite value"),
         ({"iterations": None}, "missing key 'iterations'"),
+        # A NaN bound passed every slope, and with it the fixture.
+        ({"alpha": math.nan}, "oracle_lp.json: alpha nan is not finite"),
     ])
     def test_bad_sidecar_fails_its_check(self, tmp_path, capsys, edit,
                                          detail):
-        # A sidecar comes from outside the program: a bad epsilon or a
-        # missing key fails the fixture's check instead of the command.
+        # A sidecar comes from outside the program: a bad epsilon or alpha,
+        # or a missing key, fails the fixture's check instead of the command.
         doc = json.loads(json.dumps(TENT_DOC))
         doc["problem"]["alpha"] = 4.0
         out = tmp_path / "art"

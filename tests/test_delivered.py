@@ -10,10 +10,11 @@ from numpy.polynomial.legendre import legder, legroots, legval
 
 from monge1d.duality import (_MASS_TOL, _depth_grid, _depth_integral, _depth_rows,
                               _solve_zeros, _support_of)
-from monge1d.numerics import _adaptive, _graded_edges, integrate, solve_root
+from monge1d.numerics import _adaptive, _graded_edges, integrate
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import build_map, target_cdf
+from reference_solves import solve_root
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 _REFERENCE_TOL = 1e-15

@@ -1,4 +1,4 @@
-"""Unit tests for the quadrature, root-finding, and profile kernels."""
+"""Unit tests for the quadrature and profile kernels and the reference root solve."""
 
 import math
 
@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d.errors import DomainError, MaxDepth, MaxIterations, NoSignChange
-from monge1d.numerics import (
-    MonotoneProfile,
-    _adaptive,
-    _graded_edges,
-    integrate,
-    solve_root,
-)
+from monge1d.errors import DomainError, MaxDepth, MaxIterations
+from monge1d.numerics import MonotoneProfile, _adaptive, _graded_edges, integrate
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import target_cdf
+from reference_solves import NoSignChange, solve_root
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 

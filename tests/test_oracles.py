@@ -225,6 +225,23 @@ class TestGridDensity:
         bad_sign = GridDensity(g.nodes, dipped, g.step, g.alpha)
         assert any("negative" in v for v in bad_sign.violations())
 
+    def test_nan_alpha_is_reported_first(self):
+        # Every comparison with NaN is False: a NaN bound would pass a
+        # cell slope of 10.
+        g = self._tent_grid()
+        steep = g.values.copy()
+        steep[100] += 10.0 * g.step
+        problems = GridDensity(g.nodes, steep, g.step, math.nan).violations()
+        assert problems[0] == "non-finite slope bound alpha = nan"
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_value_is_reported_alone(self, u):
+        # A NaN u passed every check; an infinite one read as a mass defect.
+        g = self._tent_grid()
+        g.values[100] = u
+        assert g.violations() == (f"1 non-finite value(s), the first {u} "
+                                  "at index 100",)
+
     def test_interpolates_to_zero_outside(self):
         g = self._tent_grid()
         assert g(-1.0) == 0.0
@@ -318,6 +335,20 @@ class TestFixtures:
         meta["alpha"] = None
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="oracle.json"):
+            load_fixture(tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", math.nan), ("objective", math.nan), ("objective", -math.inf),
+        ("epsilon", math.nan), ("epsilon", math.inf)])
+    def test_non_finite_sidecar_value_is_named(self, tmp_path, key, value):
+        # Python's JSON reader accepts NaN and Infinity.
+        run = discrete_expectation_optimizer(SPEC_I, 201)
+        sidecar = save_fixture(run, tmp_path / "oracle.csv")
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=f"oracle.json: {key} {value!r} is not finite"):
             load_fixture(tmp_path / "oracle.csv")
 
     @pytest.mark.parametrize("ys, row", [
