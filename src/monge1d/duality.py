@@ -91,7 +91,64 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     """Solve e^{2l} (alpha^2 + 2 eps l) = T for each T >= 0.
 
     Returns (l, slope_sq) with slope_sq = alpha^2 + 2 eps l evaluated
-    without cancellation.  The solve runs in w = ln(slope_sq), where the
+    without cancellation.  With z = ln(T / alpha^2), a body node has T > 0
+    and alpha^2 + eps z >= alpha^2/2.  There Newton's iteration runs in l
+    on F(l) = 2l + ln(alpha^2 + 2 eps l) - ln T from l = z/2, where
+    F = ln(1 + eps z/alpha^2) >= -ln 2.  F is increasing and concave, so
+    every Newton iterate after the first lies below the root and climbs to
+    it monotonically.  A start left of the root (z < 0) keeps
+    slope_sq >= alpha^2/2 all the way.  A start right of it (z > 0) steps
+    by at most eps z/(2 alpha^2), so its first iterate keeps
+    slope_sq >= alpha^2 (1 + (z eps/alpha^2)(1 - eps/alpha^2)), which is
+    at least alpha^2 when eps <= alpha^2.  When eps > alpha^2 the first
+    step may take slope_sq below alpha^2/2, and such a node joins the tail.
+    On the body slope_sq = alpha^2 + 2 eps l >= alpha^2/2 loses nothing to
+    cancellation.  The loop stops once no step exceeds 1e-9 max(1, |l|):
+    Newton's error after such a step is within eps^2/(u (u + eps)) times
+    its square, below rounding.
+
+    The tail (T <= 0, NaN, or alpha^2 + eps z < alpha^2/2) goes through
+    `_invert_tail`.  No cap at l = 0: T > alpha^2 continues smoothly into
+    l > 0.  Raises MaxIterations when either Newton iteration has not
+    converged after 80 steps (a NaN or infinite stress, for instance).
+    """
+    T = np.asarray(stress_sq, dtype=float)
+    a2 = alpha * alpha
+    log_a2 = math.log(a2)
+    pos = T > 0.0
+    log_t = np.log(np.where(pos, T, a2))
+    z = log_t - log_a2
+    body = pos & (a2 + epsilon * z >= 0.5 * a2)
+    tail = ~body
+    log_t, l = log_t[body], 0.5 * z[body]
+    for k in range(_NEWTON_MAX_ITER):
+        u = a2 + 2.0 * epsilon * l
+        step = (2.0 * l + np.log(u) - log_t) / (2.0 + 2.0 * epsilon / u)
+        l = l - step
+        if k == 0:
+            # A node the first step takes below slope_sq = alpha^2/2 joins
+            # the tail; until the loop ends it iterates on T = alpha^2 from
+            # that T's root, l = 0.
+            low = a2 + 2.0 * epsilon * l < 0.5 * a2
+            if low.any():
+                tail[body] = low
+                l[low], log_t[low] = 0.0, log_a2
+        if np.all(np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(l))):
+            break
+    else:
+        raise MaxIterations(
+            f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
+            f"Newton steps (last step {float(np.max(np.abs(step))):.3e})")
+    l_out, u_out = np.empty_like(T), np.empty_like(T)
+    l_out[body], u_out[body] = l, a2 + 2.0 * epsilon * l
+    if tail.any():
+        l_out[tail], u_out[tail] = _invert_tail(T[tail], a2, epsilon)
+    return l_out, u_out
+
+
+def _invert_tail(T, a2, epsilon):
+    """`_invert_stress_sq` on the tail nodes, T <= 0 reading the floor
+    l = -alpha^2/(2 eps).  The solve runs in w = ln(slope_sq), where the
     residual phi(w) = (e^w - alpha^2)/eps + w - ln T is convex and
     increasing, so Newton converges globally (at worst one overshoot,
     then monotone).  A final two-step polish directly in l removes the
@@ -99,13 +156,7 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     small, and slope_sq is then T e^{-2l} below alpha^2/2, where the sum
     cancels; in the deep tail (slope_sq << alpha^2) the division is
     already exact and the polish is skipped.
-
-    No cap at l = 0: T > alpha^2 continues smoothly into l > 0.  Raises
-    MaxIterations when Newton has not converged after 80 steps (a NaN
-    stress, for instance).
     """
-    T = np.asarray(stress_sq, dtype=float)
-    a2 = alpha * alpha
     l_out = np.empty_like(T)
     u_out = np.empty_like(T)
     zero = T <= 0.0

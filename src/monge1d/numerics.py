@@ -32,6 +32,8 @@ Design notes
   The dual solver's last pass is its density's slope, so the density and
   the CDF are those integrals, between the grid's nodes as at them: no
   second interpolant stands between the solve and the transport maps.
+  Both are held per panel as Taylor rows in the panel's offset from its
+  left edge, so a read at any number of points is one Horner sum.
   The CDF's inverse solves each target's panel polynomial by a bracketed
   Newton iteration: a handful of vectorized steps, each one Horner
   evaluation per target still unconverged.
@@ -211,34 +213,50 @@ def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL
     return float(out[0]) if out.size == 1 else out
 
 
-def _legendre_integrals(x):
-    """Lists of P_n(x) and its integrals from -1,
-    I_n = (P_n+1 - P_n-1)/(2n + 1) with I_0 = x + 1.  The recurrence gives
-    P_n(-1) = (-1)^n exactly: I_n reads 0 there."""
+def _legendre(x):
+    """P_0(x), ..., P_14(x) by the three-term recurrence."""
     p = [np.ones_like(x), x]
-    for n in range(1, 16):
+    for n in range(1, 14):
         p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
-    return p, [x + 1.0] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, 16)]
+    return p
 
 
 # Legendre coefficients (rows) of the interpolant of Kronrod samples (columns).
-_KRONROD_TO_LEGENDRE = np.linalg.inv(np.transpose(_legendre_integrals(_XGK)[0][:15]))
+_KRONROD_TO_LEGENDRE = np.linalg.inv(np.transpose(_legendre(_XGK)))
 # Weights (rows) of that interpolant's values at x = -1 and x = 1.
 _KRONROD_ENDS = np.array([(-1.0) ** np.arange(15), np.ones(15)]) @ _KRONROD_TO_LEGENDRE
 
 
-# Taylor coefficients at x = -1 of J_n, the double antiderivative of P_n
-# from -1: row d, column n holds P_n^(d)(-1) / (d + 2)!, the coefficient of
-# (x + 1)^(d + 2), where P_n^(d)(-1) = (-1)^(n - d) (n + d)! / (2^d d! (n - d)!).
-_J_TAYLOR = np.array([[(-1) ** (n - d) * math.factorial(n + d)
-                       / (2 ** d * math.factorial(d) * math.factorial(n - d)
-                          * math.factorial(d + 2)) if d <= n else 0.0
-                       for n in range(15)] for d in range(15)])
+def _legendre_taylor(order):
+    """Taylor coefficients at x = -1 of the order-fold integral of P_n from
+    -1: row d, column n holds P_n^(d)(-1) / (d + order)!, the coefficient of
+    (x + 1)^(d + order), where
+    P_n^(d)(-1) = (-1)^(n - d) (n + d)! / (2^d d! (n - d)!)."""
+    return np.array([[(-1) ** (n - d) * math.factorial(n + d)
+                      / (2 ** d * math.factorial(d) * math.factorial(n - d)
+                         * math.factorial(d + order)) if d <= n else 0.0
+                      for n in range(15)] for d in range(15)])
+
+
+# I_n and J_n, the single and double integrals of P_n from -1, in powers
+# of w = x + 1.
+_I_TAYLOR = _legendre_taylor(1)
+_J_TAYLOR = _legendre_taylor(2)
+
+
+def _horner_at(rows, k, w):
+    """Value at w of the polynomials whose coefficient rows, in ascending
+    powers of w, are `rows`, each row read at the panels k."""
+    value = rows[-1][k]
+    for row in rows[-2::-1]:
+        value *= w
+        value += row[k]
+    return value
 
 
 def _horner(rows, w):
     """Value and derivative at w of the polynomials whose coefficient rows,
-    in ascending powers of w, are stacked in `rows`."""
+    in ascending powers of w, are `rows`."""
     value, slope = rows[-1].copy(), np.zeros_like(w)
     for row in rows[-2::-1]:
         slope *= w
@@ -263,11 +281,11 @@ class MonotoneProfile:
     with U_a and M_a their running values at the panel's left edge and I_n,
     J_n the single and double integrals of P_n from -1.  The Kronrod rule
     is exact for the interpolant, so U_a are the pass's running Kronrod
-    sums and a left edge reads them with no rounding of its own.  The
-    density is summed in the Legendre form (`_legendre_integrals`).  The
-    mass, over its total, is held in ascending powers of w = x + 1
-    (`_J_TAYLOR`), read by Horner's rule, for the CDF and its inverse
-    alike.
+    sums and a left edge reads them with no rounding of its own.  Both are
+    held per panel in ascending powers of w = x + 1, the density from
+    `_I_TAYLOR` and the mass, over its total, from `_J_TAYLOR`, and read by
+    Horner's rule, the mass for the CDF and its inverse alike.  A left edge,
+    w = 0, reads U_a exactly.  Depths outside the pass raise ValueError.
 
     The pass's error control covers the interpolant: the |Kronrod - Gauss|
     estimate that accepted a panel measures g's distance from polynomials
@@ -301,6 +319,9 @@ class MonotoneProfile:
         ends_at = np.isin(edges, singular)
         self.coeffs[1:, ends_at[:-1] | ends_at[1:]] = 0.0
         self.edge_density = np.concatenate([[0.0], np.cumsum(sums)])
+        # Each panel's density in ascending powers of w = x + 1.
+        self._density = np.vstack([self.edge_density[:-1],
+                                   self.half * (_I_TAYLOR @ self.coeffs)])
         # A panel's mass is M at x = 1: J_0(1) = 2, J_1(1) = -2/3, others 0.
         mass = np.concatenate([[0.0], np.cumsum(self.half * (
             2.0 * self.edge_density[:-1]
@@ -327,7 +348,13 @@ class MonotoneProfile:
 
     def _panels(self, s):
         """Panel index and w = x + 1 of each depth (the last edge in the
-        last panel)."""
+        last panel).  Raises ValueError, naming it, on a depth outside the
+        pass or NaN."""
+        lo, hi = float(self.edges[0]), float(self.edges[-1])
+        outside = ~((s >= lo) & (s <= hi))
+        if outside.any():
+            raise ValueError(f"depth {float(s[outside][0])!r} lies outside the "
+                             f"pass [{lo!r}, {hi!r}]")
         k = np.minimum(np.searchsorted(self.edges, s, side="right") - 1,
                        self.half.size - 1)
         return k, (s - self.edges[k]) / self.half[k]
@@ -337,17 +364,15 @@ class MonotoneProfile:
         row 0 from the first edge."""
         s = np.asarray(s, dtype=float)
         k, w = self._panels(s)
-        c, once = self.coeffs[:, k], _legendre_integrals(w - 1.0)[1]
-        once = sum(c[n] * once[n] for n in range(15))
         return np.where(s == self.edges[-1], self.edge_density[-1],
-                        self.edge_density[k] + self.half[k] * once)
+                        _horner_at(self._density, k, w))
 
     def fraction(self, s):
         """Mass between the first edge and depths s within the pass, over
         the total: 1 exactly at the last edge."""
         s = np.asarray(s, dtype=float)
         k, w = self._panels(s)
-        return np.where(s == self.edges[-1], 1.0, _horner(self._taylor[:, k], w)[0])
+        return np.where(s == self.edges[-1], 1.0, _horner_at(self._taylor, k, w))
 
     def __call__(self, y):
         fraction = self.fraction(self.depth(y))
@@ -401,7 +426,7 @@ class MonotoneProfile:
         """
         left, half, size = self.edges[k], self.half[k], self._size[k]
         res = np.spacing(np.maximum(np.abs(left), np.abs(self.edges[k + 1]))) / half
-        rows = self._taylor[:, k]
+        rows = [row[k] for row in self._taylor]
         gap, lin, quad = f - rows[0], rows[1], rows[2]
         disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):   # no slope: clipped
@@ -439,7 +464,7 @@ class MonotoneProfile:
                 live, f, a, b, prev, last, res, left, half, size, nxt = (
                     arr[keep] for arr in (live, f, a, b, prev, last, res, left, half,
                                           size, nxt))
-                rows = rows[:, keep]
+                rows = [row[keep] for row in rows]
                 if not live.size:
                     return out
             w = nxt

@@ -1,13 +1,15 @@
 """Unit tests for the quadrature and profile kernels and the reference root solve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge1d.duality import _MASS_TOL, _solve_zeros
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
-from monge1d.numerics import MonotoneProfile, _adaptive, _graded_edges, integrate
+from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges, integrate
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import target_cdf
@@ -444,6 +446,20 @@ class TestMonotoneProfile:
         with pytest.raises(ValueError, match="not positive"):
             MonotoneProfile(edges, -sums[0], -samples, 0.0, 1.0)
 
+    def test_depths_outside_the_pass_raise(self, solved):
+        # Below the first edge the panel index would wrap to the last
+        # panel, and past the last edge the last panel would extrapolate:
+        # both name the depth instead, and so does a NaN.  The ends read.
+        prof = target_cdf(solved(SPEC_I, 1e-2))
+        width = prof.edges[-1]
+        for read in (prof.density, prof.fraction):
+            for s in (-1e-12, width + 0.1, math.nan):
+                with pytest.raises(ValueError, match=re.escape(f"depth {float(s)!r} lies "
+                                                               "outside the pass")):
+                    read(np.array([0.5 * width, s]))
+        assert prof.density(0.0) == prof.fraction(0.0) == 0.0
+        assert prof.density(width) == prof.edge_density[-1] and prof.fraction(width) == 1.0
+
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=0.05, max_value=1.5))
     def test_round_trip_property(self, y):
@@ -452,3 +468,52 @@ class TestMonotoneProfile:
         back = prof.invert_many(t)
         assert abs(prof(back) - t) <= 1e-15
         assert abs(back - y) < 1e-8
+
+
+def legendre_density(prof, s):
+    """The density at depths s summed in the Legendre form,
+    U_a + half sum c_n I_n(x) with I_n = (P_n+1 - P_n-1)/(2n + 1) and
+    I_0 = x + 1: the reference for the profile's Taylor rows."""
+    k = np.minimum(np.searchsorted(prof.edges, s, side="right") - 1, prof.half.size - 1)
+    x = (s - prof.edges[k]) / prof.half[k] - 1.0
+    p = [np.ones_like(x), x]
+    for n in range(1, 15):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    once = [x + 1.0] + [(p[n + 1] - p[n - 1]) / (2 * n + 1) for n in range(1, 15)]
+    c = prof.coeffs[:, k]
+    return prof.edge_density[k] + prof.half[k] * sum(c[n] * once[n] for n in range(15))
+
+
+class TestDensityTable:
+    """The density's Taylor rows on the canonical solves."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_rows_meet_the_legendre_form(self, solved, alpha, eps):
+        # At the Kronrod nodes and at random points of every panel.
+        prof = target_cdf(solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps))
+        rng = np.random.default_rng(5)
+        left, half = prof.edges[:-1, None], prof.half[:, None]
+        w = np.concatenate([np.broadcast_to(_XGK + 1.0, (half.size, 15)),
+                            rng.uniform(0.0, 2.0, (half.size, 8))], axis=1)
+        s = np.minimum((left + half * w).ravel(), prof.edges[-1])
+        peak = np.max(prof.edge_density)
+        assert np.max(np.abs(prof.density(s) - legendre_density(prof, s))) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_edges_and_singular_panels(self, solved, eps):
+        # A left edge, w = 0, reads the running Kronrod sum bitwise.  A
+        # panel ending at a stress zero holds its Kronrod mean c_0 alone,
+        # so it reads the line U_a + half c_0 w.
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
+        prof = target_cdf(solved(spec, eps))
+        assert np.array_equal(prof.density(prof.edges), prof.edge_density)
+        zeros = _solve_zeros(spec, eps, _MASS_TOL, 0.01 * _MASS_TOL, 1e-12).zeros
+        ends_at = np.isin(prof.edges, zeros)
+        singular = np.flatnonzero(ends_at[:-1] | ends_at[1:])
+        assert singular.size >= 2
+        for k in singular:
+            s = prof.edges[k] + prof.half[k] * np.linspace(0.0, 2.0, 9)[:-1]
+            w = (s - prof.edges[k]) / prof.half[k]
+            line = prof.edge_density[k] + prof.half[k] * prof.coeffs[0, k] * w
+            assert np.array_equal(prof.density(s), line)
