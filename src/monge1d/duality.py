@@ -80,7 +80,6 @@ from .numerics import (_KRONROD_ENDS, _MAX_PANEL_DEPTH, MonotoneProfile, _adapti
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
-_DEEP_TAIL = 1e-8          # below this slope_sq/alpha^2, skip the log polish
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
 
@@ -90,117 +89,59 @@ _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
 def _invert_stress_sq(stress_sq, alpha, epsilon):
     """Solve e^{2l} (alpha^2 + 2 eps l) = T for each T >= 0.
 
-    Returns (l, slope_sq) with slope_sq = alpha^2 + 2 eps l evaluated
-    without cancellation.  With z = ln(T / alpha^2), a body node has T > 0
-    and alpha^2 + eps z >= alpha^2/2.  There Newton's iteration runs in l
-    on F(l) = 2l + ln(alpha^2 + 2 eps l) - ln T from l = z/2, where
-    F = ln(1 + eps z/alpha^2) >= -ln 2.  F is increasing and concave, so
-    every Newton iterate after the first lies below the root and climbs to
-    it monotonically.  A start left of the root (z < 0) keeps
-    slope_sq >= alpha^2/2 all the way.  A start right of it (z > 0) steps
-    by at most eps z/(2 alpha^2), so its first iterate keeps
-    slope_sq >= alpha^2 (1 + (z eps/alpha^2)(1 - eps/alpha^2)), which is
-    at least alpha^2 when eps <= alpha^2.  When eps > alpha^2 the first
-    step may take slope_sq below alpha^2/2, and such a node joins the tail.
-    On the body slope_sq = alpha^2 + 2 eps l >= alpha^2/2 loses nothing to
-    cancellation.  The loop stops once no step exceeds 1e-9 max(1, |l|):
-    Newton's error after such a step is within eps^2/(u (u + eps)) times
-    its square, below rounding.
+    Returns (l, slope_sq) with slope_sq = alpha^2 + 2 eps l.  One Newton
+    iteration runs on every node, in w = ln(slope_sq), on
+    phi(w) = (e^w - alpha^2)/eps + w - ln T.  phi is increasing and
+    convex, so Newton converges from any start: a start left of the root
+    overshoots it once, and from the right the iterates fall to it
+    monotonically.  With z = ln(T/alpha^2) the start is
+    ln(alpha^2 + eps z), the root to first order in eps z, where
+    alpha^2 + eps z > 0, and ln T + alpha^2/eps, right of the root,
+    elsewhere.  The loop stops once no step exceeds 1e-9 max(1, |w|):
+    phi''/phi' < 1, so a step delta leaves an error below delta^2/2.
 
-    The tail (T <= 0, NaN, or alpha^2 + eps z < alpha^2/2) goes through
-    `_invert_tail`.  No cap at l = 0: T > alpha^2 continues smoothly into
-    l > 0.  Raises MaxIterations when either Newton iteration has not
-    converged after 80 steps (a NaN or infinite stress, for instance).
+    Each output is read off w in the form that does not cancel.  Where
+    e^w >= alpha^2/2, l = (ln T - w)/2, while (e^w - alpha^2)/(2 eps)
+    would cancel and scale w's error by e^w/(2 eps).  Below that,
+    l = (e^w - alpha^2)/(2 eps), which stays within a factor 2 of the
+    floor, while ln T and w would cancel down to their difference
+    alpha^2/eps.  slope_sq is alpha^2 + 2 eps l where e^w >= alpha^2/2
+    and eps <= e^w: the sum cannot cancel there, and its relative error
+    is l's absolute error times 2 eps/slope_sq, while e^w carries w's
+    absolute error whole.  Elsewhere slope_sq is e^w.
+
+    T <= 0 reads the floor l = -alpha^2/(2 eps), slope_sq = 0.  No cap at
+    l = 0: T > alpha^2 continues smoothly into l > 0.  Raises
+    MaxIterations at once on a NaN or infinite T, naming the first, and
+    when Newton has not converged after 80 steps.
     """
     T = np.asarray(stress_sq, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(T))
+    if bad.size:
+        raise MaxIterations(f"slope inversion got the non-finite squared "
+                            f"stress {T.flat[bad[0]]} at node {bad[0]}")
     a2 = alpha * alpha
-    log_a2 = math.log(a2)
     pos = T > 0.0
     log_t = np.log(np.where(pos, T, a2))
-    z = log_t - log_a2
-    body = pos & (a2 + epsilon * z >= 0.5 * a2)
-    tail = ~body
-    log_t, l = log_t[body], 0.5 * z[body]
-    for k in range(_NEWTON_MAX_ITER):
-        u = a2 + 2.0 * epsilon * l
-        step = (2.0 * l + np.log(u) - log_t) / (2.0 + 2.0 * epsilon / u)
-        l = l - step
-        if k == 0:
-            # A node the first step takes below slope_sq = alpha^2/2 joins
-            # the tail; until the loop ends it iterates on T = alpha^2 from
-            # that T's root, l = 0.
-            low = a2 + 2.0 * epsilon * l < 0.5 * a2
-            if low.any():
-                tail[body] = low
-                l[low], log_t[low] = 0.0, log_a2
-        if np.all(np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(l))):
+    z = log_t - math.log(a2)
+    w = np.where(z > -a2 / epsilon, np.log(np.maximum(a2 + epsilon * z, 1e-300)),
+                 log_t + a2 / epsilon)
+    for _ in range(_NEWTON_MAX_ITER):
+        u = np.exp(w)
+        step = ((u - a2) / epsilon + w - log_t) / (u / epsilon + 1.0)
+        w = w - step
+        if np.all(np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(w))):
             break
     else:
         raise MaxIterations(
             f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
             f"Newton steps (last step {float(np.max(np.abs(step))):.3e})")
-    l_out, u_out = np.empty_like(T), np.empty_like(T)
-    l_out[body], u_out[body] = l, a2 + 2.0 * epsilon * l
-    if tail.any():
-        l_out[tail], u_out[tail] = _invert_tail(T[tail], a2, epsilon)
-    return l_out, u_out
-
-
-def _invert_tail(T, a2, epsilon):
-    """`_invert_stress_sq` on the tail nodes, T <= 0 reading the floor
-    l = -alpha^2/(2 eps).  The solve runs in w = ln(slope_sq), where the
-    residual phi(w) = (e^w - alpha^2)/eps + w - ln T is convex and
-    increasing, so Newton converges globally (at worst one overshoot,
-    then monotone).  A final two-step polish directly in l removes the
-    cancellation incurred by l = (e^w - alpha^2)/(2 eps) when eps is
-    small, and slope_sq is then T e^{-2l} below alpha^2/2, where the sum
-    cancels; in the deep tail (slope_sq << alpha^2) the division is
-    already exact and the polish is skipped.
-    """
-    l_out = np.empty_like(T)
-    u_out = np.empty_like(T)
-    zero = T <= 0.0
-    l_out[zero] = -a2 / (2.0 * epsilon)
-    u_out[zero] = 0.0
-    pos = ~zero
-    if np.any(pos):
-        t = T[pos]
-        log_t = np.log(t)
-        z = log_t - math.log(a2)
-        # Two start regimes split where a2 + eps z crosses zero: above it
-        # the root has slope_sq near a2 + eps z; below it the tail start
-        # ln T + a2/eps is bounded by ln a2 and sits right of the root.
-        w = np.where(z > -a2 / epsilon,
-                     np.log(np.maximum(a2 + epsilon * z, 1e-300)),
-                     log_t + a2 / epsilon)
-        for _ in range(_NEWTON_MAX_ITER):
-            ew = np.exp(w)
-            step = ((ew - a2) / epsilon + w - log_t) / (ew / epsilon + 1.0)
-            w = w - step
-            if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(w)))):
-                break
-        else:
-            raise MaxIterations(
-                f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
-                f"Newton steps (last step {float(np.max(np.abs(step))):.3e})")
-        u = np.exp(w)
-        l = (u - a2) / (2.0 * epsilon)
-        polish = u > _DEEP_TAIL * a2
-        if np.any(polish):
-            lp = l[polish]
-            ltp = log_t[polish]
-            for _ in range(2):
-                up = a2 + 2.0 * epsilon * lp
-                g = 2.0 * lp + np.log(up) - ltp
-                lp = lp - g / (2.0 + 2.0 * epsilon / up)
-            l[polish] = lp
-            up = a2 + 2.0 * epsilon * lp
-            cancel = up < 0.5 * a2
-            up[cancel] = t[polish][cancel] * np.exp(-2.0 * lp[cancel])
-            u[polish] = up
-        l_out[pos] = l
-        u_out[pos] = u
-    return l_out, u_out
+    u = np.exp(w)
+    upper = u >= 0.5 * a2
+    l = np.where(upper, 0.5 * (log_t - w), (u - a2) / (2.0 * epsilon))
+    u = np.where(upper & (u >= epsilon), a2 + 2.0 * epsilon * l, u)
+    l[~pos], u[~pos] = -a2 / (2.0 * epsilon), 0.0
+    return l, u
 
 
 def _slope_many(theta, alpha, epsilon):

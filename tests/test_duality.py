@@ -158,8 +158,8 @@ class TestSlopeFromTheta:
         assert back == pytest.approx(theta, abs=1e-9)
 
     def test_slope_next_to_the_deep_tail_keeps_its_digits(self):
-        # Just above the 1e-8 alpha^2 cut alpha^2 + 2 eps l cancels, which
-        # lost up to 8e-9 relative; e^{2l} slope^2 = T holds to rounding.
+        # Below slope^2 = alpha^2/2 the sum alpha^2 + 2 eps l cancels, down
+        # to the deep tail; read off w, e^{2l} slope^2 = T holds to rounding.
         theta = np.logspace(-12, -6, 601)
         l, slope_sq = duality._invert_stress_sq(theta * theta, 0.5, 0.01)
         identity = np.exp(2.0 * l) * slope_sq / (theta * theta)
