@@ -19,7 +19,8 @@ here, all in closed form up to one two-unknown root solve:
 3. The two zeros are fixed together by two conditions: the density
    vanishes at both support endpoints (closure) and holds unit mass.  One
    safeguarded Newton iteration on (z, c) solves both, starting from the
-   sharp-limit tent; each iterate costs one quadrature pass, which yields
+   zeros' expansion about the sharp-limit tent to second order in eps,
+   in closed form; each iterate costs one quadrature pass, which yields
    both residuals and their exact Jacobian (`_solve_zeros`).  When even
    the free zero at the far target edge leaves less than unit mass, the
    support is the whole target: the far edge is then a Dirichlet end with
@@ -328,6 +329,50 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     return np.array([I - aim, M - 1.0, moment, *energies]), J / (z - c), done
 
 
+def _expansion_step(alpha, epsilon):
+    """Step (dz, dc) from the sharp-limit tent (z0, z0/2), z0 = 2/sqrt(alpha),
+    to the stress zeros' expansion to second order in eps (the coupled
+    solve's start), or (0, 0) where that series no longer decreases.
+
+    With k = eps/alpha^2 and l = ln alpha the step is z0 k (v1 + k v2).
+    Expanding the slope, g = sign(theta) [alpha + (eps/alpha) l0
+    - (eps^2/alpha^3)(l0 + l0^2/2)] + O(eps^3) with l0 = ln(|theta|/alpha),
+    gives the residuals F0 + eps F1 + eps^2 F2 at fixed zeros: a
+    polynomial, then integrals of logs and of their squares, which reduce
+    to ln 2 and pi^2.  With J0 the Jacobian of F0 at the tent, the zeros
+    move by eps p1 + eps^2 p2 with p1 = -J0^-1 F1 and
+    p2 = -J0^-1 (F0''(p1, p1)/2 + F1' p1 + F2); v1 = alpha^2 p1/z0 and
+    v2 = alpha^4 p2/z0.  l0 = ln(2/alpha^2) + a function of s/z0 alone,
+    which makes v2 a quadratic in l.  The series is used while
+    k max|v2| <= max|v1|/2: at eps of order alpha^2 its second term
+    outgrows the first, and a start there can leave Newton short of the
+    root (alpha 1, eps 1 on a target three sharp widths wide).
+    """
+    k, l, ln2 = epsilon / (alpha * alpha), math.log(alpha), math.log(2.0)
+    v1 = (0.5 * (1.0 + ln2) + l, 0.25 * (1.0 - ln2) + 0.5 * l)
+    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - math.pi ** 2 / 48.0
+          + (0.5 + 2.5 * ln2) * l + 2.5 * l * l,
+          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + math.pi ** 2 / 96.0
+          + (0.25 - 1.25 * ln2) * l + 1.25 * l * l)
+    if k * max(map(abs, v2)) > 0.5 * max(map(abs, v1)):
+        return 0.0, 0.0
+    z0k = 2.0 / math.sqrt(alpha) * k
+    return z0k * (v1[0] + k * v2[0]), z0k * (v1[1] + k * v2[1])
+
+
+def _bounded_step(zeros, delta, width):
+    """Zeros (z, c) moved by the step delta = (dz, dc), cut back to half way
+    to any bound it would cross: c > 0 (anchor), width - c > 0 (far edge)
+    and z - c > 0; z may cross the far edge.  Also the length of the step
+    taken, its larger component."""
+    (z, c), (dz, dc) = zeros, delta
+    t = 1.0
+    for g0, dg in ((c, dc), (width - c, -dc), (z - c, dz - dc)):
+        if g0 + dg <= 0.0:
+            t = min(t, 0.5 * g0 / -dg)
+    return (z + t * dz, c + t * dc), t * max(abs(dz), abs(dc))
+
+
 @dataclass(frozen=True)
 class _ZeroSolve:
     """Outcome of the coupled solve: the zeros (z, c) as depths, the Newton
@@ -353,10 +398,11 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     depths back to y), and the zeros resolve to ulps of the target's
     width: in y one ulp of c moves the closure by about 4e-13 at
     |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
-    z = 2/sqrt(alpha) and c = S/2 on the support [0, S = min(z, width)].
-    Each step is cut back to half way to any bound it would cross,
-    keeping 0 < c < width and c < z; z may cross the far edge, which is
-    the full-target regime.
+    z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to second
+    order in eps (`_expansion_step`), which misses the solution by
+    O(eps^3).  The start and each step are cut back to half way to any
+    bound they would cross (`_bounded_step`), keeping 0 < c < width and
+    c < z; z may cross the far edge, which is the full-target regime.
 
     The Jacobian is exact and rides on the residual pass, so each step
     costs one pass.  With s = c + D t, D = z - c, the stress is
@@ -388,8 +434,9 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     width = spec.target_width
     aim = 0.1 * crossing_tol
     quad_tol = min(1e-13, 0.1 * crossing_tol)
-    z = spec.sharp_width
-    c = 0.5 * _support_of(z, spec)[1]
+    z0 = spec.sharp_width
+    (z, c), _ = _bounded_step((z0, 0.5 * z0), _expansion_step(spec.alpha, epsilon),
+                              width)
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     step = size = math.inf
     for k in range(_ZERO_MAX_STEPS):
@@ -401,16 +448,10 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         if held and (step <= root_tol + ulps or size >= 0.5 * last):
             return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
         try:
-            dz, dc = (float(d) for d in np.linalg.solve(J, -F[:2]))
+            delta = np.linalg.solve(J, -F[:2]).tolist()
         except np.linalg.LinAlgError:
             break
-        # Bounds: c > 0 (anchor), width - c > 0 (far edge), z - c > 0.
-        t = 1.0
-        for g0, dg in ((c, dc), (width - c, -dc), (z - c, dz - dc)):
-            if g0 + dg <= 0.0:
-                t = min(t, 0.5 * g0 / -dg)
-        z, c = z + t * dz, c + t * dc
-        step = t * max(abs(dz), abs(dc))
+        (z, c), step = _bounded_step((z, c), delta, width)
         F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "

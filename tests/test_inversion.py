@@ -194,8 +194,8 @@ def inversion_work(run):
 # alpha 1, eps 0.1, where the graded nodes next to the stress zeros reach
 # far below slope^2 = alpha^2/2.
 _CANONICAL_WORK = {
-    (1.0, 1e-1): 87, (1.0, 1e-2): 22, (1.0, 1e-3): 14, (1.0, 1e-4): 9,
-    (4.0, 1e-1): 18, (4.0, 1e-2): 10, (4.0, 1e-3): 10, (4.0, 1e-4): 9,
+    (1.0, 1e-1): 73, (1.0, 1e-2): 18, (1.0, 1e-3): 11, (1.0, 1e-4): 7,
+    (4.0, 1e-1): 15, (4.0, 1e-2): 8, (4.0, 1e-3): 8, (4.0, 1e-4): 5,
 }
 
 
