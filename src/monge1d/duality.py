@@ -145,13 +145,6 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     return l, u
 
 
-def _slope_many(theta, alpha, epsilon):
-    """Vectorized extended slope recovery (no cap at |theta| = alpha)."""
-    th = np.asarray(theta, dtype=float)
-    _, u = _invert_stress_sq(th * th, alpha, epsilon)
-    return np.copysign(np.sqrt(u), th)
-
-
 # -- the dual field -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,7 +208,7 @@ class DualField:
         return l if np.ndim(y) else float(l)
 
     def slope(self, y):
-        out = _slope_many(self.theta(y), self.alpha, self.epsilon)
+        out = self.fields_at(y)[2]
         return out if np.ndim(y) else float(out)
 
     def fields_at(self, y):

@@ -1,4 +1,4 @@
-"""Primal, dual, and mixed energy evaluation, gap verification, probes.
+"""Primal, dual and mixed energies of a solved pair, their gaps, probes.
 
 Three functionals share one critical point:
 
@@ -20,15 +20,10 @@ which survives scale factors that underflow near the stress zero, and
 difference probes use expm1 so that O(t) perturbations are resolved
 without cancellation.
 
-Profile protocol: evaluators accept any object with a `support` tuple,
-a slope bound (`alpha`, or `spec.alpha` on a DensitySolution), value
-evaluation via `__call__(y)` and a `slope(y)` method (vectorized).
-On a solution and its own field no quadrature runs: the H-term, dual and
-mixed integrals are the solve's (`DualField.energy_integrals`), and the
-moment term is its `expectation`.  They hold at the solve's epsilon only:
-read at another, the field's own scale factor raises ValueError.  Other
-pairings integrate on the field's depth panels (`DualField.integrate`),
-or without a field by `numerics.integrate`.  The variational
+`duality_gap` is the one energy reader, and it runs no quadrature: the
+H-term, dual and mixed integrals are rows of the solve's last Newton
+pass (`DualField.energy_integrals`), and the moment term is the
+solution's `expectation`.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
 `SinePerturbation`; all their deltas are the rows of one pass, cut
@@ -42,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DensitySolution, DualField
-from .errors import DomainError, InvalidPerturbation
-from .numerics import integrate
+from .duality import DensitySolution
+from .errors import InvalidPerturbation
 
 _DEFAULT_QUAD_TOL = 1e-10
 
@@ -71,146 +65,6 @@ class SinePerturbation:
         s = math.pi * self.k / (hi - lo)
         out = self.amplitude * s * np.cos(s * (np.asarray(y, dtype=float) - lo))
         return out if np.ndim(y) else float(out)
-
-
-def _profile_alpha(profile) -> float:
-    if hasattr(profile, "alpha"):
-        return float(profile.alpha)
-    return float(profile.spec.alpha)
-
-
-# -- the three energies -------------------------------------------------------
-
-def _own_epsilon(dual: DualField, epsilon):
-    """The field's scale factor with another epsilon mixes two smoothings."""
-    if epsilon != dual.epsilon:
-        raise ValueError(f"the field's scale factor is solved at epsilon "
-                         f"{dual.epsilon!r}, not at epsilon {epsilon!r}")
-
-
-def _own_integrals(dual: DualField, epsilon):
-    _own_epsilon(dual, epsilon)
-    if dual.energy_integrals is None:
-        raise ValueError("only a solve's own field carries energy integrals")
-    return dual.energy_integrals
-
-
-def primal_energy(profile, epsilon, domain_convention="support") -> float:
-    """Smoothed transport energy of a profile.
-
-    Under the "support" convention the integral runs over the profile's
-    support; "full_target" adds the flat contribution of the zero
-    extension, eps e^{-a^2/(2 eps)} per unit length, which needs a
-    `target` or `spec.target_interval` on the profile.  On a solution
-    epsilon must be the solution's (ValueError otherwise).
-    """
-    if domain_convention not in ("support", "full_target"):
-        raise ValueError(f"unknown domain convention {domain_convention!r}")
-    alpha = _profile_alpha(profile)
-    lo, hi = profile.support
-    solution = isinstance(profile, DensitySolution)
-    if solution:
-        # The target sits on one side of the origin, so the moment of |y|
-        # is the expectation up to sign.
-        h_term = _own_integrals(profile.dual, epsilon)[0]
-        moment = abs(profile.expectation)
-    else:
-        def h_of_slope(y):
-            g = np.asarray(profile.slope(y), dtype=float)
-            expo = (g * g - alpha * alpha) / (2.0 * epsilon)
-            return epsilon * np.exp(np.minimum(expo, 700.0))
-
-        h_term = integrate(h_of_slope, lo, hi, tol=_DEFAULT_QUAD_TOL)
-        moment = integrate(lambda y: np.abs(y) * np.asarray(profile(y), dtype=float),
-                           lo, hi, tol=_DEFAULT_QUAD_TOL)
-    out = h_term - moment
-    if domain_convention == "full_target":
-        target = profile.spec.target_interval if solution else profile.target
-        rest = (target[1] - target[0]) - (hi - lo)
-        out += epsilon * math.exp(-alpha * alpha / (2.0 * epsilon)) * rest
-    return float(out)
-
-
-def _override_at(log_lambda_override, y):
-    """The override's log scale factors at y, inside the window (-inf, 0]."""
-    lt = np.broadcast_to(np.asarray(log_lambda_override(y), dtype=float),
-                         np.shape(y))
-    if np.any(~np.isfinite(lt)):
-        raise DomainError("scale-factor profile must be finite")
-    if np.any(lt > 1e-12):
-        raise DomainError(
-            f"scale-factor profile exceeds 1: max log is {float(np.max(lt)):.3e}")
-    return lt
-
-
-def dual_energy(dual: DualField, epsilon, *, log_lambda_override=None) -> float:
-    """Dual energy of the stress field, multiplier term included.
-
-    The integral of -H*(theta) over the support plus multiplier * 1, the
-    unit mass the multiplier prices.  With no override the field's own
-    scale factor is used; the locking identity
-    th^2/lam = lam g^2, g^2 = a^2 + 2 eps l, then collapses the integrand
-    to -lam (g^2 - eps), which is exact and free of the 1/lam blow-up
-    near the stress zero; the solve integrated it, at the field's epsilon
-    only (ValueError otherwise).  An override must map y to a log scale
-    factor in (-inf, 0] (the classical window; DomainError otherwise),
-    integrated on the field's depth panels; the solved field itself runs
-    on its own algebra, which can go above the window (see the solver's
-    module docstring).
-    """
-    if log_lambda_override is None:
-        return float(_own_integrals(dual, epsilon)[1] + dual.multiplier)
-    a2 = dual.alpha * dual.alpha
-
-    def integrand(y, l, g):
-        th = np.asarray(dual.theta(y), dtype=float)
-        lt = _override_at(log_lambda_override, y)
-        # th^2/lam as a square, and exactly 0 where th is: a node can
-        # round onto a stress zero, where 1/lam alone can overflow.
-        inv_root = np.exp(-0.5 * np.where(th == 0.0, 0.0, lt))
-        return -0.5 * (np.square(th * inv_root)
-                       + np.exp(lt) * (a2 + 2.0 * epsilon * (lt - 1.0)))
-
-    return float(dual.integrate(integrand, _DEFAULT_QUAD_TOL) + dual.multiplier)
-
-
-def total_complementary(profile, dual: DualField | None, epsilon, *,
-                        log_lambda_override=None) -> float:
-    """Mixed energy pairing a profile with a scale-factor field.
-
-    The scale factor comes from `log_lambda_override` when given, else
-    from the dual field's own algebra (one of the two must be present).
-    With a dual field the integral runs over the field's support on its
-    depth panels (`DualField.integrate`); with an override alone, over
-    the profile's support.  For a fixed profile this functional is
-    maximized over admissible scale factors exactly when the
-    Fenchel-Young inequality is tight, which is the locking identity;
-    paired with its own field a solution gives the solve's mixed row,
-    which `duality_gap` reports.  Without an override, epsilon must be the
-    field's (ValueError otherwise).
-    """
-    if dual is None and log_lambda_override is None:
-        raise ValueError("need a dual field or an explicit scale-factor profile")
-    solution = isinstance(profile, DensitySolution)
-    if log_lambda_override is None:
-        _own_epsilon(dual, epsilon)
-        if solution and dual == profile.dual:
-            return float(_own_integrals(profile.dual, epsilon)[2]
-                         - abs(profile.expectation))
-    a2 = _profile_alpha(profile) ** 2
-
-    def integrand(y, l=None, g=None):
-        if log_lambda_override is not None:
-            l = _override_at(log_lambda_override, y)
-        g = np.asarray(profile.slope(y), dtype=float)
-        out = np.exp(l) * (0.5 * (g * g - a2) - epsilon * (l - 1.0))
-        if not solution:
-            out = out - np.abs(y) * np.asarray(profile(y), dtype=float)
-        return out
-
-    out = (integrate(integrand, *profile.support, tol=_DEFAULT_QUAD_TOL)
-           if dual is None else dual.integrate(integrand, _DEFAULT_QUAD_TOL))
-    return float(out - abs(profile.expectation) if solution else out)
 
 
 # -- reports ------------------------------------------------------------------
@@ -241,14 +95,17 @@ class EnergyReport:
 
 def duality_gap(solution: DensitySolution) -> EnergyReport:
     """All three energies at the solved critical pair, read off the solve's
-    last Newton pass with no quadrature (`DualField.energy_integrals`):
-    `primal` and `dual` are the bits of `primal_energy` and `dual_energy`.
+    last Newton pass with no quadrature (`DualField.energy_integrals`).
 
-    Uses the "support" convention (the zero-extension contribution is
-    reported separately as `full_target_offset`).
+    The target sits on one side of the origin, so the moment of |y| in
+    the primal and mixed energies is the expectation up to sign; the dual
+    energy adds multiplier * 1, the unit mass the multiplier prices.
+    Uses the "support" convention: the zero extension's flat contribution,
+    eps e^{-a^2/(2 eps)} per unit length of target outside the support,
+    is reported separately as `full_target_offset`.
     """
     eps, alpha = solution.epsilon, solution.spec.alpha
-    h_term, dual_term, xi_term = _own_integrals(solution.dual, eps)
+    h_term, dual_term, xi_term = solution.dual.energy_integrals
     primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
     dual_val = float(dual_term + solution.dual.multiplier)
     tl, tr = solution.spec.target_interval

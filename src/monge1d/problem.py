@@ -393,20 +393,3 @@ def spec_from_document(doc) -> MongeProblemSpec:
         source_density=density,
     )
 
-
-def spec_to_document(spec: MongeProblemSpec) -> dict:
-    """Inverse of `spec_from_document` (round-trips exactly)."""
-    dens = spec.source_density
-    density_doc: dict = {"kind": dens.kind}
-    if dens.kind == "uniform":
-        if dens.level is not None:
-            density_doc["level"] = dens.level
-    else:
-        density_doc["nodes"] = list(dens.nodes)
-        density_doc["values"] = list(dens.values)
-    return {
-        "assumption": spec.assumption,
-        "source": {"interval": list(spec.source_interval), "density": density_doc},
-        "target": list(spec.target_interval),
-        "alpha": spec.alpha,
-    }

@@ -16,7 +16,7 @@ its hard slope cap) at both a shallow and a steep slope bound.
 import numpy as np
 
 from monge1d.duality import assemble_density
-from monge1d.energy import primal_energy
+from monge1d.energy import duality_gap
 from monge1d.oracles import (
     discrete_expectation_optimizer,
     discrete_primal_minimizer,
@@ -42,7 +42,8 @@ for alpha in (1.0, 4.0):
     case = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
     sol = assemble_density(case, 0.01, 801)
     run = discrete_primal_minimizer(case, 0.01, 401)
-    primal = primal_energy(sol, 0.01, "full_target")
+    report = duality_gap(sol)
+    primal = report.primal + report.full_target_offset
     dist = np.max(np.abs(run.density.values - sol(run.density.nodes)))
     print(f"  alpha = {alpha}: descent {run.objective:.6f} vs solved "
           f"{primal:.6f} (gap {run.objective - primal:+.4f}), sup "

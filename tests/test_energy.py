@@ -1,5 +1,5 @@
-"""Energy evaluators: frozen values, the zero-gap identity, weak duality,
-and the sign structure of the variational probes."""
+"""Energies: the solve's against plain quadrature, the zero-gap identity,
+weak duality, and the sign structure of the variational probes."""
 
 import dataclasses
 import itertools
@@ -8,23 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import reference_energies as ref
 from monge1d import duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.energy import (
     ConstraintResiduals,
     ProbeReport,
     SinePerturbation,
-    dual_energy,
     duality_gap,
-    primal_energy,
     second_variation_probe,
     taylor_remainder_check,
-    total_complementary,
 )
-from monge1d.errors import DomainError, InvalidPerturbation
+from monge1d.errors import InvalidPerturbation
 from monge1d.numerics import _graded_edges, integrate
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
@@ -38,7 +35,6 @@ class ZeroProfile:
     """The identically-zero profile on an interval (a trivial competitor)."""
 
     support: tuple[float, float]
-    alpha: float
 
     def __call__(self, y):
         out = np.zeros_like(np.asarray(y, dtype=float))
@@ -53,58 +49,25 @@ def _const(value):
     return lambda y: np.full(np.shape(y), float(value))
 
 
-class _ProfileAdapter:
-    """Expose a solution through the generic profile protocol only, so
-    primal_energy takes its quadrature path instead of the exact one."""
-
-    def __init__(self, solution):
-        self._solution = solution
-        self.support = solution.support
-        self.alpha = solution.spec.alpha
-        self.target = solution.spec.target_interval
-
-    def __call__(self, y):
-        return self._solution(y)
-
-    def slope(self, y):
-        return self._solution.slope(y)
-
-
 # -- primal -------------------------------------------------------------------
 
 class TestPrimalEnergy:
-    def test_zero_profile_frozen(self):
-        # integrand reduces to the constant H(0) = eps e^{-a^2/(2 eps)}
-        out = primal_energy(ZeroProfile((0.0, 5.0), 1.0), 0.1)
-        assert out == pytest.approx(0.5 * math.exp(-5.0), rel=1e-12)
-
     def test_tent_value(self):
         # slopes +-alpha make H identically eps on the support, so the
         # energy is eps * width - mean: the -4 + delta form with
         # delta = 2 eps at alpha = 1
         tent = tent_limit_density(SPEC_I)
         for eps in (0.1, 0.01):
-            out = primal_energy(tent, eps)
-            delta = out + 4.0
+            delta = ref.primal(tent, 1.0, eps) + 4.0
             assert delta == pytest.approx(2.0 * eps, abs=1e-9)
-            assert -1e-9 <= delta <= 2.0 * eps + 1e-9
-
-    def test_h_term_bounded_for_admissible_slopes(self):
-        # |u_y| <= alpha pushes H below eps pointwise
-        tent = tent_limit_density(SPEC_I)
-        eps = 0.01
-        lo, hi = tent.support
-        h_term = primal_energy(tent, eps) + abs(tent.mean)
-        assert h_term <= eps * (hi - lo) * (1.0 + 1e-9)
-        assert h_term >= 0.0
 
     def test_generic_path_matches_exact_path(self, solved):
-        # the solution fast path (log-form H, exact moment) and a plain
-        # quadrature of H(u_y) - u |y| agree to interpolation error
+        # the solve's H-term row and moment, and a plain quadrature of
+        # H(u_y) - u |y| over the delivered density, agree to its
+        # interpolation error
         sol = solved(SPEC_I, 1e-3)
-        fast = primal_energy(sol, 1e-3)
-        slow = primal_energy(_ProfileAdapter(sol), 1e-3)
-        assert slow == pytest.approx(fast, abs=2e-6)
+        assert ref.primal(sol, 1.0, 1e-3) == pytest.approx(
+            duality_gap(sol).primal, abs=2e-6)
 
     def test_orientation_relation(self, solved):
         # under orientation I the target is nonnegative, so the moment
@@ -113,28 +76,15 @@ class TestPrimalEnergy:
         h_term = 1e-3 * integrate(
             lambda y: np.exp(sol.dual.log_lambda(y)), *sol.support,
             tol=1e-12, breakpoints=(sol.crossing,))
-        assert primal_energy(sol, 1e-3) == pytest.approx(
+        assert duality_gap(sol).primal == pytest.approx(
             h_term - sol.expectation, abs=1e-10)
 
     def test_full_target_offset(self, solved):
         sol = solved(SPEC_I, 0.1)
-        support = primal_energy(sol, 0.1, "support")
-        full = primal_energy(sol, 0.1, "full_target")
         lo, hi = sol.support
         rest = 5.0 - (hi - lo)
-        assert full - support == pytest.approx(
+        assert duality_gap(sol).full_target_offset == pytest.approx(
             0.1 * math.exp(-5.0) * rest, rel=1e-9)
-
-    def test_unknown_convention(self, solved):
-        with pytest.raises(ValueError, match="convention"):
-            primal_energy(solved(SPEC_I, 1e-3), 1e-3, "everywhere")
-
-    def test_foreign_epsilon_rejected(self, solved):
-        # The solution's H-term is its solve's, at its own epsilon: another
-        # epsilon would pair the field's scale factor with a second
-        # smoothing.
-        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
-            primal_energy(solved(SPEC_I, 1e-3), 1e-2)
 
 
 # -- dual ---------------------------------------------------------------------
@@ -144,25 +94,23 @@ class TestDualEnergy:
         # at lambda == 1 the integrand collapses to th^2 + a^2 - 2 eps;
         # the multiplier prices the unit mass
         sol = solved(SPEC_I, 1e-3)
-        out = dual_energy(sol.dual, 1e-3, log_lambda_override=_const(0.0))
-        ref = -0.5 * integrate(
+        out = ref.dual(sol.dual, _const(0.0))
+        reduced = -0.5 * integrate(
             lambda y: sol.dual.theta(y) ** 2 + 1.0 - 2e-3,
             *sol.support, tol=1e-12,
             breakpoints=(sol.crossing,)) + sol.dual.multiplier
-        assert out == pytest.approx(ref, rel=1e-12)
+        assert out == pytest.approx(reduced, rel=1e-12)
 
     def test_overrides_never_beat_critical(self, solved):
         # pointwise strict concavity in the scale factor
         sol = solved(SPEC_I, 1e-3)
-        critical = dual_energy(sol.dual, 1e-3)
+        critical = duality_gap(sol).dual
         for lam in (0.9, 1.0, 0.5, 0.99):
-            out = dual_energy(sol.dual, 1e-3,
-                              log_lambda_override=_const(math.log(lam)))
-            assert out < critical
+            assert ref.dual(sol.dual, _const(math.log(lam))) < critical
 
     def test_weak_duality_on_random_scale_profiles(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        primal = primal_energy(sol, 1e-3)
+        primal = duality_gap(sol).primal
         rng = np.random.default_rng(0)
         lo, hi = sol.support
         for _ in range(20):
@@ -175,8 +123,7 @@ class TestDualEnergy:
                 return -d * (0.6 + 0.4 * np.sin(
                     w * np.pi * (np.asarray(y) - lo) / (hi - lo) + p))
 
-            assert dual_energy(sol.dual, 1e-3,
-                               log_lambda_override=log_lam) <= primal + 1e-8
+            assert ref.dual(sol.dual, log_lam) <= primal + 1e-8
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     def test_detuned_override_at_a_steep_slope(self, solved, spec):
@@ -185,92 +132,34 @@ class TestDualEnergy:
         # where exp(-l/2) overflows but the th^2/lam term is exactly 0.
         spec = dataclasses.replace(spec, alpha=4.0)
         sol = solved(spec, 1e-3)
-        critical = dual_energy(sol.dual, 1e-3)
+        critical = duality_gap(sol).dual
         for shift in (-0.1, -0.01, 0.0):
-            out = dual_energy(sol.dual, 1e-3, log_lambda_override=(
-                lambda y, s=shift: np.minimum(sol.dual.log_lambda(y) + s, 0.0)))
+            out = ref.dual(sol.dual, lambda y, s=shift: np.minimum(
+                sol.dual.log_lambda(y) + s, 0.0))
             assert math.isfinite(out)
             assert out <= critical + 1e-12
-
-    def test_out_of_window_override_rejected(self, solved):
-        sol = solved(SPEC_I, 1e-3)
-        with pytest.raises(DomainError, match="exceeds 1"):
-            dual_energy(sol.dual, 1e-3,
-                        log_lambda_override=_const(math.log(1.1)))
-
-    def test_nonfinite_override_rejected(self, solved):
-        sol = solved(SPEC_I, 1e-3)
-        with pytest.raises(DomainError, match="finite"):
-            dual_energy(sol.dual, 1e-3, log_lambda_override=_const(math.nan))
-
-    def test_foreign_epsilon_rejected(self, solved):
-        # The field's own scale factor holds at its own epsilon only; an
-        # override carries its own scale factor and may take any epsilon.
-        sol = solved(SPEC_I, 1e-3)
-        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
-            dual_energy(sol.dual, 1e-2)
-        assert math.isfinite(dual_energy(sol.dual, 1e-2,
-                                         log_lambda_override=_const(0.0)))
-
-    def test_hand_built_field_carries_no_energies(self, solved):
-        # Only a solve's field carries the energy integrals of its pass.
-        sol = solved(SPEC_I, 1e-3)
-        bare = dataclasses.replace(sol.dual, energy_integrals=None)
-        assert bare == sol.dual
-        with pytest.raises(ValueError, match="carries energy integrals"):
-            dual_energy(bare, 1e-3)
 
 
 # -- mixed --------------------------------------------------------------------
 
 class TestTotalComplementary:
-    def test_zero_profile_frozen(self):
-        # u = 0 with zeta = eps: integrand -(a^2/2 - eps) per unit length
-        out = total_complementary(ZeroProfile((0.0, 5.0), 1.0), None, 0.1,
-                                  log_lambda_override=_const(0.0))
-        assert out == pytest.approx(-2.0, abs=1e-12)
-
-    def test_needs_a_scale_factor(self):
-        with pytest.raises(ValueError, match="scale-factor"):
-            total_complementary(ZeroProfile((0.0, 5.0), 1.0), None, 0.1)
-
     def test_fenchel_young_on_random_overrides(self, solved):
         # Xi(u, zeta) <= primal(u) for every admissible zeta; equality
         # needs the locking identity
         sol = solved(SPEC_I, 1e-3)
-        primal = primal_energy(sol, 1e-3)
+        primal = duality_gap(sol).primal
         rng = np.random.default_rng(1)
         for _ in range(20):
             level = math.log(rng.uniform(0.05, 1.0))
-            out = total_complementary(sol, sol.dual, 1e-3,
-                                      log_lambda_override=_const(level))
-            assert out <= primal + 1e-8
+            assert ref.mixed(sol, 1.0, 1e-3, _const(level)) <= primal + 1e-8
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     def test_solved_pair_is_the_reported_mixed_energy(self, solved, spec):
+        # the locked pair's mixed energy by plain quadrature over the
+        # delivered density, to its interpolation error
         sol = solved(spec, 1e-3)
-        assert (total_complementary(sol, sol.dual, 1e-3)
-                == duality_gap(sol).xi_total)
-
-    @pytest.mark.parametrize("own", [True, False], ids=["solution", "profile"])
-    def test_foreign_epsilon_rejected(self, solved, own):
-        # Without an override the field's own scale factor is paired with
-        # the caller's epsilon, whether the profile is the field's solution
-        # or another one.
-        sol = solved(SPEC_I, 1e-3)
-        profile = sol if own else tent_limit_density(SPEC_I)
-        with pytest.raises(ValueError, match=r"epsilon 0\.001, not at epsilon 0\.01"):
-            total_complementary(profile, sol.dual, 1e-2)
-
-    @settings(deadline=None, derandomize=True, max_examples=25)
-    @given(st.floats(min_value=-6.0, max_value=0.0,
-                     allow_nan=False, allow_infinity=False))
-    def test_fenchel_young_constant_levels(self, level):
-        out = total_complementary(
-            ZeroProfile((0.0, 5.0), 1.0), None, 0.1,
-            log_lambda_override=_const(level))
-        primal = primal_energy(ZeroProfile((0.0, 5.0), 1.0), 0.1)
-        assert out <= primal + 1e-10
+        out = ref.mixed(sol, 1.0, 1e-3, sol.dual.log_lambda)
+        assert out == pytest.approx(duality_gap(sol).xi_total, abs=2e-6)
 
 
 # -- the gap report -----------------------------------------------------------
@@ -319,9 +208,6 @@ class TestDualityGap:
         sol = solved(SPEC_I, 1e-3)
         adaptive_passes.clear()
         duality_gap(sol)
-        primal_energy(sol, 1e-3, "full_target")
-        dual_energy(sol.dual, 1e-3)
-        total_complementary(sol, sol.dual, 1e-3)
         assert adaptive_passes == []
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
@@ -329,21 +215,10 @@ class TestDualityGap:
     def test_solve_and_energies_cost_the_solve_alone(self, adaptive_passes,
                                                      spec, eps):
         # A solve runs one pass per Newton step plus the start's; its gap
-        # and its three energies add none.
+        # report adds none.
         sol = assemble_density(spec, eps, 201)
         duality_gap(sol)
-        primal_energy(sol, eps)
-        dual_energy(sol.dual, eps)
-        total_complementary(sol, sol.dual, eps)
         assert len(adaptive_passes) == sol.newton_steps + 1
-
-    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
-    @pytest.mark.parametrize("eps", [0.1, 1e-3])
-    def test_energies_are_the_evaluators(self, solved, spec, eps):
-        sol = solved(spec, eps)
-        report = duality_gap(sol)
-        assert report.primal == primal_energy(sol, eps)
-        assert report.dual == dual_energy(sol.dual, eps)
 
     REGIMES = [(alpha, eps, offset, assumption)
                for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-6)
@@ -457,7 +332,7 @@ class TestSecondVariationProbe:
     def test_zero_perturbation_is_exactly_zero(self, solved):
         sol = solved(SPEC_I, 1e-3)
         report = second_variation_probe(
-            sol, ZeroProfile(sol.support, 1.0), (0.0, 1e-3, -1e-3))
+            sol, ZeroProfile(sol.support), (0.0, 1e-3, -1e-3))
         assert report.primal_deltas == (0.0, 0.0, 0.0)
         assert report.dual_deltas == (0.0, 0.0, 0.0)
 
@@ -655,8 +530,9 @@ class TestExpectation:
         span = (0.0, o * (anchor - sol.support_endpoint))
 
         def moment(s):
-            slope = duality._slope_many(0.5 * (s - z) * (s - c), 1.0, eps)
-            return (s - span[1]) ** 2 * slope
+            theta = 0.5 * (s - z) * (s - c)
+            _, u = duality._invert_stress_sq(theta * theta, 1.0, eps)
+            return (s - span[1]) ** 2 * np.copysign(np.sqrt(u), theta)
 
         ref = sol.support_endpoint * sol.mass + 0.5 * o * integrate(
             moment, *span, tol=1e-15, breakpoints=_graded_edges(span, (z, c)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge1d import oracles
-from monge1d.energy import primal_energy
+from monge1d.energy import duality_gap
 from monge1d.errors import CapacityError, MaxIterations
 from monge1d.oracles import (
     GridDensity,
@@ -137,7 +137,8 @@ class TestPrimalMinimizer:
         sol = solved(SPEC_I, 0.01)
         ys = np.linspace(0.0, 5.0, 2001)
         assert np.max(np.abs(run.density(ys) - sol(ys))) <= 0.05
-        assembled = primal_energy(sol, 0.01, "full_target")
+        report = duality_gap(sol)
+        assembled = report.primal + report.full_target_offset
         assert abs(run.objective - assembled) <= 1e-2
 
     def test_in_regime_objective_agreement(self, solved, primal_oracle):
@@ -147,7 +148,8 @@ class TestPrimalMinimizer:
         run = primal_oracle(spec, 0.01, 401)
         sol = solved(spec, 0.01)
         assert sol.max_log_lambda < 0.0
-        assembled = primal_energy(sol, 0.01, "full_target")
+        report = duality_gap(sol)
+        assembled = report.primal + report.full_target_offset
         assert abs(run.objective - assembled) <= 1e-2
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.03, 0.01])

@@ -1,0 +1,43 @@
+"""Every public module-level function of the package has a caller outside
+the tests.
+
+The package, the studies and perfbench are parsed, and a function counts
+as called when its name is read (as a name or an attribute) anywhere but
+inside its own body.  A function only tests reach belongs in test code,
+as `reference_solves.py` and `reference_energies.py` hold theirs.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "monge1d"
+TREES = {path: ast.parse(path.read_text(), filename=str(path))
+         for folder in ("src", "studies", "perfbench")
+         for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _public_functions():
+    for path, tree in TREES.items():
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield path, node
+
+
+def _reads(tree):
+    """Names read in a tree, as names or as attributes."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_caller():
+    functions = list(_public_functions())
+    assert {"assemble_density", "duality_gap", "normalize_density"} <= {
+        node.name for _, node in functions}
+    reads = sum((_reads(tree) for tree in TREES.values()), Counter())
+    uncalled = [f"{path.stem}.{node.name}" for path, node in functions
+                if reads[node.name] == _reads(node)[node.name]]
+    assert not uncalled, f"called by no module under src/, studies/ or perfbench/: {uncalled}"
