@@ -102,9 +102,12 @@ def duality_gap(solution: DensitySolution) -> EnergyReport:
     energy adds multiplier * 1, the unit mass the multiplier prices.
     Uses the "support" convention: the zero extension's flat contribution,
     eps e^{-a^2/(2 eps)} per unit length of target outside the support,
-    is reported separately as `full_target_offset`.
+    is reported separately as `full_target_offset`.  A hand-built field
+    carries no pass to read (ValueError).
     """
     eps, alpha = solution.epsilon, solution.spec.alpha
+    if solution.dual.energy_integrals is None:
+        raise ValueError("only a solve's own field carries energy integrals")
     h_term, dual_term, xi_term = solution.dual.energy_integrals
     primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
     dual_val = float(dual_term + solution.dual.multiplier)

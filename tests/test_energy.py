@@ -69,18 +69,21 @@ class TestPrimalEnergy:
         assert ref.primal(sol, 1.0, 1e-3) == pytest.approx(
             duality_gap(sol).primal, abs=2e-6)
 
-    def test_orientation_relation(self, solved):
-        # under orientation I the target is nonnegative, so the moment
-        # term is exactly the expectation
-        sol = solved(SPEC_I, 1e-3)
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_orientation_relation(self, solved, spec):
+        # the target lies on one side of the origin, so the moment term is
+        # the expectation under orientation I and its negative under II
+        sol = solved(spec, 1e-3)
+        sign = 1.0 if spec.assumption == "I" else -1.0
         h_term = 1e-3 * integrate(
             lambda y: np.exp(sol.dual.log_lambda(y)), *sol.support,
             tol=1e-12, breakpoints=(sol.crossing,))
         assert duality_gap(sol).primal == pytest.approx(
-            h_term - sol.expectation, abs=1e-10)
+            h_term - sign * sol.expectation, abs=1e-10)
 
-    def test_full_target_offset(self, solved):
-        sol = solved(SPEC_I, 0.1)
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_full_target_offset(self, solved, spec):
+        sol = solved(spec, 0.1)
         lo, hi = sol.support
         rest = 5.0 - (hi - lo)
         assert duality_gap(sol).full_target_offset == pytest.approx(
@@ -90,10 +93,11 @@ class TestPrimalEnergy:
 # -- dual ---------------------------------------------------------------------
 
 class TestDualEnergy:
-    def test_unit_scale_override_matches_reduction(self, solved):
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_unit_scale_override_matches_reduction(self, solved, spec):
         # at lambda == 1 the integrand collapses to th^2 + a^2 - 2 eps;
         # the multiplier prices the unit mass
-        sol = solved(SPEC_I, 1e-3)
+        sol = solved(spec, 1e-3)
         out = ref.dual(sol.dual, _const(0.0))
         reduced = -0.5 * integrate(
             lambda y: sol.dual.theta(y) ** 2 + 1.0 - 2e-3,
@@ -101,15 +105,17 @@ class TestDualEnergy:
             breakpoints=(sol.crossing,)) + sol.dual.multiplier
         assert out == pytest.approx(reduced, rel=1e-12)
 
-    def test_overrides_never_beat_critical(self, solved):
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_overrides_never_beat_critical(self, solved, spec):
         # pointwise strict concavity in the scale factor
-        sol = solved(SPEC_I, 1e-3)
+        sol = solved(spec, 1e-3)
         critical = duality_gap(sol).dual
         for lam in (0.9, 1.0, 0.5, 0.99):
             assert ref.dual(sol.dual, _const(math.log(lam))) < critical
 
-    def test_weak_duality_on_random_scale_profiles(self, solved):
-        sol = solved(SPEC_I, 1e-3)
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_weak_duality_on_random_scale_profiles(self, solved, spec):
+        sol = solved(spec, 1e-3)
         primal = duality_gap(sol).primal
         rng = np.random.default_rng(0)
         lo, hi = sol.support
@@ -143,10 +149,11 @@ class TestDualEnergy:
 # -- mixed --------------------------------------------------------------------
 
 class TestTotalComplementary:
-    def test_fenchel_young_on_random_overrides(self, solved):
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    def test_fenchel_young_on_random_overrides(self, solved, spec):
         # Xi(u, zeta) <= primal(u) for every admissible zeta; equality
         # needs the locking identity
-        sol = solved(SPEC_I, 1e-3)
+        sol = solved(spec, 1e-3)
         primal = duality_gap(sol).primal
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -186,9 +193,10 @@ class TestDualityGap:
         # ceiling; the report carries the excess instead of hiding it
         assert 0.0 < res.slope_excess < 0.01
 
-    def test_mirrored_gaps_agree(self, solved):
-        a = duality_gap(solved(SPEC_I, 1e-3))
-        b = duality_gap(solved(SPEC_II, 1e-3))
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_mirrored_gaps_agree(self, solved, eps):
+        a = duality_gap(solved(SPEC_I, eps))
+        b = duality_gap(solved(SPEC_II, eps))
         assert b.gap_primal_dual == pytest.approx(a.gap_primal_dual, abs=1e-10)
         assert b.primal == pytest.approx(a.primal, abs=1e-10)
         assert b.dual == pytest.approx(a.dual, abs=1e-10)
@@ -201,6 +209,32 @@ class TestDualityGap:
             report = duality_gap(solved(spec, eps))
             assert abs(report.gap_primal_dual) <= 2e-13 * max(
                 1.0, abs(report.primal))
+
+    def test_hand_built_field_carries_no_energies(self, solved):
+        # Only a solve's field carries the energy integrals of its pass.
+        sol = solved(SPEC_I, 1e-3)
+        bare = dataclasses.replace(sol.dual, energy_integrals=None)
+        assert bare == sol.dual
+        with pytest.raises(ValueError, match="carries energy integrals"):
+            duality_gap(dataclasses.replace(sol, dual=bare))
+
+    @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
+    @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    def test_energies_meet_plain_quadrature(self, solved, spec, eps, alpha):
+        # The reported energies against a plain quadrature of their
+        # integrands at the solved pair: the primal and mixed over the
+        # delivered density, to its interpolation error, and the dual in
+        # its th^2/lam form (not the pass's locked lam slope^2 row) on
+        # the field's panels, to the reference's tolerance.
+        sol = solved(dataclasses.replace(spec, alpha=alpha), eps)
+        report = duality_gap(sol)
+        assert ref.primal(sol, alpha, eps) == pytest.approx(
+            report.primal, abs=2e-6)
+        assert ref.mixed(sol, alpha, eps, sol.dual.log_lambda) == pytest.approx(
+            report.xi_total, abs=2e-6)
+        assert ref.dual(sol.dual, sol.dual.log_lambda) == pytest.approx(
+            report.dual, abs=ref.TOL)
 
     def test_no_pass_on_a_solution(self, solved, adaptive_passes):
         # The three energies are rows of the solve's last Newton pass:
