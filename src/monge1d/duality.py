@@ -19,9 +19,11 @@ here, all in closed form up to one two-unknown root solve:
 3. The two zeros are fixed together by two conditions: the density
    vanishes at both support endpoints (closure) and holds unit mass.  One
    safeguarded Newton iteration on (z, c) solves both, starting from the
-   zeros' expansion about the sharp-limit tent to second order in eps,
+   zeros' expansion about the sharp-limit tent to third order in eps,
    in closed form; each iterate costs one quadrature pass, which yields
-   both residuals and their exact Jacobian (`_solve_zeros`).  When even
+   both residuals and their exact Jacobian, and the solve returns the
+   zeros of the first pass that meets both contracts and proposes a step
+   at the rounding floor of the zeros (`_solve_zeros`).  When even
    the free zero at the far target edge leaves less than unit mass, the
    support is the whole target: the far edge is then a Dirichlet end with
    theta > 0 there, and the free zero lies beyond it; the same iteration
@@ -324,33 +326,45 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
 
 def _expansion_step(alpha, epsilon):
     """Step (dz, dc) from the sharp-limit tent (z0, z0/2), z0 = 2/sqrt(alpha),
-    to the stress zeros' expansion to second order in eps (the coupled
+    to the stress zeros' expansion to third order in eps (the coupled
     solve's start), or (0, 0) where that series no longer decreases.
 
-    With k = eps/alpha^2 and l = ln alpha the step is z0 k (v1 + k v2).
-    Expanding the slope, g = sign(theta) [alpha + (eps/alpha) l0
-    - (eps^2/alpha^3)(l0 + l0^2/2)] + O(eps^3) with l0 = ln(|theta|/alpha),
-    gives the residuals F0 + eps F1 + eps^2 F2 at fixed zeros: a
-    polynomial, then integrals of logs and of their squares, which reduce
-    to ln 2 and pi^2.  With J0 the Jacobian of F0 at the tent, the zeros
-    move by eps p1 + eps^2 p2 with p1 = -J0^-1 F1 and
-    p2 = -J0^-1 (F0''(p1, p1)/2 + F1' p1 + F2); v1 = alpha^2 p1/z0 and
-    v2 = alpha^4 p2/z0.  l0 = ln(2/alpha^2) + a function of s/z0 alone,
-    which makes v2 a quadratic in l.  The series is used while
-    k max|v2| <= max|v1|/2: at eps of order alpha^2 its second term
-    outgrows the first, and a start there can leave Newton short of the
-    root (alpha 1, eps 1 on a target three sharp widths wide).
+    With k = eps/alpha^2 and l = ln alpha the step is
+    z0 k (v1 + k v2 + k^2 v3).  With l0 = ln(|theta|/alpha) the slope is
+    g = sign(theta) alpha (1 + d), where (1 + d)^2 = 1 + 2 k (l0 - ln(1 + d))
+    gives d = k l0 - k^2 (l0 + l0^2/2) + k^3 (l0 + 2 l0^2 + l0^3/2)
+    + O(k^4).  So the residuals at fixed zeros are F0 + eps F1 + eps^2 F2
+    + eps^3 F3: a polynomial, then integrals of the powers of l0 up to the
+    third, which reduce to ln 2, pi^2 and zeta(3).  With J0 the Jacobian of
+    F0 at the tent, the zeros move by eps p1 + eps^2 p2 + eps^3 p3 with
+    p1 = -J0^-1 F1, p2 = -J0^-1 (F0''(p1, p1)/2 + F1' p1 + F2) and
+    p3 = -J0^-1 (F0''(p1, p2) + F1' p2 + F1''(p1, p1)/2 + F2' p1 + F3);
+    v_n = alpha^(2n) p_n/z0.  l0 = ln(2/alpha^2) + a function of s/z0
+    alone, which makes v_n a polynomial of degree n in l.  The series is
+    used while k max|v2| <= max|v1|/2: at eps of order alpha^2 its second
+    term outgrows the first, and a start there can leave Newton short of
+    the root (alpha 1, eps 1 on a target three sharp widths wide).
     """
     k, l, ln2 = epsilon / (alpha * alpha), math.log(alpha), math.log(2.0)
+    pi2, zeta3 = math.pi ** 2, 1.2020569031595942
     v1 = (0.5 * (1.0 + ln2) + l, 0.25 * (1.0 - ln2) + 0.5 * l)
-    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - math.pi ** 2 / 48.0
+    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - pi2 / 48.0
           + (0.5 + 2.5 * ln2) * l + 2.5 * l * l,
-          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + math.pi ** 2 / 96.0
+          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + pi2 / 96.0
           + (0.25 - 1.25 * ln2) * l + 1.25 * l * l)
     if k * max(map(abs, v2)) > 0.5 * max(map(abs, v1)):
         return 0.0, 0.0
+    v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
+           - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
+          + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
+          + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3,
+          (-18.0 - 162.0 * ln2 + 6.0 * ln2 ** 2 - 162.0 * ln2 ** 3 + 5.0 * pi2
+           + 11.0 * pi2 * ln2 + 99.0 * zeta3) / 192.0
+          + (-34.0 - 28.0 * ln2 - 126.0 * ln2 ** 2 + 3.0 * pi2) / 32.0 * l
+          - (11.0 + 45.0 * ln2) / 8.0 * l * l + 3.75 * l ** 3)
     z0k = 2.0 / math.sqrt(alpha) * k
-    return z0k * (v1[0] + k * v2[0]), z0k * (v1[1] + k * v2[1])
+    return (z0k * (v1[0] + k * (v2[0] + k * v3[0])),
+            z0k * (v1[1] + k * (v2[1] + k * v3[1])))
 
 
 def _bounded_step(zeros, delta, width):
@@ -391,11 +405,14 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     depths back to y), and the zeros resolve to ulps of the target's
     width: in y one ulp of c moves the closure by about 4e-13 at
     |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
-    z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to second
+    z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to third
     order in eps (`_expansion_step`), which misses the solution by
-    O(eps^3).  The start and each step are cut back to half way to any
-    bound they would cross (`_bounded_step`), keeping 0 < c < width and
-    c < z; z may cross the far edge, which is the full-target regime.
+    O(eps^4), and by the closure aim's own shift: the Jacobian at the
+    tent, J0 = [[-alpha, 2 alpha], [0, 2 sqrt(alpha)]], takes the aim to
+    J0^-1 (aim, 0) = (-aim/alpha, 0).  The start and each step are cut
+    back to half way to any bound they would cross (`_bounded_step`),
+    keeping 0 < c < width and c < z; z may cross the far edge, which is
+    the full-target regime.
 
     The Jacobian is exact and rides on the residual pass, so each step
     costs one pass.  With s = c + D t, D = z - c, the stress is
@@ -414,22 +431,29 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     the log layer of the slope, slope^2 ~ alpha^2 + 2 eps ln|theta|: they
     change by about eps per e-fold of the distance z - width.
 
-    Converged when |mass - 1| <= mass_tol, the closing density lands on
+    Converged when |mass - 1| <= mass_tol and the closing density lands on
     its aim, +crossing_tol/10, within 0.9 crossing_tol (so quadrature
     noise in the assembly cannot take it below zero next to the free end),
-    and the last step either moved neither zero by more than root_tol or
-    no longer halved max |residual|.  The second case is the residuals'
-    rounding floor: where they barely depend on z, rounding noise over
-    the small Jacobian column keeps |dz| above root_tol with nothing left
-    to reduce.  Raises MaxIterations otherwise: after _ZERO_MAX_STEPS
-    steps, on a non-finite residual or Jacobian, or on a singular one.
+    and one of three tests holds, each of which returns the zeros of the
+    pass just taken, with its moment and energies:
+    - the step this pass proposes moves neither zero by more than 4 ulps
+      of the larger depth, the rounding floor of the zeros, so the pass
+      that step would cost moves the residuals by their rounding alone;
+    - the last step moved neither zero by more than root_tol plus those
+      4 ulps;
+    - the last step no longer halved max |residual|.  This is the
+      residuals' rounding floor where they barely depend on z: rounding
+      noise over the small Jacobian column keeps |dz| above root_tol with
+      nothing left to reduce.
+    Raises MaxIterations otherwise: after _ZERO_MAX_STEPS steps, on a
+    non-finite residual or Jacobian, or on a singular one.
     """
     width = spec.target_width
     aim = 0.1 * crossing_tol
     quad_tol = min(1e-13, 0.1 * crossing_tol)
     z0 = spec.sharp_width
-    (z, c), _ = _bounded_step((z0, 0.5 * z0), _expansion_step(spec.alpha, epsilon),
-                              width)
+    dz, dc = _expansion_step(spec.alpha, epsilon)
+    (z, c), _ = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
     step = size = math.inf
     for k in range(_ZERO_MAX_STEPS):
@@ -438,11 +462,14 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         held = abs(F[1]) <= mass_tol and abs(F[0]) <= 0.9 * crossing_tol
         last, size = size, float(np.max(np.abs(F[:2])))
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
-        if held and (step <= root_tol + ulps or size >= 0.5 * last):
-            return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
         try:
             delta = np.linalg.solve(J, -F[:2]).tolist()
         except np.linalg.LinAlgError:
+            delta = None
+        proposed = math.inf if delta is None else max(map(abs, delta))
+        if held and (proposed <= ulps or step <= root_tol + ulps or size >= 0.5 * last):
+            return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
+        if delta is None:
             break
         (z, c), step = _bounded_step((z, c), delta, width)
         F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)

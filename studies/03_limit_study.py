@@ -8,7 +8,12 @@ their tent values monotonically, and the duality gap stays at solver
 precision on every rung.  The endpoint's shift per unit epsilon,
 (p* - p_tent)/eps, tends to the closed form of its first-order term,
 -orientation z0 (1 + ln(2 alpha^2))/(2 alpha^2) with z0 = 2/sqrt(alpha)
-the tent's width, printed next to it.
+the tent's width, printed next to it.  So does the third-order remainder
+(p* - p_tent - eps p1 - eps^2 p2)/eps^3 to its closed form p3: with
+k = eps/alpha^2 and l = ln alpha the endpoint is
+p_tent - orientation z0 (k v1 + k^2 v2 + k^3 v3) + O(eps^4), where v_n is
+a polynomial of degree n in l with constants in ln 2, pi^2 and zeta(3)
+(the zeros' expansion that starts the solve).
 """
 
 import math
@@ -24,16 +29,27 @@ alpha, z0 = spec.alpha, spec.sharp_width
 p_tent = spec.anchor - spec.orientation * z0
 first_order = (-spec.orientation * z0 * (1.0 + math.log(2.0 * alpha * alpha))
                / (2.0 * alpha * alpha))
+l, ln2, pi2, zeta3 = math.log(alpha), math.log(2.0), math.pi ** 2, 1.2020569031595942
+v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 ** 2 - pi2 / 48.0
+      + (0.5 + 2.5 * ln2) * l + 2.5 * l * l)
+v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
+       - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
+      + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
+      + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3)
+second_order = -spec.orientation * z0 * v2 / alpha ** 4
+third_order = -spec.orientation * z0 * v3 / alpha ** 6
 
 print(f"{'epsilon':>9} {'p*':>10} {'expectation':>12} {'gap':>10} "
       f"{'dist to tent':>13} {'(p*-p_tent)/eps':>16} {'closed form':>12} "
-      f"{'wall ms':>8}")
+      f"{'3rd-order rem.':>15} {'closed form':>12} {'wall ms':>8}")
 for row in rows:
-    shift = (row.support_endpoint - p_tent) / row.epsilon
-    print(f"{row.epsilon:>9g} {row.support_endpoint:>10.5f} "
+    eps = row.epsilon
+    shift = (row.support_endpoint - p_tent) / eps
+    remainder = (shift - first_order - eps * second_order) / eps ** 2
+    print(f"{eps:>9g} {row.support_endpoint:>10.5f} "
           f"{row.expectation:>12.7f} {row.gap:>10.1e} "
           f"{row.dist_tent:>13.6f} {shift:>16.6f} {first_order:>12.6f} "
-          f"{row.wall_ms:>8.1f}")
+          f"{remainder:>15.6f} {third_order:>12.6f} {row.wall_ms:>8.1f}")
 
 report = convergence_report(rows)
 print()

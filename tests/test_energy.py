@@ -318,11 +318,14 @@ def _dual_diff(sol, t, psi, l):
 def _clip_levels(sol, t):
     """Stress magnitudes where the clip min(t, max(-l, 0)) kinks: l = 0 at
     |theta| = alpha and l = -t at |theta| = e^{-t} sqrt(alpha^2 - 2 eps t),
-    for t > 0."""
+    for t > 0.  Computed with the probe's own operations on an array:
+    math.exp differs from numpy's exp by an ulp at t = 1e-2, and a level an
+    ulp off can move its depth by an ulp, off the probe's cut."""
     eps, alpha = sol.epsilon, sol.spec.alpha
     if t <= 0.0:
         return ()
-    return (alpha, math.exp(-t) * math.sqrt(alpha * alpha - 2.0 * eps * t))
+    below = np.array([t])
+    return (alpha, float((np.exp(-below) * np.sqrt(alpha ** 2 - 2.0 * eps * below))[0]))
 
 
 def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):

@@ -225,8 +225,8 @@ def inversion_work(run):
 # alpha 1, eps 0.1, where the graded nodes next to the stress zeros reach
 # far below slope^2 = alpha^2/2.
 _CANONICAL_WORK = {
-    (1.0, 1e-1): 73, (1.0, 1e-2): 18, (1.0, 1e-3): 11, (1.0, 1e-4): 7,
-    (4.0, 1e-1): 15, (4.0, 1e-2): 8, (4.0, 1e-3): 8, (4.0, 1e-4): 5,
+    (1.0, 1e-1): 59, (1.0, 1e-2): 14, (1.0, 1e-3): 8, (1.0, 1e-4): 3,
+    (4.0, 1e-1): 12, (4.0, 1e-2): 6, (4.0, 1e-3): 6, (4.0, 1e-4): 3,
 }
 
 
