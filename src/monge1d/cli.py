@@ -72,8 +72,6 @@ class RunConfig:
     spec: MongeProblemSpec
     epsilons: tuple[float, ...]
     grid_n: int = 2001
-    root_tol: float = 1e-12
-    quad_tol: float = 1e-10     # verify's variational probes only
     out_dir: Path = Path("out")
     quiet: bool = False
 
@@ -93,7 +91,9 @@ def parse_run_config(doc, *, overrides=None) -> RunConfig:
 
     Unknown keys are rejected at every level.  `overrides` carries the
     scalar command-line flags; a None override leaves the file (or
-    default) value in place.
+    default) value in place.  `tolerances` is checked (an object with
+    finite positive `root` and `quad`, each optional) and otherwise
+    ignored: the solve and the probes run at their own fixed tolerances.
     """
     overrides = overrides or {}
     if not isinstance(doc, dict):
@@ -120,25 +120,21 @@ def parse_run_config(doc, *, overrides=None) -> RunConfig:
     if grid_n < 33:
         raise ConfigError(f"config.grid_n: needs at least 33 nodes, got {grid_n}")
 
-    root_tol, quad_tol = 1e-12, 1e-10
-    if "tolerances" in doc:
-        tols = doc["tolerances"]
-        if not isinstance(tols, dict):
-            raise ConfigError("config.tolerances: expected an object")
-        bad = sorted(set(tols) - set(_TOLERANCE_KEYS))
-        if bad:
-            raise ConfigError(f"config.tolerances: unknown keys {bad}")
-        if "root" in tols:
-            root_tol = _positive_float(tols["root"], "config.tolerances.root")
-        if "quad" in tols:
-            quad_tol = _positive_float(tols["quad"], "config.tolerances.quad")
+    tols = doc.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("config.tolerances: expected an object")
+    bad = sorted(set(tols) - set(_TOLERANCE_KEYS))
+    if bad:
+        raise ConfigError(f"config.tolerances: unknown keys {bad}")
+    for key in _TOLERANCE_KEYS:
+        if key in tols:
+            _positive_float(tols[key], f"config.tolerances.{key}")
 
     out_dir = overrides.get("out") or doc.get("out", "out")
     if not isinstance(out_dir, (str, Path)):
         raise ConfigError(f"config.out: expected a path string, got {out_dir!r}")
 
     return RunConfig(spec=spec, epsilons=epsilons, grid_n=grid_n,
-                     root_tol=root_tol, quad_tol=quad_tol,
                      out_dir=Path(out_dir),
                      quiet=bool(overrides.get("quiet", False)))
 
@@ -282,18 +278,13 @@ def _precheck(config: RunConfig) -> int:
     return _verdicts(config)
 
 
-def _solve_one(config: RunConfig, epsilon: float):
-    return assemble_density(config.spec, epsilon, config.grid_n,
-                            root_tol=config.root_tol)
-
-
 def cmd_solve(config: RunConfig) -> int:
     code = _precheck(config)
     if code:
         return code
     for eps in config.epsilons:
         try:
-            solution = _solve_one(config, eps)
+            solution = assemble_density(config.spec, eps, config.grid_n)
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
         report = duality_gap(solution)
@@ -313,7 +304,7 @@ def cmd_map(config: RunConfig) -> int:
         return code
     for eps in config.epsilons:
         try:
-            solution = _solve_one(config, eps)
+            solution = assemble_density(config.spec, eps, config.grid_n)
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
         try:
@@ -346,8 +337,7 @@ def cmd_sweep(config: RunConfig) -> int:
     # sub-floor epsilons become flagged rows instead of aborting the
     # sweep: the table then documents exactly which rung broke
     valid = [e for e in config.epsilons if e >= EPSILON_FLOOR]
-    solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n,
-                                     root_tol=config.root_tol)
+    solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n)
                        if valid else [])
     rows = [next(solved_rows) if eps >= EPSILON_FLOOR else _floor_row(eps)
             for eps in config.epsilons]
@@ -419,8 +409,7 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
     probe = second_variation_probe(
         sol, SinePerturbation(sol.support, k=1),
         (-1e-2, -1e-3, 1e-3, 1e-2),
-        dual_perturbation=lambda y: np.full(np.shape(y), 1.0),
-        quad_tol=config.quad_tol)
+        dual_perturbation=lambda y: np.full(np.shape(y), 1.0))
     out.append(_check(
         "variational probes",
         probe.min_primal_delta >= -1e-10 and probe.max_dual_delta <= 1e-10,
@@ -467,7 +456,7 @@ def _fixture_checks(config: RunConfig, solved: dict) -> list[VerifyCheck]:
             continue
         if eps not in solved:
             try:
-                solved[eps] = _solve_one(config, eps)
+                solved[eps] = assemble_density(config.spec, eps, config.grid_n)
             except Monge1dError as exc:
                 out.append(_check(name, False, f"solve at epsilon={eps!r} "
                                   f"failed: {type(exc).__name__}: {exc}"))
@@ -488,7 +477,7 @@ def cmd_verify(config: RunConfig) -> int:
     for eps in config.epsilons:
         try:
             if eps not in solved:
-                solved[eps] = _solve_one(config, eps)
+                solved[eps] = assemble_density(config.spec, eps, config.grid_n)
             checks.extend((eps, c) for c in _battery_for(config, solved[eps]))
         except Monge1dError as exc:
             return _solver_failure(eps, exc)

@@ -22,12 +22,13 @@ here, all in closed form up to one two-unknown root solve:
    zeros' expansion about the sharp-limit tent to third order in eps,
    in closed form; each iterate costs one quadrature pass, which yields
    both residuals and their exact Jacobian, and the solve returns the
-   zeros of the first pass that meets both contracts and proposes a step
-   at the rounding floor of the zeros (`_solve_zeros`).  When even
-   the free zero at the far target edge leaves less than unit mass, the
-   support is the whole target: the far edge is then a Dirichlet end with
-   theta > 0 there, and the free zero lies beyond it; the same iteration
-   reaches it by letting z cross the far edge.
+   zeros of the first pass that meets both contracts and either proposes
+   a step at the rounding floor of the zeros or no longer halves its
+   residuals (`_solve_zeros`).  When even the free zero at the far target
+   edge leaves less than unit mass, the support is the whole target: the
+   far edge is then a Dirichlet end with theta > 0 there, and the free
+   zero lies beyond it; the same iteration reaches it by letting z cross
+   the far edge.
 4. The density is the cumulative integral of the slope from the anchored
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass, at the grid's nodes and
@@ -83,6 +84,9 @@ from .numerics import (_KRONROD_ENDS, _MAX_PANEL_DEPTH, MonotoneProfile, _adapti
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
+_CLOSURE_TOL = 0.01 * _MASS_TOL     # its closure contract, about the aim
+_CLOSURE_AIM = 0.1 * _CLOSURE_TOL   # the closing density it aims at
+_ZERO_QUAD_TOL = min(1e-13, 0.1 * _CLOSURE_TOL)     # its passes' tolerance
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
 
@@ -204,10 +208,6 @@ class DualField:
         y_arr = np.asarray(y, dtype=float)
         out = -0.5 * self.orientation * ((y_arr - z) + (y_arr - c))
         return out if np.ndim(y) else float(out)
-
-    def log_lambda(self, y):
-        l = self.fields_at(y)[1]
-        return l if np.ndim(y) else float(l)
 
     def slope(self, y):
         out = self.fields_at(y)[2]
@@ -370,14 +370,13 @@ def _expansion_step(alpha, epsilon):
 def _bounded_step(zeros, delta, width):
     """Zeros (z, c) moved by the step delta = (dz, dc), cut back to half way
     to any bound it would cross: c > 0 (anchor), width - c > 0 (far edge)
-    and z - c > 0; z may cross the far edge.  Also the length of the step
-    taken, its larger component."""
+    and z - c > 0; z may cross the far edge."""
     (z, c), (dz, dc) = zeros, delta
     t = 1.0
     for g0, dg in ((c, dc), (width - c, -dc), (z - c, dz - dc)):
         if g0 + dg <= 0.0:
             t = min(t, 0.5 * g0 / -dg)
-    return (z + t * dz, c + t * dc), t * max(abs(dz), abs(dc))
+    return z + t * dz, c + t * dc
 
 
 @dataclass(frozen=True)
@@ -394,8 +393,7 @@ class _ZeroSolve:
     final_pass: tuple = field(repr=False)
 
 
-def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
-                 root_tol) -> _ZeroSolve:
+def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`); the final
     pass, its expectation moment and its energy integrals ride along.
@@ -431,35 +429,31 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
     the log layer of the slope, slope^2 ~ alpha^2 + 2 eps ln|theta|: they
     change by about eps per e-fold of the distance z - width.
 
-    Converged when |mass - 1| <= mass_tol and the closing density lands on
-    its aim, +crossing_tol/10, within 0.9 crossing_tol (so quadrature
-    noise in the assembly cannot take it below zero next to the free end),
-    and one of three tests holds, each of which returns the zeros of the
-    pass just taken, with its moment and energies:
+    Converged when |mass - 1| <= _MASS_TOL and the closing density lands
+    on its aim, _CLOSURE_AIM, within 0.9 _CLOSURE_TOL (so quadrature noise
+    in the assembly cannot take it below zero next to the free end), and
+    one of two tests holds, each of which returns the zeros of the pass
+    just taken, with its moment and energies:
     - the step this pass proposes moves neither zero by more than 4 ulps
       of the larger depth, the rounding floor of the zeros, so the pass
       that step would cost moves the residuals by their rounding alone;
-    - the last step moved neither zero by more than root_tol plus those
-      4 ulps;
     - the last step no longer halved max |residual|.  This is the
       residuals' rounding floor where they barely depend on z: rounding
-      noise over the small Jacobian column keeps |dz| above root_tol with
-      nothing left to reduce.
+      noise over the small Jacobian column keeps the proposed |dz| far
+      above the zeros' ulps with nothing left to reduce.
     Raises MaxIterations otherwise: after _ZERO_MAX_STEPS steps, on a
     non-finite residual or Jacobian, or on a singular one.
     """
-    width = spec.target_width
-    aim = 0.1 * crossing_tol
-    quad_tol = min(1e-13, 0.1 * crossing_tol)
+    width, aim = spec.target_width, _CLOSURE_AIM
     z0 = spec.sharp_width
     dz, dc = _expansion_step(spec.alpha, epsilon)
-    (z, c), _ = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
-    F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
-    step = size = math.inf
+    z, c = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
+    F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
+    size = math.inf
     for k in range(_ZERO_MAX_STEPS):
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
             break
-        held = abs(F[1]) <= mass_tol and abs(F[0]) <= 0.9 * crossing_tol
+        held = abs(F[1]) <= _MASS_TOL and abs(F[0]) <= 0.9 * _CLOSURE_TOL
         last, size = size, float(np.max(np.abs(F[:2])))
         ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
         try:
@@ -467,12 +461,12 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, mass_tol, crossing_tol,
         except np.linalg.LinAlgError:
             delta = None
         proposed = math.inf if delta is None else max(map(abs, delta))
-        if held and (proposed <= ulps or step <= root_tol + ulps or size >= 0.5 * last):
+        if held and (proposed <= ulps or size >= 0.5 * last):
             return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
         if delta is None:
             break
-        (z, c), step = _bounded_step((z, c), delta, width)
-        F, J, final = _zero_residuals((z, c), spec, epsilon, aim, quad_tol)
+        z, c = _bounded_step((z, c), delta, width)
+        F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
         f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")
@@ -485,11 +479,9 @@ class DensitySolution:
     """Sampled transfer density with its dual field and diagnostics.
 
     nodes/values cover the whole target interval (zero extension
-    included); support_slice marks the support portion.  slope_nodes
-    is the recovered slope at the support nodes, the exact derivative of
-    the cumulative construction, inverted when read.  boundary_gap is the
-    (pre-clip) density value at the closing endpoint, a direct readout of
-    the crossing-solve residual.  max_abs_slope and max_log_lambda report
+    included); support_slice marks the support portion.  boundary_gap is
+    the (pre-clip) density value at the closing endpoint, a direct readout
+    of the crossing-solve residual.  max_abs_slope and max_log_lambda report
     how far the solution runs above the nominal scale ceiling instead of
     clamping it (see the module docstring).  newton_steps,
     closure_residual and mass_residual record what the coupled zero solve
@@ -527,14 +519,6 @@ class DensitySolution:
     def support_nodes(self):
         return self.nodes[self.support_slice]
 
-    @property
-    def support_values(self):
-        return self.values[self.support_slice]
-
-    @property
-    def slope_nodes(self):
-        return self.dual.slope(self.support_nodes)
-
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
@@ -554,10 +538,6 @@ class DensitySolution:
         out = np.where(inside, self.dual.slope(np.clip(y_arr, lo, hi)), 0.0)
         return out if np.ndim(y) else float(out)
 
-    def peak(self) -> tuple[float, float]:
-        """(location, value) of the interior maximum (at the stress zero)."""
-        return self.crossing, float(self(self.crossing))
-
 
 def _depth_grid(span, crossing, grid_n):
     """Uniform depths over the span with the crossing, where the density
@@ -565,22 +545,23 @@ def _depth_grid(span, crossing, grid_n):
     return np.union1d(np.linspace(span[0], span[1], grid_n), crossing)
 
 
-def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
-                     root_tol=1e-12) -> DensitySolution:
+def assemble_density(spec: MongeProblemSpec, epsilon,
+                     grid_n=2001) -> DensitySolution:
     """Full solve: free zero, crossing, and the sampled density.
 
     Raises CapacityError when the target is narrower than the sharp-limit
     tent (`problem.require_capacity`).  The zeros come from one coupled
     solve (`_solve_zeros`, mass contract `_MASS_TOL`, closure contract
-    0.01 `_MASS_TOL`, Newton step bound root_tol); the assembly uses them as
-    they are.  The density is the cumulative integral of the recovered
-    slope, anchored at the target endpoint adjacent to the source (it
-    vanishes there by construction and at the other support end by the
-    closure condition).  The solve's last pass, read as a
-    `numerics.MonotoneProfile`, is the density: its nodal values are read
-    off it in the pass's depths, so the values near the free endpoint,
-    where the stress vanishes, keep the sign the solve gives them, and the
-    assembly runs no quadrature and inverts no grid node.  The grid is
+    `_CLOSURE_TOL`, stopped at the zeros' or the residuals' rounding
+    floor); the assembly uses them as they are.  The density is the
+    cumulative integral of the recovered slope, anchored at the target
+    endpoint adjacent to the source (it vanishes there by construction and
+    at the other support end by the closure condition).  The solve's last
+    pass, read as a `numerics.MonotoneProfile`, is the density: its nodal
+    values are read off it in the pass's depths, so the values near the
+    free endpoint, where the stress vanishes, keep the sign the solve
+    gives them, and the assembly runs no quadrature and inverts no grid
+    node.  The grid is
     uniform over the support with the crossing as a node (`_depth_grid`),
     plus a zero extension over the rest of the target at matching
     resolution.  The mass, the expectation and the field's
@@ -596,7 +577,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon, grid_n=2001, *,
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 33:
         raise ValueError(f"grid_n must be an integer >= 33, got {grid_n!r}")
     require_capacity(spec)
-    solved = _solve_zeros(spec, epsilon, _MASS_TOL, 0.01 * _MASS_TOL, root_tol)
+    solved = _solve_zeros(spec, epsilon)
     # Depth s sits at anchor - orientation * s; the density rises from 0 at
     # depth 0, the anchor, and its support closes at depth S, y = m.
     zeros = solved.zeros

@@ -27,7 +27,7 @@ solution's `expectation`.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
 `SinePerturbation`; all their deltas are the rows of one pass, cut
-where the dual bump's clip kinks, at the caller's tolerance.
+where the dual bump's clip kinks, at one tolerance, `_PROBE_QUAD_TOL`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .duality import DensitySolution
 from .errors import InvalidPerturbation
 
-_DEFAULT_QUAD_TOL = 1e-10
+_PROBE_QUAD_TOL = 1e-10
 
 
 # -- perturbations ------------------------------------------------------------
@@ -151,8 +151,7 @@ class ProbeReport:
 
 
 def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
-                           dual_perturbation=None,
-                           quad_tol=_DEFAULT_QUAD_TOL) -> ProbeReport:
+                           dual_perturbation=None) -> ProbeReport:
     """Probe the sign structure around the critical pair.
 
     The primal side compares the Lagrangian of (density + t *
@@ -171,7 +170,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
 
     Every delta is a row of one pass over the field: the primal rows for
     the nonzero t, in input order, then the dual rows, each refined to
-    the tolerance relative to its own total.  The perturbation, psi and
+    `_PROBE_QUAD_TOL` relative to its own total.  The perturbation, psi and
     the field are evaluated once per node for all of them.  A t of 0
     costs no row and reads exactly 0.0; when every t is 0 no pass runs.
     A non-finite t raises ValueError.
@@ -229,7 +228,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + np.exp(shift) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = dual.integrate(rows, quad_tol, levels,
+    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels,
                           keep=lambda y: np.asarray(psi(y), dtype=float) == psi_bar)
 
     def deltas(side):

@@ -54,10 +54,6 @@ class TentDensity:
         return self.center
 
     @property
-    def peak(self) -> tuple[float, float]:
-        return self.center, math.sqrt(self.alpha)
-
-    @property
     def mass(self) -> float:
         lo, hi = self.support
         return self.alpha * (hi - lo) ** 2 / 4.0
@@ -80,8 +76,8 @@ class TentDensity:
 def tent_limit_density(spec: MongeProblemSpec) -> TentDensity:
     """Closed-form limit density for a spec (no smoothing parameter).
 
-    Raises CapacityError when the target is narrower than the tent
-    (`problem.require_capacity`).
+    Raises CapacityError when the target is narrower than the tent, and
+    DomainError when no tent width is defined (`problem.require_capacity`).
     """
     require_capacity(spec)
     anchor = spec.anchor
@@ -231,10 +227,10 @@ def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
 
     Maximizes sum(y_i u_i) h under orientation I, minimizes it under II;
     the polytope (zero endpoints, slope bound, unit trapezoidal mass) is
-    handed to a deterministic LP solve.  CapacityError when the target
-    fails `problem.require_capacity`, or when the polytope is empty on
-    this grid (at the sharp width an odd number of cells misses unit mass
-    by a fraction 1/(n-1)^2).
+    handed to a deterministic LP solve.  Raises what
+    `problem.require_capacity` raises, and CapacityError when the
+    polytope is empty on this grid (at the sharp width an odd number of
+    cells misses unit mass by a fraction 1/(n-1)^2).
     """
     # The LP is the package's only scipy call; importing it here keeps
     # scipy off every other import path (the CLI's among them).

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NonPositiveDensity
+from .errors import CapacityError, ConfigError, DomainError, NonPositiveDensity
 
 _DENSITY_KINDS = ("uniform", "piecewise-linear", "tabulated")
 _MASS_TOL = 1e-8
@@ -299,12 +299,18 @@ def validate_spec(spec: MongeProblemSpec) -> ValidationReport:
 
 def require_capacity(spec: MongeProblemSpec) -> None:
     """Raise CapacityError when the target is narrower than
-    `spec.sharp_width`.
+    `spec.sharp_width`, and DomainError unless the slope bound is finite
+    and > 0 and the target interval finite, where no width is defined.
 
     The one capacity rule of the package: every command and oracle
     applies it.  It depends on the target's width and the slope bound
     alone, so a problem shifted along the axis keeps its verdict.
     """
+    if not (0.0 < spec.alpha < math.inf
+            and all(map(math.isfinite, spec.target_interval))):
+        raise DomainError(f"capacity needs a finite slope bound > 0 and a "
+                          f"finite target, got alpha = {spec.alpha!r} and "
+                          f"target {spec.target_interval!r}")
     if spec.target_width < spec.sharp_width:
         raise CapacityError(
             f"target width {spec.target_width!r} is below 2/sqrt(alpha) = "

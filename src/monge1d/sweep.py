@@ -75,10 +75,10 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
     return np.linspace(lo, hi, _DISTANCE_GRID_N)
 
 
-def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol) -> SweepRow:
+def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
     start = time.perf_counter()
     try:
-        solution = assemble_density(spec, epsilon, grid_n, root_tol=root_tol)
+        solution = assemble_density(spec, epsilon, grid_n)
         report = duality_gap(solution)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
@@ -100,18 +100,18 @@ def _solve_row(spec, epsilon, grid_n, tent, grid, root_tol) -> SweepRow:
         wall_ms=wall)
 
 
-def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
-                  root_tol=1e-12):
+def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
     """Run the solve pipeline at each epsilon, in input order.
 
-    root_tol reaches `assemble_density` as `solve` passes it, and the
-    energies are the solve's own, so a row holds the numbers `solve`
-    writes.  Returns a list of SweepRow.  Epsilons below EPSILON_FLOOR
-    are rejected up front (the whole request is malformed, not one row);
-    per-epsilon solver failures land in their row's `error` field.
-    Raises CapacityError up front when the target is narrower than the
-    sharp-limit tent (`problem.require_capacity`, the verdict every row
-    would reach), since then no row has a tent to compare against.
+    Each row is `assemble_density` as `solve` calls it, with the solve's
+    own energies, so a row holds the numbers `solve` writes.  Returns a
+    list of SweepRow.  Epsilons below EPSILON_FLOOR are rejected up front
+    (the whole request is malformed, not one row); per-epsilon solver
+    failures land in their row's `error` field.  Raises CapacityError up
+    front when the target is narrower than the sharp-limit tent, and
+    DomainError when it has no width to compare (`problem.require_capacity`,
+    the verdict every row would reach), since then no row has a tent to
+    compare against.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -124,8 +124,7 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001, *,
                 f"exponential term at that scale")
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
-    return [_solve_row(spec, eps, grid_n, tent, grid, root_tol)
-            for eps in eps_list]
+    return [_solve_row(spec, eps, grid_n, tent, grid) for eps in eps_list]
 
 
 def _format_cell(value) -> str:

@@ -118,9 +118,8 @@ def test_criterion_03_equilibrium(grid):
     worst = 0.0
     for _, sol, _ in grid.values():
         nodes = sol.support_nodes
-        lam = np.exp(sol.dual.log_lambda(nodes))
-        worst = max(worst, float(np.max(np.abs(
-            lam * sol.slope_nodes - sol.dual.theta(nodes)))))
+        theta, log_lam, slope = sol.dual.fields_at(nodes)
+        worst = max(worst, float(np.max(np.abs(np.exp(log_lam) * slope - theta))))
         # stress equation theta_y = -|y| - mu, with |y| = o*y exactly
         # everywhere on the support half-axis
         o = sol.spec.orientation

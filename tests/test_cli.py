@@ -64,8 +64,6 @@ class TestConfigParsing:
     def test_defaults(self, tmp_path):
         config = load_run_config(tent_config(tmp_path))
         assert config.grid_n == 2001
-        assert config.root_tol == 1e-12
-        assert config.quad_tol == 1e-10
         assert str(config.out_dir) == "out"
         assert config.epsilons == (0.01,)
 
@@ -75,8 +73,6 @@ class TestConfigParsing:
                            out="elsewhere")
         config = load_run_config(path)
         assert config.grid_n == 501
-        assert config.root_tol == 1e-10
-        assert config.quad_tol == 1e-8
         assert str(config.out_dir) == "elsewhere"
 
     def test_flags_beat_file(self, tmp_path):
@@ -354,20 +350,50 @@ class TestSweep:
         assert "InsufficientRows" in doc["error"]
 
 
-    def test_rows_use_the_configured_tolerances(self, tmp_path):
-        # A sweep row holds the numbers `solve` writes for the same config.
-        config = tent_config(tmp_path, tolerances={"root": 1e-6, "quad": 1e-6})
+def _artifact_bytes(folder):
+    return {path.relative_to(folder): path.read_bytes()
+            for path in sorted(folder.rglob("*")) if path.is_file()}
+
+
+def test_tolerances_are_inert(tmp_path, capsys):
+    # The `tolerances` key parses and changes nothing: loose values and no
+    # key at all write the artifacts and print the verify table of the
+    # documented defaults, byte for byte.  A sweep row holds the numbers
+    # `solve` writes for the same config.
+    runs = {}
+    for name, extra in (("defaults", {"tolerances": {"root": 1e-12, "quad": 1e-10}}),
+                        ("loose", {"tolerances": {"root": 1e-6, "quad": 1e-6}}),
+                        ("absent", {})):
+        folder = tmp_path / name
+        folder.mkdir()
+        config = tent_config(folder, **extra)
         assert main(["solve", "--config", config, "--quiet",
-                     "--out", str(tmp_path / "solve"), "--grid", "801"]) == 0
+                     "--out", str(folder / "solve"), "--grid", "801"]) == 0
         assert main(["sweep", "--config", config, "--quiet",
-                     "--out", str(tmp_path / "sweep"), "--grid", "801"]) == 0
-        energy = json.loads(
-            (tmp_path / "solve" / "eps_0.01" / "energy.json").read_text())
-        header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert float(cells["primal"]) == energy["primal"]
-        assert float(cells["dual"]) == energy["dual"]
-        assert float(cells["gap"]) == energy["gap_primal_dual"]
+                     "--out", str(folder / "sweep"), "--grid", "801"]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--config", config, "--grid", "801"])
+        runs[name] = (code, capsys.readouterr().out,
+                      _artifact_bytes(folder / "solve"),
+                      _artifact_bytes(folder / "sweep"))
+    assert runs["loose"] == runs["defaults"] == runs["absent"]
+    energy = json.loads(runs["defaults"][2][Path("eps_0.01", "energy.json")])
+    header, row = runs["defaults"][3][Path("sweep.csv")].decode().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["primal"]) == energy["primal"]
+    assert float(cells["dual"]) == energy["dual"]
+    assert float(cells["gap"]) == energy["gap_primal_dual"]
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"root": 1e-12, "newton": 1e-3}, {"root": 0.0}, {"quad": -1e-10},
+    {"root": math.inf}, {"quad": "1e-10"}, {"root": True}, [1e-12], None,
+], ids=["unknown_key", "zero", "negative", "infinite", "string", "bool",
+        "list", "null"])
+def test_bad_tolerances_exit_2(tmp_path, capsys, tolerances):
+    config = tent_config(tmp_path, tolerances=tolerances)
+    assert main(["validate", "--config", config]) == 2
+    assert "config.tolerances" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target,code,message", [
@@ -571,25 +597,6 @@ class TestVerify:
         assert "stationarity" in capsys.readouterr().out
         assert len(supports) == 3
         assert sorted(n for n in sizes if n in supports) == sorted(supports)
-
-    def test_probes_use_the_configured_quadrature_tolerance(
-            self, tmp_path, monkeypatch, capsys):
-        import monge1d.cli
-
-        seen = []
-        probe = monge1d.cli.second_variation_probe
-
-        def recorded(*args, **kwargs):
-            seen.append(kwargs["quad_tol"])
-            return probe(*args, **kwargs)
-
-        monkeypatch.setattr(monge1d.cli, "second_variation_probe", recorded)
-        doc = json.loads(json.dumps(TENT_DOC))
-        doc["problem"]["alpha"] = 4.0
-        doc["tolerances"] = {"quad": 1e-12}
-        assert main(["verify", "--config", write_config(tmp_path, doc),
-                     "--grid", "201"]) == 0
-        assert seen == [1e-12]
 
 
 NEAR_CAPACITY_DOC = {

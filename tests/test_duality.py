@@ -15,8 +15,10 @@ from monge1d.duality import DualField, assemble_density
 from monge1d.energy import duality_gap
 from monge1d.errors import CapacityError, DomainError, MaxIterations
 from monge1d.numerics import integrate
-from monge1d.oracles import TentDensity, mirror_transform, tent_limit_density
+from monge1d.oracles import (TentDensity, discrete_expectation_optimizer,
+                             mirror_transform, tent_limit_density)
 from monge1d.problem import require_capacity, uniform_spec
+from monge1d.sweep import epsilon_sweep
 from reference_solves import (boundary_residual, solve_constant, solve_crossing,
                               total_mass)
 
@@ -289,6 +291,24 @@ class TestCapacity:
         with pytest.raises(DomainError):
             assemble_density(bad, 1e-3, 101)
 
+    @pytest.mark.parametrize("entry", [
+        require_capacity, tent_limit_density,
+        lambda spec: epsilon_sweep(spec, [1e-3], 101),
+        lambda spec: discrete_expectation_optimizer(spec, 101),
+        lambda spec: assemble_density(spec, 1e-3, 101),
+    ], ids=["require_capacity", "tent_limit_density", "epsilon_sweep",
+            "discrete_expectation_optimizer", "assemble_density"])
+    @pytest.mark.parametrize("alpha,target", [
+        (0.0, (0.0, 5.0)), (-1.0, (0.0, 5.0)), (math.nan, (0.0, 5.0)),
+        (math.inf, (0.0, 5.0)), (1.0, (0.0, math.inf)),
+    ], ids=["alpha_0", "alpha_-1", "alpha_nan", "alpha_inf", "infinite_target"])
+    def test_no_capacity_without_a_width(self, entry, alpha, target):
+        # A slope bound that is not finite and positive, or an unbounded
+        # target, has no sharp width to compare: every entry point that
+        # takes the capacity verdict raises DomainError, as the solve does.
+        with pytest.raises(DomainError):
+            entry(uniform_spec((6.0, 8.0), target, "I", alpha))
+
 
 class TestSolveSupport:
     def test_sharp_limit_endpoint(self, solved):
@@ -313,8 +333,7 @@ class TestSolveSupport:
 class TestAssembleDensity:
     def test_boundary_zeros_and_nonnegativity(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        assert sol.support_values[0] == 0.0
-        assert sol.support_values[-1] == 0.0
+        assert sol.values[sol.support_slice][[0, -1]].tolist() == [0.0, 0.0]
         assert float(np.min(sol.values)) >= 0.0
         assert sol.boundary_gap == pytest.approx(0.0, abs=1e-9)
 
@@ -325,7 +344,7 @@ class TestAssembleDensity:
 
     def test_peak(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        loc, height = sol.peak()
+        loc, height = sol.crossing, sol(sol.crossing)
         assert loc == pytest.approx(4.0, abs=0.02)
         assert loc == pytest.approx(sol.dual.zeros[1], abs=1e-12)
         assert sol.dual.theta(loc) == 0.0
@@ -344,7 +363,7 @@ class TestAssembleDensity:
 
     def test_single_interior_maximum(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        v = sol.support_values
+        v = sol.values[sol.support_slice]
         k = int(np.argmax(v))
         assert 0 < k < v.size - 1
         assert abs(sol.support_nodes[k] - sol.crossing) <= 1e-12
@@ -354,7 +373,7 @@ class TestAssembleDensity:
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
         theta, log_lam, slope = sol.dual.fields_at(sol.support_nodes)
-        assert np.abs(slope - sol.slope_nodes).max() == 0.0
+        assert np.abs(slope - sol.dual.slope(sol.support_nodes)).max() == 0.0
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
@@ -369,7 +388,7 @@ class TestAssembleDensity:
         keep[[0, -1]] = False
         d = 1e-6
         dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
-        assert np.abs(dv - sol.slope_nodes[keep]).max() < 1e-7
+        assert np.abs(dv - sol.dual.slope(y[keep])).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -389,7 +408,7 @@ class TestAssembleDensity:
     def test_evaluation_matches_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
         vals = sol(sol.support_nodes)
-        assert np.abs(vals - sol.support_values).max() < 1e-13
+        assert np.abs(vals - sol.values[sol.support_slice]).max() < 1e-13
 
     def test_strong_smoothing_runs_over_the_scale_ceiling(self, solved):
         # For this grid the exact solution needs scale factors above 1
@@ -527,7 +546,7 @@ class TestCoupledSolve:
         _assert_contracts(sol)
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
-        solo = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12)
+        solo = duality._solve_zeros(spec, eps)
         assert spec.anchor - spec.orientation * solo.zeros[0] == z
         if regime == "full_target":
             assert sol.support == spec.target_interval
@@ -539,9 +558,10 @@ class TestCoupledSolve:
         # ladder.  The support fills the target and the free zero lies
         # beyond the far edge, where the residuals depend on it only
         # through the slope's log layer: they reach their rounding floor
-        # (closure 1e-16, mass residual 0) while |dz| stays above root_tol
-        # (alpha 0.5, eps 1e-6).  The tent start has z exactly at the far
-        # edge, where the support's end min(z, width) kinks.
+        # (closure 1e-16, mass residual 0) while the proposed |dz| stays far
+        # above the zeros' ulps (alpha 0.5, eps 1e-6), and the solve stops
+        # once they no longer halve.  The tent start has z exactly at the
+        # far edge, where the support's end min(z, width) kinks.
         spec = _regime_spec(alpha, 1.0, 0.0)
         if assumption == "II":
             spec = mirror_transform(spec)
@@ -636,7 +656,7 @@ class TestCoupledSolve:
 
         monkeypatch.setattr(duality, "_zero_residuals", residuals)
         with pytest.raises(MaxIterations):
-            duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
+            duality._solve_zeros(SPEC_I, 1e-3)
         assert len(seen) == 2
         assert np.all(np.isfinite(seen))
 
@@ -654,7 +674,7 @@ class TestCoupledSolve:
             return np.array(F), np.array([[1.0, 1.0], [1.0, -1.0]]), None
 
         monkeypatch.setattr(duality, "_zero_residuals", residuals)
-        solved = duality._solve_zeros(SPEC_I, 1e-3, 1e-10, 1e-12, 1e-12)
+        solved = duality._solve_zeros(SPEC_I, 1e-3)
         assert solved.steps == 1 and len(seen) == 2
         assert solved.zeros == seen[1]
         assert solved.closure == solved.mass_residual == 0.0
@@ -684,8 +704,7 @@ class TestCoupledSolve:
             if assumption == "II":
                 spec = mirror_transform(spec)
             sol = assemble_density(spec, eps, 101)
-            solved = duality._solve_zeros(spec, eps, duality._MASS_TOL,
-                                          0.01 * duality._MASS_TOL, 1e-12)
+            solved = duality._solve_zeros(spec, eps)
             F, J, _ = duality._zero_residuals(solved.zeros, spec, eps, 1e-13, 1e-13)
             assert F[:3].tolist() == [solved.closure, solved.mass_residual, solved.moment]
             delta = np.linalg.solve(J, -F[:2])
@@ -718,7 +737,7 @@ class TestCoupledSolve:
         spec = _regime_spec(alpha, factor, 0.0)
         width = spec.target_width
         tent = (spec.sharp_width, 0.5 * min(spec.sharp_width, width))
-        solution = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12).zeros
+        solution = duality._solve_zeros(spec, eps).zeros
         for zeros in (tent, solution):
             F = lambda dz, dc: duality._zero_residuals(
                 (zeros[0] + dz, zeros[1] + dc), spec, eps, 0.0, 1e-13)[0][:2]
@@ -731,6 +750,62 @@ class TestCoupledSolve:
             dc = F(0.0, hc) - F(0.0, -hc)
             differences = np.column_stack([dz / (2.0 * hz), dc / (2.0 * hc)])
             assert np.max(np.abs(J - differences)) <= 1e-9 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("kind", ["free_end", "full_target", "offset_1000"])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    def test_residuals_are_the_gradient_of_a_convex_dual(self, alpha, eps, kind):
+        # In depth the stress is s^2/2 - b s + a, with a = zc/2 and
+        # b = (z + c)/2.  The solve's residuals (closure aim 0) are the
+        # gradient of G(a, b) = integral of H*(theta) - b over [0, S],
+        # H*(theta) = lam (g^2 - eps) + eps lam_min, which is minus the
+        # pass's dual energy row plus eps lam_min S: grad G = (I, M - 1 - S I).
+        # Mapped to (a, b) the exact Jacobian is G's Hessian,
+        # T J P^-1 with T = [[1, 0], [-S, 1]] and P = d(a, b)/d(z, c), less
+        # (0, I (1, 0) P^-1) where S = z moves with z.  Measured over both
+        # orientations, at the solution and 2% off it:
+        # - central differences of G (h = 1e-5) match the gradient to
+        #   1.3e-8 at alpha 4 and 9.6e-10 at alpha <= 1, the difference's
+        #   own h^2 error (1.3e-6 at h = 1e-4);
+        # - H is symmetric to 2.8e-15 relative; without the I term it reads
+        #   1e-2 asymmetric off the solution at a free end;
+        # - H is positive definite.  On a full target G follows z only
+        #   through the slope's log layer, and the eigenvalue ratio falls
+        #   with eps: 5e-3 eps at alpha 4, the smallest.
+        factor, offset = {"free_end": (2.5, 0.0), "full_target": (1.0, 0.0),
+                          "offset_1000": (2.5, 1000.0)}[kind]
+        h = 1e-5
+        for assumption in ("I", "II"):
+            spec = _regime_spec(alpha, factor, offset)
+            if assumption == "II":
+                spec = mirror_transform(spec)
+            width = spec.target_width
+
+            def dual(a, b):
+                r = math.sqrt(b * b - 2.0 * a)
+                z, c = b + r, b - r
+                F, J, _ = duality._zero_residuals((z, c), spec, eps, 0.0, 1e-13)
+                S = min(z, width)
+                G = -F[4] + eps * math.exp(-alpha ** 2 / (2.0 * eps)) * S - b
+                return G, F, J, S
+
+            z, c = duality._solve_zeros(spec, eps).zeros
+            for off, (z, c) in ((False, (z, c)), (True, (1.02 * z, 0.98 * c))):
+                a, b = 0.5 * z * c, 0.5 * (z + c)
+                _, F, J, S = dual(a, b)
+                gradient = [F[0], F[1] - S * F[0]]
+                differences = [(dual(a + h, b)[0] - dual(a - h, b)[0]) / (2.0 * h),
+                               (dual(a, b + h)[0] - dual(a, b - h)[0]) / (2.0 * h)]
+                assert np.max(np.abs(np.subtract(differences, gradient))) <= (
+                    2e-8 if alpha > 1.0 else 1.5e-9)
+                P_inv = np.linalg.inv([[0.5 * c, 0.5 * z], [0.5, 0.5]])
+                H = np.array([[1.0, 0.0], [-S, 1.0]]) @ J @ P_inv
+                if z < width:
+                    assert (abs(H[0, 1] - H[1, 0]) >= 1e-3 * np.max(np.abs(H))) == off
+                    H[1] -= F[0] * P_inv[0]
+                assert abs(H[0, 1] - H[1, 0]) <= 1e-14 * np.max(np.abs(H))
+                low, high = np.linalg.eigvalsh(0.5 * (H + H.T))
+                assert low >= 2e-3 * eps * high > 0.0
 
     def test_work_counts_are_pinned(self, adaptive_passes):
         # Newton steps and quadrature passes over a fixed set of regimes.
@@ -882,7 +957,7 @@ class TestExpansionStart:
             z0 = spec.sharp_width
             for eps in (1e-2, 1e-3, 1e-4):
                 dz, dc = duality._expansion_step(alpha, eps)
-                z, c = duality._solve_zeros(spec, eps, 1e-10, 1e-12, 1e-12).zeros
+                z, c = duality._solve_zeros(spec, eps).zeros
                 miss = max(abs(z - (z0 + dz - 1e-13 / alpha)), abs(c - (0.5 * z0 + dc)))
                 assert miss <= bound * eps ** 4 + 4.0 * np.spacing(z0)
 
@@ -932,7 +1007,8 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(mir.slope_nodes, -sol.slope_nodes[::-1])
+            assert np.array_equal(mir.dual.slope(mir.support_nodes),
+                                  -sol.dual.slope(sol.support_nodes)[::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 
@@ -973,7 +1049,6 @@ class TestDualField:
         ys = np.linspace(3.0, 5.0, 57)
         theta, log_lam, slope = fld.fields_at(ys)
         assert np.allclose(theta, fld.theta(ys), rtol=0, atol=0)
-        assert np.allclose(log_lam, fld.log_lambda(ys), rtol=0, atol=1e-14)
         assert np.allclose(slope, fld.slope(ys), rtol=0, atol=1e-14)
         # The algebra ties the three together pointwise.
         assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12

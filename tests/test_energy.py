@@ -76,7 +76,7 @@ class TestPrimalEnergy:
         sol = solved(spec, 1e-3)
         sign = 1.0 if spec.assumption == "I" else -1.0
         h_term = 1e-3 * integrate(
-            lambda y: np.exp(sol.dual.log_lambda(y)), *sol.support,
+            lambda y: np.exp(sol.dual.fields_at(y)[1]), *sol.support,
             tol=1e-12, breakpoints=(sol.crossing,))
         assert duality_gap(sol).primal == pytest.approx(
             h_term - sign * sol.expectation, abs=1e-10)
@@ -141,7 +141,7 @@ class TestDualEnergy:
         critical = duality_gap(sol).dual
         for shift in (-0.1, -0.01, 0.0):
             out = ref.dual(sol.dual, lambda y, s=shift: np.minimum(
-                sol.dual.log_lambda(y) + s, 0.0))
+                sol.dual.fields_at(y)[1] + s, 0.0))
             assert math.isfinite(out)
             assert out <= critical + 1e-12
 
@@ -165,7 +165,7 @@ class TestTotalComplementary:
         # the locked pair's mixed energy by plain quadrature over the
         # delivered density, to its interpolation error
         sol = solved(spec, 1e-3)
-        out = ref.mixed(sol, 1.0, 1e-3, sol.dual.log_lambda)
+        out = ref.mixed(sol, 1.0, 1e-3, lambda y: sol.dual.fields_at(y)[1])
         assert out == pytest.approx(duality_gap(sol).xi_total, abs=2e-6)
 
 
@@ -231,9 +231,10 @@ class TestDualityGap:
         report = duality_gap(sol)
         assert ref.primal(sol, alpha, eps) == pytest.approx(
             report.primal, abs=2e-6)
-        assert ref.mixed(sol, alpha, eps, sol.dual.log_lambda) == pytest.approx(
+        log_lam = lambda y: sol.dual.fields_at(y)[1]
+        assert ref.mixed(sol, alpha, eps, log_lam) == pytest.approx(
             report.xi_total, abs=2e-6)
-        assert ref.dual(sol.dual, sol.dual.log_lambda) == pytest.approx(
+        assert ref.dual(sol.dual, log_lam) == pytest.approx(
             report.dual, abs=ref.TOL)
 
     def test_no_pass_on_a_solution(self, solved, adaptive_passes):
@@ -351,7 +352,7 @@ def _clip_reference(sol, t):
     theta^2 = alpha^2, l = -t at theta^2 = e^{-2t} (alpha^2 - 2 eps t))
     and the stress zeros."""
     dual, eps, a2 = sol.dual, sol.epsilon, sol.spec.alpha ** 2
-    f = lambda y: float(_dual_diff(sol, t, 1.0, dual.log_lambda(np.array([y])))[0])
+    f = lambda y: float(_dual_diff(sol, t, 1.0, dual.fields_at(np.array([y]))[1])[0])
     (lo, hi), (z, c) = sol.support, dual.zeros
     cuts = [lo, hi, z, c]
     # theta = -+(y - z)(y - c)/2 meets +-theta_k at the roots of a quadratic.

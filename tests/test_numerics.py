@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge1d.duality import _MASS_TOL, _solve_zeros
+from monge1d.duality import _solve_zeros
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
 from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges, integrate
 from monge1d.oracles import mirror_transform
@@ -508,7 +508,7 @@ class TestDensityTable:
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
         prof = target_cdf(solved(spec, eps))
         assert np.array_equal(prof.density(prof.edges), prof.edge_density)
-        zeros = _solve_zeros(spec, eps, _MASS_TOL, 0.01 * _MASS_TOL, 1e-12).zeros
+        zeros = _solve_zeros(spec, eps).zeros
         ends_at = np.isin(prof.edges, zeros)
         singular = np.flatnonzero(ends_at[:-1] | ends_at[1:])
         assert singular.size >= 2

@@ -33,7 +33,7 @@ class TestTentLimitDensity:
     def test_canonical_case(self):
         tent = tent_limit_density(SPEC_I)
         assert tent.support == (3.0, 5.0)
-        assert tent.peak == (4.0, 1.0)
+        assert (tent.center, tent(tent.center)) == (4.0, 1.0)
         assert tent.mean == 4.0
         assert tent.mass == pytest.approx(1.0, abs=1e-15)
 
@@ -50,7 +50,7 @@ class TestTentLimitDensity:
         spec = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 4.0)
         tent = tent_limit_density(spec)
         assert tent.support == (-5.0, -4.0)
-        assert tent.peak == (-4.5, 2.0)
+        assert (tent.center, tent(tent.center)) == (-4.5, 2.0)
         assert tent.mean == -5.0 + 1.0 / math.sqrt(4.0)
 
     def test_profile_values(self):

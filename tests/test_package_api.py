@@ -1,10 +1,13 @@
-"""Every public module-level function of the package has a caller outside
-the tests.
+"""Every public module-level function of the package, and every public
+method and property of its classes, has a caller outside the tests.
 
-The package, the studies and perfbench are parsed, and a function counts
-as called when its name is read (as a name or an attribute) anywhere but
-inside its own body.  A function only tests reach belongs in test code,
-as `reference_solves.py` and `reference_energies.py` hold theirs.
+The package, the studies and perfbench are parsed, and a function or
+member counts as called when its name is read (as a name or an
+attribute; a member only as an attribute) anywhere but inside its own
+body.  A function only tests
+reach belongs in test code, as `reference_solves.py` and
+`reference_energies.py` hold theirs; a member only tests read is written
+in terms of the members that remain.
 """
 
 import ast
@@ -18,12 +21,27 @@ TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for path in sorted((ROOT / folder).rglob("*.py"))}
 
 
+def _public(body):
+    return [node for node in body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
 def _public_functions():
     for path, tree in TREES.items():
         if path.parent == PACKAGE:
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    yield path, node
+            for node in _public(tree.body):
+                yield path, node
+
+
+def _public_members():
+    """(path, class, member) for the public methods and properties of the
+    package's module-level classes."""
+    for path, tree in TREES.items():
+        if path.parent == PACKAGE:
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef):
+                    for node in _public(cls.body):
+                        yield path, cls, node
 
 
 def _reads(tree):
@@ -31,6 +49,12 @@ def _reads(tree):
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _attribute_reads(tree):
+    """Names read in a tree as attributes."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
 
 
 def test_every_public_function_has_a_caller():
@@ -41,3 +65,14 @@ def test_every_public_function_has_a_caller():
     uncalled = [f"{path.stem}.{node.name}" for path, node in functions
                 if reads[node.name] == _reads(node)[node.name]]
     assert not uncalled, f"called by no module under src/, studies/ or perfbench/: {uncalled}"
+
+
+def test_every_public_member_has_a_reader():
+    members = list(_public_members())
+    assert {("DualField", "fields_at"), ("DensitySolution", "support_nodes"),
+            ("TentDensity", "center")} <= {(cls.name, node.name)
+                                           for _, cls, node in members}
+    reads = sum((_attribute_reads(tree) for tree in TREES.values()), Counter())
+    unread = [f"{path.stem}.{cls.name}.{node.name}" for path, cls, node in members
+              if reads[node.name] == _attribute_reads(node)[node.name]]
+    assert not unread, f"read by no module under src/, studies/ or perfbench/: {unread}"
