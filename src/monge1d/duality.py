@@ -54,9 +54,10 @@ graded panels each see the layer on their own scale, so one or two
 vectorized rounds settle a quadrature.  The assembly runs no pass of its
 own: it reads the solve's last one, so the closing density keeps the
 sign the solve gave it, and a finer grid adds no panel and no
-inversion.  A pass integrates a stack of rows of one inversion: the
-solve's passes carry the expectation and the energies, and
-`DualField.integrate` gives probes the same panels (`_depth_integral`).
+inversion.  Every pass is built by one function, `_depth_pass`, and
+integrates a stack of rows of one inversion: the solve's passes carry the
+expectation and the energies, and `DualField.integrate` sums a pass of
+the probes' rows on the same panels.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -79,8 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MaxIterations
-from .numerics import (_KRONROD_ENDS, _MAX_PANEL_DEPTH, MonotoneProfile, _adaptive,
-                       _graded_edges, integrate)
+from .numerics import _KRONROD_ENDS, MonotoneProfile, _adaptive, _graded_edges
 from .problem import MongeProblemSpec, require_capacity, validate_spec
 
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
@@ -189,12 +189,6 @@ class DualField:
         z, c = self.zeros
         return -0.5 * self.orientation * (z + c)
 
-    @property
-    def crossing(self) -> float:
-        """Location where the stress vanishes inside the support (the
-        density peak)."""
-        return self.zeros[1]
-
     def theta(self, y):
         z, c = self.zeros
         y_arr = np.asarray(y, dtype=float)
@@ -219,28 +213,27 @@ class DualField:
         l, u = _invert_stress_sq(th * th, self.alpha, self.epsilon)
         return th, l, np.copysign(np.sqrt(u), th)
 
-    def integrate(self, fn, tol, levels=(), keep=None):
-        """Support integrals of the rows fn(y, log_lambda, slope), from one
-        `_depth_integral` pass in depths from the anchored support end (the
-        upper one under orientation I).
+    def integrate(self, fn, tol, levels=()):
+        """Support integrals of the rows fn(y, log_lambda, slope) (a float
+        for one row), the sums of one `_depth_pass` in depths from the
+        anchored support end (the upper one under orientation I), panel
+        after panel.
 
-        Rows that kink where |theta| takes one of the `levels` get those
-        points as panel edges, so no round of the pass hunts a kink by
+        Every point where |theta| takes one of the `levels` is a panel
+        edge, so no round of the pass hunts a row's kink there by
         bisection.  The depths are the closed-form roots of
         (s - z)(s - c) = +-2 level in the depth zeros, accurate to ulps of
-        the support's width wherever it lies.  With `keep`, only the points
-        y inside the support where keep(y) holds are cut.
+        the support's width wherever it lies.
         """
         o, (lo, hi) = self.orientation, self.support
         anchor = hi if o > 0 else lo
         zeros = tuple(o * (anchor - p) for p in self.zeros)
-        span = (0.0, hi - lo)
-        cuts = _level_depths(zeros, span, levels)
-        if keep is not None:
-            cuts = cuts[np.broadcast_to(keep(anchor - o * cuts), cuts.shape)]
-        return _depth_integral(lambda s, l, g: fn(anchor - o * s, l, -o * g),
-                               zeros, span, self.alpha, self.epsilon, tol,
-                               cuts=cuts)
+        S = hi - lo
+        sums = _depth_pass(lambda s, l, g: fn(anchor - o * s, l, -o * g), zeros, S,
+                           self.alpha, self.epsilon, tol,
+                           cuts=_level_depths(zeros, (0.0, S), levels))[1]
+        out = np.cumsum(sums, axis=1)[:, -1]
+        return float(out[0]) if out.size == 1 else out
 
 
 def _level_depths(zeros, span, levels):
@@ -256,10 +249,13 @@ def _level_depths(zeros, span, levels):
     return s[(s > span[0]) & (s < span[1])]
 
 
-def _depth_rows(fn, zeros, alpha, epsilon):
-    """The rows fn(s, l, du/ds) as an integrand in depth s.  In depth both
+def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
+    """One `_adaptive` pass of the rows fn(s, l, du/ds) over the depths
+    [0, S], on panels graded toward the stress zeros and cut at the depths
+    `cuts`, refined until every row meets the tolerance.  In depth both
     orientations carry the stress (s - z)(s - c)/2, whose one inversion
-    per node gives l = ln lambda and du/ds."""
+    per node gives l = ln lambda and du/ds.  Returns the pass: its edges,
+    row sums and du/ds samples."""
     z, c = zeros
 
     def rows(s):
@@ -267,17 +263,8 @@ def _depth_rows(fn, zeros, alpha, epsilon):
         l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
         return fn(s, l, np.copysign(np.sqrt(u), theta))
 
-    return rows
-
-
-def _depth_integral(fn, zeros, span, alpha, epsilon, tol, cuts=()):
-    """Integrals over the depth span of the rows fn(s, l, du/ds) (a float
-    for one row), from one `integrate` pass on panels graded toward the
-    stress zeros and cut at the depths `cuts`, refined until every row
-    meets the tolerance."""
-    return integrate(_depth_rows(fn, zeros, alpha, epsilon), span[0], span[1],
-                     tol, breakpoints=np.concatenate([_graded_edges(span, zeros),
-                                                      cuts]))
+    return _adaptive(rows, 0.0, S, np.concatenate([_graded_edges((0.0, S), zeros), cuts]),
+                     tol)
 
 
 def _support_of(zero, spec: MongeProblemSpec):
@@ -298,10 +285,9 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     one quadrature pass over the support [0, S]: the closing density
     integral of du/ds less its aim, integral of (S - s) du/ds - 1,
     integral of (S - s)^2 du/ds and `DualField.energy_integrals`, summed
-    panel after panel as `integrate` sums them.  Also the residuals' exact
-    Jacobian in (z, c), from two more rows of the same pass (see
-    `_solve_zeros`), and the pass itself, `_adaptive`'s edges, row sums
-    and du/ds samples."""
+    panel after panel as `DualField.integrate` sums them.  Also the
+    residuals' exact Jacobian in (z, c), from two more rows of the same
+    pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
     z, c = zeros
     S = _support_of(z, spec)[1]
     a2 = spec.alpha * spec.alpha
@@ -312,8 +298,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
         return (g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h, epsilon * lam,
                 -lam * (g2 - epsilon), lam * (0.5 * (g2 - a2) - epsilon * (l - 1.0)))
 
-    done = _adaptive(_depth_rows(fn, zeros, spec.alpha, epsilon), 0.0, S,
-                     _graded_edges((0.0, S), zeros), quad_tol, _MAX_PANEL_DEPTH)
+    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1]
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = _KRONROD_ENDS[0] @ done[2][0], _KRONROD_ENDS[1] @ done[2][-1]
@@ -489,8 +474,8 @@ class DensitySolution:
     and mass - 1 residuals.  No CLI artifact writes them.
 
     The solution holds one representation of the density, the solve's last
-    pass read as a `numerics.MonotoneProfile`: the target CDF
-    (`transport.target_cdf`) and, by calling the solution, the delivered
+    pass read as a `numerics.MonotoneProfile`: `cdf`, the target CDF the
+    transport maps invert, and, by calling the solution, the delivered
     density, zero off the support and clipped at 0.  A node reads its own
     value; the depth a y maps to has lost the node's last bits.
     """
@@ -513,7 +498,7 @@ class DensitySolution:
     newton_steps: int
     closure_residual: float
     mass_residual: float
-    _profile: MonotoneProfile = field(repr=False)
+    cdf: MonotoneProfile = field(repr=False)
 
     @property
     def support_nodes(self):
@@ -523,8 +508,7 @@ class DensitySolution:
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         inside = (y_arr >= lo) & (y_arr <= hi)
-        profile = self._profile
-        out = np.where(inside, profile.density(profile.depth(y_arr)), 0.0)
+        out = np.where(inside, self.cdf.density(self.cdf.depth(y_arr)), 0.0)
         k = np.minimum(np.searchsorted(self.nodes, y_arr), self.nodes.size - 1)
         out = np.maximum(np.where(self.nodes[k] == y_arr, self.values[k], out), 0.0)
         return out if np.ndim(y) else float(out)
@@ -641,5 +625,5 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
         clip_depth=clip_depth, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
-        _profile=profile)
+        cdf=profile)
 

@@ -177,11 +177,13 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
 
     Where t psi > 0 the clip kinks at l = 0 (|theta| = alpha) and at
     l = -t psi (|theta| = e^{-t psi} sqrt(alpha^2 - 2 eps t psi), when
-    t psi < alpha^2/(2 eps)).  The pass is cut at these stress levels,
-    taken with psi's value at the support's midpoint, wherever psi has
-    that value, which is where the cut sits on its kink: a constant psi
-    is cut at every kink, so no round of the pass hunts one by bisection;
-    a varying psi's kinks are left to refinement.
+    t psi < alpha^2/(2 eps)).  For a constant psi, the one `verify`
+    probes with, these are stress levels, and the pass is cut at every
+    kink, so no round of it hunts one by bisection.  A psi that varies
+    over the support's nodes gets no cut and leaves its kinks to
+    refinement: the second kink then lies on no stress level, and a cut
+    next to a kink, not on it, can leave the kink in a panel whose two
+    embedded rules err alike, which hides it from the error estimate.
     """
     lo, hi = solution.support
     for endpoint in (lo, hi):
@@ -202,8 +204,9 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
     psi_bar = float(np.ravel(psi(np.array([0.5 * (lo + hi)])))[0])
+    constant = np.all(np.asarray(psi(solution.support_nodes), dtype=float) == psi_bar)
     up = live.ravel() * psi_bar
-    up = up[up > 0.0]
+    up = up[(up > 0.0) & constant]
     below = up[up < a2 / (2.0 * eps)]
     levels = np.concatenate([[alpha] if up.size else [],
                              np.exp(-below) * np.sqrt(a2 - 2.0 * eps * below)])
@@ -228,8 +231,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + np.exp(shift) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels,
-                          keep=lambda y: np.asarray(psi(y), dtype=float) == psi_bar)
+    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels)
 
     def deltas(side):
         """One delta per t, in input order: t = 0 reads exactly 0."""

@@ -1,7 +1,7 @@
-"""Low-level numerical kernels: adaptive quadrature, and a solved density
-and its CDF read off one quadrature pass's panels (`MonotoneProfile`),
-with a vectorized inverse exact panel by panel.  numpy is the only
-dependency.
+"""Low-level numerical kernels: one adaptive quadrature pass (`_adaptive`),
+on which the dual solver builds every integral it takes, and a solved
+density and its CDF read off one pass's panels (`MonotoneProfile`), with
+a vectorized inverse exact panel by panel.  numpy is the only dependency.
 
 Design notes
 ------------
@@ -13,7 +13,7 @@ Design notes
   layer such as the slope's next to a stress zero needs 20 to 35 levels
   at the solver's tolerances.  Callers that know such a point pass
   breakpoints graded geometrically toward it (`_graded_edges`; the dual
-  solver's quadratures do): the loop then starts
+  solver's passes, `duality._depth_pass`, do): the loop then starts
   from the mesh bisection would have built and finishes in one or two
   rounds.
   The depth cap of 60 levels, rather than the usual 20, still lets an
@@ -85,7 +85,6 @@ _WGK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 14, 2)
 _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-_DEFAULT_TOL = 1e-10
 _MAX_PANEL_DEPTH = 60
 _GRADE_ULPS = 64           # finest graded panel, in ulps of the span's magnitude
 _INVERT_MAX_ITER = 100
@@ -129,15 +128,17 @@ def _graded_edges(span, points):
                           + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
-def _adaptive(f, l, r, breakpoints, tol, max_depth):
+def _adaptive(f, l, r, breakpoints, tol):
     """Shared refinement loop over [l, r], from the panels the breakpoints
     inside it cut.  f may return a stack of rows, all summed on the same
     panels: the loop refines until each row's error estimate is within
     tol * max(1, |row total|), splitting every panel that holds more than
     its share of any row's budget.  Raises DomainError, naming the row, as
     soon as a row's total or error estimate is NaN: no split compares with
-    NaN, so refinement would never stop.  Returns the sorted panel edges,
-    the (rows, panels) Kronrod sums and row 0's (panels, 15) samples."""
+    NaN, so refinement would never stop, and MaxDepth, naming the row
+    still over its budget, when a panel to split is _MAX_PANEL_DEPTH
+    levels deep.  Returns the sorted panel edges, the (rows, panels)
+    Kronrod sums and row 0's (panels, 15) samples."""
     cuts = np.asarray(breakpoints, dtype=float).ravel()
     edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
@@ -164,9 +165,9 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
         if not split.any():
             split = np.zeros(a.size, dtype=bool)
             split[int(np.argmax(err[worst]))] = True
-        if int(depth[split].max()) >= max_depth:
+        if int(depth[split].max()) >= _MAX_PANEL_DEPTH:
             raise MaxDepth(
-                f"adaptive quadrature exceeded {max_depth} subdivision levels "
+                f"adaptive quadrature exceeded {_MAX_PANEL_DEPTH} subdivision levels "
                 f"(row {worst}: remaining error {esum[worst]:.3e}, "
                 f"target {target[worst]:.3e})")
         keep = ~split
@@ -181,36 +182,6 @@ def _adaptive(f, l, r, breakpoints, tol, max_depth):
 
     order = np.argsort(a)   # split halves share their midpoint: the panels tile
     return np.append(a[order], b[order[-1]]), kron[:, order], samples[order]
-
-
-def integrate(f, l, r, tol=_DEFAULT_TOL, *, breakpoints=(), max_depth=_MAX_PANEL_DEPTH):
-    """Integral of a vectorized integrand over [l, r], or the array of row
-    integrals of one that returns a stack of rows.
-
-    The absolute error of every row is driven below
-    tol * max(1, |that row's result|).  Known
-    interior kinks can be passed as `breakpoints`; points outside (l, r)
-    are ignored.  An empty span gives a zero per row.  Raises MaxDepth,
-    naming the row still over its budget, when refinement stalls, and
-    DomainError, naming the row, on a NaN integral or error estimate.
-
-    Like any sampling-based adaptive rule, refinement is triggered by
-    disagreement between the embedded estimates: a feature narrow enough to
-    hide between all 15 nodes of its panel with no footprint on either side
-    (an isolated spike on a zero background) is invisible.  Steep but
-    jump-like transitions, the shape this package produces, are resolved
-    because their plateaus shift the coarse estimates.
-    """
-    l, r = float(l), float(r)
-    if r < l:
-        raise ValueError("integrate expects l <= r")
-    if r == l:
-        rows = np.asarray(f(np.empty(0)), dtype=float)
-        out = np.zeros(rows.shape[0] if rows.ndim > 1 else 1)
-    else:               # the panels summed one after another, ascending
-        out = np.cumsum(_adaptive(f, l, r, breakpoints, tol, max_depth)[1],
-                        axis=1)[:, -1]
-    return float(out[0]) if out.size == 1 else out
 
 
 def _legendre(x):

@@ -43,7 +43,6 @@ class TentDensity:
 
     support: tuple[float, float]
     alpha: float
-    target: tuple[float, float]
 
     @property
     def center(self) -> float:
@@ -82,8 +81,7 @@ def tent_limit_density(spec: MongeProblemSpec) -> TentDensity:
     require_capacity(spec)
     anchor = spec.anchor
     support = tuple(sorted((anchor, anchor - spec.orientation * spec.sharp_width)))
-    return TentDensity(support=support, alpha=spec.alpha,
-                       target=spec.target_interval)
+    return TentDensity(support=support, alpha=spec.alpha)
 
 
 # -- discretized feasible set -------------------------------------------------

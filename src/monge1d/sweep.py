@@ -41,6 +41,9 @@ _CSV_COLUMNS = ("epsilon", "constant", "support_endpoint", "mass_err",
                 "sup_slope", "expectation", "primal", "dual", "gap",
                 "dist_tent", "ms", "error")
 
+# Trajectory steps within this of zero count as flat.
+_TREND_SLACK = 1e-12
+
 
 @dataclass(frozen=True, kw_only=True)
 class SweepRow:
@@ -105,7 +108,8 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
 
     Each row is `assemble_density` as `solve` calls it, with the solve's
     own energies, so a row holds the numbers `solve` writes.  Returns a
-    list of SweepRow.  Epsilons below EPSILON_FLOOR are rejected up front
+    list of SweepRow.  Epsilons that are not finite, or below
+    EPSILON_FLOOR, are rejected up front with a ValueError that says which
     (the whole request is malformed, not one row); per-epsilon solver
     failures land in their row's `error` field.  Raises CapacityError up
     front when the target is narrower than the sharp-limit tent, and
@@ -117,7 +121,9 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
     if not eps_list:
         raise ValueError("epsilon_sweep needs at least one epsilon")
     for eps in eps_list:
-        if not np.isfinite(eps) or eps < EPSILON_FLOOR:
+        if not np.isfinite(eps):
+            raise ValueError(f"epsilon {eps!r} is not finite")
+        if eps < EPSILON_FLOOR:
             raise ValueError(
                 f"epsilon {eps!r} is below the supported floor "
                 f"{EPSILON_FLOOR}: the energy integrands lose the "
@@ -127,10 +133,15 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
     return [_solve_row(spec, eps, grid_n, tent, grid) for eps in eps_list]
 
 
-def _format_cell(value) -> str:
-    if value is None:
+def _cell(row, column) -> str:
+    """A row's CSV cell: `ms` empty, `error` raw, a missing number empty
+    and any other number its repr."""
+    if column == "ms":
         return ""
-    return repr(value)
+    if column == "error":
+        return row.error
+    value = getattr(row, column)
+    return "" if value is None else repr(value)
 
 
 def rows_to_csv(rows) -> str:
@@ -144,30 +155,17 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            _format_cell(row.epsilon),
-            _format_cell(row.constant),
-            _format_cell(row.support_endpoint),
-            _format_cell(row.mass_err),
-            _format_cell(row.sup_slope),
-            _format_cell(row.expectation),
-            _format_cell(row.primal),
-            _format_cell(row.dual),
-            _format_cell(row.gap),
-            _format_cell(row.dist_tent),
-            "",
-            row.error,
-        ])
+        writer.writerow([_cell(row, column) for column in _CSV_COLUMNS])
     return buffer.getvalue()
 
 
-def _trend(values, slack=1e-12) -> str:
+def _trend(values) -> str:
     diffs = np.diff(np.asarray(values, dtype=float))
-    if diffs.size == 0 or np.all(np.abs(diffs) <= slack):
+    if diffs.size == 0 or np.all(np.abs(diffs) <= _TREND_SLACK):
         return "constant"
-    if np.all(diffs <= slack):
+    if np.all(diffs <= _TREND_SLACK):
         return "nonincreasing"
-    if np.all(diffs >= -slack):
+    if np.all(diffs >= -_TREND_SLACK):
         return "nondecreasing"
     return "mixed"
 

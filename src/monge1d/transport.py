@@ -6,13 +6,13 @@ the source cumulative and Q the target cumulative, the decreasing map
 flips F to 1 - F.  The two variants exist because the anchoring
 convention admits either, and nothing here ranks them.
 
-Maps evaluate lazily: each call composes the exact closed-form source
-CDF (`SourceDensity.cdf`) with the panel-by-panel inverse of the
-solution's CDF (`MonotoneProfile.invert_many`), which keeps the
-pushforward residual at rounding level instead of map-interpolation
-precision.  That CDF is the solve's last pass read in closed form, the
-same reading that gives the delivered density, so no interpolant enters
-the maps.
+Maps evaluate lazily: each call of `TransportMap.map` composes the exact
+closed-form source CDF (`SourceDensity.cdf`) with the panel-by-panel
+inverse of the solution's CDF (`DensitySolution.cdf`, a
+`MonotoneProfile`), which keeps the pushforward residual at rounding
+level instead of map-interpolation precision.  That CDF is the solve's
+last pass read in closed form, the same reading that gives the delivered
+density, so no interpolant enters the maps.
 
 The source and the target lie on disjoint intervals, so x - s(x) has
 one sign for every map s that pushes the source density f onto the
@@ -49,47 +49,28 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return mid - half * np.cos(np.pi * k / (n - 1))
 
 
-def target_cdf(solution: DensitySolution) -> MonotoneProfile:
-    """Cumulative mass of a solved density over its support, divided by
-    the total so that quantile lookups cover the full unit interval.
-
-    This is the solution's own reading of the solve's last pass, the one
-    that also gives the delivered density, so no second representation
-    enters the maps.
-    """
-    return solution._profile
-
-
 @dataclass(frozen=True)
-class QuantileMap:
-    """x -> Q^{-1}(F(x)) (or Q^{-1}(1 - F(x)) for the decreasing variant),
-    evaluated on demand."""
-
-    source_density: object
-    target_profile: MonotoneProfile
-    decreasing: bool = False
-
-    def __call__(self, x):
-        v = np.asarray(self.source_density.cdf(x), dtype=float)
-        if self.decreasing:
-            v = 1.0 - v
-        out = self.target_profile.invert_many(np.clip(v, 0.0, 1.0))
-        return out if np.ndim(x) else float(out)
-
-
-@dataclass(frozen=True)
-class TransportMapSolution:
-    """A monotone transport map with the target CDF it inverts and its
-    cost, the gap between the source barycenter and the target mean."""
+class TransportMap:
+    """A monotone transport map x -> Q^{-1}(F(x)) (Q^{-1}(1 - F(x)) for the
+    decreasing variant), evaluated on demand by `map`, with the target CDF
+    Q it inverts and its cost, the gap between the source barycenter and
+    the target mean."""
 
     variant: str
-    map: QuantileMap
+    source_density: object
     target_cdf: MonotoneProfile
     cost: float
 
+    def map(self, x):
+        v = np.asarray(self.source_density.cdf(x), dtype=float)
+        if self.variant == "decreasing":
+            v = 1.0 - v
+        out = self.target_cdf.invert_many(np.clip(v, 0.0, 1.0))
+        return out if np.ndim(x) else float(out)
+
 
 def build_map(spec: MongeProblemSpec, solution: DensitySolution,
-              variant: str = "increasing") -> TransportMapSolution:
+              variant: str = "increasing") -> TransportMap:
     """Construct one monotone rearrangement of the source onto a solved
     density.
 
@@ -100,17 +81,13 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
     """
     if variant not in ("increasing", "decreasing"):
         raise ValueError(f"unknown variant {variant!r}")
-    q = target_cdf(solution)
-    mapping = QuantileMap(source_density=spec.source_density,
-                          target_profile=q,
-                          decreasing=(variant == "decreasing"))
     cost = abs(spec.source_density.barycenter()
                - solution.expectation / solution.mass)
-    return TransportMapSolution(variant=variant, map=mapping, target_cdf=q,
-                                cost=cost)
+    return TransportMap(variant=variant, source_density=spec.source_density,
+                        target_cdf=solution.cdf, cost=cost)
 
 
-def pushforward_residual(map_solution: TransportMapSolution,
+def pushforward_residual(map_solution: TransportMap,
                          solution: DensitySolution,
                          spec: MongeProblemSpec,
                          n_probe: int = 1000) -> float:

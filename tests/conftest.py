@@ -12,8 +12,9 @@ import pytest
 
 from monge1d import duality, numerics
 from monge1d.duality import assemble_density
-from monge1d.numerics import _graded_edges, integrate
+from monge1d.numerics import _graded_edges
 from monge1d.oracles import discrete_primal_minimizer
+from reference_quadrature import integrate
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +72,8 @@ def reference_cost():
 @pytest.fixture
 def adaptive_passes(monkeypatch):
     """A list that gains one entry per `_adaptive` pass for the rest of
-    the test, whether the pass is the solve's (`duality`) or an
-    `integrate` call's (`numerics`).  Clear it to count from a point on."""
+    the test, whether the pass is a depth pass (`duality`) or a test
+    quadrature's (`numerics`).  Clear it to count from a point on."""
     passes = []
     plain = numerics._adaptive
 

@@ -6,7 +6,7 @@ these integrate them afresh.  A profile has a `support` and vectorized
 
 import numpy as np
 
-from monge1d.numerics import integrate
+from reference_quadrature import integrate
 
 TOL = 1e-10
 

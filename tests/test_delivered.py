@@ -10,16 +10,32 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legder, legroots, legval
 
-from monge1d.duality import (_depth_grid, _depth_integral, _depth_rows, _solve_zeros,
+from monge1d.duality import (_depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros,
                               _support_of)
-from monge1d.numerics import _adaptive, _graded_edges, integrate
+from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
-from monge1d.transport import build_map, target_cdf
+from monge1d.transport import build_map
+from reference_quadrature import integrate
 from reference_solves import solve_root
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 _REFERENCE_TOL = 1e-15
+
+
+def _depth_integral(fn, zeros, span, alpha, epsilon):
+    """Integrals over any depth span of the rows fn(s, l, du/ds) of the
+    depth stress (s - z)(s - c)/2, on panels graded toward its zeros, to
+    the reference tolerance.  A zero-width span, as a query at a grid node
+    gives, integrates to zeros."""
+    z, c = zeros
+
+    def rows(s):
+        theta = 0.5 * (s - z) * (s - c)
+        l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
+        return fn(s, l, np.copysign(np.sqrt(u), theta))
+
+    return integrate(rows, *span, _REFERENCE_TOL, breakpoints=_graded_edges(span, zeros))
 
 
 def exact_nodes(sol, grid_n):
@@ -43,11 +59,9 @@ def exact_nodes(sol, grid_n):
                           sol.support_nodes[::step][:-1])
     deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
                                          depths.size - 1)]
-    edges, sums, _ = _adaptive(
-        _depth_rows(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
-                    spec.alpha, sol.epsilon),
-        *span, np.concatenate([depths, _graded_edges(span, solved.zeros)]),
-        _REFERENCE_TOL, 60)
+    edges, sums, _ = _depth_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
+                                 span[1], spec.alpha, sol.epsilon, _REFERENCE_TOL,
+                                 cuts=depths)
     cell = np.searchsorted(depths, edges[:-1], side="right") - 1
     rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
     values = np.concatenate([[0.0], np.cumsum(rise)])
@@ -87,7 +101,7 @@ def exact_reference(sol, ys, running):
         n, q = o * (anchor - x[i]), o * (anchor - y)
         rise, moment = _depth_integral(
             lambda s, l, g: (g, (q - s) * g), zeros, sorted((n, q)),
-            spec.alpha, sol.epsilon, _REFERENCE_TOL)
+            spec.alpha, sol.epsilon)
         if q < n:
             rise, moment = -rise, -moment
         density.append(u[i] + rise)
@@ -137,7 +151,7 @@ class TestAgainstTheExactReference:
         # the closing one holds the boundary gap.
         inside = (ys > sol.support[0]) & (ys < sol.support[1])
         assert np.max(np.abs(sol(ys) - density)[inside]) <= 1e-14
-        assert np.max(np.abs(target_cdf(sol)(ys) - cdf)) <= 1e-14
+        assert np.max(np.abs(sol.cdf(ys) - cdf)) <= 1e-14
 
     def test_reference_meets_the_nodes(self, solved):
         # At a node the reference integrates nothing: it reads the exact
@@ -150,7 +164,7 @@ class TestAgainstTheExactReference:
         assert np.array_equal(density[:-1], running[0][:-1])
         assert np.array_equal(cdf[:-1], running[1][:-1] / running[1][-1])
         assert np.max(np.abs(density[1:] - sol.values[sol.support_slice][1:])) <= 1e-14
-        assert np.max(np.abs(cdf - target_cdf(sol)(x))) <= 1e-15
+        assert np.max(np.abs(cdf - sol.cdf(x))) <= 1e-15
         assert abs(density[-1]) <= 1e-15 and abs(density[0] - sol.boundary_gap) <= 1e-14
         assert abs(cdf[-1] - 1.0) <= 1e-15
 
@@ -208,7 +222,7 @@ class TestDeliveredShape:
     @pytest.mark.parametrize("alpha,eps,factor", _REGIMES)
     def test_mass_slope_and_sign(self, solved, alpha, eps, factor):
         sol = solved(_width_spec(alpha, factor / math.sqrt(alpha)), eps)
-        profile = target_cdf(sol)
+        profile = sol.cdf
         # The density is a polynomial of degree 15 on each panel: one
         # Gauss-Kronrod panel per panel integrates it to rounding.
         panels = profile.anchor - profile.orientation * profile.edges
@@ -246,7 +260,7 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     u, values, exact = exact_nodes(sol, grid_n)
     assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
     assert abs(sol.boundary_gap - values[-1]) <= 1e-14
-    profile = target_cdf(sol)
+    profile = sol.cdf
     nodes = sol.support_nodes[::-1 if spec.orientation > 0 else 1]
     masses = profile.total * np.diff(profile.fraction(profile.depth(nodes)))
     assert np.max(np.abs(masses - exact)) <= 1e-15

@@ -22,9 +22,10 @@ from monge1d.energy import (
     taylor_remainder_check,
 )
 from monge1d.errors import InvalidPerturbation
-from monge1d.numerics import _graded_edges, integrate
+from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
+from reference_quadrature import integrate
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -487,19 +488,20 @@ class TestSecondVariationProbe:
         assert len(rounds) == 1
 
     def test_varying_psi_gets_no_level_cut(self, solved, monkeypatch):
-        # The levels take psi at the support's midpoint; where psi differs,
-        # the level's depths are not the kink l = -t psi, and are not cut.
+        # The levels take psi at the support's midpoint: a constant psi has
+        # its kink l = -t psi at their depths, which are cut; a varying
+        # psi's kink lies elsewhere, and no level is cut next to it.
         sol = solved(SPEC_I, 1e-3)
         (lo, hi), t = sol.support, 1e-2
         tilted = lambda y: 1.0 + 0.1 * (np.asarray(y) - 0.5 * (lo + hi))
         breakpoints = []
-        plain = numerics._adaptive
+        plain = duality._adaptive
 
         def recorded(f, l, r, cuts, *args):
             breakpoints.append(np.asarray(cuts))
             return plain(f, l, r, cuts, *args)
 
-        monkeypatch.setattr(numerics, "_adaptive", recorded)
+        monkeypatch.setattr(duality, "_adaptive", recorded)
         level = _clip_levels(sol, t)[1]
         span = (0.0, hi - lo)
         depth_zeros = tuple(hi - p for p in sol.dual.zeros)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge1d import numerics
 from monge1d.duality import _solve_zeros
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
-from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges, integrate
+from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
-from monge1d.transport import target_cdf
+from reference_quadrature import integrate
 from reference_solves import NoSignChange, solve_root
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
@@ -148,14 +149,15 @@ class TestIntegrate:
         assert integrate(lambda x: (x,), 1.0, 1.0) == 0.0
         assert integrate(lambda x: (x, x * x), 1.0, 2.0).shape == (2,)
 
-    def test_depth_cap(self):
+    def test_depth_cap(self, monkeypatch):
         # A genuine discontinuity off the dyadic grid cannot be resolved to
         # 1e-15, producing a clean depth failure rather than a silent loop.
         # The message names the row over budget, its error and its target.
         f = lambda x: (x > 1.0 / 3.0).astype(float)
+        monkeypatch.setattr(numerics, "_MAX_PANEL_DEPTH", 12)
         with pytest.raises(MaxDepth, match=r"12 subdivision levels \(row 0: "
                            r"remaining error \d\.\d{3}e-\d+, target 1\.000e-15\)"):
-            integrate(f, 0.0, 1.0, tol=1e-15, max_depth=12)
+            integrate(f, 0.0, 1.0, tol=1e-15)
 
 
 class TestCumulative:
@@ -165,7 +167,7 @@ class TestCumulative:
     @staticmethod
     def _profile(f, l, r, tol=1e-12, breakpoints=()):
         # Only depths are read here: the map to y is left at y = s.
-        edges, sums, samples = _adaptive(f, l, r, breakpoints, tol, 60)
+        edges, sums, samples = _adaptive(f, l, r, breakpoints, tol)
         return MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
 
     def test_matches_integrate(self):
@@ -214,7 +216,7 @@ class TestCumulative:
         edges = prof.edges
         points = np.sort(np.append(edges, [0.3, 3.3]))
         running = np.concatenate([[0.0], np.cumsum(_adaptive(
-            f, 0.0, 4.0, (0.5, 1.7, 2.9), 1e-12, 60)[1][0])])
+            f, 0.0, 4.0, (0.5, 1.7, 2.9), 1e-12)[1][0])])
         on_edge = np.isin(points, edges)
         assert np.array_equal(prof.density(points)[on_edge], running)
         assert np.array_equal(prof.fraction(points)[on_edge],
@@ -230,8 +232,8 @@ class TestStackedRows:
     def test_rows_share_the_panels_of_row_zero(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
         edges, sums, samples = _adaptive(lambda x: (f(x), np.cos(x)), 0.0, 3.0,
-                                         (), 1e-12, 60)
-        alone, (row,), _ = _adaptive(f, 0.0, 3.0, (), 1e-12, 60)
+                                         (), 1e-12)
+        alone, (row,), _ = _adaptive(f, 0.0, 3.0, (), 1e-12)
         assert sums.shape == (2, edges.size - 1) == (2, samples.shape[0])
         assert np.array_equal(edges, alone) and np.array_equal(sums[0], row)
         assert np.cumsum(sums[0])[-1] == integrate(f, 0.0, 3.0, tol=1e-12)
@@ -246,7 +248,7 @@ class TestStackedRows:
         assert both[0] == one
         assert abs(both[1] - np.sin(3.0)) < 1e-12
 
-    def test_jump_in_a_later_row_refines_to_the_depth_cap(self):
+    def test_jump_in_a_later_row_refines_to_the_depth_cap(self, monkeypatch):
         # Row 0 is integrated exactly on the first panel; the jump in row 1
         # drives refinement on its own, until the depth cap names it.
         rounds = []
@@ -255,8 +257,9 @@ class TestStackedRows:
             rounds.append(x.size)
             return np.ones_like(x), (x > 1.0 / 3.0).astype(float)
 
+        monkeypatch.setattr(numerics, "_MAX_PANEL_DEPTH", 12)
         with pytest.raises(MaxDepth, match=r"\(row 1: remaining error "):
-            _adaptive(f, 0.0, 1.0, (), 1e-15, 12)
+            _adaptive(f, 0.0, 1.0, (), 1e-15)
         assert len(rounds) == 13
 
     @pytest.mark.parametrize("row", [0, 1])
@@ -284,19 +287,19 @@ class TestStackedRows:
         tol = 1e-12
         g = lambda x: np.exp(-x) * np.cos(8.0 * x)
         edges, sums, _ = _adaptive(lambda x: (np.ones_like(x), g(x)), 0.0, 5.0,
-                                   (), tol, 60)
+                                   (), tol)
         exact = (1.0 - np.exp(-5.0) * (np.cos(40.0) - 8.0 * np.sin(40.0))) / 65.0
         assert edges.size > 2
         assert sums[0].sum() == pytest.approx(5.0, abs=1e-14)
         assert abs(sums[1].sum() - exact) <= tol * max(1.0, abs(exact))
-        assert _adaptive(np.ones_like, 0.0, 5.0, (), tol, 60)[0].size == 2
+        assert _adaptive(np.ones_like, 0.0, 5.0, (), tol)[0].size == 2
 
 
 def _sin_profile(orientation=-1.0):
     """The density sin s and its CDF 1 - cos s on depths [0, pi/2], read
     off one pass of cos s, with y = -orientation s."""
     edges, sums, samples = _adaptive(np.cos, 0.0, 0.5 * np.pi,
-                                     np.linspace(0.0, 0.5 * np.pi, 9), 1e-15, 60)
+                                     np.linspace(0.0, 0.5 * np.pi, 9), 1e-15)
     return MonotoneProfile(edges, sums[0], samples, 0.0, -orientation * 0.5 * np.pi)
 
 
@@ -375,7 +378,7 @@ class TestMonotoneProfile:
         # density at every edge and the mass are those of the plain pass.
         g = lambda s: np.sign(s - 0.5) * (-1.0 - 1.0 / np.log(np.abs(s - 0.5) / 4.0))
         edges, sums, samples = _adaptive(g, 0.0, 1.0, _graded_edges((0.0, 1.0), (0.5,)),
-                                         1e-12, 60)
+                                         1e-12)
         plain = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
         flat = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0, singular=(0.5,))
         ends = np.flatnonzero((edges[:-1] == 0.5) | (edges[1:] == 0.5))
@@ -392,7 +395,7 @@ class TestMonotoneProfile:
         prof = _sin_profile()
         assert np.array_equal(prof.invert_many(prof.fractions[:-1]), prof.edges[:-1])
         slope = lambda s: np.select([s < 1.0, s < 2.0, s < 3.0], [1.0, -1.0, 0.0], 1.0)
-        edges, sums, samples = _adaptive(slope, 0.0, 4.0, (1.0, 2.0, 3.0), 1e-15, 60)
+        edges, sums, samples = _adaptive(slope, 0.0, 4.0, (1.0, 2.0, 3.0), 1e-15)
         flat = MonotoneProfile(edges, sums[0], samples, 0.0, 4.0)
         assert flat(2.0) == flat(3.0) == 2.0 / 3.0
         assert flat.invert_many(flat(2.5)) == 2.0
@@ -405,7 +408,7 @@ class TestMonotoneProfile:
         low = ulps * np.nextafter(0.0, 1.0)
         high = 1.0 - ulps * np.spacing(0.5)
         for spec in (SPEC_I, mirror_transform(SPEC_I)):
-            prof = target_cdf(solved(spec, 1e-3))
+            prof = solved(spec, 1e-3).cdf
             for targets, end in ((low, prof.support[0]), (high, prof.support[1])):
                 ys = prof.invert_many(targets)
                 assert np.max(np.abs(ys - end)) <= 1e-7
@@ -436,7 +439,7 @@ class TestMonotoneProfile:
             prof.invert_many(np.array([prof(0.01), t]))
 
     def test_validation(self):
-        edges, sums, samples = _adaptive(np.cos, 0.0, 1.0, (0.5,), 1e-12, 60)
+        edges, sums, samples = _adaptive(np.cos, 0.0, 1.0, (0.5,), 1e-12)
         with pytest.raises(ValueError, match="increasing"):
             MonotoneProfile(edges[::-1], sums[0], samples, 0.0, 1.0)
         with pytest.raises(ValueError, match="15 samples"):
@@ -450,7 +453,7 @@ class TestMonotoneProfile:
         # Below the first edge the panel index would wrap to the last
         # panel, and past the last edge the last panel would extrapolate:
         # both name the depth instead, and so does a NaN.  The ends read.
-        prof = target_cdf(solved(SPEC_I, 1e-2))
+        prof = solved(SPEC_I, 1e-2).cdf
         width = prof.edges[-1]
         for read in (prof.density, prof.fraction):
             for s in (-1e-12, width + 0.1, math.nan):
@@ -491,7 +494,7 @@ class TestDensityTable:
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_rows_meet_the_legendre_form(self, solved, alpha, eps):
         # At the Kronrod nodes and at random points of every panel.
-        prof = target_cdf(solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps))
+        prof = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps).cdf
         rng = np.random.default_rng(5)
         left, half = prof.edges[:-1, None], prof.half[:, None]
         w = np.concatenate([np.broadcast_to(_XGK + 1.0, (half.size, 15)),
@@ -506,7 +509,7 @@ class TestDensityTable:
         # panel ending at a stress zero holds its Kronrod mean c_0 alone,
         # so it reads the line U_a + half c_0 w.
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
-        prof = target_cdf(solved(spec, eps))
+        prof = solved(spec, eps).cdf
         assert np.array_equal(prof.density(prof.edges), prof.edge_density)
         zeros = _solve_zeros(spec, eps).zeros
         ends_at = np.isin(prof.edges, zeros)

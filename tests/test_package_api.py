@@ -2,9 +2,11 @@
 method and property of its classes, has a caller outside the tests.
 
 The package, the studies and perfbench are parsed, and a function or
-member counts as called when its name is read (as a name or an
-attribute; a member only as an attribute) anywhere but inside its own
-body.  A function only tests
+member counts as called when it is read anywhere but inside its own
+body: a function as a bare name or as an attribute of its own module
+read by name (`duality.assemble_density`), a member as an attribute of
+anything.  So a method that shares a function's name (`DualField.integrate`)
+does not count as a call of the function.  A function only tests
 reach belongs in test code, as `reference_solves.py` and
 `reference_energies.py` hold theirs; a member only tests read is written
 in terms of the members that remain.
@@ -16,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monge1d"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for folder in ("src", "studies", "perfbench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
@@ -44,11 +47,14 @@ def _public_members():
                         yield path, cls, node
 
 
-def _reads(tree):
-    """Names read in a tree, as names or as attributes."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+def _calls(tree):
+    """Names read in a tree as bare names, and `module.name` for the names
+    read as attributes of a package module read by name."""
+    return Counter(node.id if isinstance(node, ast.Name) else f"{node.value.id}.{node.attr}"
                    for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in MODULES)
 
 
 def _attribute_reads(tree):
@@ -61,9 +67,10 @@ def test_every_public_function_has_a_caller():
     functions = list(_public_functions())
     assert {"assemble_density", "duality_gap", "normalize_density"} <= {
         node.name for _, node in functions}
-    reads = sum((_reads(tree) for tree in TREES.values()), Counter())
+    calls = sum((_calls(tree) for tree in TREES.values()), Counter())
     uncalled = [f"{path.stem}.{node.name}" for path, node in functions
-                if reads[node.name] == _reads(node)[node.name]]
+                if all(calls[name] == _calls(node)[name]
+                       for name in (node.name, f"{path.stem}.{node.name}"))]
     assert not uncalled, f"called by no module under src/, studies/ or perfbench/: {uncalled}"
 
 

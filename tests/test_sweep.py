@@ -80,9 +80,15 @@ class TestEpsilonSweep:
     def test_wall_time_measured(self, ladder_rows):
         assert all(r.wall_ms > 0.0 for r in ladder_rows)
 
-    def test_floor_rejected(self):
-        with pytest.raises(ValueError, match="floor"):
-            epsilon_sweep(SPEC_I, (0.1, 1e-7))
+    @pytest.mark.parametrize("eps,message", [
+        (float("nan"), "nan is not finite"), (float("inf"), "inf is not finite"),
+        (float("-inf"), "-inf is not finite"), (1e-7, "below the supported floor")],
+        ids=["nan", "inf", "-inf", "1e-7"])
+    def test_bad_epsilon_is_named(self, eps, message):
+        # A non-finite epsilon is not below the floor: the message says
+        # which it is, before any row is solved.
+        with pytest.raises(ValueError, match=message):
+            epsilon_sweep(SPEC_I, (0.1, eps))
 
     def test_empty_request_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

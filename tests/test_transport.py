@@ -13,11 +13,10 @@ from monge1d.problem import (
     uniform_spec,
 )
 from monge1d.transport import (
-    TransportMapSolution,
+    TransportMap,
     build_map,
     chebyshev_nodes,
     pushforward_residual,
-    target_cdf,
 )
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
@@ -72,7 +71,7 @@ class TestTargetCdf:
 
     def test_mirrored_median(self, solved):
         sol = solved(SPEC_II, 1e-3)
-        q = target_cdf(sol)
+        q = sol.cdf
         assert q(-4.0) == pytest.approx(0.5, abs=5e-3)
 
     def test_strictly_increasing_inside(self, maps):
@@ -83,7 +82,7 @@ class TestTargetCdf:
     def test_nan_target_is_named(self, solved):
         # searchsorted sorts NaN past the last fraction: the inverse must
         # refuse it by name, not index past its panels.
-        q = target_cdf(solved(SPEC_I, 1e-2))
+        q = solved(SPEC_I, 1e-2).cdf
         with pytest.raises(ValueError, match="CDF target 1 is NaN"):
             q.invert_many(np.array([0.5, np.nan]))
 
@@ -123,7 +122,7 @@ class TestBuildMap:
 
     def test_solution_type(self, maps):
         _, inc, _ = maps
-        assert isinstance(inc, TransportMapSolution)
+        assert isinstance(inc, TransportMap)
         assert inc.variant == "increasing"
 
 
@@ -176,14 +175,11 @@ class TestPushforwardResidual:
     def test_detects_a_shifted_map(self, maps):
         sol, inc, _ = maps
 
-        class Shifted:
-            def __init__(self, inner):
-                self._inner = inner
+        class Shifted(TransportMap):
+            def map(self, x):
+                return super().map(x) + 0.1
 
-            def __call__(self, x):
-                return self._inner(x) + 0.1
-
-        broken = dataclasses.replace(inc, map=Shifted(inc.map))
+        broken = Shifted(inc.variant, inc.source_density, inc.target_cdf, inc.cost)
         assert pushforward_residual(broken, sol, SPEC_I, 200) > 0.01
 
     def test_analytic_quantile_map(self, maps):
@@ -216,7 +212,7 @@ class TestMirrorMaps:
         sol = maps[0]
         msol = solved(SPEC_II, 1e-3)
         ys = np.concatenate([np.linspace(*sol.support, 997), sol.support_nodes])
-        assert np.array_equal(target_cdf(sol)(ys), 1.0 - target_cdf(msol)(-ys))
+        assert np.array_equal(sol.cdf(ys), 1.0 - msol.cdf(-ys))
 
     def test_maps_mirror(self, solved, maps):
         _, inc, dec = maps
