@@ -49,15 +49,17 @@ sharp-limit tent, 2/sqrt(alpha).
 Every quadrature of the slope starts from panels graded geometrically
 toward the stress zeros in the support (`_graded_edges`).  Next to a zero
 the slope has a log-type layer, slope^2 ~ alpha^2 + 2 eps ln|theta|,
-which bisection would reach one level per round, over 20 to 35 rounds;
-graded panels each see the layer on their own scale, so one or two
-vectorized rounds settle a quadrature.  The assembly runs no pass of its
-own: it reads the solve's last one, so the closing density keeps the
-sign the solve gave it, and a finer grid adds no panel and no
-inversion.  Every pass is built by one function, `_depth_pass`, and
-integrates a stack of rows of one inversion: the solve's passes carry the
-expectation and the energies, and `DualField.integrate` sums a pass of
-the probes' rows on the same panels.
+which bisection would reach one level per round; graded panels each see
+the layer on their own scale, so one or two vectorized rounds settle a
+quadrature.  The assembly runs no pass of its own: it reads the solve's
+last one, so the closing density keeps the sign the solve gave it, and a
+finer grid adds no panel and no inversion.  Every pass is built by one
+function, `_depth_pass`, and integrates a stack of rows of one
+inversion.  The solve's passes carry the expectation and the energies,
+and their panels, graded 64 ulps deep into each zero, become the
+density.  `DualField.integrate` sums rows alone, the probes' among them:
+its pass grades into the zeros only as deep as its tolerance needs, and
+toward the anchored edge too.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -217,7 +219,10 @@ class DualField:
         """Support integrals of the rows fn(y, log_lambda, slope) (a float
         for one row), the sums of one `_depth_pass` in depths from the
         anchored support end (the upper one under orientation I), panel
-        after panel.
+        after panel.  The pass sums rows and delivers no density, so its
+        panels grade into the stress zeros only as deep as `tol` needs and
+        toward the anchored end as well; both rules read the field and
+        `tol` alone, so one row and a stack of them share panels.
 
         Every point where |theta| takes one of the `levels` is a panel
         edge, so no round of the pass hunts a row's kink there by
@@ -230,7 +235,7 @@ class DualField:
         zeros = tuple(o * (anchor - p) for p in self.zeros)
         S = hi - lo
         sums = _depth_pass(lambda s, l, g: fn(anchor - o * s, l, -o * g), zeros, S,
-                           self.alpha, self.epsilon, tol,
+                           self.alpha, self.epsilon, tol, density=False,
                            cuts=_level_depths(zeros, (0.0, S), levels))[1]
         out = np.cumsum(sums, axis=1)[:, -1]
         return float(out[0]) if out.size == 1 else out
@@ -249,13 +254,27 @@ def _level_depths(zeros, span, levels):
     return s[(s > span[0]) & (s < span[1])]
 
 
-def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
+def _depth_pass(fn, zeros, S, alpha, epsilon, tol, *, density, cuts=()):
     """One `_adaptive` pass of the rows fn(s, l, du/ds) over the depths
     [0, S], on panels graded toward the stress zeros and cut at the depths
     `cuts`, refined until every row meets the tolerance.  In depth both
     orientations carry the stress (s - z)(s - c)/2, whose one inversion
     per node gives l = ln lambda and du/ds.  Returns the pass: its edges,
-    row sums and du/ds samples."""
+    row sums and du/ds samples.
+
+    A `density` pass (the solve's) grades 64 ulps deep into each zero: its
+    panels become the delivered density and its CDF, read between the
+    nodes, so every panel must resolve the slope's log layer.  A pass
+    that only sums rows grades each zero down to tol S alpha/eps, or 64
+    ulps if that is wider: the slope's layer has strength eps/alpha, so the
+    panel ending at the zero errs by about its width times that, tol S,
+    and the refinement still holds every row to tol.  It also grades
+    toward depth 0, the anchored edge, where the stress and the slope
+    peak: there the probes' t > 0 primal rows,
+    eps lambda expm1(t dg (2 du/ds + t dg)/(2 eps)), vary on the penalty's
+    own scale, so their edges are S 2^-k for k = 1 .. ceil(log2(alpha^2/eps)).
+    Neither rule reads the rows, so a stack and each of its rows alone are
+    summed on the same panels."""
     z, c = zeros
 
     def rows(s):
@@ -263,8 +282,13 @@ def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
         l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
         return fn(s, l, np.copysign(np.sqrt(u), theta))
 
-    return _adaptive(rows, 0.0, S, np.concatenate([_graded_edges((0.0, S), zeros), cuts]),
-                     tol)
+    if density:
+        graded = _graded_edges((0.0, S), zeros)
+    else:
+        levels = math.ceil(math.log2(alpha * alpha / epsilon))
+        graded = np.concatenate([_graded_edges((0.0, S), zeros, tol * S * alpha / epsilon),
+                                 S * 0.5 ** np.arange(1, levels + 1)])
+    return _adaptive(rows, 0.0, S, np.concatenate([graded, cuts]), tol)
 
 
 def _support_of(zero, spec: MongeProblemSpec):
@@ -298,7 +322,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
         return (g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h, epsilon * lam,
                 -lam * (g2 - epsilon), lam * (0.5 * (g2 - a2) - epsilon * (l - 1.0)))
 
-    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol)
+    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol, density=True)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1]
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = _KRONROD_ENDS[0] @ done[2][0], _KRONROD_ENDS[1] @ done[2][-1]

@@ -175,6 +175,16 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     costs no row and reads exactly 0.0; when every t is 0 no pass runs.
     A non-finite t raises ValueError.
 
+    The pass is the field's row pass (`DualField.integrate`), not the
+    solve's: the deltas deliver no density, so its panels grade into the
+    stress zeros only as deep as the tolerance needs, and toward the
+    anchored edge, where the t > 0 primal rows peak.  Both gradings read
+    the field and the tolerance alone, not the t values, so the stacked
+    rows and each row's own pass share panels.  The exponent of the
+    primal rows is clipped at 700, and that clip's kinks are not cut: a
+    row that reaches the clip is resolved only as far as its error
+    estimate sees the kinks.
+
     Where t psi > 0 the clip kinks at l = 0 (|theta| = alpha) and at
     l = -t psi (|theta| = e^{-t psi} sqrt(alpha^2 - 2 eps t psi), when
     t psi < alpha^2/(2 eps)).  For a constant psi, the one `verify`

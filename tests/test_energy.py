@@ -512,6 +512,102 @@ class TestSecondVariationProbe:
                                    dual_perturbation=psi)
             assert np.isin(kinks, breakpoints.pop()).tolist() == [cut] * kinks.size
 
+    def test_varying_psi_meets_quad(self, solved):
+        # A psi that varies leaves the kink at l = -t psi(y) uncut.  At
+        # alpha 0.5, eps 1e-3, on a target 1.3 sharp widths wide, the
+        # t = +1e-2 dual delta missed scipy's `quad` by 3.3e-10 on the
+        # solve's mesh, graded 64 ulps deep into each stress zero; on the
+        # probe's own mesh it misses by 3.0e-13.
+        alpha, eps, t = 0.5, 1e-3, 1e-2
+        w = 1.3 * 2.0 / math.sqrt(alpha)
+        sol = solved(uniform_spec((w + 0.5, w + 2.5), (0.0, w), "I", alpha), eps)
+        (lo, hi), a2 = sol.support, alpha * alpha
+        tilted = lambda y: 1.0 + 0.1 * (np.asarray(y, dtype=float) - 0.5 * (lo + hi))
+        got = second_variation_probe(sol, SinePerturbation(sol.support), (t,),
+                                     dual_perturbation=tilted).dual_deltas[0]
+        f = lambda y: float(_dual_diff(sol, t, tilted(y),
+                                       sol.dual.fields_at(np.array([y]))[1])[0])
+        cuts = sorted({p for p in (lo, hi, *sol.dual.zeros) if lo <= p <= hi})
+        ref = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+                        for a, b in zip(cuts[:-1], cuts[1:]))
+        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("eps,work", [(1e-1, (1, 1410)), (1e-2, (1, 1320)),
+                                          (1e-3, (1, 1230))])
+    def test_probe_work_is_pinned(self, solved, monkeypatch, eps, work):
+        # (rounds, integrand nodes) of `verify`'s probe on the canonical
+        # spec.  On the solve's mesh, graded 64 ulps deep into each stress
+        # zero, the same probe took (1, 2130), (1, 2130) and (2, 2160).
+        sol = solved(SPEC_I, eps)
+        nodes = []
+        plain = numerics._gk_panels
+
+        def counted(f, a, b):
+            nodes.append(15 * a.size)
+            return plain(f, a, b)
+
+        monkeypatch.setattr(numerics, "_gk_panels", counted)
+        second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                               dual_perturbation=_ONE)
+        assert (len(nodes), sum(nodes)) == work
+
+    # Rows whose primal exponent t dg (2 g + t dg)/(2 eps) reaches the clip
+    # at 700 on the regime grid below, as (alpha, eps, t).  The clip kinks
+    # the row where the exponent crosses 700, no pass is cut there, and the
+    # probe and the reference then miss the kinks differently.
+    CLIPPED = {(0.5, 1e-6, 1e-2), (1.0, 1e-6, 1e-3), (1.0, 1e-6, 1e-2),
+               (4.0, 1e-4, 1e-2), (4.0, 1e-6, 1e-3), (4.0, 1e-6, 1e-2)}
+
+    @pytest.mark.parametrize("alpha,eps,offset,assumption", [
+        (alpha, eps, offset, assumption)
+        for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-2, 1e-4, 1e-6)
+        for offset in (0.0, 1000.0) for assumption in ("I", "II")])
+    def test_deltas_meet_a_pass_on_the_solve_mesh(self, solved, monkeypatch, alpha,
+                                                  eps, offset, assumption):
+        # The probe's pass grades toward the stress zeros only down to a
+        # floor set by its tolerance, and toward the anchored edge.  Hold
+        # every delta to the probe's own rows integrated afresh on the
+        # solve's mesh instead: graded 64 ulps deep into each zero, and cut
+        # at the probe's kink depths.
+        w = 5.0 / math.sqrt(alpha)
+        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                            (offset, offset + w), "I", alpha)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        sol = solved(spec, eps, 201)
+        pert = SinePerturbation(sol.support)
+        seen = {}
+        plain = duality.DualField.integrate
+
+        def recorded(field, fn, tol, levels=()):
+            seen.update(fn=fn, levels=levels)
+            return plain(field, fn, tol, levels)
+
+        monkeypatch.setattr(duality.DualField, "integrate", recorded)
+        report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
+        o, (lo, hi) = sol.dual.orientation, sol.support
+        anchor = hi if o > 0 else lo
+        zeros = tuple(o * (anchor - p) for p in sol.dual.zeros)
+        span = (0.0, hi - lo)
+
+        def rows(s):
+            theta = 0.5 * (s - zeros[0]) * (s - zeros[1])
+            l, u = duality._invert_stress_sq(theta * theta, alpha, eps)
+            return seen["fn"](anchor - o * s, l, -o * np.copysign(np.sqrt(u), theta))
+
+        cuts = np.concatenate([_graded_edges(span, zeros),
+                               duality._level_depths(zeros, span, seen["levels"])])
+        ref = integrate(rows, *span, tol=1e-12, breakpoints=cuts)
+        ys = np.linspace(lo, hi, 20001)
+        g, dg = sol.dual.fields_at(ys)[2], pert.slope(ys)
+        for t, got, want in zip(PROBE_T, report.primal_deltas, ref):
+            clipped = np.max(t * dg * (2.0 * g + t * dg) / (2.0 * eps)) >= 700.0
+            assert clipped == ((alpha, eps, t) in self.CLIPPED)
+            if not clipped:
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        for got, want in zip(report.dual_deltas, ref[len(PROBE_T):]):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_rejected(self, solved, t):
         sol = solved(SPEC_I, 1e-3)
