@@ -47,7 +47,6 @@ from .problem import (MongeProblemSpec, require_capacity, spec_from_document,
                       validate_spec)
 from .sweep import (
     EPSILON_FLOOR,
-    SweepRow,
     convergence_report,
     epsilon_sweep,
     rows_to_csv,
@@ -324,23 +323,11 @@ def cmd_map(config: RunConfig) -> int:
     return 0
 
 
-def _floor_row(epsilon: float) -> SweepRow:
-    return SweepRow(epsilon=epsilon, wall_ms=0.0,
-                    error=f"ValueError: epsilon {epsilon!r} below the "
-                          f"supported floor {EPSILON_FLOOR!r}")
-
-
 def cmd_sweep(config: RunConfig) -> int:
     code = _verdicts(config)
     if code:
         return code
-    # sub-floor epsilons become flagged rows instead of aborting the
-    # sweep: the table then documents exactly which rung broke
-    valid = [e for e in config.epsilons if e >= EPSILON_FLOOR]
-    solved_rows = iter(epsilon_sweep(config.spec, valid, config.grid_n)
-                       if valid else [])
-    rows = [next(solved_rows) if eps >= EPSILON_FLOOR else _floor_row(eps)
-            for eps in config.epsilons]
+    rows = epsilon_sweep(config.spec, config.epsilons, config.grid_n)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(config.out_dir / "sweep.csv", rows_to_csv(rows))

@@ -333,6 +333,28 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     return np.array([I - aim, M - 1.0, moment, *energies]), J / (z - c), done
 
 
+def _expansion_coefficients(alpha):
+    """The coefficients (v1, v2, v3), each a (z, c) pair, of the stress
+    zeros' expansion z0 k (v1 + k v2 + k^2 v3), k = eps/alpha^2, as
+    polynomials in l = ln alpha; `_expansion_step` derives them."""
+    l, ln2 = math.log(alpha), math.log(2.0)
+    pi2, zeta3 = math.pi ** 2, 1.2020569031595942
+    v1 = (0.5 * (1.0 + ln2) + l, 0.25 * (1.0 - ln2) + 0.5 * l)
+    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - pi2 / 48.0
+          + (0.5 + 2.5 * ln2) * l + 2.5 * l * l,
+          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + pi2 / 96.0
+          + (0.25 - 1.25 * ln2) * l + 1.25 * l * l)
+    v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
+           - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
+          + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
+          + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3,
+          (-18.0 - 162.0 * ln2 + 6.0 * ln2 ** 2 - 162.0 * ln2 ** 3 + 5.0 * pi2
+           + 11.0 * pi2 * ln2 + 99.0 * zeta3) / 192.0
+          + (-34.0 - 28.0 * ln2 - 126.0 * ln2 ** 2 + 3.0 * pi2) / 32.0 * l
+          - (11.0 + 45.0 * ln2) / 8.0 * l * l + 3.75 * l ** 3)
+    return v1, v2, v3
+
+
 def _expansion_step(alpha, epsilon):
     """Step (dz, dc) from the sharp-limit tent (z0, z0/2), z0 = 2/sqrt(alpha),
     to the stress zeros' expansion to third order in eps (the coupled
@@ -354,23 +376,10 @@ def _expansion_step(alpha, epsilon):
     term outgrows the first, and a start there can leave Newton short of
     the root (alpha 1, eps 1 on a target three sharp widths wide).
     """
-    k, l, ln2 = epsilon / (alpha * alpha), math.log(alpha), math.log(2.0)
-    pi2, zeta3 = math.pi ** 2, 1.2020569031595942
-    v1 = (0.5 * (1.0 + ln2) + l, 0.25 * (1.0 - ln2) + 0.5 * l)
-    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - pi2 / 48.0
-          + (0.5 + 2.5 * ln2) * l + 2.5 * l * l,
-          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + pi2 / 96.0
-          + (0.25 - 1.25 * ln2) * l + 1.25 * l * l)
+    k = epsilon / (alpha * alpha)
+    v1, v2, v3 = _expansion_coefficients(alpha)
     if k * max(map(abs, v2)) > 0.5 * max(map(abs, v1)):
         return 0.0, 0.0
-    v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
-           - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
-          + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
-          + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3,
-          (-18.0 - 162.0 * ln2 + 6.0 * ln2 ** 2 - 162.0 * ln2 ** 3 + 5.0 * pi2
-           + 11.0 * pi2 * ln2 + 99.0 * zeta3) / 192.0
-          + (-34.0 - 28.0 * ln2 - 126.0 * ln2 ** 2 + 3.0 * pi2) / 32.0 * l
-          - (11.0 + 45.0 * ln2) / 8.0 * l * l + 3.75 * l ** 3)
     z0k = 2.0 / math.sqrt(alpha) * k
     return (z0k * (v1[0] + k * (v2[0] + k * v3[0])),
             z0k * (v1[1] + k * (v2[1] + k * v3[1])))
@@ -489,10 +498,11 @@ class DensitySolution:
 
     nodes/values cover the whole target interval (zero extension
     included); support_slice marks the support portion.  boundary_gap is
-    the (pre-clip) density value at the closing endpoint, a direct readout
-    of the crossing-solve residual.  max_abs_slope and max_log_lambda report
-    how far the solution runs above the nominal scale ceiling instead of
-    clamping it (see the module docstring).  newton_steps,
+    the (pre-clip) density value at the closing endpoint, which the zero
+    solve aims at _CLOSURE_AIM: it reads that aim plus closure_residual.
+    max_abs_slope and max_log_lambda report how far the solution runs
+    above the nominal scale ceiling instead of clamping it (see the module
+    docstring).  newton_steps,
     closure_residual and mass_residual record what the coupled zero solve
     did: its Newton steps and its final closure (measured from the aim)
     and mass - 1 residuals.  No CLI artifact writes them.

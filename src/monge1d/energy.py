@@ -42,28 +42,30 @@ from .errors import InvalidPerturbation
 
 _PROBE_QUAD_TOL = 1e-10
 
+# Scale factors `taylor_remainder_check` scans.
+_TAYLOR_GRID_N = 2001
+
 
 # -- perturbations ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SinePerturbation:
-    """amplitude * sin(k pi (y - lo)/width): vanishes at both ends, with
-    an exact derivative; mass-neutral for even k."""
+    """sin(k pi (y - lo)/width): vanishes at both ends, with an exact
+    derivative; mass-neutral for even k."""
 
     support: tuple[float, float]
     k: int = 1
-    amplitude: float = 1.0
 
     def __call__(self, y):
         lo, hi = self.support
         s = math.pi * self.k / (hi - lo)
-        out = self.amplitude * np.sin(s * (np.asarray(y, dtype=float) - lo))
+        out = np.sin(s * (np.asarray(y, dtype=float) - lo))
         return out if np.ndim(y) else float(out)
 
     def slope(self, y):
         lo, hi = self.support
         s = math.pi * self.k / (hi - lo)
-        out = self.amplitude * s * np.cos(s * (np.asarray(y, dtype=float) - lo))
+        out = s * np.cos(s * (np.asarray(y, dtype=float) - lo))
         return out if np.ndim(y) else float(out)
 
 
@@ -254,7 +256,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
 
 # -- expansion remainder ------------------------------------------------------
 
-def taylor_remainder_check(alpha, epsilon, n_grid=2001) -> float:
+def taylor_remainder_check(alpha, epsilon) -> float:
     """Largest deviation of the squared stress from its cubic expansion.
 
     Scans a log-spaced scale-factor grid over the classical window and
@@ -264,7 +266,7 @@ def taylor_remainder_check(alpha, epsilon, n_grid=2001) -> float:
     a2 = alpha * alpha
     if not 0.0 < epsilon < 0.5 * a2:
         raise ValueError("need epsilon in (0, alpha^2/2) for a nondegenerate window")
-    ls = np.linspace(-a2 / (2.0 * epsilon), 0.0, int(n_grid))
+    ls = np.linspace(-a2 / (2.0 * epsilon), 0.0, _TAYLOR_GRID_N)
     lam2 = np.exp(2.0 * ls)
     exact = lam2 * (a2 + 2.0 * epsilon * ls)
     expansion = (a2 - 2.0 * epsilon) * lam2 + 2.0 * epsilon * np.exp(3.0 * ls)

@@ -2,10 +2,10 @@
 
 Nothing here touches the stress/scale-factor machinery: the sharp-limit
 tent is pure closed form, the expectation optimizer is a linear program
-over the discretized constraint polytope, and the primal minimizer is
-projected gradient descent on the literal discrete objective.  Agreement
-between these and the assembled densities is therefore evidence, not
-circularity.
+over the discretized constraint polytope, and the primal minimizer is a
+log-barrier Newton iteration on the literal discrete objective, strictly
+inside that polytope.  Agreement between these and the assembled
+densities is therefore evidence, not circularity.
 
 Oracle runs can be persisted as a CSV of (y, u) samples plus a JSON
 sidecar with the run metadata, so acceptance checks can pin the oracle
@@ -28,7 +28,6 @@ from .problem import MongeProblemSpec, SourceDensity, require_capacity
 _MASS_TOL = 1e-10
 _SLOPE_SLACK = 1e-10
 _FIXTURE_STEP_TOL = 1e-9
-_DESCENT_MAX_ITER = 100_000
 
 
 # -- sharp-limit tent ---------------------------------------------------------
@@ -47,10 +46,6 @@ class TentDensity:
     @property
     def center(self) -> float:
         return 0.5 * (self.support[0] + self.support[1])
-
-    @property
-    def mean(self) -> float:
-        return self.center
 
     @property
     def mass(self) -> float:
@@ -101,10 +96,6 @@ class GridDensity:
     alpha: float
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.step))
 
@@ -153,112 +144,69 @@ class OracleRun:
     objective: float
     iterations: int
     epsilon: float | None = None
-    objective_trace: tuple[float, ...] = ()
 
 
 def _grid(spec: MongeProblemSpec, n: int):
+    """(nodes, step, tent, sharp): the full-width tent at unit mass is the
+    grid density of least slope, so the polytope is empty when it exceeds
+    the bound, and within the check's slack of alpha (`sharp`) the tent is
+    its one point.  Raises CapacityError then, ValueError for fewer than
+    101 nodes, and what `problem.require_capacity` raises."""
+    if n < 101:
+        raise ValueError("need at least 101 grid nodes")
+    require_capacity(spec)
     tl, tr = spec.target_interval
-    nodes = np.linspace(tl, tr, n)
-    return nodes, (tr - tl) / (n - 1)
+    nodes, h = np.linspace(tl, tr, n), (tr - tl) / (n - 1)
+    tent = np.minimum(nodes - tl, tr - nodes)
+    tent /= np.trapezoid(tent, dx=h)
+    slope = np.max(np.abs(np.diff(tent))) / h
+    if slope > spec.alpha * (1.0 + _SLOPE_SLACK):
+        raise CapacityError(f"no grid density of mass 1 fits the slope bound "
+                            f"{spec.alpha} on {spec.target_interval}")
+    return nodes, h, tent, slope >= spec.alpha * (1.0 - _SLOPE_SLACK)
 
 
-def _shift_to_mass(values: np.ndarray, step: float) -> np.ndarray:
-    # uniform interior shift: preserves every interior difference
-    out = values.copy()
-    mass = np.trapezoid(out, dx=step)
-    out[1:-1] += (1.0 - mass) / (step * (len(out) - 2))
-    return out
-
-
-def _clip_slopes(values: np.ndarray, bound: float) -> np.ndarray:
-    """Pull values down onto the slope cone pinned at zero endpoints.
-
-    u_i <= u_{i-1} + bound is enforced by a running minimum of
-    u_i - i*bound, and the mirrored sweep handles the other direction.
-    Pulling down only, this never moves a zero endpoint of a nonnegative
-    profile, and together the two sweeps satisfy every pairwise bound.
-    """
-    ramp = bound * np.arange(len(values))
-    out = np.minimum.accumulate(values - ramp) + ramp
-    out = (np.minimum.accumulate((out + ramp)[::-1])[::-1]) - ramp
-    return out
-
-
-def _make_feasible(values: np.ndarray, step: float, alpha: float,
-                   rounds: int = 60) -> np.ndarray:
-    """Alternate the slope pull-down, nonnegativity, and the mass shift
-    until all three hold to tolerance.  The mass shift only disturbs the
-    boundary cells' slopes and the zero plateau's nonnegativity by the
-    per-round shift amount, so the cycle contracts geometrically."""
-    out = np.maximum(values, 0.0)
-    out[0] = out[-1] = 0.0
-    bound = alpha * step
-    for _ in range(rounds):
-        out = _clip_slopes(out, bound)
-        out = np.maximum(out, 0.0)
-        out = _shift_to_mass(out, step)
-        slope_ok = np.max(np.abs(np.diff(out))) <= bound * (1.0 + _SLOPE_SLACK)
-        mass_ok = abs(np.trapezoid(out, dx=step) - 1.0) <= _MASS_TOL
-        if slope_ok and mass_ok and np.min(out) >= -1e-13:
-            return np.maximum(out, 0.0)
-    return np.maximum(out, 0.0)
-
-
-def _feasible_density(nodes, values, step, alpha) -> GridDensity:
-    """The grid density an oracle returns: `values` projected onto the
-    feasible set.  Raises MaxIterations naming the first violation when
-    the projection's rounds run out before every constraint holds."""
-    density = GridDensity(nodes=nodes,
-                          values=_make_feasible(values, step, alpha),
-                          step=step, alpha=alpha)
+def _checked(nodes, values, step, alpha) -> GridDensity:
+    """The solver's point, or MaxIterations naming its first violation."""
+    density = GridDensity(nodes=nodes, values=values, step=step, alpha=alpha)
     problems = density.violations()
     if problems:
-        raise MaxIterations(f"projection onto the feasible set left "
-                            f"{problems[0]}")
+        raise MaxIterations(f"the solver returned a point with {problems[0]}")
     return density
 
 
 # -- expectation optimizer (linear program) -----------------------------------
 
 def discrete_expectation_optimizer(spec: MongeProblemSpec, n: int) -> OracleRun:
-    """Extremize the discrete mean over the feasible polytope.
-
-    Maximizes sum(y_i u_i) h under orientation I, minimizes it under II;
-    the polytope (zero endpoints, slope bound, unit trapezoidal mass) is
-    handed to a deterministic LP solve.  Raises what
-    `problem.require_capacity` raises, and CapacityError when the
-    polytope is empty on this grid (at the sharp width an odd number of
-    cells misses unit mass by a fraction 1/(n-1)^2).
-    """
-    # The LP is the package's only scipy call; importing it here keeps
-    # scipy off every other import path (the CLI's among them).
+    """Extremize the discrete mean over the feasible polytope: maximize
+    sum(y_i u_i) h under orientation I, minimize it under II, by HiGHS at
+    a feasibility tolerance of 1e-10 (the tent where `_grid` finds the
+    sharp width).  Raises what `_grid` raises."""
+    # Imported here, scipy stays off every other import path (the CLI's).
     from scipy.optimize import linprog
     from scipy.sparse import eye_array, vstack
 
-    if n < 101:
-        raise ValueError("need at least 101 grid nodes")
-    require_capacity(spec)
-    nodes, h = _grid(spec, n)
-    d = eye_array(n - 1, n, k=1) - eye_array(n - 1, n)
-    a_ub = vstack([d, -d], format="csr")
-    b_ub = np.full(2 * (n - 1), spec.alpha * h)
-    a_eq = np.full((1, n), h)
-    a_eq[0, 0] = a_eq[0, -1] = 0.5 * h
-    bounds = [(0.0, 0.0)] + [(0.0, None)] * (n - 2) + [(0.0, 0.0)]
-    result = linprog(-spec.orientation * h * nodes, A_ub=a_ub, b_ub=b_ub,
-                     A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if result.status == 2:
-        raise CapacityError(
-            f"no grid density of mass 1 fits the slope bound {spec.alpha} "
-            f"on {spec.target_interval}")
-    if not result.success:
-        raise RuntimeError(f"optimizer failed: {result.message}")
-    density = _feasible_density(nodes, np.maximum(result.x, 0.0), h, spec.alpha)
+    nodes, h, values, sharp = _grid(spec, n)
+    iterations = 0
+    if not sharp:
+        d = eye_array(n - 1, n, k=1) - eye_array(n - 1, n)
+        a_eq = np.full((1, n), h)
+        a_eq[0, 0] = a_eq[0, -1] = 0.5 * h
+        bounds = [(0.0, 0.0)] + [(0.0, None)] * (n - 2) + [(0.0, 0.0)]
+        result = linprog(-spec.orientation * h * nodes,
+                         A_ub=vstack([d, -d], format="csr"),
+                         b_ub=np.full(2 * (n - 1), spec.alpha * h),
+                         A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs",
+                         options={"primal_feasibility_tolerance": 1e-10})
+        if not result.success:
+            raise RuntimeError(f"optimizer failed: {result.message}")
+        values, iterations = result.x, int(result.nit)
+    density = _checked(nodes, values, h, spec.alpha)
     return OracleRun(density=density, objective=density.expectation(),
-                     iterations=int(result.nit))
+                     iterations=iterations)
 
 
-# -- primal minimizer (projected descent) -------------------------------------
+# -- primal minimizer (log-barrier Newton) ------------------------------------
 
 def _discrete_objective(values, nodes, h, alpha, epsilon):
     slopes = np.diff(values) / h
@@ -266,67 +214,79 @@ def _discrete_objective(values, nodes, h, alpha, epsilon):
     return float(h * (np.sum(hterm) - np.sum(values * np.abs(nodes))))
 
 
-def _objective_gradient(values, nodes, h, alpha, epsilon):
-    slopes = np.diff(values) / h
-    hprime = slopes * np.exp((slopes * slopes - alpha * alpha) / (2.0 * epsilon))
-    grad = -h * np.abs(nodes)
-    grad[:-1] -= hprime
-    grad[1:] += hprime
-    return grad
+def _barrier_newton(values, nodes, h, alpha, epsilon):
+    """Newton on the objective minus mu (sum ln u_i + sum ln(a^2 - s_i^2)),
+    +inf off the open box, from the strictly feasible `values`; returns
+    (values, steps).  A step du_i = w_i - w_{i-1} moves mass w_i across
+    each interior cell, so it keeps the mass, and its Hessian in w is
+    pentadiagonal (bordering the one in u by the mass row cancels where
+    only the barrier holds a block of nodes).  mu falls tenfold from 1e-2
+    until the 3n barrier terms cost at most 1e-10; a stage ends at a
+    decrement of 1e-13 max(1, |phi|), or raises MaxIterations after 50
+    steps or 60 halvings of one."""
+    from scipy.linalg import solve_banded
+
+    a2, u, weights, steps = alpha * alpha, values, h * np.abs(nodes[1:-1]), 0
+
+    def phi(v, mu):
+        room = a2 - (np.diff(v) / h) ** 2
+        if np.min(v[1:-1]) <= 0.0 or np.min(room) <= 0.0:
+            return math.inf
+        return (_discrete_objective(v, nodes, h, alpha, epsilon)
+                - mu * (np.sum(np.log(v[1:-1])) + np.sum(np.log(room))))
+
+    mu = 1e-2
+    while True:
+        value = phi(u, mu)
+        for _ in range(50):
+            s = np.diff(u) / h
+            room, e = a2 - s * s, np.exp((s * s - a2) / (2.0 * epsilon))
+            # each cell's share of the gradient (c) and of the Hessian (d)
+            c = s * e + 2.0 * mu * s / (h * room)
+            d = (1.0 + s * s / epsilon) * e / h + 2.0 * mu * (a2 + s * s) / (h * room) ** 2
+            grad = c[:-1] - c[1:] - mu / u[1:-1] - weights
+            a, b = d[:-1] + d[1:] + mu / u[1:-1] ** 2, -d[1:-1]
+            band = np.zeros((5, b.size))
+            band[0, 2:] = band[4, :-2] = -b[1:-1]
+            band[1, 1:] = band[3, :-1] = b[:-1] - a[1:-1] + b[1:]
+            band[2] = a[:-1] + a[1:] - 2.0 * b
+            du = np.diff(np.pad(solve_banded((2, 2), band, grad[1:] - grad[:-1]), 2))
+            decrement = -grad @ du[1:-1]
+            if decrement <= 1e-13 * max(1.0, abs(value)):
+                break
+            t = 1.0
+            for _ in range(60):
+                trial = phi(u + t * du, mu)
+                if trial <= value - 0.25 * t * decrement:
+                    break
+                t *= 0.5
+            else:
+                raise MaxIterations(f"60 halvings of a barrier step at mu = {mu:.0e}")
+            u, value, steps = u + t * du, trial, steps + 1
+        else:
+            raise MaxIterations(f"50 Newton steps in the barrier stage mu = {mu:.0e}")
+        if 3 * u.size * mu <= 1e-10:
+            return u, steps
+        mu /= 10.0
 
 
 def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon,
                               n: int) -> OracleRun:
-    """Minimize the literal discrete smoothed objective by projected
-    descent over the feasible polytope.
-
-    Objective: h * sum_i [ eps e^{(s_i^2 - a^2)/(2 eps)} - u_i |y_i| ]
-    with forward-difference slopes s_i.  Each iteration takes a gradient
-    step, re-projects (slope clip, nonnegativity, mass shift), and keeps
-    the step only if the objective did not increase, halving otherwise,
-    so the recorded trace is nonincreasing by construction.  Returns when
-    the relative objective change drops below 1e-10.  Raises CapacityError
-    through the tent it starts from (`problem.require_capacity`).
-    """
-    if n < 101:
-        raise ValueError("need at least 101 grid nodes")
-    if epsilon < 1e-3:
-        raise ValueError("smoothing below 1e-3 makes the discrete "
-                         "objective too stiff for this oracle")
-    nodes, h = _grid(spec, n)
-    values = _make_feasible(tent_limit_density(spec)(nodes), h, spec.alpha)
-    obj = _discrete_objective(values, nodes, h, spec.alpha, epsilon)
-    trace = [obj]
-    # curvature of the H term bounds the useful step
-    step = h / (2.0 * (1.0 + spec.alpha ** 2 / epsilon))
-    for iteration in range(1, _DESCENT_MAX_ITER + 1):
-        grad = _objective_gradient(values, nodes, h, spec.alpha, epsilon)
-        accepted = False
-        for _ in range(40):
-            trial = _make_feasible(values - step * grad, h, spec.alpha,
-                                   rounds=8)
-            trial_obj = _discrete_objective(trial, nodes, h, spec.alpha,
-                                            epsilon)
-            if trial_obj <= obj:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        values, prev, obj = trial, obj, trial_obj
-        trace.append(obj)
-        step *= 1.3
-        if abs(prev - obj) < 1e-10 * max(1.0, abs(obj)):
-            break
-    else:
-        raise MaxIterations(
-            f"no convergence within {_DESCENT_MAX_ITER} descent iterations")
-    density = _feasible_density(nodes, values, h, spec.alpha)
-    return OracleRun(density=density,
-                     objective=_discrete_objective(density.values, nodes, h,
-                                                   spec.alpha, epsilon),
-                     iterations=iteration, epsilon=epsilon,
-                     objective_trace=tuple(trace))
+    """Minimize h sum_i [eps e^{(s_i^2 - a^2)/(2 eps)} - u_i |y_i|] (slopes
+    s_i forward differences) over the feasible polytope by `_barrier_newton`
+    from `_grid`'s tent (slope 4/W^2, below alpha on a target wider than the
+    sharp width); at the sharp width that tent is returned.  Raises
+    ValueError for an epsilon not finite and > 0, and what `_grid` raises."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    nodes, h, values, sharp = _grid(spec, n)
+    steps = 0
+    if not sharp:
+        values, steps = _barrier_newton(values, nodes, h, spec.alpha, epsilon)
+    density = _checked(nodes, values, h, spec.alpha)
+    objective = _discrete_objective(values, nodes, h, spec.alpha, epsilon)
+    return OracleRun(density=density, objective=objective, iterations=steps,
+                     epsilon=epsilon)
 
 
 # -- mirror -------------------------------------------------------------------
@@ -373,7 +333,7 @@ def save_fixture(run: OracleRun, csv_path) -> Path:
     sidecar = csv_path.with_suffix(".json")
     meta = {
         "objective": run.objective,
-        "n": run.density.n,
+        "n": len(run.density.nodes),
         "epsilon": run.epsilon,
         "alpha": run.density.alpha,
         "iterations": run.iterations,

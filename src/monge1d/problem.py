@@ -239,9 +239,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def message(self) -> str:
         return "valid" if self.ok else "; ".join(self.violations)
 

@@ -79,6 +79,10 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
 
 
 def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
+    if epsilon < EPSILON_FLOOR:
+        return SweepRow(epsilon=epsilon, wall_ms=0.0,
+                        error=f"ValueError: epsilon {epsilon!r} below the "
+                              f"supported floor {EPSILON_FLOOR!r}")
     start = time.perf_counter()
     try:
         solution = assemble_density(spec, epsilon, grid_n)
@@ -108,14 +112,14 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
 
     Each row is `assemble_density` as `solve` calls it, with the solve's
     own energies, so a row holds the numbers `solve` writes.  Returns a
-    list of SweepRow.  Epsilons that are not finite, or below
-    EPSILON_FLOOR, are rejected up front with a ValueError that says which
-    (the whole request is malformed, not one row); per-epsilon solver
-    failures land in their row's `error` field.  Raises CapacityError up
-    front when the target is narrower than the sharp-limit tent, and
-    DomainError when it has no width to compare (`problem.require_capacity`,
-    the verdict every row would reach), since then no row has a tent to
-    compare against.
+    list of SweepRow.  An epsilon that is not finite is rejected up front
+    with a ValueError (the whole request is malformed, not one row); one
+    below EPSILON_FLOOR, and a per-epsilon solver failure, land in their
+    row's `error` field, so the table shows which rung broke.  Raises
+    CapacityError up front when the target is narrower than the
+    sharp-limit tent, and DomainError when it has no width to compare
+    (`problem.require_capacity`, the verdict every row would reach), since
+    then no row has a tent to compare against.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -123,11 +127,6 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
     for eps in eps_list:
         if not np.isfinite(eps):
             raise ValueError(f"epsilon {eps!r} is not finite")
-        if eps < EPSILON_FLOOR:
-            raise ValueError(
-                f"epsilon {eps!r} is below the supported floor "
-                f"{EPSILON_FLOOR}: the energy integrands lose the "
-                f"exponential term at that scale")
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
     return [_solve_row(spec, eps, grid_n, tent, grid) for eps in eps_list]

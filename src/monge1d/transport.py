@@ -33,6 +33,9 @@ from .duality import DensitySolution
 from .numerics import MonotoneProfile
 from .problem import MongeProblemSpec
 
+# Chebyshev points `pushforward_residual` probes the source with.
+_PUSHFORWARD_PROBE_N = 1000
+
 
 def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     """n Chebyshev points on [lo, hi], endpoints included, ascending.
@@ -89,8 +92,7 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
 
 def pushforward_residual(map_solution: TransportMap,
                          solution: DensitySolution,
-                         spec: MongeProblemSpec,
-                         n_probe: int = 1000) -> float:
+                         spec: MongeProblemSpec) -> float:
     """Largest CDF-composition defect over a Chebyshev probe grid.
 
     For the increasing variant this is sup |Q(s(x)) - F(x)|, the
@@ -98,7 +100,7 @@ def pushforward_residual(map_solution: TransportMap,
     decreasing variant compares against 1 - F.
     """
     a, b = spec.source_interval
-    xs = chebyshev_nodes(a, b, n_probe)
+    xs = chebyshev_nodes(a, b, _PUSHFORWARD_PROBE_N)
     f = spec.source_density.cdf(xs)
     if map_solution.variant == "decreasing":
         f = 1.0 - f

@@ -16,8 +16,7 @@ a polynomial of degree n in l with constants in ln 2, pi^2 and zeta(3)
 (the zeros' expansion that starts the solve).
 """
 
-import math
-
+from monge1d.duality import _expansion_coefficients
 from monge1d.problem import uniform_spec
 from monge1d.sweep import convergence_report, epsilon_sweep, rows_to_csv
 
@@ -27,15 +26,8 @@ rows = epsilon_sweep(spec, ladder, grid_n=1501)
 
 alpha, z0 = spec.alpha, spec.sharp_width
 p_tent = spec.anchor - spec.orientation * z0
-first_order = (-spec.orientation * z0 * (1.0 + math.log(2.0 * alpha * alpha))
-               / (2.0 * alpha * alpha))
-l, ln2, pi2, zeta3 = math.log(alpha), math.log(2.0), math.pi ** 2, 1.2020569031595942
-v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 ** 2 - pi2 / 48.0
-      + (0.5 + 2.5 * ln2) * l + 2.5 * l * l)
-v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
-       - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
-      + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
-      + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3)
+v1, v2, v3 = (v[0] for v in _expansion_coefficients(alpha))   # the z parts
+first_order = -spec.orientation * z0 * v1 / alpha ** 2
 second_order = -spec.orientation * z0 * v2 / alpha ** 4
 third_order = -spec.orientation * z0 * v3 / alpha ** 6
 

@@ -631,7 +631,7 @@ class TestTaylorRemainder:
     @pytest.mark.parametrize("alpha,epsilon", [(1.0, 0.1), (1.0, 0.01),
                                                (2.0, 0.1)])
     def test_bounded_by_epsilon(self, alpha, epsilon):
-        worst = taylor_remainder_check(alpha, epsilon, 1000)
+        worst = taylor_remainder_check(alpha, epsilon)
         assert worst <= epsilon
         # observed maximum sits near 0.10 eps on the whole window
         assert 0.05 * epsilon <= worst <= 0.11 * epsilon

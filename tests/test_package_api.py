@@ -9,7 +9,9 @@ anything.  So a method that shares a function's name (`DualField.integrate`)
 does not count as a call of the function.  A function only tests
 reach belongs in test code, as `reference_solves.py` and
 `reference_energies.py` hold theirs; a member only tests read is written
-in terms of the members that remain.
+in terms of the members that remain.  Every default of a public
+function, method or dataclass field is set by some call there, by
+keyword or by position: a default nothing sets is a constant.
 """
 
 import ast
@@ -83,3 +85,62 @@ def test_every_public_member_has_a_reader():
     unread = [f"{path.stem}.{cls.name}.{node.name}" for path, cls, node in members
               if reads[node.name] == _attribute_reads(node)[node.name]]
     assert not unread, f"read by no module under src/, studies/ or perfbench/: {unread}"
+
+
+def _defaults(function, skip=0):
+    """(name, positional index or None) for each parameter of a function
+    that has a default; `skip` drops leading positions (a method's self)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _field_defaults(cls):
+    """(name, positional index) for each field of a dataclass with a default."""
+    fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+    return [(node.target.id, i) for i, node in enumerate(fields) if node.value is not None]
+
+
+def _options():
+    """(where, called name, parameter, positional index or None) for every
+    default of a public package function, method or dataclass."""
+    for path, tree in TREES.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in _public(tree.body):
+            for p in _defaults(node):
+                yield (f"{path.stem}.{node.name}", node.name, *p)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in _public(cls.body):
+                    for p in _defaults(node, skip=1):
+                        yield (f"{path.stem}.{cls.name}.{node.name}", node.name, *p)
+                if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+                    for p in _field_defaults(cls):
+                        yield (f"{path.stem}.{cls.name}", cls.name, *p)
+
+
+def _passed(name, parameter, index):
+    """Whether some call of `name` passes `parameter` by keyword, or by
+    position when it has a positional `index`."""
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                if (any(k.arg == parameter for k in node.keywords)
+                        or index is not None and len(node.args) > index):
+                    return True
+    return False
+
+
+def test_every_default_is_passed_somewhere():
+    # A default no caller overrides is a constant, not an option.
+    options = list(_options())
+    assert {("oracles.OracleRun", "OracleRun", "epsilon", 3),
+            ("sweep.epsilon_sweep", "epsilon_sweep", "grid_n", 2)} <= set(options)
+    unset = [f"{where}({parameter})" for where, name, parameter, index in options
+             if not _passed(name, parameter, index)]
+    assert not unset, f"set by no call under src/, studies/ or perfbench/: {unset}"

@@ -1,11 +1,10 @@
-"""The study scripts import only names the package defines, and the
-quick ones run.
+"""The study scripts import only names the package defines, and they
+run.
 
 Each script under `studies/` is parsed, so a name deleted from the
-package fails here instead of at the next run of the study.  Studies 01
-to 04 take well under a second each and also run in-process, which
-catches an attribute they read going away; study 05 runs the descent
-oracle for seconds and is only parsed.
+package fails here instead of at the next run of the study.  Each takes
+about a second at most and also runs in-process, which catches an
+attribute it reads going away.
 """
 
 import ast
@@ -63,9 +62,7 @@ def test_study_imports_exist(path):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", [p for p in STUDIES if p.name[:2] in
-                                  ("01", "02", "03", "04")],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", STUDIES, ids=lambda p: p.name)
 def test_quick_study_runs(path):
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):

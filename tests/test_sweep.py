@@ -82,13 +82,21 @@ class TestEpsilonSweep:
 
     @pytest.mark.parametrize("eps,message", [
         (float("nan"), "nan is not finite"), (float("inf"), "inf is not finite"),
-        (float("-inf"), "-inf is not finite"), (1e-7, "below the supported floor")],
-        ids=["nan", "inf", "-inf", "1e-7"])
+        (float("-inf"), "-inf is not finite")], ids=["nan", "inf", "-inf"])
     def test_bad_epsilon_is_named(self, eps, message):
         # A non-finite epsilon is not below the floor: the message says
         # which it is, before any row is solved.
         with pytest.raises(ValueError, match=message):
             epsilon_sweep(SPEC_I, (0.1, eps))
+
+    def test_subfloor_epsilon_is_a_flagged_row(self):
+        # The rows around it are solved, in input order.
+        rows = epsilon_sweep(SPEC_I, (0.1, 1e-7, 0.01), grid_n=801)
+        assert [r.ok for r in rows] == [True, False, True]
+        assert rows[1].epsilon == 1e-7
+        assert rows[1].error == ("ValueError: epsilon 1e-07 below the "
+                                 "supported floor 1e-06")
+        assert rows[1].expectation is None
 
     def test_empty_request_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
