@@ -178,7 +178,7 @@ def _csv_text(header, columns) -> str:
 
 def density_csv(solution) -> str:
     # One inversion pass gives theta, log lambda and the slope; the
-    # density's slope is zero off the support, as DensitySolution.slope.
+    # density's slope is zero off the support.
     nodes = solution.nodes
     theta, log_lam, slope = solution.dual.fields_at(nodes)
     lo, hi = solution.support

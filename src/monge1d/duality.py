@@ -205,10 +205,6 @@ class DualField:
         out = -0.5 * self.orientation * ((y_arr - z) + (y_arr - c))
         return out if np.ndim(y) else float(out)
 
-    def slope(self, y):
-        out = self.fields_at(y)[2]
-        return out if np.ndim(y) else float(out)
-
     def fields_at(self, y):
         """(theta, log_lambda, slope) arrays from one inversion pass."""
         th = np.asarray(self.theta(y), dtype=float)
@@ -511,7 +507,10 @@ class DensitySolution:
     pass read as a `numerics.MonotoneProfile`: `cdf`, the target CDF the
     transport maps invert, and, by calling the solution, the delivered
     density, zero off the support and clipped at 0.  A node reads its own
-    value; the depth a y maps to has lost the node's last bits.
+    value; the depth a y maps to has lost the node's last bits.  The
+    cumulative construction makes the density's slope the recovered dual
+    slope, `dual.fields_at(y)[2]`, on the support and zero on the
+    extension.
     """
 
     spec: MongeProblemSpec
@@ -545,15 +544,6 @@ class DensitySolution:
         out = np.where(inside, self.cdf.density(self.cdf.depth(y_arr)), 0.0)
         k = np.minimum(np.searchsorted(self.nodes, y_arr), self.nodes.size - 1)
         out = np.maximum(np.where(self.nodes[k] == y_arr, self.values[k], out), 0.0)
-        return out if np.ndim(y) else float(out)
-
-    def slope(self, y):
-        """Derivative of the density: the cumulative construction makes it
-        the recovered dual slope on the support, zero on the extension."""
-        y_arr = np.asarray(y, dtype=float)
-        lo, hi = self.support
-        inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self.dual.slope(np.clip(y_arr, lo, hi)), 0.0)
         return out if np.ndim(y) else float(out)
 
 

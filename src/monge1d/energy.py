@@ -145,11 +145,11 @@ class ProbeReport:
 
     @property
     def min_primal_delta(self) -> float:
-        return min(self.primal_deltas) if self.primal_deltas else 0.0
+        return min(self.primal_deltas)
 
     @property
     def max_dual_delta(self) -> float:
-        return max(self.dual_deltas) if self.dual_deltas else 0.0
+        return max(self.dual_deltas)
 
 
 def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
@@ -170,12 +170,12 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     the factor never exceeds max(1, its critical value); additive moves
     in log form keep the factor positive automatically.
 
-    Every delta is a row of one pass over the field: the primal rows for
-    the nonzero t, in input order, then the dual rows, each refined to
-    `_PROBE_QUAD_TOL` relative to its own total.  The perturbation, psi and
-    the field are evaluated once per node for all of them.  A t of 0
-    costs no row and reads exactly 0.0; when every t is 0 no pass runs.
-    A non-finite t raises ValueError.
+    Every delta is a row of one pass over the field: the primal rows, in
+    input order, then the dual rows, each refined to `_PROBE_QUAD_TOL`
+    relative to its own total.  The perturbation, psi and the field are
+    evaluated once per node for all of them.  A t of 0 gives rows that
+    vanish identically: they read exactly 0.0 and never drive refinement.
+    An empty or non-finite t raises ValueError.
 
     The pass is the field's row pass (`DualField.integrate`), not the
     solve's: the deltas deliver no density, so its panels grade into the
@@ -204,12 +204,9 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
             raise InvalidPerturbation(
                 f"perturbation is {v:.3e} at support endpoint {endpoint}")
     ts = tuple(float(t) for t in t_values)
-    if not all(math.isfinite(t) for t in ts):
-        raise ValueError(f"probe amplitudes must be finite, got {ts}")
-    live = np.array([[t] for t in ts if t != 0.0])
-    if not live.size:
-        return ProbeReport(t_values=ts, primal_deltas=(0.0,) * len(ts),
-                           dual_deltas=(0.0,) * len(ts))
+    if not ts or not all(math.isfinite(t) for t in ts):
+        raise ValueError(f"probe amplitudes must be one or more finite numbers, got {ts}")
+    live = np.array(ts)[:, None]
     eps = solution.epsilon
     alpha = solution.spec.alpha
     a2 = alpha ** 2
@@ -224,8 +221,8 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                              np.exp(-below) * np.sqrt(a2 - 2.0 * eps * below)])
 
     def rows(y, l, g):
-        """The primal difference integrands for the nonzero t, in input
-        order, then the dual ones."""
+        """The primal difference integrands, in input order, then the
+        dual ones."""
         bump = np.asarray(perturbation(y), dtype=float)
         dg = np.asarray(perturbation.slope(y), dtype=float)
         forcing = -dual.theta_y(y)
@@ -243,15 +240,9 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + np.exp(shift) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels)
-
-    def deltas(side):
-        """One delta per t, in input order: t = 0 reads exactly 0."""
-        side = iter(side)
-        return tuple(float(next(side)) if t != 0.0 else 0.0 for t in ts)
-
-    return ProbeReport(t_values=ts, primal_deltas=deltas(sums[:live.size]),
-                       dual_deltas=deltas(sums[live.size:]))
+    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()
+    return ProbeReport(t_values=ts, primal_deltas=tuple(sums[:len(ts)]),
+                       dual_deltas=tuple(sums[len(ts):]))
 
 
 # -- expansion remainder ------------------------------------------------------

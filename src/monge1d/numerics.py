@@ -167,13 +167,9 @@ def _adaptive(f, l, r, breakpoints, tol):
         if np.all(esum <= target) or a.size == 0:
             break
         # Split every panel holding more than its share of any row's error
-        # budget; always split at least the worst panel of the row furthest
-        # over budget, so the loop makes progress.
+        # budget.
         split = np.any(err > target[:, None] / (2.0 * a.size), axis=0)
         worst = int(np.argmax(esum / target))
-        if not split.any():
-            split = np.zeros(a.size, dtype=bool)
-            split[int(np.argmax(err[worst]))] = True
         if int(depth[split].max()) >= _MAX_PANEL_DEPTH:
             raise MaxDepth(
                 f"adaptive quadrature exceeded {_MAX_PANEL_DEPTH} subdivision levels "

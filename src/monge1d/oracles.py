@@ -37,7 +37,8 @@ class TentDensity:
     """The vanishing-smoothing limit profile: a symmetric tent with
     slopes +-alpha, anchored at the target edge nearest the source.
 
-    Width 2/sqrt(alpha) makes the mass exactly 1 and the peak sqrt(alpha).
+    Width W = 2/sqrt(alpha) makes the mass alpha W^2/4 exactly 1 and the
+    peak sqrt(alpha).
     """
 
     support: tuple[float, float]
@@ -47,23 +48,11 @@ class TentDensity:
     def center(self) -> float:
         return 0.5 * (self.support[0] + self.support[1])
 
-    @property
-    def mass(self) -> float:
-        lo, hi = self.support
-        return self.alpha * (hi - lo) ** 2 / 4.0
-
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         out = self.alpha * np.maximum(
             np.minimum(y_arr - lo, hi - y_arr), 0.0)
-        return out if np.ndim(y) else float(out)
-
-    def slope(self, y):
-        y_arr = np.asarray(y, dtype=float)
-        lo, hi = self.support
-        out = np.where((y_arr > lo) & (y_arr < self.center), self.alpha, 0.0)
-        out = np.where((y_arr > self.center) & (y_arr < hi), -self.alpha, out)
         return out if np.ndim(y) else float(out)
 
 
@@ -98,11 +87,6 @@ class GridDensity:
     @property
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.step))
-
-    def __call__(self, y):
-        out = np.interp(np.asarray(y, dtype=float), self.nodes, self.values,
-                        left=0.0, right=0.0)
-        return out if np.ndim(y) else float(out)
 
     def expectation(self) -> float:
         return float(np.trapezoid(self.nodes * self.values, dx=self.step))

@@ -114,11 +114,6 @@ class SourceDensity:
         """Total integral over the interval, exact."""
         return float(np.sum(self._cells()[3]))
 
-    def __call__(self, x):
-        xs, v, _, _ = self._cells()
-        out = np.interp(np.asarray(x, dtype=float), xs, v, left=0.0, right=0.0)
-        return out if np.ndim(x) else float(out)
-
     def cdf(self, x):
         """Cumulative mass from the left endpoint, exact per cell."""
         x_arr = np.asarray(x, dtype=float)

@@ -12,14 +12,11 @@ limit study cares about: the observed order of the tent distance against
 epsilon (log-log slope), monotonicity verdicts for the endpoint and
 expectation trajectories, and the worst duality gap.
 
-Rows are independent of each other; they are computed sequentially here
-purely for determinism of timing capture, and output order always
-follows input order.
+Rows are independent of each other and follow the input order.
 """
 
 import csv
 import io
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +47,7 @@ class SweepRow:
     """One epsilon's worth of pipeline output.
 
     Numeric fields default to None, which is what a failed row holds: it
-    is built from `epsilon`, `wall_ms` and a non-empty `error` alone.
-    `wall_ms` is measured for every row but never serialized (the CSV
-    keeps its `ms` column empty so identical inputs give identical bytes).
+    is built from `epsilon` and a non-empty `error` alone.
     """
 
     epsilon: float
@@ -65,7 +60,6 @@ class SweepRow:
     dual: float | None = None
     gap: float | None = None
     dist_tent: float | None = None
-    wall_ms: float
     error: str = ""
 
     @property
@@ -80,19 +74,15 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
 
 def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
     if epsilon < EPSILON_FLOOR:
-        return SweepRow(epsilon=epsilon, wall_ms=0.0,
+        return SweepRow(epsilon=epsilon,
                         error=f"ValueError: epsilon {epsilon!r} below the "
                               f"supported floor {EPSILON_FLOOR!r}")
-    start = time.perf_counter()
     try:
         solution = assemble_density(spec, epsilon, grid_n)
         report = duality_gap(solution)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
-        wall = (time.perf_counter() - start) * 1e3
-        return SweepRow(epsilon=epsilon, wall_ms=wall,
-                        error=f"{type(exc).__name__}: {exc}")
-    wall = (time.perf_counter() - start) * 1e3
+        return SweepRow(epsilon=epsilon, error=f"{type(exc).__name__}: {exc}")
     return SweepRow(
         epsilon=epsilon,
         constant=solution.dual.constant,
@@ -103,8 +93,7 @@ def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
         primal=report.primal,
         dual=report.dual,
         gap=report.gap_primal_dual,
-        dist_tent=dist,
-        wall_ms=wall)
+        dist_tent=dist)
 
 
 def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
@@ -147,8 +136,7 @@ def rows_to_csv(rows) -> str:
     """Serialize sweep rows to CSV text, bit-stable for identical inputs.
 
     The `ms` column is intentionally left empty: wall time varies run to
-    run and would break byte-for-byte determinism of the artifact.  The
-    measured value stays available on SweepRow.wall_ms for reports.
+    run and would break byte-for-byte determinism of the artifact.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -33,7 +33,7 @@ third_order = -spec.orientation * z0 * v3 / alpha ** 6
 
 print(f"{'epsilon':>9} {'p*':>10} {'expectation':>12} {'gap':>10} "
       f"{'dist to tent':>13} {'(p*-p_tent)/eps':>16} {'closed form':>12} "
-      f"{'3rd-order rem.':>15} {'closed form':>12} {'wall ms':>8}")
+      f"{'3rd-order rem.':>15} {'closed form':>12}")
 for row in rows:
     eps = row.epsilon
     shift = (row.support_endpoint - p_tent) / eps
@@ -41,7 +41,7 @@ for row in rows:
     print(f"{eps:>9g} {row.support_endpoint:>10.5f} "
           f"{row.expectation:>12.7f} {row.gap:>10.1e} "
           f"{row.dist_tent:>13.6f} {shift:>16.6f} {first_order:>12.6f} "
-          f"{remainder:>15.6f} {third_order:>12.6f} {row.wall_ms:>8.1f}")
+          f"{remainder:>15.6f} {third_order:>12.6f}")
 
 report = convergence_report(rows)
 print()

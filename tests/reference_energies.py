@@ -1,8 +1,9 @@
 """Plain-quadrature energies of any profile and log scale factor, for the
 duality facts the solve's energies are held to.  The package reads a
 solved pair's energies off its last Newton pass (`energy.duality_gap`);
-these integrate them afresh.  A profile has a `support` and vectorized
-`__call__(y)` and `slope(y)`; a log scale factor is a function of y."""
+these integrate them afresh.  A profile is given by its value and its
+slope, vectorized functions of y, over its support; a log scale factor
+is a function of y."""
 
 import numpy as np
 
@@ -11,25 +12,25 @@ from reference_quadrature import integrate
 TOL = 1e-10
 
 
-def primal(profile, alpha, eps):
-    """Integral of H(u_y) - |y| u over the profile's support."""
+def primal(value, slope, support, alpha, eps):
+    """Integral of H(u_y) - |y| u over the support."""
     def f(y):
-        g = profile.slope(y)
+        g = slope(y)
         return (eps * np.exp((g * g - alpha * alpha) / (2.0 * eps))
-                - np.abs(y) * profile(y))
+                - np.abs(y) * value(y))
 
-    return integrate(f, *profile.support, tol=TOL)
+    return integrate(f, *support, tol=TOL)
 
 
-def mixed(profile, alpha, eps, log_lam):
+def mixed(value, slope, support, alpha, eps, log_lam):
     """Integral of lam ((u_y^2 - a^2)/2 - eps (ln lam - 1)) - |y| u over the
-    profile's support."""
+    support."""
     def f(y):
-        g, l = profile.slope(y), log_lam(y)
+        g, l = slope(y), log_lam(y)
         return (np.exp(l) * (0.5 * (g * g - alpha * alpha) - eps * (l - 1.0))
-                - np.abs(y) * profile(y))
+                - np.abs(y) * value(y))
 
-    return integrate(f, *profile.support, tol=TOL)
+    return integrate(f, *support, tol=TOL)
 
 
 def dual(field, log_lam):

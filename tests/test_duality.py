@@ -179,7 +179,7 @@ class TestSlopeFromTheta:
             slope_of(math.nan, 1.0, 0.1)
         fld = DualField((3.0, 5.0), (3.0, 4.0), 1.0, 1.0, 0.1)
         with pytest.raises(MaxIterations):
-            fld.slope(np.array([3.5, math.nan]))
+            fld.fields_at(np.array([3.5, math.nan]))
 
 
 class TestBoundaryResidual:
@@ -279,10 +279,12 @@ class TestCapacity:
         for alpha in (0.5, 1.0, 4.0):
             spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
             tent = tent_limit_density(spec)
-            assert tent.support[1] - tent.support[0] == spec.sharp_width
-            assert tent.mass == pytest.approx(1.0, rel=1e-15)
+            width = tent.support[1] - tent.support[0]
+            assert width == spec.sharp_width
+            assert tent.alpha * width ** 2 / 4.0 == pytest.approx(1.0, rel=1e-15)
         full = TentDensity((0.0, 5.0), 1.0)
-        assert full.mass == 6.25
+        ys = np.linspace(0.0, 5.0, 3)
+        assert np.trapezoid(full(ys), ys) == 6.25
 
     def test_invalid_spec_rejected(self):
         # Admissibility is checked before capacity: a negative slope bound
@@ -373,7 +375,6 @@ class TestAssembleDensity:
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
         theta, log_lam, slope = sol.dual.fields_at(sol.support_nodes)
-        assert np.abs(slope - sol.dual.slope(sol.support_nodes)).max() == 0.0
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
@@ -388,7 +389,7 @@ class TestAssembleDensity:
         keep[[0, -1]] = False
         d = 1e-6
         dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
-        assert np.abs(dv - sol.dual.slope(y[keep])).max() < 1e-7
+        assert np.abs(dv - sol.dual.fields_at(y[keep])[2]).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -429,7 +430,7 @@ class TestAssembleDensity:
         assert sol.max_log_lambda <= 0.0
         assert sol.max_abs_slope <= spec.alpha * (1.0 + 1e-10)
         dense = np.linspace(sol.support[0], sol.support[1], 20001)
-        assert float(np.max(np.abs(sol.dual.slope(dense)))) <= spec.alpha
+        assert float(np.max(np.abs(sol.dual.fields_at(dense)[2]))) <= spec.alpha
 
     def test_mass_conservation_across_epsilon(self, solved):
         for eps in (0.1, 0.01, 1e-3):
@@ -999,8 +1000,8 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(mir.dual.slope(mir.support_nodes),
-                                  -sol.dual.slope(sol.support_nodes)[::-1])
+            assert np.array_equal(mir.dual.fields_at(mir.support_nodes)[2],
+                                  -sol.dual.fields_at(sol.support_nodes)[2][::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 
@@ -1041,7 +1042,6 @@ class TestDualField:
         ys = np.linspace(3.0, 5.0, 57)
         theta, log_lam, slope = fld.fields_at(ys)
         assert np.allclose(theta, fld.theta(ys), rtol=0, atol=0)
-        assert np.allclose(slope, fld.slope(ys), rtol=0, atol=1e-14)
         # The algebra ties the three together pointwise.
         assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12
 
@@ -1079,13 +1079,14 @@ class TestGradedPanels:
         anchor = spec.anchor
         for c in (crossing, 0.5 * (crossing + anchor)):
             fld = DualField(support, (zero, c), spec.orientation, alpha, eps)
+            slope = lambda y: fld.fields_at(y)[2]
             graded = boundary_residual(c, support, spec, eps, zero=zero,
                                        quad_tol=1e-13)
-            plain = integrate(fld.slope, *support, tol=1e-13,
+            plain = integrate(slope, *support, tol=1e-13,
                               breakpoints=(c,))
             assert abs(graded - plain) <= 2e-13 * max(1.0, abs(plain))
             graded = total_mass(zero, spec, eps, crossing=c, quad_tol=1e-11)
-            plain = integrate(lambda y: (start - y) * fld.slope(y), *support,
+            plain = integrate(lambda y: (start - y) * slope(y), *support,
                               tol=1e-11, breakpoints=(c,))
             assert abs(graded - plain) <= 2e-11 * max(1.0, abs(plain))
 

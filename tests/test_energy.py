@@ -50,6 +50,11 @@ def _const(value):
     return lambda y: np.full(np.shape(y), float(value))
 
 
+def _slope(sol):
+    """The delivered density's slope on its support: the dual slope."""
+    return lambda y: sol.dual.fields_at(y)[2]
+
+
 # -- primal -------------------------------------------------------------------
 
 class TestPrimalEnergy:
@@ -58,8 +63,9 @@ class TestPrimalEnergy:
         # energy is eps * width - mean: the -4 + delta form with
         # delta = 2 eps at alpha = 1
         tent = tent_limit_density(SPEC_I)
+        slope = lambda y: tent.alpha * np.sign(tent.center - y)
         for eps in (0.1, 0.01):
-            delta = ref.primal(tent, 1.0, eps) + 4.0
+            delta = ref.primal(tent, slope, tent.support, 1.0, eps) + 4.0
             assert delta == pytest.approx(2.0 * eps, abs=1e-9)
 
     def test_generic_path_matches_exact_path(self, solved):
@@ -67,7 +73,7 @@ class TestPrimalEnergy:
         # H(u_y) - u |y| over the delivered density, agree to its
         # interpolation error
         sol = solved(SPEC_I, 1e-3)
-        assert ref.primal(sol, 1.0, 1e-3) == pytest.approx(
+        assert ref.primal(sol, _slope(sol), sol.support, 1.0, 1e-3) == pytest.approx(
             duality_gap(sol).primal, abs=2e-6)
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
@@ -159,14 +165,16 @@ class TestTotalComplementary:
         rng = np.random.default_rng(1)
         for _ in range(20):
             level = math.log(rng.uniform(0.05, 1.0))
-            assert ref.mixed(sol, 1.0, 1e-3, _const(level)) <= primal + 1e-8
+            assert ref.mixed(sol, _slope(sol), sol.support, 1.0, 1e-3,
+                             _const(level)) <= primal + 1e-8
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     def test_solved_pair_is_the_reported_mixed_energy(self, solved, spec):
         # the locked pair's mixed energy by plain quadrature over the
         # delivered density, to its interpolation error
         sol = solved(spec, 1e-3)
-        out = ref.mixed(sol, 1.0, 1e-3, lambda y: sol.dual.fields_at(y)[1])
+        out = ref.mixed(sol, _slope(sol), sol.support, 1.0, 1e-3,
+                        lambda y: sol.dual.fields_at(y)[1])
         assert out == pytest.approx(duality_gap(sol).xi_total, abs=2e-6)
 
 
@@ -230,10 +238,11 @@ class TestDualityGap:
         # the field's panels, to the reference's tolerance.
         sol = solved(dataclasses.replace(spec, alpha=alpha), eps)
         report = duality_gap(sol)
-        assert ref.primal(sol, alpha, eps) == pytest.approx(
+        assert ref.primal(sol, _slope(sol), sol.support, alpha, eps) == pytest.approx(
             report.primal, abs=2e-6)
         log_lam = lambda y: sol.dual.fields_at(y)[1]
-        assert ref.mixed(sol, alpha, eps, log_lam) == pytest.approx(
+        assert ref.mixed(sol, _slope(sol), sol.support, alpha, eps,
+                         log_lam) == pytest.approx(
             report.xi_total, abs=2e-6)
         assert ref.dual(sol.dual, log_lam) == pytest.approx(
             report.dual, abs=ref.TOL)
@@ -407,19 +416,24 @@ class TestSecondVariationProbe:
         assert report.min_primal_delta >= -1e-10
         assert report.max_dual_delta <= 1e-10
 
-    @pytest.mark.parametrize("t_values", [(1e-3, -1e-2), (0.0, 0.0), ()],
-                             ids=["nonzero", "zeros", "empty"])
+    @pytest.mark.parametrize("t_values", [(1e-3, -1e-2), (0.0, 0.0)],
+                             ids=["nonzero", "zeros"])
     def test_one_pass_per_probe(self, solved, adaptive_passes, t_values):
-        # Every nonzero t's primal and dual rows ride on one pass over the
-        # field; t = 0 costs no row, so all-zero t values run no pass.
+        # Every t's primal and dual rows ride on one pass over the field;
+        # the rows of a t of 0 vanish identically and read exactly 0.0.
         sol = solved(SPEC_I, 1e-3)
         adaptive_passes.clear()
         report = second_variation_probe(sol, SinePerturbation(sol.support),
                                         t_values, dual_perturbation=_ONE)
-        assert len(adaptive_passes) == (1 if any(t_values) else 0)
+        assert len(adaptive_passes) == 1
         if not any(t_values):
             zeros = (0.0,) * len(t_values)
             assert report.primal_deltas == report.dual_deltas == zeros
+
+    def test_no_amplitude_raises(self, solved):
+        sol = solved(SPEC_I, 1e-3)
+        with pytest.raises(ValueError, match="one or more"):
+            second_variation_probe(sol, SinePerturbation(sol.support), ())
 
     def test_deltas_keep_input_order_and_duplicates(self, solved):
         # The same nonzero t values in another order, repeated and mixed

@@ -1,26 +1,45 @@
-"""Every public module-level function of the package, and every public
-method and property of its classes, has a caller outside the tests.
+"""Every public function of the package, and every public method,
+property and `__call__` of its classes, runs under the package's real
+traffic.
 
-The package, the studies and perfbench are parsed, and a function or
-member counts as called when it is read anywhere but inside its own
-body: a function as a bare name or as an attribute of its own module
-read by name (`duality.assemble_density`), a member as an attribute of
-anything.  So a method that shares a function's name (`DualField.integrate`)
-does not count as a call of the function.  A function only tests
-reach belongs in test code, as `reference_solves.py` and
-`reference_energies.py` hold theirs; a member only tests read is written
-in terms of the members that remain.  Every default of a public
-function, method or dataclass field is set by some call there, by
-keyword or by position: a default nothing sets is a constant.
+The traffic is what the package is for, run in this process: each
+script under `studies/`; perfbench's own operations on seed 1 (four cold
+solves, four analyses, and the five CLI commands through `cli.main` on
+the canonical config with an LP oracle fixture); and one `validate` of a
+config whose target overlaps the source, the documented exit 2.  A
+profile hook records the code of every Python call while that traffic
+runs, and only then, so no call from test code counts.  A definition is
+reached when its own code ran, keyed by file and first line: a method
+that shares another's name does not count for it, and a function called
+through a reference (`cli._COMMANDS`, a name bound by `from ... import`)
+does.  A function only tests reach belongs in test code, as
+`reference_solves.py` and `reference_energies.py` hold theirs; a member
+only tests read is written in terms of the members that remain.
+Dataclass fields are out of scope: a field is read, not run, so no
+call records it.  Those only tests read are the solve's diagnostics
+(`newton_steps`, `closure_residual`, `mass_residual` among them), which
+belong in a trace of the solve.
+
+Every default of a public function, method or dataclass field is set by
+some call under `src/`, `studies/` or `perfbench/`, by keyword or by
+position: a default nothing sets is a constant.
 """
 
 import ast
-from collections import Counter
+import contextlib
+import importlib
+import io
+import json
+import os
+import runpy
+import sys
 from pathlib import Path
+
+from monge1d import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monge1d"
-MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+STUDIES = sorted((ROOT / "studies").glob("*.py"))
 TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for folder in ("src", "studies", "perfbench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
@@ -31,60 +50,74 @@ def _public(body):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
-def _public_functions():
+def _definitions():
+    """{(file, first line): name} for every public module-level function
+    of the package and every public method, property and `__call__` of
+    its module-level classes.  A decorated def starts at its first
+    decorator, as its code object does."""
+    out = {}
     for path, tree in TREES.items():
-        if path.parent == PACKAGE:
-            for node in _public(tree.body):
-                yield path, node
+        if path.parent != PACKAGE:
+            continue
+        defs = [(node.name, node) for node in _public(tree.body)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [(f"{cls.name}.{node.name}", node) for node in cls.body
+                         if isinstance(node, ast.FunctionDef)
+                         and (not node.name.startswith("_") or node.name == "__call__")]
+        for name, node in defs:
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out[(str(path), first)] = f"{path.stem}.{name}"
+    return out
 
 
-def _public_members():
-    """(path, class, member) for the public methods and properties of the
-    package's module-level classes."""
-    for path, tree in TREES.items():
-        if path.parent == PACKAGE:
-            for cls in tree.body:
-                if isinstance(cls, ast.ClassDef):
-                    for node in _public(cls.body):
-                        yield path, cls, node
+def _run_traffic(workloads, tmp_path):
+    """Run the studies, perfbench's operations on seed 1 and an invalid
+    `validate`; returns the perfbench outcomes and the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for path in STUDIES:
+            runpy.run_path(str(path), run_name="__main__")
+        outcomes = [workloads.solve_op(point)
+                    for point in workloads.solve_grid_inputs(1)[:4]]
+        outcomes += [workloads.analysis_op(pair) for pair in
+                     workloads.analyze_setup(workloads.analyze_inputs(1))[:4]]
+        paths = workloads.cli_setup(workloads.cli_inputs(1), tmp_path)
+        outcomes += [workloads.cli_inprocess_op(command, paths)
+                     for command in workloads.CLI_COMMANDS]
+        overlap = {**workloads.CANONICAL_CONFIG, "out": str(tmp_path / "overlap")}
+        overlap["problem"] = {**overlap["problem"], "target": [0, 7]}
+        config = tmp_path / "overlap.json"
+        config.write_text(json.dumps(overlap))
+        code = cli.main(["validate", "--config", str(config)])
+    return outcomes, code
 
 
-def _calls(tree):
-    """Names read in a tree as bare names, and `module.name` for the names
-    read as attributes of a package module read by name."""
-    return Counter(node.id if isinstance(node, ast.Name) else f"{node.value.id}.{node.attr}"
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                   or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                   and node.value.id in MODULES)
+def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
+    definitions = _definitions()
+    assert {"duality.assemble_density", "duality.DualField.fields_at",
+            "numerics.MonotoneProfile.__call__", "problem.ValidationReport.message",
+            } <= set(definitions.values())
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ran = set()
 
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-def _attribute_reads(tree):
-    """Names read in a tree as attributes."""
-    return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute))
-
-
-def test_every_public_function_has_a_caller():
-    functions = list(_public_functions())
-    assert {"assemble_density", "duality_gap", "normalize_density"} <= {
-        node.name for _, node in functions}
-    calls = sum((_calls(tree) for tree in TREES.values()), Counter())
-    uncalled = [f"{path.stem}.{node.name}" for path, node in functions
-                if all(calls[name] == _calls(node)[name]
-                       for name in (node.name, f"{path.stem}.{node.name}"))]
-    assert not uncalled, f"called by no module under src/, studies/ or perfbench/: {uncalled}"
-
-
-def test_every_public_member_has_a_reader():
-    members = list(_public_members())
-    assert {("DualField", "fields_at"), ("DensitySolution", "support_nodes"),
-            ("TentDensity", "center")} <= {(cls.name, node.name)
-                                           for _, cls, node in members}
-    reads = sum((_attribute_reads(tree) for tree in TREES.values()), Counter())
-    unread = [f"{path.stem}.{cls.name}.{node.name}" for path, cls, node in members
-              if reads[node.name] == _attribute_reads(node)[node.name]]
-    assert not unread, f"read by no module under src/, studies/ or perfbench/: {unread}"
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        outcomes, code = _run_traffic(workloads, tmp_path)
+    finally:
+        sys.setprofile(previous)
+    assert code == 2
+    assert all(o.failed == 0 for o in outcomes), [o.label for o in outcomes]
+    ran = {(os.path.realpath(file), line) for file, line in ran}
+    unreached = sorted(name for (file, line), name in definitions.items()
+                       if (os.path.realpath(file), line) not in ran)
+    assert not unreached, ("run by none of the studies, perfbench's operations "
+                           f"or the CLI: {unreached}")
 
 
 def _defaults(function, skip=0):

@@ -27,11 +27,10 @@ def ladder_rows():
 def _row(epsilon, dist, *, endpoint=3.0, expect=4.0, gap=1e-12, error=""):
     # hand-built row for report-shape tests
     if error:
-        return SweepRow(epsilon=epsilon, wall_ms=1.0, error=error)
+        return SweepRow(epsilon=epsilon, error=error)
     return SweepRow(epsilon=epsilon, constant=8.0, support_endpoint=endpoint,
                     mass_err=0.0, sup_slope=1.0, expectation=expect,
-                    primal=-4.0, dual=-4.0, gap=gap, dist_tent=dist,
-                    wall_ms=1.0)
+                    primal=-4.0, dual=-4.0, gap=gap, dist_tent=dist)
 
 
 class TestEpsilonSweep:
@@ -76,9 +75,6 @@ class TestEpsilonSweep:
         assert rows[-1].support_endpoint == pytest.approx(-2.9983, abs=1e-4)
         assert rows[-1].expectation == pytest.approx(-4.0, abs=0.02)
         assert rows[-1].dist_tent <= 0.05
-
-    def test_wall_time_measured(self, ladder_rows):
-        assert all(r.wall_ms > 0.0 for r in ladder_rows)
 
     @pytest.mark.parametrize("eps,message", [
         (float("nan"), "nan is not finite"), (float("inf"), "inf is not finite"),
