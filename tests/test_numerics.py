@@ -280,6 +280,50 @@ class TestStackedRows:
         with pytest.raises(DomainError, match="row 0 is NaN"):
             integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
+    @pytest.mark.parametrize("f, breakpoints, tol", [
+        # One steep panel among 64 smooth ones.
+        (lambda x: np.tanh((x - 0.3) / 1e-6), np.linspace(0.0, 1.0, 65), 1e-12),
+        # Row 0 is exact; only the kink in row 1 is over budget.
+        (lambda x: (np.ones_like(x), np.abs(x - 1.0 / 3.0)), np.linspace(0.0, 1.0, 17),
+         1e-13),
+        # One period on each of 8 panels: the error is spread evenly, and
+        # its sum 8.3e-9 lies between one and two budgets.
+        (lambda x: np.cos(16.0 * np.pi * x), np.linspace(0.0, 1.0, 9), 6e-9),
+    ], ids=["steep", "later_row", "even_spread"])
+    def test_every_round_splits_the_worst_panel(self, monkeypatch, f, breakpoints, tol):
+        # While a row r is over budget, its worst panel holds at least
+        # esum[r] / n > target[r] / n of the error, above the split share
+        # target[r] / (2 n): every round splits it, so refinement always
+        # makes progress without a fallback split.
+        panels = {}   # (a, b) -> (Kronrod column, error column), as the loop holds them
+        rounds = []
+        gk_panels = numerics._gk_panels
+
+        def columns():
+            kron, err = (np.array([col[i] for col in panels.values()]).T for i in (0, 1))
+            return err, tol * np.maximum(1.0, np.abs(kron.sum(axis=1)))
+
+        def recorded(g, a, b):
+            kron, err, samples = gk_panels(g, a, b)
+            if panels:
+                # A round passes the halves (a[split], mids) and (mids, b[split]).
+                m = a.size // 2
+                parents = set(zip(a[:m].tolist(), b[m:].tolist()))
+                errs, target = columns()
+                worst = int(np.argmax(errs.sum(axis=1) / target))
+                rounds.append(list(panels)[int(np.argmax(errs[worst]))] in parents)
+                for key in parents:
+                    del panels[key]
+            for k, key in enumerate(zip(a.tolist(), b.tolist())):
+                panels[key] = kron[:, k], err[:, k]
+            return kron, err, samples
+
+        monkeypatch.setattr(numerics, "_gk_panels", recorded)
+        _adaptive(f, 0.0, 1.0, breakpoints, tol)
+        errs, target = columns()
+        assert rounds and all(rounds)
+        assert np.all(errs.sum(axis=1) <= target)
+
     def test_smooth_later_row_meets_its_own_tolerance(self):
         # Row 0 is exact on one panel; row 1 needs several, and ends within
         # tol * max(1, |total|) of its integral, on more panels than row 0

@@ -28,6 +28,7 @@ position: a default nothing sets is a constant.
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -90,6 +91,24 @@ def _run_traffic(workloads, tmp_path):
         config.write_text(json.dumps(overlap))
         code = cli.main(["validate", "--config", str(config)])
     return outcomes, code
+
+
+def test_definition_keys_are_their_code_objects():
+    # The reach test matches the profile hook's (co_filename,
+    # co_firstlineno) against these keys, so each key must be the code
+    # object's own: a decorated def starts at its first decorator.
+    properties = 0
+    for (file, line), name in _definitions().items():
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"monge1d.{module}")
+        for attr in attrs:
+            obj = inspect.getattr_static(obj, attr)
+        if isinstance(obj, property):
+            properties, obj = properties + 1, obj.fget
+        code = inspect.unwrap(getattr(obj, "__func__", obj)).__code__
+        assert (os.path.realpath(code.co_filename), code.co_firstlineno) == (
+            os.path.realpath(file), line), name
+    assert properties
 
 
 def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
