@@ -327,7 +327,7 @@ def cmd_sweep(config: RunConfig) -> int:
     code = _verdicts(config)
     if code:
         return code
-    rows = epsilon_sweep(config.spec, config.epsilons, config.grid_n)
+    rows = epsilon_sweep(config.spec, config.epsilons)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(config.out_dir / "sweep.csv", rows_to_csv(rows))

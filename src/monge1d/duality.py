@@ -32,7 +32,7 @@ here, all in closed form up to one two-unknown root solve:
 4. The density is the cumulative integral of the slope from the anchored
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass, at the grid's nodes and
-   between them alike (`numerics.MonotoneProfile`).
+   between them alike, and so is the CDF's inverse (`DensitySolution`).
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -167,9 +167,8 @@ class DualField:
     expanded form orientation * (constant - y^2/2) - multiplier * y loses
     it to cancellation, so `constant` and `multiplier` are only read out.
     multiplier is the unit-mass multiplier mu of the stress equation
-    theta_y = -|y| - mu.  `energy_integrals`, rows of a solve's last pass
-    (`_zero_residuals`), are the H-term, dual and mixed integrals `energy`
-    reads; None on a field built by hand, and left out of comparisons.
+    theta_y = -|y| - mu.  The field is geometry alone: what a solve's
+    passes sum over it is held on the `DensitySolution`.
     """
 
     support: tuple[float, float]
@@ -177,7 +176,6 @@ class DualField:
     orientation: float
     alpha: float
     epsilon: float
-    energy_integrals: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def constant(self) -> float:
@@ -304,7 +302,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     depths `zeros`, with its expectation moment and energy integrals, from
     one quadrature pass over the support [0, S]: the closing density
     integral of du/ds less its aim, integral of (S - s) du/ds - 1,
-    integral of (S - s)^2 du/ds and `DualField.energy_integrals`, summed
+    integral of (S - s)^2 du/ds and `DensitySolution.energy_integrals`, summed
     panel after panel as `DualField.integrate` sums them.  Also the
     residuals' exact Jacobian in (z, c), from two more rows of the same
     pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
@@ -501,12 +499,15 @@ class DensitySolution:
     docstring).  newton_steps,
     closure_residual and mass_residual record what the coupled zero solve
     did: its Newton steps and its final closure (measured from the aim)
-    and mass - 1 residuals.  No CLI artifact writes them.
+    and mass - 1 residuals.  No CLI artifact writes them.  mass,
+    expectation and energy_integrals (the H-term, dual and mixed integrals
+    `energy` reads) are rows of the solve's last pass.
 
-    The solution holds one representation of the density, the solve's last
-    pass read as a `numerics.MonotoneProfile`: `cdf`, the target CDF the
-    transport maps invert, and, by calling the solution, the delivered
-    density, zero off the support and clipped at 0.  A node reads its own
+    The solution holds one representation of the density, that pass read
+    in depth as a `numerics.MonotoneProfile`, and one map of y to depth
+    (`_depth`): by calling the solution, the delivered density, zero off
+    the support and clipped at 0; `cdf`, the target CDF; and `quantile`,
+    its inverse, which the transport maps read.  A node reads its own
     value; the depth a y maps to has lost the node's last bits.  The
     cumulative construction makes the density's slope the recovered dual
     slope, `dual.fields_at(y)[2]`, on the support and zero on the
@@ -524,6 +525,7 @@ class DensitySolution:
     support_slice: slice
     mass: float
     expectation: float
+    energy_integrals: tuple[float, ...]
     max_abs_slope: float
     max_log_lambda: float
     boundary_gap: float
@@ -531,20 +533,46 @@ class DensitySolution:
     newton_steps: int
     closure_residual: float
     mass_residual: float
-    cdf: MonotoneProfile = field(repr=False)
+    profile: MonotoneProfile = field(repr=False)
 
     @property
     def support_nodes(self):
         return self.nodes[self.support_slice]
 
+    def _depth(self, y):
+        """Depth o (anchor - y) of each y, clamped to the pass; the closing
+        end, support_endpoint, reads the last edge exactly."""
+        y = np.asarray(y, dtype=float)
+        edges = self.profile.edges
+        s = np.clip(self.spec.orientation * (self.spec.anchor - y), edges[0], edges[-1])
+        return np.where(y == self.support_endpoint, edges[-1], s)
+
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
         inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self.cdf.density(self.cdf.depth(y_arr)), 0.0)
+        out = np.where(inside, self.profile.density(self._depth(y_arr)), 0.0)
         k = np.minimum(np.searchsorted(self.nodes, y_arr), self.nodes.size - 1)
         out = np.maximum(np.where(self.nodes[k] == y_arr, self.values[k], out), 0.0)
         return out if np.ndim(y) else float(out)
+
+    def cdf(self, y):
+        """The target CDF, the fraction of the mass below y; it clamps y
+        into the support."""
+        fraction = self.profile.fraction(self._depth(y))
+        out = 1.0 - fraction if self.spec.orientation > 0 else fraction
+        return out if np.ndim(y) else float(out)
+
+    def quantile(self, t):
+        """The CDF's inverse at the mass fractions 1 - t from the anchor
+        (orientation 1) or t (orientation -1), clipped into [0, 1] and
+        solved in depth (`MonotoneProfile.invert_many`); the last edge maps
+        back to the closing end exactly.  A NaN t raises ValueError."""
+        o, t_arr = self.spec.orientation, np.ravel(np.asarray(t, dtype=float))
+        s = self.profile.invert_many(1.0 - t_arr if o > 0 else t_arr)
+        out = np.where(s == self.profile.edges[-1], self.support_endpoint,
+                       self.spec.anchor - o * s)
+        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 def _depth_grid(span, crossing, grid_n):
@@ -572,10 +600,10 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     node.  The grid is
     uniform over the support with the crossing as a node (`_depth_grid`),
     plus a zero extension over the rest of the target at matching
-    resolution.  The mass, the expectation and the field's
-    `energy_integrals` come from rows of the solve's last Newton pass.
-    Between the nodes, and as the target CDF, the solution reads the same
-    pass (see `DensitySolution`).  Raises ValueError unless epsilon is
+    resolution.  The mass, the expectation and the `energy_integrals` come
+    from rows of the solve's last Newton pass.  Between the nodes, and as
+    the target CDF and its quantile, the solution reads the same pass (see
+    `DensitySolution`).  Raises ValueError unless epsilon is
     finite and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
@@ -597,7 +625,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     m = min(max(zero, tl), tr)
     support = tuple(sorted((anchor, m)))
     edges, sums, samples = solved.final_pass
-    profile = MonotoneProfile(edges, sums[0], samples, anchor, m, singular=zeros)
+    profile = MonotoneProfile(edges, sums[0], samples, singular=zeros)
     grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
     raw = profile.density(grid_s)
     boundary_gap = float(raw[-1])
@@ -609,8 +637,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     values_support[0] = 0.0
     values_support[-1] = 0.0
 
-    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon,
-                     solved.energy_integrals)
+    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
     lo, hi = support
     grid = anchor - o * grid_s
     grid[-1] = m                # a far edge exactly, not anchor - o * width
@@ -645,9 +672,10 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
         support=support, crossing=crossing, nodes=nodes, values=values,
         support_slice=support_slice, mass=float(mass),
-        expectation=float(expectation), max_abs_slope=float(np.sqrt(u_max[0])),
+        expectation=float(expectation), energy_integrals=solved.energy_integrals,
+        max_abs_slope=float(np.sqrt(u_max[0])),
         max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
         clip_depth=clip_depth, newton_steps=solved.steps,
         closure_residual=solved.closure, mass_residual=solved.mass_residual,
-        cdf=profile)
+        profile=profile)
 

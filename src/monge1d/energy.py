@@ -22,8 +22,8 @@ without cancellation.
 
 `duality_gap` is the one energy reader, and it runs no quadrature: the
 H-term, dual and mixed integrals are rows of the solve's last Newton
-pass (`DualField.energy_integrals`), and the moment term is the
-solution's `expectation`.  The variational
+pass (`DensitySolution.energy_integrals`), and the moment term is the
+solution's `expectation`, a row of the same pass.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
 `SinePerturbation`; all their deltas are the rows of one pass, cut
@@ -41,9 +41,6 @@ from .duality import DensitySolution
 from .errors import InvalidPerturbation
 
 _PROBE_QUAD_TOL = 1e-10
-
-# Scale factors `taylor_remainder_check` scans.
-_TAYLOR_GRID_N = 2001
 
 
 # -- perturbations ------------------------------------------------------------
@@ -97,20 +94,17 @@ class EnergyReport:
 
 def duality_gap(solution: DensitySolution) -> EnergyReport:
     """All three energies at the solved critical pair, read off the solve's
-    last Newton pass with no quadrature (`DualField.energy_integrals`).
+    last Newton pass with no quadrature (`DensitySolution.energy_integrals`).
 
     The target sits on one side of the origin, so the moment of |y| in
     the primal and mixed energies is the expectation up to sign; the dual
     energy adds multiplier * 1, the unit mass the multiplier prices.
     Uses the "support" convention: the zero extension's flat contribution,
     eps e^{-a^2/(2 eps)} per unit length of target outside the support,
-    is reported separately as `full_target_offset`.  A hand-built field
-    carries no pass to read (ValueError).
+    is reported separately as `full_target_offset`.
     """
     eps, alpha = solution.epsilon, solution.spec.alpha
-    if solution.dual.energy_integrals is None:
-        raise ValueError("only a solve's own field carries energy integrals")
-    h_term, dual_term, xi_term = solution.dual.energy_integrals
+    h_term, dual_term, xi_term = solution.energy_integrals
     primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
     dual_val = float(dual_term + solution.dual.multiplier)
     tl, tr = solution.spec.target_interval
@@ -248,17 +242,17 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
 # -- expansion remainder ------------------------------------------------------
 
 def taylor_remainder_check(alpha, epsilon) -> float:
-    """Largest deviation of the squared stress from its cubic expansion.
+    """Largest deviation of the squared stress from its cubic expansion,
+    max |E(lam) - (a^2 - 2 eps) lam^2 - 2 eps lam^3| over the classical
+    window [e^{-a^2/(2 eps)}, 1]; the expansion claim is that this never
+    exceeds eps.
 
-    Scans a log-spaced scale-factor grid over the classical window and
-    returns max |E(lam) - (a^2 - 2 eps) lam^2 - 2 eps lam^3|; the
-    expansion claim is that this never exceeds eps.
+    The deviation is 2 eps lam^2 (ln lam + 1 - lam).  Its magnitude peaks
+    where 2 eps lam (2 ln lam + 3 - 3 lam) vanishes, at lam* =
+    0.4171883561341886, which lies inside the window whenever eps < a^2/2
+    (the lower end is then below e^{-1} < lam*): the maximum is
+    2 lam*^2 |ln lam* + 1 - lam*| eps = 0.10143610792479067 eps.
     """
-    a2 = alpha * alpha
-    if not 0.0 < epsilon < 0.5 * a2:
+    if not 0.0 < epsilon < 0.5 * alpha * alpha:
         raise ValueError("need epsilon in (0, alpha^2/2) for a nondegenerate window")
-    ls = np.linspace(-a2 / (2.0 * epsilon), 0.0, _TAYLOR_GRID_N)
-    lam2 = np.exp(2.0 * ls)
-    exact = lam2 * (a2 + 2.0 * epsilon * ls)
-    expansion = (a2 - 2.0 * epsilon) * lam2 + 2.0 * epsilon * np.exp(3.0 * ls)
-    return float(np.max(np.abs(exact - expansion)))
+    return 0.10143610792479067 * epsilon

@@ -1,7 +1,9 @@
 """Low-level numerical kernels: one adaptive quadrature pass (`_adaptive`),
 on which the dual solver builds every integral it takes, and a solved
-density and its CDF read off one pass's panels (`MonotoneProfile`), with
-a vectorized inverse exact panel by panel.  numpy is the only dependency.
+density and its mass fraction read off one pass's panels in depth
+(`MonotoneProfile`), with a vectorized inverse exact panel by panel.
+Nothing here knows a physical coordinate: the dual solver maps y to
+depth and back.  numpy is the only dependency.
 
 Design notes
 ------------
@@ -20,8 +22,8 @@ Design notes
   stress zero: 46 levels on a support two wide.  A pass that only sums
   rows stops where the layer left in the last panel is within its
   tolerance, log2(eps/(tol alpha)) levels: 29 at alpha 1, eps 0.1 and 13
-  at eps 1e-6 for the probes' tol of 1e-10.  It grades toward the
-  anchored edge as well, where the probes' rows peak.
+  at eps 1e-6 for the probes' tol of 1e-10.  It grades toward depth 0
+  as well, where the probes' rows peak.
   The depth cap of 60 levels, rather than the usual 20, still lets an
   integrand without graded breakpoints reach such a layer by bisection.
 * An integrand may return a stack of rows from its one call per round.
@@ -36,13 +38,13 @@ Design notes
   pass hands back row 0's Kronrod samples, whose interpolants integrate
   once and twice in closed form (Greengard, SIAM J. Numer. Anal. 1991).
   The dual solver's last pass is its density's slope, so the density and
-  the CDF are those integrals, between the grid's nodes as at them: no
+  the mass are those integrals, between the grid's nodes as at them: no
   second interpolant stands between the solve and the transport maps.
   Both are held per panel as Taylor rows in the panel's offset from its
   left edge, so a read at any number of points is one Horner sum.
-  The CDF's inverse solves each target's panel polynomial by a bracketed
-  Newton iteration: a handful of vectorized steps, each one Horner
-  evaluation per target still unconverged.
+  The mass fraction's inverse solves each target's panel polynomial by a
+  bracketed Newton iteration: a handful of vectorized steps, each one
+  Horner evaluation per target still unconverged.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -243,8 +245,8 @@ def _horner(rows, w):
 
 
 class MonotoneProfile:
-    """A solved density and its CDF, read off one `_adaptive` pass, with a
-    vectorized inverse (`invert_many`).
+    """A solved density and its mass fraction in depth, read off one
+    `_adaptive` pass, with a vectorized inverse (`invert_many`).
 
     Row 0 of the pass is the density's slope g in depth s.  Its running
     integral from the first edge is the density u, and the running integral
@@ -260,8 +262,9 @@ class MonotoneProfile:
     sums and a left edge reads them with no rounding of its own.  Both are
     held per panel in ascending powers of w = x + 1, the density from
     `_I_TAYLOR` and the mass, over its total, from `_J_TAYLOR`, and read by
-    Horner's rule, the mass for the CDF and its inverse alike.  A left edge,
-    w = 0, reads U_a exactly.  Depths outside the pass raise ValueError.
+    Horner's rule, the mass for its fraction and that fraction's inverse
+    alike.  A left edge, w = 0, reads U_a exactly.  Depths outside the pass
+    raise ValueError.
 
     The pass's error control covers the interpolant: the |Kronrod - Gauss|
     estimate that accepted a panel measures g's distance from polynomials
@@ -274,22 +277,15 @@ class MonotoneProfile:
     Kronrod mean c_0 alone.  That constant is a positive-weight average of
     the samples, so |g| stays within their range, and it keeps the panel's
     Kronrod sum; u moves by less than the panel's width times g's spread.
-
-    Depth s sits at y = anchor - orientation s, the orientation being the
-    sign of anchor - far, and the last edge at exactly y = far.  Calling the
-    profile gives the CDF in y, M / M_total from the lower support end; it
-    clamps y into the support.
     """
 
-    def __init__(self, edges, sums, samples, anchor, far, singular=()):
+    def __init__(self, edges, sums, samples, singular=()):
         edges, sums, samples = (np.asarray(a, dtype=float)
                                 for a in (edges, sums, samples))
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
             raise ValueError("panel edges must be strictly increasing")
         if sums.shape != (edges.size - 1,) or samples.shape != (edges.size - 1, 15):
             raise ValueError("a pass has one sum and 15 samples per panel")
-        if not anchor != far:
-            raise ValueError("the anchor and the far end must differ")
         self.edges, self.half = edges, 0.5 * np.diff(edges)
         self.coeffs = _KRONROD_TO_LEGENDRE @ samples.T
         ends_at = np.isin(edges, singular)
@@ -306,21 +302,11 @@ class MonotoneProfile:
         if not 0.0 < self.total < math.inf:
             raise ValueError(f"the profile's mass {self.total} is not positive")
         self.fractions = mass / self.total
-        self.anchor, self.far = float(anchor), float(far)
-        self.orientation = 1.0 if self.anchor > self.far else -1.0
-        self.support = (min(self.anchor, self.far), max(self.anchor, self.far))
         # Each panel's mass fraction in ascending powers of w = x + 1, and
         # the sum of its terms' sizes over the panel, w <= 2.
         self._taylor = np.vstack([mass[:-1], self.half * self.edge_density[:-1],
                                   self.half ** 2 * (_J_TAYLOR @ self.coeffs)]) / self.total
         self._size = 2.0 ** np.arange(17) @ np.abs(self._taylor)
-
-    def depth(self, y):
-        """Depth of each y, clamped to the pass; the far end reads the last
-        edge exactly."""
-        y = np.asarray(y, dtype=float)
-        s = np.clip(self.orientation * (self.anchor - y), self.edges[0], self.edges[-1])
-        return np.where(y == self.far, self.edges[-1], s)
 
     def _panels(self, s):
         """Panel index and w = x + 1 of each depth (the last edge in the
@@ -350,36 +336,29 @@ class MonotoneProfile:
         k, w = self._panels(s)
         return np.where(s == self.edges[-1], 1.0, _horner_at(self._taylor, k, w))
 
-    def __call__(self, y):
-        fraction = self.fraction(self.depth(y))
-        out = 1.0 - fraction if self.orientation > 0 else fraction
-        return out if np.ndim(y) else float(out)
+    def invert_many(self, fractions):
+        """Depths where the mass fraction from the first edge reaches each
+        of the 1-d `fractions`, exact to the pass's resolution.
 
-    def invert_many(self, targets):
-        """Vectorized inverse of the CDF, exact to the pass's resolution.
-
-        Targets are clipped into [0, 1].  In depth a target t is the mass
-        fraction f = t ahead of the anchor (orientation -1) or 1 - t
-        (orientation 1).  An f of 1 returns the far end exactly, although
-        the fractions may round to 1 a few panels before it; any other f
-        equal to an edge's running fraction returns that edge, the first of
-        a flat run.  Any other f lies strictly between the fractions of one
-        panel's edges, found by `searchsorted`, and is the root of that
-        panel's mass (`_solve_panels`).  Deterministic and array-safe, used
-        by the transport maps.  A NaN target raises ValueError.
+        Fractions are clipped into [0, 1].  A fraction of 1 returns the
+        last edge exactly, although the fractions may round to 1 a few
+        panels before it; any other f equal to an edge's running fraction
+        returns that edge, the first of a flat run.  Any other f lies
+        strictly between the fractions of one panel's edges, found by
+        `searchsorted`, and is the root of that panel's mass
+        (`_solve_panels`).  Deterministic and vectorized.  A NaN fraction
+        raises ValueError.
         """
-        t = np.clip(np.asarray(targets, dtype=float), 0.0, 1.0).ravel()
-        if np.isnan(t).any():
-            raise ValueError(f"CDF target {int(np.argmax(np.isnan(t)))} is NaN")
-        f = 1.0 - t if self.orientation > 0 else t
+        f = np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0)
+        if np.isnan(f).any():
+            raise ValueError(f"CDF target {int(np.argmax(np.isnan(f)))} is NaN")
         k = np.where(f == 1.0, self.edges.size - 1,
                      np.searchsorted(self.fractions, f, side="left"))
         s = self.edges[k]
         open_ = self.fractions[k] != f
         if open_.any():
             s[open_] = self._solve_panels(k[open_] - 1, f[open_])
-        out = np.where(s == self.edges[-1], self.far, self.anchor - self.orientation * s)
-        return out.reshape(np.shape(targets)) if np.ndim(targets) else float(out[0])
+        return s
 
     def _solve_panels(self, k, f):
         """Depth in panel k where the mass fraction reaches f, for f strictly

@@ -342,22 +342,19 @@ def _density_from_document(doc, interval, path):
     if kind not in _DENSITY_KINDS:
         raise ConfigError(f"{path}.kind: expected one of {list(_DENSITY_KINDS)}, "
                           f"got {kind!r}")
-    try:
-        if kind == "uniform":
-            if "nodes" in doc or "values" in doc:
-                raise ConfigError(f"{path}: uniform density takes no nodes/values")
-            level = None if "level" not in doc else _as_float(doc["level"], f"{path}.level")
-            return SourceDensity(interval=interval, kind=kind, level=level)
-        if "level" in doc:
-            raise ConfigError(f"{path}: {kind} density takes no level")
-        for key in ("nodes", "values"):
-            if key not in doc:
+    level = _as_float(doc["level"], f"{path}.level") if "level" in doc else None
+    arrays = {}
+    for key in ("nodes", "values"):
+        if key not in doc:
+            if kind != "uniform":
                 raise ConfigError(f"{path}: missing key {key!r} for kind {kind!r}")
-            if not isinstance(doc[key], (list, tuple)):
-                raise ConfigError(f"{path}.{key}: expected an array")
-        nodes = tuple(_as_float(x, f"{path}.nodes[{i}]") for i, x in enumerate(doc["nodes"]))
-        values = tuple(_as_float(v, f"{path}.values[{i}]") for i, v in enumerate(doc["values"]))
-        return SourceDensity(interval=interval, kind=kind, nodes=nodes, values=values)
+            continue
+        if not isinstance(doc[key], (list, tuple)):
+            raise ConfigError(f"{path}.{key}: expected an array")
+        arrays[key] = tuple(_as_float(x, f"{path}.{key}[{i}]")
+                            for i, x in enumerate(doc[key]))
+    try:
+        return SourceDensity(interval=interval, kind=kind, level=level, **arrays)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -72,13 +72,13 @@ def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:
     return np.linspace(lo, hi, _DISTANCE_GRID_N)
 
 
-def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
+def _solve_row(spec, epsilon, tent, grid) -> SweepRow:
     if epsilon < EPSILON_FLOOR:
         return SweepRow(epsilon=epsilon,
                         error=f"ValueError: epsilon {epsilon!r} below the "
                               f"supported floor {EPSILON_FLOOR!r}")
     try:
-        solution = assemble_density(spec, epsilon, grid_n)
+        solution = assemble_density(spec, epsilon)
         report = duality_gap(solution)
         dist = float(np.max(np.abs(solution(grid) - tent(grid))))
     except Monge1dError as exc:
@@ -96,11 +96,14 @@ def _solve_row(spec, epsilon, grid_n, tent, grid) -> SweepRow:
         dist_tent=dist)
 
 
-def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
+def epsilon_sweep(spec: MongeProblemSpec, epsilons):
     """Run the solve pipeline at each epsilon, in input order.
 
-    Each row is `assemble_density` as `solve` calls it, with the solve's
-    own energies, so a row holds the numbers `solve` writes.  Returns a
+    Each row is `assemble_density` at its default grid, with the solve's
+    own energies, so a row holds the numbers `solve` writes.  The grid
+    sets no column: the zeros, energies and expectation are the solve's
+    pass, and the tent distance reads the density on a grid of its own,
+    off that same pass.  Returns a
     list of SweepRow.  An epsilon that is not finite is rejected up front
     with a ValueError (the whole request is malformed, not one row); one
     below EPSILON_FLOOR, and a per-epsilon solver failure, land in their
@@ -118,7 +121,7 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons, grid_n=2001):
             raise ValueError(f"epsilon {eps!r} is not finite")
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
-    return [_solve_row(spec, eps, grid_n, tent, grid) for eps in eps_list]
+    return [_solve_row(spec, eps, tent, grid) for eps in eps_list]
 
 
 def _cell(row, column) -> str:

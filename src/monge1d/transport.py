@@ -7,12 +7,12 @@ flips F to 1 - F.  The two variants exist because the anchoring
 convention admits either, and nothing here ranks them.
 
 Maps evaluate lazily: each call of `TransportMap.map` composes the exact
-closed-form source CDF (`SourceDensity.cdf`) with the panel-by-panel
-inverse of the solution's CDF (`DensitySolution.cdf`, a
-`MonotoneProfile`), which keeps the pushforward residual at rounding
-level instead of map-interpolation precision.  That CDF is the solve's
-last pass read in closed form, the same reading that gives the delivered
-density, so no interpolant enters the maps.
+closed-form source CDF (`SourceDensity.cdf`) with the solution's
+quantile (`DensitySolution.quantile`), the panel-by-panel inverse of its
+CDF, which keeps the pushforward residual at rounding level instead of
+map-interpolation precision.  That CDF is the solve's last pass read in
+closed form, the same reading that gives the delivered density, so no
+interpolant enters the maps.
 
 The source and the target lie on disjoint intervals, so x - s(x) has
 one sign for every map s that pushes the source density f onto the
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DensitySolution
-from .numerics import MonotoneProfile
 from .problem import MongeProblemSpec
 
 # Chebyshev points `pushforward_residual` probes the source with.
@@ -55,21 +54,18 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TransportMap:
     """A monotone transport map x -> Q^{-1}(F(x)) (Q^{-1}(1 - F(x)) for the
-    decreasing variant), evaluated on demand by `map`, with the target CDF
-    Q it inverts and its cost, the gap between the source barycenter and
-    the target mean."""
+    decreasing variant), evaluated on demand by `map`, with the solved
+    density `target` whose quantile Q^{-1} it reads and its cost, the gap
+    between the source barycenter and the target mean."""
 
     variant: str
     source_density: object
-    target_cdf: MonotoneProfile
+    target: DensitySolution
     cost: float
 
     def map(self, x):
         v = np.asarray(self.source_density.cdf(x), dtype=float)
-        if self.variant == "decreasing":
-            v = 1.0 - v
-        out = self.target_cdf.invert_many(np.clip(v, 0.0, 1.0))
-        return out if np.ndim(x) else float(out)
+        return self.target.quantile(1.0 - v if self.variant == "decreasing" else v)
 
 
 def build_map(spec: MongeProblemSpec, solution: DensitySolution,
@@ -87,7 +83,7 @@ def build_map(spec: MongeProblemSpec, solution: DensitySolution,
     cost = abs(spec.source_density.barycenter()
                - solution.expectation / solution.mass)
     return TransportMap(variant=variant, source_density=spec.source_density,
-                        target_cdf=solution.cdf, cost=cost)
+                        target=solution, cost=cost)
 
 
 def pushforward_residual(map_solution: TransportMap,
@@ -95,14 +91,14 @@ def pushforward_residual(map_solution: TransportMap,
                          spec: MongeProblemSpec) -> float:
     """Largest CDF-composition defect over a Chebyshev probe grid.
 
-    For the increasing variant this is sup |Q(s(x)) - F(x)|, the
-    integrated form of the pushforward equation u(s) s' = f+; the
-    decreasing variant compares against 1 - F.
+    For the increasing variant this is sup |Q(s(x)) - F(x)|, with Q the
+    CDF of `solution`, the integrated form of the pushforward equation
+    u(s) s' = f+; the decreasing variant compares against 1 - F.
     """
     a, b = spec.source_interval
     xs = chebyshev_nodes(a, b, _PUSHFORWARD_PROBE_N)
     f = spec.source_density.cdf(xs)
     if map_solution.variant == "decreasing":
         f = 1.0 - f
-    q = map_solution.target_cdf(map_solution.map(xs))
+    q = solution.cdf(map_solution.map(xs))
     return float(np.max(np.abs(q - f)))

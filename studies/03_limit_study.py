@@ -22,7 +22,7 @@ from monge1d.sweep import convergence_report, epsilon_sweep, rows_to_csv
 
 spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 ladder = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-rows = epsilon_sweep(spec, ladder, grid_n=1501)
+rows = epsilon_sweep(spec, ladder)
 
 alpha, z0 = spec.alpha, spec.sharp_width
 p_tent = spec.anchor - spec.orientation * z0

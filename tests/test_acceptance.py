@@ -177,7 +177,7 @@ def test_criterion_05_monotonicity():
 
 def test_criterion_06_tent_limit(solved):
     spec = spec_for(1.0, "I")
-    rows = epsilon_sweep(spec, EPSILONS, grid_n=2001)
+    rows = epsilon_sweep(spec, EPSILONS)
     sharp = rows[-1]
     dist = [r.dist_tent for r in rows]
     nonincreasing = all(b <= a + 1e-3 for a, b in zip(dist, dist[1:]))

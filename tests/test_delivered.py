@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
 from monge1d.duality import (_depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros,
@@ -205,6 +206,79 @@ class TestAgainstTheExactReference:
             assert abs(mapped - exact) <= 1e-8
 
 
+class TestReadsInY:
+    """The density, its CDF and its quantile share the solution's one map
+    of y to the solve's depths: clamped to the pass, with the closing end
+    at its last edge exactly."""
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    def test_clamps_outside_the_support(self, solved, assumption):
+        sol = solved(_canonical(1.0, assumption), 1e-2)
+        lo, hi = sol.support
+        assert sol.cdf(lo - 5.0) == sol.cdf(lo) == 0.0
+        assert sol.cdf(hi + 99.0) == sol.cdf(hi) == 1.0
+        assert sol(lo - 5.0) == sol(hi + 99.0) == 0.0
+        assert sol.quantile(0.0) == sol.quantile(-1e-15) == lo
+        assert sol.quantile(1.0) == sol.quantile(1.0 + 1e-15) == hi
+
+    def test_scalar_and_array_input(self, solved):
+        # Arrays read point by point; a scalar or 0-d input reads a float.
+        sol = solved(SPEC_I, 1e-2)
+        ys, ts = np.array([3.5, 4.0, 4.5]), np.array([0.25, 0.5, 0.75])
+        for read, x in ((sol, ys), (sol.cdf, ys), (sol.quantile, ts)):
+            many = read(x)
+            assert many.shape == (3,)
+            assert [read(v) for v in x.tolist()] == many.tolist()
+            assert isinstance(read(x[0]), float) and isinstance(read(np.array(x[0])), float)
+
+    def test_zero_dimensional_input(self, solved):
+        sol = solved(SPEC_I, 1e-2)
+        t = sol.cdf(3.7)
+        y = sol.quantile(np.array(t))
+        assert isinstance(y, float) and abs(sol.cdf(y) - t) <= 1e-15
+        assert sol.quantile(np.float64(t)) == y
+        many = sol.quantile(np.array([t]))
+        assert many.shape == (1,) and many[0] == y
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("offset", [0.0, 7.0, 1000.0])
+    def test_closing_end_reads_the_last_edge(self, solved, offset, assumption):
+        # At offset 7 the closing end's depth o (anchor - m) rounds short
+        # of the last edge, and at 1000 past it: the end still reads the
+        # edge, so the CDF is 0 or 1 there exactly and the quantile
+        # returns the end itself.
+        spec = uniform_spec((6.0 + offset, 8.0 + offset), (offset, 5.0 + offset), "I", 1.0)
+        sol = solved(spec if assumption == "I" else mirror_transform(spec), 1e-3)
+        m, closing = sol.support_endpoint, 0.0 if assumption == "I" else 1.0
+        assert sol._depth(m) == sol.profile.edges[-1]
+        assert sol.cdf(m) == closing and sol.quantile(closing) == m
+        assert sol.quantile(1.0 - closing) == sol.spec.anchor
+
+    def test_flat_end_cells_of_the_cdf(self, solved):
+        # The density vanishes at both support ends, so the target CDF
+        # leaves 0 and reaches 1 with zero slope; a few ulps inside the
+        # range the quantile follows a square root into the end panels.
+        ulps = np.arange(1.0, 6.0)
+        low = ulps * np.nextafter(0.0, 1.0)
+        high = 1.0 - ulps * np.spacing(0.5)
+        for spec in (SPEC_I, mirror_transform(SPEC_I)):
+            sol = solved(spec, 1e-3)
+            for targets, end in ((low, sol.support[0]), (high, sol.support[1])):
+                ys = sol.quantile(targets)
+                assert np.max(np.abs(ys - end)) <= 1e-7
+                assert np.max(np.abs(sol.cdf(ys) - targets)) <= 1e-15
+            assert np.all(np.diff(sol.quantile(high)) <= 0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.floats(min_value=3.05, max_value=4.95))
+    def test_round_trip_property(self, solved, y):
+        sol = solved(SPEC_I, 1e-2)
+        t = sol.cdf(y)
+        back = sol.quantile(t)
+        assert abs(sol.cdf(back) - t) <= 1e-15
+        assert abs(back - y) < 1e-8
+
+
 def _width_spec(alpha, width):
     """Target [0, width], source 0.5 beyond it."""
     return uniform_spec((width + 0.5, width + 2.5), (0.0, width), "I", alpha)
@@ -222,10 +296,10 @@ class TestDeliveredShape:
     @pytest.mark.parametrize("alpha,eps,factor", _REGIMES)
     def test_mass_slope_and_sign(self, solved, alpha, eps, factor):
         sol = solved(_width_spec(alpha, factor / math.sqrt(alpha)), eps)
-        profile = sol.cdf
+        profile = sol.profile
         # The density is a polynomial of degree 15 on each panel: one
         # Gauss-Kronrod panel per panel integrates it to rounding.
-        panels = profile.anchor - profile.orientation * profile.edges
+        panels = sol.spec.anchor - sol.spec.orientation * profile.edges
         mass = integrate(sol, *sol.support, tol=1e-15, breakpoints=panels)
         assert mass == pytest.approx(profile.total, abs=1e-14)
         assert profile.total == pytest.approx(sol.mass, abs=1e-14)
@@ -260,9 +334,9 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     u, values, exact = exact_nodes(sol, grid_n)
     assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
     assert abs(sol.boundary_gap - values[-1]) <= 1e-14
-    profile = sol.cdf
+    profile = sol.profile
     nodes = sol.support_nodes[::-1 if spec.orientation > 0 else 1]
-    masses = profile.total * np.diff(profile.fraction(profile.depth(nodes)))
+    masses = profile.total * np.diff(profile.fraction(sol._depth(nodes)))
     assert np.max(np.abs(masses - exact)) <= 1e-15
     assert sol.clip_depth == 0.0
 

@@ -295,7 +295,7 @@ class TestCapacity:
 
     @pytest.mark.parametrize("entry", [
         require_capacity, tent_limit_density,
-        lambda spec: epsilon_sweep(spec, [1e-3], 101),
+        lambda spec: epsilon_sweep(spec, [1e-3]),
         lambda spec: discrete_expectation_optimizer(spec, 101),
         lambda spec: assemble_density(spec, 1e-3, 101),
     ], ids=["require_capacity", "tent_limit_density", "epsilon_sweep",

@@ -11,7 +11,6 @@ from monge1d import numerics
 from monge1d.duality import _solve_zeros
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
 from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges
-from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from reference_quadrature import integrate
 from reference_solves import NoSignChange, solve_root
@@ -166,9 +165,8 @@ class TestCumulative:
 
     @staticmethod
     def _profile(f, l, r, tol=1e-12, breakpoints=()):
-        # Only depths are read here: the map to y is left at y = s.
         edges, sums, samples = _adaptive(f, l, r, breakpoints, tol)
-        return MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
+        return MonotoneProfile(edges, sums[0], samples)
 
     def test_matches_integrate(self):
         f = lambda x: 1.0 + np.sin(x) ** 2
@@ -339,81 +337,49 @@ class TestStackedRows:
         assert _adaptive(np.ones_like, 0.0, 5.0, (), tol)[0].size == 2
 
 
-def _sin_profile(orientation=-1.0):
-    """The density sin s and its CDF 1 - cos s on depths [0, pi/2], read
-    off one pass of cos s, with y = -orientation s."""
+def _sin_profile():
+    """The density sin s and its mass 1 - cos s on depths [0, pi/2], read
+    off one pass of cos s."""
     edges, sums, samples = _adaptive(np.cos, 0.0, 0.5 * np.pi,
                                      np.linspace(0.0, 0.5 * np.pi, 9), 1e-15)
-    return MonotoneProfile(edges, sums[0], samples, 0.0, -orientation * 0.5 * np.pi)
-
-
-def _exact_cdf(prof, y):
-    """1 - cos s from the anchor, as a CDF in y."""
-    mass = 1.0 - np.cos(np.abs(y))
-    return 1.0 - mass if prof.orientation > 0 else mass
+    return MonotoneProfile(edges, sums[0], samples)
 
 
 class TestMonotoneProfile:
-    """The solved density's one representation: density and CDF read off
-    a pass, and the CDF's inverse, in both orientations."""
-
-    def test_call_scalar_and_array(self):
-        prof = _sin_profile()
-        v = prof(1.0)
-        assert isinstance(v, float)
-        arr = prof(np.array([0.0, 1.0, 1.5]))
-        assert arr.shape == (3,)
-        assert arr[0] == 0.0
+    """The solved density's one representation, in depth: density and
+    mass fraction read off a pass, and the fraction's inverse."""
 
     def test_reads_the_running_integrals(self):
-        # Density sin s and mass 1 - cos s at the depths of a fine probe,
-        # and the CDF at the matching y; the total mass is 1.
+        # Density sin s and mass 1 - cos s at the depths of a fine probe;
+        # the total mass is 1.
         s = np.linspace(0.0, 0.5 * np.pi, 1001)
-        for orientation in (1.0, -1.0):
-            prof = _sin_profile(orientation)
-            density, mass = prof.density(s), prof.total * prof.fraction(s)
-            assert np.max(np.abs(density - np.sin(s))) <= 1e-15
-            assert np.max(np.abs(mass - (1.0 - np.cos(s)))) <= 1e-15
-            assert abs(prof.total - 1.0) <= 1e-15
-            y = -orientation * s
-            assert np.max(np.abs(prof(y) - _exact_cdf(prof, y))) <= 1e-15
-
-    def test_call_clamps_outside_domain(self):
-        for orientation in (1.0, -1.0):
-            prof = _sin_profile(orientation)
-            lo, hi = prof.support
-            assert prof(lo - 5.0) == prof(lo) == 0.0
-            assert prof(hi + 99.0) == prof(hi) == 1.0
+        prof = _sin_profile()
+        density, mass = prof.density(s), prof.total * prof.fraction(s)
+        assert np.max(np.abs(density - np.sin(s))) <= 1e-15
+        assert np.max(np.abs(mass - (1.0 - np.cos(s)))) <= 1e-15
+        assert abs(prof.total - 1.0) <= 1e-15
 
     def test_invert_round_trip(self):
-        rng = np.random.default_rng(7)
-        for orientation in (1.0, -1.0):
-            prof = _sin_profile(orientation)
-            ys = rng.uniform(*prof.support, 100)
-            ts = prof(ys)
-            back = prof.invert_many(ts)
-            assert np.abs(prof(back) - ts).max() <= 1e-15
-            assert np.abs(back - ys).max() < 1e-8
+        prof = _sin_profile()
+        s = np.random.default_rng(7).uniform(0.0, 0.5 * np.pi, 100)
+        fractions = prof.fraction(s)
+        back = prof.invert_many(fractions)
+        assert np.abs(prof.fraction(back) - fractions).max() <= 1e-15
+        assert np.abs(back - s).max() < 1e-8
 
     def test_invert_many_inverts_forward_values(self):
         prof = _sin_profile()
         targets = np.linspace(0.0, 1.0, 37)
-        ys = prof.invert_many(targets)
-        assert np.all(np.diff(ys) > 0)
-        assert np.abs(prof(ys) - targets).max() <= 1e-15
+        s = prof.invert_many(targets)
+        assert np.all(np.diff(s) > 0)
+        assert np.abs(prof.fraction(s) - targets).max() <= 1e-15
 
-    def test_invert_endpoints(self):
-        for orientation in (1.0, -1.0):
-            prof = _sin_profile(orientation)
-            lo, hi = prof.support
-            assert prof.invert_many(0.0) == lo
-            assert prof.invert_many(1.0) == hi
-
-    def test_marginally_out_of_range_clips(self):
+    def test_invert_endpoints_and_clips(self):
+        # 0 and 1 return the first and last edges exactly, and so do
+        # fractions marginally outside [0, 1].
         prof = _sin_profile()
-        lo, hi = prof.support
-        assert prof.invert_many(1.0 + 1e-15) == hi
-        assert prof.invert_many(-1e-15) == lo
+        ends = np.array([prof.edges[0], prof.edges[-1]] * 2)
+        assert np.array_equal(prof.invert_many([0.0, 1.0, -1e-15, 1.0 + 1e-15]), ends)
 
     def test_singular_panels_hold_their_mean(self):
         # A slope that jumps at 0.5 after a log-type approach: the two
@@ -423,8 +389,8 @@ class TestMonotoneProfile:
         g = lambda s: np.sign(s - 0.5) * (-1.0 - 1.0 / np.log(np.abs(s - 0.5) / 4.0))
         edges, sums, samples = _adaptive(g, 0.0, 1.0, _graded_edges((0.0, 1.0), (0.5,)),
                                          1e-12)
-        plain = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0)
-        flat = MonotoneProfile(edges, sums[0], samples, 0.0, 1.0, singular=(0.5,))
+        plain = MonotoneProfile(edges, sums[0], samples)
+        flat = MonotoneProfile(edges, sums[0], samples, singular=(0.5,))
         ends = np.flatnonzero((edges[:-1] == 0.5) | (edges[1:] == 0.5))
         assert ends.size == 2 and np.all(flat.coeffs[1:, ends] == 0.0)
         assert np.all(np.abs(flat.coeffs[0, ends]) <= np.max(np.abs(samples[ends]), axis=1))
@@ -440,33 +406,9 @@ class TestMonotoneProfile:
         assert np.array_equal(prof.invert_many(prof.fractions[:-1]), prof.edges[:-1])
         slope = lambda s: np.select([s < 1.0, s < 2.0, s < 3.0], [1.0, -1.0, 0.0], 1.0)
         edges, sums, samples = _adaptive(slope, 0.0, 4.0, (1.0, 2.0, 3.0), 1e-15)
-        flat = MonotoneProfile(edges, sums[0], samples, 0.0, 4.0)
-        assert flat(2.0) == flat(3.0) == 2.0 / 3.0
-        assert flat.invert_many(flat(2.5)) == 2.0
-
-    def test_flat_end_cells_of_a_cdf(self, solved):
-        # The density vanishes at both support ends, so the target CDF
-        # leaves 0 and reaches 1 with zero slope; a few ulps inside the
-        # range the inverse follows a square root into the end panels.
-        ulps = np.arange(1.0, 6.0)
-        low = ulps * np.nextafter(0.0, 1.0)
-        high = 1.0 - ulps * np.spacing(0.5)
-        for spec in (SPEC_I, mirror_transform(SPEC_I)):
-            prof = solved(spec, 1e-3).cdf
-            for targets, end in ((low, prof.support[0]), (high, prof.support[1])):
-                ys = prof.invert_many(targets)
-                assert np.max(np.abs(ys - end)) <= 1e-7
-                assert np.max(np.abs(prof(ys) - targets)) <= 1e-15
-            assert np.all(np.diff(prof.invert_many(high)) <= 0.0)
-
-    def test_zero_dimensional_input(self):
-        prof = _sin_profile()
-        t = prof(0.7)
-        y = prof.invert_many(np.array(t))
-        assert isinstance(y, float) and abs(prof(y) - t) <= 1e-15
-        assert prof.invert_many(np.float64(t)) == y
-        many = prof.invert_many(np.array([t]))
-        assert many.shape == (1,) and many[0] == y
+        flat = MonotoneProfile(edges, sums[0], samples)
+        assert flat.fraction(2.0) == flat.fraction(3.0) == 2.0 / 3.0
+        assert flat.invert_many(flat.fraction([2.5])) == 2.0
 
     @pytest.mark.parametrize("broken", [np.nan, 0.0])
     def test_broken_cell_raises(self, broken):
@@ -480,24 +422,22 @@ class TestMonotoneProfile:
             prof._taylor[0, k] = broken
         t = 0.5 * (prof.fractions[k] + prof.fractions[k + 1])
         with pytest.raises(MaxIterations):
-            prof.invert_many(np.array([prof(0.01), t]))
+            prof.invert_many(np.array([prof.fraction(0.01), t]))
 
     def test_validation(self):
         edges, sums, samples = _adaptive(np.cos, 0.0, 1.0, (0.5,), 1e-12)
         with pytest.raises(ValueError, match="increasing"):
-            MonotoneProfile(edges[::-1], sums[0], samples, 0.0, 1.0)
+            MonotoneProfile(edges[::-1], sums[0], samples)
         with pytest.raises(ValueError, match="15 samples"):
-            MonotoneProfile(edges, sums[0], samples[:, :7], 0.0, 1.0)
-        with pytest.raises(ValueError, match="differ"):
-            MonotoneProfile(edges, sums[0], samples, 1.0, 1.0)
+            MonotoneProfile(edges, sums[0], samples[:, :7])
         with pytest.raises(ValueError, match="not positive"):
-            MonotoneProfile(edges, -sums[0], -samples, 0.0, 1.0)
+            MonotoneProfile(edges, -sums[0], -samples)
 
     def test_depths_outside_the_pass_raise(self, solved):
         # Below the first edge the panel index would wrap to the last
         # panel, and past the last edge the last panel would extrapolate:
         # both name the depth instead, and so does a NaN.  The ends read.
-        prof = solved(SPEC_I, 1e-2).cdf
+        prof = solved(SPEC_I, 1e-2).profile
         width = prof.edges[-1]
         for read in (prof.density, prof.fraction):
             for s in (-1e-12, width + 0.1, math.nan):
@@ -509,12 +449,12 @@ class TestMonotoneProfile:
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=0.05, max_value=1.5))
-    def test_round_trip_property(self, y):
+    def test_round_trip_property(self, s):
         prof = _sin_profile()
-        t = prof(y)
-        back = prof.invert_many(t)
-        assert abs(prof(back) - t) <= 1e-15
-        assert abs(back - y) < 1e-8
+        f = prof.fraction([s])
+        back = prof.invert_many(f)
+        assert abs(prof.fraction(back) - f)[0] <= 1e-15
+        assert abs(back[0] - s) < 1e-8
 
 
 def legendre_density(prof, s):
@@ -538,7 +478,7 @@ class TestDensityTable:
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_rows_meet_the_legendre_form(self, solved, alpha, eps):
         # At the Kronrod nodes and at random points of every panel.
-        prof = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps).cdf
+        prof = solved(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps).profile
         rng = np.random.default_rng(5)
         left, half = prof.edges[:-1, None], prof.half[:, None]
         w = np.concatenate([np.broadcast_to(_XGK + 1.0, (half.size, 15)),
@@ -553,7 +493,7 @@ class TestDensityTable:
         # panel ending at a stress zero holds its Kronrod mean c_0 alone,
         # so it reads the line U_a + half c_0 w.
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
-        prof = solved(spec, eps).cdf
+        prof = solved(spec, eps).profile
         assert np.array_equal(prof.density(prof.edges), prof.edge_density)
         zeros = _solve_zeros(spec, eps).zeros
         ends_at = np.isin(prof.edges, zeros)

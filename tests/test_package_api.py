@@ -114,7 +114,7 @@ def test_definition_keys_are_their_code_objects():
 def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
     definitions = _definitions()
     assert {"duality.assemble_density", "duality.DualField.fields_at",
-            "numerics.MonotoneProfile.__call__", "problem.ValidationReport.message",
+            "duality.DensitySolution.quantile", "problem.ValidationReport.message",
             } <= set(definitions.values())
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
@@ -192,7 +192,7 @@ def test_every_default_is_passed_somewhere():
     # A default no caller overrides is a constant, not an option.
     options = list(_options())
     assert {("oracles.OracleRun", "OracleRun", "epsilon", 3),
-            ("sweep.epsilon_sweep", "epsilon_sweep", "grid_n", 2)} <= set(options)
+            ("duality.assemble_density", "assemble_density", "grid_n", 2)} <= set(options)
     unset = [f"{where}({parameter})" for where, name, parameter, index in options
              if not _passed(name, parameter, index)]
     assert not unset, f"set by no call under src/, studies/ or perfbench/: {unset}"

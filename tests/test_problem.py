@@ -269,17 +269,24 @@ class TestDocuments:
         with pytest.raises(ConfigError):
             spec_from_document(doc)
 
-    def test_mixed_density_keys_rejected(self):
-        doc = {
-            "assumption": "I",
-            "source": {"interval": [6.0, 8.0],
-                       "density": {"kind": "uniform", "nodes": [6.0, 8.0],
-                                   "values": [1.0, 1.0]}},
-            "target": [0.0, 5.0],
-            "alpha": 1.0,
-        }
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("density, message", [
+        ({"kind": "uniform", "nodes": [6.0, 8.0], "values": [1.0, 1.0]},
+         "uniform density takes no nodes/values"),
+        ({"kind": "uniform", "nodes": [6.0, 8.0]},
+         "uniform density takes no nodes/values"),
+        ({"kind": "piecewise-linear", "level": 0.5, "nodes": [6.0, 8.0],
+          "values": [1.0, 1.0]}, "piecewise-linear density takes no level"),
+        ({"kind": "tabulated", "level": 0.5, "nodes": [6.0, 8.0],
+          "values": [1.0, 1.0]}, "tabulated density takes no level"),
+    ], ids=["uniform_nodes_values", "uniform_nodes", "piecewise_level",
+            "tabulated_level"])
+    def test_mixed_density_keys_rejected(self, density, message):
+        # The document hands every key it finds to SourceDensity, whose
+        # kind rules name the offending key under the document's path.
+        doc = {**CANONICAL_DOC, "source": {"interval": [6.0, 8.0], "density": density}}
+        with pytest.raises(ConfigError) as caught:
             spec_from_document(doc)
+        assert str(caught.value) == f"problem.source.density: {message}"
 
 
 class TestOrientationHelpers:

@@ -21,7 +21,7 @@ LADDER = (0.1, 0.01, 0.001)
 
 @pytest.fixture(scope="module")
 def ladder_rows():
-    return epsilon_sweep(SPEC_I, LADDER, grid_n=2001)
+    return epsilon_sweep(SPEC_I, LADDER)
 
 
 def _row(epsilon, dist, *, endpoint=3.0, expect=4.0, gap=1e-12, error=""):
@@ -39,7 +39,7 @@ class TestEpsilonSweep:
         assert all(r.ok for r in ladder_rows)
 
     def test_input_order_kept_even_ascending(self):
-        rows = epsilon_sweep(SPEC_I, (0.001, 0.1), grid_n=801)
+        rows = epsilon_sweep(SPEC_I, (0.001, 0.1))
         assert [r.epsilon for r in rows] == [0.001, 0.1]
 
     def test_tent_distance_at_sharp_end(self, ladder_rows):
@@ -70,7 +70,7 @@ class TestEpsilonSweep:
             3.999551400460776, rel=1e-10)
 
     def test_mirrored_sweep(self):
-        rows = epsilon_sweep(SPEC_II, (0.01, 0.001), grid_n=1001)
+        rows = epsilon_sweep(SPEC_II, (0.01, 0.001))
         assert all(r.ok for r in rows)
         assert rows[-1].support_endpoint == pytest.approx(-2.9983, abs=1e-4)
         assert rows[-1].expectation == pytest.approx(-4.0, abs=0.02)
@@ -87,7 +87,7 @@ class TestEpsilonSweep:
 
     def test_subfloor_epsilon_is_a_flagged_row(self):
         # The rows around it are solved, in input order.
-        rows = epsilon_sweep(SPEC_I, (0.1, 1e-7, 0.01), grid_n=801)
+        rows = epsilon_sweep(SPEC_I, (0.1, 1e-7, 0.01))
         assert [r.ok for r in rows] == [True, False, True]
         assert rows[1].epsilon == 1e-7
         assert rows[1].error == ("ValueError: epsilon 1e-07 below the "
@@ -106,13 +106,13 @@ class TestEpsilonSweep:
     def test_per_row_failure_captured(self, monkeypatch):
         real = sweep_mod.assemble_density
 
-        def flaky(spec, epsilon, grid_n, **kwargs):
+        def flaky(spec, epsilon):
             if epsilon == 0.01:
                 raise DomainError("injected failure")
-            return real(spec, epsilon, grid_n, **kwargs)
+            return real(spec, epsilon)
 
         monkeypatch.setattr(sweep_mod, "assemble_density", flaky)
-        rows = epsilon_sweep(SPEC_I, (0.1, 0.01, 0.001), grid_n=801)
+        rows = epsilon_sweep(SPEC_I, (0.1, 0.01, 0.001))
         assert [r.ok for r in rows] == [True, False, True]
         bad = rows[1]
         assert "DomainError" in bad.error and "injected" in bad.error
@@ -140,7 +140,7 @@ class TestCsv:
         assert float(cells[9]) == row.dist_tent
 
     def test_bit_identical_across_runs(self, ladder_rows):
-        again = epsilon_sweep(SPEC_I, LADDER, grid_n=2001)
+        again = epsilon_sweep(SPEC_I, LADDER)
         assert rows_to_csv(again) == rows_to_csv(ladder_rows)
 
     def test_failed_row_serialization(self):

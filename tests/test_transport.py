@@ -59,7 +59,7 @@ class TestSourceCdf:
 class TestTargetCdf:
     def test_endpoints(self, maps):
         sol, inc, _ = maps
-        q = inc.target_cdf
+        q = inc.target.cdf
         assert q(sol.support[0]) == 0.0
         assert q(sol.support[1]) == 1.0
 
@@ -67,7 +67,7 @@ class TestTargetCdf:
         # near the sharp limit the density is the symmetric tent, whose
         # median sits at the peak; smoothing shifts it at O(p* - 3)
         _, inc, _ = maps
-        assert inc.target_cdf(4.0) == pytest.approx(0.5, abs=5e-3)
+        assert inc.target.cdf(4.0) == pytest.approx(0.5, abs=5e-3)
 
     def test_mirrored_median(self, solved):
         sol = solved(SPEC_II, 1e-3)
@@ -76,15 +76,15 @@ class TestTargetCdf:
 
     def test_strictly_increasing_inside(self, maps):
         sol, inc, _ = maps
-        q = inc.target_cdf
+        q = inc.target.cdf
         assert np.all(np.diff(q(sol.support_nodes)) > 0.0)
 
     def test_nan_target_is_named(self, solved):
         # searchsorted sorts NaN past the last fraction: the inverse must
         # refuse it by name, not index past its panels.
-        q = solved(SPEC_I, 1e-2).cdf
+        sol = solved(SPEC_I, 1e-2)
         with pytest.raises(ValueError, match="CDF target 1 is NaN"):
-            q.invert_many(np.array([0.5, np.nan]))
+            sol.quantile(np.array([0.5, np.nan]))
 
 
 class TestBuildMap:
@@ -179,7 +179,7 @@ class TestPushforwardResidual:
             def map(self, x):
                 return super().map(x) + 0.1
 
-        broken = Shifted(inc.variant, inc.source_density, inc.target_cdf, inc.cost)
+        broken = Shifted(inc.variant, inc.source_density, inc.target, inc.cost)
         assert pushforward_residual(broken, sol, SPEC_I) > 0.01
 
     def test_analytic_quantile_map(self, maps):
@@ -196,8 +196,17 @@ class TestPushforwardResidual:
         assert analytic[400] == pytest.approx(4.0, abs=1e-12)
         assert np.max(np.abs(analytic - inc.map(xs))) <= 2e-3
         f = SPEC_I.source_density.cdf(xs)
-        q = inc.target_cdf(np.clip(analytic, *sol.support))
+        q = sol.cdf(np.clip(analytic, *sol.support))
         assert np.max(np.abs(q - f)) <= 2e-3
+
+    def test_reads_the_solution_it_is_given(self, solved):
+        # The residual is the defect against the solution passed in, not
+        # against the one the map was built from: the eps 1e-2 map checked
+        # against the eps 1e-3 density misses by the smoothing's shift.
+        coarse, fine = solved(SPEC_I, 1e-2), solved(SPEC_I, 1e-3)
+        inc = build_map(SPEC_I, coarse, "increasing")
+        assert pushforward_residual(inc, coarse, SPEC_I) <= 1e-14
+        assert pushforward_residual(inc, fine, SPEC_I) > 1e-4
 
     def test_ramp_residual(self, solved):
         sol = solved(RAMP, 1e-3)
