@@ -578,7 +578,9 @@ class DensitySolution:
 def _depth_grid(span, crossing, grid_n):
     """Uniform depths over the span with the crossing, where the density
     kinks, as a node: inserted, unless a node already equals it."""
-    return np.union1d(np.linspace(span[0], span[1], grid_n), crossing)
+    grid = np.linspace(span[0], span[1], grid_n)
+    i = int(np.searchsorted(grid, crossing))
+    return grid if i < grid.size and grid[i] == crossing else np.insert(grid, i, crossing)
 
 
 def assemble_density(spec: MongeProblemSpec, epsilon,

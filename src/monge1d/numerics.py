@@ -43,8 +43,8 @@ Design notes
   Both are held per panel as Taylor rows in the panel's offset from its
   left edge, so a read at any number of points is one Horner sum.
   The mass fraction's inverse solves each target's panel polynomial by a
-  bracketed Newton iteration: a handful of vectorized steps, each one
-  Horner evaluation per target still unconverged.
+  bracketed Newton iteration: a handful of vectorized sweeps, each one
+  Horner evaluation of every target, until the slowest one converges.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -370,8 +370,10 @@ class MonotoneProfile:
         leave the bracket, or that is more than half the step before the
         last one, becomes a bisection.  It starts from the root of the
         quadratic Taylor model at the left edge, which a CDF leaving a zero
-        density follows like a square root.  Only targets not yet converged
-        iterate.  A target has converged when its residual r meets
+        density follows like a square root.  Every sweep steps every target,
+        the arrays kept whole: a target's depth is frozen, and no longer
+        judged, on the step it converges, and the call returns once none is
+        pending.  A target has converged when its residual r meets
         |r| <= 2 eps f, or when the step that reached it fell within one
         ulp of the panel's depths; the point then returned must have
         |r| <= 2 |r'| ulp + 32 eps (sum of the polynomial's |terms| on the
@@ -389,21 +391,26 @@ class MonotoneProfile:
         a, b = np.zeros_like(w), np.full_like(w, 2.0)
         prev, last = b, b
         out = np.empty_like(w)
-        live = np.arange(w.size)
+        pending = np.ones(w.size, dtype=bool)
         for _ in range(_INVERT_MAX_ITER):
             value, slope = _horner(rows, w)
             r = value - f
-            done = np.abs(r) <= 2.0 * _EPS * f
-            close = ~done & (last <= res)
+            done = pending & (np.abs(r) <= 2.0 * _EPS * f)
+            close = pending & ~done & (last <= res)
             if close.any():
                 bound = 2.0 * np.abs(slope) * res + 32.0 * _EPS * (size + f)
                 miss = close & ~(np.abs(r) <= bound)
                 if miss.any():
                     i = int(np.argmax(miss))
                     raise MaxIterations(
-                        f"panel inversion stalled in panel {int(k[live[i]])}: "
+                        f"panel inversion stalled in panel {int(k[i])}: "
                         f"residual {abs(r[i]):.3e} above its bound {bound[i]:.3e}")
                 done |= close
+            if done.any():
+                out[done] = left[done] + half[done] * w[done]
+                pending &= ~done
+                if not pending.any():
+                    return out
             below = r < 0.0
             a = np.where(below, w, a)
             b = np.where(below, b, w)
@@ -413,15 +420,6 @@ class MonotoneProfile:
             newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
             nxt = np.where(newton, nxt, 0.5 * (a + b))
             prev, last = last, np.abs(nxt - w)
-            if done.any():
-                out[live[done]] = left[done] + half[done] * w[done]
-                keep = ~done
-                live, f, a, b, prev, last, res, left, half, size, nxt = (
-                    arr[keep] for arr in (live, f, a, b, prev, last, res, left, half,
-                                          size, nxt))
-                rows = [row[keep] for row in rows]
-                if not live.size:
-                    return out
             w = nxt
-        raise MaxIterations(f"panel inversion left {live.size} targets "
+        raise MaxIterations(f"panel inversion left {int(pending.sum())} targets "
                             f"unconverged after {_INVERT_MAX_ITER} steps")

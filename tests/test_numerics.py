@@ -11,7 +11,10 @@ from monge1d import numerics
 from monge1d.duality import _solve_zeros
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
 from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges
-from monge1d.problem import uniform_spec
+from monge1d.oracles import mirror_transform
+from monge1d.problem import SourceDensity, normalize_density, uniform_spec
+from monge1d.transport import chebyshev_nodes
+import reference_inversion
 from reference_quadrature import integrate
 from reference_solves import NoSignChange, solve_root
 
@@ -411,18 +414,43 @@ class TestMonotoneProfile:
         assert flat.invert_many(flat.fraction([2.5])) == 2.0
 
     @pytest.mark.parametrize("broken", [np.nan, 0.0])
-    def test_broken_cell_raises(self, broken):
+    def test_broken_cell_raises(self, monkeypatch, broken):
         # A panel whose mass is NaN, or stays at its left edge's value,
         # holds no root of a target between its edges' fractions: the loop
-        # must raise rather than return a point.
+        # must raise rather than return a point.  The other target, just
+        # past an edge, converges on the first sweep, and a flat panel
+        # stalls on the second.  A converged target is never judged again:
+        # here its value is made to read 1 too high on every later sweep,
+        # yet the message names the broken panel's target alone.
         prof = _sin_profile()
         k = 4
         prof._taylor[1:, k] = broken
         if np.isnan(broken):
             prof._taylor[0, k] = broken
         t = 0.5 * (prof.fractions[k] + prof.fractions[k + 1])
-        with pytest.raises(MaxIterations):
-            prof.invert_many(np.array([prof.fraction(0.01), t]))
+        near = prof.fraction(prof.edges[1] + 1e-9)
+        plain, sweeps = numerics._horner, []
+
+        def counted(rows, w):
+            sweeps.append(w.size)
+            return plain(rows, w)
+
+        monkeypatch.setattr(numerics, "_horner", counted)
+        prof.invert_many(np.array([near]))
+        assert sweeps == [1]
+
+        def corrupted(rows, w):
+            value, slope = counted(rows, w)
+            if len(sweeps) > 2:
+                value[0] += 1.0
+            return value, slope
+
+        monkeypatch.setattr(numerics, "_horner", corrupted)
+        message = ("left 1 targets unconverged after 100 steps" if np.isnan(broken)
+                   else "stalled in panel 4: ")
+        with pytest.raises(MaxIterations, match=re.escape(message)):
+            prof.invert_many(np.array([near, t]))
+        assert len(sweeps) == (101 if np.isnan(broken) else 3)
 
     def test_validation(self):
         edges, sums, samples = _adaptive(np.cos, 0.0, 1.0, (0.5,), 1e-12)
@@ -455,6 +483,62 @@ class TestMonotoneProfile:
         back = prof.invert_many(f)
         assert abs(prof.fraction(back) - f)[0] <= 1e-15
         assert abs(back[0] - s) < 1e-8
+
+
+def _bits(depths):
+    return np.ascontiguousarray(depths, dtype=float).view(np.uint64)
+
+
+TABULATED = normalize_density(SourceDensity(
+    interval=(6.0, 8.0), kind="tabulated", nodes=tuple(np.linspace(6.0, 8.0, 7)),
+    values=(0.3, 1.7, 0.9, 0.2, 1.1, 1.9, 0.6)))
+
+
+class TestInversionMatchesReference:
+    """`invert_many` sweeps every target of a call until the last one
+    converges; the reference loop (`reference_inversion`) drops each target
+    as it converges.  A target's arithmetic is the same in both, so the
+    depths must agree bit for bit."""
+
+    @pytest.mark.parametrize("source", [SPEC_I.source_density, TABULATED],
+                             ids=["uniform", "tabulated"])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_source_cdf_targets(self, solved, source, eps):
+        # Both maps' targets, F and 1 - F, on the residual's Chebyshev
+        # points.
+        prof = solved(SPEC_I, eps).profile
+        f = source.cdf(chebyshev_nodes(6.0, 8.0, 1000))
+        for targets in (f, 1.0 - f):
+            assert np.array_equal(_bits(prof.invert_many(targets)),
+                                  _bits(reference_inversion.invert_many(prof, targets)))
+
+    @pytest.mark.parametrize("alpha,eps,offset,assumption", [
+        (alpha, eps, offset, assumption)
+        for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-5)
+        for offset in (0.0, 1000.0) for assumption in ("I", "II")])
+    def test_regime_grid(self, solved, alpha, eps, offset, assumption):
+        w = 5.0 / math.sqrt(alpha)
+        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                            (offset, offset + w), "I", alpha)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        prof = solved(spec, eps, 201).profile
+        t = chebyshev_nodes(0.0, 1.0, 1000)
+        targets = np.concatenate([t, 1.0 - t, np.random.default_rng(3).uniform(size=1000)])
+        assert np.array_equal(_bits(prof.invert_many(targets)),
+                              _bits(reference_inversion.invert_many(prof, targets)))
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-5])
+    def test_edges_and_ends(self, solved, eps):
+        # Fractions equal to the edges' running fractions, 0 and 1, and the
+        # doubles on either side of each edge's fraction, the targets
+        # closest to a panel's ends.
+        for prof in (_sin_profile(), solved(SPEC_I, eps).profile):
+            edge = prof.fractions
+            targets = np.concatenate([edge, [0.0, 1.0], np.nextafter(edge, 2.0),
+                                      np.nextafter(edge, -1.0)])
+            assert np.array_equal(_bits(prof.invert_many(targets)),
+                                  _bits(reference_inversion.invert_many(prof, targets)))
 
 
 def legendre_density(prof, s):

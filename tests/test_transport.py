@@ -6,6 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from monge1d import numerics
+from monge1d.cli import cost_json_document, map_csv
+from monge1d.numerics import MonotoneProfile
 from monge1d.problem import (
     MongeProblemSpec,
     SourceDensity,
@@ -212,6 +215,36 @@ class TestPushforwardResidual:
         sol = solved(RAMP, 1e-3)
         inc = build_map(RAMP, sol, "increasing")
         assert pushforward_residual(inc, sol, RAMP) <= 1e-6
+
+
+class TestInverseWork:
+    @pytest.mark.parametrize("eps,sweeps", [(1e-1, [4, 4, 4, 4]), (1e-2, [4, 4, 4, 4]),
+                                            (1e-3, [3, 3, 3, 3])])
+    def test_inverse_work_is_pinned(self, solved, monkeypatch, eps, sweeps):
+        # Sweeps of each `_solve_panels` call behind `map`'s artifacts on
+        # the canonical spec: map.csv's 2001 points through the increasing
+        # and the decreasing map, then cost.json's two pushforward
+        # residuals on 1000 Chebyshev points each.  Every sweep evaluates
+        # every target of its call (1999, 1999, 998 and 998 here), so a
+        # change to the start or the stop shows in these counts.
+        sol = solved(SPEC_I, eps)
+        calls = []
+        plain_solve, plain_horner = MonotoneProfile._solve_panels, numerics._horner
+
+        def solve(self, k, f):
+            calls.append(0)
+            return plain_solve(self, k, f)
+
+        def horner(rows, w):
+            calls[-1] += 1
+            return plain_horner(rows, w)
+
+        monkeypatch.setattr(MonotoneProfile, "_solve_panels", solve)
+        monkeypatch.setattr(numerics, "_horner", horner)
+        inc, dec = (build_map(SPEC_I, sol, v) for v in ("increasing", "decreasing"))
+        map_csv(SPEC_I, inc, dec, 2001)
+        cost_json_document(SPEC_I, sol, inc, dec)
+        assert calls == sweeps
 
 
 class TestMirrorMaps:
