@@ -4,9 +4,9 @@
 solving.  `solve` runs the dual pipeline per requested epsilon and emits
 plot-ready density samples plus the energy report.  `map` additionally
 builds both monotone transport maps.  `sweep` produces the convergence
-table and summary.  `verify` runs the invariant battery (constraints,
-stationarity, zero gap, variational probes, remainder bound, and oracle
-fixtures when present) and reports a pass/fail table.
+table and summary.  `verify` runs the invariant battery (mass, sign and
+slope bound, zero gap, variational probes, and oracle fixtures when
+present) and reports a pass/fail table.
 
 Exit codes: 0 success, 2 config or validation problem, 3 capacity
 failure (both verdicts are taken before any solve), 4 solver failure,
@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .duality import assemble_density
-from .energy import (
-    SinePerturbation,
-    duality_gap,
-    second_variation_probe,
-    taylor_remainder_check,
-)
+from .energy import SinePerturbation, duality_gap, second_variation_probe
 from .errors import (
     CapacityError,
     ConfigError,
@@ -360,8 +355,10 @@ def _check(name, ok, detail) -> VerifyCheck:
 
 
 def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
+    """The checks of one solution, each able to fail: what the assembly
+    pins (the Dirichlet ends, the zero extension, the slope's inversion of
+    the stress) is not re-read."""
     alpha = config.spec.alpha
-    epsilon = sol.epsilon
     out = []
     report = duality_gap(sol)
     res = report.constraint_residuals
@@ -374,21 +371,7 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
         "slope bound", sol.max_abs_slope <= alpha * (1.0 + 1e-10),
         f"sup|u_y| = {sol.max_abs_slope!r} vs alpha = {alpha!r}"))
 
-    support_values = sol.values[sol.support_slice]
-    edge = max(abs(float(support_values[0])), abs(float(support_values[-1])))
-    extension_values = np.delete(sol.values,
-                                 np.arange(*sol.support_slice.indices(
-                                     sol.nodes.size)))
-    extension = float(np.max(np.abs(extension_values), initial=0.0))
-    out.append(_check("endpoints", edge == 0.0 and extension == 0.0,
-                      f"edge = {edge:.3e}, extension = {extension:.3e}"))
-
-    theta, log_lam, slope = sol.dual.fields_at(sol.support_nodes)
-    stationarity = float(np.max(np.abs(np.exp(log_lam) * slope - theta)))
-    out.append(_check("stationarity", stationarity <= 1e-8,
-                      f"sup|lambda u_y - theta| = {stationarity:.3e}"))
-
-    gap = max(abs(report.gap_primal_dual), abs(report.gap_primal_xi))
+    gap = abs(report.gap_primal_dual)
     bound = 1e-6 * max(1.0, abs(report.primal))
     out.append(_check("zero gap", gap <= bound,
                       f"worst gap = {gap:.3e} vs {bound:.3e}"))
@@ -402,15 +385,6 @@ def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
         probe.min_primal_delta >= -1e-10 and probe.max_dual_delta <= 1e-10,
         f"min primal delta = {probe.min_primal_delta:.3e}, "
         f"max dual delta = {probe.max_dual_delta:.3e}"))
-
-    if 0.0 < epsilon < 0.5 * alpha * alpha:
-        remainder = taylor_remainder_check(alpha, epsilon)
-        out.append(_check("remainder bound", remainder <= epsilon,
-                          f"max deviation = {remainder:.3e} vs "
-                          f"epsilon = {epsilon!r}"))
-    else:
-        out.append(VerifyCheck("remainder bound", "skipped",
-                               "epsilon outside the expansion window"))
     return out
 
 

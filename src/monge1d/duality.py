@@ -55,11 +55,12 @@ quadrature.  The assembly runs no pass of its own: it reads the solve's
 last one, so the closing density keeps the sign the solve gave it, and a
 finer grid adds no panel and no inversion.  Every pass is built by one
 function, `_depth_pass`, and integrates a stack of rows of one
-inversion.  The solve's passes carry the expectation and the energies,
-and their panels, graded 64 ulps deep into each zero, become the
-density.  `DualField.integrate` sums rows alone, the probes' among them:
-its pass grades into the zeros only as deep as its tolerance needs, and
-toward the anchored edge too.
+inversion.  The solve's passes carry the expectation and the primal and
+dual energy integrals (at the solved pair the complementary energy is the
+primal, see `energy`), and their panels, graded 64 ulps deep into each
+zero, become the density.  `DualField.integrate` sums rows alone, the
+probes' among them: its pass grades into the zeros only as deep as its
+tolerance needs, and toward the anchored edge too.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -308,13 +309,12 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
     z, c = zeros
     S = _support_of(z, spec)[1]
-    a2 = spec.alpha * spec.alpha
 
     def fn(s, l, g):
         h = epsilon * g / (g * g + epsilon)     # theta dg/dtheta
-        lam, g2 = np.exp(l), g * g
+        lam = np.exp(l)
         return (g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h, epsilon * lam,
-                -lam * (g2 - epsilon), lam * (0.5 * (g2 - a2) - epsilon * (l - 1.0)))
+                -lam * (g * g - epsilon))
 
     done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol, density=True)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1]
@@ -500,7 +500,7 @@ class DensitySolution:
     closure_residual and mass_residual record what the coupled zero solve
     did: its Newton steps and its final closure (measured from the aim)
     and mass - 1 residuals.  No CLI artifact writes them.  mass,
-    expectation and energy_integrals (the H-term, dual and mixed integrals
+    expectation and energy_integrals (the H-term and dual integrals
     `energy` reads) are rows of the solve's last pass.
 
     The solution holds one representation of the density, that pass read

@@ -12,7 +12,11 @@ its stress and mu the multiplier of the unit-mass constraint (the stress
 equation is th_y = -|y| - mu).  At a solved density the three agree
 exactly (the Fenchel-Young inequality in the mixed form holds with
 equality when the slope and scale factor are algebraically locked), so
-the observed gaps measure nothing but quadrature and root-solve error.
+the observed primal-dual gap measures nothing but quadrature and
+root-solve error.  The mixed form's equality is pointwise: under the
+locking identity (u_y^2 - a^2)/2 = eps ln lam its integrand is
+eps lam - |y| u, the primal's, so at the solved pair the complementary
+energy is the primal energy itself.
 
 Every integrand is written in (log_lambda, slope) variables: factors
 like th^2/lam are evaluated as lam * slope^2 via the locking identity,
@@ -21,8 +25,8 @@ difference probes use expm1 so that O(t) perturbations are resolved
 without cancellation.
 
 `duality_gap` is the one energy reader, and it runs no quadrature: the
-H-term, dual and mixed integrals are rows of the solve's last Newton
-pass (`DensitySolution.energy_integrals`), and the moment term is the
+H-term and dual integrals are rows of the solve's last Newton pass
+(`DensitySolution.energy_integrals`), and the moment term is the
 solution's `expectation`, a row of the same pass.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
@@ -97,15 +101,17 @@ def duality_gap(solution: DensitySolution) -> EnergyReport:
     last Newton pass with no quadrature (`DensitySolution.energy_integrals`).
 
     The target sits on one side of the origin, so the moment of |y| in
-    the primal and mixed energies is the expectation up to sign; the dual
-    energy adds multiplier * 1, the unit mass the multiplier prices.
+    the primal energy is the expectation up to sign; the dual energy adds
+    multiplier * 1, the unit mass the multiplier prices.  The mixed
+    energy's integrand is the primal's at the locked pair (see the module
+    docstring), so `xi_total` is the primal and `gap_primal_xi` reads 0.0.
     Uses the "support" convention: the zero extension's flat contribution,
     eps e^{-a^2/(2 eps)} per unit length of target outside the support,
     is reported separately as `full_target_offset`.
     """
     eps, alpha = solution.epsilon, solution.spec.alpha
-    h_term, dual_term, xi_term = solution.energy_integrals
-    primal, xi = (float(t - abs(solution.expectation)) for t in (h_term, xi_term))
+    h_term, dual_term = solution.energy_integrals
+    primal = float(h_term - abs(solution.expectation))
     dual_val = float(dual_term + solution.dual.multiplier)
     tl, tr = solution.spec.target_interval
     lo, hi = solution.support
@@ -115,8 +121,8 @@ def duality_gap(solution: DensitySolution) -> EnergyReport:
         slope_excess=max(0.0, solution.max_abs_slope - alpha),
         negativity=solution.clip_depth)
     return EnergyReport(
-        primal=primal, dual=dual_val, xi_total=xi, gap_primal_dual=primal - dual_val,
-        gap_primal_xi=primal - xi, gap_xi_dual=xi - dual_val,
+        primal=primal, dual=dual_val, xi_total=primal, gap_primal_dual=primal - dual_val,
+        gap_primal_xi=0.0, gap_xi_dual=primal - dual_val,
         domain_convention="support", full_target_offset=offset,
         constraint_residuals=residuals)
 
@@ -238,21 +244,3 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     return ProbeReport(t_values=ts, primal_deltas=tuple(sums[:len(ts)]),
                        dual_deltas=tuple(sums[len(ts):]))
 
-
-# -- expansion remainder ------------------------------------------------------
-
-def taylor_remainder_check(alpha, epsilon) -> float:
-    """Largest deviation of the squared stress from its cubic expansion,
-    max |E(lam) - (a^2 - 2 eps) lam^2 - 2 eps lam^3| over the classical
-    window [e^{-a^2/(2 eps)}, 1]; the expansion claim is that this never
-    exceeds eps.
-
-    The deviation is 2 eps lam^2 (ln lam + 1 - lam).  Its magnitude peaks
-    where 2 eps lam (2 ln lam + 3 - 3 lam) vanishes, at lam* =
-    0.4171883561341886, which lies inside the window whenever eps < a^2/2
-    (the lower end is then below e^{-1} < lam*): the maximum is
-    2 lam*^2 |ln lam* + 1 - lam*| eps = 0.10143610792479067 eps.
-    """
-    if not 0.0 < epsilon < 0.5 * alpha * alpha:
-        raise ValueError("need epsilon in (0, alpha^2/2) for a nondegenerate window")
-    return 0.10143610792479067 * epsilon

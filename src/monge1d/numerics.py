@@ -378,11 +378,16 @@ class MonotoneProfile:
         ulp of the panel's depths; the point then returned must have
         |r| <= 2 |r'| ulp + 32 eps (sum of the polynomial's |terms| on the
         panel + f), the bound for a root within one ulp plus the rounding of
-        Horner's rule.  Raises MaxIterations when a target misses that bound
-        or _INVERT_MAX_ITER steps pass.
+        Horner's rule.  A target whose Newton point is rejected at w >= 2
+        returns the right edge if the edge's running fraction is within
+        2 eps f of it, where bisection would halve toward it once a sweep.
+        Raises MaxIterations when a target misses that bound or
+        _INVERT_MAX_ITER steps pass.
         """
-        left, half, size = self.edges[k], self.half[k], self._size[k]
-        res = np.spacing(np.maximum(np.abs(left), np.abs(self.edges[k + 1]))) / half
+        left, right, half, size = self.edges[k], self.edges[k + 1], self.half[k], self._size[k]
+        at_right = np.abs(self.fractions[k + 1] - f) <= 2.0 * _EPS * f
+        near_right = bool(at_right.any())   # rare: other calls skip the edge test
+        res = np.spacing(np.maximum(np.abs(left), np.abs(right))) / half
         rows = [row[k] for row in self._taylor]
         gap, lin, quad = f - rows[0], rows[1], rows[2]
         disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
@@ -418,6 +423,11 @@ class MonotoneProfile:
                 step = r / slope
             nxt = w - step
             newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
+            if near_right:
+                edge = pending & ~newton & (nxt >= 2.0) & at_right
+                out[edge], pending = right[edge], pending & ~edge
+                if not pending.any():
+                    return out
             nxt = np.where(newton, nxt, 0.5 * (a + b))
             prev, last = last, np.abs(nxt - w)
             w = nxt

@@ -1,8 +1,10 @@
 """The three energies of a solved pair and the zero-gap identity.
 
-For every solved problem the primal energy of the density, the dual
-energy of the scale field, and the total complementary functional of
-the pair agree to quadrature precision.  Detuning the scale field away
+For every solved problem the primal energy of the density and the dual
+energy of the scale field agree to quadrature precision.  The total
+complementary functional of the pair is the primal energy itself: under
+the locking identity its integrand is the primal's, node for node, so
+its gap to the primal reads 0.  Detuning the scale field away
 from the solved one can only lower the dual energy, which is the
 pointwise concavity that makes the dual value a certificate.
 """

@@ -3,7 +3,9 @@ duality facts the solve's energies are held to.  The package reads a
 solved pair's energies off its last Newton pass (`energy.duality_gap`);
 these integrate them afresh.  A profile is given by its value and its
 slope, vectorized functions of y, over its support; a log scale factor
-is a function of y."""
+is a function of y.  Also the closed-form remainder of the squared
+stress's cubic expansion (`taylor_remainder_check`), which criterion 04
+holds to epsilon."""
 
 import numpy as np
 
@@ -46,3 +48,20 @@ def dual(field, log_lam):
         return -0.5 * (root * root + np.exp(lt) * (a2 + 2.0 * eps * (lt - 1.0)))
 
     return field.integrate(f, TOL) + field.multiplier
+
+
+def taylor_remainder_check(alpha, epsilon):
+    """Largest deviation of the squared stress from its cubic expansion,
+    max |E(lam) - (a^2 - 2 eps) lam^2 - 2 eps lam^3| over the classical
+    window [e^{-a^2/(2 eps)}, 1]; the expansion claim is that this never
+    exceeds eps.
+
+    The deviation is 2 eps lam^2 (ln lam + 1 - lam).  Its magnitude peaks
+    where 2 eps lam (2 ln lam + 3 - 3 lam) vanishes, at lam* =
+    0.4171883561341886, which lies inside the window whenever eps < a^2/2
+    (the lower end is then below e^{-1} < lam*): the maximum is
+    2 lam*^2 |ln lam* + 1 - lam*| eps = 0.10143610792479067 eps.
+    """
+    if not 0.0 < epsilon < 0.5 * alpha * alpha:
+        raise ValueError("need epsilon in (0, alpha^2/2) for a nondegenerate window")
+    return 0.10143610792479067 * epsilon

@@ -1,9 +1,10 @@
 """The mass fraction's inverse with a compacting loop, for the tests: the
-same bracketed Newton iteration as `MonotoneProfile._solve_panels`, but
-after every step in which a target converges the state is re-indexed down
-to the targets still iterating.  Each target's arithmetic is the same in
-both, so the package's sweep over all targets must return the same depths
-bit for bit."""
+same bracketed Newton iteration as `MonotoneProfile._solve_panels`, with
+the same stop at a panel's right edge, but after every step in which a
+target converges the state is re-indexed down to the targets still
+iterating.  Each target's arithmetic is the same in both, so the
+package's sweep over all targets must return the same depths bit for
+bit."""
 
 import copy
 import functools
@@ -25,8 +26,10 @@ def invert_many(profile, fractions):
 def solve_panels(profile, k, f):
     """Depth in panel k where the profile's mass fraction reaches f, each
     target iterating only until it converges."""
-    left, half, size = profile.edges[k], profile.half[k], profile._size[k]
-    res = np.spacing(np.maximum(np.abs(left), np.abs(profile.edges[k + 1]))) / half
+    left, right = profile.edges[k], profile.edges[k + 1]
+    half, size = profile.half[k], profile._size[k]
+    at_right = np.abs(profile.fractions[k + 1] - f) <= 2.0 * _EPS * f
+    res = np.spacing(np.maximum(np.abs(left), np.abs(right))) / half
     rows = [row[k] for row in profile._taylor]
     gap, lin, quad = f - rows[0], rows[1], rows[2]
     disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
@@ -57,14 +60,16 @@ def solve_panels(profile, k, f):
             step = r / slope
         nxt = w - step
         newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
+        edge = ~done & ~newton & (nxt >= 2.0) & at_right
         nxt = np.where(newton, nxt, 0.5 * (a + b))
         prev, last = last, np.abs(nxt - w)
-        if done.any():
+        if done.any() or edge.any():
             out[live[done]] = left[done] + half[done] * w[done]
-            keep = ~done
-            live, f, a, b, prev, last, res, left, half, size, nxt = (
-                arr[keep] for arr in (live, f, a, b, prev, last, res, left, half,
-                                      size, nxt))
+            out[live[edge]] = right[edge]
+            keep = ~(done | edge)
+            live, f, a, b, prev, last, res, left, right, half, size, at_right, nxt = (
+                arr[keep] for arr in (live, f, a, b, prev, last, res, left, right, half,
+                                      size, at_right, nxt))
             rows = [row[keep] for row in rows]
             if not live.size:
                 return out

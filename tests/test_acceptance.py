@@ -25,16 +25,12 @@ import numpy as np
 import pytest
 
 from monge1d.cli import main
-from monge1d.energy import (
-    SinePerturbation,
-    duality_gap,
-    second_variation_probe,
-    taylor_remainder_check,
-)
+from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.oracles import discrete_expectation_optimizer, tent_limit_density
 from monge1d.problem import uniform_spec
 from monge1d.sweep import epsilon_sweep
 from monge1d.transport import build_map, pushforward_residual
+from reference_energies import taylor_remainder_check
 from reference_solves import boundary_residual, solve_constant, total_mass
 
 ALPHAS = (0.5, 1.0, 2.0)

@@ -430,6 +430,23 @@ class TestVerify:
         assert "verify: failed slope bound" in captured.err
         assert "fail" in captured.out
 
+    def test_readme_config_table(self, tmp_path, capsys):
+        # The battery's rows on the README config, by name and status: the
+        # printed numbers are left out, so any change to which checks run
+        # shows here as an edit of this table.
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc.update(epsilons=[0.1, 0.01, 0.001], grid_n=2001,
+                   tolerances={"root": 1e-12, "quad": 1e-10},
+                   out=str(tmp_path / "artifacts"))
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 5
+        rows = [(line[line.index("[") + 1:line.index("]")],
+                 line[9:line.index("[")].strip(), line[:8].strip())
+                for line in capsys.readouterr().out.splitlines()]
+        battery = [("mass", "pass"), ("nonnegative", "pass"), ("slope bound", "fail"),
+                   ("zero gap", "pass"), ("variational probes", "pass")]
+        assert rows == [(f"epsilon={eps!r}", *row) for eps in (0.1, 0.01, 0.001)
+                        for row in battery] + [("fixtures", "oracle fixtures", "skipped")]
+
     def test_steep_regime_passes(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TENT_DOC))
         doc["problem"]["alpha"] = 4.0
@@ -438,14 +455,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all" in out and "fail" not in out
         assert "skipped  oracle fixtures" in out
-
-    def test_remainder_window_skip(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(TENT_DOC))
-        doc["problem"]["alpha"] = 4.0
-        doc["epsilons"] = [9.0]  # above alpha^2/2, outside the expansion
-        main(["verify", "--config", write_config(tmp_path, doc),
-              "--grid", "801"])
-        assert "skipped  remainder bound" in capsys.readouterr().out
 
     def test_good_fixture_passes(self, tmp_path, capsys):
         from monge1d.oracles import discrete_expectation_optimizer
@@ -569,34 +578,6 @@ class TestVerify:
         assert code == 5
         assert "pass     oracle oracle_lp.csv" in capsys.readouterr().out
         assert calls == [0.1, 0.01, 0.001]
-
-    def test_stationarity_inverts_the_support_once(self, tmp_path,
-                                                   monkeypatch, capsys):
-        # theta, log lambda and the slope of the stationarity check come
-        # from one inversion of the support nodes per epsilon.
-        import monge1d.cli
-
-        sizes, supports = [], []
-        invert, solve = duality._invert_stress_sq, monge1d.cli.assemble_density
-
-        def counted_invert(stress_sq, *args):
-            sizes.append(np.size(stress_sq))
-            return invert(stress_sq, *args)
-
-        def recorded_solve(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            supports.append(sol.support_nodes.size)
-            return sol
-
-        monkeypatch.setattr(duality, "_invert_stress_sq", counted_invert)
-        monkeypatch.setattr(monge1d.cli, "assemble_density", recorded_solve)
-        doc = json.loads(json.dumps(TENT_DOC))
-        doc["epsilons"] = [0.1, 0.01, 0.001]
-        assert main(["verify", "--config", write_config(tmp_path, doc),
-                     "--grid", "801"]) == 5
-        assert "stationarity" in capsys.readouterr().out
-        assert len(supports) == 3
-        assert sorted(n for n in sizes if n in supports) == sorted(supports)
 
 
 NEAR_CAPACITY_DOC = {

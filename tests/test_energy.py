@@ -20,7 +20,6 @@ from monge1d.energy import (
     SinePerturbation,
     duality_gap,
     second_variation_probe,
-    taylor_remainder_check,
 )
 from monge1d.errors import InvalidPerturbation
 from monge1d.numerics import _graded_edges
@@ -278,8 +277,11 @@ class TestDualityGap:
                                                offset, assumption):
         # The energies have no pass of their own: integrate their three
         # rows afresh on the field's own panels, at 1e-13, and compare.
-        # The worst difference measured over these regimes is 1.6e-16 of
-        # max(1, |energy|), one rounding of a sum near 1000.
+        # The solve sums no mixed row, so the third comparison checks the
+        # locking identity that makes `xi_total` the primal energy.  The
+        # worst difference measured over these regimes is 1.1e-16 of
+        # max(1, |energy|), in the dual; the primal and mixed rows agree
+        # exactly.
         w = 5.0 / math.sqrt(alpha)
         spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
                             (offset, offset + w), "I", alpha)
@@ -648,13 +650,13 @@ class TestTaylorRemainder:
             peak = 2 * lam ** 2 * abs(mpmath.log(lam) + 1 - lam)
             assert lam > mpmath.exp(-alpha ** 2 / (2 * epsilon))
             exact = float(peak * epsilon)
-        worst = taylor_remainder_check(alpha, epsilon)
+        worst = ref.taylor_remainder_check(alpha, epsilon)
         assert abs(worst - exact) <= 2 * np.spacing(exact)
         assert worst <= epsilon
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            taylor_remainder_check(1.0, 0.6)
+            ref.taylor_remainder_check(1.0, 0.6)
 
 
 # -- expectation --------------------------------------------------------------

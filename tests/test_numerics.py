@@ -541,6 +541,48 @@ class TestInversionMatchesReference:
                                   _bits(reference_inversion.invert_many(prof, targets)))
 
 
+class TestInverseSweeps:
+    """How many sweeps of `_solve_panels` a lone target takes."""
+
+    @staticmethod
+    def _sweeps(monkeypatch, prof, target):
+        plain, sweeps = numerics._horner, []
+
+        def counted(rows, w):
+            sweeps.append(w.size)
+            return plain(rows, w)
+
+        monkeypatch.setattr(numerics, "_horner", counted)
+        depth = prof.invert_many(np.array([target]))[0]
+        monkeypatch.setattr(numerics, "_horner", plain)
+        return len(sweeps), depth
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])
+    def test_edge_stragglers_stop_at_the_edge(self, solved, monkeypatch, eps):
+        # A target one double below an inner edge's running fraction has
+        # its root within ulps of that edge: its Newton points land past
+        # w = 2, and the edge, whose fraction meets the residual stop, is
+        # returned.  Bisecting toward w = 2 took up to 21 sweeps at eps 0.1.
+        prof = solved(SPEC_I, eps).profile
+        worst, edges = 0, 0
+        for k, edge in enumerate(prof.fractions[1:-1], start=1):
+            target = np.nextafter(edge, -1.0)
+            if target in prof.fractions:      # a flat run: no panel to solve
+                continue
+            sweeps, depth = self._sweeps(monkeypatch, prof, target)
+            worst = max(worst, sweeps)
+            edges += depth == prof.edges[k]
+            assert abs(prof.fraction(depth) - target) <= 2.0 * numerics._EPS * target
+        assert worst == 3 and edges > 0
+
+    def test_subnormal_target_stops_on_the_ulp_test(self, solved, monkeypatch):
+        # The residual stop 2 eps f underflows to 0 at f = 5e-324, so only
+        # the one-ulp test ends this target, after 54 sweeps.
+        for eps in (1e-1, 1e-3, 1e-5):
+            prof = solved(SPEC_I, eps).profile
+            assert self._sweeps(monkeypatch, prof, 5e-324)[0] == 54
+
+
 def legendre_density(prof, s):
     """The density at depths s summed in the Legendre form,
     U_a + half sum c_n I_n(x) with I_n = (P_n+1 - P_n-1)/(2n + 1) and

@@ -189,6 +189,20 @@ class TestPrimalMinimizer:
         assert abs(run.objective - report.primal
                    - report.full_target_offset) <= 1e-6
 
+    @pytest.mark.parametrize("alpha,excess,n,epsilon,stage", [
+        (1.0, 1e-9, 401, 0.1, "1e-02"), (1.0, 1e-9, 401, 1e-3, "1e-02"),
+        (1.0, 1e-7, 401, 0.1, "1e-13"), (4.0, 1e-5, 1000, 0.1, "1e-14")])
+    def test_known_limit_near_the_sharp_width(self, alpha, excess, n, epsilon, stage):
+        # A known limit, pinned: within about 1e-5 of the sharp width every
+        # slope sits that close to alpha, so the rounding of alpha^2 - s^2
+        # puts noise above the barrier's decrement test and a stage runs
+        # out of Newton steps.  The LP solves the same grid.
+        spec = uniform_spec((6.0, 8.0), (0.0, 2.0 / math.sqrt(alpha) * (1.0 + excess)),
+                            "I", alpha)
+        with pytest.raises(MaxIterations, match=f"barrier stage mu = {stage}$"):
+            discrete_primal_minimizer(spec, epsilon, n)
+        assert discrete_expectation_optimizer(spec, n).density.violations() == ()
+
     @pytest.mark.parametrize("epsilon", [0.0, -0.01, math.nan, math.inf])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
         with pytest.raises(ValueError, match="finite and > 0"):
