@@ -11,7 +11,8 @@ supported:
   (mirror image on the negative axis; mass moves right).
 
 The source density's kinds are input labels: every kind is evaluated on
-one piecewise-linear path (`SourceDensity._cells`).
+one piecewise-linear path, whose cells `SourceDensity` derives once at
+construction and stores read-only (`SourceDensity._derive_cells`).
 
 Everything in this module is immutable and hashable, so specs can key
 caches directly.  Construction only enforces structural sanity (shapes,
@@ -45,7 +46,9 @@ class SourceDensity:
 
     Mass, cumulative mass and barycenter are exact closed forms per cell,
     never quadrature, so the transport maps and their cost inherit no
-    discretization error from the source side.
+    discretization error from the source side.  The cells' geometry is
+    derived once, after validation, and stored read-only; the barycenter
+    is computed on its first call and kept.
     """
 
     interval: tuple[float, float]
@@ -86,6 +89,7 @@ class SourceDensity:
                 raise ValueError("density nodes must span the interval exactly")
             object.__setattr__(self, "nodes", nodes)
             object.__setattr__(self, "values", values)
+        self._derive_cells()
 
     # -- closed-form geometry -------------------------------------------------
 
@@ -93,52 +97,63 @@ class SourceDensity:
     def width(self) -> float:
         return self.interval[1] - self.interval[0]
 
-    def _cells(self):
-        """Breakpoints, values, widths and exact masses of the cells every
-        method evaluates; a uniform density is one cell (level, level)."""
+    def _derive_cells(self):
+        """Store, read-only, the cells every method evaluates: breakpoints
+        `_x`, values `_v`, widths `_h`, exact masses `_cell_mass`, their
+        running sums `_cum` and slopes `_slope`, with the minimum value and
+        the total mass.  A uniform density is one cell (level, level)."""
         if self.kind == "uniform":
             level = 1.0 / self.width if self.level is None else self.level
-            x, v = np.asarray(self.interval), np.array([level, level])
+            x, v = np.array(self.interval), np.array([level, level])
         else:
-            x, v = np.asarray(self.nodes), np.asarray(self.values)
+            x, v = np.array(self.nodes), np.array(self.values)
         h = np.diff(x)
         cell_mass = 0.5 * h * (v[:-1] + v[1:])
-        return x, v, h, cell_mass
+        cells = dict(_x=x, _v=v, _h=h, _cell_mass=cell_mass,
+                     _cum=np.concatenate([[0.0], np.cumsum(cell_mass)]),
+                     _slope=(v[1:] - v[:-1]) / h)
+        for name, arr in cells.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_min_value", float(np.min(v)))
+        object.__setattr__(self, "_mass", float(np.sum(cell_mass)))
 
     def min_value(self) -> float:
         """Smallest value attained on the interval (exact: extrema of a
         piecewise-linear function sit at nodes)."""
-        return float(np.min(self._cells()[1]))
+        return self._min_value
 
     def mass(self) -> float:
         """Total integral over the interval, exact."""
-        return float(np.sum(self._cells()[3]))
+        return self._mass
 
     def cdf(self, x):
         """Cumulative mass from the left endpoint, exact per cell."""
         x_arr = np.asarray(x, dtype=float)
         lo, hi = self.interval
-        xs, v, h, cell_mass = self._cells()
-        cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+        xs, v = self._x, self._v
         xc = np.clip(x_arr, lo, hi)
-        i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, h.size - 1)
+        i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, self._h.size - 1)
         t = xc - xs[i]
-        slope = (v[i + 1] - v[i]) / h[i]
-        out = cum[i] + v[i] * t + 0.5 * slope * t * t
+        out = self._cum[i] + v[i] * t + 0.5 * self._slope[i] * t * t
         return out if np.ndim(x) else float(out)
 
     def barycenter(self) -> float:
-        """Mass-weighted mean position, exact."""
-        xs, v, h, cell_mass = self._cells()
-        slope = (v[1:] - v[:-1]) / h
-        # int over a cell of (x0 + t)(v0 + slope t) dt for t in [0, h].
-        first = xs[:-1] * (v[:-1] * h + 0.5 * slope * h * h)
-        second = 0.5 * v[:-1] * h * h + slope * h**3 / 3.0
-        return float(np.sum(first + second) / np.sum(cell_mass))
+        """Mass-weighted mean position, exact; computed on the first call
+        and kept, since a density of zero total mass (which
+        `normalize_density` rejects) has none."""
+        if "_barycenter" not in self.__dict__:
+            xs, v, h, slope = self._x, self._v, self._h, self._slope
+            # int over a cell of (x0 + t)(v0 + slope t) dt for t in [0, h].
+            first = xs[:-1] * (v[:-1] * h + 0.5 * slope * h * h)
+            second = 0.5 * v[:-1] * h * h + slope * h**3 / 3.0
+            object.__setattr__(self, "_barycenter",
+                               float(np.sum(first + second) / np.sum(self._cell_mass)))
+        return self._barycenter
 
     def scaled(self, factor: float) -> "SourceDensity":
         if self.kind == "uniform":
-            return replace(self, level=float(self._cells()[1][0]) * factor)
+            return replace(self, level=float(self._v[0]) * factor)
         return replace(self, values=tuple(v * factor for v in self.values))
 
 

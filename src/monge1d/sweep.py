@@ -24,7 +24,6 @@ import numpy as np
 from .duality import assemble_density
 from .energy import duality_gap
 from .errors import InsufficientRows, Monge1dError
-from .oracles import tent_limit_density
 from .problem import MongeProblemSpec
 
 # Below this the log-scale bracket alpha^2/(2 eps) is so deep that the
@@ -119,6 +118,8 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons):
     for eps in eps_list:
         if not np.isfinite(eps):
             raise ValueError(f"epsilon {eps!r} is not finite")
+    from .oracles import tent_limit_density
+
     tent = tent_limit_density(spec)
     grid = _distance_grid(spec)
     return [_solve_row(spec, eps, tent, grid) for eps in eps_list]

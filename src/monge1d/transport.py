@@ -25,6 +25,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +37,28 @@ from .problem import MongeProblemSpec
 _PUSHFORWARD_PROBE_N = 1000
 
 
+@functools.lru_cache(maxsize=8)
+def _chebyshev_cosines(n: int) -> np.ndarray:
+    """cos(pi k / (n - 1)) for k = 0, ..., n - 1, read-only."""
+    cosines = np.cos(np.pi * np.arange(n, dtype=float) / (n - 1))
+    cosines.flags.writeable = False
+    return cosines
+
+
 def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     """n Chebyshev points on [lo, hi], endpoints included, ascending.
 
     Clusters quadratically near the ends, where the quantile maps have
     square-root behavior and uniform grids sample worst.  Raises
-    ValueError for n < 2, which leaves no room for both endpoints.
+    ValueError for n < 2, which leaves no room for both endpoints.  The
+    cosine table is computed once per n and kept; each call scales it
+    onto [lo, hi] into a new array.
     """
     if n < 2:
         raise ValueError("chebyshev_nodes needs n >= 2 to hold both "
                          f"endpoints, got {n!r}")
-    k = np.arange(n, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid - half * np.cos(np.pi * k / (n - 1))
+    return mid - half * _chebyshev_cosines(n)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def reference_cost():
     def cost(map_solution, spec, tol=1e-10):
         a, b = spec.source_interval
         density = spec.source_density
-        xs, values = density._cells()[:2]
+        xs, values = density._x, density._v
 
         def integrand(x):
             return np.abs(x - map_solution.map(x)) * np.interp(x, xs, values)

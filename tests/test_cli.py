@@ -442,7 +442,7 @@ class TestVerify:
         rows = [(line[line.index("[") + 1:line.index("]")],
                  line[9:line.index("[")].strip(), line[:8].strip())
                 for line in capsys.readouterr().out.splitlines()]
-        battery = [("mass", "pass"), ("nonnegative", "pass"), ("slope bound", "fail"),
+        battery = [("nonnegative", "pass"), ("slope bound", "fail"),
                    ("zero gap", "pass"), ("variational probes", "pass")]
         assert rows == [(f"epsilon={eps!r}", *row) for eps in (0.1, 0.01, 0.001)
                         for row in battery] + [("fixtures", "oracle fixtures", "skipped")]
@@ -674,3 +674,28 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
     assert abs(float(mass) - 1.0) <= 1e-9
     assert lp_imported == "True"
+
+
+_ORACLES_PROBE = """
+import sys
+from monge1d import cli
+loaded = ["monge1d.oracles" in sys.modules]
+for command in ("validate", "solve", "map", "sweep"):
+    code = cli.main([command, "--config", sys.argv[1], "--quiet"])
+    loaded.append((command, code, "monge1d.oracles" in sys.modules))
+print(loaded)
+"""
+
+
+def test_oracles_load_only_for_the_commands_that_read_them(tmp_path):
+    # Importing the CLI and running `validate`, `solve` and `map` leaves
+    # the oracle layer unloaded; `sweep`, which compares against the tent,
+    # loads it, so the probe does see the module when it is imported.
+    config = tent_config(tmp_path, grid_n=201, out=str(tmp_path / "out"))
+    src = str(Path(monge1d.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _ORACLES_PROBE, config], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == str([False, ("validate", 0, False), ("solve", 0, False),
+                                       ("map", 0, False), ("sweep", 0, True)])

@@ -1,6 +1,8 @@
 """Unit tests for the problem statement layer."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from monge1d.problem import (
     uniform_spec,
     validate_spec,
 )
+from monge1d.transport import chebyshev_nodes
 
 
 def _linear_density(lo=6.0, hi=8.0):
@@ -136,6 +139,120 @@ class TestNormalize:
         with pytest.raises(NonPositiveDensity):
             normalize_density(SourceDensity(interval=(0.0, 1.0), kind="tabulated",
                                             nodes=(0.0, 1.0), values=(1.0, -0.5)))
+
+
+def _per_call_cells(density):
+    # The cells as each call derived them before the geometry was stored.
+    if density.kind == "uniform":
+        level = 1.0 / density.width if density.level is None else density.level
+        x, v = np.asarray(density.interval), np.array([level, level])
+    else:
+        x, v = np.asarray(density.nodes), np.asarray(density.values)
+    h = np.diff(x)
+    return x, v, h, 0.5 * h * (v[:-1] + v[1:])
+
+
+def _per_call_cdf(density, x):
+    lo, hi = density.interval
+    xs, v, h, cell_mass = _per_call_cells(density)
+    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
+    xc = np.clip(np.asarray(x, dtype=float), lo, hi)
+    i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, h.size - 1)
+    t = xc - xs[i]
+    slope = (v[i + 1] - v[i]) / h[i]
+    out = cum[i] + v[i] * t + 0.5 * slope * t * t
+    return out if np.ndim(x) else float(out)
+
+
+def _per_call_barycenter(density):
+    xs, v, h, cell_mass = _per_call_cells(density)
+    slope = (v[1:] - v[:-1]) / h
+    first = xs[:-1] * (v[:-1] * h + 0.5 * slope * h * h)
+    second = 0.5 * v[:-1] * h * h + slope * h**3 / 3.0
+    return float(np.sum(first + second) / np.sum(cell_mass))
+
+
+_TABULATED = SourceDensity(
+    interval=(-3.25, 4.5), kind="tabulated",
+    nodes=tuple(np.linspace(-3.25, 4.5, 37)),
+    values=tuple(1.0 + 0.5 * np.sin(np.linspace(0.0, 9.0, 37))))
+_PIECEWISE = SourceDensity(interval=(0.0, 2.0), kind="piecewise-linear",
+                           nodes=(0.0, 0.7, 2.0), values=(0.3, 1.9, 0.2))
+_GEOMETRY_CASES = {
+    "uniform": SourceDensity(interval=(6.0, 8.0)),
+    "uniform-level": SourceDensity(interval=(359.17, 360.2), level=2.5),
+    "piecewise-linear": _PIECEWISE,
+    "tabulated": _TABULATED,
+    "scaled-uniform": SourceDensity(interval=(6.0, 8.0), level=2.0).scaled(0.3),
+    "scaled-tabulated": _TABULATED.scaled(1.7),
+    "normalized-piecewise": normalize_density(_PIECEWISE),
+    "normalized-tabulated": normalize_density(_TABULATED),
+    "replaced-values": dataclasses.replace(_PIECEWISE, values=(2.0, 0.1, 1.3)),
+    "replaced-level": dataclasses.replace(SourceDensity(interval=(6.0, 8.0)),
+                                          level=0.75),
+}
+
+
+class TestStoredGeometry:
+    """The geometry derived once at construction reads as the per-call
+    arithmetic did, bit for bit, and leaves the value semantics alone."""
+
+    @pytest.mark.parametrize("name", list(_GEOMETRY_CASES))
+    def test_reads_equal_the_per_call_arithmetic(self, name):
+        density = _GEOMETRY_CASES[name]
+        lo, hi = density.interval
+        xs = np.concatenate([chebyshev_nodes(lo, hi, 1000),
+                             _per_call_cells(density)[0],
+                             [lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 7.0]])
+        assert np.array_equal(density.cdf(xs), _per_call_cdf(density, xs))
+        for x in xs[::97]:
+            got = density.cdf(float(x))
+            assert type(got) is float and got == _per_call_cdf(density, float(x))
+        # computed on the first call, then read back
+        assert density.barycenter() == _per_call_barycenter(density)
+        assert density.barycenter() == _per_call_barycenter(density)
+        assert density.min_value() == float(np.min(_per_call_cells(density)[1]))
+        assert density.mass() == float(np.sum(_per_call_cells(density)[3]))
+
+    def test_stored_arrays_are_read_only(self):
+        density = _GEOMETRY_CASES["tabulated"]
+        for name in ("_x", "_v", "_h", "_cell_mass", "_cum", "_slope"):
+            arr = getattr(density, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_value_semantics_are_the_fields(self):
+        a = SourceDensity(interval=(6.0, 8.0), kind="piecewise-linear",
+                          nodes=(6.0, 7.0, 8.0), values=(0.25, 0.5, 0.75))
+        b = dataclasses.replace(a)
+        a.barycenter()  # a keeps its barycenter, b has none yet
+        assert a == b and hash(a) == hash(b)
+        fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+        assert hash(a) == hash(fields)
+        assert repr(a) == ("SourceDensity(interval=(6.0, 8.0), kind='piecewise-linear', "
+                           "level=None, nodes=(6.0, 7.0, 8.0), values=(0.25, 0.5, 0.75))")
+        assert a != dataclasses.replace(a, values=(0.25, 0.5, 0.8))
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
+        spec_fields = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+        assert hash(spec) == hash(spec_fields)
+        assert repr(spec) == (
+            "MongeProblemSpec(source_interval=(6.0, 8.0), target_interval=(0.0, 5.0), "
+            "assumption='I', alpha=1.0, source_density=SourceDensity(interval=(6.0, 8.0), "
+            "kind='uniform', level=None, nodes=None, values=None))")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(level=0.0),
+        dict(level=-2.0),
+        dict(kind="tabulated", nodes=(0.0, 1.0), values=(1.0, -1.0)),
+    ], ids=["zero", "negative", "zero-total"])
+    def test_nonpositive_mass_constructs_quietly(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = SourceDensity(interval=(0.0, 1.0), **kwargs)
+        assert density.mass() <= 0.0
+        with pytest.raises(NonPositiveDensity):
+            normalize_density(density)
 
 
 class TestValidateSpec:

@@ -1,12 +1,13 @@
 """Transport maps: CDF endpoints, quantile composition, the cost against
 its quadrature, pushforward residuals, and mirror agreement."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from monge1d import numerics
+from monge1d import numerics, transport
 from monge1d.cli import cost_json_document, map_csv
 from monge1d.numerics import MonotoneProfile
 from monge1d.problem import (
@@ -14,6 +15,7 @@ from monge1d.problem import (
     SourceDensity,
     normalize_density,
     uniform_spec,
+    validate_spec,
 )
 from monge1d.transport import (
     TransportMap,
@@ -247,6 +249,45 @@ class TestInverseWork:
         assert calls == sweeps
 
 
+class TestSourceGeometryWork:
+    def test_geometry_is_derived_once(self, solved, monkeypatch):
+        # One derivation per SourceDensity construction and none per read:
+        # the spec's checks, both maps and both pushforward residuals on one
+        # solution make four source-CDF calls, two barycenter calls and one
+        # each of min_value and mass, and derive nothing.  The residuals'
+        # cosine table is computed once for their node count.
+        derived, reads = [], collections.Counter()
+        plain_derive = SourceDensity._derive_cells
+
+        def derive(self):
+            derived.append(self)
+            return plain_derive(self)
+
+        monkeypatch.setattr(SourceDensity, "_derive_cells", derive)
+        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
+        normalize_density(SourceDensity(interval=(6.0, 8.0), level=2.0))
+        assert len(derived) == 3  # the spec's density, the level-2 one, its rescaling
+        sol = solved(spec, 1e-3)
+        for name in ("cdf", "barycenter", "min_value", "mass"):
+            def counted(self, *args, _plain=getattr(SourceDensity, name), _name=name):
+                reads[_name] += 1
+                return _plain(self, *args)
+            monkeypatch.setattr(SourceDensity, name, counted)
+        transport._chebyshev_cosines.cache_clear()
+        derived.clear()
+
+        assert validate_spec(spec).ok
+        maps = [build_map(spec, sol, v) for v in ("increasing", "decreasing")]
+        for m in maps:
+            pushforward_residual(m, sol, spec)
+        assert derived == []
+        assert reads == {"cdf": 4, "barycenter": 2, "min_value": 1, "mass": 1}
+        cache = transport._chebyshev_cosines.cache_info()
+        assert (cache.misses, cache.hits) == (1, 1)
+        chebyshev_nodes(0.0, 1.0, 9)
+        assert transport._chebyshev_cosines.cache_info().misses == 2
+
+
 class TestMirrorMaps:
     def test_target_cdfs_mirror(self, solved, maps):
         # The mirrored pair reads the same pass at the same depths, so the
@@ -286,3 +327,13 @@ class TestChebyshevNodes:
         assert np.all(np.diff(xs) > 0.0)
         # quadratic clustering: the end gap is much finer than the middle
         assert xs[1] - xs[0] < 0.25 * (xs[5] - xs[4])
+
+    def test_cached_table_gives_fresh_nodes(self):
+        # Each call scales the kept cosine table into a new writable array,
+        # equal bit for bit to the per-call formula.
+        k = np.arange(9, dtype=float)
+        a, b = chebyshev_nodes(-2.0, 3.0, 9), chebyshev_nodes(-2.0, 3.0, 9)
+        assert np.array_equal(a, 0.5 * (-2.0 + 3.0) - 0.5 * (3.0 + 2.0) * np.cos(np.pi * k / 8))
+        assert a is not b and a.flags.writeable
+        a[0] = 99.0
+        assert chebyshev_nodes(-2.0, 3.0, 9)[0] == -2.0
