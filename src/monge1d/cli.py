@@ -192,7 +192,7 @@ def energy_json_document(solution, report) -> dict:
         multiplier=solution.dual.multiplier,
         support=list(solution.support),
         support_endpoint=solution.support_endpoint,
-        crossing=solution.crossing,
+        crossing=solution.dual.zeros[1],
         mass=solution.mass,
         expectation=solution.expectation,
         gap=report.gap_primal_dual,

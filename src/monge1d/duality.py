@@ -31,8 +31,9 @@ here, all in closed form up to one two-unknown root solve:
    the far edge.
 4. The density is the cumulative integral of the slope from the anchored
    endpoint, and its CDF the cumulative integral of the density: both are
-   read in closed form off the solve's last pass, at the grid's nodes and
-   between them alike, and so is the CDF's inverse (`DensitySolution`).
+   read in closed form off the solve's last pass at any y, and so is the
+   CDF's inverse (`DensitySolution`).  The sampled grid is only the table
+   that `density.csv` writes.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -490,28 +491,26 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
 class DensitySolution:
     """Sampled transfer density with its dual field and diagnostics.
 
-    nodes/values cover the whole target interval (zero extension
-    included); support_slice marks the support portion.  boundary_gap is
-    the (pre-clip) density value at the closing endpoint, which the zero
-    solve aims at _CLOSURE_AIM: it reads that aim plus closure_residual.
+    nodes/values tabulate the density over the whole target interval (zero
+    extension included), the table `density.csv` writes; clip_depth is how
+    far below zero that table's support values ran before the clip.
     max_abs_slope and max_log_lambda report how far the solution runs
     above the nominal scale ceiling instead of clamping it (see the module
-    docstring).  newton_steps,
-    closure_residual and mass_residual record what the coupled zero solve
-    did: its Newton steps and its final closure (measured from the aim)
-    and mass - 1 residuals.  No CLI artifact writes them.  mass,
-    expectation and energy_integrals (the H-term and dual integrals
-    `energy` reads) are rows of the solve's last pass.
+    docstring).  mass, expectation and energy_integrals (the H-term and
+    dual integrals `energy` reads) are rows of the solve's last pass; what
+    the coupled zero solve did (its Newton steps and final residuals)
+    stays on its `_ZeroSolve`.
 
     The solution holds one representation of the density, that pass read
     in depth as a `numerics.MonotoneProfile`, and one map of y to depth
     (`_depth`): by calling the solution, the delivered density, zero off
-    the support and clipped at 0; `cdf`, the target CDF; and `quantile`,
-    its inverse, which the transport maps read.  A node reads its own
-    value; the depth a y maps to has lost the node's last bits.  The
-    cumulative construction makes the density's slope the recovered dual
-    slope, `dual.fields_at(y)[2]`, on the support and zero on the
-    extension.
+    the open support and clipped at 0, so both Dirichlet ends read 0
+    exactly; `cdf`, the target CDF; and `quantile`, its inverse, which the
+    transport maps read.  No read consults the table: a node reads the
+    profile at the depth its y maps to, which has lost the node's last
+    bits.  The cumulative construction makes the density's slope the
+    recovered dual slope, `dual.fields_at(y)[2]`, on the support and zero
+    on the extension.
     """
 
     spec: MongeProblemSpec
@@ -519,25 +518,15 @@ class DensitySolution:
     dual: DualField
     support_endpoint: float
     support: tuple[float, float]
-    crossing: float
     nodes: np.ndarray
     values: np.ndarray
-    support_slice: slice
     mass: float
     expectation: float
     energy_integrals: tuple[float, ...]
     max_abs_slope: float
     max_log_lambda: float
-    boundary_gap: float
     clip_depth: float
-    newton_steps: int
-    closure_residual: float
-    mass_residual: float
     profile: MonotoneProfile = field(repr=False)
-
-    @property
-    def support_nodes(self):
-        return self.nodes[self.support_slice]
 
     def _depth(self, y):
         """Depth o (anchor - y) of each y, clamped to the pass; the closing
@@ -550,10 +539,8 @@ class DensitySolution:
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.support
-        inside = (y_arr >= lo) & (y_arr <= hi)
-        out = np.where(inside, self.profile.density(self._depth(y_arr)), 0.0)
-        k = np.minimum(np.searchsorted(self.nodes, y_arr), self.nodes.size - 1)
-        out = np.maximum(np.where(self.nodes[k] == y_arr, self.values[k], out), 0.0)
+        density = self.profile.density(self._depth(y_arr))
+        out = np.where((y_arr > lo) & (y_arr < hi), np.maximum(density, 0.0), 0.0)
         return out if np.ndim(y) else float(out)
 
     def cdf(self, y):
@@ -595,18 +582,17 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     cumulative integral of the recovered slope, anchored at the target
     endpoint adjacent to the source (it vanishes there by construction and
     at the other support end by the closure condition).  The solve's last
-    pass, read as a `numerics.MonotoneProfile`, is the density: its nodal
-    values are read off it in the pass's depths, so the values near the
-    free endpoint, where the stress vanishes, keep the sign the solve
-    gives them, and the assembly runs no quadrature and inverts no grid
-    node.  The grid is
-    uniform over the support with the crossing as a node (`_depth_grid`),
-    plus a zero extension over the rest of the target at matching
-    resolution.  The mass, the expectation and the `energy_integrals` come
-    from rows of the solve's last Newton pass.  Between the nodes, and as
-    the target CDF and its quantile, the solution reads the same pass (see
-    `DensitySolution`).  Raises ValueError unless epsilon is
-    finite and > 0 and grid_n an integer >= 33.
+    pass, read as a `numerics.MonotoneProfile`, is the density, and every
+    read of the solution goes through it (see `DensitySolution`).  The
+    table `density.csv` writes samples it in the pass's depths, so the
+    values near the free endpoint, where the stress vanishes, keep the
+    sign the solve gives them, and the assembly runs no quadrature and
+    inverts no grid node.  Its grid is uniform over the support with the
+    crossing as a node (`_depth_grid`), plus a zero extension over the
+    rest of the target at matching resolution.  The mass, the expectation
+    and the `energy_integrals` come from rows of the solve's last Newton
+    pass.  Raises ValueError unless epsilon is finite and > 0 and grid_n
+    an integer >= 33.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -630,7 +616,6 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     profile = MonotoneProfile(edges, sums[0], samples, singular=zeros)
     grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
     raw = profile.density(grid_s)
-    boundary_gap = float(raw[-1])
     # The anchored end is zero exactly; the closing end only up to the
     # residual tolerance, and interior rounding can graze zero, so clip
     # (recording how deep the clip went) and pin both Dirichlet ends.
@@ -648,11 +633,9 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     zero_nodes = np.linspace(m, spec.far_edge, n_zero + 1)[1:]
     nodes = np.concatenate([grid, zero_nodes])
     values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
-    support_slice = slice(0, grid.size)
     if o > 0:
         # Under assumption I depth runs against y: reverse to ascending y.
         nodes, values = nodes[::-1], values[::-1]
-        support_slice = slice(zero_nodes.size, nodes.size)
 
     # |theta| peaks at a support end or at the parabola's vertex.
     probes = [lo, hi]
@@ -672,12 +655,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     expectation = m * mass + 0.5 * o * solved.moment
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
-        support=support, crossing=crossing, nodes=nodes, values=values,
-        support_slice=support_slice, mass=float(mass),
+        support=support, nodes=nodes, values=values, mass=float(mass),
         expectation=float(expectation), energy_integrals=solved.energy_integrals,
-        max_abs_slope=float(np.sqrt(u_max[0])),
-        max_log_lambda=float(l_max[0]), boundary_gap=boundary_gap,
-        clip_depth=clip_depth, newton_steps=solved.steps,
-        closure_residual=solved.closure, mass_residual=solved.mass_residual,
-        profile=profile)
+        max_abs_slope=float(np.sqrt(u_max[0])), max_log_lambda=float(l_max[0]),
+        clip_depth=clip_depth, profile=profile)
 

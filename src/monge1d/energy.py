@@ -134,12 +134,11 @@ class ProbeReport:
     """First-difference probes around the critical pair.
 
     primal_deltas[i] is the primal energy change under the profile bump
-    scaled by t_values[i] (convexity: expected >= 0 up to quadrature
-    noise); dual_deltas[i] the dual energy change under the log-scale
-    bump (concavity: expected <= 0).
+    scaled by the probe's i-th t (convexity: expected >= 0 up to
+    quadrature noise); dual_deltas[i] the dual energy change under the
+    log-scale bump (concavity: expected <= 0).
     """
 
-    t_values: tuple[float, ...]
     primal_deltas: tuple[float, ...]
     dual_deltas: tuple[float, ...]
 
@@ -192,10 +191,11 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     t psi < alpha^2/(2 eps)).  For a constant psi, the one `verify`
     probes with, these are stress levels, and the pass is cut at every
     kink, so no round of it hunts one by bisection.  A psi that varies
-    over the support's nodes gets no cut and leaves its kinks to
-    refinement: the second kink then lies on no stress level, and a cut
-    next to a kink, not on it, can leave the kink in a panel whose two
-    embedded rules err alike, which hides it from the error estimate.
+    over the edges of the solve's last pass, mapped to y, gets no cut and
+    leaves its kinks to refinement: the second kink then lies on no stress
+    level, and a cut next to a kink, not on it, can leave the kink in a
+    panel whose two embedded rules err alike, which hides it from the
+    error estimate.
     """
     lo, hi = solution.support
     for endpoint in (lo, hi):
@@ -213,7 +213,8 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
     psi_bar = float(np.ravel(psi(np.array([0.5 * (lo + hi)])))[0])
-    constant = np.all(np.asarray(psi(solution.support_nodes), dtype=float) == psi_bar)
+    edges = solution.spec.anchor - solution.spec.orientation * solution.profile.edges
+    constant = np.all(np.asarray(psi(edges), dtype=float) == psi_bar)
     up = live.ravel() * psi_bar
     up = up[(up > 0.0) & constant]
     below = up[up < a2 / (2.0 * eps)]
@@ -241,6 +242,6 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
     sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()
-    return ProbeReport(t_values=ts, primal_deltas=tuple(sums[:len(ts)]),
+    return ProbeReport(primal_deltas=tuple(sums[:len(ts)]),
                        dual_deltas=tuple(sums[len(ts):]))
 

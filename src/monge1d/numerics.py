@@ -38,8 +38,9 @@ Design notes
   pass hands back row 0's Kronrod samples, whose interpolants integrate
   once and twice in closed form (Greengard, SIAM J. Numer. Anal. 1991).
   The dual solver's last pass is its density's slope, so the density and
-  the mass are those integrals, between the grid's nodes as at them: no
-  second interpolant stands between the solve and the transport maps.
+  the mass are those integrals at every point read, the sampled grid's
+  nodes included: no second interpolant stands between the solve and the
+  transport maps.
   Both are held per panel as Taylor rows in the panel's offset from its
   left edge, so a read at any number of points is one Horner sum.
   The mass fraction's inverse solves each target's panel polynomial by a

@@ -34,6 +34,6 @@ for y, u in zip(ys, sol(ys)):
     print(f"  y = {y:5.2f}  {'#' * int(round(55 * u))}")
 
 print()
-print(f"crossing (density peak location): {sol.crossing:.6f}")
+print(f"crossing (density peak location): {sol.dual.zeros[1]:.6f}")
 print(f"tent peak height alpha*(d - p*)/2 in the limit: "
       f"{tent(tent.center):.4f}; solved peak {np.max(sol.values):.4f}")

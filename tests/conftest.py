@@ -1,6 +1,6 @@
 """Shared fixtures: a session-wide cache of assembled solutions, the
 quadrature reference for a transport map's cost, and a count of
-adaptive quadrature passes.
+adaptive quadrature passes; and the support part of a solution's table.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
@@ -15,6 +15,14 @@ from monge1d.duality import assemble_density
 from monge1d.numerics import _graded_edges
 from monge1d.oracles import discrete_primal_minimizer
 from reference_quadrature import integrate
+
+
+def support_table(sol):
+    """(nodes, values) of the solution's table on its closed support, in
+    ascending y: the support's grid, without the zero extension."""
+    lo, hi = sol.support
+    on = (sol.nodes >= lo) & (sol.nodes <= hi)
+    return sol.nodes[on], sol.values[on]
 
 
 @pytest.fixture(scope="session")

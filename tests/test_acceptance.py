@@ -24,6 +24,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import support_table
 from monge1d.cli import main
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.oracles import discrete_expectation_optimizer, tent_limit_density
@@ -84,11 +85,11 @@ def test_criterion_02_constraint_suite(grid):
         res = report.constraint_residuals
         worst_mass = max(worst_mass, res.mass_error)
         worst_neg = max(worst_neg, res.negativity)
-        support_values = sol.values[sol.support_slice]
+        support_values = support_table(sol)[1]
         worst_edge = max(worst_edge, abs(float(support_values[0])),
                          abs(float(support_values[-1])))
-        outside = np.delete(
-            sol.values, np.arange(*sol.support_slice.indices(sol.nodes.size)))
+        lo, hi = sol.support
+        outside = sol.values[(sol.nodes < lo) | (sol.nodes > hi)]
         worst_ext = max(worst_ext,
                         float(np.max(np.abs(outside), initial=0.0)))
         worst_slope_ratio = max(worst_slope_ratio, sol.max_abs_slope / alpha)
@@ -113,7 +114,7 @@ def test_criterion_02_constraint_suite(grid):
 def test_criterion_03_equilibrium(grid):
     worst = 0.0
     for _, sol, _ in grid.values():
-        nodes = sol.support_nodes
+        nodes = support_table(sol)[0]
         theta, log_lam, slope = sol.dual.fields_at(nodes)
         worst = max(worst, float(np.max(np.abs(np.exp(log_lam) * slope - theta))))
         # stress equation theta_y = -|y| - mu, with |y| = o*y exactly

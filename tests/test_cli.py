@@ -643,8 +643,9 @@ def test_one_capacity_verdict_for_every_command(tmp_path, alpha, eps):
         assert validated in (0, 3)
         assert (validated == 0) == tent_ok == solved
         if solved:
-            assert abs(sol.mass_residual) <= 1e-10
-            assert abs(sol.closure_residual) <= 0.9e-12
+            record = duality._solve_zeros(spec, eps)
+            assert abs(record.mass_residual) <= 1e-10
+            assert abs(record.closure) <= 0.9e-12
             assert sol.clip_depth == 0.0
         accepted.setdefault((factor, assumption), set()).add(solved)
     assert accepted == {(f, a): {f >= 1.0} for f, a in accepted}

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
+from conftest import support_table
 from monge1d.duality import (_depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros,
                               _support_of)
+from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
-from monge1d.transport import build_map
+from monge1d.transport import build_map, pushforward_residual
 from reference_quadrature import integrate
 from reference_solves import solve_root
 
@@ -56,8 +58,8 @@ def exact_nodes(sol, grid_n):
     span = _support_of(solved.zeros[0], spec)
     depths = _depth_grid(span, solved.zeros[1], grid_n)
     step = -1 if spec.orientation > 0 else 1        # ascending depth
-    assert np.array_equal(spec.anchor - spec.orientation * depths[:-1],
-                          sol.support_nodes[::step][:-1])
+    nodes, support_values = support_table(sol)
+    assert np.array_equal(spec.anchor - spec.orientation * depths[:-1], nodes[::step][:-1])
     deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
                                          depths.size - 1)]
     edges, sums, _ = _depth_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
@@ -66,7 +68,6 @@ def exact_nodes(sol, grid_n):
     cell = np.searchsorted(depths, edges[:-1], side="right") - 1
     rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
     values = np.concatenate([[0.0], np.cumsum(rise)])
-    support_values = sol.values[sol.support_slice]
     return support_values[::step], values, np.diff(depths) * values[:-1] + moment
 
 
@@ -94,7 +95,7 @@ def exact_reference(sol, ys, running):
     """
     spec = sol.spec
     o, anchor = spec.orientation, spec.anchor
-    x, (u, cum) = sol.support_nodes, running
+    x, (u, cum) = support_table(sol)[0], running
     zeros = tuple(o * (anchor - p) for p in sol.dual.zeros)
     cells = np.clip(np.searchsorted(x, ys, side="right") - 1, 0, x.size - 2)
     density, cdf = [], []
@@ -112,7 +113,7 @@ def exact_reference(sol, ys, running):
 
 def exact_quantile(sol, t, running, tol=1e-16):
     """The point where the exact reference CDF reaches t, to |F - t| <= tol."""
-    x, cum = sol.support_nodes, running[1]
+    x, cum = support_table(sol)[0], running[1]
     k = min(max(int(np.searchsorted(cum / cum[-1], t)), 1), x.size - 1)
     return solve_root(lambda y: exact_reference(sol, [y], running)[1][0] - t,
                       x[k - 1], x[k], tol=tol)
@@ -121,8 +122,8 @@ def exact_quantile(sol, t, running, tol=1e-16):
 def _probe(sol, per_cell=16):
     """A uniform probe of the support plus dense points in the cells on
     either side of the crossing (the density's kink) and in both end cells."""
-    x = sol.support_nodes
-    k = int(np.searchsorted(x, sol.crossing))
+    x = support_table(sol)[0]
+    k = int(np.searchsorted(x, sol.dual.zeros[1]))
     dense = [np.linspace(x[i], x[i + 1], per_cell + 2)[1:-1]
              for i in (0, k - 2, k - 1, k, k + 1, x.size - 2)]
     return np.concatenate([np.linspace(x[0], x[-1], 201)] + dense)
@@ -148,8 +149,8 @@ class TestAgainstTheExactReference:
         sol = solved(_canonical(alpha, assumption), eps, grid_n)
         ys = _probe(sol)
         density, cdf = exact_reference(sol, ys, exact_running(sol, grid_n))
-        # The assembly pins the density to 0 at both support ends, where
-        # the closing one holds the boundary gap.
+        # The density reads 0 at both support ends, though the profile's
+        # closing end holds the boundary gap.
         inside = (ys > sol.support[0]) & (ys < sol.support[1])
         assert np.max(np.abs(sol(ys) - density)[inside]) <= 1e-14
         assert np.max(np.abs(sol.cdf(ys) - cdf)) <= 1e-14
@@ -159,14 +160,15 @@ class TestAgainstTheExactReference:
         # nodal values and running masses, which the solution's nodal
         # values and CDF meet; the last node closes the last cell.
         sol = solved(SPEC_I, 1e-2)
-        x = sol.support_nodes
+        x, values = support_table(sol)
         running = exact_running(sol, 2001)
         density, cdf = exact_reference(sol, x, running)
         assert np.array_equal(density[:-1], running[0][:-1])
         assert np.array_equal(cdf[:-1], running[1][:-1] / running[1][-1])
-        assert np.max(np.abs(density[1:] - sol.values[sol.support_slice][1:])) <= 1e-14
+        assert np.max(np.abs(density[1:] - values[1:])) <= 1e-14
         assert np.max(np.abs(cdf - sol.cdf(x))) <= 1e-15
-        assert abs(density[-1]) <= 1e-15 and abs(density[0] - sol.boundary_gap) <= 1e-14
+        assert abs(density[-1]) <= 1e-15
+        assert abs(density[0] - sol.profile.edge_density[-1]) <= 1e-14
         assert abs(cdf[-1] - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("alpha,eps,assumption", _CANONICAL)
@@ -333,21 +335,82 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     sol = solved(spec, eps, grid_n)
     u, values, exact = exact_nodes(sol, grid_n)
     assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
-    assert abs(sol.boundary_gap - values[-1]) <= 1e-14
     profile = sol.profile
-    nodes = sol.support_nodes[::-1 if spec.orientation > 0 else 1]
+    assert abs(profile.edge_density[-1] - values[-1]) <= 1e-14
+    nodes = support_table(sol)[0][::-1 if spec.orientation > 0 else 1]
     masses = profile.total * np.diff(profile.fraction(sol._depth(nodes)))
     assert np.max(np.abs(masses - exact)) <= 1e-15
     assert sol.clip_depth == 0.0
 
 
-@pytest.mark.parametrize("assumption", ["I", "II"])
-@pytest.mark.parametrize("eps", [1e-1, 1e-3])
-def test_nodes_are_the_nodal_values(solved, assumption, eps):
-    # The density meets the assembled values at the nodes, within 2 ulps
-    # of the peak, and peaks at the crossing.
-    sol = solved(_canonical(1.0, assumption), eps)
-    u = sol.values[sol.support_slice]
-    ulps = 2 * np.spacing(u.max())
-    assert np.max(np.abs(sol(sol.support_nodes) - u)) <= ulps
-    assert abs(sol(sol.crossing) - u.max()) <= ulps
+def _offset_spec(offset, assumption, width=5.0):
+    """The canonical problem moved by `offset`, on a target of `width`."""
+    spec = uniform_spec((6.0 + offset, 8.0 + offset), (offset, width + offset), "I", 1.0)
+    return spec if assumption == "I" else mirror_transform(spec)
+
+
+# Offsets 0, 7 and 1000 with a free end, and the full-target branch: at
+# the sharp width 2 the support fills the target and the far edge closes it.
+_PLACES = [(offset, 5.0) for offset in (0.0, 7.0, 1000.0)] + [(0.0, 2.0)]
+
+
+class TestTheProfileIsTheDensity:
+    """Every read of a solution goes through its profile; the table is the
+    profile sampled on the solve's depth grid, and no read consults it."""
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("offset,width", _PLACES)
+    def test_table_and_reads_are_the_profile(self, solved, offset, width, assumption, eps):
+        # The table's support values are the profile at the grid's depths,
+        # clipped at 0 with both Dirichlet ends pinned; a read at an
+        # interior y is the profile at the depth that y maps to, clipped.
+        sol = solved(_offset_spec(offset, assumption, width), eps)
+        spec, profile = sol.spec, sol.profile
+        zeros = _solve_zeros(spec, eps).zeros
+        depths = _depth_grid(_support_of(zeros[0], spec), zeros[1], 2001)
+        expected = np.maximum(profile.density(depths), 0.0)
+        expected[[0, -1]] = 0.0
+        nodes, values = support_table(sol)
+        assert np.array_equal(values, expected[::-1 if spec.orientation > 0 else 1])
+        lo, hi = sol.support
+        ys = np.concatenate([np.linspace(lo, hi, 1001)[1:-1], nodes[1:-1],
+                             [sol.dual.zeros[1]]])
+        assert np.array_equal(sol(ys), np.maximum(profile.density(sol._depth(ys)), 0.0))
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("offset,width", _PLACES)
+    def test_support_ends_read_zero(self, solved, offset, width, assumption):
+        # The closing end's profile value is the boundary gap, not 0; the
+        # open support leaves both ends to the zero extension.
+        sol = solved(_offset_spec(offset, assumption, width), 1e-3)
+        lo, hi = sol.support
+        assert sol(lo) == sol(hi) == 0.0
+        assert sol(np.array([lo, hi])).tolist() == [0.0, 0.0]
+        if width == 2.0:
+            assert sol.support == sol.spec.target_interval
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    def test_reads_do_not_depend_on_the_grid(self, solved, assumption):
+        # Each grid size samples the same solve: everything the solution
+        # delivers, read at the coarsest grid's own nodes too, is bitwise
+        # the same for every grid.
+        spec = _canonical(1.0, assumption)
+        coarse = solved(spec, 1e-3, 33)
+        lo, hi = coarse.support
+        ys = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 301), coarse.nodes])
+        ts = np.linspace(0.0, 1.0, 301)
+        perturbation = SinePerturbation(coarse.support)
+        one = lambda y: np.full(np.shape(y), 1.0)
+
+        def delivered(sol):
+            maps = [build_map(spec, sol, variant) for variant in ("increasing", "decreasing")]
+            probe = second_variation_probe(sol, perturbation, (-1e-2, 1e-3),
+                                           dual_perturbation=one)
+            return (sol(ys).tolist(), sol.cdf(ys).tolist(), sol.quantile(ts).tolist(),
+                    duality_gap(sol), probe, [m.cost for m in maps],
+                    [pushforward_residual(m, sol, spec) for m in maps])
+
+        reads = delivered(coarse)
+        for grid_n in (2001, 8001):
+            assert delivered(solved(spec, 1e-3, grid_n)) == reads

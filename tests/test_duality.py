@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import support_table
 from monge1d import duality
 from monge1d.duality import DualField, assemble_density
 from monge1d.energy import duality_gap
@@ -335,9 +336,9 @@ class TestSolveSupport:
 class TestAssembleDensity:
     def test_boundary_zeros_and_nonnegativity(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        assert sol.values[sol.support_slice][[0, -1]].tolist() == [0.0, 0.0]
+        assert support_table(sol)[1][[0, -1]].tolist() == [0.0, 0.0]
         assert float(np.min(sol.values)) >= 0.0
-        assert sol.boundary_gap == pytest.approx(0.0, abs=1e-9)
+        assert sol.profile.edge_density[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_mass_and_expectation(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -346,9 +347,9 @@ class TestAssembleDensity:
 
     def test_peak(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        loc, height = sol.crossing, sol(sol.crossing)
+        loc = sol.dual.zeros[1]
+        height = sol(loc)
         assert loc == pytest.approx(4.0, abs=0.02)
-        assert loc == pytest.approx(sol.dual.zeros[1], abs=1e-12)
         assert sol.dual.theta(loc) == 0.0
         assert height == pytest.approx(1.0, abs=0.02)
 
@@ -359,22 +360,22 @@ class TestAssembleDensity:
             sol = solved(spec, 1e-3)
             assert sol.dual.theta(sol.support_endpoint) == 0.0
             assert sol.dual.zeros[0] == sol.support_endpoint
-            ys = sol.support_nodes
+            ys = support_table(sol)[0]
             assert np.abs(sol.dual.theta_y(ys) + np.abs(ys)
                           + sol.dual.multiplier).max() <= 1e-12
 
     def test_single_interior_maximum(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        v = sol.values[sol.support_slice]
+        nodes, v = support_table(sol)
         k = int(np.argmax(v))
         assert 0 < k < v.size - 1
-        assert abs(sol.support_nodes[k] - sol.crossing) <= 1e-12
+        assert abs(nodes[k] - sol.dual.zeros[1]) <= 1e-12
         assert np.all(np.diff(v[:k + 1]) >= -1e-12)
         assert np.all(np.diff(v[k:]) <= 1e-12)
 
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        theta, log_lam, slope = sol.dual.fields_at(sol.support_nodes)
+        theta, log_lam, slope = sol.dual.fields_at(support_table(sol)[0])
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
@@ -383,8 +384,8 @@ class TestAssembleDensity:
         # two stress zeros (the peak and the free endpoint), where the
         # profile curvature blows up as eps shrinks.
         sol = solved(SPEC_I, 1e-3)
-        y = sol.support_nodes
-        keep = ((np.abs(y - sol.crossing) > 0.2)
+        y = support_table(sol)[0]
+        keep = ((np.abs(y - sol.dual.zeros[1]) > 0.2)
                 & (np.abs(y - sol.support_endpoint) > 0.2))
         keep[[0, -1]] = False
         d = 1e-6
@@ -408,8 +409,8 @@ class TestAssembleDensity:
 
     def test_evaluation_matches_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        vals = sol(sol.support_nodes)
-        assert np.abs(vals - sol.values[sol.support_slice]).max() < 1e-13
+        nodes, values = support_table(sol)
+        assert np.abs(sol(nodes) - values).max() < 1e-13
 
     def test_strong_smoothing_runs_over_the_scale_ceiling(self, solved):
         # For this grid the exact solution needs scale factors above 1
@@ -513,10 +514,13 @@ def _regime_spec(alpha, factor, offset):
 
 
 def _assert_contracts(sol):
-    """Both contracts of the coupled solve, and no clipped density."""
-    assert abs(sol.mass_residual) <= 1e-10
-    assert abs(sol.closure_residual) <= 0.9e-12
+    """Both contracts of the coupled solve behind the solution, and no
+    clipped density; returns that solve's record."""
+    record = duality._solve_zeros(sol.spec, sol.epsilon)
+    assert abs(record.mass_residual) <= 1e-10
+    assert abs(record.closure) <= 0.9e-12
     assert sol.clip_depth == 0.0
+    return record
 
 
 class TestCoupledSolve:
@@ -543,11 +547,10 @@ class TestCoupledSolve:
         z, c = sol.dual.zeros
         # At the eps floor the start lands at the rounding floor of the
         # zeros, and the solve returns from the start's own pass.
-        assert (sol.newton_steps == 0) == (regime == "eps_floor")
-        _assert_contracts(sol)
+        solo = _assert_contracts(sol)
+        assert (solo.steps == 0) == (regime == "eps_floor")
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
-        solo = duality._solve_zeros(spec, eps)
         assert spec.anchor - spec.orientation * solo.zeros[0] == z
         if regime == "full_target":
             assert sol.support == spec.target_interval
@@ -568,12 +571,12 @@ class TestCoupledSolve:
             spec = mirror_transform(spec)
         assert spec.target_width == spec.sharp_width
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            sol = assemble_density(spec, eps, 101)
             with mock.patch.object(duality, "_zero_residuals",
                                    wraps=duality._zero_residuals) as counted:
-                sol = assemble_density(spec, eps, 101)
-            _assert_contracts(sol)
+                record = _assert_contracts(sol)
             assert sol.support == spec.target_interval
-            assert counted.call_count == sol.newton_steps + 1
+            assert counted.call_count == record.steps + 1
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -586,10 +589,11 @@ class TestCoupledSolve:
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as residuals:
-            sol = assemble_density(spec, eps)
-        assert (len(adaptive_passes) == residuals.call_count
-                == sol.newton_steps + 1 <= 6)
-        assert 1 <= sol.newton_steps <= 5
+            assemble_density(spec, eps)
+        passes = len(adaptive_passes)
+        steps = duality._solve_zeros(spec, eps).steps
+        assert passes == residuals.call_count == steps + 1 <= 6
+        assert 1 <= steps <= 5
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -804,11 +808,13 @@ class TestCoupledSolve:
         # Newton steps and quadrature passes over a fixed set of regimes.
         # Both are counts, bitwise repeatable: a change that does more
         # work shows here as a new count.
-        steps = sum(
-            assemble_density(_regime_spec(alpha, factor, 0.0), eps, 101).newton_steps
-            for alpha, eps, factor in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4),
-                                                        (1.02, 2.5)))
-        assert (steps, len(adaptive_passes)) == (27, 39)
+        points = [(_regime_spec(alpha, factor, 0.0), eps) for alpha, eps, factor
+                  in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4), (1.02, 2.5))]
+        for spec, eps in points:
+            assemble_density(spec, eps, 101)
+        passes = len(adaptive_passes)
+        steps = sum(duality._solve_zeros(spec, eps).steps for spec, eps in points)
+        assert (steps, passes) == (27, 39)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=st.floats(min_value=0.5, max_value=4.0),
@@ -832,11 +838,11 @@ class TestCoupledSolve:
         if assumption == "II":
             spec = mirror_transform(spec)
         eps = 10.0 ** log_eps
+        sol = assemble_density(spec, eps, 101)
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as counted:
-            sol = assemble_density(spec, eps, 101)
-        assert counted.call_count == sol.newton_steps + 1
-        _assert_contracts(sol)
+            record = _assert_contracts(sol)
+        assert counted.call_count == record.steps + 1
         z, c = sol.dual.zeros
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
@@ -850,7 +856,7 @@ class TestCoupledSolve:
                             1.7645193252795843)
         sol = assemble_density(spec, 0.0010772613122307722, 7965)
         assert sol.clip_depth == 0.0
-        assert sol.boundary_gap > 0.0
+        assert sol.profile.edge_density[-1] > 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -964,11 +970,11 @@ class TestExpansionStart:
         if assumption == "II":
             spec = mirror_transform(spec)
         for eps in (1e-5, 1e-6):
+            sol = assemble_density(spec, eps)
             with mock.patch.object(duality, "_zero_residuals",
                                    wraps=duality._zero_residuals) as counted:
-                sol = assemble_density(spec, eps)
-            assert (sol.newton_steps, counted.call_count) == (0, 1)
-            _assert_contracts(sol)
+                record = _assert_contracts(sol)
+            assert (record.steps, counted.call_count) == (0, 1)
 
     def test_large_eps_converges(self):
         # Where k = eps/alpha^2 is of order one, the series' second term
@@ -1000,8 +1006,8 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(mir.dual.fields_at(mir.support_nodes)[2],
-                                  -sol.dual.fields_at(sol.support_nodes)[2][::-1])
+            assert np.array_equal(mir.dual.fields_at(support_table(mir)[0])[2],
+                                  -sol.dual.fields_at(support_table(sol)[0])[2][::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 

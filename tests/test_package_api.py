@@ -15,10 +15,15 @@ through a reference (`cli._COMMANDS`, a name bound by `from ... import`)
 does.  A function only tests reach belongs in test code, as
 `reference_solves.py` and `reference_energies.py` hold theirs; a member
 only tests read is written in terms of the members that remain.
-Dataclass fields are out of scope: a field is read, not run, so no
-call records it.  Those only tests read are the solve's diagnostics
-(`newton_steps`, `closure_residual`, `mass_residual` among them), which
-belong in a trace of the solve.
+A dataclass field is read, not run, so no call records it; a static
+check holds the fields instead.  Every field of a public dataclass of
+the package is read by attribute name somewhere under `src/`, `studies/`
+or `perfbench/`, or written whole into an artifact: the classes
+`dataclasses.asdict` serializes, and the `SweepRow` fields that name a
+`sweep.csv` column.  The check matches names, not classes, so a field
+that shares its name with an attribute read elsewhere, as
+`_ZeroSolve.mass_residual` would cover a `mass_residual` field of
+another class, escapes it.
 
 Every default of a public function, method or dataclass field is set by
 some call under `src/`, `studies/` or `perfbench/`, by keyword or by
@@ -36,7 +41,7 @@ import runpy
 import sys
 from pathlib import Path
 
-from monge1d import cli
+from monge1d import cli, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monge1d"
@@ -46,9 +51,19 @@ TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for path in sorted((ROOT / folder).rglob("*.py"))}
 
 
+# Serialized whole by `dataclasses.asdict` in `cli`: `energy.json` holds an
+# EnergyReport with its ConstraintResiduals, `report.json` a
+# ConvergenceReport.
+SERIALIZED = {"EnergyReport", "ConstraintResiduals", "ConvergenceReport"}
+
+
 def _public(body):
     return [node for node in body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _is_dataclass(cls):
+    return any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
 
 
 def _definitions():
@@ -170,7 +185,7 @@ def _options():
                 for node in _public(cls.body):
                     for p in _defaults(node, skip=1):
                         yield (f"{path.stem}.{cls.name}.{node.name}", node.name, *p)
-                if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+                if _is_dataclass(cls):
                     for p in _field_defaults(cls):
                         yield (f"{path.stem}.{cls.name}", cls.name, *p)
 
@@ -196,3 +211,20 @@ def test_every_default_is_passed_somewhere():
     unset = [f"{where}({parameter})" for where, name, parameter, index in options
              if not _passed(name, parameter, index)]
     assert not unset, f"set by no call under src/, studies/ or perfbench/: {unset}"
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # A field nothing reads or writes out is a record only tests look at.
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [(cls.name, node.target.id)
+              for path, tree in TREES.items() if path.parent == PACKAGE
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and not cls.name.startswith("_") and _is_dataclass(cls)
+              for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert {("DensitySolution", "profile"), ("SweepRow", "mass_err"),
+            ("EnergyReport", "gap_xi_dual")} <= set(fields)
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if name not in read and cls not in SERIALIZED
+              and not (cls == "SweepRow" and name in sweep._CSV_COLUMNS)]
+    assert not unread, f"read by nothing under src/, studies/ or perfbench/: {unread}"
