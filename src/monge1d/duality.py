@@ -18,10 +18,16 @@ here, all in closed form up to one two-unknown root solve:
    inverse of the smoothed-penalty derivative.
 3. The two zeros are fixed together by two conditions: the density
    vanishes at both support endpoints (closure) and holds unit mass.  One
-   safeguarded Newton iteration on (z, c) solves both, starting from the
-   zeros' expansion about the sharp-limit tent to third order in eps,
-   in closed form; each iterate costs one quadrature pass, which yields
-   both residuals and their exact Jacobian, and the solve returns the
+   safeguarded Newton iteration on (z, c) solves both.  It starts from
+   tabulated zeros: the problem in depth has an exact scaling law, under
+   which (alpha, eps) on a target of width W is (alpha-hat, sigma^4 eps)
+   on width W/sigma with depths scaled by sigma, where
+   alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma), so one Chebyshev
+   table of the alpha = 1 zeros serves every alpha while the free zero
+   lies inside the target.  Elsewhere it starts from the zeros' expansion
+   about the sharp-limit tent to third order in eps, in closed form.
+   Each iterate costs one quadrature pass, which yields both residuals
+   and their exact Jacobian, and the solve returns the
    zeros of the first pass that meets both contracts and either proposes
    a step at the rounding floor of the zeros or no longer halves its
    residuals (`_solve_zeros`).  When even the free zero at the far target
@@ -380,6 +386,112 @@ def _expansion_step(alpha, epsilon):
             z0k * (v1[1] + k * (v2[1] + k * v3[1])))
 
 
+# The alpha = 1 free-regime depth zeros as functions of eps, for eps in
+# the span: four Chebyshev series in x = 2 eps/0.2 - 1, the coefficients
+# of T_0, T_1, ...  The rows are, with (dz, dc) = _expansion_step(1, eps),
+# z - 2 - dz and c - 1 - dc at closure aim 0, then dz/daim + 1 and dc/daim,
+# the zeros' derivatives in the aim.  studies/06_zero_table.py rebuilds
+# them from solves started at the series.
+_ZERO_TABLE_SPAN = (1e-4, 0.2)
+_ZERO_TABLE = (
+    (-0.012548798402576944, -0.020119542455517177, -0.009902180166641822,
+     -0.0023427882820928943, 0.00016599282481938963, 0.00016535417456669957,
+     -3.3411222705771e-05, -1.4611824067873211e-05, 8.634177317157159e-06,
+     -1.9689379694254154e-07, -1.581520941512784e-06, 7.093153683840998e-07,
+     2.4060093552596127e-08, -1.8181627545727874e-07, 9.287936355409951e-08,
+     -5.683996163227244e-09, -2.2023822384922452e-08, 1.5614772983814492e-08,
+     -3.8739077406400825e-09, -2.055188849696887e-09, 2.658334814672732e-09,
+     -1.290465199312702e-09, 1.0624117686671482e-10, 3.462269491965502e-10,
+     -3.092548906031851e-10, 1.3017706452177723e-10, 1.2943516701155455e-12,
+     -4.752712860853908e-11, 4.0152007708808314e-11, -1.741680627845299e-11,
+     3.995394781079048e-13, 6.227749015813057e-12, -5.8137796334935266e-12,
+     2.9409393757090507e-12, -4.630990144312286e-13, -7.291754548256757e-13,
+     8.818763590472817e-13, -5.5604967245243e-13, 1.8169219926332525e-13,
+     5.0432572072482695e-14, -1.258506916301111e-13, 1.0502849403983688e-13,
+     -5.301230916916755e-14, 9.270579096054554e-15, 1.3225125205032495e-14,
+     -1.7881665115640488e-14, 1.274808980166603e-14, -5.574845598176059e-15,
+     4.1825809309059547e-16, 2.203464732723759e-15, -2.5680006081676976e-15,
+     1.7025633290354558e-15, -7.600663804938068e-16, 4.742029251908475e-17,
+     3.356554400743561e-16, -3.572581683611298e-16, 3.283235228829229e-16),
+    (0.0018785923225823197, 0.002907343821069509, 0.0012751847251606663,
+     0.00023449624208584247, -2.2258646986215415e-05, -8.480399762187585e-06,
+     2.045356064443099e-06, 5.43343299015488e-08, -1.2131552463847818e-07,
+     3.370444149954245e-08, -2.670954469764767e-09, -4.772465657216997e-09,
+     3.52945853731024e-09, -6.576487764873304e-10, -5.992800105916979e-10,
+     4.790548614908182e-10, -9.043163488414675e-11, -7.692501400341392e-11,
+     6.532473105402468e-11, -1.6664618940836302e-11, -7.358507951056711e-12,
+     8.765448648290057e-12, -3.4928620664732325e-12, -8.01910180782666e-14,
+     9.797582175766336e-13, -6.46170903310689e-13, 1.9067870553172734e-13,
+     3.7889489655040624e-14, -8.189378808334119e-14, 5.3517123865072166e-14,
+     -1.9523115017531546e-14, 8.264669872949659e-17, 6.283874855466005e-15,
+     -5.807012246820779e-15, 3.2029500579566772e-15, -9.196744928108291e-16,
+     -3.5676180705403876e-16, 6.987869348917472e-16, -5.812797481850526e-16,
+     2.4984253218802294e-16, -3.0294980391497306e-17),
+    (-0.10868837759898856, -0.09715772335398115, 0.011832080752714549,
+     -0.00012790632792740138, -0.00038351561228348386, 6.564134896758179e-05,
+     1.3464165754030108e-05),
+    (-0.017792449820850834, -0.022006757414700588, -0.002842496598660031,
+     0.0014862496806666134, -3.7795753809308674e-08, -0.0001092112906182511,
+     1.76072246106314e-05),
+)
+
+
+def _clenshaw(coefficients, x):
+    """The Chebyshev series sum of a_n T_n(x), by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for a in reversed(coefficients[1:]):
+        b1, b2 = a + 2.0 * x * b1 - b2, b1
+    return coefficients[0] + x * b1 - b2
+
+
+def _tabulated_start(spec: MongeProblemSpec, epsilon):
+    """The depth zeros (z, c) of the coupled solve's start, read off the
+    alpha = 1 table (`_ZERO_TABLE`) through the scaling law, or None where
+    the table does not hold.
+
+    The law: for sigma > 0 with alpha^2 + 8 eps ln sigma > 0, the problem
+    (alpha, eps) on a target of width W is the problem (alpha-hat, eps-hat)
+    on width W/sigma, with eps-hat = sigma^4 eps,
+    alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma) and every depth scaled
+    by sigma (theta = sigma^2 theta-hat, lambda = sigma^4 lambda-hat and
+    u = u-hat/sigma keep the slope algebra, the stress equation and unit
+    mass).  With k = eps/alpha^2, alpha-hat = 1 takes
+    tau = ln(sigma sqrt(alpha)) solving e^{4 tau} (1 + 8 k tau - 4 k ln alpha)
+    = 1; Newton on its log, increasing and concave in tau, runs from
+    tau = k ln alpha, the root to first order in k, and eps-hat is
+    e^{4 tau} k.  The closing density scales as u-hat/sigma, so the
+    twin's closure aim is sigma aim: z = sigma z-hat + sigma^2 aim dz-hat/daim
+    with z-hat at aim 0, and c alike.  None where eps-hat lies outside
+    `_ZERO_TABLE_SPAN`, where z would not lie inside the target (the
+    table holds free zeros only), or where tau's Newton does not settle in
+    20 steps."""
+    alpha = spec.alpha
+    k, ln_alpha = epsilon / (alpha * alpha), math.log(alpha)
+    tau = k * ln_alpha
+    for _ in range(20):
+        q = 1.0 + 8.0 * k * tau - 4.0 * k * ln_alpha
+        if not q > 0.0:
+            return None
+        step = (4.0 * tau + math.log(q)) / (4.0 + 8.0 * k / q)
+        tau -= step
+        if abs(step) <= 1e-16 * (1.0 + abs(tau)):
+            break
+    else:
+        return None
+    eps_hat = math.exp(4.0 * tau) * k
+    if not _ZERO_TABLE_SPAN[0] <= eps_hat <= _ZERO_TABLE_SPAN[1]:
+        return None
+    x = 2.0 * eps_hat / _ZERO_TABLE_SPAN[1] - 1.0
+    dz, dc = _expansion_step(1.0, eps_hat)
+    sigma = math.exp(tau) / math.sqrt(alpha)
+    z_hat, c_hat, dz_hat, dc_hat = (_clenshaw(row, x) for row in _ZERO_TABLE)
+    z = sigma * (2.0 + dz + z_hat)
+    if not z < spec.target_width:
+        return None
+    shift = sigma * sigma * _CLOSURE_AIM
+    return z + shift * (dz_hat - 1.0), sigma * (1.0 + dc + c_hat) + shift * dc_hat
+
+
 def _bounded_step(zeros, delta, width):
     """Zeros (z, c) moved by the step delta = (dz, dc), cut back to half way
     to any bound it would cross: c > 0 (anchor), width - c > 0 (far edge)
@@ -406,7 +518,7 @@ class _ZeroSolve:
     final_pass: tuple = field(repr=False)
 
 
-def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
+def _solve_zeros(spec: MongeProblemSpec, epsilon, *, tabulated=True) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`); the final
     pass, its expectation moment and its energy integrals ride along.
@@ -415,13 +527,20 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     on the same numbers (orientation enters only where the caller maps
     depths back to y), and the zeros resolve to ulps of the target's
     width: in y one ulp of c moves the closure by about 4e-13 at
-    |y| ~ 500, more than its aim.  Starts from the sharp-limit tent,
-    z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to third
-    order in eps (`_expansion_step`), which misses the solution by
+    |y| ~ 500, more than its aim.
+
+    Starts at the alpha = 1 zeros of the table mapped through the scaling
+    law (`_tabulated_start`) where eps-hat, eps scaled to alpha-hat = 1,
+    lies in the table's span [1e-4, 0.2] and the free zero inside the
+    target.  That start lands within the 4-ulp stop below on most
+    problems, so the solve returns from the start's own pass.  Elsewhere,
+    and always with `tabulated=False`, it starts from the sharp-limit
+    tent, z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to
+    third order in eps (`_expansion_step`), which misses the solution by
     O(eps^4), and by the closure aim's own shift: the Jacobian at the
     tent, J0 = [[-alpha, 2 alpha], [0, 2 sqrt(alpha)]], takes the aim to
-    J0^-1 (aim, 0) = (-aim/alpha, 0).  The start and each step are cut
-    back to half way to any bound they would cross (`_bounded_step`),
+    J0^-1 (aim, 0) = (-aim/alpha, 0).  That start, and each step, is cut
+    back to half way to any bound it would cross (`_bounded_step`),
     keeping 0 < c < width and c < z; z may cross the far edge, which is
     the full-target regime.
 
@@ -458,9 +577,12 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     non-finite residual or Jacobian, or on a singular one.
     """
     width, aim = spec.target_width, _CLOSURE_AIM
-    z0 = spec.sharp_width
-    dz, dc = _expansion_step(spec.alpha, epsilon)
-    z, c = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
+    start = _tabulated_start(spec, epsilon) if tabulated else None
+    if start is None:
+        z0 = spec.sharp_width
+        dz, dc = _expansion_step(spec.alpha, epsilon)
+        start = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
+    z, c = start
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
     size = math.inf
     for k in range(_ZERO_MAX_STEPS):
@@ -637,12 +759,10 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
         # Under assumption I depth runs against y: reverse to ascending y.
         nodes, values = nodes[::-1], values[::-1]
 
-    # |theta| peaks at a support end or at the parabola's vertex.
-    probes = [lo, hi]
-    vertex = 0.5 * (zero + crossing)
-    if lo < vertex < hi:
-        probes.append(vertex)
-    stress_max = float(np.max(np.abs(dual.theta(np.array(probes)))))
+    # |theta| peaks at a support end: the parabola's vertex, inside the
+    # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
+    # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
+    stress_max = float(np.max(np.abs(dual.theta(np.array([lo, hi])))))
     l_max, u_max = _invert_stress_sq(np.array([stress_max ** 2]),
                                      spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual

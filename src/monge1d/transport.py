@@ -103,12 +103,16 @@ def pushforward_residual(map_solution: TransportMap,
 
     For the increasing variant this is sup |Q(s(x)) - F(x)|, with Q the
     CDF of `solution`, the integrated form of the pushforward equation
-    u(s) s' = f+; the decreasing variant compares against 1 - F.
+    u(s) s' = f+; the decreasing variant compares against 1 - F.  The
+    source CDF is read once: its fractions, flipped for the decreasing
+    variant, go to the quantile of the map's own target, which is how
+    `TransportMap.map` composes them, so s(x) is the map's value bit for
+    bit and the residual checks the map's target against `solution`.
     """
     a, b = spec.source_interval
     xs = chebyshev_nodes(a, b, _PUSHFORWARD_PROBE_N)
     f = spec.source_density.cdf(xs)
     if map_solution.variant == "decreasing":
         f = 1.0 - f
-    q = solution.cdf(map_solution.map(xs))
+    q = solution.cdf(map_solution.target.quantile(f))
     return float(np.max(np.abs(q - f)))

@@ -1,0 +1,103 @@
+"""The coupled zero solve's tabulated start, rebuilt and measured.
+
+The smoothed problem in depth has an exact scaling law.  For sigma > 0
+with alpha^2 + 8 eps ln sigma > 0, the problem (alpha, eps, W) on a
+target of width W is the problem (alpha-hat, eps-hat, W/sigma) with
+eps-hat = sigma^4 eps and alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma),
+its depths scaled by sigma.  The sigma with alpha-hat = 1 maps every
+(alpha, eps) onto one curve: the alpha = 1 depth zeros (z-hat, c-hat) as
+functions of eps-hat, which do not depend on the width while the free
+zero lies inside the target.
+
+`duality._ZERO_TABLE` holds that curve at closure aim 0, past its cubic
+series (`duality._expansion_step`), and the zeros' derivative in the
+aim, each as a Chebyshev series in eps-hat over [0, top]; the solve
+reads it for eps-hat in [lo, top].  This script rebuilds it: it solves
+the alpha = 1 problem on a target ten sharp widths wide at M Chebyshev
+points of the first kind, each solve started from the series, not from
+the table.  The aim derivative is J^-1 (1, 0), with J the exact Jacobian
+of the solution's own pass, and the zeros at aim 0 are the solved ones
+less aim times it.  At those points the Chebyshev polynomials are
+discretely orthogonal, so the least-squares fit of degree N < M is a
+cosine sum.  In eps-hat itself, the z row needs degree 56 and the c row
+degree 40 to land within the solve's 4-ulp stop; the aim rows need 6.
+
+It prints the largest change against the committed coefficients, then
+the committed start's miss in ulps of the larger depth, against zeros
+solved from the series, over alpha and eps-hat: within 4 ulps the solve
+returns from the start's own pass.  Pass `--print` to print the
+coefficients as Python literals.
+"""
+
+import math
+import sys
+
+import numpy as np
+
+from monge1d import duality
+from monge1d.problem import uniform_spec
+
+DEGREES = tuple(len(row) - 1 for row in duality._ZERO_TABLE)
+M = 4 * (max(DEGREES) + 1)
+lo, top = duality._ZERO_TABLE_SPAN
+
+
+def spec_at(alpha, factor=10.0):
+    """Target [0, factor 2/sqrt(alpha)], uniform source beyond it."""
+    w = factor * 2.0 / math.sqrt(alpha)
+    return uniform_spec((w + 0.5, w + 2.5), (0.0, w), "I", alpha)
+
+
+def solved(spec, eps):
+    return duality._solve_zeros(spec, eps, tabulated=False).zeros
+
+
+theta = np.pi * (np.arange(M) + 0.5) / M
+eps_hat = 0.5 * top * (1.0 + np.cos(theta))
+one = spec_at(1.0)
+aim = duality._CLOSURE_AIM
+remainders = []
+for e in eps_hat:
+    zeros = solved(one, e)
+    # The zeros' derivative in the aim, J^-1 (1, 0), off the solution's pass.
+    jacobian = duality._zero_residuals(zeros, one, e, aim, duality._ZERO_QUAD_TOL)[1]
+    response = np.linalg.solve(jacobian, [1.0, 0.0])
+    dz, dc = duality._expansion_step(1.0, e)
+    z, c = np.subtract(zeros, aim * response)
+    remainders.append((z - 2.0 - dz, c - 1.0 - dc, response[0] + 1.0, response[1]))
+remainders = np.array(remainders)
+table = []
+for row, degree in enumerate(DEGREES):
+    cosines = np.cos(np.outer(np.arange(degree + 1), theta))
+    coefficients = 2.0 / M * cosines @ remainders[:, row]
+    coefficients[0] *= 0.5
+    table.append(coefficients)
+    change = np.max(np.abs(coefficients - duality._ZERO_TABLE[row]))
+    print(f"{('z', 'c', 'dz/da + 1', 'dc/da')[row]}: degree {degree}, fitted at {M} points, "
+          f"largest change against the table {change:.1e}")
+
+if "--print" in sys.argv:
+    for row in table:
+        print("(" + ",\n ".join(", ".join(repr(float(a)) for a in row[i:i + 3])
+                                for i in range(0, row.size, 3)) + "),")
+
+print()
+print("the start's miss in ulps of the larger depth (z, c), "
+      "against zeros solved from the series")
+grid = np.geomspace(1.1 * lo, 0.95 * top, 7)
+print("alpha \\ eps-hat " + " ".join(f"{e:>11.1e}" for e in grid))
+for alpha in (0.5, 1.0, 2.0, 4.0):
+    spec = spec_at(alpha)
+    cells = []
+    for e in grid:
+        # eps = e/r with r = sigma^4: r alpha^2 + 2 e ln r = 1, by Newton in ln r.
+        ln_r = -2.0 * math.log(alpha)
+        for _ in range(8):
+            r = math.exp(ln_r)
+            ln_r -= (alpha * alpha * r + 2.0 * e * ln_r - 1.0) / (alpha * alpha * r + 2.0 * e)
+        eps = e / math.exp(ln_r)
+        start = duality._tabulated_start(spec, eps)
+        z, c = solved(spec, eps)
+        ulp = np.spacing(max(z, c))
+        cells.append(f"{abs(start[0] - z) / ulp:4.1f},{abs(start[1] - c) / ulp:4.1f}")
+    print(f"{alpha:>15g} " + " ".join(f"{cell:>11}" for cell in cells))

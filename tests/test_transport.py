@@ -10,6 +10,7 @@ import pytest
 from conftest import support_table
 from monge1d import numerics, transport
 from monge1d.cli import cost_json_document, map_csv
+from monge1d.duality import DensitySolution
 from monge1d.numerics import MonotoneProfile
 from monge1d.problem import (
     MongeProblemSpec,
@@ -179,13 +180,18 @@ class TestPushforwardResidual:
         assert pushforward_residual(dec, sol, SPEC_I) <= 1e-6
 
     def test_detects_a_shifted_map(self, maps):
+        # The residual reads the map through its target's quantile, so a
+        # map onto a shifted target shows.
         sol, inc, _ = maps
 
-        class Shifted(TransportMap):
-            def map(self, x):
-                return super().map(x) + 0.1
+        class Shifted(DensitySolution):
+            def quantile(self, t):
+                return super().quantile(t) + 0.1
 
-        broken = Shifted(inc.variant, inc.source_density, inc.target, inc.cost)
+        target = Shifted(**{f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)})
+        broken = TransportMap(inc.variant, inc.source_density, target, inc.cost)
+        xs = np.linspace(6.0, 8.0, 11)
+        assert np.array_equal(broken.map(xs), inc.map(xs) + 0.1)
         assert pushforward_residual(broken, sol, SPEC_I) > 0.01
 
     def test_analytic_quantile_map(self, maps):
@@ -254,8 +260,9 @@ class TestSourceGeometryWork:
     def test_geometry_is_derived_once(self, solved, monkeypatch):
         # One derivation per SourceDensity construction and none per read:
         # the spec's checks, both maps and both pushforward residuals on one
-        # solution make four source-CDF calls, two barycenter calls and one
-        # each of min_value and mass, and derive nothing.  The residuals'
+        # solution make two source-CDF calls (one per residual), two
+        # barycenter calls and one each of min_value and mass, and derive
+        # nothing.  The residuals'
         # cosine table is computed once for their node count.
         derived, reads = [], collections.Counter()
         plain_derive = SourceDensity._derive_cells
@@ -282,7 +289,7 @@ class TestSourceGeometryWork:
         for m in maps:
             pushforward_residual(m, sol, spec)
         assert derived == []
-        assert reads == {"cdf": 4, "barycenter": 2, "min_value": 1, "mass": 1}
+        assert reads == {"cdf": 2, "barycenter": 2, "min_value": 1, "mass": 1}
         cache = transport._chebyshev_cosines.cache_info()
         assert (cache.misses, cache.hits) == (1, 1)
         chebyshev_nodes(0.0, 1.0, 9)
