@@ -22,10 +22,10 @@ here, all in closed form up to one two-unknown root solve:
    tabulated zeros: the problem in depth has an exact scaling law, under
    which (alpha, eps) on a target of width W is (alpha-hat, sigma^4 eps)
    on width W/sigma with depths scaled by sigma, where
-   alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma), so one Chebyshev
-   table of the alpha = 1 zeros serves every alpha while the free zero
-   lies inside the target.  Elsewhere it starts from the zeros' expansion
-   about the sharp-limit tent to third order in eps, in closed form.
+   alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma), so the alpha = 1
+   zeros, their third-order series in eps plus a Chebyshev table of what
+   it leaves, serve every alpha wherever the scaled eps is at most 0.2,
+   on a full target too.  Elsewhere it starts from the sharp-limit tent.
    Each iterate costs one quadrature pass, which yields both residuals
    and their exact Jacobian, and the solve returns the
    zeros of the first pass that meets both contracts and either proposes
@@ -116,6 +116,11 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     alpha^2 + eps z > 0, and ln T + alpha^2/eps, right of the root,
     elsewhere.  The loop stops once no step exceeds 1e-9 max(1, |w|):
     phi''/phi' < 1, so a step delta leaves an error below delta^2/2.
+    The stop is collective: the nodes that settle first take the steps
+    the slowest one needs, so a node's last bits depend on the other
+    nodes in its call, and a pass split into other batches moves them
+    (the final passes of 48 seeded solves, inverted in batches of 150
+    instead of whole, changed 1,652 of their 206,160 outputs).
 
     Each output is read off w in the form that does not cancel.  Where
     e^w >= alpha^2/2, l = (ln T - w)/2, while (e^w - alpha^2)/(2 eps)
@@ -334,65 +339,52 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     return np.array([I - aim, M - 1.0, moment, *energies]), J / (z - c), done
 
 
-def _expansion_coefficients(alpha):
-    """The coefficients (v1, v2, v3), each a (z, c) pair, of the stress
-    zeros' expansion z0 k (v1 + k v2 + k^2 v3), k = eps/alpha^2, as
-    polynomials in l = ln alpha; `_expansion_step` derives them."""
-    l, ln2 = math.log(alpha), math.log(2.0)
-    pi2, zeta3 = math.pi ** 2, 1.2020569031595942
-    v1 = (0.5 * (1.0 + ln2) + l, 0.25 * (1.0 - ln2) + 0.5 * l)
-    v2 = (-1.0 / 8.0 + 0.75 * ln2 + 9.0 / 8.0 * ln2 * ln2 - pi2 / 48.0
-          + (0.5 + 2.5 * ln2) * l + 2.5 * l * l,
-          -1.0 / 16.0 - 0.375 * ln2 - 7.0 / 16.0 * ln2 * ln2 + pi2 / 96.0
-          + (0.25 - 1.25 * ln2) * l + 1.25 * l * l)
-    v3 = ((-18.0 + 162.0 * ln2 + 54.0 * ln2 ** 2 + 258.0 * ln2 ** 3 - 5.0 * pi2
-           - 13.0 * pi2 * ln2 - 99.0 * zeta3) / 96.0
-          + (-34.0 + 28.0 * ln2 + 162.0 * ln2 ** 2 - 3.0 * pi2) / 16.0 * l
-          + (-11.0 + 45.0 * ln2) / 4.0 * l * l + 7.5 * l ** 3,
-          (-18.0 - 162.0 * ln2 + 6.0 * ln2 ** 2 - 162.0 * ln2 ** 3 + 5.0 * pi2
-           + 11.0 * pi2 * ln2 + 99.0 * zeta3) / 192.0
-          + (-34.0 - 28.0 * ln2 - 126.0 * ln2 ** 2 + 3.0 * pi2) / 32.0 * l
-          - (11.0 + 45.0 * ln2) / 8.0 * l * l + 3.75 * l ** 3)
-    return v1, v2, v3
+# The coefficients (v1, v2, v3), each a (z, c) pair, of the alpha = 1
+# stress zeros' expansion 2 eps (v1 + eps v2 + eps^2 v3) about the tent
+# (2, 1), in closed form in ln 2, pi^2 and zeta(3); `_expansion_step`
+# derives them.
+_LN2, _PI2, _ZETA3 = math.log(2.0), math.pi ** 2, 1.2020569031595942
+_EXPANSION = (
+    (0.5 * (1.0 + _LN2), 0.25 * (1.0 - _LN2)),
+    (-1.0 / 8.0 + 0.75 * _LN2 + 9.0 / 8.0 * _LN2 * _LN2 - _PI2 / 48.0,
+     -1.0 / 16.0 - 0.375 * _LN2 - 7.0 / 16.0 * _LN2 * _LN2 + _PI2 / 96.0),
+    ((-18.0 + 162.0 * _LN2 + 54.0 * _LN2 ** 2 + 258.0 * _LN2 ** 3 - 5.0 * _PI2
+      - 13.0 * _PI2 * _LN2 - 99.0 * _ZETA3) / 96.0,
+     (-18.0 - 162.0 * _LN2 + 6.0 * _LN2 ** 2 - 162.0 * _LN2 ** 3 + 5.0 * _PI2
+      + 11.0 * _PI2 * _LN2 + 99.0 * _ZETA3) / 192.0),
+)
 
 
-def _expansion_step(alpha, epsilon):
-    """Step (dz, dc) from the sharp-limit tent (z0, z0/2), z0 = 2/sqrt(alpha),
-    to the stress zeros' expansion to third order in eps (the coupled
-    solve's start), or (0, 0) where that series no longer decreases.
+def _expansion_step(epsilon):
+    """Step (dz, dc) from the alpha = 1 sharp-limit tent (2, 1) to the
+    stress zeros' expansion to third order in eps,
+    2 eps (v1 + eps v2 + eps^2 v3) with (v1, v2, v3) = `_EXPANSION`.
 
-    With k = eps/alpha^2 and l = ln alpha the step is
-    z0 k (v1 + k v2 + k^2 v3).  With l0 = ln(|theta|/alpha) the slope is
-    g = sign(theta) alpha (1 + d), where (1 + d)^2 = 1 + 2 k (l0 - ln(1 + d))
-    gives d = k l0 - k^2 (l0 + l0^2/2) + k^3 (l0 + 2 l0^2 + l0^3/2)
-    + O(k^4).  So the residuals at fixed zeros are F0 + eps F1 + eps^2 F2
+    With l0 = ln|theta| the slope is g = sign(theta) (1 + d), where
+    (1 + d)^2 = 1 + 2 eps (l0 - ln(1 + d)) gives
+    d = eps l0 - eps^2 (l0 + l0^2/2) + eps^3 (l0 + 2 l0^2 + l0^3/2)
+    + O(eps^4).  So the residuals at fixed zeros are F0 + eps F1 + eps^2 F2
     + eps^3 F3: a polynomial, then integrals of the powers of l0 up to the
     third, which reduce to ln 2, pi^2 and zeta(3).  With J0 the Jacobian of
     F0 at the tent, the zeros move by eps p1 + eps^2 p2 + eps^3 p3 with
     p1 = -J0^-1 F1, p2 = -J0^-1 (F0''(p1, p1)/2 + F1' p1 + F2) and
     p3 = -J0^-1 (F0''(p1, p2) + F1' p2 + F1''(p1, p1)/2 + F2' p1 + F3);
-    v_n = alpha^(2n) p_n/z0.  l0 = ln(2/alpha^2) + a function of s/z0
-    alone, which makes v_n a polynomial of degree n in l.  The series is
-    used while k max|v2| <= max|v1|/2: at eps of order alpha^2 its second
-    term outgrows the first, and a start there can leave Newton short of
-    the root (alpha 1, eps 1 on a target three sharp widths wide).
+    v_n = p_n/2.  The scaling law carries the series to every alpha
+    (`_tabulated_start`), and the table holds what it leaves.
     """
-    k = epsilon / (alpha * alpha)
-    v1, v2, v3 = _expansion_coefficients(alpha)
-    if k * max(map(abs, v2)) > 0.5 * max(map(abs, v1)):
-        return 0.0, 0.0
-    z0k = 2.0 / math.sqrt(alpha) * k
-    return (z0k * (v1[0] + k * (v2[0] + k * v3[0])),
-            z0k * (v1[1] + k * (v2[1] + k * v3[1])))
+    (z1, c1), (z2, c2), (z3, c3) = _EXPANSION
+    z0k = 2.0 * epsilon
+    return (z0k * (z1 + epsilon * (z2 + epsilon * z3)),
+            z0k * (c1 + epsilon * (c2 + epsilon * c3)))
 
 
 # The alpha = 1 free-regime depth zeros as functions of eps, for eps in
-# the span: four Chebyshev series in x = 2 eps/0.2 - 1, the coefficients
-# of T_0, T_1, ...  The rows are, with (dz, dc) = _expansion_step(1, eps),
-# z - 2 - dz and c - 1 - dc at closure aim 0, then dz/daim + 1 and dc/daim,
-# the zeros' derivatives in the aim.  studies/06_zero_table.py rebuilds
-# them from solves started at the series.
-_ZERO_TABLE_SPAN = (1e-4, 0.2)
+# [0, _ZERO_TABLE_TOP]: four Chebyshev series in x = 2 eps/0.2 - 1, the
+# coefficients of T_0, T_1, ...  The rows are, with
+# (dz, dc) = _expansion_step(eps), z - 2 - dz and c - 1 - dc at closure
+# aim 0, then dz/daim + 1 and dc/daim, the zeros' derivatives in the aim.
+# studies/06_zero_table.py rebuilds them from solves started at the series.
+_ZERO_TABLE_TOP = 0.2
 _ZERO_TABLE = (
     (-0.012548798402576944, -0.020119542455517177, -0.009902180166641822,
      -0.0023427882820928943, 0.00016599282481938963, 0.00016535417456669957,
@@ -444,10 +436,10 @@ def _clenshaw(coefficients, x):
     return coefficients[0] + x * b1 - b2
 
 
-def _tabulated_start(spec: MongeProblemSpec, epsilon):
+def _tabulated_start(alpha, epsilon):
     """The depth zeros (z, c) of the coupled solve's start, read off the
-    alpha = 1 table (`_ZERO_TABLE`) through the scaling law, or None where
-    the table does not hold.
+    alpha = 1 series and table (`_expansion_step`, `_ZERO_TABLE`) through
+    the scaling law, or None where the law does not reach the table.
 
     The law: for sigma > 0 with alpha^2 + 8 eps ln sigma > 0, the problem
     (alpha, eps) on a target of width W is the problem (alpha-hat, eps-hat)
@@ -461,11 +453,14 @@ def _tabulated_start(spec: MongeProblemSpec, epsilon):
     tau = k ln alpha, the root to first order in k, and eps-hat is
     e^{4 tau} k.  The closing density scales as u-hat/sigma, so the
     twin's closure aim is sigma aim: z = sigma z-hat + sigma^2 aim dz-hat/daim
-    with z-hat at aim 0, and c alike.  None where eps-hat lies outside
-    `_ZERO_TABLE_SPAN`, where z would not lie inside the target (the
-    table holds free zeros only), or where tau's Newton does not settle in
-    20 steps."""
-    alpha = spec.alpha
+    with z-hat at aim 0, and c alike.  The sum runs from the tent z0 =
+    2/sqrt(alpha) = 2 sigma e^{-tau}, adding its small terms first, so
+    that their rounding stays below the zeros' ulps at every eps-hat.
+
+    The table holds free zeros, and where the free zero lies past the far
+    edge they start the full-target solve as well.  None where eps-hat
+    exceeds `_ZERO_TABLE_TOP`, where an iterate of tau leaves
+    alpha-hat^2 > 0, or where tau's Newton does not settle in 20 steps."""
     k, ln_alpha = epsilon / (alpha * alpha), math.log(alpha)
     tau = k * ln_alpha
     for _ in range(20):
@@ -479,17 +474,16 @@ def _tabulated_start(spec: MongeProblemSpec, epsilon):
     else:
         return None
     eps_hat = math.exp(4.0 * tau) * k
-    if not _ZERO_TABLE_SPAN[0] <= eps_hat <= _ZERO_TABLE_SPAN[1]:
+    if not eps_hat <= _ZERO_TABLE_TOP:
         return None
-    x = 2.0 * eps_hat / _ZERO_TABLE_SPAN[1] - 1.0
-    dz, dc = _expansion_step(1.0, eps_hat)
-    sigma = math.exp(tau) / math.sqrt(alpha)
+    x = 2.0 * eps_hat / _ZERO_TABLE_TOP - 1.0
+    dz, dc = _expansion_step(eps_hat)
     z_hat, c_hat, dz_hat, dc_hat = (_clenshaw(row, x) for row in _ZERO_TABLE)
-    z = sigma * (2.0 + dz + z_hat)
-    if not z < spec.target_width:
-        return None
+    z0, grow = 2.0 / math.sqrt(alpha), math.expm1(tau)
+    sigma = math.exp(tau) / math.sqrt(alpha)
     shift = sigma * sigma * _CLOSURE_AIM
-    return z + shift * (dz_hat - 1.0), sigma * (1.0 + dc + c_hat) + shift * dc_hat
+    return (z0 + (z0 * grow + sigma * (dz + z_hat) + shift * (dz_hat - 1.0)),
+            0.5 * z0 + (0.5 * z0 * grow + sigma * (dc + c_hat) + shift * dc_hat))
 
 
 def _bounded_step(zeros, delta, width):
@@ -518,7 +512,7 @@ class _ZeroSolve:
     final_pass: tuple = field(repr=False)
 
 
-def _solve_zeros(spec: MongeProblemSpec, epsilon, *, tabulated=True) -> _ZeroSolve:
+def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     """Free zero z and crossing c from one safeguarded Newton iteration on
     the closure and unit-mass conditions (`_zero_residuals`); the final
     pass, its expectation moment and its energy integrals ride along.
@@ -529,20 +523,19 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, *, tabulated=True) -> _ZeroSol
     width: in y one ulp of c moves the closure by about 4e-13 at
     |y| ~ 500, more than its aim.
 
-    Starts at the alpha = 1 zeros of the table mapped through the scaling
-    law (`_tabulated_start`) where eps-hat, eps scaled to alpha-hat = 1,
-    lies in the table's span [1e-4, 0.2] and the free zero inside the
-    target.  That start lands within the 4-ulp stop below on most
-    problems, so the solve returns from the start's own pass.  Elsewhere,
-    and always with `tabulated=False`, it starts from the sharp-limit
-    tent, z = 2/sqrt(alpha) and c = z/2, moved by the zeros' expansion to
-    third order in eps (`_expansion_step`), which misses the solution by
-    O(eps^4), and by the closure aim's own shift: the Jacobian at the
-    tent, J0 = [[-alpha, 2 alpha], [0, 2 sqrt(alpha)]], takes the aim to
-    J0^-1 (aim, 0) = (-aim/alpha, 0).  That start, and each step, is cut
-    back to half way to any bound it would cross (`_bounded_step`),
-    keeping 0 < c < width and c < z; z may cross the far edge, which is
-    the full-target regime.
+    Starts at the alpha = 1 zeros, series and table, mapped through the
+    scaling law (`_tabulated_start`) wherever eps-hat, eps scaled to
+    alpha-hat = 1, is at most 0.2.  With a free end that start lands
+    within the 4-ulp stop below on most problems, so the solve returns
+    from the start's own pass; on a full target it starts from the free
+    zeros, and the steps carry z past the far edge.  Elsewhere it starts
+    from the sharp-limit tent, z = 2/sqrt(alpha) and c = z/2, with z moved
+    by the closure aim's own shift: the Jacobian at the tent,
+    J0 = [[-alpha, 2 alpha], [0, 2 sqrt(alpha)]], takes the aim to
+    J0^-1 (aim, 0) = (-aim/alpha, 0).  The tent keeps 0 < c < width and
+    c < z; each step is cut back to half way to any bound it would cross
+    (`_bounded_step`), and z may cross the far edge, which is the
+    full-target regime.
 
     The Jacobian is exact and rides on the residual pass, so each step
     costs one pass.  With s = c + D t, D = z - c, the stress is
@@ -577,12 +570,8 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon, *, tabulated=True) -> _ZeroSol
     non-finite residual or Jacobian, or on a singular one.
     """
     width, aim = spec.target_width, _CLOSURE_AIM
-    start = _tabulated_start(spec, epsilon) if tabulated else None
-    if start is None:
-        z0 = spec.sharp_width
-        dz, dc = _expansion_step(spec.alpha, epsilon)
-        start = _bounded_step((z0, 0.5 * z0), (dz - aim / spec.alpha, dc), width)
-    z, c = start
+    z, c = _tabulated_start(spec.alpha, epsilon) or (
+        spec.sharp_width - aim / spec.alpha, 0.5 * spec.sharp_width)
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
     size = math.inf
     for k in range(_ZERO_MAX_STEPS):

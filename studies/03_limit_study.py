@@ -5,18 +5,18 @@ sweep table, and condenses it into the observed convergence order.  The
 sup-distance to the limiting tent shrinks like epsilon itself (observed
 order close to 1), the support endpoint and the expectation approach
 their tent values monotonically, and the duality gap stays at solver
-precision on every rung.  The endpoint's shift per unit epsilon,
+precision on every rung.  The study runs at alpha 1, where the tent's
+width is z0 = 2.  The endpoint's shift per unit epsilon,
 (p* - p_tent)/eps, tends to the closed form of its first-order term,
--orientation z0 (1 + ln(2 alpha^2))/(2 alpha^2) with z0 = 2/sqrt(alpha)
-the tent's width, printed next to it.  So does the third-order remainder
-(p* - p_tent - eps p1 - eps^2 p2)/eps^3 to its closed form p3: with
-k = eps/alpha^2 and l = ln alpha the endpoint is
-p_tent - orientation z0 (k v1 + k^2 v2 + k^3 v3) + O(eps^4), where v_n is
-a polynomial of degree n in l with constants in ln 2, pi^2 and zeta(3)
-(the zeros' expansion that starts the solve).
+-orientation z0 (1 + ln 2)/2, printed next to it.  So does the
+third-order remainder (p* - p_tent - eps p1 - eps^2 p2)/eps^3 to its
+closed form p3: the endpoint is
+p_tent - orientation z0 (eps v1 + eps^2 v2 + eps^3 v3) + O(eps^4), with
+constants v_n in ln 2, pi^2 and zeta(3) (`duality._EXPANSION`, the
+alpha = 1 series that the solve's start maps to every alpha).
 """
 
-from monge1d.duality import _expansion_coefficients
+from monge1d.duality import _EXPANSION
 from monge1d.problem import uniform_spec
 from monge1d.sweep import convergence_report, epsilon_sweep, rows_to_csv
 
@@ -24,12 +24,12 @@ spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 ladder = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 rows = epsilon_sweep(spec, ladder)
 
-alpha, z0 = spec.alpha, spec.sharp_width
+z0 = spec.sharp_width
 p_tent = spec.anchor - spec.orientation * z0
-v1, v2, v3 = (v[0] for v in _expansion_coefficients(alpha))   # the z parts
-first_order = -spec.orientation * z0 * v1 / alpha ** 2
-second_order = -spec.orientation * z0 * v2 / alpha ** 4
-third_order = -spec.orientation * z0 * v3 / alpha ** 6
+v1, v2, v3 = (v[0] for v in _EXPANSION)   # the z parts
+first_order = -spec.orientation * z0 * v1
+second_order = -spec.orientation * z0 * v2
+third_order = -spec.orientation * z0 * v3
 
 print(f"{'epsilon':>9} {'p*':>10} {'expectation':>12} {'gap':>10} "
       f"{'dist to tent':>13} {'(p*-p_tent)/eps':>16} {'closed form':>12} "

@@ -12,10 +12,11 @@ zero lies inside the target.
 `duality._ZERO_TABLE` holds that curve at closure aim 0, past its cubic
 series (`duality._expansion_step`), and the zeros' derivative in the
 aim, each as a Chebyshev series in eps-hat over [0, top]; the solve
-reads it for eps-hat in [lo, top].  This script rebuilds it: it solves
-the alpha = 1 problem on a target ten sharp widths wide at M Chebyshev
-points of the first kind, each solve started from the series, not from
-the table.  The aim derivative is J^-1 (1, 0), with J the exact Jacobian
+starts from it at every eps-hat up to top, with a free end and on a full
+target.  This script rebuilds it: it solves the alpha = 1 problem on a
+target ten sharp widths wide at M Chebyshev points of the first kind,
+each solve started from the series, not from the table.  The aim
+derivative is J^-1 (1, 0), with J the exact Jacobian
 of the solution's own pass, and the zeros at aim 0 are the solved ones
 less aim times it.  At those points the Chebyshev polynomials are
 discretely orthogonal, so the least-squares fit of degree N < M is a
@@ -24,13 +25,14 @@ degree 40 to land within the solve's 4-ulp stop; the aim rows need 6.
 
 It prints the largest change against the committed coefficients, then
 the committed start's miss in ulps of the larger depth, against zeros
-solved from the series, over alpha and eps-hat: within 4 ulps the solve
-returns from the start's own pass.  Pass `--print` to print the
-coefficients as Python literals.
+solved from the sharp-limit tent, over alpha and eps-hat down to 1e-6:
+within 4 ulps the solve returns from the start's own pass.  Pass
+`--print` to print the coefficients as Python literals.
 """
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from monge1d.problem import uniform_spec
 
 DEGREES = tuple(len(row) - 1 for row in duality._ZERO_TABLE)
 M = 4 * (max(DEGREES) + 1)
-lo, top = duality._ZERO_TABLE_SPAN
+top = duality._ZERO_TABLE_TOP
 
 
 def spec_at(alpha, factor=10.0):
@@ -48,8 +50,19 @@ def spec_at(alpha, factor=10.0):
     return uniform_spec((w + 0.5, w + 2.5), (0.0, w), "I", alpha)
 
 
-def solved(spec, eps):
-    return duality._solve_zeros(spec, eps, tabulated=False).zeros
+def series(alpha, eps):
+    """The alpha = 1 tent moved by the series and the closure aim's shift,
+    the start of the rebuild's solves, which all run at alpha 1."""
+    assert alpha == 1.0
+    dz, dc = duality._expansion_step(eps)
+    return 2.0 + (dz - duality._CLOSURE_AIM), 1.0 + dc
+
+
+def solved(spec, eps, start=None):
+    """Zeros solved from `start`, a function of (alpha, eps), or from the
+    tent."""
+    with mock.patch.object(duality, "_tabulated_start", start or (lambda *args: None)):
+        return duality._solve_zeros(spec, eps).zeros
 
 
 theta = np.pi * (np.arange(M) + 0.5) / M
@@ -58,11 +71,11 @@ one = spec_at(1.0)
 aim = duality._CLOSURE_AIM
 remainders = []
 for e in eps_hat:
-    zeros = solved(one, e)
+    zeros = solved(one, e, series)
     # The zeros' derivative in the aim, J^-1 (1, 0), off the solution's pass.
     jacobian = duality._zero_residuals(zeros, one, e, aim, duality._ZERO_QUAD_TOL)[1]
     response = np.linalg.solve(jacobian, [1.0, 0.0])
-    dz, dc = duality._expansion_step(1.0, e)
+    dz, dc = duality._expansion_step(e)
     z, c = np.subtract(zeros, aim * response)
     remainders.append((z - 2.0 - dz, c - 1.0 - dc, response[0] + 1.0, response[1]))
 remainders = np.array(remainders)
@@ -83,8 +96,8 @@ if "--print" in sys.argv:
 
 print()
 print("the start's miss in ulps of the larger depth (z, c), "
-      "against zeros solved from the series")
-grid = np.geomspace(1.1 * lo, 0.95 * top, 7)
+      "against zeros solved from the tent")
+grid = np.geomspace(1e-6, 0.95 * top, 7)
 print("alpha \\ eps-hat " + " ".join(f"{e:>11.1e}" for e in grid))
 for alpha in (0.5, 1.0, 2.0, 4.0):
     spec = spec_at(alpha)
@@ -96,7 +109,7 @@ for alpha in (0.5, 1.0, 2.0, 4.0):
             r = math.exp(ln_r)
             ln_r -= (alpha * alpha * r + 2.0 * e * ln_r - 1.0) / (alpha * alpha * r + 2.0 * e)
         eps = e / math.exp(ln_r)
-        start = duality._tabulated_start(spec, eps)
+        start = duality._tabulated_start(alpha, eps)
         z, c = solved(spec, eps)
         ulp = np.spacing(max(z, c))
         cells.append(f"{abs(start[0] - z) / ulp:4.1f},{abs(start[1] - c) / ulp:4.1f}")

@@ -1,5 +1,6 @@
 """CLI driver: config parsing, artifact files, exit codes, determinism."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 import monge1d
-from monge1d import duality
+from monge1d import cli, duality
 from monge1d.cli import load_run_config, main, parse_run_config
 from monge1d.duality import assemble_density
 from monge1d.errors import CapacityError, ConfigError
-from monge1d.oracles import (GridDensity, OracleRun, save_fixture,
+from monge1d.oracles import (GridDensity, OracleRun, load_fixture, save_fixture,
                              tent_limit_density)
 from monge1d.problem import spec_from_document
 
@@ -505,6 +506,51 @@ class TestVerify:
         out.mkdir()
         return save_fixture(discrete_expectation_optimizer(spec, 201),
                             out / "oracle_lp.csv")
+
+    @pytest.mark.parametrize("value", [1.001, 0.999], ids=["past", "inside"])
+    @pytest.mark.parametrize("check", ["nonnegative", "zero gap", "oracle oracle_lp.csv"])
+    def test_each_bound_reads_a_value_at_its_edge(self, tmp_path, capsys, monkeypatch,
+                                                 check, value):
+        # A value 0.1% past each bound fails its check and the command,
+        # and one 0.1% inside passes, on the steep config, where every
+        # other check passes: max(-u) against 1e-12 (the solution's clip
+        # depth), the gap against 1e-6 max(1, |primal|) (the report's gap)
+        # and the fixture's sup distance against 0.05 (the solution at the
+        # fixture's epsilon read as the fixture shifted up by the value).
+        # No other test reads these bounds: each could move by orders of
+        # magnitude with the rest of the suite green.
+        doc = json.loads(json.dumps(TENT_DOC))
+        doc["problem"]["alpha"] = 4.0
+        out = tmp_path / "art"
+        solve, gap = cli.assemble_density, cli.duality_gap
+        if check == "nonnegative":
+            monkeypatch.setattr(cli, "assemble_density", lambda *args: dataclasses.replace(
+                solve(*args), clip_depth=value * 1e-12))
+        elif check == "zero gap":
+            def widened(sol):
+                report = gap(sol)
+                return dataclasses.replace(
+                    report, gap_primal_dual=value * 1e-6 * max(1.0, abs(report.primal)))
+
+            monkeypatch.setattr(cli, "duality_gap", widened)
+        else:
+            sidecar = self._lp_fixture(out, 4.0)
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                           "epsilon": 0.02}))
+            fixture = load_fixture(sidecar.with_suffix(".csv")).density
+
+            def shifted(spec, eps, grid_n):
+                if eps != 0.02:
+                    return solve(spec, eps, grid_n)
+                return lambda y: np.interp(y, fixture.nodes, fixture.values) + 0.05 * value
+
+            monkeypatch.setattr(cli, "assemble_density", shifted)
+        code = main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--grid", "801"])
+        statuses = {line[9:line.index("[")].strip(): line[:8].strip()
+                    for line in capsys.readouterr().out.splitlines() if "[" in line}
+        assert statuses[check] == ("fail" if value > 1.0 else "pass")
+        assert code == (5 if value > 1.0 else 0)
 
     @pytest.mark.parametrize("edit, detail", [
         ({"epsilon": -0.1}, "fixture epsilon -0.1 is not a finite value"),

@@ -570,9 +570,9 @@ class TestCoupledSolve:
             spec = mirror_transform(spec)
         sol = assemble_density(spec, eps, 201)
         z, c = sol.dual.zeros
-        # With a free end the start (the series at the eps floor, the
-        # tabulated zeros elsewhere) lands at the rounding floor of the
-        # zeros, and the solve returns from the start's own pass.
+        # With a free end the start, the tabulated zeros, lands at the
+        # rounding floor of the zeros, and the solve returns from the
+        # start's own pass.
         solo = _assert_contracts(sol)
         assert (solo.steps == 0) == (regime != "full_target")
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
@@ -590,8 +590,9 @@ class TestCoupledSolve:
         # through the slope's log layer: they reach their rounding floor
         # (closure 1e-16, mass residual 0) while the proposed |dz| stays far
         # above the zeros' ulps (alpha 0.5, eps 1e-6), and the solve stops
-        # once they no longer halve.  The tent start has z exactly at the
-        # far edge, where the support's end min(z, width) kinks.
+        # once they no longer halve.  The solve starts from the table's free
+        # zeros, z past the far edge, or where eps-hat exceeds 0.2 from the
+        # tent, z just inside it.
         spec = _regime_spec(alpha, 1.0, 0.0)
         if assumption == "II":
             spec = mirror_transform(spec)
@@ -612,7 +613,7 @@ class TestCoupledSolve:
         # and cell masses ride on the solve's last pass, and no root solve
         # runs besides the coupled Newton, whose Jacobian rides on the
         # same pass: one pass per step, plus the start's.  The tabulated
-        # start leaves at most one step.
+        # start leaves no step.
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as residuals:
@@ -620,7 +621,7 @@ class TestCoupledSolve:
         passes = len(adaptive_passes)
         steps = duality._solve_zeros(spec, eps).steps
         assert passes == residuals.call_count == steps + 1
-        assert steps == (1 if (alpha, eps) == (4.0, 1e-3) else 0)
+        assert steps == 0
 
     @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
                                            (4.0, 1e-1), (4.0, 1e-3)])
@@ -842,7 +843,7 @@ class TestCoupledSolve:
             assemble_density(spec, eps, 101)
         passes = len(adaptive_passes)
         steps = sum(duality._solve_zeros(spec, eps).steps for spec, eps in points)
-        assert (steps, passes) == (18, 30)
+        assert (steps, passes) == (19, 31)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=st.floats(min_value=0.5, max_value=4.0),
@@ -943,16 +944,32 @@ def _expansion_reference(alpha):
         return tuple([float(x) for x in p] for p in (p1, p2, p3))
 
 
+def _mapped_series(alpha, eps, aim=duality._CLOSURE_AIM):
+    """The alpha = 1 series mapped through the scaling law to (alpha, eps),
+    at the closure aim `aim`: the solve's start with the table's rows set
+    to zero."""
+    with mock.patch.object(duality, "_ZERO_TABLE", ((0.0,),) * 4), \
+            mock.patch.object(duality, "_CLOSURE_AIM", aim):
+        return duality._tabulated_start(alpha, eps)
+
+
 class TestExpansionStart:
-    """The coupled solve starts at the zeros' expansion to third order in
-    eps (`duality._expansion_step`)."""
+    """The coupled solve starts at the alpha = 1 zeros' expansion to third
+    order in eps (`duality._expansion_step`), which the scaling law maps
+    to every alpha, plus the table of what it leaves."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
     def test_coefficients_match_the_quadrature_reference(self, alpha):
-        # The step is eps p1 + eps^2 p2 + eps^3 p3, a cubic in eps, read
-        # off at three eps.  Measured: p1 within 4.5e-16, p2 within 3.6e-14
-        # and p3 within 2.3e-12 of the reference, relative: the read-off's
-        # rounding.
+        # At alpha 1 the step is eps p1 + eps^2 p2 + eps^3 p3, a cubic in
+        # eps, read off at three eps.  Measured: p1 within 4.5e-16, p2
+        # within 3.6e-14 and p3 within 2.3e-12 of the reference, relative:
+        # the read-off's rounding.  At other alpha the solve reads that
+        # series through the law, which keeps the expansion to third order
+        # and adds terms of every higher order: a quintic read off at five
+        # k = eps/alpha^2 from 4e-4 to 2e-3 separates them.  Measured, the
+        # truncation and the zeros' rounding at the tent: p1 within 1.2e-11,
+        # p2 within 2.2e-8 and p3 within 6.7e-6 at alpha 0.5, and within
+        # 3.7e-13, 8.4e-10 and 6.8e-7 at alpha 4.
         p1, p2, p3 = _expansion_reference(alpha)
         if alpha == 1.0:
             ln2 = math.log(2.0)
@@ -961,31 +978,38 @@ class TestExpansionStart:
                                        rel=1e-14)
             assert p3 == pytest.approx([-1.065232067353152, 0.648401143034025],
                                        rel=1e-14)
-        es = np.array([1e-2, 2e-2, 3e-2])
-        q = np.array([duality._expansion_step(alpha, e) for e in es]) / es[:, None]
-        q1, q2, q3 = np.linalg.solve(np.vander(es, 3, increasing=True), q)
-        assert q1 == pytest.approx(p1, rel=1e-14)
-        assert q2 == pytest.approx(p2, rel=2e-13)
-        assert q3 == pytest.approx(p3, rel=1e-11)
+            es = np.array([1e-2, 2e-2, 3e-2])
+            q = np.array([duality._expansion_step(e) for e in es]) / es[:, None]
+            bounds = (1e-14, 2e-13, 1e-11)
+        else:
+            es = 4e-4 * alpha ** 2 * np.arange(1, 6)
+            z0 = 2.0 / math.sqrt(alpha)
+            q = (np.array([_mapped_series(alpha, e, aim=0.0) for e in es])
+                 - [z0, 0.5 * z0]) / es[:, None]
+            bounds = (5e-11, 1e-7, 3e-5)
+        q1, q2, q3 = np.linalg.solve(np.vander(es, es.size, increasing=True), q)[:3]
+        assert q1 == pytest.approx(p1, rel=bounds[0])
+        assert q2 == pytest.approx(p2, rel=bounds[1])
+        assert q3 == pytest.approx(p3, rel=bounds[2])
 
-    @pytest.mark.parametrize("alpha,bound", [(0.5, 6000.0), (1.0, 15.0), (4.0, 0.002)])
+    @pytest.mark.parametrize("alpha,bound", [(0.5, 5000.0), (1.0, 15.0), (4.0, 1e-4)])
     def test_start_is_fourth_order(self, alpha, bound):
-        # The start, with z shifted by -aim/alpha for the closure aim,
-        # misses the solved zeros by O(eps^4), in both orientations and far
-        # from the origin, up to the solve's rounding, 4 ulps of the sharp
-        # width: measured 4,580-5,240 at alpha 0.5, 11.1-11.2 at alpha 1 and
-        # 0.0013-0.0014 at alpha 4 (the last at eps 1e-3, 1.3e-15 in depth).
-        # A start right to third order only would read about |p3|/eps
-        # here: 0.78 at alpha 4, eps 1e-2.
+        # The mapped series, with the closure aim's shift, misses the
+        # solved zeros by O(eps^4), in both orientations and far from the
+        # origin, up to the solve's rounding, 4 ulps of the sharp width:
+        # measured 2,740-3,980 at alpha 0.5, 8.9-11.2 at alpha 1 and
+        # 8.6e-5 at alpha 4 (at eps 1e-2; at eps 1e-3 and below the miss
+        # there is 1 ulp or less).  A start right to third order only would
+        # read about |p3|/eps here: 0.78 at alpha 4, eps 1e-2.
         for offset, assumption in itertools.product((0.0, 1000.0), ("I", "II")):
             spec = _regime_spec(alpha, 2.5, offset)
             if assumption == "II":
                 spec = mirror_transform(spec)
             z0 = spec.sharp_width
             for eps in (1e-2, 1e-3, 1e-4):
-                dz, dc = duality._expansion_step(alpha, eps)
+                start = _mapped_series(alpha, eps)
                 z, c = duality._solve_zeros(spec, eps).zeros
-                miss = max(abs(z - (z0 + dz - 1e-13 / alpha)), abs(c - (0.5 * z0 + dc)))
+                miss = max(abs(z - start[0]), abs(c - start[1]))
                 assert miss <= bound * eps ** 4 + 4.0 * np.spacing(z0)
 
     @pytest.mark.parametrize("alpha", [1.0, 4.0])
@@ -1005,14 +1029,13 @@ class TestExpansionStart:
             assert (record.steps, counted.call_count) == (0, 1)
 
     def test_large_eps_converges(self):
-        # Where k = eps/alpha^2 is of order one, the series' second term
-        # outgrows its first and the solve starts at the tent: started at
-        # the series, alpha 1, eps 1 with a width of 3 sharp widths raises
-        # MaxIterations.  Both starts run on this grid.
+        # Where eps-hat, eps scaled to alpha-hat = 1, exceeds the table's
+        # top 0.2, the solve starts at the tent and converges from there.
+        # Both the table start and the tent start run on this grid.
         started = set()
         for eps, alpha, factor in itertools.product((0.3, 1.0, 3.0), (0.5, 1.0, 2.0, 4.0),
                                                     (1.0, 1.02, 3.0)):
-            started.add(duality._expansion_step(alpha, eps) == (0.0, 0.0))
+            started.add(duality._tabulated_start(alpha, eps) is None)
             _assert_contracts(assemble_density(_regime_spec(alpha, factor, 0.0), eps, 101))
         assert started == {True, False}
 
@@ -1068,36 +1091,68 @@ class TestScalingLaw:
         assert checked >= 2 or (alpha, eps, sigma) == (0.5, 0.1, 0.5)
 
 
+def _unscaled_eps(alpha, eps_hat):
+    """The eps that the scaling law maps to eps_hat at alpha-hat = 1:
+    eps = eps_hat/r with r = sigma^4 solving r alpha^2 + 2 eps_hat ln r = 1,
+    by Newton in ln r."""
+    ln_r = -2.0 * math.log(alpha)
+    for _ in range(20):
+        r = math.exp(ln_r)
+        ln_r -= (alpha * alpha * r + 2.0 * eps_hat * ln_r - 1.0) / (
+            alpha * alpha * r + 2.0 * eps_hat)
+    return eps_hat / math.exp(ln_r)
+
+
 class TestTabulatedStart:
-    """The coupled solve starts at the alpha = 1 zeros of `duality._ZERO_TABLE`
-    mapped through the scaling law, where eps-hat lies in the table's span
-    and the free zero inside the target."""
+    """The coupled solve starts at the alpha = 1 zeros of the series and
+    `duality._ZERO_TABLE` mapped through the scaling law, wherever eps-hat
+    is at most `duality._ZERO_TABLE_TOP`, and at the tent elsewhere."""
 
     def test_table_lands_on_the_solved_zeros(self):
-        # At 50 eps-hat values, none a fitting point, the table's start
-        # lands within the solve's 4-ulp stop of the zeros solved from the
-        # series start (measured at most 4 ulps), so a solve started there
-        # returns from the start's own pass.  A solver change that moves
-        # the zeros fails here: studies/06_zero_table.py rebuilds the table.
+        # At 50 eps-hat values from 1e-6 up, none a fitting point, the
+        # table's start lands within the solve's 4-ulp stop of the zeros
+        # solved from the tent (measured at most 4 ulps), so a solve
+        # started there returns from the start's own pass.  A solver
+        # change that moves the zeros fails here: studies/06_zero_table.py
+        # rebuilds the table.
         spec = _regime_spec(1.0, 10.0, 0.0)
-        lo, hi = duality._ZERO_TABLE_SPAN
-        for eps in np.geomspace(1.05 * lo, 0.995 * hi, 50):
-            z, c = duality._solve_zeros(spec, eps, tabulated=False).zeros
-            start = duality._tabulated_start(spec, eps)
+        for eps in np.geomspace(1e-6, 0.995 * duality._ZERO_TABLE_TOP, 50):
+            with mock.patch.object(duality, "_tabulated_start", return_value=None):
+                z, c = duality._solve_zeros(spec, eps).zeros
+            start = duality._tabulated_start(1.0, eps)
             ulps = 4.0 * np.spacing(max(z, c))
             assert abs(start[0] - z) <= ulps and abs(start[1] - c) <= ulps
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
-    def test_table_holds_only_in_its_span_and_with_a_free_end(self, alpha):
-        # Outside the span, and where the free zero would pass the far
-        # edge, the solve starts from the series or the tent as before.
-        lo, hi = duality._ZERO_TABLE_SPAN
-        free, sharp = _regime_spec(alpha, 2.5, 0.0), _regime_spec(alpha, 1.0, 0.0)
-        for eps in (0.5 * lo * alpha ** 2, 1e-6, 2.0 * alpha ** 2):
-            assert duality._tabulated_start(free, eps) is None
-        for eps in (1e-3 * alpha ** 2, 0.05 * alpha ** 2):
-            assert duality._tabulated_start(free, eps) is not None
-            assert duality._tabulated_start(sharp, eps) is None
+    def test_table_reads_up_to_its_top_on_both_branches(self, alpha):
+        # The first pass runs at the table's zeros up to eps-hat 0.2, with
+        # a free end (2.5 sharp widths) and on a full target (the sharp
+        # width), and at the tent above it.
+        top = duality._ZERO_TABLE_TOP
+        for eps_hat in (1e-8, 0.999 * top, 1.001 * top):
+            eps = _unscaled_eps(alpha, eps_hat)
+            start = duality._tabulated_start(alpha, eps)
+            assert (start is None) == (eps_hat > top)
+            for factor in (2.5, 1.0):
+                spec = _regime_spec(alpha, factor, 0.0)
+                with mock.patch.object(duality, "_zero_residuals",
+                                       wraps=duality._zero_residuals) as counted:
+                    duality._solve_zeros(spec, eps)
+                z0 = spec.sharp_width
+                tent = (z0 - duality._CLOSURE_AIM / alpha, 0.5 * z0)
+                assert counted.call_args_list[0].args[0] == (start or tent)
+                if start is not None:
+                    assert (start[0] > spec.target_width) == (factor == 1.0)
+
+    @pytest.mark.parametrize("alpha,eps", [(0.5, 0.25), (4.0, 8.0)])
+    def test_no_start_where_alpha_hat_sq_is_not_positive(self, alpha, eps):
+        # tau's Newton runs on ln(1 + 8 k tau - 4 k ln alpha), and
+        # 1 + 8 k tau - 4 k ln alpha = (alpha^2 + 8 eps ln sigma)/alpha^2 is
+        # alpha-hat^2 over sigma^4 alpha^2.  Measured: at alpha 0.5, eps
+        # 0.25 its start tau = k ln alpha has it at -1.77, and at alpha 4,
+        # eps 8 its first step leaves it below 0.  No start is read there,
+        # and the solve starts at the tent.
+        assert duality._tabulated_start(alpha, eps) is None
 
 
 class TestMirrorExactness:

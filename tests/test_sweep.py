@@ -194,6 +194,14 @@ class TestConvergenceReport:
         assert rep.expectation_trend == "mixed"
         assert rep.endpoint_trend == "constant"
 
+    @pytest.mark.parametrize("wiggle,trend", [(1e-9, "mixed"), (1e-13, "constant")])
+    def test_trend_slack_is_rounding_sized(self, wiggle, trend):
+        # The trends forgive steps of 1e-12, rounding on values of order
+        # one, and no more: a 1e-9 wiggle is a real one.
+        rows = [_row(0.1, 0.3, expect=4.0), _row(0.05, 0.2, expect=4.0 + wiggle),
+                _row(0.01, 0.1, expect=4.0)]
+        assert convergence_report(rows).expectation_trend == trend
+
     def test_report_sorts_by_epsilon(self):
         # rows arriving ascending still read as a descending ladder
         rows = [_row(0.01, 0.1, endpoint=3.0), _row(0.1, 0.2, endpoint=3.1)]
