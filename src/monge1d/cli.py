@@ -38,8 +38,8 @@ from .errors import (
     MaxIterations,
     Monge1dError,
 )
-from .problem import (MongeProblemSpec, require_capacity, spec_from_document,
-                      validate_spec)
+from .problem import (MongeProblemSpec, _as_float, _expect_object, require_capacity,
+                      spec_from_document, validate_spec)
 from .sweep import (
     EPSILON_FLOOR,
     convergence_report,
@@ -47,9 +47,6 @@ from .sweep import (
     rows_to_csv,
 )
 from .transport import build_map, pushforward_residual
-
-_CONFIG_KEYS = ("problem", "epsilons", "grid_n", "tolerances", "out")
-_TOLERANCE_KEYS = ("root", "quad")
 
 # Stage labels for solver failures, keyed by what actually broke: the
 # coupled zero solve and the slope inversion are the Newton iterations.
@@ -71,9 +68,7 @@ class RunConfig:
 
 
 def _positive_float(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    out = _as_float(value, path)
     if not (math.isfinite(out) and out > 0.0):
         raise ConfigError(f"{path}: expected a finite positive number, "
                           f"got {value!r}")
@@ -90,14 +85,8 @@ def parse_run_config(doc, *, overrides=None) -> RunConfig:
     ignored: the solve and the probes run at their own fixed tolerances.
     """
     overrides = overrides or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config: expected an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
-    for key in ("problem", "epsilons"):
-        if key not in doc:
-            raise ConfigError(f"config: missing key {key!r}")
+    _expect_object(doc, "config", required=("problem", "epsilons"),
+                   optional=("grid_n", "tolerances", "out"))
     spec = spec_from_document(doc["problem"])
 
     raw_eps = overrides.get("epsilons") or doc["epsilons"]
@@ -115,14 +104,9 @@ def parse_run_config(doc, *, overrides=None) -> RunConfig:
         raise ConfigError(f"config.grid_n: needs at least 33 nodes, got {grid_n}")
 
     tols = doc.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("config.tolerances: expected an object")
-    bad = sorted(set(tols) - set(_TOLERANCE_KEYS))
-    if bad:
-        raise ConfigError(f"config.tolerances: unknown keys {bad}")
-    for key in _TOLERANCE_KEYS:
-        if key in tols:
-            _positive_float(tols[key], f"config.tolerances.{key}")
+    _expect_object(tols, "config.tolerances", required=(), optional=("root", "quad"))
+    for key, value in tols.items():
+        _positive_float(value, f"config.tolerances.{key}")
 
     out_dir = overrides.get("out") or doc.get("out", "out")
     if not isinstance(out_dir, (str, Path)):

@@ -24,8 +24,8 @@ here, all in closed form up to one two-unknown root solve:
    on width W/sigma with depths scaled by sigma, where
    alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma), so the alpha = 1
    zeros, their third-order series in eps plus a Chebyshev table of what
-   it leaves, serve every alpha wherever the scaled eps is at most 0.2,
-   on a full target too.  Elsewhere it starts from the sharp-limit tent.
+   it leaves, serve every (alpha, eps), on a full target too: read at the
+   scaled eps up to 0.2, and at 0.2 beyond it.
    Each iterate costs one quadrature pass, which yields both residuals
    and their exact Jacobian, and the solve returns the
    zeros of the first pass that meets both contracts and either proposes
@@ -436,54 +436,58 @@ def _clenshaw(coefficients, x):
     return coefficients[0] + x * b1 - b2
 
 
-def _tabulated_start(alpha, epsilon):
-    """The depth zeros (z, c) of the coupled solve's start, read off the
-    alpha = 1 series and table (`_expansion_step`, `_ZERO_TABLE`) through
-    the scaling law, or None where the law does not reach the table.
+def _tabulated_start(alpha, epsilon, width):
+    """The depth zeros (z, c) that start the coupled solve on a target of
+    width `width`: the alpha = 1 series and table (`_expansion_step`,
+    `_ZERO_TABLE`) mapped through the scaling law.
 
-    The law: for sigma > 0 with alpha^2 + 8 eps ln sigma > 0, the problem
-    (alpha, eps) on a target of width W is the problem (alpha-hat, eps-hat)
-    on width W/sigma, with eps-hat = sigma^4 eps,
-    alpha-hat^2 = sigma^4 (alpha^2 + 8 eps ln sigma) and every depth scaled
-    by sigma (theta = sigma^2 theta-hat, lambda = sigma^4 lambda-hat and
-    u = u-hat/sigma keep the slope algebra, the stress equation and unit
-    mass).  With k = eps/alpha^2, alpha-hat = 1 takes
-    tau = ln(sigma sqrt(alpha)) solving e^{4 tau} (1 + 8 k tau - 4 k ln alpha)
-    = 1; Newton on its log, increasing and concave in tau, runs from
-    tau = k ln alpha, the root to first order in k, and eps-hat is
-    e^{4 tau} k.  The closing density scales as u-hat/sigma, so the
-    twin's closure aim is sigma aim: z = sigma z-hat + sigma^2 aim dz-hat/daim
-    with z-hat at aim 0, and c alike.  The sum runs from the tent z0 =
-    2/sqrt(alpha) = 2 sigma e^{-tau}, adding its small terms first, so
-    that their rounding stays below the zeros' ulps at every eps-hat.
+    The law (step 3 of the module docstring) keeps alpha^2/eps - 2 ln eps
+    fixed, so every (alpha, eps) has an alpha = 1 twin, at
+    eps-hat = 1/(2 W(e^{alpha^2/(2 eps)}/(2 eps))) with W the principal
+    Lambert W.  With k = eps/alpha^2, tau = ln(sigma sqrt(alpha)) is the
+    root of phi(tau) = expm1(-4 tau)/k - 8 tau + 4 ln alpha, and
+    eps-hat = e^{4 tau} k.  phi is decreasing and convex on the whole line,
+    so Newton on k phi needs no guard: from a start left of the root it
+    rises to it.  It starts at the larger of two such points, the root of
+    phi's linearization at 0, k ln alpha/(1 + 2 k), and, for alpha < 1,
+    -ln(1 - 4 k ln alpha)/4, past the steep flank where a step gains about
+    1/4; it stops on a step of 4e-16 of the largest of 1, |tau| and
+    |ln alpha|, the rounding of k phi's terms.  The density scales as
+    u = u-hat/sigma, so the twin's closure aim is sigma aim:
+    z = sigma z-hat + sigma^2 aim dz-hat/daim with z-hat at aim 0, and c
+    alike, summed from the tent z0 = 2/sqrt(alpha) = 2 sigma e^{-tau} with
+    the small terms first, so that their rounding stays below the zeros'
+    ulps at every eps-hat.
 
-    The table holds free zeros, and where the free zero lies past the far
-    edge they start the full-target solve as well.  None where eps-hat
-    exceeds `_ZERO_TABLE_TOP`, where an iterate of tau leaves
-    alpha-hat^2 > 0, or where tau's Newton does not settle in 20 steps."""
-    k, ln_alpha = epsilon / (alpha * alpha), math.log(alpha)
-    tau = k * ln_alpha
+    The table holds free zeros, which start the full-target solve as well.
+    Above its top, eps-hat > `_ZERO_TABLE_TOP`, the series and table are
+    read at the top and mapped with the twin's own sigma.  Where that puts
+    c at or past min(z, width) (large alpha and eps, narrow targets), c
+    starts half way there, by `_bounded_step`'s rule.  Raises MaxIterations
+    where tau does not settle in 20 steps (k or 1 + 2 k not finite)."""
+    k, ln_alpha = epsilon / alpha / alpha, math.log(alpha)
+    tau = max(k * ln_alpha / (1.0 + 2.0 * k),
+              -0.25 * math.log1p(-4.0 * k * min(ln_alpha, 0.0)))
     for _ in range(20):
-        q = 1.0 + 8.0 * k * tau - 4.0 * k * ln_alpha
-        if not q > 0.0:
-            return None
-        step = (4.0 * tau + math.log(q)) / (4.0 + 8.0 * k / q)
+        # e^{-4 tau} overflows below tau = -177; inf then makes the step NaN.
+        shrink = math.expm1(-4.0 * tau) if tau > -177.0 else math.inf
+        step = (shrink - 4.0 * k * (2.0 * tau - ln_alpha)) / (-4.0 * (1.0 + shrink) - 8.0 * k)
         tau -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(tau)):
+        if abs(step) <= 4e-16 * max(1.0, abs(tau), abs(ln_alpha)):
             break
     else:
-        return None
-    eps_hat = math.exp(4.0 * tau) * k
-    if not eps_hat <= _ZERO_TABLE_TOP:
-        return None
+        raise MaxIterations(f"the scaling law's tau did not settle in 20 Newton "
+                            f"steps at alpha {alpha!r}, eps {epsilon!r}")
+    eps_hat = min(math.exp(4.0 * tau) * k, _ZERO_TABLE_TOP)
     x = 2.0 * eps_hat / _ZERO_TABLE_TOP - 1.0
     dz, dc = _expansion_step(eps_hat)
     z_hat, c_hat, dz_hat, dc_hat = (_clenshaw(row, x) for row in _ZERO_TABLE)
     z0, grow = 2.0 / math.sqrt(alpha), math.expm1(tau)
     sigma = math.exp(tau) / math.sqrt(alpha)
     shift = sigma * sigma * _CLOSURE_AIM
-    return (z0 + (z0 * grow + sigma * (dz + z_hat) + shift * (dz_hat - 1.0)),
-            0.5 * z0 + (0.5 * z0 * grow + sigma * (dc + c_hat) + shift * dc_hat))
+    z = z0 + (z0 * grow + sigma * (dz + z_hat) + shift * (dz_hat - 1.0))
+    c = 0.5 * z0 + (0.5 * z0 * grow + sigma * (dc + c_hat) + shift * dc_hat)
+    return (z, c) if c < min(z, width) else (z, 0.5 * min(z, width))
 
 
 def _bounded_step(zeros, delta, width):
@@ -524,18 +528,13 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     |y| ~ 500, more than its aim.
 
     Starts at the alpha = 1 zeros, series and table, mapped through the
-    scaling law (`_tabulated_start`) wherever eps-hat, eps scaled to
-    alpha-hat = 1, is at most 0.2.  With a free end that start lands
-    within the 4-ulp stop below on most problems, so the solve returns
-    from the start's own pass; on a full target it starts from the free
-    zeros, and the steps carry z past the far edge.  Elsewhere it starts
-    from the sharp-limit tent, z = 2/sqrt(alpha) and c = z/2, with z moved
-    by the closure aim's own shift: the Jacobian at the tent,
-    J0 = [[-alpha, 2 alpha], [0, 2 sqrt(alpha)]], takes the aim to
-    J0^-1 (aim, 0) = (-aim/alpha, 0).  The tent keeps 0 < c < width and
-    c < z; each step is cut back to half way to any bound it would cross
-    (`_bounded_step`), and z may cross the far edge, which is the
-    full-target regime.
+    scaling law (`_tabulated_start`) for every alpha and eps.  With a free
+    end that start lands within the 4-ulp stop below on most problems, so
+    the solve returns from the start's own pass; on a full target it
+    starts from the free zeros, and the steps carry z past the far edge.
+    The start has c < min(z, width); each step is cut back to half way to
+    any bound it would cross (`_bounded_step`), and z may cross the far
+    edge, which is the full-target regime.
 
     The Jacobian is exact and rides on the residual pass, so each step
     costs one pass.  With s = c + D t, D = z - c, the stress is
@@ -570,8 +569,7 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     non-finite residual or Jacobian, or on a singular one.
     """
     width, aim = spec.target_width, _CLOSURE_AIM
-    z, c = _tabulated_start(spec.alpha, epsilon) or (
-        spec.sharp_width - aim / spec.alpha, 0.5 * spec.sharp_width)
+    z, c = _tabulated_start(spec.alpha, epsilon, width)
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
     size = math.inf
     for k in range(_ZERO_MAX_STEPS):

@@ -9,13 +9,16 @@ its depths scaled by sigma.  The sigma with alpha-hat = 1 maps every
 functions of eps-hat, which do not depend on the width while the free
 zero lies inside the target.
 
-`duality._ZERO_TABLE` holds that curve at closure aim 0, past its cubic
-series (`duality._expansion_step`), and the zeros' derivative in the
-aim, each as a Chebyshev series in eps-hat over [0, top]; the solve
-starts from it at every eps-hat up to top, with a free end and on a full
-target.  This script rebuilds it: it solves the alpha = 1 problem on a
-target ten sharp widths wide at M Chebyshev points of the first kind,
-each solve started from the series, not from the table.  The aim
+The law keeps alpha^2/eps - 2 ln eps fixed, so every (alpha, eps) has
+its alpha = 1 twin, at eps-hat = 1/(2 W(e^{alpha^2/(2 eps)}/(2 eps)))
+with W the principal Lambert W.  `duality._ZERO_TABLE` holds that curve
+at closure aim 0, past its cubic series (`duality._expansion_step`), and
+the zeros' derivative in the aim, each as a Chebyshev series in eps-hat
+over [0, top]; the solve starts from it at every (alpha, eps), with a
+free end and on a full target, reading it at the top where eps-hat
+exceeds top.  This script rebuilds it: it solves the alpha = 1 problem
+on a target ten sharp widths wide at M Chebyshev points of the first
+kind, each solve started from the series, not from the table.  The aim
 derivative is J^-1 (1, 0), with J the exact Jacobian
 of the solution's own pass, and the zeros at aim 0 are the solved ones
 less aim times it.  At those points the Chebyshev polynomials are
@@ -25,8 +28,9 @@ degree 40 to land within the solve's 4-ulp stop; the aim rows need 6.
 
 It prints the largest change against the committed coefficients, then
 the committed start's miss in ulps of the larger depth, against zeros
-solved from the sharp-limit tent, over alpha and eps-hat down to 1e-6:
-within 4 ulps the solve returns from the start's own pass.  Pass
+solved from the sharp-limit tent (a start that reads no table, made
+here), over alpha and eps-hat down to 1e-6: within 4 ulps the solve
+returns from the start's own pass.  Pass
 `--print` to print the coefficients as Python literals.
 """
 
@@ -50,7 +54,7 @@ def spec_at(alpha, factor=10.0):
     return uniform_spec((w + 0.5, w + 2.5), (0.0, w), "I", alpha)
 
 
-def series(alpha, eps):
+def series(alpha, eps, width):
     """The alpha = 1 tent moved by the series and the closure aim's shift,
     the start of the rebuild's solves, which all run at alpha 1."""
     assert alpha == 1.0
@@ -58,10 +62,16 @@ def series(alpha, eps):
     return 2.0 + (dz - duality._CLOSURE_AIM), 1.0 + dc
 
 
-def solved(spec, eps, start=None):
-    """Zeros solved from `start`, a function of (alpha, eps), or from the
-    tent."""
-    with mock.patch.object(duality, "_tabulated_start", start or (lambda *args: None)):
+def tent(alpha, eps, width):
+    """The sharp-limit tent z0 = 2/sqrt(alpha), c = z0/2, with z moved by
+    the closure aim's first-order shift -aim/alpha."""
+    z0 = 2.0 / math.sqrt(alpha)
+    return z0 - duality._CLOSURE_AIM / alpha, 0.5 * z0
+
+
+def solved(spec, eps, start=tent):
+    """Zeros solved from `start`, a function of (alpha, eps, width)."""
+    with mock.patch.object(duality, "_tabulated_start", start):
         return duality._solve_zeros(spec, eps).zeros
 
 
@@ -109,7 +119,7 @@ for alpha in (0.5, 1.0, 2.0, 4.0):
             r = math.exp(ln_r)
             ln_r -= (alpha * alpha * r + 2.0 * e * ln_r - 1.0) / (alpha * alpha * r + 2.0 * e)
         eps = e / math.exp(ln_r)
-        start = duality._tabulated_start(alpha, eps)
+        start = duality._tabulated_start(alpha, eps, spec.target_width)
         z, c = solved(spec, eps)
         ulp = np.spacing(max(z, c))
         cells.append(f"{abs(start[0] - z) / ulp:4.1f},{abs(start[1] - c) / ulp:4.1f}")

@@ -97,9 +97,9 @@ class TestConfigParsing:
             parse_run_config(doc)
 
     def test_missing_required_keys(self):
-        with pytest.raises(ConfigError, match="missing key 'epsilons'"):
+        with pytest.raises(ConfigError, match=r"missing keys \['epsilons'\]"):
             parse_run_config({"problem": TENT_DOC["problem"]})
-        with pytest.raises(ConfigError, match="missing key 'problem'"):
+        with pytest.raises(ConfigError, match=r"missing keys \['problem'\]"):
             parse_run_config({"epsilons": [0.01]})
 
     def test_empty_epsilons(self):
@@ -198,6 +198,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert ("solve failed at epsilon=0.01 in Newton iteration: coupled "
                 "zero solve did not meet its contracts") in err
+
+    def test_large_epsilon_solves(self, tmp_path):
+        # alpha 2, eps 10 on five sharp widths: eps-hat lies above the
+        # table's top, and the solve starts at the zeros read at the top.
+        # From the sharp-limit tent it exited 4 after 40 Newton steps.
+        doc = _capacity_doc(2.0, 5.0, 0.0, "I", 10.0)
+        out = tmp_path / "art"
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--quiet",
+                     "--out", str(out), "--grid", "101"]) == 0
+        assert (out / "eps_10.0" / "density.csv").exists()
 
     def test_exit_and_files(self, solve_artifacts):
         code, target = solve_artifacts
