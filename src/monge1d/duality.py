@@ -38,8 +38,12 @@ here, all in closed form up to one two-unknown root solve:
 4. The density is the cumulative integral of the slope from the anchored
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass at any y, and so is the
-   CDF's inverse (`DensitySolution`).  The sampled grid is only the table
-   that `density.csv` writes.
+   CDF's inverse (`DensitySolution`); the CDF's rows are built on their
+   first read.  The sampled grid is only the table that `density.csv`
+   writes, built on its first read.  Its clip depth is certified panel by
+   panel from the density's Bernstein coefficients, and the grid is read
+   only in panels left uncertified (`_clip_depth`), so a solve reads no
+   grid node.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -84,6 +88,7 @@ energy match, which downstream modules verify at tight tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -598,17 +603,20 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
 
 @dataclass(frozen=True, eq=False)
 class DensitySolution:
-    """Sampled transfer density with its dual field and diagnostics.
+    """Transfer density with its dual field and diagnostics.
 
     nodes/values tabulate the density over the whole target interval (zero
-    extension included), the table `density.csv` writes; clip_depth is how
-    far below zero that table's support values ran before the clip.
-    max_abs_slope and max_log_lambda report how far the solution runs
-    above the nominal scale ceiling instead of clamping it (see the module
-    docstring).  mass, expectation and energy_integrals (the H-term and
-    dual integrals `energy` reads) are rows of the solve's last pass; what
-    the coupled zero solve did (its Newton steps and final residuals)
-    stays on its `_ZeroSolve`.
+    extension included), the table `density.csv` writes, sampled on
+    grid_n uniform depths over the support with the crossing, at depth
+    crossing_depth, as a node (`_depth_grid`).  The table is built on its
+    first read: no solve reads it.  clip_depth is how far below zero its
+    support values run before the clip, certified panel by panel
+    (`_clip_depth`).  max_abs_slope and max_log_lambda report how far the
+    solution runs above the nominal scale ceiling instead of clamping it
+    (see the module docstring).  mass, expectation and energy_integrals
+    (the H-term and dual integrals `energy` reads) are rows of the solve's
+    last pass; what the coupled zero solve did (its Newton steps and final
+    residuals) stays on its `_ZeroSolve`.
 
     The solution holds one representation of the density, that pass read
     in depth as a `numerics.MonotoneProfile`, and one map of y to depth
@@ -627,8 +635,8 @@ class DensitySolution:
     dual: DualField
     support_endpoint: float
     support: tuple[float, float]
-    nodes: np.ndarray
-    values: np.ndarray
+    crossing_depth: float
+    grid_n: int
     mass: float
     expectation: float
     energy_integrals: tuple[float, ...]
@@ -636,6 +644,38 @@ class DensitySolution:
     max_log_lambda: float
     clip_depth: float
     profile: MonotoneProfile = field(repr=False)
+
+    @functools.cached_property
+    def _table(self):
+        """(nodes, values): the profile read on the depth grid, clipped at 0
+        with both Dirichlet ends pinned, then a zero extension over the
+        rest of the target at the support's resolution, in ascending y."""
+        o, anchor, m = self.spec.orientation, self.spec.anchor, self.support_endpoint
+        edges = self.profile.edges
+        grid_s = _depth_grid((edges[0], edges[-1]), self.crossing_depth, self.grid_n)
+        # The anchored end is zero exactly; the closing end only up to the
+        # residual tolerance, and interior rounding can graze zero, so clip
+        # and pin both Dirichlet ends.
+        values_support = np.maximum(self.profile.density(grid_s), 0.0)
+        values_support[0] = 0.0
+        values_support[-1] = 0.0
+        lo, hi = self.support
+        grid = anchor - o * grid_s
+        grid[-1] = m                # a far edge exactly, not anchor - o * width
+        n_zero = math.ceil(abs(self.spec.far_edge - m) / ((hi - lo) / (self.grid_n - 1)))
+        zero_nodes = np.linspace(m, self.spec.far_edge, n_zero + 1)[1:]
+        nodes = np.concatenate([grid, zero_nodes])
+        values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
+        # Under assumption I depth runs against y: reverse to ascending y.
+        return (nodes[::-1], values[::-1]) if o > 0 else (nodes, values)
+
+    @property
+    def nodes(self):
+        return self._table[0]
+
+    @property
+    def values(self):
+        return self._table[1]
 
     def _depth(self, y):
         """Depth o (anchor - y) of each y, clamped to the pass; the closing
@@ -679,9 +719,28 @@ def _depth_grid(span, crossing, grid_n):
     return grid if i < grid.size and grid[i] == crossing else np.insert(grid, i, crossing)
 
 
+def _clip_depth(profile, crossing, grid_n):
+    """max(0, -min(profile.density(depths))) on the depth grid over the
+    pass, `_depth_grid` of its span, the crossing and grid_n, bit for bit.
+    The last node reads the closing density, `profile.edge_density[-1]`.
+    Every other node of a panel that the profile certifies nonnegative
+    (`MonotoneProfile._positive_panels`) reads at least 0 and cannot set
+    the clip, so the grid is built, and read, only in the panels left
+    uncertified."""
+    lowest = profile.edge_density[-1:]
+    uncertified = np.flatnonzero(~profile._positive_panels())
+    if uncertified.size:
+        edges = profile.edges
+        depths = _depth_grid((edges[0], edges[-1]), crossing, grid_n)
+        bounds = np.searchsorted(depths, edges)
+        inside = np.concatenate([depths[bounds[k]:bounds[k + 1]] for k in uncertified])
+        lowest = np.append(profile.density(inside), lowest)
+    return float(max(0.0, -np.min(lowest)))
+
+
 def assemble_density(spec: MongeProblemSpec, epsilon,
                      grid_n=2001) -> DensitySolution:
-    """Full solve: free zero, crossing, and the sampled density.
+    """Full solve: free zero, crossing, and the density.
 
     Raises CapacityError when the target is narrower than the sharp-limit
     tent (`problem.require_capacity`).  The zeros come from one coupled
@@ -698,10 +757,12 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     sign the solve gives them, and the assembly runs no quadrature and
     inverts no grid node.  Its grid is uniform over the support with the
     crossing as a node (`_depth_grid`), plus a zero extension over the
-    rest of the target at matching resolution.  The mass, the expectation
-    and the `energy_integrals` come from rows of the solve's last Newton
-    pass.  Raises ValueError unless epsilon is finite and > 0 and grid_n
-    an integer >= 33.
+    rest of the target at matching resolution; the solution builds it on
+    its first read.  The clip depth is that grid's, read only where the
+    profile does not certify its panels nonnegative (`_clip_depth`).  The
+    mass, the expectation and the `energy_integrals` come from rows of the
+    solve's last Newton pass.  Raises ValueError unless epsilon is finite
+    and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -723,33 +784,13 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     support = tuple(sorted((anchor, m)))
     edges, sums, samples = solved.final_pass
     profile = MonotoneProfile(edges, sums[0], samples, singular=zeros)
-    grid_s = _depth_grid(_support_of(zeros[0], spec), zeros[1], grid_n)
-    raw = profile.density(grid_s)
-    # The anchored end is zero exactly; the closing end only up to the
-    # residual tolerance, and interior rounding can graze zero, so clip
-    # (recording how deep the clip went) and pin both Dirichlet ends.
-    clip_depth = float(max(0.0, -np.min(raw)))
-    values_support = np.maximum(raw, 0.0)
-    values_support[0] = 0.0
-    values_support[-1] = 0.0
-
+    clip_depth = _clip_depth(profile, zeros[1], grid_n)
     dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
-    lo, hi = support
-    grid = anchor - o * grid_s
-    grid[-1] = m                # a far edge exactly, not anchor - o * width
-    # The zero extension runs on at the support's resolution.
-    n_zero = math.ceil(abs(spec.far_edge - m) / ((hi - lo) / (grid_n - 1)))
-    zero_nodes = np.linspace(m, spec.far_edge, n_zero + 1)[1:]
-    nodes = np.concatenate([grid, zero_nodes])
-    values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
-    if o > 0:
-        # Under assumption I depth runs against y: reverse to ascending y.
-        nodes, values = nodes[::-1], values[::-1]
 
     # |theta| peaks at a support end: the parabola's vertex, inside the
     # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
     # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
-    stress_max = float(np.max(np.abs(dual.theta(np.array([lo, hi])))))
+    stress_max = float(np.max(np.abs(dual.theta(np.array(support)))))
     l_max, u_max = _invert_stress_sq(np.array([stress_max ** 2]),
                                      spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual
@@ -762,8 +803,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     expectation = m * mass + 0.5 * o * solved.moment
     return DensitySolution(
         spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
-        support=support, nodes=nodes, values=values, mass=float(mass),
-        expectation=float(expectation), energy_integrals=solved.energy_integrals,
+        support=support, crossing_depth=zeros[1], grid_n=int(grid_n),
+        mass=float(mass), expectation=float(expectation),
+        energy_integrals=solved.energy_integrals,
         max_abs_slope=float(np.sqrt(u_max[0])), max_log_lambda=float(l_max[0]),
         clip_depth=clip_depth, profile=profile)
-

@@ -53,6 +53,7 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -140,6 +141,16 @@ def _graded_edges(span, points, floor=0.0):
                           + [p + side * steps for p in inside for side in (-1.0, 1.0)])
 
 
+def _sorted_unique(values):
+    """The sorted distinct values of a 1-d float array without NaN, as
+    np.unique returns them: a sort, then the first of each run of equal
+    neighbours.  np.unique would import numpy.ma on its first call."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _adaptive(f, l, r, breakpoints, tol):
     """Shared refinement loop over [l, r], from the panels the breakpoints
     inside it cut.  f may return a stack of rows, all summed on the same
@@ -152,7 +163,7 @@ def _adaptive(f, l, r, breakpoints, tol):
     levels deep.  Returns the sorted panel edges, the (rows, panels)
     Kronrod sums and row 0's (panels, 15) samples."""
     cuts = np.asarray(breakpoints, dtype=float).ravel()
-    edges = np.unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
+    edges = _sorted_unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
     b = edges[1:].copy()
     depth = np.zeros(a.size, dtype=int)
@@ -223,6 +234,18 @@ _I_TAYLOR = _legendre_taylor(1)
 _J_TAYLOR = _legendre_taylor(2)
 
 
+@functools.cache
+def _bernstein(n):
+    """Bernstein coefficients on w in [0, 2] (rows) of a degree-n polynomial
+    from its coefficients in ascending powers of w (columns):
+    b_i = sum over j <= i of C(i, j)/C(n, j) 2^j a_j.  Built on first use
+    and shared, so read-only."""
+    out = np.array([[math.comb(i, j) / math.comb(n, j) * 2.0 ** j if j <= i else 0.0
+                     for j in range(n + 1)] for i in range(n + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def _horner_at(rows, k, w):
     """Value at w of the polynomials whose coefficient rows, in ascending
     powers of w, are `rows`, each row read at the panels k."""
@@ -265,7 +288,12 @@ class MonotoneProfile:
     `_I_TAYLOR` and the mass, over its total, from `_J_TAYLOR`, and read by
     Horner's rule, the mass for its fraction and that fraction's inverse
     alike.  A left edge, w = 0, reads U_a exactly.  Depths outside the pass
-    raise ValueError.
+    raise ValueError.  The total mass, and its check, are taken at
+    construction; the mass fraction's rows (`fractions`, `_taylor`,
+    `_size`) on their first read, by `fraction` or `invert_many`, so a
+    profile read only for its density never builds them.  Whether a
+    panel's density reads nonnegative everywhere is certified from its
+    Bernstein coefficients (`_positive_panels`).
 
     The pass's error control covers the interpolant: the |Kronrod - Gauss|
     estimate that accepted a panel measures g's distance from polynomials
@@ -296,18 +324,52 @@ class MonotoneProfile:
         self._density = np.vstack([self.edge_density[:-1],
                                    self.half * (_I_TAYLOR @ self.coeffs)])
         # A panel's mass is M at x = 1: J_0(1) = 2, J_1(1) = -2/3, others 0.
-        mass = np.concatenate([[0.0], np.cumsum(self.half * (
+        self._mass = np.concatenate([[0.0], np.cumsum(self.half * (
             2.0 * self.edge_density[:-1]
             + self.half * (2.0 * self.coeffs[0] - self.coeffs[1] / 1.5)))])
-        self.total = float(mass[-1])
+        self.total = float(self._mass[-1])
         if not 0.0 < self.total < math.inf:
             raise ValueError(f"the profile's mass {self.total} is not positive")
-        self.fractions = mass / self.total
-        # Each panel's mass fraction in ascending powers of w = x + 1, and
-        # the sum of its terms' sizes over the panel, w <= 2.
-        self._taylor = np.vstack([mass[:-1], self.half * self.edge_density[:-1],
-                                  self.half ** 2 * (_J_TAYLOR @ self.coeffs)]) / self.total
-        self._size = 2.0 ** np.arange(17) @ np.abs(self._taylor)
+
+    @functools.cached_property
+    def fractions(self):
+        """The running mass fraction at each edge, over the total."""
+        return self._mass / self.total
+
+    @functools.cached_property
+    def _taylor(self):
+        """Each panel's mass fraction in ascending powers of w = x + 1."""
+        return np.vstack([self._mass[:-1], self.half * self.edge_density[:-1],
+                          self.half ** 2 * (_J_TAYLOR @ self.coeffs)]) / self.total
+
+    @functools.cached_property
+    def _size(self):
+        """The sum of each panel's `_taylor` term sizes over the panel, w <= 2."""
+        return 2.0 ** np.arange(17) @ np.abs(self._taylor)
+
+    def _positive_panels(self):
+        """Whether each panel's density is certified nonnegative: True only
+        where every Horner read of `density` inside the panel returns a
+        value >= 0.
+
+        On w in [0, 2] a polynomial is a convex combination of its
+        Bernstein coefficients (`_bernstein`), so it is at least their
+        least.  A panel is certified when that least, for its density p,
+        exceeds 64 eps times the sum of the terms' sizes at w = 2; or when
+        p's value at the left edge, p(0), is >= 0 and the same holds for
+        q = (p - p(0))/w.  Horner's rule reads p as q(w) w + p(0), so a read
+        of q above 0 gives a read of p at least p(0): this certifies the
+        panel at the anchored edge, where the density rises from zero.
+        The margin covers the rounding of the Bernstein coefficients (at
+        most 17 roundings, under 8.5 eps of the sizes' sum), Horner's rule
+        (30 roundings at degree 15, under 15 eps) and a w one ulp past 2
+        (under 15 eps more)."""
+        def certified(rows):
+            size = 2.0 ** np.arange(len(rows)) @ np.abs(rows)
+            return np.min(_bernstein(len(rows) - 1) @ rows, axis=0) > 64.0 * _EPS * size
+
+        rows = self._density
+        return certified(rows) | ((rows[0] >= 0.0) & certified(rows[1:]))
 
     def _panels(self, s):
         """Panel index and w = x + 1 of each depth (the last edge in the

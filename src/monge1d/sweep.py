@@ -24,6 +24,7 @@ import numpy as np
 from .duality import assemble_density
 from .energy import duality_gap
 from .errors import InsufficientRows, Monge1dError
+from .numerics import _sorted_unique
 from .problem import MongeProblemSpec
 
 # Below this the log-scale bracket alpha^2/(2 eps) is so deep that the
@@ -193,9 +194,9 @@ def convergence_report(rows) -> ConvergenceReport:
     slope = None
     note = ""
     usable = dist > 0.0
-    if len(np.unique(eps)) < 2:
+    if _sorted_unique(eps).size < 2:
         note = "slope undefined: duplicate epsilon abscissae"
-    elif np.count_nonzero(usable) < 2 or len(np.unique(eps[usable])) < 2:
+    elif np.count_nonzero(usable) < 2 or _sorted_unique(eps[usable]).size < 2:
         note = "slope undefined: fewer than two positive distances"
     else:
         # positive slope in log-log: distance shrinks with epsilon

@@ -756,3 +756,34 @@ def test_oracles_load_only_for_the_commands_that_read_them(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == str([False, ("validate", 0, False), ("solve", 0, False),
                                        ("map", 0, False), ("sweep", 0, True)])
+
+
+_MASKED_PROBE = """
+import sys
+import numpy as np
+from monge1d import cli
+loaded = []
+for command in ("solve", "map", "sweep", "verify"):
+    code = cli.main([command, "--config", sys.argv[1], "--quiet"])
+    loaded.append((command, code, "numpy.ma" in sys.modules))
+np.unique(np.array([1.0, 1.0]))
+loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+"""
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's np.unique imports numpy.ma on its first call, about 15 ms
+    # of a fresh process: `solve`, `map`, `sweep` and `verify` (against an
+    # LP fixture) run without it, and the probe sees the module once
+    # np.unique is called.
+    out = tmp_path / "out"
+    TestVerify._lp_fixture(out, 1.0)
+    config = tent_config(tmp_path, grid_n=201, out=str(out))
+    src = str(Path(monge1d.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _MASKED_PROBE, config], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == str([("solve", 0, False), ("map", 0, False),
+                                       ("sweep", 0, False), ("verify", 5, False), True])

@@ -1,8 +1,10 @@
 """Unit tests for the dual algebra and the density solver."""
 
 import functools
+import importlib
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import support_table
-from monge1d import duality
+from monge1d import duality, numerics
 from monge1d.duality import DualField, assemble_density
 from monge1d.energy import duality_gap
 from monge1d.errors import CapacityError, DomainError, MaxIterations
@@ -886,6 +888,115 @@ class TestCoupledSolve:
         sol = assemble_density(spec, 0.0010772613122307722, 7965)
         assert sol.clip_depth == 0.0
         assert sol.profile.edge_density[-1] > 0.0
+
+
+def _full_grid_clip(sol):
+    """The clip depth read on every node of the solution's depth grid: the
+    table's support values before the clip."""
+    edges = sol.profile.edges
+    grid = duality._depth_grid((edges[0], edges[-1]), sol.crossing_depth, sol.grid_n)
+    return float(max(0.0, -np.min(sol.profile.density(grid))))
+
+
+def _horner_reads(monkeypatch):
+    """A list that grows by the node count of each Horner read of a
+    profile's density or mass fraction."""
+    reads, plain = [], numerics._horner_at
+
+    def counted(rows, k, w):
+        reads.append(np.size(w))
+        return plain(rows, k, w)
+
+    monkeypatch.setattr(numerics, "_horner_at", counted)
+    return reads
+
+
+class TestCertifiedClip:
+    """The clip depth reads only the grid nodes in panels the profile does
+    not certify nonnegative, and the closing node, and equals the read of
+    every node bit for bit; the table and the CDF rows are built on their
+    first read."""
+
+    CASES = {
+        "eps_floor": TestCoupledSolve.REGIMES["eps_floor"],
+        "offset_1000": TestCoupledSolve.REGIMES["offset_1000"],
+        "sharp_width": (_regime_spec(1.0, 1.0, 0.0), 1e-3),
+        "full_target": TestCoupledSolve.REGIMES["full_target"],
+    }
+
+    @pytest.mark.parametrize("grid_n", [33, 8001])
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clip_is_the_full_grid_read(self, case, assumption, grid_n):
+        spec, eps = self.CASES[case]
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        if case == "sharp_width":
+            assert spec.target_width == spec.sharp_width
+        sol = assemble_density(spec, eps, grid_n)
+        assert repr(sol.clip_depth) == repr(_full_grid_clip(sol))
+
+    def test_clip_is_the_full_grid_read_over_seeded_solves(self):
+        rng = np.random.default_rng(47)
+        for k in range(24):
+            alpha, log_eps, factor, offset, log_grid = rng.random(5)
+            spec = _regime_spec(0.5 + 3.5 * alpha, 1.02 + 1.98 * factor, 1000.0 * offset)
+            if k % 2:
+                spec = mirror_transform(spec)
+            sol = assemble_density(spec, 10.0 ** (-1.0 - 5.0 * log_eps),
+                                   int(33 * (8001 / 33) ** log_grid))
+            assert repr(sol.clip_depth) == repr(_full_grid_clip(sol)), k
+
+    def test_a_dipping_interior_panel_is_read(self):
+        # Three unit panels: the density rises to 1, dips to -1/2 inside
+        # the middle panel and returns to 1, then falls to 1/2.  Only the
+        # middle panel is not certified, and the clip reads its dip.
+        a = np.arange(3.0)
+        s = a[:, None] + 0.5 * (1.0 + numerics._XGK[None, :])
+        t = s - a[:, None]
+        samples = np.stack([np.ones(15), 12.0 * t[1] - 6.0, np.full(15, -0.5)])
+        profile = numerics.MonotoneProfile(np.arange(4.0), [1.0, 0.0, -0.5], samples)
+        assert profile._positive_panels().tolist() == [True, False, True]
+        full = float(max(0.0, -np.min(profile.density(np.linspace(0.0, 3.0, 33)))))
+        assert full == pytest.approx(0.5, rel=1e-12)
+        assert repr(duality._clip_depth(profile, 1.5, 33)) == repr(full)
+
+    @pytest.mark.parametrize("closing,certified", [(1e-14, False), (1e-12, True)])
+    def test_the_rounding_margin_decides_a_grazing_panel(self, closing, certified):
+        # The density rises to 1 over one unit panel and falls to
+        # `closing` over the next.  That panel's least Bernstein
+        # coefficient is its closing value: 22 eps of its terms' sizes is
+        # inside the 64 eps margin and is read, 2250 eps is certified.
+        samples = np.stack([np.ones(15), np.full(15, closing - 1.0)])
+        profile = numerics.MonotoneProfile(np.arange(3.0), [1.0, closing - 1.0], samples)
+        assert profile._positive_panels().tolist() == [True, certified]
+        assert duality._clip_depth(profile, 1.0, 33) == 0.0
+
+    def test_solves_read_no_node_and_build_no_table(self, monkeypatch):
+        # perfbench's solve_grid operations on seed 1: assemble_density
+        # and duality_gap Horner-read no node, where the full read took the
+        # grid_n + 1 nodes of the table; every panel is certified, the
+        # closing node reads the closing density, and the table, with the
+        # CDF rows, waits for its first read.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        reads = _horner_reads(monkeypatch)
+        points = workloads.solve_grid_inputs(1)
+        for point in points:
+            sol = assemble_density(point["spec"], point["epsilon"], point["grid_n"])
+            duality_gap(sol)
+            assert "_table" not in vars(sol)
+            assert not {"fractions", "_taylor", "_size"} & set(vars(sol.profile))
+        assert (len(points), sum(reads)) == (16, 0)
+        reads.clear()
+        assert sol.values.size == sol.nodes.size and "_table" in vars(sol)
+        assert sum(reads) == sol.nodes.size - np.count_nonzero(
+            (sol.nodes < sol.support[0]) | (sol.nodes > sol.support[1]))
+        assert not {"fractions", "_taylor", "_size"} & set(vars(sol.profile))
+        sol.cdf(sol.support[0])
+        assert "_taylor" in vars(sol.profile)
+        sol.quantile(0.5)
+        assert {"fractions", "_taylor", "_size"} <= set(vars(sol.profile))
 
 
 @functools.lru_cache(maxsize=None)

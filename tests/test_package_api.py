@@ -32,6 +32,7 @@ position: a default nothing sets is a constant.
 
 import ast
 import contextlib
+import functools
 import importlib
 import inspect
 import io
@@ -111,8 +112,9 @@ def _run_traffic(workloads, tmp_path):
 def test_definition_keys_are_their_code_objects():
     # The reach test matches the profile hook's (co_filename,
     # co_firstlineno) against these keys, so each key must be the code
-    # object's own: a decorated def starts at its first decorator.
-    properties = 0
+    # object's own: a decorated def starts at its first decorator.  A
+    # property runs its getter, a cached property its `func`.
+    properties = cached = 0
     for (file, line), name in _definitions().items():
         module, *attrs = name.split(".")
         obj = importlib.import_module(f"monge1d.{module}")
@@ -120,10 +122,12 @@ def test_definition_keys_are_their_code_objects():
             obj = inspect.getattr_static(obj, attr)
         if isinstance(obj, property):
             properties, obj = properties + 1, obj.fget
+        elif isinstance(obj, functools.cached_property):
+            cached, obj = cached + 1, obj.func
         code = inspect.unwrap(getattr(obj, "__func__", obj)).__code__
         assert (os.path.realpath(code.co_filename), code.co_firstlineno) == (
             os.path.realpath(file), line), name
-    assert properties
+    assert properties and cached
 
 
 def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
