@@ -141,10 +141,18 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     l = 0: T > alpha^2 continues smoothly into l > 0.  Raises
     MaxIterations at once on a NaN or infinite T, naming the first, and
     when Newton has not converged after 80 steps.
+
+    The loop writes each step into buffers allocated once per call,
+    operation by operation in the order of the plain expression
+    (((e^w - alpha^2)/eps + w) - ln T)/(e^w/eps + 1), so it rounds as that
+    expression does.  `_invert_stress_sq_one` runs the same iteration on
+    one float, taking e^w and ln through numpy's ufuncs as this form does:
+    libm's exp and log can round differently from numpy's vector kernels,
+    and one ulp of w moves the outputs.
     """
     T = np.asarray(stress_sq, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(T))
-    if bad.size:
+    if not np.isfinite(T).all():
+        bad = np.flatnonzero(~np.isfinite(T))
         raise MaxIterations(f"slope inversion got the non-finite squared "
                             f"stress {T.flat[bad[0]]} at node {bad[0]}")
     a2 = alpha * alpha
@@ -153,22 +161,74 @@ def _invert_stress_sq(stress_sq, alpha, epsilon):
     z = log_t - math.log(a2)
     w = np.where(z > -a2 / epsilon, np.log(np.maximum(a2 + epsilon * z, 1e-300)),
                  log_t + a2 / epsilon)
+    u, step, den = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+    settled = np.empty(w.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        u = np.exp(w)
-        step = ((u - a2) / epsilon + w - log_t) / (u / epsilon + 1.0)
-        w = w - step
-        if np.all(np.abs(step) <= 1e-9 * np.maximum(1.0, np.abs(w))):
+        np.exp(w, out=u)
+        np.divide(u, epsilon, out=den)
+        den += 1.0
+        # The step begins on its one `step = ` line, the line work counts trace.
+        step = np.subtract(u, a2, out=step)
+        step /= epsilon
+        step += w
+        step -= log_t
+        step /= den
+        w -= step
+        # |step| <= 1e-9 max(1, |w|), in the buffers the next step rewrites.
+        np.maximum(np.abs(w, out=den), 1.0, out=den)
+        den *= 1e-9
+        if np.less_equal(np.abs(step, out=u), den, out=settled).all():
             break
     else:
         raise MaxIterations(
             f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
             f"Newton steps (last step {float(np.max(np.abs(step))):.3e})")
-    u = np.exp(w)
+    np.exp(w, out=u)
     upper = u >= 0.5 * a2
     l = np.where(upper, 0.5 * (log_t - w), (u - a2) / (2.0 * epsilon))
     u = np.where(upper & (u >= epsilon), a2 + 2.0 * epsilon * l, u)
     l[~pos], u[~pos] = -a2 / (2.0 * epsilon), 0.0
     return l, u
+
+
+def _invert_stress_sq_one(stress_sq, alpha, epsilon):
+    """`_invert_stress_sq` of one squared stress T, on floats: (l, slope_sq)
+    equal bit for bit to its outputs on the array [T].
+
+    The same start, Newton step, stop and read-out, operation for
+    operation.  e^w and ln take numpy's ufuncs on the float, as the array
+    form does (libm's exp and log can round differently); math.log(alpha^2)
+    is the array form's own.  T <= 0 reads the floor at once, where the
+    array form iterates on its placeholder and then discards the result.
+    Raises MaxIterations on a NaN or infinite T and when Newton has not
+    converged after 80 steps.
+    """
+    T = float(stress_sq)
+    if not math.isfinite(T):
+        raise MaxIterations(f"slope inversion got the non-finite squared "
+                            f"stress {T} at node 0")
+    a2 = alpha * alpha
+    if not T > 0.0:
+        return -a2 / (2.0 * epsilon), 0.0
+    log_t = float(np.log(T))
+    z = log_t - math.log(a2)
+    w = (float(np.log(max(a2 + epsilon * z, 1e-300))) if z > -a2 / epsilon
+         else log_t + a2 / epsilon)
+    for _ in range(_NEWTON_MAX_ITER):
+        u = float(np.exp(w))
+        step = ((u - a2) / epsilon + w - log_t) / (u / epsilon + 1.0)
+        w -= step
+        if abs(step) <= 1e-9 * max(1.0, abs(w)):
+            break
+    else:
+        raise MaxIterations(
+            f"slope inversion did not converge in {_NEWTON_MAX_ITER} "
+            f"Newton steps (last step {abs(step):.3e})")
+    u = float(np.exp(w))
+    if u < 0.5 * a2:
+        return (u - a2) / (2.0 * epsilon), u
+    l = 0.5 * (log_t - w)
+    return l, (a2 + 2.0 * epsilon * l if u >= epsilon else u)
 
 
 # -- the dual field -----------------------------------------------------------
@@ -208,18 +268,18 @@ class DualField:
         return -0.5 * self.orientation * (z + c)
 
     def theta(self, y):
+        """The stress at y: an array for an array, a float, on floats, for
+        a number."""
         z, c = self.zeros
-        y_arr = np.asarray(y, dtype=float)
-        out = -0.5 * self.orientation * (y_arr - z) * (y_arr - c)
-        return out if np.ndim(y) else float(out)
+        y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
+        return -0.5 * self.orientation * (y - z) * (y - c)
 
     def theta_y(self, y):
         """Stress gradient -|y| - multiplier, free of the cancellation the
         expanded form suffers far from the origin."""
         z, c = self.zeros
-        y_arr = np.asarray(y, dtype=float)
-        out = -0.5 * self.orientation * ((y_arr - z) + (y_arr - c))
-        return out if np.ndim(y) else float(out)
+        y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
+        return -0.5 * self.orientation * ((y - z) + (y - c))
 
     def fields_at(self, y):
         """(theta, log_lambda, slope) arrays from one inversion pass."""
@@ -328,20 +388,25 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     S = _support_of(z, spec)[1]
 
     def fn(s, l, g):
-        h = epsilon * g / (g * g + epsilon)     # theta dg/dtheta
+        d, gg = S - s, g * g
+        h = epsilon * g / (gg + epsilon)        # theta dg/dtheta
         lam = np.exp(l)
-        return (g, (S - s) * g, (S - s) ** 2 * g, h, (S - s) * h, epsilon * lam,
-                -lam * (g * g - epsilon))
+        return (g, d * g, d ** 2 * g, h, d * h, epsilon * lam, -lam * (gg - epsilon))
 
     done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol, density=True)
-    I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1]
+    I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1].tolist()
     # The slope at depths 0 and S, off the end panels' interpolants.
-    g0, gS = _KRONROD_ENDS[0] @ done[2][0], _KRONROD_ENDS[1] @ done[2][-1]
-    J = (np.outer([I + 2.0 * K, 2.0 * (M + L)], [1.0, -1.0])
-         + np.outer([g0, S * g0], [-c, z]))
+    g0, gS = float(_KRONROD_ENDS[0] @ done[2][0]), float(_KRONROD_ENDS[1] @ done[2][-1])
+    # The rows (A, B) (1, -1) + (g0, S g0) (-c, z), entry by entry.
+    A, B = I + 2.0 * K, 2.0 * (M + L)
+    J = [[A - g0 * c, -A + g0 * z], [B - S * g0 * c, -B + S * g0 * z]]
     if z > S:                   # the far edge, not z, closes the support
-        J += np.outer([gS, I], [c - S, S - z])
-    return np.array([I - aim, M - 1.0, moment, *energies]), J / (z - c), done
+        for row, g in zip(J, (gS, I)):
+            row[0] += g * (c - S)
+            row[1] += g * (S - z)
+    D = z - c
+    return (np.array([I - aim, M - 1.0, moment, *energies]),
+            np.array([[J[0][0] / D, J[0][1] / D], [J[1][0] / D, J[1][1] / D]]), done)
 
 
 # The coefficients (v1, v2, v3), each a (z, c) pair, of the alpha = 1
@@ -578,18 +643,19 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
     F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
     size = math.inf
     for k in range(_ZERO_MAX_STEPS):
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
+        f = F.tolist()
+        if not all(map(math.isfinite, f + J.ravel().tolist())):
             break
-        held = abs(F[1]) <= _MASS_TOL and abs(F[0]) <= 0.9 * _CLOSURE_TOL
-        last, size = size, float(np.max(np.abs(F[:2])))
-        ulps = 4.0 * float(np.spacing(max(abs(z), abs(c))))
+        held = abs(f[1]) <= _MASS_TOL and abs(f[0]) <= 0.9 * _CLOSURE_TOL
+        last, size = size, max(abs(f[0]), abs(f[1]))
+        ulps = 4.0 * math.ulp(max(abs(z), abs(c)))
         try:
             delta = np.linalg.solve(J, -F[:2]).tolist()
         except np.linalg.LinAlgError:
             delta = None
         proposed = math.inf if delta is None else max(map(abs, delta))
         if held and (proposed <= ulps or size >= 0.5 * last):
-            return _ZeroSolve((z, c), k, *F[:3].tolist(), tuple(F[3:].tolist()), final)
+            return _ZeroSolve((z, c), k, *f[:3], tuple(f[3:]), final)
         if delta is None:
             break
         z, c = _bounded_step((z, c), delta, width)
@@ -613,7 +679,10 @@ class DensitySolution:
     support values run before the clip, certified panel by panel
     (`_clip_depth`).  max_abs_slope and max_log_lambda report how far the
     solution runs above the nominal scale ceiling instead of clamping it
-    (see the module docstring).  mass, expectation and energy_integrals
+    (see the module docstring); they are the slope inversion of the stress
+    maximum, one node run on floats (`_invert_stress_sq_one`) and equal
+    bit for bit to the array inversion of that node.  mass, expectation
+    and energy_integrals
     (the H-term and dual integrals `energy` reads) are rows of the solve's
     last pass; what the coupled zero solve did (its Newton steps and final
     residuals) stays on its `_ZeroSolve`.
@@ -761,7 +830,11 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     its first read.  The clip depth is that grid's, read only where the
     profile does not certify its panels nonnegative (`_clip_depth`).  The
     mass, the expectation and the `energy_integrals` come from rows of the
-    solve's last Newton pass.  Raises ValueError unless epsilon is finite
+    solve's last Newton pass.  The slope maximum is read at the stress
+    maximum, a support end, by the float form of the inversion
+    (`_invert_stress_sq_one`): the array form's iteration on that one node
+    without numpy's per-call cost, equal to it bit for bit.  Raises
+    ValueError unless epsilon is finite
     and > 0 and grid_n an integer >= 33.
     """
     _require_valid(spec)
@@ -790,9 +863,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     # |theta| peaks at a support end: the parabola's vertex, inside the
     # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
     # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
-    stress_max = float(np.max(np.abs(dual.theta(np.array(support)))))
-    l_max, u_max = _invert_stress_sq(np.array([stress_max ** 2]),
-                                     spec.alpha, epsilon)
+    stress_max = max(abs(dual.theta(support[0])), abs(dual.theta(support[1])))
+    l_max, u_max = _invert_stress_sq_one(stress_max ** 2, spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual
     # integral of y u = m * mass + integral of (y - m) u, and the latter
     # integrates by parts to -1/2 integral of (y - m)^2 u_y dy, which is
@@ -806,5 +878,5 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
         support=support, crossing_depth=zeros[1], grid_n=int(grid_n),
         mass=float(mass), expectation=float(expectation),
         energy_integrals=solved.energy_integrals,
-        max_abs_slope=float(np.sqrt(u_max[0])), max_log_lambda=float(l_max[0]),
+        max_abs_slope=math.sqrt(u_max), max_log_lambda=l_max,
         clip_depth=clip_depth, profile=profile)

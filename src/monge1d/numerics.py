@@ -232,6 +232,9 @@ def _legendre_taylor(order):
 # of w = x + 1.
 _I_TAYLOR = _legendre_taylor(1)
 _J_TAYLOR = _legendre_taylor(2)
+# 2^j, the size of w^j at w = 2, for the rows of a panel's mass fraction
+# (17) and of its density (16).
+_POWERS_OF_TWO = 2.0 ** np.arange(17)
 
 
 @functools.cache
@@ -243,6 +246,13 @@ def _bernstein(n):
     out = np.array([[math.comb(i, j) / math.comb(n, j) * 2.0 ** j if j <= i else 0.0
                      for j in range(n + 1)] for i in range(n + 1)])
     out.flags.writeable = False
+    return out
+
+
+def _running_sums(values):
+    """0, then the running sums of the 1-d `values`, as np.cumsum adds them."""
+    out = np.zeros(values.size + 1)
+    np.cumsum(values, out=out[1:])
     return out
 
 
@@ -311,22 +321,26 @@ class MonotoneProfile:
     def __init__(self, edges, sums, samples, singular=()):
         edges, sums, samples = (np.asarray(a, dtype=float)
                                 for a in (edges, sums, samples))
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
+        if (edges.ndim != 1 or edges.size < 2
+                or not ((gaps := edges[1:] - edges[:-1]) > 0.0).all()):
             raise ValueError("panel edges must be strictly increasing")
         if sums.shape != (edges.size - 1,) or samples.shape != (edges.size - 1, 15):
             raise ValueError("a pass has one sum and 15 samples per panel")
-        self.edges, self.half = edges, 0.5 * np.diff(edges)
+        self.edges, self.half = edges, 0.5 * gaps
         self.coeffs = _KRONROD_TO_LEGENDRE @ samples.T
-        ends_at = np.isin(edges, singular)
+        ends_at = np.zeros(edges.size, dtype=bool)
+        for p in singular:
+            ends_at |= edges == p
         self.coeffs[1:, ends_at[:-1] | ends_at[1:]] = 0.0
-        self.edge_density = np.concatenate([[0.0], np.cumsum(sums)])
+        self.edge_density = _running_sums(sums)
         # Each panel's density in ascending powers of w = x + 1.
-        self._density = np.vstack([self.edge_density[:-1],
-                                   self.half * (_I_TAYLOR @ self.coeffs)])
+        self._density = np.empty((1 + len(_I_TAYLOR), sums.size))
+        self._density[0] = self.edge_density[:-1]
+        np.multiply(self.half, _I_TAYLOR @ self.coeffs, out=self._density[1:])
         # A panel's mass is M at x = 1: J_0(1) = 2, J_1(1) = -2/3, others 0.
-        self._mass = np.concatenate([[0.0], np.cumsum(self.half * (
+        self._mass = _running_sums(self.half * (
             2.0 * self.edge_density[:-1]
-            + self.half * (2.0 * self.coeffs[0] - self.coeffs[1] / 1.5)))])
+            + self.half * (2.0 * self.coeffs[0] - self.coeffs[1] / 1.5)))
         self.total = float(self._mass[-1])
         if not 0.0 < self.total < math.inf:
             raise ValueError(f"the profile's mass {self.total} is not positive")
@@ -345,7 +359,7 @@ class MonotoneProfile:
     @functools.cached_property
     def _size(self):
         """The sum of each panel's `_taylor` term sizes over the panel, w <= 2."""
-        return 2.0 ** np.arange(17) @ np.abs(self._taylor)
+        return _POWERS_OF_TWO @ np.abs(self._taylor)
 
     def _positive_panels(self):
         """Whether each panel's density is certified nonnegative: True only
@@ -365,8 +379,8 @@ class MonotoneProfile:
         (30 roundings at degree 15, under 15 eps) and a w one ulp past 2
         (under 15 eps more)."""
         def certified(rows):
-            size = 2.0 ** np.arange(len(rows)) @ np.abs(rows)
-            return np.min(_bernstein(len(rows) - 1) @ rows, axis=0) > 64.0 * _EPS * size
+            size = _POWERS_OF_TWO[:len(rows)] @ np.abs(rows)
+            return (_bernstein(len(rows) - 1) @ rows).min(axis=0) > 64.0 * _EPS * size
 
         rows = self._density
         return certified(rows) | ((rows[0] >= 0.0) & certified(rows[1:]))

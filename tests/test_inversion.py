@@ -193,21 +193,26 @@ class TestAgainstTheOracle:
 
 
 def inversion_work(run):
-    """Newton steps of the inversion, summed over every `_invert_stress_sq`
-    call run() makes.  A step is one execution of the loop's step line,
-    counted by a line tracer on the inversion's frames alone."""
-    lines, first = inspect.getsourcelines(duality._invert_stress_sq)
-    at = [first + i for i, text in enumerate(lines) if text.lstrip().startswith("step = ")]
-    assert len(at) == 1
-    code, steps = duality._invert_stress_sq.__code__, []
+    """Newton steps of the inversion, summed over every call run() makes
+    to `_invert_stress_sq` and to its float form `_invert_stress_sq_one`.
+    A step is one execution of a form's step line, the one line of each
+    that starts `step = `, counted by a line tracer on those frames alone."""
+    at = {}
+    for form in (duality._invert_stress_sq, duality._invert_stress_sq_one):
+        lines, first = inspect.getsourcelines(form)
+        anchors = [first + i for i, text in enumerate(lines)
+                   if text.lstrip().startswith("step = ")]
+        assert len(anchors) == 1
+        at[form.__code__] = anchors[0]
+    steps = []
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == at[0]:
+        if event == "line" and frame.f_lineno == at[frame.f_code]:
             steps.append(1)
         return local
 
     def trace(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if frame.f_code in at else None
 
     previous = sys.gettrace()
     sys.settrace(trace)
@@ -219,8 +224,8 @@ def inversion_work(run):
 
 
 # (alpha, eps): Newton steps of one canonical solve, grid 2001, over all
-# of its inversion calls: one per Newton pass and one for the stress
-# maximum.  A pass's call takes 2 steps when eps is small next to alpha^2,
+# of its inversion calls: one per Newton pass and one, in the float
+# form, for the stress maximum.  A pass's call takes 2 steps when eps is small next to alpha^2,
 # where the start is the root to first order in eps z, and up to 7 at
 # alpha 1, eps 0.1, where the graded nodes next to the stress zeros reach
 # far below slope^2 = alpha^2/2.  The coupled solve's tabulated start
@@ -239,3 +244,96 @@ def test_canonical_inversion_work_is_pinned(alpha, eps):
     spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
     work = inversion_work(lambda: assemble_density(spec, eps))
     assert work == _CANONICAL_WORK[alpha, eps]
+
+
+@pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3), (4.0, 1e-4)])
+def test_assembly_inverts_one_array_per_round(monkeypatch, alpha, eps):
+    # Every `_adaptive` round of the solve's passes inverts its nodes in one
+    # array call; the stress maximum takes the float form once and no array
+    # call of its own.
+    rounds, arrays, floats = [], [], []
+    adaptive, plain, one = (duality._adaptive, duality._invert_stress_sq,
+                            duality._invert_stress_sq_one)
+
+    def counted_adaptive(fn, *args, **kwargs):
+        def round_(s):
+            rounds.append(1)
+            return fn(s)
+        return adaptive(round_, *args, **kwargs)
+
+    def counted_array(stress_sq, *args):
+        arrays.append(np.size(stress_sq))
+        return plain(stress_sq, *args)
+
+    def counted_float(stress_sq, *args):
+        floats.append(stress_sq)
+        return one(stress_sq, *args)
+
+    monkeypatch.setattr(duality, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
+    monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_float)
+    assemble_density(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+    assert rounds and len(arrays) == len(rounds)
+    assert len(floats) == 1
+
+
+def _as_hex(l, u):
+    return float(l).hex(), float(u).hex()
+
+
+def _float_form_stresses(alpha, eps, rng):
+    """Squared stresses spread evenly in z = ln(T/alpha^2) from the deep
+    tail, T = 1e-300, up to alpha^2 e^20, 300 at random and both sides of
+    each read-out switch and of the start's switch z = -alpha^2/eps; then
+    the subnormal T 5e-324 and 1e-310, and T <= 0."""
+    a2 = alpha * alpha
+    lowest = math.log(1e-300 / a2)
+    z = list(rng.uniform(lowest, 20.0, 300))
+    z += [s * (1.0 + d) for s in switches(alpha, eps) + [-a2 / eps]
+          for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3) if s * (1.0 + d) > lowest]
+    t = [a2 * math.exp(x) for x in z]
+    return [x for x in t if x >= 1e-300] + [a2, 5e-324, 1e-310, 0.0, -0.0, -1e-300, -1.0]
+
+
+_FLOAT_FORM_CASES = [(alpha, eps) for alpha in (0.05, 0.3, 1.0, 4.0, 100.0)
+                     for eps in (1e-6, 1e-3, 0.1, 10.0)]
+
+
+class TestFloatForm:
+    """`_invert_stress_sq_one` against `_invert_stress_sq` on the array
+    [T], bit for bit."""
+
+    @pytest.mark.parametrize("alpha,eps", _FLOAT_FORM_CASES)
+    def test_equals_the_array_form(self, alpha, eps):
+        rng = np.random.default_rng(int(alpha * 1000) + int(-math.log10(eps) * 7))
+        for t in _float_form_stresses(alpha, eps, rng):
+            want = _as_hex(*(a[0] for a in duality._invert_stress_sq(np.array([t]), alpha, eps)))
+            assert _as_hex(*duality._invert_stress_sq_one(t, alpha, eps)) == want, t
+
+    def test_cases_reach_every_branch(self):
+        # Both starts, ln(alpha^2 + eps z) and ln T + alpha^2/eps, and all
+        # three read-outs: l off e^w below slope^2 = alpha^2/2, and above
+        # it slope^2 as alpha^2 + 2 eps l or, below eps, as e^w.
+        starts, readouts = set(), set()
+        rng = np.random.default_rng(0)
+        for alpha, eps in _FLOAT_FORM_CASES:
+            a2 = alpha * alpha
+            for t in _float_form_stresses(alpha, eps, rng):
+                if t <= 0.0:
+                    continue
+                starts.add(math.log(t) - math.log(a2) > -a2 / eps)
+                u = duality._invert_stress_sq_one(t, alpha, eps)[1]
+                readouts.add("low" if u < 0.5 * a2 else "sum" if u >= eps else "exp")
+        assert starts == {True, False}
+        assert readouts == {"low", "sum", "exp"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_in_both(self, bad):
+        with pytest.raises(MaxIterations, match="non-finite .* at node 0"):
+            duality._invert_stress_sq_one(bad, 1.0, 1e-3)
+        with pytest.raises(MaxIterations, match="non-finite .* at node 0"):
+            duality._invert_stress_sq(np.array([bad]), 1.0, 1e-3)
+
+    def test_returns_floats(self):
+        l, u = duality._invert_stress_sq_one(np.float64(2.0), 1.0, 1e-3)
+        assert type(l) is float and type(u) is float
