@@ -179,7 +179,6 @@ def energy_json_document(solution, report) -> dict:
         crossing=solution.dual.zeros[1],
         mass=solution.mass,
         expectation=solution.expectation,
-        gap=report.gap_primal_dual,
     )
     return doc
 
@@ -196,7 +195,6 @@ def cost_json_document(spec, solution, increasing, decreasing) -> dict:
         "epsilon": solution.epsilon,
         "cost_increasing": increasing.cost,
         "cost_decreasing": decreasing.cost,
-        "cost_difference": increasing.cost - decreasing.cost,
         "residual_increasing": pushforward_residual(increasing, solution, spec),
         "residual_decreasing": pushforward_residual(decreasing, solution, spec),
     }

@@ -83,7 +83,12 @@ when alpha < 1, where the sharp-limit stress is 1/alpha) the algebra
 extends continuously to l > 0 and this module follows it, reporting
 max_log_lambda / max_abs_slope diagnostics instead of clamping.
 Clamping would break both the equilibrium identity and the primal/dual
-energy match, which downstream modules verify at tight tolerances.
+energy match, which downstream modules verify at tight tolerances.  On a
+free end the largest slope is the anchor's, where |theta| = zc/2 tends
+to the tent's 1/alpha, so l tends to -2 ln alpha and, to first order,
+max_abs_slope = alpha (1 - 2 eps ln(alpha)/alpha^2): above alpha when
+alpha < 1, below it when alpha > 1.  At alpha = 1 that term vanishes and
+the excess is eps^2.
 """
 
 from __future__ import annotations

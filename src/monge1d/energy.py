@@ -16,7 +16,8 @@ the observed primal-dual gap measures nothing but quadrature and
 root-solve error.  The mixed form's equality is pointwise: under the
 locking identity (u_y^2 - a^2)/2 = eps ln lam its integrand is
 eps lam - |y| u, the primal's, so at the solved pair the complementary
-energy is the primal energy itself.
+energy is the primal energy itself.  Of the report's two gaps only
+primal - dual can vary; primal - mixed is 0.0 by construction.
 
 Every integrand is written in (log_lambda, slope) variables: factors
 like th^2/lam are evaluated as lam * slope^2 via the locking identity,
@@ -90,8 +91,6 @@ class EnergyReport:
     xi_total: float
     gap_primal_dual: float
     gap_primal_xi: float
-    gap_xi_dual: float
-    domain_convention: str
     full_target_offset: float
     constraint_residuals: ConstraintResiduals
 
@@ -104,10 +103,12 @@ def duality_gap(solution: DensitySolution) -> EnergyReport:
     the primal energy is the expectation up to sign; the dual energy adds
     multiplier * 1, the unit mass the multiplier prices.  The mixed
     energy's integrand is the primal's at the locked pair (see the module
-    docstring), so `xi_total` is the primal and `gap_primal_xi` reads 0.0.
-    Uses the "support" convention: the zero extension's flat contribution,
-    eps e^{-a^2/(2 eps)} per unit length of target outside the support,
-    is reported separately as `full_target_offset`.
+    docstring), so `xi_total` is the primal and `gap_primal_xi` reads 0.0:
+    `gap_primal_dual` is the one gap that can vary, and it reads the
+    quadrature and root-solve error.  The energies integrate over the
+    support: the zero extension's flat contribution, eps e^{-a^2/(2 eps)}
+    per unit length of target outside the support, is reported separately
+    as `full_target_offset`.
     """
     eps, alpha = solution.epsilon, solution.spec.alpha
     h_term, dual_term = solution.energy_integrals
@@ -122,9 +123,7 @@ def duality_gap(solution: DensitySolution) -> EnergyReport:
         negativity=solution.clip_depth)
     return EnergyReport(
         primal=primal, dual=dual_val, xi_total=primal, gap_primal_dual=primal - dual_val,
-        gap_primal_xi=0.0, gap_xi_dual=primal - dual_val,
-        domain_convention="support", full_target_offset=offset,
-        constraint_residuals=residuals)
+        gap_primal_xi=0.0, full_target_offset=offset, constraint_residuals=residuals)
 
 
 # -- variational probes -------------------------------------------------------

@@ -36,7 +36,7 @@ _DISTANCE_GRID_N = 2001
 
 _CSV_COLUMNS = ("epsilon", "constant", "support_endpoint", "mass_err",
                 "sup_slope", "expectation", "primal", "dual", "gap",
-                "dist_tent", "ms", "error")
+                "dist_tent", "error")
 
 # Trajectory steps within this of zero count as flat.
 _TREND_SLACK = 1e-12
@@ -127,10 +127,8 @@ def epsilon_sweep(spec: MongeProblemSpec, epsilons):
 
 
 def _cell(row, column) -> str:
-    """A row's CSV cell: `ms` empty, `error` raw, a missing number empty
-    and any other number its repr."""
-    if column == "ms":
-        return ""
+    """A row's CSV cell: `error` raw, a missing number empty and any
+    other number its repr."""
     if column == "error":
         return row.error
     value = getattr(row, column)
@@ -138,11 +136,7 @@ def _cell(row, column) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    """Serialize sweep rows to CSV text, bit-stable for identical inputs.
-
-    The `ms` column is intentionally left empty: wall time varies run to
-    run and would break byte-for-byte determinism of the artifact.
-    """
+    """Serialize sweep rows to CSV text, bit-stable for identical inputs."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)

@@ -24,7 +24,7 @@ for alpha in (0.5, 1.0, 2.0):
     print(f"  dual          {report.dual:+.12f}")
     print(f"  complementary {report.xi_total:+.12f}")
     print(f"  gaps          {report.gap_primal_dual:+.2e} "
-          f"{report.gap_primal_xi:+.2e} {report.gap_xi_dual:+.2e}")
+          f"{report.gap_primal_xi:+.2e}")
     print(f"  residuals     mass {report.constraint_residuals.mass_error:.2e}"
           f", slope excess {report.constraint_residuals.slope_excess:+.4f}")
 print()

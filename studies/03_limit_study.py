@@ -51,7 +51,6 @@ print(f"expectation trend:      {report.expectation_trend}")
 print(f"largest duality gap:    {report.largest_gap:.2e}")
 
 print()
-print("sweep.csv head (the ms column stays empty so reruns are "
-      "byte-identical):")
+print("sweep.csv head:")
 for line in rows_to_csv(rows).splitlines()[:3]:
     print(" ", line)

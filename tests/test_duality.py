@@ -460,6 +460,23 @@ class TestAssembleDensity:
             slope_sq = duality._invert_stress_sq(np.array([stress ** 2]), alpha, eps)[1]
             assert sol.max_abs_slope == float(np.sqrt(slope_sq[0]))
 
+    @pytest.mark.parametrize("alpha,slack", [(0.5, 10.0), (1.0, 2.0), (2.0, 0.65),
+                                             (4.0, 0.08)])
+    def test_largest_slope_follows_its_first_order_form(self, alpha, slack):
+        # The module docstring's form, on a free end at 2.5 sharp widths:
+        # the excess over alpha, divided by its first-order term (eps^2 at
+        # alpha 1), read 1 - c eps with c 7.79-7.89, 1.499-1.546, 0.507
+        # and 0.0609 at alpha 0.5, 1, 2 and 4 over eps 1e-3 to 1e-5
+        # (alpha 1's spread at 1e-5 is the rounding of slope - 1 = 1e-10).
+        # `slack` bounds c.
+        for eps in (1e-3, 1e-4, 1e-5):
+            slope = assemble_density(_regime_spec(alpha, 2.5, 0.0), eps).max_abs_slope
+            if alpha == 1.0:
+                ratio = (slope - 1.0) / eps ** 2
+            else:
+                ratio = (slope / alpha - 1.0) / (-2.0 * eps * math.log(alpha) / alpha ** 2)
+            assert 1.0 - slack * eps <= ratio < 1.0
+
     def test_mass_conservation_across_epsilon(self, solved):
         for eps in (0.1, 0.01, 1e-3):
             sol = solved(SPEC_I, eps)
