@@ -57,21 +57,27 @@ unit mass at all is decided before the solve, in closed form, by
 `problem.require_capacity`: the target must be at least as wide as the
 sharp-limit tent, 2/sqrt(alpha).
 
-Every quadrature of the slope starts from panels graded geometrically
-toward the stress zeros in the support (`_graded_edges`).  Next to a zero
-the slope has a log-type layer, slope^2 ~ alpha^2 + 2 eps ln|theta|,
-which bisection would reach one level per round; graded panels each see
-the layer on their own scale, so one or two vectorized rounds settle a
-quadrature.  The assembly runs no pass of its own: it reads the solve's
-last one, so the closing density keeps the sign the solve gave it, and a
-finer grid adds no panel and no inversion.  Every pass is built by one
-function, `_depth_pass`, and integrates a stack of rows of one
-inversion.  The solve's passes carry the expectation and the primal and
-dual energy integrals (at the solved pair the complementary energy is the
-primal, see `energy`), and their panels, graded 64 ulps deep into each
-zero, become the density.  `DualField.integrate` sums rows alone, the
-probes' among them: its pass grades into the zeros only as deep as its
-tolerance needs, and toward the anchored edge too.
+The solve's quadratures of the slope start from panels graded
+geometrically toward the stress zeros in the support (`_graded_edges`).
+Next to a zero the slope has a log-type layer,
+slope^2 ~ alpha^2 + 2 eps ln|theta|, which bisection would reach one level
+per round; graded panels each see the layer on their own scale, so one or
+two vectorized rounds settle a quadrature.  The assembly runs no pass of
+its own: it reads the solve's last one, so the closing density keeps the
+sign the solve gave it, and a finer grid adds no panel and no inversion.
+The solve's passes are built by `_depth_pass`, which integrates a stack of
+rows of one inversion per node: they carry the expectation and the primal
+and dual energy integrals (at the solved pair the complementary energy is
+the primal, see `energy`), and their panels, graded 64 ulps deep into each
+zero, become the density.
+
+`DualField.integrate` sums rows alone, the probes' among them, and
+delivers no density, so its pass (`_log_pass`) takes l = ln lambda as the
+variable instead of depth.  On the parabola's three branches depth,
+slope and Jacobian are closed forms of l: g = sqrt(alpha^2 + 2 eps l) and
+|theta| = e^l g, so the pass inverts no node, the zeros' log layers become
+a factor e^l that 40 units of l exhaust, and a kink at a fixed l is a
+fixed panel edge.  The float inversion gives only the branch ends.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -294,64 +300,163 @@ class DualField:
 
     def integrate(self, fn, tol, levels=()):
         """Support integrals of the rows fn(y, log_lambda, slope) (a float
-        for one row), the sums of one `_depth_pass` in depths from the
-        anchored support end (the upper one under orientation I), panel
-        after panel.  The pass sums rows and delivers no density, so its
-        panels grade into the stress zeros only as deep as `tol` needs and
-        toward the anchored end as well; both rules read the field and
-        `tol` alone, so one row and a stack of them share panels.
+        for one row), the sums of one `_log_pass` over the stress
+        parabola's three branches in l = ln lambda, panel after panel.  On
+        each branch depth, slope and Jacobian are closed forms of l, so the
+        pass inverts no node, and its sums do not depend on the array
+        inversion's collective stop (`_invert_stress_sq`): the float
+        inversion gives the branch ends alone.
 
-        Every point where |theta| takes one of the `levels` is a panel
-        edge, so no round of the pass hunts a row's kink there by
-        bisection.  The depths are the closed-form roots of
-        (s - z)(s - c) = +-2 level in the depth zeros, accurate to ulps of
-        the support's width wherever it lies.
+        `levels` are values of l.  Every point where l takes one of them
+        is a panel edge, cut exactly on each branch it crosses, so no
+        round of the pass hunts a row's kink there by bisection.
         """
         o, (lo, hi) = self.orientation, self.support
         anchor = hi if o > 0 else lo
         zeros = tuple(o * (anchor - p) for p in self.zeros)
-        S = hi - lo
-        sums = _depth_pass(lambda s, l, g: fn(anchor - o * s, l, -o * g), zeros, S,
-                           self.alpha, self.epsilon, tol, density=False,
-                           cuts=_level_depths(zeros, (0.0, S), levels))[1]
+        sums = _log_pass(fn, zeros, hi - lo, anchor, o, self.alpha, self.epsilon,
+                         tol, levels)
         out = np.cumsum(sums, axis=1)[:, -1]
         return float(out[0]) if out.size == 1 else out
 
 
-def _level_depths(zeros, span, levels):
-    """Depths inside the open span where the depth stress (s - z)(s - c)/2
-    has magnitude equal to one of the levels: s = m +- sqrt(h^2 +- 2 level)
-    with m = (z + c)/2, h = (z - c)/2."""
-    z, c = zeros
-    m, h2 = 0.5 * (z + c), (0.5 * (z - c)) ** 2
-    disc = np.concatenate([h2 + 2.0 * np.asarray(levels, dtype=float),
-                           h2 - 2.0 * np.asarray(levels, dtype=float)])
-    root = np.sqrt(disc[disc >= 0.0])
-    s = np.concatenate([m - root, m + root])
-    return s[(s > span[0]) & (s < span[1])]
+# How far below the top of each branch the row pass integrates, in l: the
+# rest of the branch is a factor e^-40 = 4e-18 of it.
+_L_WINDOW = 40.0
+# Distances in l below a branch's top where the row pass's first panels end,
+# and the v = sqrt(l_v - l) they give below the vertex.
+_L_LADDER = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 11.0, 17.0, 25.0)
+_V_LADDER = tuple(math.sqrt(dl) for dl in _L_LADDER)
 
 
-def _depth_pass(fn, zeros, S, alpha, epsilon, tol, *, density, cuts=()):
-    """One `_adaptive` pass of the rows fn(s, l, du/ds) over the depths
-    [0, S], on panels graded toward the stress zeros and cut at the depths
-    `cuts`, refined until every row meets the tolerance.  In depth both
-    orientations carry the stress (s - z)(s - c)/2, whose one inversion
-    per node gives l = ln lambda and du/ds.  Returns the pass: its edges,
-    row sums and du/ds samples.
+def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=()):
+    """The row sums of one `_adaptive` pass of fn(y, l, slope) over the
+    depths [0, S] of the stress (s - z)(s - c)/2, 0 <= c <= S <= z, taken
+    in l = ln lambda branch by branch, so that no node is inverted; y is
+    anchor - orientation s and the slope du/dy.
 
-    A `density` pass (the solve's) grades 64 ulps deep into each zero: its
-    panels become the delivered density and its CDF, read between the
-    nodes, so every panel must resolve the slope's log layer.  A pass
-    that only sums rows grades each zero down to tol S alpha/eps, or 64
-    ulps if that is wider: the slope's layer has strength eps/alpha, so the
-    panel ending at the zero errs by about its width times that, tol S,
-    and the refinement still holds every row to tol.  It also grades
-    toward depth 0, the anchored edge, where the stress and the slope
-    peak: there the probes' t > 0 primal rows,
-    eps lambda expm1(t dg (2 du/ds + t dg)/(2 eps)), vary on the penalty's
-    own scale, so their edges are S 2^-k for k = 1 .. ceil(log2(alpha^2/eps)).
-    Neither rule reads the rows, so a stack and each of its rows alone are
-    summed on the same panels."""
+    With g = sqrt(alpha^2 + 2 eps l), tau = e^l g = |theta|, m = (z + c)/2
+    and h = (z - c)/2 the three branches are
+    - theta > 0 on [0, c]: s = c - 2 tau/(h + sqrt(h^2 + 2 tau)),
+    - theta < 0 on [c, min(m, S)]: s = c + 2 tau/(h + sqrt(h^2 - 2 tau)),
+    - theta < 0 on [m, S]: s = z - 2 tau/(h + sqrt(h^2 - 2 tau)),
+    with |ds| = e^l (g^2 + eps)/(g sqrt(h^2 +- 2 tau)) dl.  Each runs down
+    from its top in l (the anchor, the vertex m, or the far edge S when
+    S < m), which the float inversion gives (`_invert_stress_sq_one`), to
+    `_L_WINDOW` below it, to the floor l_min = -alpha^2/(2 eps), or on
+    [m, S] to the far edge's l when S < z.
+
+    Each piece of a branch has a variable x that keeps its integrand
+    smooth, in which the distance d = l_ref - l below a reference l and
+    g^2 are quadratics:
+    - x = d on [0, c], below the anchor, l_ref = l_0, where
+      h^2 + 2 tau cannot cancel;
+    - x = v with d = v^2 on the vertex branches, below the vertex, where
+      the square-root end at m becomes regular and h^2 - 2 tau is
+      2 e^l (expm1(v^2) g_v + 2 eps v^2/(g_v + g)), the difference
+      tau_v - tau in a form that does not cancel;
+    - x = g on the lower half of a branch whose window reaches the floor,
+      l = (g^2 - alpha^2)/(2 eps), where ds/dl has an inverse square root.
+    The pieces lie end to end along the pass's variable, and each round
+    maps its nodes through the constants of their pieces, gathered once.
+    The first panels end `_L_LADDER` below each top and, on [0, c], at the
+    anchored edge's graded depths S 2^-k, k = 1 .. ceil(log2(alpha^2/eps)),
+    taken to d at the anchor's rate: there the probes' t > 0 primal rows
+    vary on the penalty's own scale.  Every l in `levels` is a panel edge
+    on every piece it crosses.  None of this reads the rows, so a stack
+    and each of its rows alone are summed on the same panels.  Returns
+    the (rows, panels) sums."""
+    c, z = sorted(zeros)
+    h, m, eps, o = 0.5 * (z - c), 0.5 * (z + c), epsilon, orientation
+    a2 = alpha * alpha
+    l_min = -a2 / (2.0 * eps)
+    tau_0 = 0.5 * z * c
+    l_0, gg_0 = _invert_stress_sq_one(tau_0 * tau_0, alpha, eps)
+    l_v, gg_v = _invert_stress_sq_one((0.5 * h * h) ** 2, alpha, eps)
+    l_S = (_invert_stress_sq_one((0.5 * (z - S) * (S - c)) ** 2, alpha, eps)[0]
+           if S < z else -math.inf)
+    x_of = {"d": lambda l: l_0 - l,
+            "v": lambda l: math.sqrt(max(l_v - l, 0.0)),
+            "g": lambda l: math.sqrt(max(a2 + 2.0 * eps * l, 0.0))}
+    # d = D0 + D1 x + D2 x^2, l_ref, g^2 = G0 + G1 x + G2 x^2, |dd/dx| = J1 + J2 x
+    forms = {"d": (0.0, 1.0, 0.0, l_0, gg_0, -2.0 * eps, 0.0, 1.0, 0.0),
+             "v": (0.0, 0.0, 1.0, l_v, gg_v, 0.0, -2.0 * eps, 0.0, 2.0)}
+    levels = [float(lv) for lv in levels]
+    pieces = []                 # (x_a, x_b, constants, inner edges in x)
+
+    def branch(top, bottom, var, ref, ladder, graded=()):
+        """The pieces of one branch from l = top down to l = bottom, the
+        first with its `ladder` in x.  ref holds g at l_ref;
+        R^2 = A + e^l (B g + C (tau_ref - tau) e^-l); y = y0 + yc tau/(h + R);
+        and the slope's factor of g."""
+        l_ref = forms[var][3]
+        low = max(top - _L_WINDOW, bottom)
+        split = low if low > l_min else 0.5 * (top + max(l_min, bottom))
+        parts = [(var, split, forms[var], [*ladder, *graded])]
+        if split > low:         # the floor: the lower half in g
+            parts.append(("g", max(l_min, bottom),
+                          (l_ref - l_min, 0.0, -0.5 / eps, l_ref, 0.0, 0.0, 1.0,
+                           0.0, 1.0 / eps),
+                          [x_of["g"](top - dl) for dl in _L_LADDER]))
+        l_hi = top
+        for kind, l_lo, form, inner in parts:
+            x = x_of[kind]
+            x_a, x_b = sorted((x(l_hi), x(l_lo)))
+            if x_a < x_b:
+                inner = [p for p in inner + [x(lv) for lv in levels] if x_a < p < x_b]
+                pieces.append((x_a, x_b, form + ref, inner))
+            l_hi = l_lo
+
+    if c > 0.0:                 # theta > 0 on [0, c], down from the anchor
+        rate = S * gg_0 * m / (tau_0 * (gg_0 + eps))      # S dd/ds at the anchor
+        grades = range(1, math.ceil(math.log2(a2 / eps)) + 1)
+        branch(l_0, -math.inf, "d",
+               (math.sqrt(gg_0), h * h, 2.0, 0.0, anchor - o * c, 2.0 * o, -o),
+               _L_LADDER, [rate * 0.5 ** k for k in grades])
+    vertex = (math.sqrt(gg_v), 0.0, 0.0, 2.0)
+    if min(m, S) > c:           # theta < 0 on [c, min(m, S)], up to the vertex
+        top = l_v if S >= m else l_S
+        branch(top, -math.inf, "v", vertex + (anchor - o * c, -2.0 * o, o),
+               _V_LADDER if S >= m else [x_of["v"](top - dl) for dl in _L_LADDER])
+    if S > m:                   # theta < 0 on [m, S], down from the vertex
+        branch(l_v, l_S, "v", vertex + (anchor - o * z, 2.0 * o, o), _V_LADDER)
+
+    cuts, starts, table, t = [], [], [], 0.0
+    for x_a, x_b, constants, inner in pieces:
+        cuts += [p + (t - x_a) for p in inner]
+        starts.append(t)
+        table.append((x_a - t,) + constants)
+        t += x_b - x_a
+        cuts.append(t)
+    starts, table = np.array(starts), np.array(table).T
+
+    def rows(nodes):
+        (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, y0, yc,
+         ys) = table[:, np.searchsorted(starts, nodes, side="right") - 1]
+        x = nodes + X0
+        d = D0 + x * (D1 + x * D2)
+        l = l_ref - d
+        gg = G0 + x * (G1 + x * G2)
+        g = np.sqrt(gg)
+        lam = np.exp(l)
+        R = np.sqrt(A + lam * (B * g + C * (np.expm1(d) * g_ref
+                                            + 2.0 * eps * d / (g_ref + g))))
+        y = y0 + yc * (lam * g) / (h + R)
+        jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
+        return np.asarray(fn(y, l, ys * g), dtype=float) * jac
+
+    return _adaptive(rows, 0.0, t, cuts, tol)[1]
+
+
+def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
+    """The solve's pass: one `_adaptive` pass of the rows fn(s, l, du/ds)
+    over the depths [0, S], on panels graded 64 ulps deep into each
+    stress zero and cut at the depths `cuts`, refined until every row
+    meets the tolerance.  In depth both orientations carry the stress
+    (s - z)(s - c)/2, whose one inversion per node gives l = ln lambda
+    and du/ds.  Its panels become the delivered density and its CDF, read
+    between the nodes, so every panel must resolve the slope's log layer.
+    Returns the pass: its edges, row sums and du/ds samples."""
     z, c = zeros
 
     def rows(s):
@@ -359,13 +464,8 @@ def _depth_pass(fn, zeros, S, alpha, epsilon, tol, *, density, cuts=()):
         l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
         return fn(s, l, np.copysign(np.sqrt(u), theta))
 
-    if density:
-        graded = _graded_edges((0.0, S), zeros)
-    else:
-        levels = math.ceil(math.log2(alpha * alpha / epsilon))
-        graded = np.concatenate([_graded_edges((0.0, S), zeros, tol * S * alpha / epsilon),
-                                 S * 0.5 ** np.arange(1, levels + 1)])
-    return _adaptive(rows, 0.0, S, np.concatenate([graded, cuts]), tol)
+    return _adaptive(rows, 0.0, S, np.concatenate([_graded_edges((0.0, S), zeros), cuts]),
+                     tol)
 
 
 def _support_of(zero, spec: MongeProblemSpec):
@@ -398,7 +498,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
         lam = np.exp(l)
         return (g, d * g, d ** 2 * g, h, d * h, epsilon * lam, -lam * (gg - epsilon))
 
-    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol, density=True)
+    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1].tolist()
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = float(_KRONROD_ENDS[0] @ done[2][0]), float(_KRONROD_ENDS[1] @ done[2][-1])

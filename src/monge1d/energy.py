@@ -31,8 +31,9 @@ H-term and dual integrals are rows of the solve's last Newton pass
 solution's `expectation`, a row of the same pass.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
-`SinePerturbation`; all their deltas are the rows of one pass, cut
-where the dual bump's clip kinks, at one tolerance, `_PROBE_QUAD_TOL`.
+`SinePerturbation`; all their deltas are the rows of one pass in
+l = ln lambda (`DualField.integrate`), cut at the l where the dual bump's
+clip kinks, at one tolerance, `_PROBE_QUAD_TOL`.
 """
 
 from __future__ import annotations
@@ -176,25 +177,24 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     An empty or non-finite t raises ValueError.
 
     The pass is the field's row pass (`DualField.integrate`), not the
-    solve's: the deltas deliver no density, so its panels grade into the
-    stress zeros only as deep as the tolerance needs, and toward the
-    anchored edge, where the t > 0 primal rows peak.  Both gradings read
-    the field and the tolerance alone, not the t values, so the stacked
-    rows and each row's own pass share panels.  The exponent of the
-    primal rows is clipped at 700, and that clip's kinks are not cut: a
-    row that reaches the clip is resolved only as far as its error
-    estimate sees the kinks.
+    solve's: the deltas deliver no density, so the pass runs in
+    l = ln lambda, where depth, slope and Jacobian are closed forms and no
+    node is inverted; the deltas therefore do not depend on the array
+    inversion's collective stop.  Its first panels read the field alone,
+    not the t values, and are graded toward the anchored edge, where the
+    t > 0 primal rows peak, so the stacked rows and each row's own pass
+    share panels.  The exponent of the primal rows is clipped at 700, and
+    that clip's kinks are not cut: a row that reaches the clip is resolved
+    only as far as its error estimate sees the kinks.
 
-    Where t psi > 0 the clip kinks at l = 0 (|theta| = alpha) and at
-    l = -t psi (|theta| = e^{-t psi} sqrt(alpha^2 - 2 eps t psi), when
-    t psi < alpha^2/(2 eps)).  For a constant psi, the one `verify`
-    probes with, these are stress levels, and the pass is cut at every
-    kink, so no round of it hunts one by bisection.  A psi that varies
-    over the edges of the solve's last pass, mapped to y, gets no cut and
-    leaves its kinks to refinement: the second kink then lies on no stress
-    level, and a cut next to a kink, not on it, can leave the kink in a
-    panel whose two embedded rules err alike, which hides it from the
-    error estimate.
+    Where t psi > 0 the dual clip kinks at l = 0 (|theta| = alpha) and at
+    l = -t psi.  For a constant psi, the one `verify` probes with, these
+    are fixed values of l, the levels the pass is cut at, so no round of
+    it hunts one by bisection.  A psi that varies over the edges of the
+    solve's last pass, mapped to y, gets no cut and leaves its kinks to
+    refinement: the second kink then lies at no fixed l, and a cut next to
+    a kink, not on it, can leave the kink in a panel whose two embedded
+    rules err alike, which hides it from the error estimate.
     """
     lo, hi = solution.support
     for endpoint in (lo, hi):
@@ -216,28 +216,27 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     constant = np.all(np.asarray(psi(edges), dtype=float) == psi_bar)
     up = live.ravel() * psi_bar
     up = up[(up > 0.0) & constant]
-    below = up[up < a2 / (2.0 * eps)]
-    levels = np.concatenate([[alpha] if up.size else [],
-                             np.exp(-below) * np.sqrt(a2 - 2.0 * eps * below)])
+    levels = np.concatenate([[0.0], -up]) if up.size else ()
 
     def rows(y, l, g):
         """The primal difference integrands, in input order, then the
         dual ones."""
         bump = np.asarray(perturbation(y), dtype=float)
-        dg = np.asarray(perturbation.slope(y), dtype=float)
-        forcing = -dual.theta_y(y)
+        step = live * np.asarray(perturbation.slope(y), dtype=float)
         lam = np.exp(l)
         # H(g + t dg) - H(g) = eps lam expm1(t dg (2 g + t dg)/(2 eps));
-        # the exponent is clipped only to keep wild probes finite.
-        expo = np.minimum(live * dg * (2.0 * g + live * dg) / (2.0 * eps), 700.0)
-        primal = eps * lam * np.expm1(expo) - live * forcing * bump
+        # the exponent is clipped only to keep wild probes finite.  The
+        # forcing is -theta_y.
+        expo = np.minimum(step * (2.0 * g + step) / (2.0 * eps), 700.0)
+        primal = eps * lam * np.expm1(expo) + live * (dual.theta_y(y) * bump)
         shift = np.minimum(live * np.asarray(psi(y), dtype=float),
                            np.maximum(-l, 0.0))
+        grow = np.expm1(shift)
         # th^2/lam = lam (a2 + 2 eps l) via the locking identity, so
         # the ratio term under the shifted factor stays representable.
         ratio_diff = lam * (a2 + 2.0 * eps * l) * np.expm1(-shift)
-        rest_diff = lam * ((a2 + 2.0 * eps * (l - 1.0)) * np.expm1(shift)
-                           + np.exp(shift) * 2.0 * eps * shift)
+        rest_diff = lam * ((a2 + 2.0 * eps * (l - 1.0)) * grow
+                           + (grow + 1.0) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
     sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()

@@ -14,16 +14,13 @@ Design notes
   Bisection reaches a singular point one level per round, and a log-type
   layer such as the slope's next to a stress zero would cost a round per
   level.  Callers that know such a point pass breakpoints graded
-  geometrically toward it (`_graded_edges`), down to a floor they choose:
-  the loop then starts from the mesh bisection would have built and
-  finishes in one or two rounds.  The dual solver's passes
-  (`duality._depth_pass`) choose two floors.  The solve's pass, whose
-  panels become the delivered density, grades 64 ulps deep into each
-  stress zero: 46 levels on a support two wide.  A pass that only sums
-  rows stops where the layer left in the last panel is within its
-  tolerance, log2(eps/(tol alpha)) levels: 29 at alpha 1, eps 0.1 and 13
-  at eps 1e-6 for the probes' tol of 1e-10.  It grades toward depth 0
-  as well, where the probes' rows peak.
+  geometrically toward it (`_graded_edges`), 64 ulps deep: the loop then
+  starts from the mesh bisection would have built and finishes in one or
+  two rounds.  The dual solver's pass (`duality._depth_pass`), whose
+  panels become the delivered density, grades so into each stress zero:
+  46 levels on a support two wide.  Its row pass (`duality._log_pass`)
+  has no such layer to grade: it integrates in l = ln lambda, where the
+  slope's layer is a factor e^l.
   The depth cap of 60 levels, rather than the usual 20, still lets an
   integrand without graded breakpoints reach such a layer by bisection.
 * An integrand may return a stack of rows from its one call per round.
@@ -114,13 +111,10 @@ def _gk_panels(f, a, b):
     return kron, np.abs(kron - half * (vals[..., _GAUSS_IDX] @ _WG)), vals[0]
 
 
-def _graded_edges(span, points, floor=0.0):
+def _graded_edges(span, points):
     """Panel edges graded geometrically toward each point in the span: the
-    point p itself and p -+ width 2^-k for k = 1, 2, ..., down to a step
-    of `floor`, and never below _GRADE_ULPS ulps of the span's magnitude.
-    A pass whose panels become a density grades to the ulps; one that only
-    sums rows can stop where the part of the layer left unresolved, in the
-    panel that ends at p, is within its tolerance (`duality._depth_pass`).
+    point p itself and p -+ width 2^-k for k = 1, 2, ..., down to a step of
+    _GRADE_ULPS ulps of the span's magnitude.
 
     Next to a point where the integrand has a layer (the slope's log-type
     layer at a stress zero) adaptive bisection would reach it only one
@@ -133,7 +127,7 @@ def _graded_edges(span, points, floor=0.0):
     lo, hi = span
     if not lo < hi:
         return np.empty(0)
-    floor = max(_GRADE_ULPS * float(np.spacing(max(abs(lo), abs(hi)))), floor)
+    floor = _GRADE_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
     levels = max(int(math.log2((hi - lo) / floor)), 0)
     steps = (hi - lo) * 0.5 ** np.arange(1, levels + 1)
     inside = [p for p in points if lo <= p <= hi]

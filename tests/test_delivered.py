@@ -64,7 +64,7 @@ def exact_nodes(sol, grid_n):
                                          depths.size - 1)]
     edges, sums, _ = _depth_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
                                  span[1], spec.alpha, sol.epsilon, _REFERENCE_TOL,
-                                 density=True, cuts=depths)
+                                 cuts=depths)
     cell = np.searchsorted(depths, edges[:-1], side="right") - 1
     rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
     values = np.concatenate([[0.0], np.cumsum(rise)])

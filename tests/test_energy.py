@@ -25,7 +25,7 @@ from monge1d.errors import InvalidPerturbation
 from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
-from reference_quadrature import integrate
+from reference_quadrature import depth_pass, integrate
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -302,6 +302,82 @@ class TestDualityGap:
             assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
+# -- the row pass -------------------------------------------------------------
+
+# (alpha, eps, offset, assumption, width in sharp widths): free ends on the
+# regime grid, full targets at exactly the sharp width, and eps large
+# enough that the floor l_min = -alpha^2/(2 eps) lies in every branch's
+# window.
+ROW_PASS_GRID = ([(alpha, eps, offset, assumption, 2.5)
+                  for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-2, 1e-4, 1e-6)
+                  for offset in (0.0, 1000.0) for assumption in ("I", "II")]
+                 + [(alpha, eps, 0.0, "I", 1.0)
+                    for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-6)]
+                 + [(alpha, eps, 0.0, "I", factor) for alpha in (0.5, 1.0, 4.0)
+                    for eps in (0.3, 1.0) for factor in (2.5, 1.0)])
+
+
+def _grid_spec(alpha, offset, assumption, factor):
+    """Target [offset, offset + w] with w `factor` sharp widths, the source
+    0.5 beyond it, mirrored under II."""
+    w = factor * 2.0 / math.sqrt(alpha)
+    spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
+                        (offset, offset + w), "I", alpha)
+    return mirror_transform(spec) if assumption == "II" else spec
+
+
+class TestRowPass:
+    @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
+    def test_rows_meet_a_pass_in_depth(self, solved, alpha, eps, offset,
+                                       assumption, factor):
+        # The rows that `DualField.integrate` sums for the tests and study
+        # 02 (closure, mass, H-term, dual and mixed), at 1e-13, against the
+        # same rows integrated in depth, with every node inverted
+        # (`reference_quadrature.depth_pass`).  The worst difference
+        # measured on this grid is 1.3e-14 of max(1, |row|), at offset 1000,
+        # where y itself carries rounding of that size.
+        sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
+        a2, m = alpha * alpha, sol.support_endpoint
+
+        def rows(y, l, g):
+            lam = np.exp(l)
+            return (g, (m - y) * g, eps * lam, -lam * (g * g - eps),
+                    lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
+
+        got = sol.dual.integrate(rows, 1e-13)
+        want = depth_pass(sol.dual, rows, 1e-13)
+        assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_inverts_no_node(self, solved, monkeypatch):
+        # In l every node's depth, slope and Jacobian are closed forms: the
+        # pass inverts no node, and the float inversion runs once per
+        # branch end (the anchor, the vertex and a far edge short of the
+        # free zero).
+        calls = {"array": 0, "float": 0}
+        array, one = duality._invert_stress_sq, duality._invert_stress_sq_one
+
+        def counted_array(*args):
+            calls["array"] += 1
+            return array(*args)
+
+        def counted_one(*args):
+            calls["float"] += 1
+            return one(*args)
+
+        # Two passes each: a free end has two branch ends, a full target
+        # three.
+        for factor, ends in ((2.5, 4), (1.0, 6)):
+            sol = solved(_grid_spec(1.0, 0.0, "I", factor), 1e-3)
+            monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
+            monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
+            sol.dual.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
+            second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                                   dual_perturbation=_ONE)
+            monkeypatch.undo()
+            assert calls == {"array": 0, "float": ends}
+            calls.update(array=0, float=0)
+
+
 # -- probes -------------------------------------------------------------------
 
 # The amplitudes `verify` probes with, under a constant log-scale bump.
@@ -319,17 +395,10 @@ def _dual_diff(sol, t, psi, l):
                                + np.exp(shift) * 2.0 * eps * shift)
 
 
-def _clip_levels(sol, t):
-    """Stress magnitudes where the clip min(t, max(-l, 0)) kinks: l = 0 at
-    |theta| = alpha and l = -t at |theta| = e^{-t} sqrt(alpha^2 - 2 eps t),
-    for t > 0.  Computed with the probe's own operations on an array:
-    math.exp differs from numpy's exp by an ulp at t = 1e-2, and a level an
-    ulp off can move its depth by an ulp, off the probe's cut."""
-    eps, alpha = sol.epsilon, sol.spec.alpha
-    if t <= 0.0:
-        return ()
-    below = np.array([t])
-    return (alpha, float((np.exp(-below) * np.sqrt(alpha ** 2 - 2.0 * eps * below))[0]))
+def _clip_levels(t):
+    """The l where the clip min(t, max(-l, 0)) kinks, for t > 0: l = 0,
+    where |theta| = alpha, and l = -t."""
+    return (0.0, -t) if t > 0.0 else ()
 
 
 def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
@@ -346,7 +415,7 @@ def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
 
     return (dual.integrate(primal, quad_tol),
             dual.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol,
-                           _clip_levels(sol, t)))
+                           _clip_levels(t)))
 
 
 def _clip_reference(sol, t):
@@ -495,28 +564,23 @@ class TestSecondVariationProbe:
 
     def test_varying_psi_gets_no_level_cut(self, solved, monkeypatch):
         # The levels take psi at the support's midpoint: a constant psi has
-        # its kink l = -t psi at their depths, which are cut; a varying
-        # psi's kink lies elsewhere, and no level is cut next to it.
+        # its kinks at l = 0 and l = -t psi, which are cut; a varying psi's
+        # second kink lies at no fixed l, and no level is cut next to it.
         sol = solved(SPEC_I, 1e-3)
         (lo, hi), t = sol.support, 1e-2
         tilted = lambda y: 1.0 + 0.1 * (np.asarray(y) - 0.5 * (lo + hi))
-        breakpoints = []
-        plain = duality._adaptive
+        seen = []
+        plain = duality.DualField.integrate
 
-        def recorded(f, l, r, cuts, *args):
-            breakpoints.append(np.asarray(cuts))
-            return plain(f, l, r, cuts, *args)
+        def recorded(field, fn, tol, levels=()):
+            seen.append(tuple(levels))
+            return plain(field, fn, tol, levels)
 
-        monkeypatch.setattr(duality, "_adaptive", recorded)
-        level = _clip_levels(sol, t)[1]
-        span = (0.0, hi - lo)
-        depth_zeros = tuple(hi - p for p in sol.dual.zeros)
-        kinks = duality._level_depths(depth_zeros, span, [level])
-        assert kinks.size
-        for psi, cut in ((_ONE, True), (tilted, False)):
-            second_variation_probe(sol, SinePerturbation(sol.support), (t,),
+        monkeypatch.setattr(duality.DualField, "integrate", recorded)
+        for psi, levels in ((_ONE, _clip_levels(t)), (tilted, ())):
+            second_variation_probe(sol, SinePerturbation(sol.support), (t, -t),
                                    dual_perturbation=psi)
-            assert np.isin(kinks, breakpoints.pop()).tolist() == [cut] * kinks.size
+            assert seen.pop() == levels
 
     def test_varying_psi_meets_quad(self, solved):
         # A psi that varies leaves the kink at l = -t psi(y) uncut.  At
@@ -538,12 +602,14 @@ class TestSecondVariationProbe:
                         for a, b in zip(cuts[:-1], cuts[1:]))
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("eps,work", [(1e-1, (1, 1410)), (1e-2, (1, 1320)),
-                                          (1e-3, (1, 1230))])
+    @pytest.mark.parametrize("eps,work", [(1e-1, (1, 435)), (1e-2, (1, 645)),
+                                          (1e-3, (1, 690))])
     def test_probe_work_is_pinned(self, solved, monkeypatch, eps, work):
         # (rounds, integrand nodes) of `verify`'s probe on the canonical
-        # spec.  On the solve's mesh, graded 64 ulps deep into each stress
-        # zero, the same probe took (1, 2130), (1, 2130) and (2, 2160).
+        # spec.  The pass in depth, graded toward the stress zeros down to
+        # its tolerance's floor and inverting every node, took (1, 1410),
+        # (1, 1320) and (1, 1230); on the solve's mesh, graded 64 ulps deep
+        # into each zero, (1, 2130), (1, 2130) and (2, 2160).
         sol = solved(SPEC_I, eps)
         nodes = []
         plain = numerics._gk_panels
@@ -564,23 +630,17 @@ class TestSecondVariationProbe:
     CLIPPED = {(0.5, 1e-6, 1e-2), (1.0, 1e-6, 1e-3), (1.0, 1e-6, 1e-2),
                (4.0, 1e-4, 1e-2), (4.0, 1e-6, 1e-3), (4.0, 1e-6, 1e-2)}
 
-    @pytest.mark.parametrize("alpha,eps,offset,assumption", [
-        (alpha, eps, offset, assumption)
-        for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-2, 1e-4, 1e-6)
-        for offset in (0.0, 1000.0) for assumption in ("I", "II")])
+    @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
     def test_deltas_meet_a_pass_on_the_solve_mesh(self, solved, monkeypatch, alpha,
-                                                  eps, offset, assumption):
-        # The probe's pass grades toward the stress zeros only down to a
-        # floor set by its tolerance, and toward the anchored edge.  Hold
-        # every delta to the probe's own rows integrated afresh on the
-        # solve's mesh instead: graded 64 ulps deep into each zero, and cut
-        # at the probe's kink depths.
-        w = 5.0 / math.sqrt(alpha)
-        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                            (offset, offset + w), "I", alpha)
-        if assumption == "II":
-            spec = mirror_transform(spec)
-        sol = solved(spec, eps, 201)
+                                                  eps, offset, assumption, factor):
+        # The probe's pass runs in l (`DualField.integrate`).  Hold every
+        # delta to the probe's own rows integrated afresh in depth, with
+        # every node inverted, on the solve's mesh, graded 64 ulps deep into
+        # each zero, and cut at the depths of the probe's l-levels
+        # (`reference_quadrature.depth_pass`).  The worst difference
+        # measured on this grid is 1.75e-13 of max(1, |delta|), at alpha 1,
+        # eps 1e-4, offset 1000.
+        sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
         pert = SinePerturbation(sol.support)
         seen = {}
         plain = duality.DualField.integrate
@@ -591,28 +651,16 @@ class TestSecondVariationProbe:
 
         monkeypatch.setattr(duality.DualField, "integrate", recorded)
         report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
-        o, (lo, hi) = sol.dual.orientation, sol.support
-        anchor = hi if o > 0 else lo
-        zeros = tuple(o * (anchor - p) for p in sol.dual.zeros)
-        span = (0.0, hi - lo)
-
-        def rows(s):
-            theta = 0.5 * (s - zeros[0]) * (s - zeros[1])
-            l, u = duality._invert_stress_sq(theta * theta, alpha, eps)
-            return seen["fn"](anchor - o * s, l, -o * np.copysign(np.sqrt(u), theta))
-
-        cuts = np.concatenate([_graded_edges(span, zeros),
-                               duality._level_depths(zeros, span, seen["levels"])])
-        ref = integrate(rows, *span, tol=1e-12, breakpoints=cuts)
-        ys = np.linspace(lo, hi, 20001)
+        ref = depth_pass(sol.dual, seen["fn"], 1e-12, seen["levels"])
+        ys = np.linspace(*sol.support, 20001)
         g, dg = sol.dual.fields_at(ys)[2], pert.slope(ys)
         for t, got, want in zip(PROBE_T, report.primal_deltas, ref):
             clipped = np.max(t * dg * (2.0 * g + t * dg) / (2.0 * eps)) >= 700.0
             assert clipped == ((alpha, eps, t) in self.CLIPPED)
             if not clipped:
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         for got, want in zip(report.dual_deltas, ref[len(PROBE_T):]):
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_rejected(self, solved, t):
@@ -688,3 +736,27 @@ class TestExpectation:
         ref = sol.support_endpoint * sol.mass + 0.5 * o * integrate(
             moment, *span, tol=1e-15, breakpoints=_graded_edges(span, (z, c)))
         assert abs(sol.expectation - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    def test_carries_the_solve_mass(self, monkeypatch, assumption):
+        # The integral of y u is m * mass plus the by-parts moment, with m
+        # the closing end and mass the solve's own.  Plant a mass residual
+        # 1e-9 off the solve's: the expectation moves by m * 1e-9, far above
+        # rounding at any numpy dispatch, while the moment stays.  (A
+        # solve's own |mass - 1| is about 1e-15, where dropping the factor
+        # moves the expectation by an ulp or two.)
+        spec = uniform_spec((1006.0, 1008.0), (1000.0, 1005.0), "I", 1.0)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        base = assemble_density(spec, 1e-3)
+        plain = duality._solve_zeros
+
+        def planted(*args):
+            solved = plain(*args)
+            return dataclasses.replace(solved, mass_residual=solved.mass_residual + 1e-9)
+
+        monkeypatch.setattr(duality, "_solve_zeros", planted)
+        moved = assemble_density(spec, 1e-3)
+        assert moved.mass - base.mass == pytest.approx(1e-9, rel=1e-6)
+        assert moved.expectation - base.expectation == pytest.approx(
+            base.support_endpoint * 1e-9, rel=1e-4)

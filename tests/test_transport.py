@@ -194,6 +194,29 @@ class TestPushforwardResidual:
         assert np.array_equal(broken.map(xs), inc.map(xs) + 0.1)
         assert pushforward_residual(broken, sol, SPEC_I) > 0.01
 
+    def test_detects_a_defect_between_coarse_probes(self, maps):
+        # A map wrong only on a source window 0.016 wide at the source's
+        # centre, a quarter of the spacing of a 50-point Chebyshev grid
+        # there (0.064) and between two of its nodes: the residual's probes
+        # must be fine enough to land in it.
+        sol, inc, _ = maps
+        (a, b), centre = SPEC_I.source_interval, 7.0
+        coarse = chebyshev_nodes(a, b, 50)
+        k = int(np.searchsorted(coarse, centre))
+        window = (centre - 0.008, centre + 0.008)
+        assert coarse[k - 1] < window[0] and window[1] < coarse[k]
+        dented = SPEC_I.source_density.cdf(np.array(window))
+
+        class Dented(DensitySolution):
+            def quantile(self, t):
+                inside = (np.asarray(t) > dented[0]) & (np.asarray(t) < dented[1])
+                return np.where(inside, super().quantile(t) + 0.1, super().quantile(t))
+
+        target = Dented(**{f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)})
+        broken = TransportMap(inc.variant, inc.source_density, target, inc.cost)
+        assert np.array_equal(broken.map(coarse), inc.map(coarse))
+        assert pushforward_residual(broken, sol, SPEC_I) > 0.01
+
     def test_analytic_quantile_map(self, maps):
         # uniform source onto the exact tent: left half solves
         # (s-3)^2/2 = (x-6)/2, right half 1 - (5-s)^2/2 = (x-6)/2; the
