@@ -156,14 +156,7 @@ def _csv_text(header, columns) -> str:
 
 
 def density_csv(solution) -> str:
-    # One inversion pass gives theta, log lambda and the slope; the
-    # density's slope is zero off the support.
-    nodes = solution.nodes
-    theta, log_lam, slope = solution.dual.fields_at(nodes)
-    lo, hi = solution.support
-    slope = np.where((nodes >= lo) & (nodes <= hi), slope, 0.0)
-    return _csv_text(["y", "u", "theta", "log_lambda", "slope"],
-                     [nodes, solution.values, theta, log_lam, slope])
+    return _csv_text(["y", "u"], [solution.nodes, solution.values])
 
 
 def energy_json_document(solution, report) -> dict:
@@ -338,9 +331,9 @@ def _check(name, ok, detail) -> VerifyCheck:
 
 def _battery_for(config: RunConfig, sol) -> list[VerifyCheck]:
     """The checks of one solution, each able to fail: what the assembly
-    pins (the Dirichlet ends, the zero extension, the slope's inversion of
-    the stress, the unit mass its solve holds within 1e-10) is not
-    re-read."""
+    pins (the Dirichlet ends, the zero off the support, the slope's
+    inversion of the stress, the unit mass its solve holds within 1e-10)
+    is not re-read."""
     alpha = config.spec.alpha
     out = []
     report = duality_gap(sol)

@@ -39,11 +39,11 @@ here, all in closed form up to one two-unknown root solve:
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass at any y, and so is the
    CDF's inverse (`DensitySolution`); the CDF's rows are built on their
-   first read.  The sampled grid is only the table that `density.csv`
-   writes, built on its first read.  Its clip depth is certified panel by
-   panel from the density's Bernstein coefficients, and the grid is read
-   only in panels left uncertified (`_clip_depth`), so a solve reads no
-   grid node.
+   first read.  The sampled grid over the support is only the table that
+   `density.csv` writes, built on its first read.  Its clip depth is
+   certified panel by panel from the density's Bernstein coefficients,
+   and the grid is read only in panels left uncertified (`_clip_depth`),
+   so a solve reads no grid node.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -291,12 +291,6 @@ class DualField:
         z, c = self.zeros
         y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
         return -0.5 * self.orientation * ((y - z) + (y - c))
-
-    def fields_at(self, y):
-        """(theta, log_lambda, slope) arrays from one inversion pass."""
-        th = np.asarray(self.theta(y), dtype=float)
-        l, u = _invert_stress_sq(th * th, self.alpha, self.epsilon)
-        return th, l, np.copysign(np.sqrt(u), th)
 
     def integrate(self, fn, tol, levels=()):
         """Support integrals of the rows fn(y, log_lambda, slope) (a float
@@ -776,12 +770,12 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
 class DensitySolution:
     """Transfer density with its dual field and diagnostics.
 
-    nodes/values tabulate the density over the whole target interval (zero
-    extension included), the table `density.csv` writes, sampled on
-    grid_n uniform depths over the support with the crossing, at depth
-    crossing_depth, as a node (`_depth_grid`).  The table is built on its
-    first read: no solve reads it.  clip_depth is how far below zero its
-    support values run before the clip, certified panel by panel
+    nodes/values tabulate the density on its support, the table
+    `density.csv` writes, sampled on grid_n uniform depths over the
+    support with the crossing, at depth crossing_depth, as a node
+    (`_depth_grid`); off the support the density is zero.  The table is
+    built on its first read: no solve reads it.  clip_depth is how far
+    below zero its values run before the clip, certified panel by panel
     (`_clip_depth`).  max_abs_slope and max_log_lambda report how far the
     solution runs above the nominal scale ceiling instead of clamping it
     (see the module docstring); they are the slope inversion of the stress
@@ -800,8 +794,8 @@ class DensitySolution:
     transport maps read.  No read consults the table: a node reads the
     profile at the depth its y maps to, which has lost the node's last
     bits.  The cumulative construction makes the density's slope the
-    recovered dual slope, `dual.fields_at(y)[2]`, on the support and zero
-    on the extension.
+    recovered dual slope on the support, the inversion of the stress
+    `dual.theta(y)` (`_invert_stress_sq`), and zero off it.
     """
 
     spec: MongeProblemSpec
@@ -822,24 +816,18 @@ class DensitySolution:
     @functools.cached_property
     def _table(self):
         """(nodes, values): the profile read on the depth grid, clipped at 0
-        with both Dirichlet ends pinned, then a zero extension over the
-        rest of the target at the support's resolution, in ascending y."""
-        o, anchor, m = self.spec.orientation, self.spec.anchor, self.support_endpoint
+        with both Dirichlet ends pinned, in ascending y."""
+        o, anchor = self.spec.orientation, self.spec.anchor
         edges = self.profile.edges
         grid_s = _depth_grid((edges[0], edges[-1]), self.crossing_depth, self.grid_n)
         # The anchored end is zero exactly; the closing end only up to the
         # residual tolerance, and interior rounding can graze zero, so clip
         # and pin both Dirichlet ends.
-        values_support = np.maximum(self.profile.density(grid_s), 0.0)
-        values_support[0] = 0.0
-        values_support[-1] = 0.0
-        lo, hi = self.support
-        grid = anchor - o * grid_s
-        grid[-1] = m                # a far edge exactly, not anchor - o * width
-        n_zero = math.ceil(abs(self.spec.far_edge - m) / ((hi - lo) / (self.grid_n - 1)))
-        zero_nodes = np.linspace(m, self.spec.far_edge, n_zero + 1)[1:]
-        nodes = np.concatenate([grid, zero_nodes])
-        values = np.concatenate([values_support, np.zeros(zero_nodes.size)])
+        values = np.maximum(self.profile.density(grid_s), 0.0)
+        values[0] = 0.0
+        values[-1] = 0.0
+        nodes = anchor - o * grid_s
+        nodes[-1] = self.support_endpoint   # exactly, not anchor - o * S
         # Under assumption I depth runs against y: reverse to ascending y.
         return (nodes[::-1], values[::-1]) if o > 0 else (nodes, values)
 
@@ -930,9 +918,8 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     values near the free endpoint, where the stress vanishes, keep the
     sign the solve gives them, and the assembly runs no quadrature and
     inverts no grid node.  Its grid is uniform over the support with the
-    crossing as a node (`_depth_grid`), plus a zero extension over the
-    rest of the target at matching resolution; the solution builds it on
-    its first read.  The clip depth is that grid's, read only where the
+    crossing as a node (`_depth_grid`); the solution builds it on its
+    first read.  The clip depth is that grid's, read only where the
     profile does not certify its panels nonnegative (`_clip_depth`).  The
     mass, the expectation and the `energy_integrals` come from rows of the
     solve's last Newton pass.  The slope maximum is read at the stress

@@ -18,7 +18,7 @@ class MaxIterations(Monge1dError):
 
 
 class MaxDepth(Monge1dError):
-    """Adaptive subdivision exceeded the recursion depth cap."""
+    """Adaptive subdivision exceeded its depth cap or its panel budget."""
 
 
 class DomainError(Monge1dError):

@@ -23,6 +23,10 @@ Design notes
   slope's layer is a factor e^l.
   The depth cap of 60 levels, rather than the usual 20, still lets an
   integrand without graded breakpoints reach such a layer by bisection.
+  A pass may hold at most 2^16 panels: a row asked for a tolerance below
+  its rounding floor splits every noisy panel each round, and would grow
+  geometrically long before any panel is 60 levels deep (QUADPACK bounds
+  its subintervals the same way, by `limit`).
 * An integrand may return a stack of rows from its one call per round.
   Every row is summed on the same panels, and refinement goes on until
   each row's error is within the tolerance relative to its own total, so
@@ -93,6 +97,7 @@ _GAUSS_IDX = np.arange(1, 14, 2)
 _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 _MAX_PANEL_DEPTH = 60
+_MAX_PANELS = 2 ** 16      # panels one adaptive pass may hold
 _GRADE_ULPS = 64           # finest graded panel, in ulps of the span's magnitude
 _INVERT_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
@@ -154,8 +159,9 @@ def _adaptive(f, l, r, breakpoints, tol):
     soon as a row's total or error estimate is NaN: no split compares with
     NaN, so refinement would never stop, and MaxDepth, naming the row
     still over its budget, when a panel to split is _MAX_PANEL_DEPTH
-    levels deep.  Returns the sorted panel edges, the (rows, panels)
-    Kronrod sums and row 0's (panels, 15) samples."""
+    levels deep or the split would leave more than _MAX_PANELS panels.
+    Returns the sorted panel edges, the (rows, panels) Kronrod sums and
+    row 0's (panels, 15) samples."""
     cuts = np.asarray(breakpoints, dtype=float).ravel()
     edges = _sorted_unique(np.concatenate([[l, r], cuts[(cuts > l) & (cuts < r)]]))
     a = edges[:-1].copy()
@@ -182,6 +188,11 @@ def _adaptive(f, l, r, breakpoints, tol):
             raise MaxDepth(
                 f"adaptive quadrature exceeded {_MAX_PANEL_DEPTH} subdivision levels "
                 f"(row {worst}: remaining error {esum[worst]:.3e}, "
+                f"target {target[worst]:.3e})")
+        if a.size + np.count_nonzero(split) > _MAX_PANELS:
+            raise MaxDepth(
+                f"adaptive quadrature would exceed {_MAX_PANELS} panels, from "
+                f"{a.size} (row {worst}: remaining error {esum[worst]:.3e}, "
                 f"target {target[worst]:.3e})")
         keep = ~split
         mids = 0.5 * (a[split] + b[split])

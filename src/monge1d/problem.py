@@ -211,12 +211,6 @@ class MongeProblemSpec:
         return self.target_interval[1] if self.assumption == "I" else self.target_interval[0]
 
     @property
-    def far_edge(self) -> float:
-        """Target endpoint farthest from the source; the support grows
-        toward it from the anchor."""
-        return self.target_interval[0] if self.assumption == "I" else self.target_interval[1]
-
-    @property
     def target_width(self) -> float:
         return self.target_interval[1] - self.target_interval[0]
 

@@ -1,11 +1,14 @@
 """Shared fixtures: a session-wide cache of assembled solutions, the
 quadrature reference for a transport map's cost, and a count of
-adaptive quadrature passes; and the support part of a solution's table.
+adaptive quadrature passes; and the target's points past a solution's
+support.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
 are cached for the whole session keyed by the hashable spec.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,12 +20,15 @@ from monge1d.oracles import discrete_primal_minimizer
 from reference_quadrature import integrate
 
 
-def support_table(sol):
-    """(nodes, values) of the solution's table on its closed support, in
-    ascending y: the support's grid, without the zero extension."""
+def off_support(sol):
+    """The target's points past the support's closing end, at the support
+    grid's spacing, where the delivered density is zero; none when the
+    support fills the target."""
+    tl, tr = sol.spec.target_interval
+    m, far = sol.support_endpoint, tl if sol.spec.orientation > 0 else tr
     lo, hi = sol.support
-    on = (sol.nodes >= lo) & (sol.nodes <= hi)
-    return sol.nodes[on], sol.values[on]
+    n = math.ceil(abs(far - m) / ((hi - lo) / (sol.grid_n - 1)))
+    return np.linspace(m, far, n + 1)[1:]
 
 
 @pytest.fixture(scope="session")

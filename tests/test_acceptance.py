@@ -24,8 +24,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import support_table
+from conftest import off_support
 from monge1d.cli import main
+from monge1d.duality import _invert_stress_sq
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.oracles import discrete_expectation_optimizer, tent_limit_density
 from monge1d.problem import uniform_spec
@@ -85,13 +86,10 @@ def test_criterion_02_constraint_suite(grid):
         res = report.constraint_residuals
         worst_mass = max(worst_mass, res.mass_error)
         worst_neg = max(worst_neg, res.negativity)
-        support_values = support_table(sol)[1]
-        worst_edge = max(worst_edge, abs(float(support_values[0])),
-                         abs(float(support_values[-1])))
-        lo, hi = sol.support
-        outside = sol.values[(sol.nodes < lo) | (sol.nodes > hi)]
+        worst_edge = max(worst_edge, abs(float(sol.values[0])),
+                         abs(float(sol.values[-1])))
         worst_ext = max(worst_ext,
-                        float(np.max(np.abs(outside), initial=0.0)))
+                        float(np.max(np.abs(sol(off_support(sol))), initial=0.0)))
         worst_slope_ratio = max(worst_slope_ratio, sol.max_abs_slope / alpha)
     slope_ok = worst_slope_ratio <= 1.0 + 1e-10
     ok = (worst_mass <= 1e-8 and worst_neg <= 1e-12
@@ -114,8 +112,10 @@ def test_criterion_02_constraint_suite(grid):
 def test_criterion_03_equilibrium(grid):
     worst = 0.0
     for _, sol, _ in grid.values():
-        nodes = support_table(sol)[0]
-        theta, log_lam, slope = sol.dual.fields_at(nodes)
+        nodes = sol.nodes
+        theta = sol.dual.theta(nodes)
+        log_lam, slope_sq = _invert_stress_sq(theta ** 2, sol.spec.alpha, sol.epsilon)
+        slope = np.copysign(np.sqrt(slope_sq), theta)
         worst = max(worst, float(np.max(np.abs(np.exp(log_lam) * slope - theta))))
         # stress equation theta_y = -|y| - mu, with |y| = o*y exactly
         # everywhere on the support half-axis

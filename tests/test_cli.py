@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import monge1d
+from conftest import off_support
 from monge1d import cli, duality
 from monge1d.cli import load_run_config, main, parse_run_config
 from monge1d.duality import assemble_density
@@ -217,15 +218,20 @@ class TestSolve:
         assert not list(target.glob("*.tmp"))
 
     def test_density_boundary_rows(self, solve_artifacts):
+        # The rows run over the support alone, from the closing end to the
+        # anchor, both zero; the density the solve delivers is zero past
+        # the closing end.
         _, target = solve_artifacts
         header, data = read_csv(target / "density.csv")
-        assert header == ["y", "u", "theta", "log_lambda", "slope"]
+        assert header == ["y", "u"]
         doc = json.loads((target / "energy.json").read_text())
-        endpoint = doc["support_endpoint"]
         y, u = data[:, 0], data[:, 1]
-        assert u[np.isclose(y, endpoint)] == 0.0
-        assert u[y == 5.0] == 0.0
-        assert np.all(u[y < endpoint] == 0.0)
+        assert [y[0], y[-1]] == doc["support"] == [doc["support_endpoint"], 5.0]
+        assert u[0] == u[-1] == 0.0
+        sol = assemble_density(spec_from_document(TENT_DOC["problem"]), 0.01, 801)
+        assert np.array_equal(y, sol.nodes) and np.array_equal(u, sol.values)
+        outside = off_support(sol)
+        assert outside.size > 0 and np.all(sol(outside) == 0.0)
 
     def test_energy_gap_field(self, solve_artifacts):
         _, target = solve_artifacts

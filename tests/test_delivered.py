@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
-from conftest import support_table
 from monge1d.duality import (_depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros,
                               _support_of)
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
@@ -58,7 +57,7 @@ def exact_nodes(sol, grid_n):
     span = _support_of(solved.zeros[0], spec)
     depths = _depth_grid(span, solved.zeros[1], grid_n)
     step = -1 if spec.orientation > 0 else 1        # ascending depth
-    nodes, support_values = support_table(sol)
+    nodes, support_values = sol.nodes, sol.values
     assert np.array_equal(spec.anchor - spec.orientation * depths[:-1], nodes[::step][:-1])
     deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
                                          depths.size - 1)]
@@ -95,7 +94,7 @@ def exact_reference(sol, ys, running):
     """
     spec = sol.spec
     o, anchor = spec.orientation, spec.anchor
-    x, (u, cum) = support_table(sol)[0], running
+    x, (u, cum) = sol.nodes, running
     zeros = tuple(o * (anchor - p) for p in sol.dual.zeros)
     cells = np.clip(np.searchsorted(x, ys, side="right") - 1, 0, x.size - 2)
     density, cdf = [], []
@@ -113,7 +112,7 @@ def exact_reference(sol, ys, running):
 
 def exact_quantile(sol, t, running, tol=1e-16):
     """The point where the exact reference CDF reaches t, to |F - t| <= tol."""
-    x, cum = support_table(sol)[0], running[1]
+    x, cum = sol.nodes, running[1]
     k = min(max(int(np.searchsorted(cum / cum[-1], t)), 1), x.size - 1)
     return solve_root(lambda y: exact_reference(sol, [y], running)[1][0] - t,
                       x[k - 1], x[k], tol=tol)
@@ -122,7 +121,7 @@ def exact_quantile(sol, t, running, tol=1e-16):
 def _probe(sol, per_cell=16):
     """A uniform probe of the support plus dense points in the cells on
     either side of the crossing (the density's kink) and in both end cells."""
-    x = support_table(sol)[0]
+    x = sol.nodes
     k = int(np.searchsorted(x, sol.dual.zeros[1]))
     dense = [np.linspace(x[i], x[i + 1], per_cell + 2)[1:-1]
              for i in (0, k - 2, k - 1, k, k + 1, x.size - 2)]
@@ -160,7 +159,7 @@ class TestAgainstTheExactReference:
         # nodal values and running masses, which the solution's nodal
         # values and CDF meet; the last node closes the last cell.
         sol = solved(SPEC_I, 1e-2)
-        x, values = support_table(sol)
+        x, values = sol.nodes, sol.values
         running = exact_running(sol, 2001)
         density, cdf = exact_reference(sol, x, running)
         assert np.array_equal(density[:-1], running[0][:-1])
@@ -337,7 +336,7 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
     profile = sol.profile
     assert abs(profile.edge_density[-1] - values[-1]) <= 1e-14
-    nodes = support_table(sol)[0][::-1 if spec.orientation > 0 else 1]
+    nodes = sol.nodes[::-1 if spec.orientation > 0 else 1]
     masses = profile.total * np.diff(profile.fraction(sol._depth(nodes)))
     assert np.max(np.abs(masses - exact)) <= 1e-15
     assert sol.clip_depth == 0.0
@@ -371,7 +370,7 @@ class TestTheProfileIsTheDensity:
         depths = _depth_grid(_support_of(zeros[0], spec), zeros[1], 2001)
         expected = np.maximum(profile.density(depths), 0.0)
         expected[[0, -1]] = 0.0
-        nodes, values = support_table(sol)
+        nodes, values = sol.nodes, sol.values
         assert np.array_equal(values, expected[::-1 if spec.orientation > 0 else 1])
         lo, hi = sol.support
         ys = np.concatenate([np.linspace(lo, hi, 1001)[1:-1], nodes[1:-1],

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import support_table
+from conftest import off_support
 from monge1d import duality, numerics
 from monge1d.duality import DualField, assemble_density
 from monge1d.energy import duality_gap
-from monge1d.errors import CapacityError, DomainError, MaxIterations
+from monge1d.errors import CapacityError, DomainError, MaxDepth, MaxIterations
 from monge1d.oracles import (TentDensity, discrete_expectation_optimizer,
                              mirror_transform, tent_limit_density)
 from monge1d.problem import require_capacity, uniform_spec
@@ -43,6 +43,13 @@ def log_scale(t, alpha, eps):
 def slope_of(theta, alpha, eps):
     _, u = duality._invert_stress_sq(np.array([theta * theta]), alpha, eps)
     return math.copysign(math.sqrt(u[0]), theta)
+
+
+def field_slope(fld, y):
+    """The dual slope at each y: the inversion of the field's stress."""
+    theta = fld.theta(y)
+    _, u = duality._invert_stress_sq(theta ** 2, fld.alpha, fld.epsilon)
+    return np.copysign(np.sqrt(u), theta)
 
 
 class TestEvalE:
@@ -182,7 +189,7 @@ class TestSlopeFromTheta:
             slope_of(math.nan, 1.0, 0.1)
         fld = DualField((3.0, 5.0), (3.0, 4.0), 1.0, 1.0, 0.1)
         with pytest.raises(MaxIterations):
-            fld.fields_at(np.array([3.5, math.nan]))
+            field_slope(fld, np.array([3.5, math.nan]))
 
 
 class TestBoundaryResidual:
@@ -338,7 +345,7 @@ class TestSolveSupport:
 class TestAssembleDensity:
     def test_boundary_zeros_and_nonnegativity(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        assert support_table(sol)[1][[0, -1]].tolist() == [0.0, 0.0]
+        assert sol.values[[0, -1]].tolist() == [0.0, 0.0]
         assert float(np.min(sol.values)) >= 0.0
         assert sol.profile.edge_density[-1] == pytest.approx(0.0, abs=1e-9)
 
@@ -362,13 +369,13 @@ class TestAssembleDensity:
             sol = solved(spec, 1e-3)
             assert sol.dual.theta(sol.support_endpoint) == 0.0
             assert sol.dual.zeros[0] == sol.support_endpoint
-            ys = support_table(sol)[0]
+            ys = sol.nodes
             assert np.abs(sol.dual.theta_y(ys) + np.abs(ys)
                           + sol.dual.multiplier).max() <= 1e-12
 
     def test_single_interior_maximum(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        nodes, v = support_table(sol)
+        nodes, v = sol.nodes, sol.values
         k = int(np.argmax(v))
         assert 0 < k < v.size - 1
         assert abs(nodes[k] - sol.dual.zeros[1]) <= 1e-12
@@ -377,7 +384,9 @@ class TestAssembleDensity:
 
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        theta, log_lam, slope = sol.dual.fields_at(support_table(sol)[0])
+        theta = sol.dual.theta(sol.nodes)
+        log_lam, slope_sq = duality._invert_stress_sq(theta ** 2, 1.0, 1e-3)
+        slope = np.copysign(np.sqrt(slope_sq), theta)
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
@@ -386,13 +395,13 @@ class TestAssembleDensity:
         # two stress zeros (the peak and the free endpoint), where the
         # profile curvature blows up as eps shrinks.
         sol = solved(SPEC_I, 1e-3)
-        y = support_table(sol)[0]
+        y = sol.nodes
         keep = ((np.abs(y - sol.dual.zeros[1]) > 0.2)
                 & (np.abs(y - sol.support_endpoint) > 0.2))
         keep[[0, -1]] = False
         d = 1e-6
         dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
-        assert np.abs(dv - sol.dual.fields_at(y[keep])[2]).max() < 1e-7
+        assert np.abs(dv - field_slope(sol.dual, y[keep])).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -406,13 +415,12 @@ class TestAssembleDensity:
         lo, hi = sol.support
         assert sol(0.5 * (sol.spec.target_interval[0] + lo)) == 0.0
         assert sol(-100.0) == 0.0
-        outside = sol.nodes < lo
-        assert np.all(sol.values[outside] == 0.0)
+        outside = off_support(sol)
+        assert outside.size > 0 and np.all(sol(outside) == 0.0)
 
     def test_evaluation_matches_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        nodes, values = support_table(sol)
-        assert np.abs(sol(nodes) - values).max() < 1e-13
+        assert np.abs(sol(sol.nodes) - sol.values).max() < 1e-13
 
     def test_strong_smoothing_runs_over_the_scale_ceiling(self, solved):
         # For this grid the exact solution needs scale factors above 1
@@ -433,7 +441,7 @@ class TestAssembleDensity:
         assert sol.max_log_lambda <= 0.0
         assert sol.max_abs_slope <= spec.alpha * (1.0 + 1e-10)
         dense = np.linspace(sol.support[0], sol.support[1], 20001)
-        assert float(np.max(np.abs(sol.dual.fields_at(dense)[2]))) <= spec.alpha
+        assert float(np.max(np.abs(field_slope(sol.dual, dense)))) <= spec.alpha
 
     def test_largest_stress_is_at_a_support_end(self):
         # The parabola's vertex, (z + c)/2 in depth, beats the anchor's
@@ -512,15 +520,15 @@ class TestFullTargetRegime:
     SPEC = uniform_spec((5.54, 7.54), (3.0, 5.04), "I", 1.0)
 
     def test_support_fills_the_target(self, solved):
-        spec = self.SPEC
-        assert total_mass(spec.far_edge, spec, 0.1) == pytest.approx(
+        spec, far_edge = self.SPEC, self.SPEC.target_interval[0]
+        assert total_mass(far_edge, spec, 0.1) == pytest.approx(
             0.861, abs=1e-3)
         assert spec.target_width == pytest.approx(1.02 * spec.sharp_width)
         sol = solved(spec, 0.1, 801)
         assert sol.support == spec.target_interval
-        assert sol.support_endpoint == spec.far_edge
-        assert sol.dual.zeros[0] < spec.far_edge
-        assert sol.dual.theta(spec.far_edge) > 0.0
+        assert sol.support_endpoint == far_edge
+        assert sol.dual.zeros[0] < far_edge
+        assert sol.dual.theta(far_edge) > 0.0
         assert sol.mass == pytest.approx(1.0, abs=1e-10)
         assert sol.values[0] == sol.values[-1] == 0.0
         assert sol.clip_depth <= 1e-12
@@ -1007,8 +1015,7 @@ class TestCertifiedClip:
         assert (len(points), sum(reads)) == (16, 0)
         reads.clear()
         assert sol.values.size == sol.nodes.size and "_table" in vars(sol)
-        assert sum(reads) == sol.nodes.size - np.count_nonzero(
-            (sol.nodes < sol.support[0]) | (sol.nodes > sol.support[1]))
+        assert sum(reads) == sol.nodes.size
         assert not {"fractions", "_taylor", "_size"} & set(vars(sol.profile))
         sol.cdf(sol.support[0])
         assert "_taylor" in vars(sol.profile)
@@ -1421,8 +1428,8 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(mir.dual.fields_at(support_table(mir)[0])[2],
-                                  -sol.dual.fields_at(support_table(sol)[0])[2][::-1])
+            assert np.array_equal(field_slope(mir.dual, mir.nodes),
+                                  -field_slope(sol.dual, sol.nodes)[::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 
@@ -1457,14 +1464,25 @@ class TestDualField:
             expanded = o * (fld.constant - 0.5 * ys ** 2) - fld.multiplier * ys
             assert np.abs(fld.theta(ys) - expanded).max() < 1e-12
 
-    def test_fields_at_consistent(self):
+    def test_inverted_stress_consistent(self):
         fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
                         orientation=1.0, alpha=1.0, epsilon=0.01)
         ys = np.linspace(3.0, 5.0, 57)
-        theta, log_lam, slope = fld.fields_at(ys)
-        assert np.allclose(theta, fld.theta(ys), rtol=0, atol=0)
-        # The algebra ties the three together pointwise.
-        assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12
+        theta = fld.theta(ys)
+        log_lam, _ = duality._invert_stress_sq(theta ** 2, 1.0, 0.01)
+        # The algebra ties the stress, the scale and the slope pointwise.
+        assert np.abs(np.exp(log_lam) * field_slope(fld, ys) - theta).max() < 1e-12
+
+    def test_row_below_its_rounding_floor_meets_the_panel_budget(self):
+        # (x - y) g at x the support's low end, 1000 from the origin, asked
+        # for 1e-14: rounding noise keeps every panel over its share, so the
+        # pass would double its panels each round until memory ran out.
+        # The panel budget stops it short of 2^16 panels, in about 0.5 s.
+        sol = assemble_density(_regime_spec(4.0, 2.5, 1000.0), 1e-2)
+        x = sol.support[0]
+        with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
+                           r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
+            sol.dual.integrate(lambda y, l, g: (x - y) * g, 1e-14)
 
 
 def _graded_case(alpha, eps, offset, assumption):
@@ -1500,7 +1518,7 @@ class TestGradedPanels:
         anchor = spec.anchor
         for c in (crossing, 0.5 * (crossing + anchor)):
             fld = DualField(support, (zero, c), spec.orientation, alpha, eps)
-            slope = lambda y: fld.fields_at(y)[2]
+            slope = functools.partial(field_slope, fld)
             graded = boundary_residual(c, support, spec, eps, zero=zero,
                                        quad_tol=1e-13)
             plain = integrate(slope, *support, tol=1e-13,

@@ -50,9 +50,16 @@ def _const(value):
     return lambda y: np.full(np.shape(y), float(value))
 
 
+def _inverted(sol, y):
+    """(log_lambda, slope) at y from the inversion of the solved stress."""
+    theta = sol.dual.theta(y)
+    l, slope_sq = duality._invert_stress_sq(theta ** 2, sol.spec.alpha, sol.epsilon)
+    return l, np.copysign(np.sqrt(slope_sq), theta)
+
+
 def _slope(sol):
     """The delivered density's slope on its support: the dual slope."""
-    return lambda y: sol.dual.fields_at(y)[2]
+    return lambda y: _inverted(sol, y)[1]
 
 
 # -- primal -------------------------------------------------------------------
@@ -83,7 +90,7 @@ class TestPrimalEnergy:
         sol = solved(spec, 1e-3)
         sign = 1.0 if spec.assumption == "I" else -1.0
         h_term = 1e-3 * integrate(
-            lambda y: np.exp(sol.dual.fields_at(y)[1]), *sol.support,
+            lambda y: np.exp(_inverted(sol, y)[0]), *sol.support,
             tol=1e-12, breakpoints=(sol.dual.zeros[1],))
         assert duality_gap(sol).primal == pytest.approx(
             h_term - sign * sol.expectation, abs=1e-10)
@@ -148,7 +155,7 @@ class TestDualEnergy:
         critical = duality_gap(sol).dual
         for shift in (-0.1, -0.01, 0.0):
             out = ref.dual(sol.dual, lambda y, s=shift: np.minimum(
-                sol.dual.fields_at(y)[1] + s, 0.0))
+                _inverted(sol, y)[0] + s, 0.0))
             assert math.isfinite(out)
             assert out <= critical + 1e-12
 
@@ -174,7 +181,7 @@ class TestTotalComplementary:
         # delivered density, to its interpolation error
         sol = solved(spec, 1e-3)
         out = ref.mixed(sol, _slope(sol), sol.support, 1.0, 1e-3,
-                        lambda y: sol.dual.fields_at(y)[1])
+                        lambda y: _inverted(sol, y)[0])
         assert out == pytest.approx(duality_gap(sol).xi_total, abs=2e-6)
 
 
@@ -230,7 +237,7 @@ class TestDualityGap:
         report = duality_gap(sol)
         assert ref.primal(sol, _slope(sol), sol.support, alpha, eps) == pytest.approx(
             report.primal, abs=2e-6)
-        log_lam = lambda y: sol.dual.fields_at(y)[1]
+        log_lam = lambda y: _inverted(sol, y)[0]
         assert ref.mixed(sol, _slope(sol), sol.support, alpha, eps,
                          log_lam) == pytest.approx(
             report.xi_total, abs=2e-6)
@@ -424,7 +431,7 @@ def _clip_reference(sol, t):
     theta^2 = alpha^2, l = -t at theta^2 = e^{-2t} (alpha^2 - 2 eps t))
     and the stress zeros."""
     dual, eps, a2 = sol.dual, sol.epsilon, sol.spec.alpha ** 2
-    f = lambda y: float(_dual_diff(sol, t, 1.0, dual.fields_at(np.array([y]))[1])[0])
+    f = lambda y: float(_dual_diff(sol, t, 1.0, _inverted(sol, np.array([y]))[0])[0])
     (lo, hi), (z, c) = sol.support, dual.zeros
     cuts = [lo, hi, z, c]
     # theta = -+(y - z)(y - c)/2 meets +-theta_k at the roots of a quadratic.
@@ -596,7 +603,7 @@ class TestSecondVariationProbe:
         got = second_variation_probe(sol, SinePerturbation(sol.support), (t,),
                                      dual_perturbation=tilted).dual_deltas[0]
         f = lambda y: float(_dual_diff(sol, t, tilted(y),
-                                       sol.dual.fields_at(np.array([y]))[1])[0])
+                                       _inverted(sol, np.array([y]))[0])[0])
         cuts = sorted({p for p in (lo, hi, *sol.dual.zeros) if lo <= p <= hi})
         ref = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
                         for a, b in zip(cuts[:-1], cuts[1:]))
@@ -653,7 +660,7 @@ class TestSecondVariationProbe:
         report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
         ref = depth_pass(sol.dual, seen["fn"], 1e-12, seen["levels"])
         ys = np.linspace(*sol.support, 20001)
-        g, dg = sol.dual.fields_at(ys)[2], pert.slope(ys)
+        g, dg = _inverted(sol, ys)[1], pert.slope(ys)
         for t, got, want in zip(PROBE_T, report.primal_deltas, ref):
             clipped = np.max(t * dg * (2.0 * g + t * dg) / (2.0 * eps)) >= 700.0
             assert clipped == ((alpha, eps, t) in self.CLIPPED)

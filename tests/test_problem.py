@@ -411,13 +411,11 @@ class TestOrientationHelpers:
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
         assert spec.orientation == 1.0
         assert spec.anchor == 5.0
-        assert spec.far_edge == 0.0
 
     def test_orientation_two(self):
         spec = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
         assert spec.orientation == -1.0
         assert spec.anchor == -5.0
-        assert spec.far_edge == 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -5,11 +5,12 @@ and what all four solving commands print, for the README problem at eps
 0.1, 0.01, 0.001 and 1e-5 on a 129-node grid (`run.json`), next to the
 numpy version and the CPU features its dispatch enabled when they were
 made (`dispatch.json`).  Under that dispatch every file must match byte
-for byte.  Under another the last bits move: with numpy's AVX512_SKX
-kernels off, the README config at grid 2001 moved `map.csv` by up to
-4.9e-15 and every other number by at most 8.9e-16.  There every number
-must match within `BUDGET` max(1, |value|), about twice the largest move,
-and all the text between the numbers exactly.
+for byte.  Under another the last bits move: with numpy's AVX-512
+dispatch targets off (`NPY_ENABLE_CPU_FEATURES=X86_V3`), the README
+config plus eps 1e-5 at grid 2001 moved no number by more than 4.4e-16
+max(1, |value|).  There every number must match within `BUDGET`
+max(1, |value|), and all the text between the numbers exactly;
+`test_off_dispatch.py` runs this path.
 
 An intended artifact change rewrites the reference in the same change,
 from the package on the path:

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import support_table
 from monge1d import numerics, transport
 from monge1d.cli import cost_json_document, map_csv
 from monge1d.duality import DensitySolution
@@ -84,7 +83,7 @@ class TestTargetCdf:
     def test_strictly_increasing_inside(self, maps):
         sol, inc, _ = maps
         q = inc.target.cdf
-        assert np.all(np.diff(q(support_table(sol)[0])) > 0.0)
+        assert np.all(np.diff(q(sol.nodes)) > 0.0)
 
     def test_nan_target_is_named(self, solved):
         # searchsorted sorts NaN past the last fraction: the inverse must
@@ -325,7 +324,7 @@ class TestMirrorMaps:
         # mirrored CDF is one minus the CDF, bit for bit.
         sol = maps[0]
         msol = solved(SPEC_II, 1e-3)
-        ys = np.concatenate([np.linspace(*sol.support, 997), support_table(sol)[0]])
+        ys = np.concatenate([np.linspace(*sol.support, 997), sol.nodes])
         assert np.array_equal(sol.cdf(ys), 1.0 - msol.cdf(-ys))
 
     def test_maps_mirror(self, solved, maps):
