@@ -77,7 +77,10 @@ variable instead of depth.  On the parabola's three branches depth,
 slope and Jacobian are closed forms of l: g = sqrt(alpha^2 + 2 eps l) and
 |theta| = e^l g, so the pass inverts no node, the zeros' log layers become
 a factor e^l that 40 units of l exhaust, and a kink at a fixed l is a
-fixed panel edge.  The float inversion gives only the branch ends.
+fixed panel edge.  The float inversion gives only the branch ends.  What
+the pass reads of the field alone, its geometry, is built once per field
+and set of levels and kept on the field (`DualField._geometry`), so a
+repeat pass over one solution evaluates rows alone.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -304,16 +307,40 @@ class DualField:
         `levels` are values of l.  Every point where l takes one of them
         is a panel edge, cut exactly on each branch it crosses, so no
         round of the pass hunts a row's kink there by bisection.
+
+        The pass's geometry (`_log_geometry`: the branch ends, pieces, cuts
+        and constants) reads neither the rows nor tol.  It is built on the
+        first pass at each `levels` tuple and kept on the field, read-only,
+        for the last `_GEOMETRIES_KEPT` tuples, so a repeat pass, such as a
+        second probe of one solution, only evaluates rows.
         """
-        o, (lo, hi) = self.orientation, self.support
-        anchor = hi if o > 0 else lo
-        zeros = tuple(o * (anchor - p) for p in self.zeros)
-        sums = _log_pass(fn, zeros, hi - lo, anchor, o, self.alpha, self.epsilon,
-                         tol, levels)
+        sums = _log_pass(fn, self._geometry(levels), tol)
         out = np.cumsum(sums, axis=1)[:, -1]
         return float(out[0]) if out.size == 1 else out
 
+    @functools.cached_property
+    def _geometries(self):
+        """The row pass's geometries built so far, by `levels` tuple."""
+        return {}
 
+    def _geometry(self, levels):
+        """`_log_geometry` of the field at `levels`, built on its first read;
+        the oldest kept tuple makes way once `_GEOMETRIES_KEPT` are held."""
+        key = tuple(float(lv) for lv in levels)
+        kept = self._geometries
+        if key not in kept:
+            if len(kept) >= _GEOMETRIES_KEPT:
+                del kept[next(iter(kept))]
+            o, (lo, hi) = self.orientation, self.support
+            anchor = hi if o > 0 else lo
+            zeros = tuple(o * (anchor - p) for p in self.zeros)
+            kept[key] = _log_geometry(zeros, hi - lo, anchor, o, self.alpha,
+                                      self.epsilon, key)
+        return kept[key]
+
+
+# How many `levels` tuples a field keeps the row pass's geometry for.
+_GEOMETRIES_KEPT = 8
 # How far below the top of each branch the row pass integrates, in l: the
 # rest of the branch is a factor e^-40 = 4e-18 of it.
 _L_WINDOW = 40.0
@@ -323,10 +350,10 @@ _L_LADDER = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 11.0, 17.0, 25.0)
 _V_LADDER = tuple(math.sqrt(dl) for dl in _L_LADDER)
 
 
-def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=()):
-    """The row sums of one `_adaptive` pass of fn(y, l, slope) over the
-    depths [0, S] of the stress (s - z)(s - c)/2, 0 <= c <= S <= z, taken
-    in l = ln lambda branch by branch, so that no node is inverted; y is
+def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
+    """The geometry of the row pass (`_log_pass`) over the depths [0, S] of
+    the stress (s - z)(s - c)/2, 0 <= c <= S <= z, taken in l = ln lambda
+    branch by branch, so that no node is inverted; y is
     anchor - orientation s and the slope du/dy.
 
     With g = sqrt(alpha^2 + 2 eps l), tau = e^l g = |theta|, m = (z + c)/2
@@ -358,8 +385,12 @@ def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=())
     taken to d at the anchor's rate: there the probes' t > 0 primal rows
     vary on the penalty's own scale.  Every l in `levels` is a panel edge
     on every piece it crosses.  None of this reads the rows, so a stack
-    and each of its rows alone are summed on the same panels.  Returns
-    the (rows, panels) sums."""
+    and each of its rows alone are summed on the same panels, and one
+    geometry serves every pass over the field at these levels
+    (`DualField._geometry`).  Returns (starts, table, cuts, span, h, eps):
+    the pieces' starts along the pass's variable and their constants, one
+    column a piece, the first panels' cuts, all three read-only, the
+    pass's span, the half distance h between the zeros, and eps."""
     c, z = sorted(zeros)
     h, m, eps, o = 0.5 * (z - c), 0.5 * (z + c), epsilon, orientation
     a2 = alpha * alpha
@@ -375,7 +406,6 @@ def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=())
     # d = D0 + D1 x + D2 x^2, l_ref, g^2 = G0 + G1 x + G2 x^2, |dd/dx| = J1 + J2 x
     forms = {"d": (0.0, 1.0, 0.0, l_0, gg_0, -2.0 * eps, 0.0, 1.0, 0.0),
              "v": (0.0, 0.0, 1.0, l_v, gg_v, 0.0, -2.0 * eps, 0.0, 2.0)}
-    levels = [float(lv) for lv in levels]
     pieces = []                 # (x_a, x_b, constants, inner edges in x)
 
     def branch(top, bottom, var, ref, ladder, graded=()):
@@ -422,7 +452,19 @@ def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=())
         table.append((x_a - t,) + constants)
         t += x_b - x_a
         cuts.append(t)
-    starts, table = np.array(starts), np.array(table).T
+    starts, table, cuts = np.array(starts), np.array(table).T, np.array(cuts)
+    for arr in (starts, table, cuts):
+        arr.flags.writeable = False
+    return starts, table, cuts, t, h, eps
+
+
+def _log_pass(fn, geometry, tol):
+    """The row sums of one `_adaptive` pass of fn(y, l, slope) over a
+    field's `_log_geometry`, refined until every row meets the tolerance.
+    Each round maps its nodes through the constants of their pieces to
+    y, l, the slope and the Jacobian; no node is inverted, and nothing of
+    the geometry is built again.  Returns the (rows, panels) sums."""
+    starts, table, cuts, span, h, eps = geometry
 
     def rows(nodes):
         (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, y0, yc,
@@ -439,7 +481,7 @@ def _log_pass(fn, zeros, S, anchor, orientation, alpha, epsilon, tol, levels=())
         jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
         return np.asarray(fn(y, l, ys * g), dtype=float) * jac
 
-    return _adaptive(rows, 0.0, t, cuts, tol)[1]
+    return _adaptive(rows, 0.0, span, cuts, tol)[1]
 
 
 def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):

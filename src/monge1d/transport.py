@@ -61,6 +61,16 @@ def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return mid - half * _chebyshev_cosines(n)
 
 
+@functools.lru_cache(maxsize=32)
+def _probe_fractions(source, interval) -> np.ndarray:
+    """The source CDF at `pushforward_residual`'s Chebyshev probes on
+    `interval`, read-only.  A frozen `SourceDensity` and an interval key it
+    by value, so equal densities share it; 32 are kept, 8 kB each."""
+    fractions = source.cdf(chebyshev_nodes(*interval, _PUSHFORWARD_PROBE_N))
+    fractions.flags.writeable = False
+    return fractions
+
+
 @dataclass(frozen=True)
 class TransportMap:
     """A monotone transport map x -> Q^{-1}(F(x)) (Q^{-1}(1 - F(x)) for the
@@ -104,14 +114,13 @@ def pushforward_residual(map_solution: TransportMap,
     For the increasing variant this is sup |Q(s(x)) - F(x)|, with Q the
     CDF of `solution`, the integrated form of the pushforward equation
     u(s) s' = f+; the decreasing variant compares against 1 - F.  The
-    source CDF is read once: its fractions, flipped for the decreasing
+    source CDF is read once per source and probed interval, across calls
+    (`_probe_fractions`): its fractions, flipped for the decreasing
     variant, go to the quantile of the map's own target, which is how
     `TransportMap.map` composes them, so s(x) is the map's value bit for
     bit and the residual checks the map's target against `solution`.
     """
-    a, b = spec.source_interval
-    xs = chebyshev_nodes(a, b, _PUSHFORWARD_PROBE_N)
-    f = spec.source_density.cdf(xs)
+    f = _probe_fractions(spec.source_density, spec.source_interval)
     if map_solution.variant == "decreasing":
         f = 1.0 - f
     q = solution.cdf(map_solution.target.quantile(f))

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from monge1d.sweep import epsilon_sweep
 from reference_quadrature import integrate
 from reference_solves import (boundary_residual, solve_constant, solve_crossing,
                               total_mass)
+from test_reference_artifacts import HERE as REFERENCE_DIR, dispatch
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -862,15 +864,24 @@ class TestCoupledSolve:
 
     def test_work_counts_are_pinned(self, adaptive_passes):
         # Newton steps and quadrature passes over a fixed set of regimes.
-        # Both are counts, bitwise repeatable: a change that does more
-        # work shows here as a new count.
+        # Both are counts, bitwise repeatable under one numpy dispatch: a
+        # change that does more work shows here as a new count.  The pin is
+        # recorded per dispatch, as the reference tests record their bytes:
+        # under the one recorded with them, (17, 29); under any other, the
+        # count measured with numpy's AVX-512 targets off
+        # (NPY_ENABLE_CPU_FEATURES=X86_V3, and X86_V2 alike), (16, 28).  One
+        # solve moves, the full target at alpha 1, eps 0.1, 1.02 sharp
+        # widths: its free zero is ill-conditioned there, and numpy's
+        # vector exp and log round per dispatch target, so the 4-ulp stop
+        # is met one step apart.  `test_off_dispatch.py` runs the other pin.
         points = [(_regime_spec(alpha, factor, 0.0), eps) for alpha, eps, factor
                   in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4), (1.02, 2.5))]
         for spec, eps in points:
             assemble_density(spec, eps, 101)
         passes = len(adaptive_passes)
         steps = sum(duality._solve_zeros(spec, eps).steps for spec, eps in points)
-        assert (steps, passes) == (17, 29)
+        recorded = json.loads((REFERENCE_DIR / "dispatch.json").read_text())
+        assert (steps, passes) == ((17, 29) if dispatch() == recorded else (16, 28))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(alpha=st.floats(min_value=0.5, max_value=4.0),

@@ -355,11 +355,16 @@ class TestRowPass:
         want = depth_pass(sol.dual, rows, 1e-13)
         assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
 
-    def test_inverts_no_node(self, solved, monkeypatch):
+    def test_inverts_no_node(self, monkeypatch):
         # In l every node's depth, slope and Jacobian are closed forms: the
         # pass inverts no node, and the float inversion runs once per
         # branch end (the anchor, the vertex and a far edge short of the
-        # free zero).
+        # free zero) when the field first meets a `levels` tuple: a free
+        # end has two branch ends, a full target three.  The row pass and
+        # the probe cut at other levels, so each builds its geometry; a
+        # repeat of both reads the geometries the field keeps and inverts
+        # nothing.  Fresh solves: the session's solutions may have been
+        # integrated already.
         calls = {"array": 0, "float": 0}
         array, one = duality._invert_stress_sq, duality._invert_stress_sq_one
 
@@ -371,18 +376,70 @@ class TestRowPass:
             calls["float"] += 1
             return one(*args)
 
-        # Two passes each: a free end has two branch ends, a full target
-        # three.
-        for factor, ends in ((2.5, 4), (1.0, 6)):
-            sol = solved(_grid_spec(1.0, 0.0, "I", factor), 1e-3)
+        for factor, ends in ((2.5, 2), (1.0, 3)):
+            sol = assemble_density(_grid_spec(1.0, 0.0, "I", factor), 1e-3)
             monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
             monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
-            sol.dual.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
-            second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
-                                   dual_perturbation=_ONE)
+            for repeat_ends in (2 * ends, 0):
+                sol.dual.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
+                second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                                       dual_perturbation=_ONE)
+                assert calls == {"array": 0, "float": repeat_ends}
+                calls.update(array=0, float=0)
             monkeypatch.undo()
-            assert calls == {"array": 0, "float": ends}
-            calls.update(array=0, float=0)
+
+    def test_repeat_probe_builds_nothing(self, monkeypatch):
+        # A second probe with the same perturbation and amplitudes reads the
+        # geometry the first one built: no inversion, no table, and the
+        # same deltas bit for bit.
+        sol = assemble_density(SPEC_I, 1e-2)
+
+        def probe():
+            return second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                                          dual_perturbation=_ONE)
+
+        first = probe()
+
+        def refuse(*args):
+            raise AssertionError("the repeat probe built its geometry again")
+
+        monkeypatch.setattr(duality, "_invert_stress_sq_one", refuse)
+        monkeypatch.setattr(duality, "_log_geometry", refuse)
+        again = probe()
+        assert again.primal_deltas == first.primal_deltas
+        assert again.dual_deltas == first.dual_deltas
+
+    def test_geometry_is_kept_per_field_and_levels(self, monkeypatch):
+        # Other levels and another field each build their own geometry; the
+        # kept arrays refuse writes, and a field keeps _GEOMETRIES_KEPT
+        # tuples, making way for a new one by dropping the oldest.
+        built = []
+        plain = duality._log_geometry
+
+        def counted(*args):
+            built.append(args[-1])
+            return plain(*args)
+
+        monkeypatch.setattr(duality, "_log_geometry", counted)
+        fields = [assemble_density(spec, 1e-2).dual for spec in (SPEC_I, SPEC_II)]
+
+        def row(y, l, g):
+            return g
+
+        for fld in fields:
+            for levels in ((), (0.0, -1e-3), (0.0, -1e-3), np.array([0.0, -1e-3])):
+                fld.integrate(row, 1e-10, levels)
+        assert built == [(), (0.0, -1e-3)] * 2
+        starts, table, cuts, *_ = fields[0]._geometry(())
+        for arr in (starts, table, cuts):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        fld = fields[0]
+        for k in range(duality._GEOMETRIES_KEPT):
+            fld.integrate(row, 1e-10, (-1.0 - k,))
+        assert len(fld._geometries) == duality._GEOMETRIES_KEPT
+        assert () not in fld._geometries and (0.0, -1e-3) not in fld._geometries
+        assert (-1.0,) in fld._geometries
 
 
 # -- probes -------------------------------------------------------------------

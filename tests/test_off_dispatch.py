@@ -1,11 +1,14 @@
-"""The two committed references, read under another numpy dispatch.
+"""The two committed references and the solve's work pin, read under
+another numpy dispatch.
 
 `test_reference_artifacts.py` and `test_edge_reference.py` compare bytes
 under the dispatch recorded with their references and within `BUDGET`
-elsewhere.  Here both files run again in a fresh interpreter with
-`NPY_ENABLE_CPU_FEATURES=X86_V3`, which turns off numpy's AVX-512 dispatch
-targets, so their within-budget path runs on the machine that records
-them.  Where the CPU has no AVX-512 target to turn off, the test skips.
+elsewhere; `test_duality.py`'s work pin holds one count under that
+dispatch and another elsewhere.  Here all three run again in a fresh
+interpreter with `NPY_ENABLE_CPU_FEATURES=X86_V3`, which turns off numpy's
+AVX-512 dispatch targets, so their other path runs on the machine that
+records them.  Where the CPU has no AVX-512 target to turn off, the test
+skips.
 """
 
 import os
@@ -19,7 +22,8 @@ import monge1d
 from test_reference_artifacts import dispatch
 
 HERE = Path(__file__).resolve().parent
-REFERENCE_TESTS = ("test_reference_artifacts.py", "test_edge_reference.py")
+REFERENCE_TESTS = ("test_reference_artifacts.py", "test_edge_reference.py",
+                   "test_duality.py::TestCoupledSolve::test_work_counts_are_pinned")
 _AVX512_TARGETS = {"X86_V4", "AVX512_SKX", "AVX512_ICL", "AVX512_SPR"}
 
 _PROBE = """

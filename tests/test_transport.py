@@ -282,10 +282,10 @@ class TestSourceGeometryWork:
     def test_geometry_is_derived_once(self, solved, monkeypatch):
         # One derivation per SourceDensity construction and none per read:
         # the spec's checks, both maps and both pushforward residuals on one
-        # solution make two source-CDF calls (one per residual), two
-        # barycenter calls and one each of min_value and mass, and derive
-        # nothing.  The residuals'
-        # cosine table is computed once for their node count.
+        # solution make one source-CDF call (the residuals share their
+        # probes' fractions), two barycenter calls and one each of
+        # min_value and mass, and derive nothing.  The residuals' cosine
+        # table is computed once for their node count, by that one call.
         derived, reads = [], collections.Counter()
         plain_derive = SourceDensity._derive_cells
 
@@ -304,6 +304,7 @@ class TestSourceGeometryWork:
                 return _plain(self, *args)
             monkeypatch.setattr(SourceDensity, name, counted)
         transport._chebyshev_cosines.cache_clear()
+        transport._probe_fractions.cache_clear()
         derived.clear()
 
         assert validate_spec(spec).ok
@@ -311,11 +312,48 @@ class TestSourceGeometryWork:
         for m in maps:
             pushforward_residual(m, sol, spec)
         assert derived == []
-        assert reads == {"cdf": 2, "barycenter": 2, "min_value": 1, "mass": 1}
+        assert reads == {"cdf": 1, "barycenter": 2, "min_value": 1, "mass": 1}
         cache = transport._chebyshev_cosines.cache_info()
-        assert (cache.misses, cache.hits) == (1, 1)
+        assert (cache.misses, cache.hits) == (1, 0)
         chebyshev_nodes(0.0, 1.0, 9)
         assert transport._chebyshev_cosines.cache_info().misses == 2
+
+    def test_probe_fractions_are_read_once_per_source(self, solved, monkeypatch):
+        # Both residuals on one source read its CDF once, and the residual
+        # with the kept fractions equals the one computed afresh; the kept
+        # fractions refuse writes.
+        sol = solved(RAMP, 1e-3)
+        maps = [build_map(RAMP, sol, v) for v in ("increasing", "decreasing")]
+        transport._probe_fractions.cache_clear()
+        reads = []
+        plain = SourceDensity.cdf
+        monkeypatch.setattr(SourceDensity, "cdf",
+                            lambda self, x: reads.append(self) or plain(self, x))
+        got = [pushforward_residual(m, sol, RAMP) for m in maps]
+        assert reads == [RAMP.source_density]
+        xs = chebyshev_nodes(*RAMP.source_interval, transport._PUSHFORWARD_PROBE_N)
+        f = plain(RAMP.source_density, xs)
+        for m, residual, fractions in zip(maps, got, (f, 1.0 - f)):
+            q = sol.cdf(m.target.quantile(fractions))
+            assert residual == float(np.max(np.abs(q - fractions)))
+        kept = transport._probe_fractions(RAMP.source_density, RAMP.source_interval)
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+
+    def test_probe_fractions_key_by_value(self):
+        # Two densities equal by value share one entry; another probed
+        # interval is another entry.
+        transport._probe_fractions.cache_clear()
+        density = RAMP.source_density
+        twin = SourceDensity(interval=(6.0, 8.0), kind="piecewise-linear",
+                             nodes=(6.0, 8.0), values=(0.1, 0.9))
+        assert twin is not density
+        first = transport._probe_fractions(density, (6.0, 8.0))
+        assert transport._probe_fractions(twin, (6.0, 8.0)) is first
+        other = transport._probe_fractions(density, (6.5, 8.0))
+        assert other is not first and not np.array_equal(other, first)
+        info = transport._probe_fractions.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 class TestMirrorMaps:
