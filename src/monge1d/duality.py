@@ -39,7 +39,9 @@ here, all in closed form up to one two-unknown root solve:
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass at any y, and so is the
    CDF's inverse (`DensitySolution`); the CDF's rows are built on their
-   first read.  The sampled grid over the support is only the table that
+   first read.  The solution stores the solve's depth zeros alone: the
+   parabola in y (`DualField`), the support and its closing end are read
+   off them.  The sampled grid over the support is only the table that
    `density.csv` writes, built on its first read.  Its clip depth is
    certified panel by panel from the density's Bernstein coefficients,
    and the grid is read only in panels left uncertified (`_clip_depth`),
@@ -71,16 +73,17 @@ and dual energy integrals (at the solved pair the complementary energy is
 the primal, see `energy`), and their panels, graded 64 ulps deep into each
 zero, become the density.
 
-`DualField.integrate` sums rows alone, the probes' among them, and
+`DensitySolution.integrate` sums rows alone, the probes' among them, and
 delivers no density, so its pass (`_log_pass`) takes l = ln lambda as the
 variable instead of depth.  On the parabola's three branches depth,
 slope and Jacobian are closed forms of l: g = sqrt(alpha^2 + 2 eps l) and
 |theta| = e^l g, so the pass inverts no node, the zeros' log layers become
 a factor e^l that 40 units of l exhaust, and a kink at a fixed l is a
 fixed panel edge.  The float inversion gives only the branch ends.  What
-the pass reads of the field alone, its geometry, is built once per field
-and set of levels and kept on the field (`DualField._geometry`), so a
-repeat pass over one solution evaluates rows alone.
+the pass reads of the solution alone, its geometry, is built from the
+solve's own depth zeros and the pass's far edge, with no trip through y,
+once per solution and set of levels, and kept on the solution
+(`DensitySolution._geometry`), so a repeat pass evaluates rows alone.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -249,25 +252,21 @@ def _invert_stress_sq_one(stress_sq, alpha, epsilon):
 
 @dataclass(frozen=True)
 class DualField:
-    """Closed-form stress parabola plus the pointwise scale/slope algebra.
+    """The stress parabola in y of a solution (`DensitySolution.dual`).
 
-    The stress is held through its two zeros `zeros = (z, c)` and
-    evaluated in the factored form theta = -orientation (y - z)(y - c)/2:
-    c is the crossing (the density peak) and z the free zero, which is the
+    It is held through its two zeros `zeros = (z, c)` and evaluated in the
+    factored form theta = -orientation (y - z)(y - c)/2: c is the
+    crossing (the density peak) and z the free zero, which is the
     free support endpoint or, when the support fills the target, a point
     beyond the far edge.  The factored form keeps theta(z) = 0 exact; the
     expanded form orientation * (constant - y^2/2) - multiplier * y loses
     it to cancellation, so `constant` and `multiplier` are only read out.
     multiplier is the unit-mass multiplier mu of the stress equation
-    theta_y = -|y| - mu.  The field is geometry alone: what a solve's
-    passes sum over it is held on the `DensitySolution`.
+    theta_y = -|y| - mu.
     """
 
-    support: tuple[float, float]
     zeros: tuple[float, float]
     orientation: float
-    alpha: float
-    epsilon: float
 
     @property
     def constant(self) -> float:
@@ -295,51 +294,8 @@ class DualField:
         y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
         return -0.5 * self.orientation * ((y - z) + (y - c))
 
-    def integrate(self, fn, tol, levels=()):
-        """Support integrals of the rows fn(y, log_lambda, slope) (a float
-        for one row), the sums of one `_log_pass` over the stress
-        parabola's three branches in l = ln lambda, panel after panel.  On
-        each branch depth, slope and Jacobian are closed forms of l, so the
-        pass inverts no node, and its sums do not depend on the array
-        inversion's collective stop (`_invert_stress_sq`): the float
-        inversion gives the branch ends alone.
 
-        `levels` are values of l.  Every point where l takes one of them
-        is a panel edge, cut exactly on each branch it crosses, so no
-        round of the pass hunts a row's kink there by bisection.
-
-        The pass's geometry (`_log_geometry`: the branch ends, pieces, cuts
-        and constants) reads neither the rows nor tol.  It is built on the
-        first pass at each `levels` tuple and kept on the field, read-only,
-        for the last `_GEOMETRIES_KEPT` tuples, so a repeat pass, such as a
-        second probe of one solution, only evaluates rows.
-        """
-        sums = _log_pass(fn, self._geometry(levels), tol)
-        out = np.cumsum(sums, axis=1)[:, -1]
-        return float(out[0]) if out.size == 1 else out
-
-    @functools.cached_property
-    def _geometries(self):
-        """The row pass's geometries built so far, by `levels` tuple."""
-        return {}
-
-    def _geometry(self, levels):
-        """`_log_geometry` of the field at `levels`, built on its first read;
-        the oldest kept tuple makes way once `_GEOMETRIES_KEPT` are held."""
-        key = tuple(float(lv) for lv in levels)
-        kept = self._geometries
-        if key not in kept:
-            if len(kept) >= _GEOMETRIES_KEPT:
-                del kept[next(iter(kept))]
-            o, (lo, hi) = self.orientation, self.support
-            anchor = hi if o > 0 else lo
-            zeros = tuple(o * (anchor - p) for p in self.zeros)
-            kept[key] = _log_geometry(zeros, hi - lo, anchor, o, self.alpha,
-                                      self.epsilon, key)
-        return kept[key]
-
-
-# How many `levels` tuples a field keeps the row pass's geometry for.
+# How many `levels` tuples a solution keeps the row pass's geometry for.
 _GEOMETRIES_KEPT = 8
 # How far below the top of each branch the row pass integrates, in l: the
 # rest of the branch is a factor e^-40 = 4e-18 of it.
@@ -386,11 +342,12 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     vary on the penalty's own scale.  Every l in `levels` is a panel edge
     on every piece it crosses.  None of this reads the rows, so a stack
     and each of its rows alone are summed on the same panels, and one
-    geometry serves every pass over the field at these levels
-    (`DualField._geometry`).  Returns (starts, table, cuts, span, h, eps):
-    the pieces' starts along the pass's variable and their constants, one
-    column a piece, the first panels' cuts, all three read-only, the
-    pass's span, the half distance h between the zeros, and eps."""
+    geometry serves every pass over the solution at these levels
+    (`DensitySolution._geometry`).  Returns (starts, table, cuts, span, h,
+    eps, anchor, orientation): the pieces' starts along the pass's
+    variable and their constants, one column a piece, the first panels'
+    cuts, all three read-only, the pass's span, the half distance h
+    between the zeros, eps, and the map y = anchor - orientation s."""
     c, z = sorted(zeros)
     h, m, eps, o = 0.5 * (z - c), 0.5 * (z + c), epsilon, orientation
     a2 = alpha * alpha
@@ -411,7 +368,7 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     def branch(top, bottom, var, ref, ladder, graded=()):
         """The pieces of one branch from l = top down to l = bottom, the
         first with its `ladder` in x.  ref holds g at l_ref;
-        R^2 = A + e^l (B g + C (tau_ref - tau) e^-l); y = y0 + yc tau/(h + R);
+        R^2 = A + e^l (B g + C (tau_ref - tau) e^-l); s = s0 + sc tau/(h + R);
         and the slope's factor of g."""
         l_ref = forms[var][3]
         low = max(top - _L_WINDOW, bottom)
@@ -435,15 +392,15 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
         rate = S * gg_0 * m / (tau_0 * (gg_0 + eps))      # S dd/ds at the anchor
         grades = range(1, math.ceil(math.log2(a2 / eps)) + 1)
         branch(l_0, -math.inf, "d",
-               (math.sqrt(gg_0), h * h, 2.0, 0.0, anchor - o * c, 2.0 * o, -o),
+               (math.sqrt(gg_0), h * h, 2.0, 0.0, c, -2.0, -o),
                _L_LADDER, [rate * 0.5 ** k for k in grades])
     vertex = (math.sqrt(gg_v), 0.0, 0.0, 2.0)
     if min(m, S) > c:           # theta < 0 on [c, min(m, S)], up to the vertex
         top = l_v if S >= m else l_S
-        branch(top, -math.inf, "v", vertex + (anchor - o * c, -2.0 * o, o),
+        branch(top, -math.inf, "v", vertex + (c, 2.0, o),
                _V_LADDER if S >= m else [x_of["v"](top - dl) for dl in _L_LADDER])
     if S > m:                   # theta < 0 on [m, S], down from the vertex
-        branch(l_v, l_S, "v", vertex + (anchor - o * z, 2.0 * o, o), _V_LADDER)
+        branch(l_v, l_S, "v", vertex + (z, -2.0, o), _V_LADDER)
 
     cuts, starts, table, t = [], [], [], 0.0
     for x_a, x_b, constants, inner in pieces:
@@ -455,19 +412,21 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     starts, table, cuts = np.array(starts), np.array(table).T, np.array(cuts)
     for arr in (starts, table, cuts):
         arr.flags.writeable = False
-    return starts, table, cuts, t, h, eps
+    return starts, table, cuts, t, h, eps, anchor, o
 
 
 def _log_pass(fn, geometry, tol):
-    """The row sums of one `_adaptive` pass of fn(y, l, slope) over a
-    field's `_log_geometry`, refined until every row meets the tolerance.
-    Each round maps its nodes through the constants of their pieces to
-    y, l, the slope and the Jacobian; no node is inverted, and nothing of
-    the geometry is built again.  Returns the (rows, panels) sums."""
-    starts, table, cuts, span, h, eps = geometry
+    """The row integrals of one `_adaptive` pass of fn(y, l, slope) over a
+    `_log_geometry`, refined until every row meets the tolerance and
+    summed panel after panel: a float for one row.  Each round maps its
+    nodes through the constants of their pieces to depth, l, the slope
+    and the Jacobian, and each depth to y on its own, so no rounding of
+    y is shared by a branch; no node is inverted, and nothing of the
+    geometry is built again."""
+    starts, table, cuts, span, h, eps, anchor, o = geometry
 
     def rows(nodes):
-        (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, y0, yc,
+        (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, s0, sc,
          ys) = table[:, np.searchsorted(starts, nodes, side="right") - 1]
         x = nodes + X0
         d = D0 + x * (D1 + x * D2)
@@ -477,11 +436,12 @@ def _log_pass(fn, geometry, tol):
         lam = np.exp(l)
         R = np.sqrt(A + lam * (B * g + C * (np.expm1(d) * g_ref
                                             + 2.0 * eps * d / (g_ref + g))))
-        y = y0 + yc * (lam * g) / (h + R)
+        y = anchor - o * (s0 + sc * (lam * g) / (h + R))
         jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
         return np.asarray(fn(y, l, ys * g), dtype=float) * jac
 
-    return _adaptive(rows, 0.0, span, cuts, tol)[1]
+    out = np.cumsum(_adaptive(rows, 0.0, span, cuts, tol)[1], axis=1)[:, -1]
+    return float(out[0]) if out.size == 1 else out
 
 
 def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
@@ -522,7 +482,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     one quadrature pass over the support [0, S]: the closing density
     integral of du/ds less its aim, integral of (S - s) du/ds - 1,
     integral of (S - s)^2 du/ds and `DensitySolution.energy_integrals`, summed
-    panel after panel as `DualField.integrate` sums them.  Also the
+    panel after panel as `DensitySolution.integrate` sums them.  Also the
     residuals' exact Jacobian in (z, c), from two more rows of the same
     pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
     z, c = zeros
@@ -810,23 +770,25 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
 
 @dataclass(frozen=True, eq=False)
 class DensitySolution:
-    """Transfer density with its dual field and diagnostics.
+    """Transfer density with its stress zeros and diagnostics.
 
-    nodes/values tabulate the density on its support, the table
-    `density.csv` writes, sampled on grid_n uniform depths over the
-    support with the crossing, at depth crossing_depth, as a node
-    (`_depth_grid`); off the support the density is zero.  The table is
+    depth_zeros = (z, c), the free zero and the crossing as depths, exactly
+    as `_solve_zeros` returns them, are the one record of the zeros: the
+    stress parabola in y (`dual`), the `support` and its closing end
+    `support_endpoint` are read off them.  nodes/values tabulate the
+    density on its support, the table `density.csv` writes, sampled on
+    grid_n uniform depths with the crossing as a node (`_depth_grid`),
     built on its first read: no solve reads it.  clip_depth is how far
     below zero its values run before the clip, certified panel by panel
-    (`_clip_depth`).  max_abs_slope and max_log_lambda report how far the
-    solution runs above the nominal scale ceiling instead of clamping it
-    (see the module docstring); they are the slope inversion of the stress
-    maximum, one node run on floats (`_invert_stress_sq_one`) and equal
-    bit for bit to the array inversion of that node.  mass, expectation
-    and energy_integrals
-    (the H-term and dual integrals `energy` reads) are rows of the solve's
-    last pass; what the coupled zero solve did (its Newton steps and final
-    residuals) stays on its `_ZeroSolve`.
+    (`_clip_depth`).  max_abs_slope and
+    max_log_lambda report how far the solution runs above the nominal
+    scale ceiling instead of clamping it (see the module docstring); they
+    are the slope inversion of the stress maximum, one node run on floats
+    (`_invert_stress_sq_one`) and equal bit for bit to the array inversion
+    of that node.  mass, expectation and energy_integrals (the H-term and
+    dual integrals `energy` reads) are rows of the solve's last pass; what
+    the coupled zero solve did (its Newton steps and final residuals)
+    stays on its `_ZeroSolve`.
 
     The solution holds one representation of the density, that pass read
     in depth as a `numerics.MonotoneProfile`, and one map of y to depth
@@ -842,10 +804,7 @@ class DensitySolution:
 
     spec: MongeProblemSpec
     epsilon: float
-    dual: DualField
-    support_endpoint: float
-    support: tuple[float, float]
-    crossing_depth: float
+    depth_zeros: tuple[float, float]
     grid_n: int
     mass: float
     expectation: float
@@ -856,12 +815,28 @@ class DensitySolution:
     profile: MonotoneProfile = field(repr=False)
 
     @functools.cached_property
+    def dual(self) -> DualField:
+        """The stress parabola in y, its zeros at anchor - o s."""
+        o, anchor = self.spec.orientation, self.spec.anchor
+        return DualField(tuple(anchor - o * s for s in self.depth_zeros), o)
+
+    @property
+    def support_endpoint(self) -> float:
+        """The closing end of the support (`_closing_end`)."""
+        return _closing_end(self.spec, self.dual.zeros[0])
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The support [anchor, closing end] in ascending y."""
+        return tuple(sorted((self.spec.anchor, self.support_endpoint)))
+
+    @functools.cached_property
     def _table(self):
         """(nodes, values): the profile read on the depth grid, clipped at 0
         with both Dirichlet ends pinned, in ascending y."""
         o, anchor = self.spec.orientation, self.spec.anchor
         edges = self.profile.edges
-        grid_s = _depth_grid((edges[0], edges[-1]), self.crossing_depth, self.grid_n)
+        grid_s = _depth_grid((edges[0], edges[-1]), self.depth_zeros[1], self.grid_n)
         # The anchored end is zero exactly; the closing end only up to the
         # residual tolerance, and interior rounding can graze zero, so clip
         # and pin both Dirichlet ends.
@@ -913,6 +888,46 @@ class DensitySolution:
         out = np.where(s == self.profile.edges[-1], self.support_endpoint,
                        self.spec.anchor - o * s)
         return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+
+    def integrate(self, fn, tol, levels=()):
+        """Support integrals of the rows fn(y, log_lambda, slope) (a float
+        for one row), the sums of one `_log_pass` over the stress
+        parabola's three branches in l = ln lambda.  On each branch depth,
+        slope and Jacobian are closed forms of l, so the pass inverts no
+        node and does not depend on the array inversion's collective stop
+        (`_invert_stress_sq`).  Every point where l takes one of the
+        `levels` is a panel edge, so no round hunts a row's kink there.
+        The pass's geometry (`_log_geometry`) reads neither the rows nor
+        tol: it is built on the first pass at each `levels` tuple and kept,
+        read-only, for the last `_GEOMETRIES_KEPT` tuples, so a repeat
+        pass, such as a second probe, only evaluates rows.
+        """
+        return _log_pass(fn, self._geometry(levels), tol)
+
+    @functools.cached_property
+    def _geometries(self):
+        """The row pass's geometries built so far, by `levels` tuple."""
+        return {}
+
+    def _geometry(self, levels):
+        """`_log_geometry` of the solve's depth zeros and the pass's last
+        edge S at `levels`, built on its first read; the oldest kept tuple
+        makes way once `_GEOMETRIES_KEPT` are held."""
+        key = tuple(float(lv) for lv in levels)
+        kept = self._geometries
+        if key not in kept:
+            if len(kept) >= _GEOMETRIES_KEPT:
+                del kept[next(iter(kept))]
+            spec, S = self.spec, float(self.profile.edges[-1])
+            kept[key] = _log_geometry(self.depth_zeros, S, spec.anchor, spec.orientation,
+                                      spec.alpha, self.epsilon, key)
+        return kept[key]
+
+
+def _closing_end(spec: MongeProblemSpec, zero):
+    """The free zero clamped to the target: the far edge once beyond it."""
+    tl, tr = spec.target_interval
+    return min(max(zero, tl), tr)
 
 
 def _depth_grid(span, crossing, grid_n):
@@ -983,21 +998,16 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     # depth 0, the anchor, and its support closes at depth S, y = m.
     zeros = solved.zeros
     o, anchor = spec.orientation, spec.anchor
-    zero, crossing = anchor - o * zeros[0], anchor - o * zeros[1]
-    # The closing end: the zero clamped to the target, so the far edge
-    # exactly once the zero lies beyond it.
-    tl, tr = spec.target_interval
-    m = min(max(zero, tl), tr)
-    support = tuple(sorted((anchor, m)))
+    dual = DualField(tuple(anchor - o * s for s in zeros), o)
+    m = _closing_end(spec, dual.zeros[0])
     edges, sums, samples = solved.final_pass
     profile = MonotoneProfile(edges, sums[0], samples, singular=zeros)
     clip_depth = _clip_depth(profile, zeros[1], grid_n)
-    dual = DualField(support, (zero, crossing), o, spec.alpha, epsilon)
 
     # |theta| peaks at a support end: the parabola's vertex, inside the
     # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
     # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
-    stress_max = max(abs(dual.theta(support[0])), abs(dual.theta(support[1])))
+    stress_max = max(abs(dual.theta(anchor)), abs(dual.theta(m)))
     l_max, u_max = _invert_stress_sq_one(stress_max ** 2, spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual
     # integral of y u = m * mass + integral of (y - m) u, and the latter
@@ -1008,8 +1018,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     # one the negated expectation.
     expectation = m * mass + 0.5 * o * solved.moment
     return DensitySolution(
-        spec=spec, epsilon=epsilon, dual=dual, support_endpoint=m,
-        support=support, crossing_depth=zeros[1], grid_n=int(grid_n),
+        spec=spec, epsilon=epsilon, depth_zeros=zeros, grid_n=int(grid_n),
         mass=float(mass), expectation=float(expectation),
         energy_integrals=solved.energy_integrals,
         max_abs_slope=math.sqrt(u_max), max_log_lambda=l_max,

@@ -32,7 +32,7 @@ solution's `expectation`, a row of the same pass.  The variational
 probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
 `SinePerturbation`; all their deltas are the rows of one pass in
-l = ln lambda (`DualField.integrate`), cut at the l where the dual bump's
+l = ln lambda (`DensitySolution.integrate`), cut at the l where the dual bump's
 clip kinks, at one tolerance, `_PROBE_QUAD_TOL`.
 """
 
@@ -169,21 +169,21 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     the factor never exceeds max(1, its critical value); additive moves
     in log form keep the factor positive automatically.
 
-    Every delta is a row of one pass over the field: the primal rows, in
-    input order, then the dual rows, each refined to `_PROBE_QUAD_TOL`
-    relative to its own total.  The perturbation, psi and the field are
-    evaluated once per node for all of them.  A t of 0 gives rows that
-    vanish identically: they read exactly 0.0 and never drive refinement.
-    An empty or non-finite t raises ValueError.
+    Every delta is a row of one pass over the support: the primal rows,
+    in input order, then the dual rows, each refined to `_PROBE_QUAD_TOL`
+    relative to its own total.  The perturbation, psi and the stress
+    gradient are evaluated once per node for all of them.  A t of 0 gives
+    rows that vanish identically: they read exactly 0.0 and never drive
+    refinement.  An empty or non-finite t raises ValueError.
 
-    The pass is the field's row pass (`DualField.integrate`), not the
-    solve's: the deltas deliver no density, so the pass runs in
+    The pass is the solution's row pass (`DensitySolution.integrate`),
+    not the solve's: the deltas deliver no density, so the pass runs in
     l = ln lambda, where depth, slope and Jacobian are closed forms and no
     node is inverted; the deltas therefore do not depend on the array
-    inversion's collective stop.  Its first panels read the field alone,
-    not the t values, and are graded toward the anchored edge, where the
-    t > 0 primal rows peak, so the stacked rows and each row's own pass
-    share panels.  The exponent of the primal rows is clipped at 700, and
+    inversion's collective stop.  Its first panels read the solve's depth
+    zeros alone, not the t values, and are graded toward the anchored
+    edge, where the t > 0 primal rows peak, so the stacked rows and each
+    row's own pass share panels.  The exponent of the primal rows is clipped at 700, and
     that clip's kinks are not cut: a row that reaches the clip is resolved
     only as far as its error estimate sees the kinks.
 
@@ -239,7 +239,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + (grow + 1.0) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = dual.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()
+    sums = solution.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()
     return ProbeReport(primal_deltas=tuple(sums[:len(ts)]),
                        dual_deltas=tuple(sums[len(ts):]))
 

@@ -35,10 +35,10 @@ def mixed(value, slope, support, alpha, eps, log_lam):
     return integrate(f, *support, tol=TOL)
 
 
-def dual(field, log_lam):
-    """-(1/2) integral of th^2/lam + a^2 lam + 2 eps lam (ln lam - 1) on the
-    field's depth panels, plus the multiplier."""
-    a2, eps = field.alpha ** 2, field.epsilon
+def dual(sol, log_lam):
+    """-(1/2) integral of th^2/lam + a^2 lam + 2 eps lam (ln lam - 1) over a
+    solution's support, by its row pass, plus the multiplier."""
+    field, a2, eps = sol.dual, sol.spec.alpha ** 2, sol.epsilon
 
     def f(y, l, g):
         th, lt = field.theta(y), log_lam(y)
@@ -47,7 +47,7 @@ def dual(field, log_lam):
         root = th * np.exp(-0.5 * np.where(th == 0.0, 0.0, lt))
         return -0.5 * (root * root + np.exp(lt) * (a2 + 2.0 * eps * (lt - 1.0)))
 
-    return field.integrate(f, TOL) + field.multiplier
+    return sol.integrate(f, TOL) + field.multiplier
 
 
 def taylor_remainder_check(alpha, epsilon):

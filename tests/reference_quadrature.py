@@ -1,7 +1,7 @@
 """Plain adaptive quadrature of any vectorized integrand, for the tests: the
 package's `_adaptive` pass over an interval, summed.  Also `depth_pass`,
-the reference for `DualField.integrate`: the package sums a field's rows
-in l = ln lambda (`duality._log_pass`), and this sums them in depth, with
+the reference for `DensitySolution.integrate`: the package sums a
+solution's rows in l = ln lambda (`duality._log_pass`), and this sums them in depth, with
 every node inverted, as the solve's passes (`duality._depth_pass`) do."""
 
 import numpy as np
@@ -39,25 +39,26 @@ def integrate(f, l, r, tol=1e-10, *, breakpoints=()):
     return float(out[0]) if out.size == 1 else out
 
 
-def depth_pass(field, fn, tol, levels=()):
+def depth_pass(sol, fn, tol, levels=()):
     """Support integrals of the rows fn(y, log_lambda, slope) of a
-    `duality.DualField`, as `DualField.integrate` returns them, taken in
-    depth instead of in l: each node's l and slope from the array
-    inversion of its squared stress (`duality._invert_stress_sq`), on
-    panels graded 64 ulps deep into each stress zero (`_graded_edges`) and
-    cut at the depths where l takes one of the `levels`.
+    `duality.DensitySolution`, as `DensitySolution.integrate` returns
+    them, taken in depth instead of in l, over the solve's depth zeros
+    and the depths [0, S] of its last pass: each node's l and slope from
+    the array inversion of its squared stress
+    (`duality._invert_stress_sq`), on panels graded 64 ulps deep into each
+    stress zero (`_graded_edges`) and cut at the depths where l takes one
+    of the `levels`.
 
     In depths s = orientation (anchor - y) from the anchored support end
     the stress is (s - z)(s - c)/2 and |theta| = e^l sqrt(alpha^2 +
     2 eps l), so a level l = L lies at s = m +- sqrt(h^2 +- 2 |theta_L|)
     with m = (z + c)/2 and h = (z - c)/2.  It shares the inversion, the
     grading and the refinement loop with the solve's pass, and nothing
-    with `DualField.integrate`'s pass in l."""
-    o, (lo, hi) = field.orientation, field.support
-    anchor = hi if o > 0 else lo
-    z, c = (o * (anchor - p) for p in field.zeros)
-    span = (0.0, hi - lo)
-    alpha, eps = field.alpha, field.epsilon
+    with `DensitySolution.integrate`'s pass in l."""
+    o, anchor = sol.spec.orientation, sol.spec.anchor
+    z, c = sol.depth_zeros
+    span = (0.0, float(sol.profile.edges[-1]))
+    alpha, eps = sol.spec.alpha, sol.epsilon
     levels = np.asarray(levels, dtype=float)
     levels = levels[alpha * alpha + 2.0 * eps * levels > 0.0]
     tau = np.exp(levels) * np.sqrt(alpha * alpha + 2.0 * eps * levels)

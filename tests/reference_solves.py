@@ -2,11 +2,12 @@
 the closure by a root solve over a trial stress, nested in the mass.  The
 package solves both conditions at once (`duality._solve_zeros`); the tests
 hold it to these, and criterion 05 checks their monotonicity.  Every
-quadrature is one `DualField.integrate` pass."""
+quadrature is one pass of the package's row pass in l = ln lambda
+(`duality._log_pass`), over a trial stress given by its zeros in y."""
 
 import math
 
-from monge1d.duality import DualField
+from monge1d.duality import _log_geometry, _log_pass
 from monge1d.errors import MaxIterations, Monge1dError
 
 
@@ -62,8 +63,8 @@ def boundary_residual(r, support, spec, epsilon, *, zero=None, quad_tol=1e-13):
     if zero is None:
         root = math.sqrt(max(2.0 * r, 0.0))
         zero, r = -o * root, o * root
-    field = DualField((lo, hi), (zero, r), o, spec.alpha, epsilon)
-    return field.integrate(lambda y, l, g: g, quad_tol)
+    return row_integral(lambda y, l, g: g, (lo, hi), (zero, r), spec, epsilon,
+                        quad_tol)
 
 
 def solve_constant(support, spec, epsilon, tol=1e-12):
@@ -97,6 +98,17 @@ def total_mass(endpoint, spec, epsilon, *, crossing=None, constant_tol=1e-12,
         return 0.0
     if crossing is None:
         crossing = solve_crossing(support, zero, spec, epsilon, tol=constant_tol)
-    field = DualField(support, (zero, crossing), spec.orientation, spec.alpha,
-                      epsilon)
-    return field.integrate(lambda y, l, g: (m - y) * g, quad_tol)
+    return row_integral(lambda y, l, g: (m - y) * g, support, (zero, crossing), spec,
+                        epsilon, quad_tol)
+
+
+def row_integral(fn, support, zeros, spec, epsilon, tol):
+    """Support integrals of the rows fn(y, log_lambda, slope) for the
+    stress with the zeros (z, c) in y, from the anchored end of `support`:
+    the package's row pass over the depths o (anchor - p) of the zeros and
+    the support's width."""
+    o, (lo, hi) = spec.orientation, support
+    anchor = hi if o > 0 else lo
+    depths = tuple(o * (anchor - p) for p in zeros)
+    return _log_pass(fn, _log_geometry(depths, hi - lo, anchor, o, spec.alpha, epsilon, ()),
+                     tol)

@@ -1,5 +1,6 @@
 """Unit tests for the dual algebra and the density solver."""
 
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import off_support
 from monge1d import duality, numerics
-from monge1d.duality import DualField, assemble_density
+from monge1d.duality import DensitySolution, DualField, assemble_density
 from monge1d.energy import duality_gap
 from monge1d.errors import CapacityError, DomainError, MaxDepth, MaxIterations
 from monge1d.oracles import (TentDensity, discrete_expectation_optimizer,
@@ -47,11 +48,16 @@ def slope_of(theta, alpha, eps):
     return math.copysign(math.sqrt(u[0]), theta)
 
 
-def field_slope(fld, y):
+def field_slope(fld, y, alpha, eps):
     """The dual slope at each y: the inversion of the field's stress."""
     theta = fld.theta(y)
-    _, u = duality._invert_stress_sq(theta ** 2, fld.alpha, fld.epsilon)
+    _, u = duality._invert_stress_sq(theta ** 2, alpha, eps)
     return np.copysign(np.sqrt(u), theta)
+
+
+def solved_slope(sol, y):
+    """The dual slope at each y of a solution's stress."""
+    return field_slope(sol.dual, y, sol.spec.alpha, sol.epsilon)
 
 
 class TestEvalE:
@@ -189,9 +195,9 @@ class TestSlopeFromTheta:
         # a value silently.
         with pytest.raises(MaxIterations):
             slope_of(math.nan, 1.0, 0.1)
-        fld = DualField((3.0, 5.0), (3.0, 4.0), 1.0, 1.0, 0.1)
+        fld = DualField((3.0, 4.0), 1.0)
         with pytest.raises(MaxIterations):
-            field_slope(fld, np.array([3.5, math.nan]))
+            field_slope(fld, np.array([3.5, math.nan]), 1.0, 0.1)
 
 
 class TestBoundaryResidual:
@@ -403,7 +409,7 @@ class TestAssembleDensity:
         keep[[0, -1]] = False
         d = 1e-6
         dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
-        assert np.abs(dv - field_slope(sol.dual, y[keep])).max() < 1e-7
+        assert np.abs(dv - solved_slope(sol, y[keep])).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -443,7 +449,7 @@ class TestAssembleDensity:
         assert sol.max_log_lambda <= 0.0
         assert sol.max_abs_slope <= spec.alpha * (1.0 + 1e-10)
         dense = np.linspace(sol.support[0], sol.support[1], 20001)
-        assert float(np.max(np.abs(field_slope(sol.dual, dense)))) <= spec.alpha
+        assert float(np.max(np.abs(solved_slope(sol, dense)))) <= spec.alpha
 
     def test_largest_stress_is_at_a_support_end(self):
         # The parabola's vertex, (z + c)/2 in depth, beats the anchor's
@@ -930,7 +936,7 @@ def _full_grid_clip(sol):
     """The clip depth read on every node of the solution's depth grid: the
     table's support values before the clip."""
     edges = sol.profile.edges
-    grid = duality._depth_grid((edges[0], edges[-1]), sol.crossing_depth, sol.grid_n)
+    grid = duality._depth_grid((edges[0], edges[-1]), sol.depth_zeros[1], sol.grid_n)
     return float(max(0.0, -np.min(sol.profile.density(grid))))
 
 
@@ -1439,36 +1445,40 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(field_slope(mir.dual, mir.nodes),
-                                  -field_slope(sol.dual, sol.nodes)[::-1])
+            assert np.array_equal(solved_slope(mir, mir.nodes),
+                                  -solved_slope(sol, sol.nodes)[::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 
 
 class TestDualField:
+    def test_zeros_are_stored_once(self):
+        # The field is the parabola alone, and a solution keeps the solve's
+        # depth zeros as its one record of them.
+        assert [f.name for f in dataclasses.fields(DualField)] == ["zeros", "orientation"]
+        names = {f.name for f in dataclasses.fields(DensitySolution)}
+        assert len(names) == 11 and "depth_zeros" in names
+        assert not names & {"dual", "support", "support_endpoint", "crossing_depth"}
+
     def test_stress_equation_exact(self):
-        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
-                        orientation=1.0, alpha=1.0, epsilon=0.1)
+        fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         ys = np.linspace(3.0, 5.0, 101)
         h = 1e-6
         dtheta = (fld.theta(ys + h) - fld.theta(ys - h)) / (2 * h)
         assert np.abs(dtheta + np.abs(ys)).max() < 1e-7
 
     def test_crossing(self):
-        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
-                        orientation=1.0, alpha=1.0, epsilon=0.1)
+        fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         assert fld.zeros[1] == pytest.approx(4.0)
         assert abs(fld.theta(fld.zeros[1])) < 1e-14
-        mirrored = DualField(support=(-5.0, -3.0), zeros=(4.0, -4.0),
-                             orientation=-1.0, alpha=1.0, epsilon=0.1)
+        mirrored = DualField(zeros=(4.0, -4.0), orientation=-1.0)
         assert mirrored.zeros[1] == pytest.approx(-4.0)
 
     def test_expanded_form(self):
         # theta = orientation (constant - y^2/2) - multiplier y, with the
         # constant and the multiplier read out of the zeros.
         for o, zeros in ((1.0, (3.0, 4.2)), (-1.0, (-3.0, -4.2))):
-            fld = DualField(support=(3.0, 5.0), zeros=zeros, orientation=o,
-                            alpha=1.0, epsilon=0.1)
+            fld = DualField(zeros=zeros, orientation=o)
             assert fld.constant == -0.5 * zeros[0] * zeros[1]
             assert fld.multiplier == -0.5 * o * (zeros[0] + zeros[1])
             ys = np.linspace(-5.0, 5.0, 41)
@@ -1476,13 +1486,13 @@ class TestDualField:
             assert np.abs(fld.theta(ys) - expanded).max() < 1e-12
 
     def test_inverted_stress_consistent(self):
-        fld = DualField(support=(3.0, 5.0), zeros=(-4.0, 4.0),
-                        orientation=1.0, alpha=1.0, epsilon=0.01)
+        fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         ys = np.linspace(3.0, 5.0, 57)
         theta = fld.theta(ys)
         log_lam, _ = duality._invert_stress_sq(theta ** 2, 1.0, 0.01)
         # The algebra ties the stress, the scale and the slope pointwise.
-        assert np.abs(np.exp(log_lam) * field_slope(fld, ys) - theta).max() < 1e-12
+        slope = field_slope(fld, ys, 1.0, 0.01)
+        assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12
 
     def test_row_below_its_rounding_floor_meets_the_panel_budget(self):
         # (x - y) g at x the support's low end, 1000 from the origin, asked
@@ -1493,7 +1503,7 @@ class TestDualField:
         x = sol.support[0]
         with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
                            r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
-            sol.dual.integrate(lambda y, l, g: (x - y) * g, 1e-14)
+            sol.integrate(lambda y, l, g: (x - y) * g, 1e-14)
 
 
 def _graded_case(alpha, eps, offset, assumption):
@@ -1528,8 +1538,8 @@ class TestGradedPanels:
         # anchor (residual of order 1).
         anchor = spec.anchor
         for c in (crossing, 0.5 * (crossing + anchor)):
-            fld = DualField(support, (zero, c), spec.orientation, alpha, eps)
-            slope = functools.partial(field_slope, fld)
+            fld = DualField((zero, c), spec.orientation)
+            slope = functools.partial(field_slope, fld, alpha=alpha, eps=eps)
             graded = boundary_residual(c, support, spec, eps, zero=zero,
                                        quad_tol=1e-13)
             plain = integrate(slope, *support, tol=1e-13,

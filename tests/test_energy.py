@@ -112,7 +112,7 @@ class TestDualEnergy:
         # at lambda == 1 the integrand collapses to th^2 + a^2 - 2 eps;
         # the multiplier prices the unit mass
         sol = solved(spec, 1e-3)
-        out = ref.dual(sol.dual, _const(0.0))
+        out = ref.dual(sol, _const(0.0))
         reduced = -0.5 * integrate(
             lambda y: sol.dual.theta(y) ** 2 + 1.0 - 2e-3,
             *sol.support, tol=1e-12,
@@ -125,7 +125,7 @@ class TestDualEnergy:
         sol = solved(spec, 1e-3)
         critical = duality_gap(sol).dual
         for lam in (0.9, 1.0, 0.5, 0.99):
-            assert ref.dual(sol.dual, _const(math.log(lam))) < critical
+            assert ref.dual(sol, _const(math.log(lam))) < critical
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     def test_weak_duality_on_random_scale_profiles(self, solved, spec):
@@ -143,7 +143,7 @@ class TestDualEnergy:
                 return -d * (0.6 + 0.4 * np.sin(
                     w * np.pi * (np.asarray(y) - lo) / (hi - lo) + p))
 
-            assert ref.dual(sol.dual, log_lam) <= primal + 1e-8
+            assert ref.dual(sol, log_lam) <= primal + 1e-8
 
     @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II], ids=["I", "II"])
     def test_detuned_override_at_a_steep_slope(self, solved, spec):
@@ -154,7 +154,7 @@ class TestDualEnergy:
         sol = solved(spec, 1e-3)
         critical = duality_gap(sol).dual
         for shift in (-0.1, -0.01, 0.0):
-            out = ref.dual(sol.dual, lambda y, s=shift: np.minimum(
+            out = ref.dual(sol, lambda y, s=shift: np.minimum(
                 _inverted(sol, y)[0] + s, 0.0))
             assert math.isfinite(out)
             assert out <= critical + 1e-12
@@ -241,7 +241,7 @@ class TestDualityGap:
         assert ref.mixed(sol, _slope(sol), sol.support, alpha, eps,
                          log_lam) == pytest.approx(
             report.xi_total, abs=2e-6)
-        assert ref.dual(sol.dual, log_lam) == pytest.approx(
+        assert ref.dual(sol, log_lam) == pytest.approx(
             report.dual, abs=ref.TOL)
 
     def test_no_pass_on_a_solution(self, solved, adaptive_passes):
@@ -300,7 +300,7 @@ class TestDualityGap:
             return (eps * lam, -lam * (g * g - eps),
                     lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
 
-        h_term, dual_term, xi_term = sol.dual.integrate(rows, 1e-13)
+        h_term, dual_term, xi_term = sol.integrate(rows, 1e-13)
         moment = abs(sol.expectation)
         report = duality_gap(sol)
         for got, ref in ((report.primal, h_term - moment),
@@ -337,12 +337,13 @@ class TestRowPass:
     @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
     def test_rows_meet_a_pass_in_depth(self, solved, alpha, eps, offset,
                                        assumption, factor):
-        # The rows that `DualField.integrate` sums for the tests and study
-        # 02 (closure, mass, H-term, dual and mixed), at 1e-13, against the
-        # same rows integrated in depth, with every node inverted
+        # The rows that `DensitySolution.integrate` sums for the tests and
+        # study 02 (closure, mass, H-term, dual and mixed), at 1e-13, against
+        # the same rows integrated in depth, with every node inverted
         # (`reference_quadrature.depth_pass`).  The worst difference
-        # measured on this grid is 1.3e-14 of max(1, |row|), at offset 1000,
-        # where y itself carries rounding of that size.
+        # measured on this grid is 2.2e-14 of max(1, |row|), at alpha 1,
+        # eps 1e-4, offset 1000, where y itself carries rounding of that
+        # size.
         sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
         a2, m = alpha * alpha, sol.support_endpoint
 
@@ -351,18 +352,18 @@ class TestRowPass:
             return (g, (m - y) * g, eps * lam, -lam * (g * g - eps),
                     lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
 
-        got = sol.dual.integrate(rows, 1e-13)
-        want = depth_pass(sol.dual, rows, 1e-13)
+        got = sol.integrate(rows, 1e-13)
+        want = depth_pass(sol, rows, 1e-13)
         assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
 
     def test_inverts_no_node(self, monkeypatch):
         # In l every node's depth, slope and Jacobian are closed forms: the
         # pass inverts no node, and the float inversion runs once per
         # branch end (the anchor, the vertex and a far edge short of the
-        # free zero) when the field first meets a `levels` tuple: a free
+        # free zero) when the solution first meets a `levels` tuple: a free
         # end has two branch ends, a full target three.  The row pass and
         # the probe cut at other levels, so each builds its geometry; a
-        # repeat of both reads the geometries the field keeps and inverts
+        # repeat of both reads the geometries the solution keeps and inverts
         # nothing.  Fresh solves: the session's solutions may have been
         # integrated already.
         calls = {"array": 0, "float": 0}
@@ -381,12 +382,53 @@ class TestRowPass:
             monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
             monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
             for repeat_ends in (2 * ends, 0):
-                sol.dual.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
+                sol.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
                 second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
                                        dual_perturbation=_ONE)
                 assert calls == {"array": 0, "float": repeat_ends}
                 calls.update(array=0, float=0)
             monkeypatch.undo()
+
+    # (alpha, eps, offset, assumption, width in sharp widths) and the
+    # solution's readings in y as `float.hex`: the dual's constant,
+    # multiplier and zeros, the support and its closing end.
+    OWN_ZEROS = [
+        ((1.0, 1e-2, 1000.0, "II", 2.5),
+         ("-0x1.ebb22cde20bc8p+18", "-0x1.f5bed07b70370p+9",
+          ("-0x1.f57dd0721243dp+9", "-0x1.f5ffd084ce2a3p+9"),
+          ("-0x1.f680000000000p+9", "-0x1.f57dd0721243dp+9"), "-0x1.f57dd0721243dp+9")),
+        ((1.0, 1e-3, 0.0, "I", 1.0),
+         ("0x1.2fdab198440e5p+0", "0x1.5f942c2ce4614p-1",
+          ("-0x1.2fcf025a0d9fep+1", "0x1.0009d88736de8p+0"),
+          ("0x0.0p+0", "0x1.0000000000000p+1"), "0x0.0p+0")),
+    ]
+
+    @pytest.mark.parametrize("case,readings", OWN_ZEROS, ids=["offset_1000_II", "full"])
+    def test_geometry_reads_the_solve_depth_zeros(self, monkeypatch, case, readings):
+        # The row pass's geometry is built from the solve's own depth zeros
+        # and the last edge of its pass, S, bit for bit.  Mapped to y and
+        # back, the zeros lose bits: at offset 1000 both, on this full
+        # target the crossing's last bit, and at offset 1000 S too.  What
+        # the solution reads in y keeps its bits.
+        alpha, eps, offset, assumption, factor = case
+        seen = []
+        plain = duality._log_geometry
+
+        def recorded(*args):
+            seen.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(duality, "_log_geometry", recorded)
+        sol = assemble_density(_grid_spec(alpha, offset, assumption, factor), eps)
+        sol.integrate(lambda y, l, g: g, 1e-10)
+        (zeros, S, *_), = seen
+        assert [x.hex() for x in zeros] == [x.hex() for x in sol.depth_zeros]
+        assert S.hex() == float(sol.profile.edges[-1]).hex()
+        dual = sol.dual
+        got = (dual.constant.hex(), dual.multiplier.hex(),
+               tuple(x.hex() for x in dual.zeros), tuple(x.hex() for x in sol.support),
+               sol.support_endpoint.hex())
+        assert got == readings
 
     def test_repeat_probe_builds_nothing(self, monkeypatch):
         # A second probe with the same perturbation and amplitudes reads the
@@ -409,10 +451,11 @@ class TestRowPass:
         assert again.primal_deltas == first.primal_deltas
         assert again.dual_deltas == first.dual_deltas
 
-    def test_geometry_is_kept_per_field_and_levels(self, monkeypatch):
-        # Other levels and another field each build their own geometry; the
-        # kept arrays refuse writes, and a field keeps _GEOMETRIES_KEPT
-        # tuples, making way for a new one by dropping the oldest.
+    def test_geometry_is_kept_per_solution_and_levels(self, monkeypatch):
+        # Other levels and another solution each build their own geometry;
+        # the kept arrays refuse writes, and a solution keeps
+        # _GEOMETRIES_KEPT tuples, making way for a new one by dropping the
+        # oldest.
         built = []
         plain = duality._log_geometry
 
@@ -421,25 +464,25 @@ class TestRowPass:
             return plain(*args)
 
         monkeypatch.setattr(duality, "_log_geometry", counted)
-        fields = [assemble_density(spec, 1e-2).dual for spec in (SPEC_I, SPEC_II)]
+        sols = [assemble_density(spec, 1e-2) for spec in (SPEC_I, SPEC_II)]
 
         def row(y, l, g):
             return g
 
-        for fld in fields:
+        for sol in sols:
             for levels in ((), (0.0, -1e-3), (0.0, -1e-3), np.array([0.0, -1e-3])):
-                fld.integrate(row, 1e-10, levels)
+                sol.integrate(row, 1e-10, levels)
         assert built == [(), (0.0, -1e-3)] * 2
-        starts, table, cuts, *_ = fields[0]._geometry(())
+        starts, table, cuts, *_ = sols[0]._geometry(())
         for arr in (starts, table, cuts):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        fld = fields[0]
+        sol = sols[0]
         for k in range(duality._GEOMETRIES_KEPT):
-            fld.integrate(row, 1e-10, (-1.0 - k,))
-        assert len(fld._geometries) == duality._GEOMETRIES_KEPT
-        assert () not in fld._geometries and (0.0, -1e-3) not in fld._geometries
-        assert (-1.0,) in fld._geometries
+            sol.integrate(row, 1e-10, (-1.0 - k,))
+        assert len(sol._geometries) == duality._GEOMETRIES_KEPT
+        assert () not in sol._geometries and (0.0, -1e-3) not in sol._geometries
+        assert (-1.0,) in sol._geometries
 
 
 # -- probes -------------------------------------------------------------------
@@ -477,9 +520,9 @@ def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
         return (eps * np.exp(l) * np.expm1(expo)
                 + t * dual.theta_y(y) * perturbation(y))
 
-    return (dual.integrate(primal, quad_tol),
-            dual.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol,
-                           _clip_levels(t)))
+    return (sol.integrate(primal, quad_tol),
+            sol.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol,
+                          _clip_levels(t)))
 
 
 def _clip_reference(sol, t):
@@ -634,13 +677,13 @@ class TestSecondVariationProbe:
         (lo, hi), t = sol.support, 1e-2
         tilted = lambda y: 1.0 + 0.1 * (np.asarray(y) - 0.5 * (lo + hi))
         seen = []
-        plain = duality.DualField.integrate
+        plain = duality.DensitySolution.integrate
 
-        def recorded(field, fn, tol, levels=()):
+        def recorded(solution, fn, tol, levels=()):
             seen.append(tuple(levels))
-            return plain(field, fn, tol, levels)
+            return plain(solution, fn, tol, levels)
 
-        monkeypatch.setattr(duality.DualField, "integrate", recorded)
+        monkeypatch.setattr(duality.DensitySolution, "integrate", recorded)
         for psi, levels in ((_ONE, _clip_levels(t)), (tilted, ())):
             second_variation_probe(sol, SinePerturbation(sol.support), (t, -t),
                                    dual_perturbation=psi)
@@ -697,25 +740,25 @@ class TestSecondVariationProbe:
     @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
     def test_deltas_meet_a_pass_on_the_solve_mesh(self, solved, monkeypatch, alpha,
                                                   eps, offset, assumption, factor):
-        # The probe's pass runs in l (`DualField.integrate`).  Hold every
-        # delta to the probe's own rows integrated afresh in depth, with
+        # The probe's pass runs in l (`DensitySolution.integrate`).  Hold
+        # every delta to the probe's own rows integrated afresh in depth, with
         # every node inverted, on the solve's mesh, graded 64 ulps deep into
         # each zero, and cut at the depths of the probe's l-levels
         # (`reference_quadrature.depth_pass`).  The worst difference
-        # measured on this grid is 1.75e-13 of max(1, |delta|), at alpha 1,
-        # eps 1e-4, offset 1000.
+        # measured on this grid is 8.2e-14 of max(1, |delta|), at alpha 4,
+        # eps 1e-2, offset 1000.
         sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
         pert = SinePerturbation(sol.support)
         seen = {}
-        plain = duality.DualField.integrate
+        plain = duality.DensitySolution.integrate
 
-        def recorded(field, fn, tol, levels=()):
+        def recorded(solution, fn, tol, levels=()):
             seen.update(fn=fn, levels=levels)
-            return plain(field, fn, tol, levels)
+            return plain(solution, fn, tol, levels)
 
-        monkeypatch.setattr(duality.DualField, "integrate", recorded)
+        monkeypatch.setattr(duality.DensitySolution, "integrate", recorded)
         report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)
-        ref = depth_pass(sol.dual, seen["fn"], 1e-12, seen["levels"])
+        ref = depth_pass(sol, seen["fn"], 1e-12, seen["levels"])
         ys = np.linspace(*sol.support, 20001)
         g, dg = _inverted(sol, ys)[1], pert.slope(ys)
         for t, got, want in zip(PROBE_T, report.primal_deltas, ref):

@@ -133,8 +133,8 @@ def test_definition_keys_are_their_code_objects():
 def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
     definitions = _definitions()
     assert {"duality.assemble_density", "duality.DualField.theta",
-            "duality.DensitySolution.quantile", "problem.ValidationReport.message",
-            } <= set(definitions.values())
+            "duality.DensitySolution.quantile", "duality.DensitySolution.integrate",
+            "problem.ValidationReport.message"} <= set(definitions.values())
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     ran = set()
@@ -226,8 +226,9 @@ def test_every_dataclass_field_is_read_somewhere():
               for cls in tree.body if isinstance(cls, ast.ClassDef)
               and not cls.name.startswith("_") and _is_dataclass(cls)
               for node in cls.body if isinstance(node, ast.AnnAssign)]
-    assert {("DensitySolution", "profile"), ("SweepRow", "mass_err"),
-            ("EnergyReport", "full_target_offset")} <= set(fields)
+    assert {("DensitySolution", "profile"), ("DensitySolution", "depth_zeros"),
+            ("DualField", "zeros"), ("DualField", "orientation"),
+            ("SweepRow", "mass_err"), ("EnergyReport", "full_target_offset")} <= set(fields)
     unread = [f"{cls}.{name}" for cls, name in fields
               if name not in read and cls not in SERIALIZED
               and not (cls == "SweepRow" and name in sweep._CSV_COLUMNS)]

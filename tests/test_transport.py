@@ -284,8 +284,7 @@ class TestSourceGeometryWork:
         # the spec's checks, both maps and both pushforward residuals on one
         # solution make one source-CDF call (the residuals share their
         # probes' fractions), two barycenter calls and one each of
-        # min_value and mass, and derive nothing.  The residuals' cosine
-        # table is computed once for their node count, by that one call.
+        # min_value and mass, and derive nothing.
         derived, reads = [], collections.Counter()
         plain_derive = SourceDensity._derive_cells
 
@@ -303,7 +302,6 @@ class TestSourceGeometryWork:
                 reads[_name] += 1
                 return _plain(self, *args)
             monkeypatch.setattr(SourceDensity, name, counted)
-        transport._chebyshev_cosines.cache_clear()
         transport._probe_fractions.cache_clear()
         derived.clear()
 
@@ -313,10 +311,6 @@ class TestSourceGeometryWork:
             pushforward_residual(m, sol, spec)
         assert derived == []
         assert reads == {"cdf": 1, "barycenter": 2, "min_value": 1, "mass": 1}
-        cache = transport._chebyshev_cosines.cache_info()
-        assert (cache.misses, cache.hits) == (1, 0)
-        chebyshev_nodes(0.0, 1.0, 9)
-        assert transport._chebyshev_cosines.cache_info().misses == 2
 
     def test_probe_fractions_are_read_once_per_source(self, solved, monkeypatch):
         # Both residuals on one source read its CDF once, and the residual
@@ -396,9 +390,9 @@ class TestChebyshevNodes:
         # quadratic clustering: the end gap is much finer than the middle
         assert xs[1] - xs[0] < 0.25 * (xs[5] - xs[4])
 
-    def test_cached_table_gives_fresh_nodes(self):
-        # Each call scales the kept cosine table into a new writable array,
-        # equal bit for bit to the per-call formula.
+    def test_nodes_are_fresh_and_match_the_formula(self):
+        # Each call returns a new writable array, equal bit for bit to the
+        # formula written out here.
         k = np.arange(9, dtype=float)
         a, b = chebyshev_nodes(-2.0, 3.0, 9), chebyshev_nodes(-2.0, 3.0, 9)
         assert np.array_equal(a, 0.5 * (-2.0 + 3.0) - 0.5 * (3.0 + 2.0) * np.cos(np.pi * k / 8))
