@@ -39,13 +39,15 @@ here, all in closed form up to one two-unknown root solve:
    endpoint, and its CDF the cumulative integral of the density: both are
    read in closed form off the solve's last pass at any y, and so is the
    CDF's inverse (`DensitySolution`); the CDF's rows are built on their
-   first read.  The solution stores the solve's depth zeros alone: the
-   parabola in y (`DualField`), the support and its closing end are read
-   off them.  The sampled grid over the support is only the table that
-   `density.csv` writes, built on its first read.  Its clip depth is
-   certified panel by panel from the density's Bernstein coefficients,
-   and the grid is read only in panels left uncertified (`_clip_depth`),
-   so a solve reads no grid node.
+   first read.  The solution stores what the solve made, its depth zeros
+   and last pass, and reads all else off them once: the parabola in y
+   (`DualField`), the support, and the slope maximum, the inversion of
+   the largest stress, read in depth at a support end.  The sampled grid
+   over the support is only the table that `density.csv` writes, built
+   on its first read.  Its clip depth is certified panel by panel from
+   the density's Bernstein coefficients, and the grid is read only in
+   panels left uncertified (`_clip_depth`), so a solve reads no grid
+   node.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
@@ -82,8 +84,9 @@ a factor e^l that 40 units of l exhaust, and a kink at a fixed l is a
 fixed panel edge.  The float inversion gives only the branch ends.  What
 the pass reads of the solution alone, its geometry, is built from the
 solve's own depth zeros and the pass's far edge, with no trip through y,
-once per solution and set of levels, and kept on the solution
-(`DensitySolution._geometry`), so a repeat pass evaluates rows alone.
+once per solution, and kept on it (`DensitySolution._geometry`); each
+pass adds the cuts of its own levels, so a repeat pass at any levels
+evaluates rows alone.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -254,15 +257,15 @@ def _invert_stress_sq_one(stress_sq, alpha, epsilon):
 class DualField:
     """The stress parabola in y of a solution (`DensitySolution.dual`).
 
-    It is held through its two zeros `zeros = (z, c)` and evaluated in the
-    factored form theta = -orientation (y - z)(y - c)/2: c is the
-    crossing (the density peak) and z the free zero, which is the
-    free support endpoint or, when the support fills the target, a point
-    beyond the far edge.  The factored form keeps theta(z) = 0 exact; the
-    expanded form orientation * (constant - y^2/2) - multiplier * y loses
-    it to cancellation, so `constant` and `multiplier` are only read out.
+    It is held through its two zeros `zeros = (z, c)`, in the factored
+    form theta = -orientation (y - z)(y - c)/2: c is the crossing (the
+    density peak) and z the free zero, which is the free support endpoint
+    or, when the support fills the target, a point beyond the far edge.
+    The factored form keeps theta(z) = 0 exact; the expanded form
+    orientation * (constant - y^2/2) - multiplier * y loses it to
+    cancellation, so `constant` and `multiplier` are only read out.
     multiplier is the unit-mass multiplier mu of the stress equation
-    theta_y = -|y| - mu.
+    theta_y = -|y| - mu.  The stress itself is read in depth only.
     """
 
     zeros: tuple[float, float]
@@ -280,13 +283,6 @@ class DualField:
         z, c = self.zeros
         return -0.5 * self.orientation * (z + c)
 
-    def theta(self, y):
-        """The stress at y: an array for an array, a float, on floats, for
-        a number."""
-        z, c = self.zeros
-        y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-        return -0.5 * self.orientation * (y - z) * (y - c)
-
     def theta_y(self, y):
         """Stress gradient -|y| - multiplier, free of the cancellation the
         expanded form suffers far from the origin."""
@@ -295,8 +291,6 @@ class DualField:
         return -0.5 * self.orientation * ((y - z) + (y - c))
 
 
-# How many `levels` tuples a solution keeps the row pass's geometry for.
-_GEOMETRIES_KEPT = 8
 # How far below the top of each branch the row pass integrates, in l: the
 # rest of the branch is a factor e^-40 = 4e-18 of it.
 _L_WINDOW = 40.0
@@ -306,7 +300,7 @@ _L_LADDER = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 11.0, 17.0, 25.0)
 _V_LADDER = tuple(math.sqrt(dl) for dl in _L_LADDER)
 
 
-def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
+def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon):
     """The geometry of the row pass (`_log_pass`) over the depths [0, S] of
     the stress (s - z)(s - c)/2, 0 <= c <= S <= z, taken in l = ln lambda
     branch by branch, so that no node is inverted; y is
@@ -339,15 +333,17 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     The first panels end `_L_LADDER` below each top and, on [0, c], at the
     anchored edge's graded depths S 2^-k, k = 1 .. ceil(log2(alpha^2/eps)),
     taken to d at the anchor's rate: there the probes' t > 0 primal rows
-    vary on the penalty's own scale.  Every l in `levels` is a panel edge
-    on every piece it crosses.  None of this reads the rows, so a stack
-    and each of its rows alone are summed on the same panels, and one
-    geometry serves every pass over the solution at these levels
-    (`DensitySolution._geometry`).  Returns (starts, table, cuts, span, h,
-    eps, anchor, orientation): the pieces' starts along the pass's
-    variable and their constants, one column a piece, the first panels'
-    cuts, all three read-only, the pass's span, the half distance h
-    between the zeros, eps, and the map y = anchor - orientation s."""
+    vary on the penalty's own scale.  None of this reads the rows or a
+    pass's levels, so a stack and each of its rows alone are summed on the
+    same panels, and one geometry serves every pass over the solution
+    (`DensitySolution._geometry`); each pass adds its own level cuts
+    (`_log_pass`).  Returns (starts, table, cuts, span, h, eps, anchor,
+    orientation, variables): the pieces' starts along the pass's variable
+    and their constants, one column a piece, the first panels' cuts, all
+    three read-only, the pass's span, the half distance h between the
+    zeros, eps, the map y = anchor - orientation s, and for each piece
+    (x, x_a, x_b, t): its variable as a function of l (of l_0, l_v,
+    alpha^2 and eps), its ends in x and its start t along the pass."""
     c, z = sorted(zeros)
     h, m, eps, o = 0.5 * (z - c), 0.5 * (z + c), epsilon, orientation
     a2 = alpha * alpha
@@ -363,7 +359,7 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     # d = D0 + D1 x + D2 x^2, l_ref, g^2 = G0 + G1 x + G2 x^2, |dd/dx| = J1 + J2 x
     forms = {"d": (0.0, 1.0, 0.0, l_0, gg_0, -2.0 * eps, 0.0, 1.0, 0.0),
              "v": (0.0, 0.0, 1.0, l_v, gg_v, 0.0, -2.0 * eps, 0.0, 2.0)}
-    pieces = []                 # (x_a, x_b, constants, inner edges in x)
+    pieces = []                 # (x, x_a, x_b, constants, inner edges in x)
 
     def branch(top, bottom, var, ref, ladder, graded=()):
         """The pieces of one branch from l = top down to l = bottom, the
@@ -384,8 +380,7 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
             x = x_of[kind]
             x_a, x_b = sorted((x(l_hi), x(l_lo)))
             if x_a < x_b:
-                inner = [p for p in inner + [x(lv) for lv in levels] if x_a < p < x_b]
-                pieces.append((x_a, x_b, form + ref, inner))
+                pieces.append((x, x_a, x_b, form + ref, [p for p in inner if x_a < p < x_b]))
             l_hi = l_lo
 
     if c > 0.0:                 # theta > 0 on [0, c], down from the anchor
@@ -402,9 +397,10 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     if S > m:                   # theta < 0 on [m, S], down from the vertex
         branch(l_v, l_S, "v", vertex + (z, -2.0, o), _V_LADDER)
 
-    cuts, starts, table, t = [], [], [], 0.0
-    for x_a, x_b, constants, inner in pieces:
+    cuts, starts, table, variables, t = [], [], [], [], 0.0
+    for x, x_a, x_b, constants, inner in pieces:
         cuts += [p + (t - x_a) for p in inner]
+        variables.append((x, x_a, x_b, t))
         starts.append(t)
         table.append((x_a - t,) + constants)
         t += x_b - x_a
@@ -412,18 +408,21 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon, levels):
     starts, table, cuts = np.array(starts), np.array(table).T, np.array(cuts)
     for arr in (starts, table, cuts):
         arr.flags.writeable = False
-    return starts, table, cuts, t, h, eps, anchor, o
+    return starts, table, cuts, t, h, eps, anchor, o, tuple(variables)
 
 
-def _log_pass(fn, geometry, tol):
+def _log_pass(fn, geometry, tol, levels):
     """The row integrals of one `_adaptive` pass of fn(y, l, slope) over a
     `_log_geometry`, refined until every row meets the tolerance and
-    summed panel after panel: a float for one row.  Each round maps its
-    nodes through the constants of their pieces to depth, l, the slope
-    and the Jacobian, and each depth to y on its own, so no rounding of
-    y is shared by a branch; no node is inverted, and nothing of the
-    geometry is built again."""
-    starts, table, cuts, span, h, eps, anchor, o = geometry
+    summed panel after panel: a float for one row.  Every l in `levels`
+    is a panel edge on every piece it crosses, cut where the geometry
+    would cut it in x.  Each round maps its nodes through the constants
+    of their pieces to depth, l, the slope and the Jacobian, and each
+    depth to y on its own, so no rounding of y is shared by a branch; no
+    node is inverted, and nothing of the geometry is built again."""
+    starts, table, cuts, span, h, eps, anchor, o, variables = geometry
+    level_cuts = [p + (t - x_a) for x, x_a, x_b, t in variables
+                  for p in (x(float(lv)) for lv in levels) if x_a < p < x_b]
 
     def rows(nodes):
         (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, s0, sc,
@@ -440,7 +439,8 @@ def _log_pass(fn, geometry, tol):
         jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
         return np.asarray(fn(y, l, ys * g), dtype=float) * jac
 
-    out = np.cumsum(_adaptive(rows, 0.0, span, cuts, tol)[1], axis=1)[:, -1]
+    out = np.cumsum(_adaptive(rows, 0.0, span, np.concatenate([cuts, level_cuts]), tol)[1],
+                    axis=1)[:, -1]
     return float(out[0]) if out.size == 1 else out
 
 
@@ -464,12 +464,6 @@ def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
                      tol)
 
 
-def _support_of(zero, spec: MongeProblemSpec):
-    """Depth span [0, S] of the support whose free zero lies at depth
-    `zero`: from the anchor to the zero, clamped to the far edge."""
-    return (0.0, min(float(zero), spec.target_width))
-
-
 def _require_valid(spec: MongeProblemSpec):
     report = validate_spec(spec)
     if not report.ok:
@@ -486,7 +480,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     residuals' exact Jacobian in (z, c), from two more rows of the same
     pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
     z, c = zeros
-    S = _support_of(z, spec)[1]
+    S = min(z, spec.target_width)       # the support's far end, in depth
 
     def fn(s, l, g):
         d, gg = S - s, g * g
@@ -772,23 +766,29 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
 class DensitySolution:
     """Transfer density with its stress zeros and diagnostics.
 
-    depth_zeros = (z, c), the free zero and the crossing as depths, exactly
-    as `_solve_zeros` returns them, are the one record of the zeros: the
-    stress parabola in y (`dual`), the `support` and its closing end
-    `support_endpoint` are read off them.  nodes/values tabulate the
-    density on its support, the table `density.csv` writes, sampled on
-    grid_n uniform depths with the crossing as a node (`_depth_grid`),
-    built on its first read: no solve reads it.  clip_depth is how far
-    below zero its values run before the clip, certified panel by panel
-    (`_clip_depth`).  max_abs_slope and
-    max_log_lambda report how far the solution runs above the nominal
-    scale ceiling instead of clamping it (see the module docstring); they
-    are the slope inversion of the stress maximum, one node run on floats
-    (`_invert_stress_sq_one`) and equal bit for bit to the array inversion
-    of that node.  mass, expectation and energy_integrals (the H-term and
-    dual integrals `energy` reads) are rows of the solve's last pass; what
-    the coupled zero solve did (its Newton steps and final residuals)
-    stays on its `_ZeroSolve`.
+    The solution stores what its solve made and nothing that follows from
+    it.  depth_zeros = (z, c), the free zero and the crossing as depths,
+    exactly as `_solve_zeros` returns them, are the one record of the
+    zeros.  mass, expectation and energy_integrals (the H-term and dual
+    integrals `energy` reads) are rows of the solve's last pass, and
+    `profile` is that pass itself; grid_n sizes the table.  What the
+    coupled zero solve did (its Newton steps and final residuals) stays
+    on its `_ZeroSolve`.
+
+    Every other read is derived from these, and all but the `support` and
+    its closing end `support_endpoint` once, on its first read: the
+    stress parabola in y (`dual`); nodes/values, the table `density.csv`
+    writes, the density sampled on grid_n uniform depths with the
+    crossing as a node (`_depth_grid`), which no solve reads; clip_depth,
+    how far below zero those values run before the clip, certified panel
+    by panel (`_clip_depth`); and max_abs_slope and max_log_lambda, which
+    report how far the solution runs above the nominal scale ceiling
+    instead of clamping it (see the module docstring).  Those two are the
+    slope inversion of the largest stress on the support, read in depth
+    off the zeros and the pass's last edge, so a shifted or mirrored
+    problem reads them bit for bit; the inversion is one node run on
+    floats (`_invert_stress_sq_one`), equal bit for bit to the array
+    inversion of that node.
 
     The solution holds one representation of the density, that pass read
     in depth as a `numerics.MonotoneProfile`, and one map of y to depth
@@ -799,7 +799,8 @@ class DensitySolution:
     profile at the depth its y maps to, which has lost the node's last
     bits.  The cumulative construction makes the density's slope the
     recovered dual slope on the support, the inversion of the stress
-    `dual.theta(y)` (`_invert_stress_sq`), and zero off it.
+    (s - z)(s - c)/2 at the depth s of y (`_invert_stress_sq`), and zero
+    off it.
     """
 
     spec: MongeProblemSpec
@@ -809,9 +810,6 @@ class DensitySolution:
     mass: float
     expectation: float
     energy_integrals: tuple[float, ...]
-    max_abs_slope: float
-    max_log_lambda: float
-    clip_depth: float
     profile: MonotoneProfile = field(repr=False)
 
     @functools.cached_property
@@ -823,7 +821,7 @@ class DensitySolution:
     @property
     def support_endpoint(self) -> float:
         """The closing end of the support (`_closing_end`)."""
-        return _closing_end(self.spec, self.dual.zeros[0])
+        return _closing_end(self.spec, self.depth_zeros[0])
 
     @property
     def support(self) -> tuple[float, float]:
@@ -847,6 +845,29 @@ class DensitySolution:
         nodes[-1] = self.support_endpoint   # exactly, not anchor - o * S
         # Under assumption I depth runs against y: reverse to ascending y.
         return (nodes[::-1], values[::-1]) if o > 0 else (nodes, values)
+
+    @functools.cached_property
+    def clip_depth(self) -> float:
+        """How far below zero the table's values run before the clip."""
+        return _clip_depth(self.profile, self.depth_zeros[1], self.grid_n)
+
+    @functools.cached_property
+    def _slope_max(self):
+        """(l, slope^2) at the largest |stress| on the support, in depth."""
+        (z, c), S = self.depth_zeros, float(self.profile.edges[-1])
+        # |theta| peaks at a support end: the parabola's vertex, inside the
+        # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
+        # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
+        stress_max = max(0.5 * z * c, 0.5 * abs((S - z) * (S - c)))
+        return _invert_stress_sq_one(stress_max ** 2, self.spec.alpha, self.epsilon)
+
+    @functools.cached_property
+    def max_abs_slope(self) -> float:
+        return math.sqrt(self._slope_max[1])
+
+    @functools.cached_property
+    def max_log_lambda(self) -> float:
+        return self._slope_max[0]
 
     @property
     def nodes(self):
@@ -897,37 +918,27 @@ class DensitySolution:
         node and does not depend on the array inversion's collective stop
         (`_invert_stress_sq`).  Every point where l takes one of the
         `levels` is a panel edge, so no round hunts a row's kink there.
-        The pass's geometry (`_log_geometry`) reads neither the rows nor
-        tol: it is built on the first pass at each `levels` tuple and kept,
-        read-only, for the last `_GEOMETRIES_KEPT` tuples, so a repeat
-        pass, such as a second probe, only evaluates rows.
+        The pass's geometry (`_log_geometry`) reads neither the rows, tol
+        nor the levels: it is built once per solution, on the first pass,
+        and kept read-only, so a repeat pass at any levels, such as a
+        second probe, only evaluates rows.
         """
-        return _log_pass(fn, self._geometry(levels), tol)
+        return _log_pass(fn, self._geometry, tol, levels)
 
     @functools.cached_property
-    def _geometries(self):
-        """The row pass's geometries built so far, by `levels` tuple."""
-        return {}
-
-    def _geometry(self, levels):
+    def _geometry(self):
         """`_log_geometry` of the solve's depth zeros and the pass's last
-        edge S at `levels`, built on its first read; the oldest kept tuple
-        makes way once `_GEOMETRIES_KEPT` are held."""
-        key = tuple(float(lv) for lv in levels)
-        kept = self._geometries
-        if key not in kept:
-            if len(kept) >= _GEOMETRIES_KEPT:
-                del kept[next(iter(kept))]
-            spec, S = self.spec, float(self.profile.edges[-1])
-            kept[key] = _log_geometry(self.depth_zeros, S, spec.anchor, spec.orientation,
-                                      spec.alpha, self.epsilon, key)
-        return kept[key]
+        edge S."""
+        spec = self.spec
+        return _log_geometry(self.depth_zeros, float(self.profile.edges[-1]), spec.anchor,
+                             spec.orientation, spec.alpha, self.epsilon)
 
 
-def _closing_end(spec: MongeProblemSpec, zero):
-    """The free zero clamped to the target: the far edge once beyond it."""
+def _closing_end(spec: MongeProblemSpec, depth):
+    """The free zero at `depth`, anchor - orientation depth in y, clamped
+    to the target: the far edge once beyond it."""
     tl, tr = spec.target_interval
-    return min(max(zero, tl), tr)
+    return min(max(spec.anchor - spec.orientation * depth, tl), tr)
 
 
 def _depth_grid(span, crossing, grid_n):
@@ -971,20 +982,13 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     at the other support end by the closure condition).  The solve's last
     pass, read as a `numerics.MonotoneProfile`, is the density, and every
     read of the solution goes through it (see `DensitySolution`).  The
-    table `density.csv` writes samples it in the pass's depths, so the
-    values near the free endpoint, where the stress vanishes, keep the
-    sign the solve gives them, and the assembly runs no quadrature and
-    inverts no grid node.  Its grid is uniform over the support with the
-    crossing as a node (`_depth_grid`); the solution builds it on its
-    first read.  The clip depth is that grid's, read only where the
-    profile does not certify its panels nonnegative (`_clip_depth`).  The
     mass, the expectation and the `energy_integrals` come from rows of the
-    solve's last Newton pass.  The slope maximum is read at the stress
-    maximum, a support end, by the float form of the inversion
-    (`_invert_stress_sq_one`): the array form's iteration on that one node
-    without numpy's per-call cost, equal to it bit for bit.  Raises
-    ValueError unless epsilon is finite
-    and > 0 and grid_n an integer >= 33.
+    solve's last Newton pass, so the assembly runs no quadrature, inverts
+    no node and maps nothing to y but the closing end the expectation
+    needs.  The table `density.csv` writes, its clip depth and the slope
+    maximum are read off the solution on their first read.  Raises
+    ValueError unless epsilon is finite and > 0 and grid_n an integer
+    >= 33.
     """
     _require_valid(spec)
     epsilon = float(epsilon)
@@ -994,32 +998,20 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
         raise ValueError(f"grid_n must be an integer >= 33, got {grid_n!r}")
     require_capacity(spec)
     solved = _solve_zeros(spec, epsilon)
-    # Depth s sits at anchor - orientation * s; the density rises from 0 at
-    # depth 0, the anchor, and its support closes at depth S, y = m.
-    zeros = solved.zeros
-    o, anchor = spec.orientation, spec.anchor
-    dual = DualField(tuple(anchor - o * s for s in zeros), o)
-    m = _closing_end(spec, dual.zeros[0])
+    zeros, o = solved.zeros, spec.orientation
     edges, sums, samples = solved.final_pass
-    profile = MonotoneProfile(edges, sums[0], samples, singular=zeros)
-    clip_depth = _clip_depth(profile, zeros[1], grid_n)
-
-    # |theta| peaks at a support end: the parabola's vertex, inside the
-    # support, beats the anchor's zc/2 with its (z - c)^2/8 only when
-    # c < (3 - 2 sqrt 2) z, and the solved zeros keep c above 0.4 z there.
-    stress_max = max(abs(dual.theta(anchor)), abs(dual.theta(m)))
-    l_max, u_max = _invert_stress_sq_one(stress_max ** 2, spec.alpha, epsilon)
     mass = 1.0 + solved.mass_residual
-    # integral of y u = m * mass + integral of (y - m) u, and the latter
-    # integrates by parts to -1/2 integral of (y - m)^2 u_y dy, which is
-    # orientation/2 times integral of (s - S)^2 du/ds ds in depth, the
-    # moment of the solve's final pass: the quadrature only sees depths,
-    # so a shifted problem gives the shifted expectation and a mirrored
-    # one the negated expectation.
+    # Depth s sits at anchor - orientation * s, and the support closes at
+    # depth S, y = m.  integral of y u = m * mass + integral of (y - m) u,
+    # and the latter integrates by parts to -1/2 integral of (y - m)^2 u_y
+    # dy, which is orientation/2 times integral of (s - S)^2 du/ds ds in
+    # depth, the moment of the solve's final pass: the quadrature only
+    # sees depths, so a shifted problem gives the shifted expectation and
+    # a mirrored one the negated expectation.
+    m = _closing_end(spec, zeros[0])
     expectation = m * mass + 0.5 * o * solved.moment
     return DensitySolution(
         spec=spec, epsilon=epsilon, depth_zeros=zeros, grid_n=int(grid_n),
         mass=float(mass), expectation=float(expectation),
         energy_integrals=solved.energy_integrals,
-        max_abs_slope=math.sqrt(u_max), max_log_lambda=l_max,
-        clip_depth=clip_depth, profile=profile)
+        profile=MonotoneProfile(edges, sums[0], samples, singular=zeros))

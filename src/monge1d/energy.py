@@ -180,12 +180,13 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     not the solve's: the deltas deliver no density, so the pass runs in
     l = ln lambda, where depth, slope and Jacobian are closed forms and no
     node is inverted; the deltas therefore do not depend on the array
-    inversion's collective stop.  Its first panels read the solve's depth
-    zeros alone, not the t values, and are graded toward the anchored
-    edge, where the t > 0 primal rows peak, so the stacked rows and each
-    row's own pass share panels.  The exponent of the primal rows is clipped at 700, and
-    that clip's kinks are not cut: a row that reaches the clip is resolved
-    only as far as its error estimate sees the kinks.
+    inversion's collective stop.  Its first panels are the solution's one
+    geometry, built from the solve's depth zeros alone on its first pass,
+    graded toward the anchored edge, where the t > 0 primal rows peak; so
+    the stacked rows and each row's own pass share panels, and the probe
+    adds only its levels' cuts.  The exponent of the primal rows is
+    clipped at 700, and that clip's kinks are not cut: a row that reaches
+    the clip is resolved only as far as its error estimate sees the kinks.
 
     Where t psi > 0 the dual clip kinks at l = 0 (|theta| = alpha) and at
     l = -t psi.  For a constant psi, the one `verify` probes with, these

@@ -260,7 +260,12 @@ def discrete_primal_minimizer(spec: MongeProblemSpec, epsilon,
     s_i forward differences) over the feasible polytope by `_barrier_newton`
     from `_grid`'s tent (slope 4/W^2, below alpha on a target wider than the
     sharp width); at the sharp width that tent is returned.  Raises
-    ValueError for an epsilon not finite and > 0, and what `_grid` raises."""
+    ValueError for an epsilon not finite and > 0, and what `_grid` raises.
+    A known limit: within about 1e-5 of the sharp width, on a grid that
+    still fits the tent, a barrier stage raises MaxIterations rather than
+    return a point (alpha 1, width 2 (1 + 1e-9), n = 401, eps 0.1 to 1e-6):
+    every slope sits that close to alpha, and the rounding of
+    alpha^2 - s^2 outgrows the decrement test.  The LP solves those grids."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     nodes, h, values, sharp = _grid(spec, n)

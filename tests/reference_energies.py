@@ -10,6 +10,7 @@ holds to epsilon."""
 import numpy as np
 
 from reference_quadrature import integrate
+from reference_solves import stress_at
 
 TOL = 1e-10
 
@@ -41,7 +42,7 @@ def dual(sol, log_lam):
     field, a2, eps = sol.dual, sol.spec.alpha ** 2, sol.epsilon
 
     def f(y, l, g):
-        th, lt = field.theta(y), log_lam(y)
+        th, lt = stress_at(field, y), log_lam(y)
         # th^2/lam as a square, and exactly 0 where th is: a node can round
         # onto a stress zero, where 1/lam alone can overflow.
         root = th * np.exp(-0.5 * np.where(th == 0.0, 0.0, lt))

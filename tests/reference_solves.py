@@ -7,8 +7,19 @@ quadrature is one pass of the package's row pass in l = ln lambda
 
 import math
 
+import numpy as np
+
 from monge1d.duality import _log_geometry, _log_pass
 from monge1d.errors import MaxIterations, Monge1dError
+
+
+def stress_at(field, y):
+    """The stress of a `duality.DualField` at y, in its factored form
+    -orientation (y - z)(y - c)/2: an array for an array, a float, on
+    floats, for a number.  The package reads the stress in depth only."""
+    z, c = field.zeros
+    y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
+    return -0.5 * field.orientation * (y - z) * (y - c)
 
 
 class NoSignChange(Monge1dError):
@@ -110,5 +121,5 @@ def row_integral(fn, support, zeros, spec, epsilon, tol):
     o, (lo, hi) = spec.orientation, support
     anchor = hi if o > 0 else lo
     depths = tuple(o * (anchor - p) for p in zeros)
-    return _log_pass(fn, _log_geometry(depths, hi - lo, anchor, o, spec.alpha, epsilon, ()),
-                     tol)
+    return _log_pass(fn, _log_geometry(depths, hi - lo, anchor, o, spec.alpha, epsilon),
+                     tol, ())

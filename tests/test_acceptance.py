@@ -33,7 +33,7 @@ from monge1d.problem import uniform_spec
 from monge1d.sweep import epsilon_sweep
 from monge1d.transport import build_map, pushforward_residual
 from reference_energies import taylor_remainder_check
-from reference_solves import boundary_residual, solve_constant, total_mass
+from reference_solves import boundary_residual, solve_constant, stress_at, total_mass
 
 ALPHAS = (0.5, 1.0, 2.0)
 EPSILONS = (0.1, 0.01, 0.001)
@@ -113,7 +113,7 @@ def test_criterion_03_equilibrium(grid):
     worst = 0.0
     for _, sol, _ in grid.values():
         nodes = sol.nodes
-        theta = sol.dual.theta(nodes)
+        theta = stress_at(sol.dual, nodes)
         log_lam, slope_sq = _invert_stress_sq(theta ** 2, sol.spec.alpha, sol.epsilon)
         slope = np.copysign(np.sqrt(slope_sq), theta)
         worst = max(worst, float(np.max(np.abs(np.exp(log_lam) * slope - theta))))
@@ -123,7 +123,7 @@ def test_criterion_03_equilibrium(grid):
         assert np.all(-o * nodes + np.abs(nodes) == 0.0)
         h = 1e-6
         mid = nodes[nodes.size // 2]
-        fd = (sol.dual.theta(mid + h) - sol.dual.theta(mid - h)) / (2 * h)
+        fd = (stress_at(sol.dual, mid + h) - stress_at(sol.dual, mid - h)) / (2 * h)
         assert fd == pytest.approx(-o * mid - sol.dual.multiplier, abs=1e-6)
     ok = worst <= 1e-8
     assert verdict(3, ok, f"sup|lambda u_y - theta| = {worst:.3e} "

@@ -539,8 +539,15 @@ class TestVerify:
         out = tmp_path / "art"
         solve, gap = cli.assemble_density, cli.duality_gap
         if check == "nonnegative":
-            monkeypatch.setattr(cli, "assemble_density", lambda *args: dataclasses.replace(
-                solve(*args), clip_depth=value * 1e-12))
+            class Clipped(duality.DensitySolution):
+                clip_depth = value * 1e-12      # in place of the read off the profile
+
+            def clipped(*args):
+                sol = solve(*args)
+                return Clipped(**{f.name: getattr(sol, f.name)
+                                  for f in dataclasses.fields(sol)})
+
+            monkeypatch.setattr(cli, "assemble_density", clipped)
         elif check == "zero gap":
             def widened(sol):
                 report = gap(sol)

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
-from monge1d.duality import (_depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros,
-                              _support_of)
+from monge1d.duality import _depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform
@@ -54,7 +53,7 @@ def exact_nodes(sol, grid_n):
     """
     spec = sol.spec
     solved = _solve_zeros(spec, sol.epsilon)
-    span = _support_of(solved.zeros[0], spec)
+    span = (0.0, min(solved.zeros[0], spec.target_width))
     depths = _depth_grid(span, solved.zeros[1], grid_n)
     step = -1 if spec.orientation > 0 else 1        # ascending depth
     nodes, support_values = sol.nodes, sol.values
@@ -367,7 +366,7 @@ class TestTheProfileIsTheDensity:
         sol = solved(_offset_spec(offset, assumption, width), eps)
         spec, profile = sol.spec, sol.profile
         zeros = _solve_zeros(spec, eps).zeros
-        depths = _depth_grid(_support_of(zeros[0], spec), zeros[1], 2001)
+        depths = _depth_grid((0.0, min(zeros[0], spec.target_width)), zeros[1], 2001)
         expected = np.maximum(profile.density(depths), 0.0)
         expected[[0, -1]] = 0.0
         nodes, values = sol.nodes, sol.values

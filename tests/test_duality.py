@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -25,7 +26,8 @@ from monge1d.problem import require_capacity, uniform_spec
 from monge1d.sweep import epsilon_sweep
 from reference_quadrature import integrate
 from reference_solves import (boundary_residual, solve_constant, solve_crossing,
-                              total_mass)
+                              stress_at, total_mass)
+from test_edge_reference import ALPHAS as EDGE_ALPHAS, EPSILONS as EDGE_EPSILONS, spec_of
 from test_reference_artifacts import HERE as REFERENCE_DIR, dispatch
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
@@ -50,7 +52,7 @@ def slope_of(theta, alpha, eps):
 
 def field_slope(fld, y, alpha, eps):
     """The dual slope at each y: the inversion of the field's stress."""
-    theta = fld.theta(y)
+    theta = stress_at(fld, y)
     _, u = duality._invert_stress_sq(theta ** 2, alpha, eps)
     return np.copysign(np.sqrt(u), theta)
 
@@ -367,7 +369,7 @@ class TestAssembleDensity:
         loc = sol.dual.zeros[1]
         height = sol(loc)
         assert loc == pytest.approx(4.0, abs=0.02)
-        assert sol.dual.theta(loc) == 0.0
+        assert stress_at(sol.dual, loc) == 0.0
         assert height == pytest.approx(1.0, abs=0.02)
 
     def test_free_endpoint_stress_vanishes(self, solved):
@@ -375,7 +377,7 @@ class TestAssembleDensity:
         # and the stress equation carries the mass multiplier.
         for spec in (SPEC_I, SPEC_II):
             sol = solved(spec, 1e-3)
-            assert sol.dual.theta(sol.support_endpoint) == 0.0
+            assert stress_at(sol.dual, sol.support_endpoint) == 0.0
             assert sol.dual.zeros[0] == sol.support_endpoint
             ys = sol.nodes
             assert np.abs(sol.dual.theta_y(ys) + np.abs(ys)
@@ -392,7 +394,7 @@ class TestAssembleDensity:
 
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
-        theta = sol.dual.theta(sol.nodes)
+        theta = stress_at(sol.dual, sol.nodes)
         log_lam, slope_sq = duality._invert_stress_sq(theta ** 2, 1.0, 1e-3)
         slope = np.copysign(np.sqrt(slope_sq), theta)
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
@@ -456,23 +458,23 @@ class TestAssembleDensity:
         # |theta| = zc/2 with its (z - c)^2/8 only when c < (3 - 2 sqrt 2) z.
         # Wherever it lies inside the support the solved zeros keep c
         # above twice that (measured c >= 0.404 z, at alpha 0.25, eps 0.1),
-        # so the assembly probes the two support ends alone and reads the
-        # same largest slope as with the vertex probed, bit for bit.
-        # Outside the support (a full target, z past the far edge) c/z
-        # falls to 0.005, but no stress there is delivered.
+        # so the solution probes the two support ends, depths 0 and S,
+        # alone and reads the same largest slope as with the vertex probed,
+        # bit for bit.  Outside the support (a full target, z past the far
+        # edge) c/z falls to 0.005, but no stress there is delivered.
         threshold = 3.0 - 2.0 * math.sqrt(2.0)
         for alpha, eps, factor in itertools.product(
                 (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                 (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)):
             sol = assemble_density(_regime_spec(alpha, factor, 0.0), eps, 33)
-            z, c = duality._solve_zeros(sol.spec, eps).zeros
-            lo, hi = sol.support
-            vertex = 0.5 * sum(sol.dual.zeros)
-            probes = [lo, hi]
-            if lo < vertex < hi:
+            z, c = sol.depth_zeros
+            S, vertex = float(sol.profile.edges[-1]), 0.5 * (z + c)
+            probes = [0.0, S]
+            if 0.0 < vertex < S:
                 assert c >= 2.0 * threshold * z
                 probes.append(vertex)
-            stress = float(np.max(np.abs(sol.dual.theta(np.array(probes)))))
+            s = np.array(probes)
+            stress = float(np.max(np.abs(0.5 * (s - z) * (s - c))))
             slope_sq = duality._invert_stress_sq(np.array([stress ** 2]), alpha, eps)[1]
             assert sol.max_abs_slope == float(np.sqrt(slope_sq[0]))
 
@@ -536,7 +538,7 @@ class TestFullTargetRegime:
         assert sol.support == spec.target_interval
         assert sol.support_endpoint == far_edge
         assert sol.dual.zeros[0] < far_edge
-        assert sol.dual.theta(far_edge) > 0.0
+        assert stress_at(sol.dual, far_edge) > 0.0
         assert sol.mass == pytest.approx(1.0, abs=1e-10)
         assert sol.values[0] == sol.values[-1] == 0.0
         assert sol.clip_depth <= 1e-12
@@ -562,8 +564,19 @@ class TestTranslationInvariance:
         moved = solved(shifted, 0.01, 801)
         assert abs(moved.support_endpoint - (sol.support_endpoint + d)) <= 1e-9
         assert abs(moved.expectation - (sol.expectation + d)) <= 1e-9
-        assert moved.max_log_lambda == pytest.approx(sol.max_log_lambda,
-                                                     abs=1e-9)
+        # The slope maximum is read in depth, off the shared depth zeros.
+        assert moved.max_log_lambda == sol.max_log_lambda
+
+    def test_shifted_twins_read_one_slope_maximum(self):
+        # A problem at offset 1000 under orientation II and its offset-0
+        # twin under orientation I share their depth zeros and far edge, so
+        # the slope maxima read off them agree bit for bit, on every point
+        # of the edge grid.
+        for alpha, eps in itertools.product(EDGE_ALPHAS, EDGE_EPSILONS):
+            near, far = (assemble_density(spec_of(target, alpha), eps)
+                         for target in ("offset_0_I", "offset_1000_II"))
+            assert [near.max_abs_slope.hex(), near.max_log_lambda.hex()] == [
+                far.max_abs_slope.hex(), far.max_log_lambda.hex()], (alpha, eps)
 
 
 def _regime_spec(alpha, factor, offset):
@@ -1454,23 +1467,28 @@ class TestMirrorExactness:
 class TestDualField:
     def test_zeros_are_stored_once(self):
         # The field is the parabola alone, and a solution keeps the solve's
-        # depth zeros as its one record of them.
+        # depth zeros as its one record of them: it stores what its solve
+        # made, and reads everything else off it.
         assert [f.name for f in dataclasses.fields(DualField)] == ["zeros", "orientation"]
-        names = {f.name for f in dataclasses.fields(DensitySolution)}
-        assert len(names) == 11 and "depth_zeros" in names
-        assert not names & {"dual", "support", "support_endpoint", "crossing_depth"}
+        assert not hasattr(DualField, "theta")
+        assert [f.name for f in dataclasses.fields(DensitySolution)] == [
+            "spec", "epsilon", "depth_zeros", "grid_n", "mass", "expectation",
+            "energy_integrals", "profile"]
+        for name in ("max_abs_slope", "max_log_lambda", "clip_depth", "dual", "_geometry"):
+            assert isinstance(inspect.getattr_static(DensitySolution, name),
+                              functools.cached_property), name
 
     def test_stress_equation_exact(self):
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         ys = np.linspace(3.0, 5.0, 101)
         h = 1e-6
-        dtheta = (fld.theta(ys + h) - fld.theta(ys - h)) / (2 * h)
+        dtheta = (stress_at(fld, ys + h) - stress_at(fld, ys - h)) / (2 * h)
         assert np.abs(dtheta + np.abs(ys)).max() < 1e-7
 
     def test_crossing(self):
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         assert fld.zeros[1] == pytest.approx(4.0)
-        assert abs(fld.theta(fld.zeros[1])) < 1e-14
+        assert abs(stress_at(fld, fld.zeros[1])) < 1e-14
         mirrored = DualField(zeros=(4.0, -4.0), orientation=-1.0)
         assert mirrored.zeros[1] == pytest.approx(-4.0)
 
@@ -1483,12 +1501,12 @@ class TestDualField:
             assert fld.multiplier == -0.5 * o * (zeros[0] + zeros[1])
             ys = np.linspace(-5.0, 5.0, 41)
             expanded = o * (fld.constant - 0.5 * ys ** 2) - fld.multiplier * ys
-            assert np.abs(fld.theta(ys) - expanded).max() < 1e-12
+            assert np.abs(stress_at(fld, ys) - expanded).max() < 1e-12
 
     def test_inverted_stress_consistent(self):
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         ys = np.linspace(3.0, 5.0, 57)
-        theta = fld.theta(ys)
+        theta = stress_at(fld, ys)
         log_lam, _ = duality._invert_stress_sq(theta ** 2, 1.0, 0.01)
         # The algebra ties the stress, the scale and the slope pointwise.
         slope = field_slope(fld, ys, 1.0, 0.01)

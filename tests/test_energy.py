@@ -26,6 +26,7 @@ from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
 from reference_quadrature import depth_pass, integrate
+from reference_solves import stress_at
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -52,7 +53,7 @@ def _const(value):
 
 def _inverted(sol, y):
     """(log_lambda, slope) at y from the inversion of the solved stress."""
-    theta = sol.dual.theta(y)
+    theta = stress_at(sol.dual, y)
     l, slope_sq = duality._invert_stress_sq(theta ** 2, sol.spec.alpha, sol.epsilon)
     return l, np.copysign(np.sqrt(slope_sq), theta)
 
@@ -114,7 +115,7 @@ class TestDualEnergy:
         sol = solved(spec, 1e-3)
         out = ref.dual(sol, _const(0.0))
         reduced = -0.5 * integrate(
-            lambda y: sol.dual.theta(y) ** 2 + 1.0 - 2e-3,
+            lambda y: stress_at(sol.dual, y) ** 2 + 1.0 - 2e-3,
             *sol.support, tol=1e-12,
             breakpoints=(sol.dual.zeros[1],)) + sol.dual.multiplier
         assert out == pytest.approx(reduced, rel=1e-12)
@@ -360,12 +361,11 @@ class TestRowPass:
         # In l every node's depth, slope and Jacobian are closed forms: the
         # pass inverts no node, and the float inversion runs once per
         # branch end (the anchor, the vertex and a far edge short of the
-        # free zero) when the solution first meets a `levels` tuple: a free
-        # end has two branch ends, a full target three.  The row pass and
-        # the probe cut at other levels, so each builds its geometry; a
-        # repeat of both reads the geometries the solution keeps and inverts
-        # nothing.  Fresh solves: the session's solutions may have been
-        # integrated already.
+        # free zero) when the solution builds its one geometry, on its first
+        # pass: a free end has two branch ends, a full target three.  The
+        # probe cuts at other levels than the row pass, and reads the same
+        # geometry; a repeat of both inverts nothing.  Fresh solves: the
+        # session's solutions may have been integrated already.
         calls = {"array": 0, "float": 0}
         array, one = duality._invert_stress_sq, duality._invert_stress_sq_one
 
@@ -381,7 +381,7 @@ class TestRowPass:
             sol = assemble_density(_grid_spec(1.0, 0.0, "I", factor), 1e-3)
             monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
             monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
-            for repeat_ends in (2 * ends, 0):
+            for repeat_ends in (ends, 0):
                 sol.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
                 second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
                                        dual_perturbation=_ONE)
@@ -421,9 +421,11 @@ class TestRowPass:
         monkeypatch.setattr(duality, "_log_geometry", recorded)
         sol = assemble_density(_grid_spec(alpha, offset, assumption, factor), eps)
         sol.integrate(lambda y, l, g: g, 1e-10)
-        (zeros, S, *_), = seen
+        (zeros, S, anchor, orientation, alpha_read, eps_read), = seen
         assert [x.hex() for x in zeros] == [x.hex() for x in sol.depth_zeros]
         assert S.hex() == float(sol.profile.edges[-1]).hex()
+        assert (anchor, orientation, alpha_read, eps_read) == (
+            sol.spec.anchor, sol.spec.orientation, alpha, eps)
         dual = sol.dual
         got = (dual.constant.hex(), dual.multiplier.hex(),
                tuple(x.hex() for x in dual.zeros), tuple(x.hex() for x in sol.support),
@@ -451,38 +453,40 @@ class TestRowPass:
         assert again.primal_deltas == first.primal_deltas
         assert again.dual_deltas == first.dual_deltas
 
-    def test_geometry_is_kept_per_solution_and_levels(self, monkeypatch):
-        # Other levels and another solution each build their own geometry;
-        # the kept arrays refuse writes, and a solution keeps
-        # _GEOMETRIES_KEPT tuples, making way for a new one by dropping the
-        # oldest.
+    def test_one_geometry_per_solution(self, monkeypatch):
+        # Passes at other levels and a probe read the geometry the first
+        # pass built: the levels' cuts are the pass's own.  Each pass sums
+        # what a fresh solution running that pass alone sums, bit for bit,
+        # and the kept arrays refuse writes.
         built = []
         plain = duality._log_geometry
 
         def counted(*args):
-            built.append(args[-1])
+            built.append(args)
             return plain(*args)
 
-        monkeypatch.setattr(duality, "_log_geometry", counted)
-        sols = [assemble_density(spec, 1e-2) for spec in (SPEC_I, SPEC_II)]
-
         def row(y, l, g):
-            return g
+            return (g, np.exp(l) * g)
 
-        for sol in sols:
-            for levels in ((), (0.0, -1e-3), (0.0, -1e-3), np.array([0.0, -1e-3])):
-                sol.integrate(row, 1e-10, levels)
-        assert built == [(), (0.0, -1e-3)] * 2
-        starts, table, cuts, *_ = sols[0]._geometry(())
+        def probe(sol):
+            report = second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
+                                            dual_perturbation=_ONE)
+            return report.primal_deltas + report.dual_deltas
+
+        passes = [lambda sol, lv=levels: tuple(sol.integrate(row, 1e-10, lv).tolist())
+                  for levels in ((), (0.0, -1e-3), (-1.0,))] + [probe]
+        monkeypatch.setattr(duality, "_log_geometry", counted)
+        sol = assemble_density(SPEC_I, 1e-2)
+        sums = [run(sol) for run in passes]
+        assert len(built) == 1
+        monkeypatch.undo()
+        for run, got in zip(passes, sums):
+            alone = run(assemble_density(SPEC_I, 1e-2))
+            assert [x.hex() for x in got] == [x.hex() for x in alone]
+        starts, table, cuts, *_ = sol._geometry
         for arr in (starts, table, cuts):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        sol = sols[0]
-        for k in range(duality._GEOMETRIES_KEPT):
-            sol.integrate(row, 1e-10, (-1.0 - k,))
-        assert len(sol._geometries) == duality._GEOMETRIES_KEPT
-        assert () not in sol._geometries and (0.0, -1e-3) not in sol._geometries
-        assert (-1.0,) in sol._geometries
 
 
 # -- probes -------------------------------------------------------------------

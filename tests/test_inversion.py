@@ -223,9 +223,9 @@ def inversion_work(run):
     return len(steps)
 
 
-# (alpha, eps): Newton steps of one canonical solve, grid 2001, over all
-# of its inversion calls: one per Newton pass and one, in the float
-# form, for the stress maximum.  A pass's call takes 2 steps when eps is small next to alpha^2,
+# (alpha, eps): Newton steps of one canonical solve, grid 2001, and its
+# slope maximum's first read, over all of their inversion calls: one per
+# Newton pass and one, in the float form, for the stress maximum.  A pass's call takes 2 steps when eps is small next to alpha^2,
 # where the start is the root to first order in eps z, and up to 7 at
 # alpha 1, eps 0.1, where the graded nodes next to the stress zeros reach
 # far below slope^2 = alpha^2/2.  The coupled solve's tabulated start
@@ -242,15 +242,16 @@ def test_canonical_inversion_work_is_pinned(alpha, eps):
     # inversion iterate more shows here.  Re-pin them only with a change
     # that means to move them.
     spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
-    work = inversion_work(lambda: assemble_density(spec, eps))
+    work = inversion_work(lambda: assemble_density(spec, eps).max_abs_slope)
     assert work == _CANONICAL_WORK[alpha, eps]
 
 
 @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3), (4.0, 1e-4)])
 def test_assembly_inverts_one_array_per_round(monkeypatch, alpha, eps):
     # Every `_adaptive` round of the solve's passes inverts its nodes in one
-    # array call; the stress maximum takes the float form once and no array
-    # call of its own.
+    # array call.  The stress maximum takes the float form once, on the
+    # first read of the slope maximum and not in the assembly, and no
+    # array call of its own; both maxima share that one call.
     rounds, arrays, floats = [], [], []
     adaptive, plain, one = (duality._adaptive, duality._invert_stress_sq,
                             duality._invert_stress_sq_one)
@@ -272,9 +273,12 @@ def test_assembly_inverts_one_array_per_round(monkeypatch, alpha, eps):
     monkeypatch.setattr(duality, "_adaptive", counted_adaptive)
     monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
     monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_float)
-    assemble_density(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+    sol = assemble_density(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
     assert rounds and len(arrays) == len(rounds)
-    assert len(floats) == 1
+    assert not floats
+    for _ in range(2):
+        sol.max_abs_slope, sol.max_log_lambda
+    assert len(floats) == 1 and len(arrays) == len(rounds)
 
 
 def _as_hex(l, u):

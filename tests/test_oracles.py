@@ -191,12 +191,14 @@ class TestPrimalMinimizer:
 
     @pytest.mark.parametrize("alpha,excess,n,epsilon,stage", [
         (1.0, 1e-9, 401, 0.1, "1e-02"), (1.0, 1e-9, 401, 1e-3, "1e-02"),
-        (1.0, 1e-7, 401, 0.1, "1e-13"), (4.0, 1e-5, 1000, 0.1, "1e-14")])
+        (1.0, 1e-9, 401, 1e-6, "1e-02"), (1.0, 1e-7, 401, 0.1, "1e-13"),
+        (4.0, 1e-5, 1000, 0.1, "1e-14")])
     def test_known_limit_near_the_sharp_width(self, alpha, excess, n, epsilon, stage):
         # A known limit, pinned: within about 1e-5 of the sharp width every
         # slope sits that close to alpha, so the rounding of alpha^2 - s^2
         # puts noise above the barrier's decrement test and a stage runs
-        # out of Newton steps.  The LP solves the same grid.
+        # out of Newton steps, at every eps down to the floor: the oracle
+        # raises rather than return a point.  The LP solves the same grid.
         spec = uniform_spec((6.0, 8.0), (0.0, 2.0 / math.sqrt(alpha) * (1.0 + excess)),
                             "I", alpha)
         with pytest.raises(MaxIterations, match=f"barrier stage mu = {stage}$"):

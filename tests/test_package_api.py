@@ -132,7 +132,7 @@ def test_definition_keys_are_their_code_objects():
 
 def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
     definitions = _definitions()
-    assert {"duality.assemble_density", "duality.DualField.theta",
+    assert {"duality.assemble_density", "duality.DualField.theta_y",
             "duality.DensitySolution.quantile", "duality.DensitySolution.integrate",
             "problem.ValidationReport.message"} <= set(definitions.values())
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
