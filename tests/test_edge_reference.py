@@ -8,9 +8,12 @@ end at offset 1000 under orientation II (factor 2.5), and a full target
 at exactly the sharp width (factor 1, orientation I).  For each it holds
 the coupled solve's depth zeros and Newton steps, the zeros in y, the
 mass, the expectation, the energy integrals, the slope and log-scale
-maxima, the clip depth, the profile's total, and a sha256 of the
-profile's edges and density rows; on three cases also `verify`'s
-variational probe deltas.  Every float is stored as `float.hex`.
+maxima, the clip depth, the profile's total, a sha256 of the profile's
+edges and density rows, and the row pass's sums (`row_pass_sums`: the
+rows g, lambda and (y - anchor) g of `DensitySolution.integrate` at
+tolerance 1e-10, cut at the levels `ROW_LEVELS`); on three cases also
+`verify`'s variational probe deltas.  Every float is stored as
+`float.hex`.
 
 Under the numpy version and CPU features recorded with it every float
 must match exactly, the digests too.  Under another dispatch the last
@@ -48,6 +51,7 @@ TARGETS = ("offset_0_I", "offset_1000_II", "sharp_width")
 PROBED = (("offset_0_I", 1.0, 1e-3), ("offset_1000_II", 0.5, 1e-1),
           ("sharp_width", 4.0, 1e-6))
 PROBE_TS = (-1e-2, -1e-3, 1e-3, 1e-2)
+ROW_LEVELS = (0.0, -1e-3, -1e-2)
 BUDGET = 1e-14
 # On a full target the free zero lies past the far edge, where the
 # residuals follow it only through the slope's log layer; two starts at
@@ -92,6 +96,9 @@ def record(target, alpha, eps):
         "total": sol.profile.total.hex(),
         "edges_sha256": _digest(sol.profile.edges),
         "density_sha256": _digest(sol.profile._density),
+        "row_pass_sums": [x.hex() for x in sol.integrate(
+            lambda y, l, g: (g, np.exp(l), (y - spec.anchor) * g), 1e-10,
+            ROW_LEVELS).tolist()],
     }
     if (target, alpha, eps) in PROBED:
         probe = second_variation_probe(
