@@ -53,7 +53,8 @@ The quadratures of the slope, the solve's unknowns and the assembly's
 grid are all depths s = orientation (anchor - y), 0 at the anchored edge
 and the target width at the far edge.  In depth both orientations are one
 problem, with stress (s - z)(s - c)/2 on the support [0, min(z, width)],
-so orientation enters only where depths map back to y, and a mirrored
+so orientation enters only where depths map back to y, through one map
+(`DensitySolution._y`) and the row pass's per-node map, and a mirrored
 problem gives the bitwise mirrored solution.  A shifted problem gives the
 shifted solution, and the zeros resolve to ulps of the target's width
 rather than of its distance from the origin.  Whether the target can hold
@@ -69,24 +70,25 @@ per round; graded panels each see the layer on their own scale, so one or
 two vectorized rounds settle a quadrature.  The assembly runs no pass of
 its own: it reads the solve's last one, so the closing density keeps the
 sign the solve gave it, and a finer grid adds no panel and no inversion.
-The solve's passes are built by `_depth_pass`, which integrates a stack of
-rows of one inversion per node: they carry the expectation and the primal
-and dual energy integrals (at the solved pair the complementary energy is
-the primal, see `energy`), and their panels, graded 64 ulps deep into each
-zero, become the density.
+Each of the solve's passes is one `_zero_residuals`, which integrates a
+stack of rows of one inversion per node: they carry the expectation and
+the primal and dual energy integrals (at the solved pair the complementary
+energy is the primal, see `energy`), and their panels, graded 64 ulps deep
+into each zero, become the density.
 
 `DensitySolution.integrate` sums rows alone, the probes' among them, and
-delivers no density, so its pass (`_log_pass`) takes l = ln lambda as the
+delivers no density, so its pass (`_row_pass`) takes l = ln lambda as the
 variable instead of depth.  On the parabola's three branches depth,
 slope and Jacobian are closed forms of l: g = sqrt(alpha^2 + 2 eps l) and
 |theta| = e^l g, so the pass inverts no node, the zeros' log layers become
 a factor e^l that 40 units of l exhaust, and a kink at a fixed l is a
 fixed panel edge.  The float inversion gives only the branch ends.  What
-the pass reads of the solution alone, its geometry, is built from the
-solve's own depth zeros and the pass's far edge, with no trip through y,
-once per solution, and kept on it (`DensitySolution._geometry`); each
-pass adds the cuts of its own levels, so a repeat pass at any levels
-evaluates rows alone.
+the pass reads of the solution alone, its branches, pieces and first
+cuts, is built from the solve's own depth zeros and the pass's far edge,
+with no trip through y, once per solution, and kept on it
+(`DensitySolution._row_pass`); each run adds the cuts of its own levels,
+so a repeat pass at any levels evaluates rows alone.  It runs at one
+tolerance, `_ROW_TOL`.
 
 Everything lambda-related is handled in log form: the lower endpoint
 lambda_min = e^{-alpha^2/(2 eps)} underflows already for moderate
@@ -291,6 +293,9 @@ class DualField:
         return -0.5 * self.orientation * ((y - z) + (y - c))
 
 
+# The tolerance of the row pass (`DensitySolution.integrate`), relative to
+# each row's own total.
+_ROW_TOL = 1e-10
 # How far below the top of each branch the row pass integrates, in l: the
 # rest of the branch is a factor e^-40 = 4e-18 of it.
 _L_WINDOW = 40.0
@@ -300,11 +305,13 @@ _L_LADDER = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 11.0, 17.0, 25.0)
 _V_LADDER = tuple(math.sqrt(dl) for dl in _L_LADDER)
 
 
-def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon):
-    """The geometry of the row pass (`_log_pass`) over the depths [0, S] of
-    the stress (s - z)(s - c)/2, 0 <= c <= S <= z, taken in l = ln lambda
-    branch by branch, so that no node is inverted; y is
-    anchor - orientation s and the slope du/dy.
+def _row_pass(zeros, S, anchor, orientation, alpha, epsilon):
+    """The row pass over the depths [0, S] of the stress (s - z)(s - c)/2,
+    0 <= c <= S <= z, taken in l = ln lambda branch by branch, so that no
+    node is inverted; y is anchor - orientation s and the slope du/dy.
+    Returns run(fn, tol, levels): the row integrals of one `_adaptive`
+    pass of fn(y, l, slope), refined until every row meets the tolerance
+    and summed panel after panel, a float for one row.
 
     With g = sqrt(alpha^2 + 2 eps l), tau = e^l g = |theta|, m = (z + c)/2
     and h = (z - c)/2 the three branches are
@@ -329,21 +336,18 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon):
     - x = g on the lower half of a branch whose window reaches the floor,
       l = (g^2 - alpha^2)/(2 eps), where ds/dl has an inverse square root.
     The pieces lie end to end along the pass's variable, and each round
-    maps its nodes through the constants of their pieces, gathered once.
-    The first panels end `_L_LADDER` below each top and, on [0, c], at the
-    anchored edge's graded depths S 2^-k, k = 1 .. ceil(log2(alpha^2/eps)),
-    taken to d at the anchor's rate: there the probes' t > 0 primal rows
-    vary on the penalty's own scale.  None of this reads the rows or a
-    pass's levels, so a stack and each of its rows alone are summed on the
-    same panels, and one geometry serves every pass over the solution
-    (`DensitySolution._geometry`); each pass adds its own level cuts
-    (`_log_pass`).  Returns (starts, table, cuts, span, h, eps, anchor,
-    orientation, variables): the pieces' starts along the pass's variable
-    and their constants, one column a piece, the first panels' cuts, all
-    three read-only, the pass's span, the half distance h between the
-    zeros, eps, the map y = anchor - orientation s, and for each piece
-    (x, x_a, x_b, t): its variable as a function of l (of l_0, l_v,
-    alpha^2 and eps), its ends in x and its start t along the pass."""
+    maps its nodes through the constants of their pieces, gathered once,
+    to depth, l, the slope and the Jacobian, and each depth to y on its
+    own, so no rounding of y is shared by a branch.  The first panels end
+    `_L_LADDER` below each top and, on [0, c], at the anchored edge's
+    graded depths S 2^-k, k = 1 .. ceil(log2(alpha^2/eps)), taken to d at
+    the anchor's rate: there the probes' t > 0 primal rows vary on the
+    penalty's own scale.  None of this reads the rows, the tolerance or
+    the levels, so a stack and each of its rows alone are summed on the
+    same panels, and it is built once per solution and kept, read-only
+    (`DensitySolution._row_pass`).  Each run adds its own level cuts:
+    every l in `levels` is a panel edge on every piece it crosses, cut
+    where the piece would cut it in x."""
     c, z = sorted(zeros)
     h, m, eps, o = 0.5 * (z - c), 0.5 * (z + c), epsilon, orientation
     a2 = alpha * alpha
@@ -397,98 +401,71 @@ def _log_geometry(zeros, S, anchor, orientation, alpha, epsilon):
     if S > m:                   # theta < 0 on [m, S], down from the vertex
         branch(l_v, l_S, "v", vertex + (z, -2.0, o), _V_LADDER)
 
-    cuts, starts, table, variables, t = [], [], [], [], 0.0
+    cuts, starts, table, span = [], [], [], 0.0
     for x, x_a, x_b, constants, inner in pieces:
-        cuts += [p + (t - x_a) for p in inner]
-        variables.append((x, x_a, x_b, t))
-        starts.append(t)
-        table.append((x_a - t,) + constants)
-        t += x_b - x_a
-        cuts.append(t)
+        cuts += [p + (span - x_a) for p in inner]
+        starts.append(span)
+        table.append((x_a - span,) + constants)
+        span += x_b - x_a
+        cuts.append(span)
     starts, table, cuts = np.array(starts), np.array(table).T, np.array(cuts)
     for arr in (starts, table, cuts):
         arr.flags.writeable = False
-    return starts, table, cuts, t, h, eps, anchor, o, tuple(variables)
 
+    def run(fn, tol, levels):
+        level_cuts = [p + (t - x_a) for (x, x_a, x_b, *_), t in zip(pieces, starts)
+                      for p in (x(float(lv)) for lv in levels) if x_a < p < x_b]
 
-def _log_pass(fn, geometry, tol, levels):
-    """The row integrals of one `_adaptive` pass of fn(y, l, slope) over a
-    `_log_geometry`, refined until every row meets the tolerance and
-    summed panel after panel: a float for one row.  Every l in `levels`
-    is a panel edge on every piece it crosses, cut where the geometry
-    would cut it in x.  Each round maps its nodes through the constants
-    of their pieces to depth, l, the slope and the Jacobian, and each
-    depth to y on its own, so no rounding of y is shared by a branch; no
-    node is inverted, and nothing of the geometry is built again."""
-    starts, table, cuts, span, h, eps, anchor, o, variables = geometry
-    level_cuts = [p + (t - x_a) for x, x_a, x_b, t in variables
-                  for p in (x(float(lv)) for lv in levels) if x_a < p < x_b]
+        def rows(nodes):
+            (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, s0, sc,
+             ys) = table[:, np.searchsorted(starts, nodes, side="right") - 1]
+            x = nodes + X0
+            d = D0 + x * (D1 + x * D2)
+            l = l_ref - d
+            gg = G0 + x * (G1 + x * G2)
+            g = np.sqrt(gg)
+            lam = np.exp(l)
+            R = np.sqrt(A + lam * (B * g + C * (np.expm1(d) * g_ref
+                                                + 2.0 * eps * d / (g_ref + g))))
+            y = anchor - o * (s0 + sc * (lam * g) / (h + R))
+            jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
+            return np.asarray(fn(y, l, ys * g), dtype=float) * jac
 
-    def rows(nodes):
-        (X0, D0, D1, D2, l_ref, G0, G1, G2, J1, J2, g_ref, A, B, C, s0, sc,
-         ys) = table[:, np.searchsorted(starts, nodes, side="right") - 1]
-        x = nodes + X0
-        d = D0 + x * (D1 + x * D2)
-        l = l_ref - d
-        gg = G0 + x * (G1 + x * G2)
-        g = np.sqrt(gg)
-        lam = np.exp(l)
-        R = np.sqrt(A + lam * (B * g + C * (np.expm1(d) * g_ref
-                                            + 2.0 * eps * d / (g_ref + g))))
-        y = anchor - o * (s0 + sc * (lam * g) / (h + R))
-        jac = lam * (gg + eps) * (J1 + J2 * x) / (g * R)
-        return np.asarray(fn(y, l, ys * g), dtype=float) * jac
+        out = np.cumsum(_adaptive(rows, 0.0, span, np.concatenate([cuts, level_cuts]), tol)[1],
+                        axis=1)[:, -1]
+        return float(out[0]) if out.size == 1 else out
 
-    out = np.cumsum(_adaptive(rows, 0.0, span, np.concatenate([cuts, level_cuts]), tol)[1],
-                    axis=1)[:, -1]
-    return float(out[0]) if out.size == 1 else out
-
-
-def _depth_pass(fn, zeros, S, alpha, epsilon, tol, cuts=()):
-    """The solve's pass: one `_adaptive` pass of the rows fn(s, l, du/ds)
-    over the depths [0, S], on panels graded 64 ulps deep into each
-    stress zero and cut at the depths `cuts`, refined until every row
-    meets the tolerance.  In depth both orientations carry the stress
-    (s - z)(s - c)/2, whose one inversion per node gives l = ln lambda
-    and du/ds.  Its panels become the delivered density and its CDF, read
-    between the nodes, so every panel must resolve the slope's log layer.
-    Returns the pass: its edges, row sums and du/ds samples."""
-    z, c = zeros
-
-    def rows(s):
-        theta = 0.5 * (s - z) * (s - c)
-        l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
-        return fn(s, l, np.copysign(np.sqrt(u), theta))
-
-    return _adaptive(rows, 0.0, S, np.concatenate([_graded_edges((0.0, S), zeros), cuts]),
-                     tol)
-
-
-def _require_valid(spec: MongeProblemSpec):
-    report = validate_spec(spec)
-    if not report.ok:
-        raise DomainError(f"inadmissible problem: {report.message()}")
+    return run
 
 
 def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
     """Closure and mass residuals of the stress with zeros (z, c) at the
     depths `zeros`, with its expectation moment and energy integrals, from
-    one quadrature pass over the support [0, S]: the closing density
-    integral of du/ds less its aim, integral of (S - s) du/ds - 1,
-    integral of (S - s)^2 du/ds and `DensitySolution.energy_integrals`, summed
-    panel after panel as `DensitySolution.integrate` sums them.  Also the
-    residuals' exact Jacobian in (z, c), from two more rows of the same
-    pass (see `_solve_zeros`), and the pass itself (`_depth_pass`)."""
+    the solve's pass: one `_adaptive` pass over the support [0, S], on
+    panels graded 64 ulps deep into each stress zero (`_graded_edges`),
+    whose rows invert the stress (s - z)(s - c)/2 once per node for l and
+    du/ds.  The rows are the closing density integral of du/ds less its
+    aim, integral of (S - s) du/ds - 1, integral of (S - s)^2 du/ds and
+    `DensitySolution.energy_integrals`, summed panel after panel as
+    `DensitySolution.integrate` sums them.  Also the residuals' exact
+    Jacobian in (z, c), from two more rows of the same pass (see
+    `_solve_zeros`), and the pass itself: its edges, row sums and du/ds
+    samples.  Its panels become the delivered density and its CDF, read
+    between the nodes, so every panel must resolve the slope's log
+    layer."""
     z, c = zeros
     S = min(z, spec.target_width)       # the support's far end, in depth
 
-    def fn(s, l, g):
+    def rows(s):
+        theta = 0.5 * (s - z) * (s - c)
+        l, u = _invert_stress_sq(theta * theta, spec.alpha, epsilon)
+        g = np.copysign(np.sqrt(u), theta)
         d, gg = S - s, g * g
         h = epsilon * g / (gg + epsilon)        # theta dg/dtheta
         lam = np.exp(l)
         return (g, d * g, d ** 2 * g, h, d * h, epsilon * lam, -lam * (gg - epsilon))
 
-    done = _depth_pass(fn, zeros, S, spec.alpha, epsilon, quad_tol)
+    done = _adaptive(rows, 0.0, S, _graded_edges((0.0, S), zeros), quad_tol)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1].tolist()
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = float(_KRONROD_ENDS[0] @ done[2][0]), float(_KRONROD_ENDS[1] @ done[2][-1])
@@ -791,8 +768,9 @@ class DensitySolution:
     inversion of that node.
 
     The solution holds one representation of the density, that pass read
-    in depth as a `numerics.MonotoneProfile`, and one map of y to depth
-    (`_depth`): by calling the solution, the delivered density, zero off
+    in depth as a `numerics.MonotoneProfile`, one map of depth to y
+    (`_y`) and its inverse (`_depth`), through which every read goes: by
+    calling the solution, the delivered density, zero off
     the open support and clipped at 0, so both Dirichlet ends read 0
     exactly; `cdf`, the target CDF; and `quantile`, its inverse, which the
     transport maps read.  No read consults the table: a node reads the
@@ -814,9 +792,8 @@ class DensitySolution:
 
     @functools.cached_property
     def dual(self) -> DualField:
-        """The stress parabola in y, its zeros at anchor - o s."""
-        o, anchor = self.spec.orientation, self.spec.anchor
-        return DualField(tuple(anchor - o * s for s in self.depth_zeros), o)
+        """The stress parabola in y, its zeros mapped from depth (`_y`)."""
+        return DualField(tuple(map(self._y, self.depth_zeros)), self.spec.orientation)
 
     @property
     def support_endpoint(self) -> float:
@@ -832,7 +809,6 @@ class DensitySolution:
     def _table(self):
         """(nodes, values): the profile read on the depth grid, clipped at 0
         with both Dirichlet ends pinned, in ascending y."""
-        o, anchor = self.spec.orientation, self.spec.anchor
         edges = self.profile.edges
         grid_s = _depth_grid((edges[0], edges[-1]), self.depth_zeros[1], self.grid_n)
         # The anchored end is zero exactly; the closing end only up to the
@@ -841,10 +817,9 @@ class DensitySolution:
         values = np.maximum(self.profile.density(grid_s), 0.0)
         values[0] = 0.0
         values[-1] = 0.0
-        nodes = anchor - o * grid_s
-        nodes[-1] = self.support_endpoint   # exactly, not anchor - o * S
+        nodes = self._y(grid_s)
         # Under assumption I depth runs against y: reverse to ascending y.
-        return (nodes[::-1], values[::-1]) if o > 0 else (nodes, values)
+        return (nodes[::-1], values[::-1]) if self.spec.orientation > 0 else (nodes, values)
 
     @functools.cached_property
     def clip_depth(self) -> float:
@@ -877,9 +852,18 @@ class DensitySolution:
     def values(self):
         return self._table[1]
 
+    def _y(self, s):
+        """The y = anchor - o s of each depth s: the one map from depth to
+        y.  The pass's last edge reads the closing end, support_endpoint,
+        exactly."""
+        s = np.asarray(s, dtype=float)
+        y = np.where(s == self.profile.edges[-1], self.support_endpoint,
+                     self.spec.anchor - self.spec.orientation * s)
+        return y if y.ndim else float(y)
+
     def _depth(self, y):
-        """Depth o (anchor - y) of each y, clamped to the pass; the closing
-        end, support_endpoint, reads the last edge exactly."""
+        """Depth o (anchor - y) of each y, clamped to the pass, the inverse
+        of `_y`: the closing end reads the last edge exactly."""
         y = np.asarray(y, dtype=float)
         edges = self.profile.edges
         s = np.clip(self.spec.orientation * (self.spec.anchor - y), edges[0], edges[-1])
@@ -903,35 +887,33 @@ class DensitySolution:
         """The CDF's inverse at the mass fractions 1 - t from the anchor
         (orientation 1) or t (orientation -1), clipped into [0, 1] and
         solved in depth (`MonotoneProfile.invert_many`); the last edge maps
-        back to the closing end exactly.  A NaN t raises ValueError."""
-        o, t_arr = self.spec.orientation, np.ravel(np.asarray(t, dtype=float))
-        s = self.profile.invert_many(1.0 - t_arr if o > 0 else t_arr)
-        out = np.where(s == self.profile.edges[-1], self.support_endpoint,
-                       self.spec.anchor - o * s)
+        back to the closing end exactly (`_y`).  A NaN t raises ValueError."""
+        t_arr = np.ravel(np.asarray(t, dtype=float))
+        s = self.profile.invert_many(1.0 - t_arr if self.spec.orientation > 0 else t_arr)
+        out = self._y(s)
         return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
-    def integrate(self, fn, tol, levels=()):
+    def integrate(self, fn, levels=()):
         """Support integrals of the rows fn(y, log_lambda, slope) (a float
-        for one row), the sums of one `_log_pass` over the stress
-        parabola's three branches in l = ln lambda.  On each branch depth,
-        slope and Jacobian are closed forms of l, so the pass inverts no
-        node and does not depend on the array inversion's collective stop
+        for one row), the sums of one row pass (`_row_pass`) over the
+        stress parabola's three branches in l = ln lambda, each row to
+        `_ROW_TOL` of its own total.  On each branch depth, slope and
+        Jacobian are closed forms of l, so the pass inverts no node and
+        does not depend on the array inversion's collective stop
         (`_invert_stress_sq`).  Every point where l takes one of the
         `levels` is a panel edge, so no round hunts a row's kink there.
-        The pass's geometry (`_log_geometry`) reads neither the rows, tol
-        nor the levels: it is built once per solution, on the first pass,
-        and kept read-only, so a repeat pass at any levels, such as a
-        second probe, only evaluates rows.
         """
-        return _log_pass(fn, self._geometry, tol, levels)
+        return self._row_pass(fn, _ROW_TOL, levels)
 
     @functools.cached_property
-    def _geometry(self):
-        """`_log_geometry` of the solve's depth zeros and the pass's last
-        edge S."""
+    def _row_pass(self):
+        """`_row_pass` of the solve's depth zeros and the pass's last edge
+        S, built on the first pass and kept: it reads neither the rows,
+        the tolerance nor the levels, so a repeat pass at any levels, such
+        as a second probe, only evaluates rows."""
         spec = self.spec
-        return _log_geometry(self.depth_zeros, float(self.profile.edges[-1]), spec.anchor,
-                             spec.orientation, spec.alpha, self.epsilon)
+        return _row_pass(self.depth_zeros, float(self.profile.edges[-1]), spec.anchor,
+                         spec.orientation, spec.alpha, self.epsilon)
 
 
 def _closing_end(spec: MongeProblemSpec, depth):
@@ -990,7 +972,9 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     ValueError unless epsilon is finite and > 0 and grid_n an integer
     >= 33.
     """
-    _require_valid(spec)
+    report = validate_spec(spec)
+    if not report.ok:
+        raise DomainError(f"inadmissible problem: {report.message()}")
     epsilon = float(epsilon)
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -1001,7 +985,7 @@ def assemble_density(spec: MongeProblemSpec, epsilon,
     zeros, o = solved.zeros, spec.orientation
     edges, sums, samples = solved.final_pass
     mass = 1.0 + solved.mass_residual
-    # Depth s sits at anchor - orientation * s, and the support closes at
+    # Depth s sits at y = anchor - orientation s, and the support closes at
     # depth S, y = m.  integral of y u = m * mass + integral of (y - m) u,
     # and the latter integrates by parts to -1/2 integral of (y - m)^2 u_y
     # dy, which is orientation/2 times integral of (s - S)^2 du/ds ds in

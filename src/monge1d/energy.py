@@ -33,7 +33,7 @@ probes perturb a solution along any object with vectorized `__call__`
 and `slope` that vanishes at the support ends, such as
 `SinePerturbation`; all their deltas are the rows of one pass in
 l = ln lambda (`DensitySolution.integrate`), cut at the l where the dual bump's
-clip kinks, at one tolerance, `_PROBE_QUAD_TOL`.
+clip kinks, at the row pass's one tolerance.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import numpy as np
 
 from .duality import DensitySolution
 from .errors import InvalidPerturbation
-
-_PROBE_QUAD_TOL = 1e-10
 
 
 # -- perturbations ------------------------------------------------------------
@@ -170,8 +168,8 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     in log form keep the factor positive automatically.
 
     Every delta is a row of one pass over the support: the primal rows,
-    in input order, then the dual rows, each refined to `_PROBE_QUAD_TOL`
-    relative to its own total.  The perturbation, psi and the stress
+    in input order, then the dual rows, each refined to the row pass's
+    tolerance relative to its own total.  The perturbation, psi and the stress
     gradient are evaluated once per node for all of them.  A t of 0 gives
     rows that vanish identically: they read exactly 0.0 and never drive
     refinement.  An empty or non-finite t raises ValueError.
@@ -213,7 +211,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
     dual = solution.dual
     psi = dual_perturbation if dual_perturbation is not None else perturbation
     psi_bar = float(np.ravel(psi(np.array([0.5 * (lo + hi)])))[0])
-    edges = solution.spec.anchor - solution.spec.orientation * solution.profile.edges
+    edges = solution._y(solution.profile.edges)
     constant = np.all(np.asarray(psi(edges), dtype=float) == psi_bar)
     up = live.ravel() * psi_bar
     up = up[(up > 0.0) & constant]
@@ -240,7 +238,7 @@ def second_variation_probe(solution: DensitySolution, perturbation, t_values, *,
                            + (grow + 1.0) * 2.0 * eps * shift)
         return np.concatenate([primal, -0.5 * (ratio_diff + rest_diff)])
 
-    sums = solution.integrate(rows, _PROBE_QUAD_TOL, levels).tolist()
+    sums = solution.integrate(rows, levels).tolist()
     return ProbeReport(primal_deltas=tuple(sums[:len(ts)]),
                        dual_deltas=tuple(sums[len(ts):]))
 

@@ -16,9 +16,9 @@ Design notes
   level.  Callers that know such a point pass breakpoints graded
   geometrically toward it (`_graded_edges`), 64 ulps deep: the loop then
   starts from the mesh bisection would have built and finishes in one or
-  two rounds.  The dual solver's pass (`duality._depth_pass`), whose
+  two rounds.  The dual solver's pass (`duality._zero_residuals`), whose
   panels become the delivered density, grades so into each stress zero:
-  46 levels on a support two wide.  Its row pass (`duality._log_pass`)
+  46 levels on a support two wide.  Its row pass (`duality._row_pass`)
   has no such layer to grade: it integrates in l = ln lambda, where the
   slope's layer is a factor e^l.
   The depth cap of 60 levels, rather than the usual 20, still lets an
@@ -31,8 +31,9 @@ Design notes
   Every row is summed on the same panels, and refinement goes on until
   each row's error is within the tolerance relative to its own total, so
   integrals of one costly field (the dual solver's slope inversion) share
-  a single pass: the solve's closure, mass, expectation and the three
-  energies of the solved pair, or every row of the variational probes.
+  a single pass: the solve's closure, mass and expectation rows, its two
+  energy rows and its two Jacobian rows, or every row of the variational
+  probes.
   A panel is split when it holds more than its share of any row's
   budget; for one row this is the usual rule.
 * Running integrals at any number of points cost no integrand call: a

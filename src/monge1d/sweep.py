@@ -17,7 +17,7 @@ Rows are independent of each other and follow the input order.
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,10 +33,6 @@ EPSILON_FLOOR = 1e-6
 
 # Tent distances are compared across rows, so they share one grid.
 _DISTANCE_GRID_N = 2001
-
-_CSV_COLUMNS = ("epsilon", "constant", "support_endpoint", "mass_err",
-                "sup_slope", "expectation", "primal", "dual", "gap",
-                "dist_tent", "error")
 
 # Trajectory steps within this of zero count as flat.
 _TREND_SLACK = 1e-12
@@ -65,6 +61,10 @@ class SweepRow:
     @property
     def ok(self) -> bool:
         return not self.error
+
+
+# sweep.csv writes one column per field of a row, in field order.
+_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _distance_grid(spec: MongeProblemSpec) -> np.ndarray:

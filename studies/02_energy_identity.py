@@ -52,7 +52,7 @@ for shift in (-0.1, -0.03, -0.01, -0.003, 0.0):
     # one row pass over the support in l = ln lambda, the probes' pass
     # (`DensitySolution.integrate`), plus the multiplier that prices mass
     detuned_dual = float(sol.integrate(
-        lambda y, l, g: detuned(l, g, shift), 1e-10) + sol.dual.multiplier)
+        lambda y, l, g: detuned(l, g, shift)) + sol.dual.multiplier)
     print(f"{shift:>8} {detuned_dual:>16.10f} {detuned_dual - critical:>+12.2e}")
 print()
 print("the solved field maximizes the dual: every shifted field lands below")

@@ -48,7 +48,7 @@ def dual(sol, log_lam):
         root = th * np.exp(-0.5 * np.where(th == 0.0, 0.0, lt))
         return -0.5 * (root * root + np.exp(lt) * (a2 + 2.0 * eps * (lt - 1.0)))
 
-    return sol.integrate(f, TOL) + field.multiplier
+    return sol.integrate(f) + field.multiplier
 
 
 def taylor_remainder_check(alpha, epsilon):

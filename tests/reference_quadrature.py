@@ -1,8 +1,10 @@
 """Plain adaptive quadrature of any vectorized integrand, for the tests: the
-package's `_adaptive` pass over an interval, summed.  Also `depth_pass`,
-the reference for `DensitySolution.integrate`: the package sums a
-solution's rows in l = ln lambda (`duality._log_pass`), and this sums them in depth, with
-every node inverted, as the solve's passes (`duality._depth_pass`) do."""
+package's `_adaptive` pass over an interval, summed.  Also the tests' one
+pass in depth with every node inverted (`inverted_pass`), as the solve's
+passes (`duality._zero_residuals`) take it, and on it `depth_pass`, the
+reference for `DensitySolution.integrate`: the package sums a solution's
+rows in l = ln lambda (`duality._row_pass`), and this sums them in
+depth."""
 
 import numpy as np
 
@@ -39,15 +41,30 @@ def integrate(f, l, r, tol=1e-10, *, breakpoints=()):
     return float(out[0]) if out.size == 1 else out
 
 
+def inverted_pass(fn, zeros, span, alpha, epsilon, tol, cuts=()):
+    """One `_adaptive` pass of the rows fn(s, l, du/ds) of the depth stress
+    (s - z)(s - c)/2 with zeros = (z, c) over the depth span, each node's l
+    and du/ds from the array inversion of its squared stress
+    (`duality._invert_stress_sq`), on panels graded 64 ulps deep into each
+    zero (`_graded_edges`) and cut at the depths `cuts`, refined until
+    every row meets the tolerance.  Returns the pass: its edges, row sums
+    and row 0's samples."""
+    z, c = zeros
+
+    def rows(s):
+        theta = 0.5 * (s - z) * (s - c)
+        l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
+        return fn(s, l, np.copysign(np.sqrt(u), theta))
+
+    return _adaptive(rows, *span, np.concatenate([_graded_edges(span, zeros), cuts]), tol)
+
+
 def depth_pass(sol, fn, tol, levels=()):
     """Support integrals of the rows fn(y, log_lambda, slope) of a
     `duality.DensitySolution`, as `DensitySolution.integrate` returns
     them, taken in depth instead of in l, over the solve's depth zeros
-    and the depths [0, S] of its last pass: each node's l and slope from
-    the array inversion of its squared stress
-    (`duality._invert_stress_sq`), on panels graded 64 ulps deep into each
-    stress zero (`_graded_edges`) and cut at the depths where l takes one
-    of the `levels`.
+    and the depths [0, S] of its last pass: one `inverted_pass`, cut at
+    the depths where l takes one of the `levels`.
 
     In depths s = orientation (anchor - y) from the anchored support end
     the stress is (s - z)(s - c)/2 and |theta| = e^l sqrt(alpha^2 +
@@ -65,11 +82,7 @@ def depth_pass(sol, fn, tol, levels=()):
     disc = (0.5 * (z - c)) ** 2 + np.concatenate([2.0 * tau, -2.0 * tau])
     root = np.sqrt(disc[disc >= 0.0])
     kinks = 0.5 * (z + c) + np.concatenate([-root, root])
-
-    def rows(s):
-        theta = 0.5 * (s - z) * (s - c)
-        l, u = _invert_stress_sq(theta * theta, alpha, eps)
-        return fn(anchor - o * s, l, -o * np.copysign(np.sqrt(u), theta))
-
-    cuts = np.concatenate([_graded_edges(span, (z, c)), kinks])
-    return integrate(rows, *span, tol=tol, breakpoints=cuts)
+    done = inverted_pass(lambda s, l, g: fn(anchor - o * s, l, -o * g), (z, c), span,
+                         alpha, eps, tol, kinks)
+    out = np.cumsum(done[1], axis=1)[:, -1]
+    return float(out[0]) if out.size == 1 else out

@@ -3,13 +3,13 @@ the closure by a root solve over a trial stress, nested in the mass.  The
 package solves both conditions at once (`duality._solve_zeros`); the tests
 hold it to these, and criterion 05 checks their monotonicity.  Every
 quadrature is one pass of the package's row pass in l = ln lambda
-(`duality._log_pass`), over a trial stress given by its zeros in y."""
+(`duality._row_pass`), over a trial stress given by its zeros in y."""
 
 import math
 
 import numpy as np
 
-from monge1d.duality import _log_geometry, _log_pass
+from monge1d.duality import _row_pass
 from monge1d.errors import MaxIterations, Monge1dError
 
 
@@ -121,5 +121,4 @@ def row_integral(fn, support, zeros, spec, epsilon, tol):
     o, (lo, hi) = spec.orientation, support
     anchor = hi if o > 0 else lo
     depths = tuple(o * (anchor - p) for p in zeros)
-    return _log_pass(fn, _log_geometry(depths, hi - lo, anchor, o, spec.alpha, epsilon),
-                     tol, ())
+    return _row_pass(depths, hi - lo, anchor, o, spec.alpha, epsilon)(fn, tol, ())

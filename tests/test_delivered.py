@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
-from monge1d.duality import _depth_grid, _depth_pass, _invert_stress_sq, _solve_zeros
+from monge1d.duality import _depth_grid, _solve_zeros
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
-from monge1d.numerics import _graded_edges
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
 from monge1d.transport import build_map, pushforward_residual
-from reference_quadrature import integrate
+from reference_quadrature import integrate, inverted_pass
 from reference_solves import solve_root
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
@@ -25,18 +24,14 @@ _REFERENCE_TOL = 1e-15
 
 
 def _depth_integral(fn, zeros, span, alpha, epsilon):
-    """Integrals over any depth span of the rows fn(s, l, du/ds) of the
-    depth stress (s - z)(s - c)/2, on panels graded toward its zeros, to
-    the reference tolerance.  A zero-width span, as a query at a grid node
-    gives, integrates to zeros."""
-    z, c = zeros
-
-    def rows(s):
-        theta = 0.5 * (s - z) * (s - c)
-        l, u = _invert_stress_sq(theta * theta, alpha, epsilon)
-        return fn(s, l, np.copysign(np.sqrt(u), theta))
-
-    return integrate(rows, *span, _REFERENCE_TOL, breakpoints=_graded_edges(span, zeros))
+    """Integrals over any depth span of the two rows fn(s, l, du/ds) of the
+    depth stress (s - z)(s - c)/2 (`inverted_pass`), to the reference
+    tolerance.  A zero-width span, as a query at a grid node gives,
+    integrates to zeros."""
+    if span[0] == span[1]:
+        return 0.0, 0.0
+    done = inverted_pass(fn, zeros, span, alpha, epsilon, _REFERENCE_TOL)
+    return np.cumsum(done[1], axis=1)[:, -1]
 
 
 def exact_nodes(sol, grid_n):
@@ -60,9 +55,8 @@ def exact_nodes(sol, grid_n):
     assert np.array_equal(spec.anchor - spec.orientation * depths[:-1], nodes[::step][:-1])
     deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
                                          depths.size - 1)]
-    edges, sums, _ = _depth_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
-                                 span[1], spec.alpha, sol.epsilon, _REFERENCE_TOL,
-                                 cuts=depths)
+    edges, sums, _ = inverted_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
+                                   span, spec.alpha, sol.epsilon, _REFERENCE_TOL, depths)
     cell = np.searchsorted(depths, edges[:-1], side="right") - 1
     rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
     values = np.concatenate([[0.0], np.cumsum(rise)])

@@ -1474,9 +1474,25 @@ class TestDualField:
         assert [f.name for f in dataclasses.fields(DensitySolution)] == [
             "spec", "epsilon", "depth_zeros", "grid_n", "mass", "expectation",
             "energy_integrals", "profile"]
-        for name in ("max_abs_slope", "max_log_lambda", "clip_depth", "dual", "_geometry"):
+        for name in ("max_abs_slope", "max_log_lambda", "clip_depth", "dual", "_row_pass"):
             assert isinstance(inspect.getattr_static(DensitySolution, name),
                               functools.cached_property), name
+
+    @pytest.mark.parametrize("target", ["offset_1000_II", "sharp_width"])
+    def test_depth_maps_to_y_in_one_place(self, target):
+        # `_y` is the one map from depth to y: the anchor reads depth 0, the
+        # pass's last edge the closing end exactly, `_depth` inverts both,
+        # and the dual's zeros, the table's nodes and the quantile read it.
+        sol = assemble_density(spec_of(target, 2.0), 1e-3)
+        edges, o = sol.profile.edges, sol.spec.orientation
+        ys = sol._y(edges)
+        assert (ys[0], ys[-1]) == (sol.spec.anchor, sol.support_endpoint)
+        assert np.array_equal(sol._depth(ys[[0, -1]]), edges[[0, -1]])
+        assert sol.dual.zeros == tuple(sol._y(s) for s in sol.depth_zeros)
+        in_depth = sol.nodes[::-1] if o > 0 else sol.nodes
+        assert (in_depth[0], in_depth[-1]) == (sol.spec.anchor, sol.support_endpoint)
+        ends = sol.quantile(np.array([0.0, 1.0]))
+        assert sorted(ends.tolist()) == sorted((sol.spec.anchor, sol.support_endpoint))
 
     def test_stress_equation_exact(self):
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
@@ -1521,7 +1537,7 @@ class TestDualField:
         x = sol.support[0]
         with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
                            r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
-            sol.integrate(lambda y, l, g: (x - y) * g, 1e-14)
+            sol._row_pass(lambda y, l, g: (x - y) * g, 1e-14, ())
 
 
 def _graded_case(alpha, eps, offset, assumption):

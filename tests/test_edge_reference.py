@@ -97,8 +97,7 @@ def record(target, alpha, eps):
         "edges_sha256": _digest(sol.profile.edges),
         "density_sha256": _digest(sol.profile._density),
         "row_pass_sums": [x.hex() for x in sol.integrate(
-            lambda y, l, g: (g, np.exp(l), (y - spec.anchor) * g), 1e-10,
-            ROW_LEVELS).tolist()],
+            lambda y, l, g: (g, np.exp(l), (y - spec.anchor) * g), ROW_LEVELS).tolist()],
     }
     if (target, alpha, eps) in PROBED:
         probe = second_variation_probe(

@@ -2,6 +2,7 @@
 weak duality, and the sign structure of the variational probes."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -301,7 +302,7 @@ class TestDualityGap:
             return (eps * lam, -lam * (g * g - eps),
                     lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
 
-        h_term, dual_term, xi_term = sol.integrate(rows, 1e-13)
+        h_term, dual_term, xi_term = sol._row_pass(rows, 1e-13, ())
         moment = abs(sol.expectation)
         report = duality_gap(sol)
         for got, ref in ((report.primal, h_term - moment),
@@ -338,7 +339,7 @@ class TestRowPass:
     @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
     def test_rows_meet_a_pass_in_depth(self, solved, alpha, eps, offset,
                                        assumption, factor):
-        # The rows that `DensitySolution.integrate` sums for the tests and
+        # The rows that the solution's row pass sums for the tests and
         # study 02 (closure, mass, H-term, dual and mixed), at 1e-13, against
         # the same rows integrated in depth, with every node inverted
         # (`reference_quadrature.depth_pass`).  The worst difference
@@ -353,7 +354,7 @@ class TestRowPass:
             return (g, (m - y) * g, eps * lam, -lam * (g * g - eps),
                     lam * (0.5 * (g * g - a2) - eps * (l - 1.0)))
 
-        got = sol.integrate(rows, 1e-13)
+        got = sol._row_pass(rows, 1e-13, ())
         want = depth_pass(sol, rows, 1e-13)
         assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -382,7 +383,7 @@ class TestRowPass:
             monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
             monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
             for repeat_ends in (ends, 0):
-                sol.integrate(lambda y, l, g: (g, np.exp(l)), 1e-13)
+                sol._row_pass(lambda y, l, g: (g, np.exp(l)), 1e-13, ())
                 second_variation_probe(sol, SinePerturbation(sol.support), PROBE_T,
                                        dual_perturbation=_ONE)
                 assert calls == {"array": 0, "float": repeat_ends}
@@ -412,15 +413,15 @@ class TestRowPass:
         # the solution reads in y keeps its bits.
         alpha, eps, offset, assumption, factor = case
         seen = []
-        plain = duality._log_geometry
+        plain = duality._row_pass
 
         def recorded(*args):
             seen.append(args)
             return plain(*args)
 
-        monkeypatch.setattr(duality, "_log_geometry", recorded)
+        monkeypatch.setattr(duality, "_row_pass", recorded)
         sol = assemble_density(_grid_spec(alpha, offset, assumption, factor), eps)
-        sol.integrate(lambda y, l, g: g, 1e-10)
+        sol.integrate(lambda y, l, g: g)
         (zeros, S, anchor, orientation, alpha_read, eps_read), = seen
         assert [x.hex() for x in zeros] == [x.hex() for x in sol.depth_zeros]
         assert S.hex() == float(sol.profile.edges[-1]).hex()
@@ -448,7 +449,7 @@ class TestRowPass:
             raise AssertionError("the repeat probe built its geometry again")
 
         monkeypatch.setattr(duality, "_invert_stress_sq_one", refuse)
-        monkeypatch.setattr(duality, "_log_geometry", refuse)
+        monkeypatch.setattr(duality, "_row_pass", refuse)
         again = probe()
         assert again.primal_deltas == first.primal_deltas
         assert again.dual_deltas == first.dual_deltas
@@ -459,7 +460,7 @@ class TestRowPass:
         # what a fresh solution running that pass alone sums, bit for bit,
         # and the kept arrays refuse writes.
         built = []
-        plain = duality._log_geometry
+        plain = duality._row_pass
 
         def counted(*args):
             built.append(args)
@@ -473,9 +474,9 @@ class TestRowPass:
                                             dual_perturbation=_ONE)
             return report.primal_deltas + report.dual_deltas
 
-        passes = [lambda sol, lv=levels: tuple(sol.integrate(row, 1e-10, lv).tolist())
+        passes = [lambda sol, lv=levels: tuple(sol.integrate(row, lv).tolist())
                   for levels in ((), (0.0, -1e-3), (-1.0,))] + [probe]
-        monkeypatch.setattr(duality, "_log_geometry", counted)
+        monkeypatch.setattr(duality, "_row_pass", counted)
         sol = assemble_density(SPEC_I, 1e-2)
         sums = [run(sol) for run in passes]
         assert len(built) == 1
@@ -483,8 +484,8 @@ class TestRowPass:
         for run, got in zip(passes, sums):
             alone = run(assemble_density(SPEC_I, 1e-2))
             assert [x.hex() for x in got] == [x.hex() for x in alone]
-        starts, table, cuts, *_ = sol._geometry
-        for arr in (starts, table, cuts):
+        kept = inspect.getclosurevars(sol._row_pass).nonlocals
+        for arr in (kept["starts"], kept["table"], kept["cuts"]):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -512,7 +513,7 @@ def _clip_levels(t):
     return (0.0, -t) if t > 0.0 else ()
 
 
-def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
+def _single_row_deltas(sol, perturbation, psi, t):
     """(primal, dual) delta at one t, each from its own one-row pass over
     the field: the probe's two difference integrands, written out here.
     The dual pass is cut at the clip's kinks under the constant bump."""
@@ -524,9 +525,8 @@ def _single_row_deltas(sol, perturbation, psi, t, quad_tol=1e-10):
         return (eps * np.exp(l) * np.expm1(expo)
                 + t * dual.theta_y(y) * perturbation(y))
 
-    return (sol.integrate(primal, quad_tol),
-            sol.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), quad_tol,
-                          _clip_levels(t)))
+    return (sol.integrate(primal),
+            sol.integrate(lambda y, l, g: _dual_diff(sol, t, psi(y), l), _clip_levels(t)))
 
 
 def _clip_reference(sol, t):
@@ -683,9 +683,9 @@ class TestSecondVariationProbe:
         seen = []
         plain = duality.DensitySolution.integrate
 
-        def recorded(solution, fn, tol, levels=()):
+        def recorded(solution, fn, levels=()):
             seen.append(tuple(levels))
-            return plain(solution, fn, tol, levels)
+            return plain(solution, fn, levels)
 
         monkeypatch.setattr(duality.DensitySolution, "integrate", recorded)
         for psi, levels in ((_ONE, _clip_levels(t)), (tilted, ())):
@@ -756,9 +756,9 @@ class TestSecondVariationProbe:
         seen = {}
         plain = duality.DensitySolution.integrate
 
-        def recorded(solution, fn, tol, levels=()):
+        def recorded(solution, fn, levels=()):
             seen.update(fn=fn, levels=levels)
-            return plain(solution, fn, tol, levels)
+            return plain(solution, fn, levels)
 
         monkeypatch.setattr(duality.DensitySolution, "integrate", recorded)
         report = second_variation_probe(sol, pert, PROBE_T, dual_perturbation=_ONE)

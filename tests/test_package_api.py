@@ -25,9 +25,11 @@ that shares its name with an attribute read elsewhere, as
 `_ZeroSolve.mass_residual` would cover a `mass_residual` field of
 another class, escapes it.
 
-Every default of a public function, method or dataclass field is set by
-some call under `src/`, `studies/` or `perfbench/`, by keyword or by
-position: a default nothing sets is a constant.
+Every default of a function or method of the package, private and nested
+ones too, and of a public dataclass's field, is set by some call under
+`src/`, `studies/` or `perfbench/`, by keyword or by position: a default
+nothing sets is a constant.  A class's `__init__` is called through the
+class's name.
 """
 
 import ast
@@ -177,21 +179,25 @@ def _field_defaults(cls):
 
 def _options():
     """(where, called name, parameter, positional index or None) for every
-    default of a public package function, method or dataclass."""
+    default of a package function or method, private and nested ones
+    included, and of a public dataclass's field.  A method skips its self,
+    and its class's `__init__` is called by the class's name."""
+    def walk(body, where, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{where}.{node.name}", node)
+                if not node.name.startswith("_") and _is_dataclass(node):
+                    for p in _field_defaults(node):
+                        yield (f"{where}.{node.name}", node.name, *p)
+            elif isinstance(node, ast.FunctionDef):
+                name = cls.name if cls and node.name == "__init__" else node.name
+                for p in _defaults(node, skip=int(cls is not None)):
+                    yield (f"{where}.{node.name}", name, *p)
+                yield from walk(node.body, f"{where}.{node.name}")
+
     for path, tree in TREES.items():
-        if path.parent != PACKAGE:
-            continue
-        for node in _public(tree.body):
-            for p in _defaults(node):
-                yield (f"{path.stem}.{node.name}", node.name, *p)
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-                for node in _public(cls.body):
-                    for p in _defaults(node, skip=1):
-                        yield (f"{path.stem}.{cls.name}.{node.name}", node.name, *p)
-                if _is_dataclass(cls):
-                    for p in _field_defaults(cls):
-                        yield (f"{path.stem}.{cls.name}", cls.name, *p)
+        if path.parent == PACKAGE:
+            yield from walk(tree.body, path.stem)
 
 
 def _passed(name, parameter, index):
@@ -211,7 +217,10 @@ def test_every_default_is_passed_somewhere():
     # A default no caller overrides is a constant, not an option.
     options = list(_options())
     assert {("oracles.OracleRun", "OracleRun", "epsilon", 3),
-            ("duality.assemble_density", "assemble_density", "grid_n", 2)} <= set(options)
+            ("duality.assemble_density", "assemble_density", "grid_n", 2),
+            ("duality.DensitySolution.integrate", "integrate", "levels", 1),
+            ("duality._row_pass.branch", "branch", "graded", 5),
+            ("numerics.MonotoneProfile.__init__", "MonotoneProfile", "singular", 3)} <= set(options)
     unset = [f"{where}({parameter})" for where, name, parameter, index in options
              if not _passed(name, parameter, index)]
     assert not unset, f"set by no call under src/, studies/ or perfbench/: {unset}"
