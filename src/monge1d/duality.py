@@ -123,7 +123,7 @@ from .problem import MongeProblemSpec, require_capacity, validate_spec
 _MASS_TOL = 1e-10          # |mass - 1| contract of the coupled zero solve
 _CLOSURE_TOL = 0.01 * _MASS_TOL     # its closure contract, about the aim
 _CLOSURE_AIM = 0.1 * _CLOSURE_TOL   # the closing density it aims at
-_ZERO_QUAD_TOL = min(1e-13, 0.1 * _CLOSURE_TOL)     # its passes' tolerance
+_ZERO_QUAD_TOL = 0.1 * _CLOSURE_TOL     # its passes' tolerance
 _NEWTON_MAX_ITER = 80      # Newton steps of the slope inversion
 _ZERO_MAX_STEPS = 40       # Newton steps of the coupled zero solve
 
@@ -268,6 +268,13 @@ class DualField:
     cancellation, so `constant` and `multiplier` are only read out.
     multiplier is the unit-mass multiplier mu of the stress equation
     theta_y = -|y| - mu.  The stress itself is read in depth only.
+
+    On a full target near the sharp width z lies past the far edge, where
+    the solve's residuals follow it only through the slope's log layer:
+    z is fixed only to rounding over that O(eps) Jacobian column (seven
+    starts at alpha 4, eps 1e-6 landed within 3e-7 of each other), so
+    there `constant` and `multiplier` carry about 7 to 8 significant
+    digits, while the density, mass and energies keep full precision.
     """
 
     zeros: tuple[float, float]
@@ -438,13 +445,13 @@ def _row_pass(zeros, S, anchor, orientation, alpha, epsilon):
     return run
 
 
-def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
+def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim):
     """Closure and mass residuals of the stress with zeros (z, c) at the
     depths `zeros`, with its expectation moment and energy integrals, from
-    the solve's pass: one `_adaptive` pass over the support [0, S], on
-    panels graded 64 ulps deep into each stress zero (`_graded_edges`),
-    whose rows invert the stress (s - z)(s - c)/2 once per node for l and
-    du/ds.  The rows are the closing density integral of du/ds less its
+    the solve's pass: one `_adaptive` pass over the support [0, S] to
+    `_ZERO_QUAD_TOL`, on panels graded 64 ulps deep into each stress zero
+    (`_graded_edges`), whose rows invert the stress (s - z)(s - c)/2 once
+    per node for l and du/ds.  The rows are the closing density integral of du/ds less its
     aim, integral of (S - s) du/ds - 1, integral of (S - s)^2 du/ds and
     `DensitySolution.energy_integrals`, summed panel after panel as
     `DensitySolution.integrate` sums them.  Also the residuals' exact
@@ -465,7 +472,7 @@ def _zero_residuals(zeros, spec: MongeProblemSpec, epsilon, aim, quad_tol):
         lam = np.exp(l)
         return (g, d * g, d ** 2 * g, h, d * h, epsilon * lam, -lam * (gg - epsilon))
 
-    done = _adaptive(rows, 0.0, S, _graded_edges((0.0, S), zeros), quad_tol)
+    done = _adaptive(rows, 0.0, S, _graded_edges((0.0, S), zeros), _ZERO_QUAD_TOL)
     I, M, moment, K, L, *energies = np.cumsum(done[1], axis=1)[:, -1].tolist()
     # The slope at depths 0 and S, off the end panels' interpolants.
     g0, gS = float(_KRONROD_ENDS[0] @ done[2][0]), float(_KRONROD_ENDS[1] @ done[2][-1])
@@ -708,11 +715,15 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
       noise over the small Jacobian column keeps the proposed |dz| far
       above the zeros' ulps with nothing left to reduce.
     Raises MaxIterations otherwise: after _ZERO_MAX_STEPS steps, on a
-    non-finite residual or Jacobian, or on a singular one.
+    non-finite residual or Jacobian, on a singular one, or before a pass
+    whose largest squared stress would overflow.  Below the sharp width,
+    which `require_capacity` refuses, the steps walk z out by a roughly
+    constant factor each, and on the narrowest targets the stress
+    overflows before the step cap.
     """
     width, aim = spec.target_width, _CLOSURE_AIM
     z, c = _tabulated_start(spec.alpha, epsilon, width)
-    F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
+    F, J, final = _zero_residuals((z, c), spec, epsilon, aim)
     size = math.inf
     for k in range(_ZERO_MAX_STEPS):
         f = F.tolist()
@@ -731,7 +742,16 @@ def _solve_zeros(spec: MongeProblemSpec, epsilon) -> _ZeroSolve:
         if delta is None:
             break
         z, c = _bounded_step((z, c), delta, width)
-        F, J, final = _zero_residuals((z, c), spec, epsilon, aim, _ZERO_QUAD_TOL)
+        # The pass squares the stress; on the support its largest |theta| is
+        # the anchor's or that at the vertex or the far edge, the nearer.
+        s = min(0.5 * (z + c), width)
+        stress = 0.5 * max(z * c, (z - s) * (s - c))
+        if not math.isfinite(stress * stress):
+            raise MaxIterations(
+                f"coupled zero solve stepped to the zeros ({z!r}, {c!r}) after "
+                f"{k + 1} Newton steps, where the squared stress {stress:.3e}^2 "
+                f"overflows")
+        F, J, final = _zero_residuals((z, c), spec, epsilon, aim)
     raise MaxIterations(
         f"coupled zero solve did not meet its contracts in {_ZERO_MAX_STEPS} "
         f"Newton steps (closure {F[0]:.3e}, mass residual {F[1]:.3e})")

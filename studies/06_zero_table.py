@@ -83,7 +83,7 @@ remainders = []
 for e in eps_hat:
     zeros = solved(one, e, series)
     # The zeros' derivative in the aim, J^-1 (1, 0), off the solution's pass.
-    jacobian = duality._zero_residuals(zeros, one, e, aim, duality._ZERO_QUAD_TOL)[1]
+    jacobian = duality._zero_residuals(zeros, one, e, aim)[1]
     response = np.linalg.solve(jacobian, [1.0, 0.0])
     dz, dc = duality._expansion_step(e)
     z, c = np.subtract(zeros, aim * response)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from monge1d.duality import _row_pass
+from monge1d.duality import _invert_stress_sq, _row_pass
 from monge1d.errors import MaxIterations, Monge1dError
 
 
@@ -20,6 +20,15 @@ def stress_at(field, y):
     z, c = field.zeros
     y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
     return -0.5 * field.orientation * (y - z) * (y - c)
+
+
+def inverted_at(field, y, alpha, epsilon):
+    """(l, slope) at each y of a `duality.DualField`: the array inversion
+    of its squared stress (`duality._invert_stress_sq`), with the slope
+    taking the stress's sign."""
+    theta = stress_at(field, y)
+    l, slope_sq = _invert_stress_sq(theta * theta, alpha, epsilon)
+    return l, np.copysign(np.sqrt(slope_sq), theta)
 
 
 class NoSignChange(Monge1dError):

@@ -17,7 +17,7 @@ from conftest import off_support
 from monge1d import cli, duality
 from monge1d.cli import load_run_config, main, parse_run_config
 from monge1d.duality import assemble_density
-from monge1d.errors import CapacityError, ConfigError
+from monge1d.errors import CapacityError, ConfigError, MaxIterations
 from monge1d.oracles import (GridDensity, OracleRun, load_fixture, save_fixture,
                              tent_limit_density)
 from monge1d.problem import spec_from_document
@@ -191,8 +191,12 @@ def solve_artifacts(tmp_path_factory):
 class TestSolve:
     def test_newton_failure_names_its_stage(self, tmp_path, monkeypatch,
                                             capsys):
-        monkeypatch.setattr(duality, "_zero_residuals",
-                            lambda *args: (np.array([math.nan, 0.0]), np.eye(2), None))
+        # The solve's own raise is held in `TestCoupledSolve`; here only the
+        # stage the CLI names for it.
+        def fail(*args):
+            raise MaxIterations("coupled zero solve did not meet its contracts")
+
+        monkeypatch.setattr(cli, "assemble_density", fail)
         code = main(["solve", "--config", tent_config(tmp_path), "--quiet",
                      "--out", str(tmp_path / "art"), "--grid", "101"])
         assert code == 4

@@ -19,187 +19,19 @@ from conftest import off_support
 from monge1d import duality, numerics
 from monge1d.duality import DensitySolution, DualField, assemble_density
 from monge1d.energy import duality_gap
-from monge1d.errors import CapacityError, DomainError, MaxDepth, MaxIterations
+from monge1d.errors import CapacityError, DomainError, MaxIterations
 from monge1d.oracles import (TentDensity, discrete_expectation_optimizer,
                              mirror_transform, tent_limit_density)
 from monge1d.problem import require_capacity, uniform_spec
 from monge1d.sweep import epsilon_sweep
 from reference_quadrature import integrate
-from reference_solves import (boundary_residual, solve_constant, solve_crossing,
-                              stress_at, total_mass)
+from reference_solves import (boundary_residual, inverted_at, solve_constant,
+                              solve_crossing, stress_at, total_mass)
 from test_edge_reference import ALPHAS as EDGE_ALPHAS, EPSILONS as EDGE_EPSILONS, spec_of
 from test_reference_artifacts import HERE as REFERENCE_DIR, dispatch
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
-
-
-def forward(l, alpha, eps):
-    """Squared stress e^{2l} (alpha^2 + 2 eps l) carried by a log scale
-    factor l: the forward map `_invert_stress_sq` inverts."""
-    return math.exp(2.0 * l) * (alpha * alpha + 2.0 * eps * l)
-
-
-def log_scale(t, alpha, eps):
-    l, _ = duality._invert_stress_sq(np.array([t]), alpha, eps)
-    return float(l[0])
-
-
-def slope_of(theta, alpha, eps):
-    _, u = duality._invert_stress_sq(np.array([theta * theta]), alpha, eps)
-    return math.copysign(math.sqrt(u[0]), theta)
-
-
-def field_slope(fld, y, alpha, eps):
-    """The dual slope at each y: the inversion of the field's stress."""
-    theta = stress_at(fld, y)
-    _, u = duality._invert_stress_sq(theta ** 2, alpha, eps)
-    return np.copysign(np.sqrt(u), theta)
-
-
-def solved_slope(sol, y):
-    """The dual slope at each y of a solution's stress."""
-    return field_slope(sol.dual, y, sol.spec.alpha, sol.epsilon)
-
-
-class TestEvalE:
-    """The inversion kernel against the forward map, written out here."""
-
-    def test_at_one(self):
-        l, u = duality._invert_stress_sq(np.array([1.0]), 1.0, 0.1)
-        assert abs(l[0]) < 1e-15 and u[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_at_floor(self):
-        # Zero stress sits at the floor, where the slope-squared bracket
-        # alpha^2 + 2 eps l vanishes.
-        l, u = duality._invert_stress_sq(np.array([0.0]), 1.0, 0.1)
-        assert l[0] == -5.0 and u[0] == 0.0
-        assert forward(-5.0, 1.0, 0.1) == 0.0
-
-    def test_half(self):
-        # 0.25 * (1 + 0.2 ln 0.5), closed form.
-        assert forward(math.log(0.5), 1.0, 0.1) == pytest.approx(
-            0.21534264097200273, rel=1e-12)
-        assert log_scale(0.21534264097200273, 1.0, 0.1) == pytest.approx(
-            math.log(0.5), abs=1e-12)
-
-    def test_strictly_increasing(self):
-        # Larger squared stresses carry larger scale factors and slopes,
-        # on and past the classical range [0, alpha^2].
-        t = np.linspace(1e-6, 2.0, 50)
-        l, u = duality._invert_stress_sq(t, 1.0, 0.1)
-        assert np.all(np.diff(l) > 0) and np.all(np.diff(u) > 0)
-
-    def test_log_form_matches(self):
-        # slope_sq is alpha^2 + 2 eps l, returned without cancellation.
-        t = np.array([0.9, 0.5, 0.1, 0.01, 1e-8])
-        l, u = duality._invert_stress_sq(t, 1.0, 0.1)
-        assert u == pytest.approx(1.0 + 0.2 * l, rel=1e-12, abs=1e-15)
-
-
-class TestInvertE:
-    def test_at_top(self):
-        assert abs(log_scale(1.0, 1.0, 0.1)) < 1e-12
-
-    def test_at_zero(self):
-        assert log_scale(0.0, 1.0, 0.1) == -5.0
-
-    def test_half_round_trip(self):
-        assert log_scale(0.21534264097200273, 1.0, 0.1) == pytest.approx(
-            math.log(0.5), abs=1e-10)
-
-    def test_out_of_range(self):
-        # No clamp to the classical range: a negative squared stress is
-        # the floor, one above alpha^2 continues into l > 0.
-        assert log_scale(-1e-13, 1.0, 0.1) == -5.0
-        l = log_scale(1.0 + 1e-2, 1.0, 0.1)
-        assert l > 0.0
-        assert forward(l, 1.0, 0.1) == pytest.approx(1.0 + 1e-2, rel=1e-14)
-
-    def test_marginal_slack_tolerated(self):
-        assert log_scale(-5e-15, 1.0, 0.1) == -5.0
-        assert abs(log_scale(1.0 + 5e-13, 1.0, 0.1)) < 1e-10
-
-    def test_residual_contract(self):
-        for alpha, eps in ((1.0, 0.1), (2.0, 0.01), (0.5, 1e-3), (2.0, 1e-6)):
-            for frac in (1e-12, 1e-6, 0.1, 0.5, 0.9, 0.999999, 1.0):
-                t = frac * alpha * alpha
-                l = log_scale(t, alpha, eps)
-                assert abs(forward(l, alpha, eps) - t) <= 1e-12 * max(1.0, t)
-                assert -alpha * alpha / (2.0 * eps) <= l <= 0.0
-
-    def test_round_trip_sampled(self):
-        rng = np.random.default_rng(11)
-        for alpha, eps in ((1.0, 0.1), (2.0, 0.01), (0.5, 1e-3), (2.0, 1e-6)):
-            l_min = -alpha * alpha / (2.0 * eps)
-            # Floor at 1e-150: below that the squared scale factor
-            # underflows in 64-bit arithmetic and the trip is undefined.
-            lo = max(l_min, math.log(1e-150))
-            ls = rng.uniform(lo, 0.0, 100)
-            for l in ls:
-                t = forward(float(l), alpha, eps)
-                assert log_scale(t, alpha, eps) == pytest.approx(float(l), abs=1e-8)
-
-
-class TestSlopeFromTheta:
-    def test_odd_zero(self):
-        assert slope_of(0.0, 1.0, 0.1) == 0.0
-
-    def test_at_bound(self):
-        assert slope_of(1.0, 1.0, 0.1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_frozen_forward_value(self):
-        # 0.8 e^{(0.64-1)/0.2} = 0.8 e^{-1.8}.
-        theta = 0.8 * math.exp(-1.8)
-        assert slope_of(theta, 1.0, 0.1) == pytest.approx(0.8, abs=1e-10)
-
-    def test_exactly_odd(self):
-        for theta in (0.3, 0.77, 0.132):
-            assert slope_of(-theta, 1.0, 0.1) == -slope_of(theta, 1.0, 0.1)
-
-    def test_out_of_range(self):
-        # Past the slope bound the slope runs above alpha, still odd.
-        assert slope_of(1.1, 1.0, 0.1) > 1.0
-        assert slope_of(-1.1, 1.0, 0.1) == -slope_of(1.1, 1.0, 0.1)
-
-    def test_strictly_increasing(self):
-        thetas = np.linspace(-1.0, 1.0, 101)
-        _, u = duality._invert_stress_sq(thetas * thetas, 1.0, 0.1)
-        vals = np.copysign(np.sqrt(u), thetas)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_scale_times_slope_is_theta(self):
-        for alpha, eps in ((1.0, 0.1), (2.0, 1e-3)):
-            for theta in np.linspace(-alpha, alpha, 41):
-                l = log_scale(float(theta) ** 2, alpha, eps)
-                v = slope_of(float(theta), alpha, eps)
-                assert abs(math.exp(l) * v - theta) <= 1e-10
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(theta=st.floats(min_value=-1.0, max_value=1.0),
-           eps=st.floats(min_value=1e-6, max_value=0.5))
-    def test_forward_consistency(self, theta, eps):
-        # v e^{(v^2 - 1)/(2 eps)} must reproduce theta (alpha = 1).
-        v = slope_of(theta, 1.0, eps)
-        back = v * math.exp(min((v * v - 1.0) / (2.0 * eps), 0.0))
-        assert back == pytest.approx(theta, abs=1e-9)
-
-    def test_slope_next_to_the_deep_tail_keeps_its_digits(self):
-        # Below slope^2 = alpha^2/2 the sum alpha^2 + 2 eps l cancels, down
-        # to the deep tail; read off w, e^{2l} slope^2 = T holds to rounding.
-        theta = np.logspace(-12, -6, 601)
-        l, slope_sq = duality._invert_stress_sq(theta * theta, 0.5, 0.01)
-        identity = np.exp(2.0 * l) * slope_sq / (theta * theta)
-        assert np.max(np.abs(identity - 1.0)) <= 1e-13
-
-    def test_nan_stress_raises(self):
-        # Newton never converges on a NaN; the inversion must not return
-        # a value silently.
-        with pytest.raises(MaxIterations):
-            slope_of(math.nan, 1.0, 0.1)
-        fld = DualField((3.0, 4.0), 1.0)
-        with pytest.raises(MaxIterations):
-            field_slope(fld, np.array([3.5, math.nan]), 1.0, 0.1)
 
 
 class TestBoundaryResidual:
@@ -395,8 +227,7 @@ class TestAssembleDensity:
     def test_equilibrium_identity_at_nodes(self, solved):
         sol = solved(SPEC_I, 1e-3)
         theta = stress_at(sol.dual, sol.nodes)
-        log_lam, slope_sq = duality._invert_stress_sq(theta ** 2, 1.0, 1e-3)
-        slope = np.copysign(np.sqrt(slope_sq), theta)
+        log_lam, slope = inverted_at(sol.dual, sol.nodes, 1.0, 1e-3)
         assert np.abs(np.exp(log_lam) * slope - theta).max() <= 1e-10
 
     def test_profile_derivative_matches_slope(self, solved):
@@ -411,7 +242,7 @@ class TestAssembleDensity:
         keep[[0, -1]] = False
         d = 1e-6
         dv = (sol(y[keep] + d) - sol(y[keep] - d)) / (2.0 * d)
-        assert np.abs(dv - solved_slope(sol, y[keep])).max() < 1e-7
+        assert np.abs(dv - inverted_at(sol.dual, y[keep], 1.0, 1e-3)[1]).max() < 1e-7
 
     def test_mirror_density(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -451,7 +282,8 @@ class TestAssembleDensity:
         assert sol.max_log_lambda <= 0.0
         assert sol.max_abs_slope <= spec.alpha * (1.0 + 1e-10)
         dense = np.linspace(sol.support[0], sol.support[1], 20001)
-        assert float(np.max(np.abs(solved_slope(sol, dense)))) <= spec.alpha
+        slope = inverted_at(sol.dual, dense, spec.alpha, 0.1)[1]
+        assert float(np.max(np.abs(slope))) <= spec.alpha
 
     def test_largest_stress_is_at_a_support_end(self):
         # The parabola's vertex, (z + c)/2 in depth, beats the anchor's
@@ -474,9 +306,10 @@ class TestAssembleDensity:
                 assert c >= 2.0 * threshold * z
                 probes.append(vertex)
             s = np.array(probes)
-            stress = float(np.max(np.abs(0.5 * (s - z) * (s - c))))
-            slope_sq = duality._invert_stress_sq(np.array([stress ** 2]), alpha, eps)[1]
-            assert sol.max_abs_slope == float(np.sqrt(slope_sq[0]))
+            in_depth = DualField((z, c), -1.0)      # the stress (s - z)(s - c)/2
+            peak = s[[np.argmax(np.abs(stress_at(in_depth, s)))]]
+            slope = inverted_at(in_depth, peak, alpha, eps)[1]
+            assert sol.max_abs_slope == abs(float(slope[0]))
 
     @pytest.mark.parametrize("alpha,slack", [(0.5, 10.0), (1.0, 2.0), (2.0, 0.65),
                                              (4.0, 0.08)])
@@ -671,33 +504,24 @@ class TestCoupledSolve:
         assert passes == residuals.call_count == steps + 1
         assert steps == 0
 
-    @pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3),
-                                           (4.0, 1e-1), (4.0, 1e-3)])
-    def test_assembly_work_does_not_grow_with_the_grid(self, monkeypatch,
-                                                       alpha, eps):
-        # The assembly reads the grid off the solve's last pass and
-        # inverts no grid node: a finer grid adds no inversion at all.
-        plain = duality._invert_stress_sq
-        spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
-
-        def inverted(grid_n):
-            count = []
-
-            def counted(stress_sq, *args):
-                count.append(np.size(stress_sq))
-                return plain(stress_sq, *args)
-
-            monkeypatch.setattr(duality, "_invert_stress_sq", counted)
-            assemble_density(spec, eps, grid_n)
-            return sum(count)
-
-        assert inverted(8001) == inverted(2001)
-
     def test_exhausted_step_budget_raises(self, monkeypatch):
         # At the sharp width the solve takes several steps at every eps.
         monkeypatch.setattr(duality, "_ZERO_MAX_STEPS", 1)
         with pytest.raises(MaxIterations):
             assemble_density(_regime_spec(1.0, 1.0, 0.0), 1e-3, 101)
+
+    @pytest.mark.parametrize("factor", [0.7, 0.5])
+    def test_overflowing_stress_raises_before_its_pass(self, factor):
+        # Below the sharp width, which the capacity rule refuses, the steps
+        # walk z out by a roughly constant factor each.  At alpha 4, eps
+        # 1e-3 on 0.7 and 0.5 sharp widths the stress outgrows the float
+        # range before the step cap: the solve raises before the pass that
+        # would square it, and nothing warns (the suite turns a
+        # RuntimeWarning into an error).
+        spec = uniform_spec((30.0, 32.0), (0.0, factor), "I", 4.0)
+        assert spec.target_width == factor * spec.sharp_width
+        with pytest.raises(MaxIterations, match=r"squared stress .*\^2 overflows"):
+            duality._solve_zeros(spec, 1e-3)
 
     @pytest.mark.parametrize("residuals,jacobian",
                              [((math.nan, 0.0), np.eye(2)),
@@ -779,12 +603,12 @@ class TestCoupledSolve:
                 spec = mirror_transform(spec)
             sol = assemble_density(spec, eps, 101)
             solved = duality._solve_zeros(spec, eps)
-            F, J, _ = duality._zero_residuals(solved.zeros, spec, eps, 1e-13, 1e-13)
+            F, J, _ = duality._zero_residuals(solved.zeros, spec, eps, 1e-13)
             assert F[:3].tolist() == [solved.closure, solved.mass_residual, solved.moment]
             delta = np.linalg.solve(J, -F[:2])
             z, c = solved.zeros
             moved = duality._zero_residuals((z + delta[0], c + delta[1]), spec, eps,
-                                            1e-13, 1e-13)[0]
+                                            1e-13)[0]
             change = np.abs(moved - F)
             assert np.all(change[:2] <= 2e-15)
             report = duality_gap(sol)
@@ -811,11 +635,11 @@ class TestCoupledSolve:
         spec = _regime_spec(alpha, factor, 0.0)
         width = spec.target_width
         tent = (spec.sharp_width, 0.5 * min(spec.sharp_width, width))
-        solution = duality._solve_zeros(spec, eps).zeros
+        solution = assemble_density(spec, eps).depth_zeros
         for zeros in (tent, solution):
             F = lambda dz, dc: duality._zero_residuals(
-                (zeros[0] + dz, zeros[1] + dc), spec, eps, 0.0, 1e-13)[0][:2]
-            _, J, _ = duality._zero_residuals(zeros, spec, eps, 0.0, 1e-13)
+                (zeros[0] + dz, zeros[1] + dc), spec, eps, 0.0)[0][:2]
+            _, J, _ = duality._zero_residuals(zeros, spec, eps, 0.0)
             hz, hc = 1e-6 * max(width, zeros[0] - width), 1e-6 * width
             if zeros[0] == width:
                 dz = 3.0 * F(0.0, 0.0) - 4.0 * F(-hz, 0.0) + F(-2.0 * hz, 0.0)
@@ -858,12 +682,12 @@ class TestCoupledSolve:
             def dual(a, b):
                 r = math.sqrt(b * b - 2.0 * a)
                 z, c = b + r, b - r
-                F, J, _ = duality._zero_residuals((z, c), spec, eps, 0.0, 1e-13)
+                F, J, _ = duality._zero_residuals((z, c), spec, eps, 0.0)
                 S = min(z, width)
                 G = -F[4] + eps * math.exp(-alpha ** 2 / (2.0 * eps)) * S - b
                 return G, F, J, S
 
-            z, c = duality._solve_zeros(spec, eps).zeros
+            z, c = assemble_density(spec, eps).depth_zeros
             for off, (z, c) in ((False, (z, c)), (True, (1.02 * z, 0.98 * c))):
                 a, b = 0.5 * z * c, 0.5 * (z + c)
                 _, F, J, S = dual(a, b)
@@ -1191,7 +1015,7 @@ class TestExpansionStart:
             z0 = spec.sharp_width
             for eps in (1e-2, 1e-3, 1e-4):
                 start = _mapped_series(alpha, eps)
-                z, c = duality._solve_zeros(spec, eps).zeros
+                z, c = assemble_density(spec, eps).depth_zeros
                 miss = max(abs(z - start[0]), abs(c - start[1]))
                 assert miss <= bound * eps ** 4 + 4.0 * np.spacing(z0)
 
@@ -1272,8 +1096,8 @@ class TestScalingLaw:
             if twinned is None:
                 continue
             twin, eps_hat = twinned
-            z, c = duality._solve_zeros(_regime_spec(alpha, factor, 0.0), eps).zeros
-            z_hat, c_hat = duality._solve_zeros(twin, eps_hat).zeros
+            z, c = assemble_density(_regime_spec(alpha, factor, 0.0), eps).depth_zeros
+            z_hat, c_hat = assemble_density(twin, eps_hat).depth_zeros
             assert abs(c - sigma * c_hat) <= 1e-14 * width
             if z < width:
                 shift = (sigma - 1.0) * duality._CLOSURE_AIM / twin.alpha
@@ -1350,7 +1174,7 @@ class TestTabulatedStart:
         spec = _regime_spec(1.0, 10.0, 0.0)
         for eps in np.geomspace(1e-6, 0.995 * duality._ZERO_TABLE_TOP, 50):
             with mock.patch.object(duality, "_tabulated_start", _tent_start):
-                z, c = duality._solve_zeros(spec, eps).zeros
+                z, c = assemble_density(spec, eps).depth_zeros
             start = duality._tabulated_start(1.0, eps, spec.target_width)
             ulps = 4.0 * np.spacing(max(z, c))
             assert abs(start[0] - z) <= ulps and abs(start[1] - c) <= ulps
@@ -1458,8 +1282,8 @@ class TestMirrorExactness:
             mid = 0.5 * (sol.nodes[1:] + sol.nodes[:-1])
             assert np.array_equal(mir(-mid[::-1]), sol(mid)[::-1])
             assert np.array_equal(mir.nodes, -sol.nodes[::-1])
-            assert np.array_equal(solved_slope(mir, mir.nodes),
-                                  -solved_slope(sol, sol.nodes)[::-1])
+            assert np.array_equal(inverted_at(mir.dual, mir.nodes, alpha, eps)[1],
+                                  -inverted_at(sol.dual, sol.nodes, alpha, eps)[1][::-1])
             assert mir.mass == sol.mass
             assert mir.expectation == -sol.expectation
 
@@ -1474,7 +1298,7 @@ class TestDualField:
         assert [f.name for f in dataclasses.fields(DensitySolution)] == [
             "spec", "epsilon", "depth_zeros", "grid_n", "mass", "expectation",
             "energy_integrals", "profile"]
-        for name in ("max_abs_slope", "max_log_lambda", "clip_depth", "dual", "_row_pass"):
+        for name in ("max_abs_slope", "max_log_lambda", "clip_depth", "dual"):
             assert isinstance(inspect.getattr_static(DensitySolution, name),
                               functools.cached_property), name
 
@@ -1523,21 +1347,9 @@ class TestDualField:
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)
         ys = np.linspace(3.0, 5.0, 57)
         theta = stress_at(fld, ys)
-        log_lam, _ = duality._invert_stress_sq(theta ** 2, 1.0, 0.01)
         # The algebra ties the stress, the scale and the slope pointwise.
-        slope = field_slope(fld, ys, 1.0, 0.01)
+        log_lam, slope = inverted_at(fld, ys, 1.0, 0.01)
         assert np.abs(np.exp(log_lam) * slope - theta).max() < 1e-12
-
-    def test_row_below_its_rounding_floor_meets_the_panel_budget(self):
-        # (x - y) g at x the support's low end, 1000 from the origin, asked
-        # for 1e-14: rounding noise keeps every panel over its share, so the
-        # pass would double its panels each round until memory ran out.
-        # The panel budget stops it short of 2^16 panels, in about 0.5 s.
-        sol = assemble_density(_regime_spec(4.0, 2.5, 1000.0), 1e-2)
-        x = sol.support[0]
-        with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
-                           r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
-            sol._row_pass(lambda y, l, g: (x - y) * g, 1e-14, ())
 
 
 def _graded_case(alpha, eps, offset, assumption):
@@ -1573,7 +1385,7 @@ class TestGradedPanels:
         anchor = spec.anchor
         for c in (crossing, 0.5 * (crossing + anchor)):
             fld = DualField((zero, c), spec.orientation)
-            slope = functools.partial(field_slope, fld, alpha=alpha, eps=eps)
+            slope = lambda y: inverted_at(fld, y, alpha, eps)[1]
             graded = boundary_residual(c, support, spec, eps, zero=zero,
                                        quad_tol=1e-13)
             plain = integrate(slope, *support, tol=1e-13,

@@ -22,12 +22,11 @@ from monge1d.energy import (
     duality_gap,
     second_variation_probe,
 )
-from monge1d.errors import InvalidPerturbation
-from monge1d.numerics import _graded_edges
+from monge1d.errors import InvalidPerturbation, MaxDepth
 from monge1d.oracles import mirror_transform, tent_limit_density
 from monge1d.problem import uniform_spec
-from reference_quadrature import depth_pass, integrate
-from reference_solves import stress_at
+from reference_quadrature import depth_pass, integrate, inverted_pass
+from reference_solves import inverted_at, stress_at
 
 SPEC_I = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
 SPEC_II = uniform_spec((-8.0, -6.0), (-5.0, 0.0), "II", 1.0)
@@ -54,9 +53,7 @@ def _const(value):
 
 def _inverted(sol, y):
     """(log_lambda, slope) at y from the inversion of the solved stress."""
-    theta = stress_at(sol.dual, y)
-    l, slope_sq = duality._invert_stress_sq(theta ** 2, sol.spec.alpha, sol.epsilon)
-    return l, np.copysign(np.sqrt(slope_sq), theta)
+    return inverted_at(sol.dual, y, sol.spec.alpha, sol.epsilon)
 
 
 def _slope(sol):
@@ -389,6 +386,17 @@ class TestRowPass:
                 assert calls == {"array": 0, "float": repeat_ends}
                 calls.update(array=0, float=0)
             monkeypatch.undo()
+
+    def test_row_below_its_rounding_floor_meets_the_panel_budget(self):
+        # (x - y) g at x the support's low end, 1000 from the origin, asked
+        # for 1e-14: rounding noise keeps every panel over its share, so the
+        # pass would double its panels each round until memory ran out.
+        # The panel budget stops it short of 2^16 panels, in about 0.5 s.
+        sol = assemble_density(_grid_spec(4.0, 1000.0, "I", 2.5), 1e-2)
+        x = sol.support[0]
+        with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
+                           r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
+            sol._row_pass(lambda y, l, g: (x - y) * g, 1e-14, ())
 
     # (alpha, eps, offset, assumption, width in sharp widths) and the
     # solution's readings in y as `float.hex`: the dual's constant,
@@ -839,13 +847,9 @@ class TestExpectation:
         z, c = (o * (anchor - p) for p in sol.dual.zeros)
         span = (0.0, o * (anchor - sol.support_endpoint))
 
-        def moment(s):
-            theta = 0.5 * (s - z) * (s - c)
-            _, u = duality._invert_stress_sq(theta * theta, 1.0, eps)
-            return (s - span[1]) ** 2 * np.copysign(np.sqrt(u), theta)
-
-        ref = sol.support_endpoint * sol.mass + 0.5 * o * integrate(
-            moment, *span, tol=1e-15, breakpoints=_graded_edges(span, (z, c)))
+        done = inverted_pass(lambda s, l, g: (s - span[1]) ** 2 * g, (z, c), span,
+                             1.0, eps, 1e-15)
+        ref = sol.support_endpoint * sol.mass + 0.5 * o * np.cumsum(done[1], axis=1)[0, -1]
         assert abs(sol.expectation - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("assumption", ["I", "II"])

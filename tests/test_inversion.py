@@ -1,5 +1,9 @@
 """The slope inversion `duality._invert_stress_sq` against an independent
 arbitrary-precision oracle, and the work it does on the canonical solves.
+This module is the one home of the inversion's contract: its accuracy,
+its monotonicity, its floor and its raise on a non-finite stress.  Other
+tests read its values through `reference_solves.inverted_at` and
+`reference_quadrature.inverted_pass`.
 
 The inversion solves T = e^{2l} (alpha^2 + 2 eps l) for l.  With
 u = alpha^2 + 2 eps l this is (u/eps) e^{u/eps} = T e^{alpha^2/eps}/eps,
@@ -28,8 +32,8 @@ _DIGITS = 40
 # and numpy's exp and log stay within twice it (one ulp).
 _ROUNDOFF = 2.0 ** -53
 
-_CASES = [(alpha, eps) for alpha in (0.5, 1.0, 4.0)
-          for eps in (1e-6, 1e-3, 0.1, 0.5)]
+_CASES = [(alpha, eps) for alpha in (0.5, 1.0, 2.0, 4.0)
+          for eps in (1e-6, 1e-3, 1e-2, 0.1, 0.5)]
 # eps > alpha^2/2, so body nodes with slope^2 < eps read slope^2 as e^w
 # and not as alpha^2 + 2 eps l.
 _GUARD_CASE = (0.1, 0.5)
@@ -72,15 +76,17 @@ def switches(alpha, eps):
 def stresses(alpha, eps):
     """Squared stresses from the deep tail, T = 1e-300, up to 4 alpha^2,
     evenly in z = ln(T/alpha^2): 640 over that range and 80 over the
-    body's part of it, plus T = alpha^2 and points on both sides of each
-    switch where it is representable."""
+    body's part of it, plus T = alpha^2, T within 5e-13 of it on both
+    sides (where, at alpha 1, w = ln(slope^2) is itself that small, so the
+    stop's floor max(1, |w|) decides whether Newton stops), and points on
+    both sides of each switch where it is representable."""
     a2 = alpha * alpha
     lowest, half = math.log(1e-300 / a2), switch_z(0.5 * a2, alpha, eps)
     z = list(np.linspace(lowest, math.log(4.0), 640))
     z += list(np.linspace(max(lowest, half), math.log(4.0), 80))
     z += [s * (1.0 + d) for s in switches(alpha, eps)
           for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
-    t = a2 * np.exp(np.array(z + [0.0]))
+    t = a2 * np.exp(np.array(z + [-5e-13, 0.0, 5e-13]))
     return t[t >= 1e-300]
 
 
@@ -142,14 +148,30 @@ class TestAgainstTheOracle:
 
     @pytest.mark.parametrize("alpha,eps", _CASES + [_GUARD_CASE])
     def test_log_scale_and_slope_squared(self, alpha, eps):
-        # Over these samples the largest error measured is 0.57 of its
-        # bound for l and 0.46 for u: the bounds sum worst cases, the
-        # roundings do not.
+        # Over these samples the largest error measured is 0.58 of its
+        # bound for l (alpha 4, eps 1e-2) and 0.47 for u (alpha 2, eps
+        # 1e-6): the bounds sum worst cases, the roundings do not.
         t = stresses(alpha, eps)
         err_l, err_u = errors(t, alpha, eps)
         bound_l, bound_u = bounds(t, alpha, eps)
         assert np.all(err_l <= bound_l)
         assert np.all(err_u <= bound_u)
+
+    @pytest.mark.parametrize("alpha,eps", _CASES + [_GUARD_CASE])
+    def test_increasing_and_nonpositive_up_to_alpha_squared(self, alpha, eps):
+        # l and slope^2 increase with T: neither falls, and from each
+        # sample to the next one of them rises.  Both do wherever rounding
+        # resolves the rise; deep in the tail, where slope^2 is below half
+        # an ulp of alpha^2, l reads the floor l_min = -alpha^2/(2 eps), and
+        # within 5e-13 of T = alpha^2 at small eps, 2 eps l is below half
+        # an ulp of slope^2.  l is at most 0 exactly up to T = alpha^2.
+        t = np.unique(stresses(alpha, eps))
+        l, u = duality._invert_stress_sq(t, alpha, eps)
+        rise_l, rise_u = np.diff(l), np.diff(u)
+        assert np.all(rise_l >= 0.0) and np.all(rise_u >= 0.0)
+        assert np.all((rise_l > 0.0) | (rise_u > 0.0))
+        assert np.all((l <= 0.0) == (t <= alpha * alpha))
+        assert np.all(l >= -alpha * alpha / (2.0 * eps))
 
     @pytest.mark.parametrize("alpha,eps", _CASES + [_GUARD_CASE])
     def test_samples_straddle_the_split(self, alpha, eps):
@@ -246,12 +268,15 @@ def test_canonical_inversion_work_is_pinned(alpha, eps):
     assert work == _CANONICAL_WORK[alpha, eps]
 
 
-@pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3), (4.0, 1e-4)])
+@pytest.mark.parametrize("alpha,eps", [(1.0, 1e-1), (1.0, 1e-3), (4.0, 1e-1),
+                                       (4.0, 1e-3), (4.0, 1e-4)])
 def test_assembly_inverts_one_array_per_round(monkeypatch, alpha, eps):
     # Every `_adaptive` round of the solve's passes inverts its nodes in one
     # array call.  The stress maximum takes the float form once, on the
     # first read of the slope maximum and not in the assembly, and no
-    # array call of its own; both maxima share that one call.
+    # array call of its own; both maxima share that one call.  The
+    # assembly reads its grid off the solve's last pass and inverts no
+    # grid node, so a finer grid inverts the same arrays.
     rounds, arrays, floats = [], [], []
     adaptive, plain, one = (duality._adaptive, duality._invert_stress_sq,
                             duality._invert_stress_sq_one)
@@ -273,12 +298,17 @@ def test_assembly_inverts_one_array_per_round(monkeypatch, alpha, eps):
     monkeypatch.setattr(duality, "_adaptive", counted_adaptive)
     monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
     monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_float)
-    sol = assemble_density(uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha), eps)
+    spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
+    sol = assemble_density(spec, eps)
     assert rounds and len(arrays) == len(rounds)
     assert not floats
     for _ in range(2):
         sol.max_abs_slope, sol.max_log_lambda
     assert len(floats) == 1 and len(arrays) == len(rounds)
+    coarse = arrays[:]
+    arrays.clear()
+    assemble_density(spec, eps, 8001)
+    assert arrays == coarse
 
 
 def _as_hex(l, u):
