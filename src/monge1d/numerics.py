@@ -47,7 +47,9 @@ Design notes
   left edge, so a read at any number of points is one Horner sum.
   The mass fraction's inverse solves each target's panel polynomial by a
   bracketed Newton iteration: a handful of vectorized sweeps, each one
-  Horner evaluation of every target, until the slowest one converges.
+  Horner evaluation of every target, until the slowest one converges.  A
+  target that settles keeps its w in the whole arrays, and the depths are
+  written once, after the last sweep.
 * Everything here is deterministic: fixed node tables, fixed split rules,
   no randomized pivoting.  Two runs on the same inputs produce bitwise
   identical results, which the CLI relies on for reproducible CSV output.
@@ -429,8 +431,10 @@ class MonotoneProfile:
         returns that edge, the first of a flat run.  Any other f lies
         strictly between the fractions of one panel's edges, found by
         `searchsorted`, and is the root of that panel's mass
-        (`_solve_panels`).  Deterministic and vectorized.  A NaN fraction
-        raises ValueError.
+        (`_solve_panels`), which keeps a settled target's w and writes the
+        depths once: a target's depth does not depend on the other
+        fractions of the call.  Deterministic and vectorized.  A NaN
+        fraction raises ValueError.
         """
         f = np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0)
         if np.isnan(f).any():
@@ -453,66 +457,69 @@ class MonotoneProfile:
         leave the bracket, or that is more than half the step before the
         last one, becomes a bisection.  It starts from the root of the
         quadratic Taylor model at the left edge, which a CDF leaving a zero
-        density follows like a square root.  Every sweep steps every target,
-        the arrays kept whole: a target's depth is frozen, and no longer
-        judged, on the step it converges, and the call returns once none is
-        pending.  A target has converged when its residual r meets
-        |r| <= 2 eps f, or when the step that reached it fell within one
+        density follows like a square root.  Every sweep evaluates every
+        target, the arrays kept whole: a target that settles keeps its w
+        (`settled` masks it out of the tests, and each step copies its w
+        back), and the loop ends once every target has settled.  The depths
+        are written once, after it, as left + half w, or the right edge for
+        a target stopped there.  A target has converged when its residual r
+        meets |r| <= 2 eps f, or when the step that reached it fell within one
         ulp of the panel's depths; the point then returned must have
         |r| <= 2 |r'| ulp + 32 eps (sum of the polynomial's |terms| on the
         panel + f), the bound for a root within one ulp plus the rounding of
         Horner's rule.  A target whose Newton point is rejected at w >= 2
-        returns the right edge if the edge's running fraction is within
+        stops at the right edge if the edge's running fraction is within
         2 eps f of it, where bisection would halve toward it once a sweep.
         Raises MaxIterations when a target misses that bound or
         _INVERT_MAX_ITER steps pass.
         """
         left, right, half, size = self.edges[k], self.edges[k + 1], self.half[k], self._size[k]
-        at_right = np.abs(self.fractions[k + 1] - f) <= 2.0 * _EPS * f
+        tol = 2.0 * _EPS * f
+        at_right = np.abs(self.fractions[k + 1] - f) <= tol
         near_right = bool(at_right.any())   # rare: other calls skip the edge test
         res = np.spacing(np.maximum(np.abs(left), np.abs(right))) / half
         rows = [row[k] for row in self._taylor]
         gap, lin, quad = f - rows[0], rows[1], rows[2]
         disc = np.sqrt(np.maximum(lin * lin + 4.0 * quad * gap, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):   # no slope: clipped
+        a, b = np.zeros_like(f), np.full_like(f, 2.0)
+        prev = last = 2.0
+        settled = np.zeros(f.size, dtype=bool)
+        stopped = np.zeros(f.size, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):   # no slope: bisected
             w = np.clip(2.0 * gap / (lin + disc), 0.0, 2.0)
-        a, b = np.zeros_like(w), np.full_like(w, 2.0)
-        prev, last = b, b
-        out = np.empty_like(w)
-        pending = np.ones(w.size, dtype=bool)
-        for _ in range(_INVERT_MAX_ITER):
-            value, slope = _horner(rows, w)
-            r = value - f
-            done = pending & (np.abs(r) <= 2.0 * _EPS * f)
-            close = pending & ~done & (last <= res)
-            if close.any():
-                bound = 2.0 * np.abs(slope) * res + 32.0 * _EPS * (size + f)
-                miss = close & ~(np.abs(r) <= bound)
-                if miss.any():
-                    i = int(np.argmax(miss))
-                    raise MaxIterations(
-                        f"panel inversion stalled in panel {int(k[i])}: "
-                        f"residual {abs(r[i]):.3e} above its bound {bound[i]:.3e}")
-                done |= close
-            if done.any():
-                out[done] = left[done] + half[done] * w[done]
-                pending &= ~done
-                if not pending.any():
-                    return out
-            below = r < 0.0
-            a = np.where(below, w, a)
-            b = np.where(below, b, w)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_INVERT_MAX_ITER):
+                value, slope = _horner(rows, w)
+                r = value - f
+                settled |= np.abs(r) <= tol
+                close = (last <= res) & ~settled
+                if close.any():
+                    bound = 2.0 * np.abs(slope) * res + 32.0 * _EPS * (size + f)
+                    miss = close & ~(np.abs(r) <= bound)
+                    if miss.any():
+                        i = int(np.argmax(miss))
+                        raise MaxIterations(
+                            f"panel inversion stalled in panel {int(k[i])}: "
+                            f"residual {abs(r[i]):.3e} above its bound {bound[i]:.3e}")
+                    settled |= close
+                if settled.all():
+                    break
+                below = r < 0.0
+                np.copyto(a, w, where=below)
+                np.copyto(b, w, where=~below)
                 step = r / slope
-            nxt = w - step
-            newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
-            if near_right:
-                edge = pending & ~newton & (nxt >= 2.0) & at_right
-                out[edge], pending = right[edge], pending & ~edge
-                if not pending.any():
-                    return out
-            nxt = np.where(newton, nxt, 0.5 * (a + b))
-            prev, last = last, np.abs(nxt - w)
-            w = nxt
-        raise MaxIterations(f"panel inversion left {int(pending.sum())} targets "
-                            f"unconverged after {_INVERT_MAX_ITER} steps")
+                nxt = w - step
+                newton = (a <= nxt) & (nxt <= b) & (np.abs(step) <= 0.5 * prev)
+                if near_right:
+                    edge = ~settled & ~newton & (nxt >= 2.0) & at_right
+                    stopped |= edge
+                    settled |= edge
+                    if settled.all():
+                        break
+                nxt = np.where(newton, nxt, 0.5 * (a + b))
+                prev, last = last, np.abs(nxt - w)
+                np.copyto(nxt, w, where=settled)
+                w = nxt
+            else:
+                raise MaxIterations(f"panel inversion left {int((~settled).sum())} targets "
+                                    f"unconverged after {_INVERT_MAX_ITER} steps")
+        return np.where(stopped, right, left + half * w)

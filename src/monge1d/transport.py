@@ -102,16 +102,19 @@ def pushforward_residual(map_solution: TransportMap,
     """Largest CDF-composition defect over a Chebyshev probe grid.
 
     For the increasing variant this is sup |Q(s(x)) - F(x)|, with Q the
-    CDF of `solution`, the integrated form of the pushforward equation
-    u(s) s' = f+; the decreasing variant compares against 1 - F.  The
-    source CDF is read once per source and probed interval, across calls
-    (`_probe_fractions`): its fractions, flipped for the decreasing
-    variant, go to the quantile of the map's own target, which is how
-    `TransportMap.map` composes them, so s(x) is the map's value bit for
-    bit and the residual checks the map's target against `solution`.
+    CDF of `solution` and F the CDF of `spec`'s source, the integrated
+    form of the pushforward equation u(s) s' = f+; the decreasing variant
+    compares against 1 - F.  s(x) is read as `TransportMap.map` reads it:
+    the map's own source CDF at the probes, flipped for the decreasing
+    variant, through the quantile of the map's own target.  So the
+    residual checks the whole map, its source and its target, against
+    `spec` and `solution`.  Each source CDF is read once per source and
+    probed interval, across calls (`_probe_fractions`); when the map's
+    source equals `spec`'s, the two are one array.
     """
-    f = _probe_fractions(spec.source_density, spec.source_interval)
+    f, v = (_probe_fractions(density, spec.source_interval)
+            for density in (spec.source_density, map_solution.source_density))
     if map_solution.variant == "decreasing":
-        f = 1.0 - f
-    q = solution.cdf(map_solution.target.quantile(f))
+        f, v = 1.0 - f, 1.0 - v
+    q = solution.cdf(map_solution.target.quantile(v))
     return float(np.max(np.abs(q - f)))

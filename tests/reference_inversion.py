@@ -2,9 +2,10 @@
 same bracketed Newton iteration as `MonotoneProfile._solve_panels`, with
 the same stop at a panel's right edge, but after every step in which a
 target converges the state is re-indexed down to the targets still
-iterating.  Each target's arithmetic is the same in both, so the
-package's sweep over all targets must return the same depths bit for
-bit."""
+iterating.  The package instead keeps every target in its arrays, with
+a settled target's w frozen, and writes the depths once after its last
+sweep.  Each target's arithmetic is the same in both, so the two must
+return the same depths bit for bit."""
 
 import copy
 import functools

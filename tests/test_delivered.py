@@ -263,6 +263,29 @@ class TestReadsInY:
                 assert np.max(np.abs(sol.cdf(ys) - targets)) <= 1e-15
             assert np.all(np.diff(sol.quantile(high)) <= 0.0)
 
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_a_depth_does_not_depend_on_its_batch(self, solved, eps, assumption):
+        # Each call sweeps its targets until the slowest settles, and a
+        # target that settles sooner keeps its point.  So a permuted batch
+        # reads the permuted quantiles, and any part of a batch, down to a
+        # lone target, reads the quantiles the whole batch read, bit for
+        # bit.  The batch holds the flat ends' targets, which take the
+        # most sweeps.
+        sol = solved(_canonical(1.0, assumption), eps)
+        rng = np.random.default_rng(57)
+        ulps = np.arange(1.0, 6.0)
+        ends = [ulps * np.nextafter(0.0, 1.0), 1.0 - ulps * np.spacing(0.5)]
+        t = np.concatenate([rng.uniform(size=400), *ends, sol.cdf(sol.nodes[::50])])
+        perm = rng.permutation(t.size)
+        bits = lambda y: np.asarray(y, dtype=float).view(np.uint64)
+        whole = sol.quantile(t)
+        assert np.array_equal(bits(sol.quantile(t[perm])), bits(whole[perm]))
+        for part in (perm[:200], perm[200:], perm[::37]):
+            assert np.array_equal(bits(sol.quantile(t[part])), bits(whole[part]))
+        alone = [sol.quantile(t[i]) for i in perm[:40]]
+        assert np.array_equal(bits(alone), bits(whole[perm[:40]]))
+
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.floats(min_value=3.05, max_value=4.95))
     def test_round_trip_property(self, solved, y):

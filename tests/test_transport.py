@@ -193,6 +193,24 @@ class TestPushforwardResidual:
         assert np.array_equal(broken.map(xs), inc.map(xs) + 0.1)
         assert pushforward_residual(broken, sol, SPEC_I) > 0.01
 
+    def test_reads_the_map_through_its_own_source(self, maps):
+        # A map built for a tabulated source, checked against the uniform
+        # spec: s(x) is the map's own value at the probes, so the residual
+        # is its true defect against the uniform F, not 0; checked against
+        # its own spec it is at rounding level.
+        sol, _, _ = maps
+        tabulated = dataclasses.replace(SPEC_I, source_density=normalize_density(SourceDensity(
+            interval=(6.0, 8.0), kind="tabulated", nodes=tuple(np.linspace(6.0, 8.0, 7)),
+            values=(0.3, 1.7, 0.9, 0.2, 1.1, 1.9, 0.6))))
+        xs = chebyshev_nodes(*SPEC_I.source_interval, transport._PUSHFORWARD_PROBE_N)
+        f = SPEC_I.source_density.cdf(xs)
+        for variant, fractions in (("increasing", f), ("decreasing", 1.0 - f)):
+            m = build_map(tabulated, sol, variant)
+            defect = float(np.max(np.abs(sol.cdf(m.map(xs)) - fractions)))
+            assert defect > 0.1
+            assert pushforward_residual(m, sol, SPEC_I) == defect
+            assert pushforward_residual(m, sol, tabulated) <= 1e-14
+
     def test_detects_a_defect_between_coarse_probes(self, maps):
         # A map wrong only on a source window 0.016 wide at the source's
         # centre, a quarter of the spacing of a 50-point Chebyshev grid
