@@ -337,11 +337,13 @@ def load_fixture(csv_path) -> OracleRun:
     Raises ValueError naming the problem when the CSV header or the JSON
     sidecar is not what save_fixture writes, when the sidecar's alpha or
     objective is not finite or its epsilon neither null nor finite (`json`
-    reads NaN and Infinity), when the CSV holds fewer than two rows, or
-    when its nodes are not increasing and equally spaced (the trapezoidal
-    mass and the slopes read every cell with the first step), naming the
-    first row whose step departs from the first by more than 1e-9
-    relative.  A non-finite u is a feasibility violation
+    reads NaN and Infinity), when the CSV holds fewer than two rows or
+    another count of rows than the sidecar's n (a CSV cut short inside
+    its zero tail keeps zero end values and a unit mass, and would pass
+    every other check), or when its nodes are not increasing and equally
+    spaced (the trapezoidal mass and the slopes read every cell with the
+    first step), naming the first row whose step departs from the first
+    by more than 1e-9 relative.  A non-finite u is a feasibility violation
     (`GridDensity.violations`), not a malformed file.
     """
     csv_path = Path(csv_path)
@@ -357,15 +359,18 @@ def load_fixture(csv_path) -> OracleRun:
     meta = json.loads(sidecar.read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar.name}: expected an object")
-    for key in ("alpha", "objective", "iterations", "epsilon"):
+    for key in ("alpha", "objective", "iterations", "epsilon", "n"):
         if key not in meta:
             raise ValueError(f"{sidecar.name}: missing key {key!r}")
     try:
         alpha, objective = float(meta["alpha"]), float(meta["objective"])
-        iterations = int(meta["iterations"])
+        iterations, n = int(meta["iterations"]), int(meta["n"])
         epsilon = None if meta["epsilon"] is None else float(meta["epsilon"])
     except TypeError as exc:
         raise ValueError(f"{sidecar.name}: {exc}") from exc
+    if n != len(rows):
+        raise ValueError(f"{csv_path.name}: {len(rows)} data rows, but "
+                         f"{sidecar.name} records n = {n}")
     for key, value in (("alpha", alpha), ("objective", objective),
                        ("epsilon", epsilon)):
         if value is not None and not math.isfinite(value):

@@ -1,10 +1,9 @@
 """Plain adaptive quadrature of any vectorized integrand, for the tests: the
 package's `_adaptive` pass over an interval, summed.  Also the tests' one
-pass in depth with every node inverted (`inverted_pass`), as the solve's
-passes (`duality._zero_residuals`) take it, and on it `depth_pass`, the
-reference for `DensitySolution.integrate`: the package sums a solution's
-rows in l = ln lambda (`duality._row_pass`), and this sums them in
-depth."""
+pass in depth with every node inverted (`inverted_pass`), as the coupled
+solve's passes take it, and on it `depth_pass`, the reference for
+`DensitySolution.integrate`: the package sums a solution's rows in
+l = ln lambda, and this sums them in depth."""
 
 import numpy as np
 

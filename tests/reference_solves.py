@@ -1,7 +1,7 @@
 """Bracketed reference solves of the stress zeros, one unknown at a time:
 the closure by a root solve over a trial stress, nested in the mass.  The
-package solves both conditions at once (`duality._solve_zeros`); the tests
-hold it to these, and criterion 05 checks their monotonicity.  Every
+package solves both conditions at once, in one coupled Newton solve; the
+tests hold it to these, and criterion 05 checks their monotonicity.  Every
 quadrature is one pass of the package's row pass in l = ln lambda
 (`duality._row_pass`), over a trial stress given by its zeros in y."""
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
-from monge1d.duality import _depth_grid, _solve_zeros
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
@@ -34,11 +33,20 @@ def _depth_integral(fn, zeros, span, alpha, epsilon):
     return np.cumsum(done[1], axis=1)[:, -1]
 
 
-def exact_nodes(sol, grid_n):
+def grid_depths(sol):
+    """The depths of the solution's table nodes: grid_n uniform depths over
+    the pass, from the anchor to the support's far end, with the crossing,
+    where the density kinks, inserted as a node unless one equals it.
+    Rebuilt from the solution's depth zeros, since depths mapped back from
+    y lose their last bits."""
+    z, c = sol.depth_zeros
+    return np.union1d(np.linspace(0.0, min(z, sol.spec.target_width), sol.grid_n), [c])
+
+
+def exact_nodes(sol):
     """The solution's nodal values and an exact reference's nodal values
     and cell masses, in depth order, on the solution's own depth grid
-    (rebuilt from the solve, since depths mapped back from y lose their
-    last bits).
+    (`grid_depths`).
 
     The reference is one pass of the depth integrand at tolerance 1e-15
     with every grid node a panel edge, rows du/ds and (s_i+1 - s) du/ds:
@@ -46,16 +54,14 @@ def exact_nodes(sol, grid_n):
     0 to each node's depth, and each cell's are the moment of its mass,
     h u_i + integral of (s_i+1 - s) du/ds.  No interpolant enters it.
     """
-    spec = sol.spec
-    solved = _solve_zeros(spec, sol.epsilon)
-    span = (0.0, min(solved.zeros[0], spec.target_width))
-    depths = _depth_grid(span, solved.zeros[1], grid_n)
+    spec, depths = sol.spec, grid_depths(sol)
+    span = (depths[0], depths[-1])
     step = -1 if spec.orientation > 0 else 1        # ascending depth
     nodes, support_values = sol.nodes, sol.values
     assert np.array_equal(spec.anchor - spec.orientation * depths[:-1], nodes[::step][:-1])
     deeper = lambda s: depths[np.minimum(np.searchsorted(depths, s),
                                          depths.size - 1)]
-    edges, sums, _ = inverted_pass(lambda s, l, g: (g, (deeper(s) - s) * g), solved.zeros,
+    edges, sums, _ = inverted_pass(lambda s, l, g: (g, (deeper(s) - s) * g), sol.depth_zeros,
                                    span, spec.alpha, sol.epsilon, _REFERENCE_TOL, depths)
     cell = np.searchsorted(depths, edges[:-1], side="right") - 1
     rise, moment = (np.bincount(cell, row, depths.size - 1) for row in sums)
@@ -63,12 +69,12 @@ def exact_nodes(sol, grid_n):
     return support_values[::step], values, np.diff(depths) * values[:-1] + moment
 
 
-def exact_running(sol, grid_n):
+def exact_running(sol):
     """The exact reference's nodal values and running masses from the lower
     support end, in ascending y (`exact_nodes`).  The running masses are
     summed exactly and rounded once: a plain cumulative sum over the 2,000
     cells rounds at each one, and is itself up to 1.1e-15 off at eps 1e-2."""
-    _, values, masses = exact_nodes(sol, grid_n)
+    _, values, masses = exact_nodes(sol)
     step = -1 if sol.spec.orientation > 0 else 1
     running = itertools.accumulate(map(Fraction, masses[::step]), initial=Fraction(0))
     return values[::step], np.array([float(m) for m in running])
@@ -140,7 +146,7 @@ class TestAgainstTheExactReference:
     def test_density_and_cdf(self, solved, alpha, eps, assumption, grid_n):
         sol = solved(_canonical(alpha, assumption), eps, grid_n)
         ys = _probe(sol)
-        density, cdf = exact_reference(sol, ys, exact_running(sol, grid_n))
+        density, cdf = exact_reference(sol, ys, exact_running(sol))
         # The density reads 0 at both support ends, though the profile's
         # closing end holds the boundary gap.
         inside = (ys > sol.support[0]) & (ys < sol.support[1])
@@ -153,7 +159,7 @@ class TestAgainstTheExactReference:
         # values and CDF meet; the last node closes the last cell.
         sol = solved(SPEC_I, 1e-2)
         x, values = sol.nodes, sol.values
-        running = exact_running(sol, 2001)
+        running = exact_running(sol)
         density, cdf = exact_reference(sol, x, running)
         assert np.array_equal(density[:-1], running[0][:-1])
         assert np.array_equal(cdf[:-1], running[1][:-1] / running[1][-1])
@@ -172,7 +178,7 @@ class TestAgainstTheExactReference:
         x = 6.0 + 3e-7 if assumption == "I" else -6.0 - 3e-7
         t = float(sol.spec.source_density.cdf(x))
         mapped = build_map(sol.spec, sol, "increasing").map(x)
-        exact = exact_quantile(sol, t, exact_running(sol, 2001))
+        exact = exact_quantile(sol, t, exact_running(sol))
         assert abs(mapped - exact) <= 1e-11
 
     @pytest.mark.parametrize("ulps", [1, 4, 16])
@@ -192,7 +198,7 @@ class TestAgainstTheExactReference:
         x = x if assumption == "I" else -x
         t = float(sol.spec.source_density.cdf(x))
         mapped = build_map(sol.spec, sol, "increasing").map(x)
-        running = exact_running(sol, 2001)
+        running = exact_running(sol)
         residual = exact_reference(sol, [mapped], running)[1][0] - t
         assert abs(residual) <= 2 * np.finfo(float).eps
         if assumption == "I":       # the reference keeps t's relative precision
@@ -239,12 +245,11 @@ class TestReadsInY:
     def test_closing_end_reads_the_last_edge(self, solved, offset, assumption):
         # At offset 7 the closing end's depth o (anchor - m) rounds short
         # of the last edge, and at 1000 past it: the end still reads the
-        # edge, so the CDF is 0 or 1 there exactly and the quantile
-        # returns the end itself.
+        # edge (`test_duality.py`), so the CDF is 0 or 1 there exactly and
+        # the quantile returns the end itself.
         spec = uniform_spec((6.0 + offset, 8.0 + offset), (offset, 5.0 + offset), "I", 1.0)
         sol = solved(spec if assumption == "I" else mirror_transform(spec), 1e-3)
         m, closing = sol.support_endpoint, 0.0 if assumption == "I" else 1.0
-        assert sol._depth(m) == sol.profile.edges[-1]
         assert sol.cdf(m) == closing and sol.quantile(closing) == m
         assert sol.quantile(1.0 - closing) == sol.spec.anchor
 
@@ -348,12 +353,11 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     if assumption == "II":
         spec = mirror_transform(spec)
     sol = solved(spec, eps, grid_n)
-    u, values, exact = exact_nodes(sol, grid_n)
+    u, values, exact = exact_nodes(sol)
     assert np.max(np.abs(u[:-1] - values[:-1])) <= 1e-14
     profile = sol.profile
     assert abs(profile.edge_density[-1] - values[-1]) <= 1e-14
-    nodes = sol.nodes[::-1 if spec.orientation > 0 else 1]
-    masses = profile.total * np.diff(profile.fraction(sol._depth(nodes)))
+    masses = profile.total * np.diff(sol.cdf(sol.nodes))[::-1 if spec.orientation > 0 else 1]
     assert np.max(np.abs(masses - exact)) <= 1e-15
     assert sol.clip_depth == 0.0
 
@@ -379,19 +383,18 @@ class TestTheProfileIsTheDensity:
     def test_table_and_reads_are_the_profile(self, solved, offset, width, assumption, eps):
         # The table's support values are the profile at the grid's depths,
         # clipped at 0 with both Dirichlet ends pinned; a read at an
-        # interior y is the profile at the depth that y maps to, clipped.
+        # interior y is the profile at its depth o (anchor - y), clipped.
         sol = solved(_offset_spec(offset, assumption, width), eps)
         spec, profile = sol.spec, sol.profile
-        zeros = _solve_zeros(spec, eps).zeros
-        depths = _depth_grid((0.0, min(zeros[0], spec.target_width)), zeros[1], 2001)
-        expected = np.maximum(profile.density(depths), 0.0)
+        expected = np.maximum(profile.density(grid_depths(sol)), 0.0)
         expected[[0, -1]] = 0.0
         nodes, values = sol.nodes, sol.values
         assert np.array_equal(values, expected[::-1 if spec.orientation > 0 else 1])
         lo, hi = sol.support
         ys = np.concatenate([np.linspace(lo, hi, 1001)[1:-1], nodes[1:-1],
                              [sol.dual.zeros[1]]])
-        assert np.array_equal(sol(ys), np.maximum(profile.density(sol._depth(ys)), 0.0))
+        depths = spec.orientation * (spec.anchor - ys)
+        assert np.array_equal(sol(ys), np.maximum(profile.density(depths), 0.0))
 
     @pytest.mark.parametrize("assumption", ["I", "II"])
     @pytest.mark.parametrize("offset,width", _PLACES)

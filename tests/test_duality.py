@@ -22,11 +22,12 @@ from monge1d.energy import duality_gap
 from monge1d.errors import CapacityError, DomainError, MaxIterations
 from monge1d.oracles import (TentDensity, discrete_expectation_optimizer,
                              mirror_transform, tent_limit_density)
-from monge1d.problem import require_capacity, uniform_spec
+from monge1d.problem import require_capacity, spec_from_document, uniform_spec
 from monge1d.sweep import epsilon_sweep
 from reference_quadrature import integrate
 from reference_solves import (boundary_residual, inverted_at, solve_constant,
                               solve_crossing, stress_at, total_mass)
+from test_cli import _capacity_doc
 from test_edge_reference import ALPHAS as EDGE_ALPHAS, EPSILONS as EDGE_EPSILONS, spec_of
 from test_reference_artifacts import HERE as REFERENCE_DIR, dispatch
 
@@ -195,6 +196,30 @@ class TestAssembleDensity:
         sol = solved(SPEC_I, 1e-3)
         assert sol.mass == pytest.approx(1.0, abs=1e-8)
         assert sol.expectation == pytest.approx(4.0, abs=0.02)
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    def test_carries_the_solve_mass(self, monkeypatch, assumption):
+        # The integral of y u is m * mass plus the by-parts moment, with m
+        # the closing end and mass the solve's own.  Plant a mass residual
+        # 1e-9 off the solve's: the expectation moves by m * 1e-9, far above
+        # rounding at any numpy dispatch, while the moment stays.  (A
+        # solve's own |mass - 1| is about 1e-15, where dropping the factor
+        # moves the expectation by an ulp or two.)
+        spec = uniform_spec((1006.0, 1008.0), (1000.0, 1005.0), "I", 1.0)
+        if assumption == "II":
+            spec = mirror_transform(spec)
+        base = assemble_density(spec, 1e-3)
+        plain = duality._solve_zeros
+
+        def planted(*args):
+            solved = plain(*args)
+            return dataclasses.replace(solved, mass_residual=solved.mass_residual + 1e-9)
+
+        monkeypatch.setattr(duality, "_solve_zeros", planted)
+        moved = assemble_density(spec, 1e-3)
+        assert moved.mass - base.mass == pytest.approx(1e-9, rel=1e-6)
+        assert moved.expectation - base.expectation == pytest.approx(
+            base.support_endpoint * 1e-9, rel=1e-4)
 
     def test_peak(self, solved):
         sol = solved(SPEC_I, 1e-3)
@@ -419,14 +444,23 @@ def _regime_spec(alpha, factor, offset):
                         (offset, offset + w), "I", alpha)
 
 
-def _assert_contracts(sol):
-    """Both contracts of the coupled solve behind the solution, and no
-    clipped density; returns that solve's record."""
-    record = duality._solve_zeros(sol.spec, sol.epsilon)
+def _assert_contracts(spec, eps, grid_n=101):
+    """The density assembled, with both contracts of the one coupled solve
+    behind it and no clipped density; returns the solution and that
+    solve's record, as the assembly ran it."""
+    plain, records = duality._solve_zeros, []
+
+    def recorded(*args):
+        records.append(plain(*args))
+        return records[-1]
+
+    with mock.patch.object(duality, "_solve_zeros", recorded):
+        sol = assemble_density(spec, eps, grid_n)
+    (record,) = records
     assert abs(record.mass_residual) <= 1e-10
     assert abs(record.closure) <= 0.9e-12
     assert sol.clip_depth == 0.0
-    return record
+    return sol, record
 
 
 class TestCoupledSolve:
@@ -449,18 +483,29 @@ class TestCoupledSolve:
         spec, eps = self.REGIMES[regime]
         if assumption == "II":
             spec = mirror_transform(spec)
-        sol = assemble_density(spec, eps, 201)
-        z, c = sol.dual.zeros
         # With a free end the start, the tabulated zeros, lands at the
         # rounding floor of the zeros, and the solve returns from the
         # start's own pass.
-        solo = _assert_contracts(sol)
+        sol, solo = _assert_contracts(spec, eps, 201)
+        z, c = sol.dual.zeros
         assert (solo.steps == 0) == (regime != "full_target")
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
         assert abs(solve_crossing(sol.support, z, spec, eps) - c) <= 1e-9
         assert spec.anchor - spec.orientation * solo.zeros[0] == z
         if regime == "full_target":
             assert sol.support == spec.target_interval
+
+    @pytest.mark.parametrize("alpha,eps", [(0.5, 1e-6), (1.0, 0.1), (4.0, 1e-6)])
+    def test_accepted_capacity_twins_meet_the_closure_contract(self, alpha, eps):
+        # The targets the capacity rule accepts in
+        # `test_cli.py::test_one_capacity_verdict_for_every_command`, from
+        # the sharp width to 1.02 of it, at offsets 0 and 1000, under both
+        # orientations: each solve lands its closing density on the aim.
+        for factor, offset, assumption in itertools.product(
+                (1.0, 1.001, 1.02), (0.0, 1000.0), ("I", "II")):
+            doc = _capacity_doc(alpha, factor, offset, assumption, eps)
+            record = duality._solve_zeros(spec_from_document(doc["problem"]), eps)
+            assert abs(record.closure) <= 0.9e-12
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
     @pytest.mark.parametrize("assumption", ["I", "II"])
@@ -479,10 +524,9 @@ class TestCoupledSolve:
             spec = mirror_transform(spec)
         assert spec.target_width == spec.sharp_width
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            sol = assemble_density(spec, eps, 101)
             with mock.patch.object(duality, "_zero_residuals",
                                    wraps=duality._zero_residuals) as counted:
-                record = _assert_contracts(sol)
+                sol, record = _assert_contracts(spec, eps)
             assert sol.support == spec.target_interval
             assert counted.call_count == record.steps + 1
 
@@ -748,10 +792,9 @@ class TestCoupledSolve:
         if assumption == "II":
             spec = mirror_transform(spec)
         eps = 10.0 ** log_eps
-        sol = assemble_density(spec, eps, 101)
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as counted:
-            record = _assert_contracts(sol)
+            sol, record = _assert_contracts(spec, eps)
         assert counted.call_count == record.steps + 1
         z, c = sol.dual.zeros
         assert abs(total_mass(z, spec, eps) - 1.0) <= 1e-9
@@ -1029,10 +1072,9 @@ class TestExpansionStart:
         if assumption == "II":
             spec = mirror_transform(spec)
         for eps in (1e-5, 1e-6):
-            sol = assemble_density(spec, eps)
             with mock.patch.object(duality, "_zero_residuals",
                                    wraps=duality._zero_residuals) as counted:
-                record = _assert_contracts(sol)
+                record = _assert_contracts(spec, eps, 2001)[1]
             assert (record.steps, counted.call_count) == (0, 1)
 
     def test_large_eps_converges(self):
@@ -1052,7 +1094,7 @@ class TestExpansionStart:
         for eps, alpha, factor in points:
             spec = _regime_spec(alpha, factor, 0.0)
             at_top.add(_table_read(alpha, eps)[0] == duality._ZERO_TABLE_TOP)
-            _assert_contracts(assemble_density(spec, eps, 101))
+            _assert_contracts(spec, eps)
         assert at_top == {True, False}
 
 
@@ -1243,7 +1285,7 @@ class TestTabulatedStart:
                 assert start == (z, 0.5 * min(z, width))
             else:
                 assert start == (z, c)
-            _assert_contracts(assemble_density(spec, eps, 101))
+            _assert_contracts(spec, eps)
         assert cut >= 10
 
     @pytest.mark.parametrize("alpha,eps", [(1e-6, 1e-10), (1e-5, 1e-8),
@@ -1255,7 +1297,7 @@ class TestTabulatedStart:
         # gains about 1/4: from there alone tau takes more than 20 steps.
         # At alpha 1.3e5 the rounding of k phi's ln alpha term moves tau by
         # about 1e-15, above a stop of 4e-16 max(1, |tau|).
-        _assert_contracts(assemble_density(_regime_spec(alpha, 2.5, 0.0), eps, 101))
+        _assert_contracts(_regime_spec(alpha, 2.5, 0.0), eps)
 
     @pytest.mark.parametrize("alpha,eps", [(1e-4, 1e300), (1e-200, 1.0)])
     def test_unsettled_tau_raises(self, alpha, eps):
@@ -1317,6 +1359,17 @@ class TestDualField:
         assert (in_depth[0], in_depth[-1]) == (sol.spec.anchor, sol.support_endpoint)
         ends = sol.quantile(np.array([0.0, 1.0]))
         assert sorted(ends.tolist()) == sorted((sol.spec.anchor, sol.support_endpoint))
+
+    @pytest.mark.parametrize("assumption", ["I", "II"])
+    @pytest.mark.parametrize("offset", [0.0, 7.0, 1000.0])
+    def test_closing_end_maps_to_the_last_edge(self, solved, offset, assumption):
+        # At offset 7 the closing end's depth o (anchor - m) rounds short
+        # of the last edge, and at 1000 past it: `_depth` still maps the
+        # end to the edge, which the CDF and the quantile read
+        # (`test_delivered.py`).
+        spec = uniform_spec((6.0 + offset, 8.0 + offset), (offset, 5.0 + offset), "I", 1.0)
+        sol = solved(spec if assumption == "I" else mirror_transform(spec), 1e-3)
+        assert sol._depth(sol.support_endpoint) == sol.profile.edges[-1]
 
     def test_stress_equation_exact(self):
         fld = DualField(zeros=(-4.0, 4.0), orientation=1.0)

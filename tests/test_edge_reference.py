@@ -82,10 +82,9 @@ def record(target, alpha, eps):
     """What one solve delivers, floats as `float.hex`."""
     spec = spec_of(target, alpha)
     sol = assemble_density(spec, eps)
-    solve = duality._solve_zeros(spec, eps)
     out = {
-        "depth_zeros": [x.hex() for x in solve.zeros],
-        "steps": solve.steps,
+        "depth_zeros": [x.hex() for x in sol.depth_zeros],
+        "steps": duality._solve_zeros(spec, eps).steps,
         "zeros": [float(x).hex() for x in sol.dual.zeros],
         "mass": sol.mass.hex(),
         "expectation": sol.expectation.hex(),

@@ -255,11 +255,12 @@ class TestDualityGap:
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
     def test_solve_and_energies_cost_the_solve_alone(self, adaptive_passes,
                                                      spec, eps):
-        # A solve runs one pass per Newton step plus the start's; its gap
-        # report adds none.
-        duality_gap(assemble_density(spec, eps, 201))
+        # A solve runs one pass per Newton step plus the start's
+        # (`test_duality.py` holds that count); its gap report adds none.
+        sol = assemble_density(spec, eps, 201)
         passes = len(adaptive_passes)
-        assert passes == duality._solve_zeros(spec, eps).steps + 1
+        duality_gap(sol)
+        assert len(adaptive_passes) == passes >= 1
 
     REGIMES = [(alpha, eps, offset, assumption)
                for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-6)
@@ -851,27 +852,3 @@ class TestExpectation:
                              1.0, eps, 1e-15)
         ref = sol.support_endpoint * sol.mass + 0.5 * o * np.cumsum(done[1], axis=1)[0, -1]
         assert abs(sol.expectation - ref) <= 1e-14 * abs(ref)
-
-    @pytest.mark.parametrize("assumption", ["I", "II"])
-    def test_carries_the_solve_mass(self, monkeypatch, assumption):
-        # The integral of y u is m * mass plus the by-parts moment, with m
-        # the closing end and mass the solve's own.  Plant a mass residual
-        # 1e-9 off the solve's: the expectation moves by m * 1e-9, far above
-        # rounding at any numpy dispatch, while the moment stays.  (A
-        # solve's own |mass - 1| is about 1e-15, where dropping the factor
-        # moves the expectation by an ulp or two.)
-        spec = uniform_spec((1006.0, 1008.0), (1000.0, 1005.0), "I", 1.0)
-        if assumption == "II":
-            spec = mirror_transform(spec)
-        base = assemble_density(spec, 1e-3)
-        plain = duality._solve_zeros
-
-        def planted(*args):
-            solved = plain(*args)
-            return dataclasses.replace(solved, mass_residual=solved.mass_residual + 1e-9)
-
-        monkeypatch.setattr(duality, "_solve_zeros", planted)
-        moved = assemble_density(spec, 1e-3)
-        assert moved.mass - base.mass == pytest.approx(1e-9, rel=1e-6)
-        assert moved.expectation - base.expectation == pytest.approx(
-            base.support_endpoint * 1e-9, rel=1e-4)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge1d import numerics
-from monge1d.duality import _solve_zeros
+from monge1d.cli import cost_json_document, map_csv
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
 from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges
 from monge1d.oracles import mirror_transform
 from monge1d.problem import SourceDensity, normalize_density, uniform_spec
-from monge1d.transport import chebyshev_nodes
+from monge1d.transport import build_map, chebyshev_nodes
 import reference_inversion
 from reference_quadrature import integrate
 from reference_solves import NoSignChange, solve_root
@@ -583,6 +583,36 @@ class TestInverseSweeps:
             assert self._sweeps(monkeypatch, prof, 5e-324)[0] == 54
 
 
+class TestInverseWork:
+    @pytest.mark.parametrize("eps,sweeps", [(1e-1, [4, 4, 4, 4]), (1e-2, [4, 4, 4, 4]),
+                                            (1e-3, [3, 3, 3, 3])])
+    def test_inverse_work_is_pinned(self, solved, monkeypatch, eps, sweeps):
+        # Sweeps of each `_solve_panels` call behind `map`'s artifacts on
+        # the canonical spec: map.csv's 2001 points through the increasing
+        # and the decreasing map, then cost.json's two pushforward
+        # residuals on 1000 Chebyshev points each.  Every sweep evaluates
+        # every target of its call (1999, 1999, 998 and 998 here), so a
+        # change to the start or the stop shows in these counts.
+        sol = solved(SPEC_I, eps)
+        calls = []
+        plain_solve, plain_horner = MonotoneProfile._solve_panels, numerics._horner
+
+        def solve(self, k, f):
+            calls.append(0)
+            return plain_solve(self, k, f)
+
+        def horner(rows, w):
+            calls[-1] += 1
+            return plain_horner(rows, w)
+
+        monkeypatch.setattr(MonotoneProfile, "_solve_panels", solve)
+        monkeypatch.setattr(numerics, "_horner", horner)
+        inc, dec = (build_map(SPEC_I, sol, v) for v in ("increasing", "decreasing"))
+        map_csv(SPEC_I, inc, dec, 2001)
+        cost_json_document(SPEC_I, sol, inc, dec)
+        assert calls == sweeps
+
+
 def legendre_density(prof, s):
     """The density at depths s summed in the Legendre form,
     U_a + half sum c_n I_n(x) with I_n = (P_n+1 - P_n-1)/(2n + 1) and
@@ -619,10 +649,10 @@ class TestDensityTable:
         # panel ending at a stress zero holds its Kronrod mean c_0 alone,
         # so it reads the line U_a + half c_0 w.
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", 1.0)
-        prof = solved(spec, eps).profile
+        sol = solved(spec, eps)
+        prof = sol.profile
         assert np.array_equal(prof.density(prof.edges), prof.edge_density)
-        zeros = _solve_zeros(spec, eps).zeros
-        ends_at = np.isin(prof.edges, zeros)
+        ends_at = np.isin(prof.edges, sol.depth_zeros)
         singular = np.flatnonzero(ends_at[:-1] | ends_at[1:])
         assert singular.size >= 2
         for k in singular:

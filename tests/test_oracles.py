@@ -369,7 +369,7 @@ class TestFixtures:
             load_fixture(path)
 
     @pytest.mark.parametrize("key", ["alpha", "objective", "iterations",
-                                     "epsilon"])
+                                     "epsilon", "n"])
     def test_missing_sidecar_key_is_named(self, tmp_path, key):
         run = discrete_expectation_optimizer(SPEC_I, 201)
         sidecar = save_fixture(run, tmp_path / "oracle.csv")
@@ -386,6 +386,26 @@ class TestFixtures:
         meta["alpha"] = None
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="oracle.json"):
+            load_fixture(tmp_path / "oracle.csv")
+
+    def test_rows_cut_inside_the_zero_tail_are_named(self, tmp_path):
+        # An orientation-II fixture cut short, as a partial write leaves
+        # it: its last kept rows are still the zero tail, so the cut CSV
+        # keeps zero end values and unit trapezoidal mass, and only the
+        # sidecar's n tells it from a whole one.
+        run = discrete_expectation_optimizer(SPEC_II, 201)
+        save_fixture(run, tmp_path / "oracle.csv")
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        values = run.density.values
+        zero_tail = int(np.argmax(values[::-1] != 0.0))
+        assert zero_tail >= 2 and values[0] == 0.0
+        cut = lines[:len(lines) - zero_tail + 1]
+        (tmp_path / "oracle.csv").write_text("\n".join(cut) + "\n")
+        kept = dataclasses.replace(run.density, nodes=run.density.nodes[:len(cut) - 1],
+                                   values=values[:len(cut) - 1])
+        assert kept.violations() == () and kept.trapezoid_mass == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=f"oracle.csv: {len(cut) - 1} data rows, "
+                           "but oracle.json records n = 201"):
             load_fixture(tmp_path / "oracle.csv")
 
     @pytest.mark.parametrize("key, value", [
@@ -413,7 +433,7 @@ class TestFixtures:
                                                        row):
         (tmp_path / "oracle.json").write_text(json.dumps(
             {"alpha": 1.0, "objective": 0.0, "iterations": 0,
-             "epsilon": None}))
+             "epsilon": None, "n": 4}))
         rows = [f"{y!r},{u!r}" for y, u in zip(ys, (0.0, 1.0, 0.5, 0.0))]
         (tmp_path / "oracle.csv").write_text("\n".join(["y,u"] + rows) + "\n")
         with pytest.raises(ValueError, match=f"oracle.csv: {row}"):

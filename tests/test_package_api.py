@@ -30,6 +30,10 @@ ones too, and of a public dataclass's field, is set by some call under
 `src/`, `studies/` or `perfbench/`, by keyword or by position: a default
 nothing sets is a constant.  A class's `__init__` is called through the
 class's name.
+
+Each private kernel of the solve is named by its home test modules alone
+(`KERNEL_HOMES`); every other test reads what the package delivers, so a
+refactor of a kernel rewrites its home and no other test.
 """
 
 import ast
@@ -40,6 +44,7 @@ import inspect
 import io
 import json
 import os
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -52,6 +57,40 @@ STUDIES = sorted((ROOT / "studies").glob("*.py"))
 TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for folder in ("src", "studies", "perfbench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+# Each private kernel the tests may name: its home modules under `tests/`,
+# and why a test there needs the kernel itself.  Elsewhere a test reads the
+# solution: the zeros from `depth_zeros`, the mass residual from
+# `mass - 1`, Newton steps from the count of adaptive passes (one per step
+# plus the start's), and values in y through the solution's call, `cdf`
+# and `quantile`.
+KERNEL_HOMES = {
+    "_solve_zeros": (("test_duality.py", "test_edge_reference.py"),
+                     "the coupled solve's contracts, steps and planted records; "
+                     "the edge reference records its Newton steps"),
+    "_zero_residuals": (("test_duality.py",),
+                        "the solve's residuals, Jacobian and pass count"),
+    "_tabulated_start": (("test_duality.py",), "the solve's start and its scaling law"),
+    "_expansion_step": (("test_duality.py",), "the start's series in eps"),
+    "_y": (("test_duality.py",), "the one map from depth to y"),
+    "_depth": (("test_duality.py",), "the map's inverse, exact at both ends"),
+    "_depth_grid": (("test_duality.py",), "the table's depths, read in full against the clip"),
+    "_row_pass": (("test_energy.py", "reference_solves.py"),
+                  "the row pass's sums, geometry and reuse; the nested reference "
+                  "solves integrate through it"),
+    "_solve_panels": (("test_numerics.py", "reference_inversion.py"),
+                      "the profile inverse's sweeps; the compacting reference loop"),
+    "_horner": (("test_numerics.py", "reference_inversion.py"),
+                "the sweep counter and the reference loop's Taylor sums"),
+    "_invert_stress_sq": (("test_inversion.py", "reference_quadrature.py",
+                           "reference_solves.py", "test_energy.py"),
+                          "the 40-digit oracle; the references' inverted nodes; the row "
+                          "pass inverts no node"),
+    "_invert_stress_sq_one": (("test_inversion.py", "test_energy.py"),
+                              "the float form against the array form; the row pass's "
+                              "geometry inverts each branch end once"),
+}
 
 
 # Serialized whole by `dataclasses.asdict` in `cli`: `energy.json` holds an
@@ -242,3 +281,19 @@ def test_every_dataclass_field_is_read_somewhere():
               if name not in read and cls not in SERIALIZED
               and not (cls == "SweepRow" and name in sweep._CSV_COLUMNS)]
     assert not unread, f"read by nothing under src/, studies/ or perfbench/: {unread}"
+
+
+def test_private_kernels_are_named_in_their_homes_alone():
+    # A name counts as a whole word, as `grep -w` reads it: `sol._depth`
+    # names `_depth`, `_depth_grid` does not.  Every home still names its
+    # kernel, so no entry outlives its reason.
+    named = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name != Path(__file__).name:
+            words = set(re.findall(r"\w+", path.read_text()))
+            for name in KERNEL_HOMES.keys() & words:
+                named.setdefault(name, set()).add(path.name)
+    strays = {name: sorted(files - set(KERNEL_HOMES[name][0]))
+              for name, files in named.items() if files - set(KERNEL_HOMES[name][0])}
+    assert not strays, f"private kernels named outside their home: {strays}"
+    assert {name: set(homes) for name, (homes, _) in KERNEL_HOMES.items()} == named
