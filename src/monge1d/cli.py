@@ -254,13 +254,13 @@ def cmd_solve(config: RunConfig) -> int:
     for eps in config.epsilons:
         try:
             solution = assemble_density(config.spec, eps, config.grid_n)
+            report = duality_gap(solution)
+            target = _eps_dir(config.out_dir, eps)
+            _write_atomic(target / "density.csv", density_csv(solution))
+            _write_json(target / "energy.json",
+                        energy_json_document(solution, report))
         except Monge1dError as exc:
             return _solver_failure(eps, exc)
-        report = duality_gap(solution)
-        target = _eps_dir(config.out_dir, eps)
-        _write_atomic(target / "density.csv", density_csv(solution))
-        _write_json(target / "energy.json",
-                    energy_json_document(solution, report))
         _emit(config, f"epsilon={eps!r}: support endpoint "
                       f"{solution.support_endpoint!r}, gap "
                       f"{report.gap_primal_dual!r} -> {target}")
@@ -274,21 +274,17 @@ def cmd_map(config: RunConfig) -> int:
     for eps in config.epsilons:
         try:
             solution = assemble_density(config.spec, eps, config.grid_n)
-        except Monge1dError as exc:
-            return _solver_failure(eps, exc)
-        try:
             increasing = build_map(config.spec, solution, "increasing")
             decreasing = build_map(config.spec, solution, "decreasing")
+            target = _eps_dir(config.out_dir, eps)
+            _write_atomic(target / "map.csv",
+                          map_csv(config.spec, increasing, decreasing,
+                                  config.grid_n))
+            _write_json(target / "cost.json",
+                        cost_json_document(config.spec, solution, increasing,
+                                           decreasing))
         except Monge1dError as exc:
-            _fail(f"map inversion failed at epsilon={eps!r}: {exc}")
-            return 4
-        target = _eps_dir(config.out_dir, eps)
-        _write_atomic(target / "map.csv",
-                      map_csv(config.spec, increasing, decreasing,
-                              config.grid_n))
-        _write_json(target / "cost.json",
-                    cost_json_document(config.spec, solution, increasing,
-                                       decreasing))
+            return _solver_failure(eps, exc)
         _emit(config, f"epsilon={eps!r}: cost {increasing.cost!r} -> {target}")
     return 0
 

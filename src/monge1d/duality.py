@@ -45,8 +45,8 @@ here, all in closed form up to one two-unknown root solve:
    the largest stress, read in depth at a support end.  The sampled grid
    over the support is only the table that `density.csv` writes, built
    on its first read.  Its clip depth is certified panel by panel from
-   the density's Bernstein coefficients, and the grid is read only in
-   panels left uncertified (`_clip_depth`), so a solve reads no grid
+   the density's Bernstein coefficients, and the grid is read only when
+   a panel is left uncertified (`_clip_depth`), so a solve reads no grid
    node.
 
 The quadratures of the slope, the solve's unknowns and the assembly's
@@ -957,16 +957,12 @@ def _clip_depth(profile, crossing, grid_n):
     The last node reads the closing density, `profile.edge_density[-1]`.
     Every other node of a panel that the profile certifies nonnegative
     (`MonotoneProfile._positive_panels`) reads at least 0 and cannot set
-    the clip, so the grid is built, and read, only in the panels left
-    uncertified."""
+    the clip, so when every panel is certified the closing density alone
+    is read and the grid is not built; otherwise the whole grid is read."""
     lowest = profile.edge_density[-1:]
-    uncertified = np.flatnonzero(~profile._positive_panels())
-    if uncertified.size:
+    if not profile._positive_panels().all():
         edges = profile.edges
-        depths = _depth_grid((edges[0], edges[-1]), crossing, grid_n)
-        bounds = np.searchsorted(depths, edges)
-        inside = np.concatenate([depths[bounds[k]:bounds[k + 1]] for k in uncertified])
-        lowest = np.append(profile.density(inside), lowest)
+        lowest = profile.density(_depth_grid((edges[0], edges[-1]), crossing, grid_n))
     return float(max(0.0, -np.min(lowest)))
 
 

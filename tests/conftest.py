@@ -1,14 +1,16 @@
 """Shared fixtures: a session-wide cache of assembled solutions, the
 quadrature reference for a transport map's cost, and a count of
-adaptive quadrature passes; and the target's points past a solution's
-support.
+adaptive quadrature passes; the problem a given number of sharp widths
+wide, and the target's points past a solution's support.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
 are cached for the whole session keyed by the hashable spec.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,19 @@ import pytest
 from monge1d import duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.numerics import _graded_edges
-from monge1d.oracles import discrete_primal_minimizer
+from monge1d.oracles import discrete_primal_minimizer, mirror_transform
+from monge1d.problem import uniform_spec
 from reference_quadrature import integrate
+
+
+def regime_spec(alpha, factor, offset=0.0, assumption="I"):
+    """Target [offset, offset + factor * 2/sqrt(alpha)], `factor` sharp
+    widths, with the uniform source from 0.5 to 2.5 beyond it; mirrored
+    through the origin under II."""
+    w = factor * 2.0 / math.sqrt(alpha)
+    spec = uniform_spec((offset + w + 0.5, offset + w + 2.5), (offset, offset + w),
+                        "I", alpha)
+    return mirror_transform(spec) if assumption == "II" else spec
 
 
 def off_support(sol):
@@ -85,11 +98,11 @@ def reference_cost():
     return cost
 
 
-@pytest.fixture
-def adaptive_passes(monkeypatch):
-    """A list that gains one entry per `_adaptive` pass for the rest of
-    the test, whether the pass is a depth pass (`duality`) or a test
-    quadrature's (`numerics`).  Clear it to count from a point on."""
+@contextlib.contextmanager
+def counted_passes():
+    """A list that gains one entry per `_adaptive` pass inside the block,
+    whether the pass is a depth pass (`duality`) or a test quadrature's
+    (`numerics`)."""
     passes = []
     plain = numerics._adaptive
 
@@ -97,6 +110,14 @@ def adaptive_passes(monkeypatch):
         passes.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "_adaptive", counted)
-    monkeypatch.setattr(duality, "_adaptive", counted)
-    return passes
+    with mock.patch.object(numerics, "_adaptive", counted), \
+            mock.patch.object(duality, "_adaptive", counted):
+        yield passes
+
+
+@pytest.fixture
+def adaptive_passes():
+    """`counted_passes` for the rest of the test.  Clear it to count from
+    a point on."""
+    with counted_passes() as passes:
+        yield passes

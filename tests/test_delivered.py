@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import legder, legroots, legval
 
+from conftest import regime_spec
 from monge1d.energy import SinePerturbation, duality_gap, second_variation_probe
 from monge1d.oracles import mirror_transform
 from monge1d.problem import uniform_spec
@@ -301,11 +302,6 @@ class TestReadsInY:
         assert abs(back - y) < 1e-8
 
 
-def _width_spec(alpha, width):
-    """Target [0, width], source 0.5 beyond it."""
-    return uniform_spec((width + 0.5, width + 2.5), (0.0, width), "I", alpha)
-
-
 _REGIMES = [(alpha, eps, factor) for alpha in (0.5, 1.0, 4.0)
             for eps in (1e-1, 1e-3, 1e-6) for factor in (2.0, 5.0)]
 
@@ -317,7 +313,7 @@ class TestDeliveredShape:
 
     @pytest.mark.parametrize("alpha,eps,factor", _REGIMES)
     def test_mass_slope_and_sign(self, solved, alpha, eps, factor):
-        sol = solved(_width_spec(alpha, factor / math.sqrt(alpha)), eps)
+        sol = solved(regime_spec(alpha, factor / 2.0), eps)
         profile = sol.profile
         # The density is a polynomial of degree 15 on each panel: one
         # Gauss-Kronrod panel per panel integrates it to rounding.
@@ -349,7 +345,7 @@ def test_nodes_and_cells_are_exact(solved, alpha, eps, factor, assumption,
     # The nodal values read off the solve's panels, and the masses its CDF
     # gives the cells, meet an exact depth reference; the last value,
     # pinned to 0, as the boundary gap.
-    spec = _width_spec(alpha, factor / math.sqrt(alpha))
+    spec = regime_spec(alpha, factor / 2.0)
     if assumption == "II":
         spec = mirror_transform(spec)
     sol = solved(spec, eps, grid_n)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import off_support
+from conftest import off_support, regime_spec
 from monge1d import duality, numerics
 from monge1d.duality import DensitySolution, DualField, assemble_density
 from monge1d.energy import duality_gap
@@ -323,7 +323,7 @@ class TestAssembleDensity:
         for alpha, eps, factor in itertools.product(
                 (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                 (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)):
-            sol = assemble_density(_regime_spec(alpha, factor, 0.0), eps, 33)
+            sol = assemble_density(regime_spec(alpha, factor, 0.0), eps, 33)
             z, c = sol.depth_zeros
             S, vertex = float(sol.profile.edges[-1]), 0.5 * (z + c)
             probes = [0.0, S]
@@ -346,7 +346,7 @@ class TestAssembleDensity:
         # (alpha 1's spread at 1e-5 is the rounding of slope - 1 = 1e-10).
         # `slack` bounds c.
         for eps in (1e-3, 1e-4, 1e-5):
-            slope = assemble_density(_regime_spec(alpha, 2.5, 0.0), eps).max_abs_slope
+            slope = assemble_density(regime_spec(alpha, 2.5, 0.0), eps).max_abs_slope
             if alpha == 1.0:
                 ratio = (slope - 1.0) / eps ** 2
             else:
@@ -437,17 +437,9 @@ class TestTranslationInvariance:
                 far.max_abs_slope.hex(), far.max_log_lambda.hex()], (alpha, eps)
 
 
-def _regime_spec(alpha, factor, offset):
-    """Target [offset, offset + factor * 2/sqrt(alpha)], source 0.5 beyond."""
-    w = factor * 2.0 / math.sqrt(alpha)
-    return uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                        (offset, offset + w), "I", alpha)
-
-
-def _assert_contracts(spec, eps, grid_n=101):
-    """The density assembled, with both contracts of the one coupled solve
-    behind it and no clipped density; returns the solution and that
-    solve's record, as the assembly ran it."""
+def _assembled(spec, eps, grid_n):
+    """The density assembled, and the record of the one coupled solve
+    behind it, as the assembly ran it."""
     plain, records = duality._solve_zeros, []
 
     def recorded(*args):
@@ -457,6 +449,14 @@ def _assert_contracts(spec, eps, grid_n=101):
     with mock.patch.object(duality, "_solve_zeros", recorded):
         sol = assemble_density(spec, eps, grid_n)
     (record,) = records
+    return sol, record
+
+
+def _assert_contracts(spec, eps, grid_n=101):
+    """The density assembled, with both contracts of the one coupled solve
+    behind it and no clipped density; returns the solution and that
+    solve's record, as the assembly ran it."""
+    sol, record = _assembled(spec, eps, grid_n)
     assert abs(record.mass_residual) <= 1e-10
     assert abs(record.closure) <= 0.9e-12
     assert sol.clip_depth == 0.0
@@ -469,11 +469,11 @@ class TestCoupledSolve:
     free zero and the nested mass at that zero."""
 
     REGIMES = {
-        "eps_floor": (_regime_spec(1.0, 2.5, 0.0), 1e-6),
-        "near_capacity": (_regime_spec(1.0, 1.02, 0.0), 1e-2),
-        "offset_1000": (_regime_spec(1.0, 2.5, 1000.0), 1e-2),
-        "alpha_0.5": (_regime_spec(0.5, 2.5, 0.0), 1e-2),
-        "alpha_4": (_regime_spec(4.0, 2.5, 0.0), 1e-2),
+        "eps_floor": (regime_spec(1.0, 2.5, 0.0), 1e-6),
+        "near_capacity": (regime_spec(1.0, 1.02, 0.0), 1e-2),
+        "offset_1000": (regime_spec(1.0, 2.5, 1000.0), 1e-2),
+        "alpha_0.5": (regime_spec(0.5, 2.5, 0.0), 1e-2),
+        "alpha_4": (regime_spec(4.0, 2.5, 0.0), 1e-2),
         "full_target": (TestFullTargetRegime.SPEC, 0.1),
     }
 
@@ -519,9 +519,7 @@ class TestCoupledSolve:
         # once they no longer halve.  The solve starts from the table's free
         # zeros, z past the far edge; where eps-hat exceeds 0.2 the table is
         # read at its top.
-        spec = _regime_spec(alpha, 1.0, 0.0)
-        if assumption == "II":
-            spec = mirror_transform(spec)
+        spec = regime_spec(alpha, 1.0, 0.0, assumption)
         assert spec.target_width == spec.sharp_width
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             with mock.patch.object(duality, "_zero_residuals",
@@ -542,17 +540,15 @@ class TestCoupledSolve:
         spec = uniform_spec((6.0, 8.0), (0.0, 5.0), "I", alpha)
         with mock.patch.object(duality, "_zero_residuals",
                                wraps=duality._zero_residuals) as residuals:
-            assemble_density(spec, eps)
-        passes = len(adaptive_passes)
-        steps = duality._solve_zeros(spec, eps).steps
-        assert passes == residuals.call_count == steps + 1
+            steps = _assembled(spec, eps, 2001)[1].steps
+        assert len(adaptive_passes) == residuals.call_count == steps + 1
         assert steps == 0
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
         # At the sharp width the solve takes several steps at every eps.
         monkeypatch.setattr(duality, "_ZERO_MAX_STEPS", 1)
         with pytest.raises(MaxIterations):
-            assemble_density(_regime_spec(1.0, 1.0, 0.0), 1e-3, 101)
+            assemble_density(regime_spec(1.0, 1.0, 0.0), 1e-3, 101)
 
     @pytest.mark.parametrize("factor", [0.7, 0.5])
     def test_overflowing_stress_raises_before_its_pass(self, factor):
@@ -642,11 +638,8 @@ class TestCoupledSolve:
         factor, offset = {"free_end": (2.5, 0.0), "full_target": (1.0, 0.0),
                           "offset_1000": (2.5, 1000.0)}[kind]
         for assumption in ("I", "II"):
-            spec = _regime_spec(alpha, factor, offset)
-            if assumption == "II":
-                spec = mirror_transform(spec)
-            sol = assemble_density(spec, eps, 101)
-            solved = duality._solve_zeros(spec, eps)
+            spec = regime_spec(alpha, factor, offset, assumption)
+            sol, solved = _assembled(spec, eps, 101)
             F, J, _ = duality._zero_residuals(solved.zeros, spec, eps, 1e-13)
             assert F[:3].tolist() == [solved.closure, solved.mass_residual, solved.moment]
             delta = np.linalg.solve(J, -F[:2])
@@ -676,7 +669,7 @@ class TestCoupledSolve:
         # have no derivative in z: there the z column is the left-sided
         # one, which the Jacobian gives, and is checked by the one-sided
         # second-order difference from below.
-        spec = _regime_spec(alpha, factor, 0.0)
+        spec = regime_spec(alpha, factor, 0.0)
         width = spec.target_width
         tent = (spec.sharp_width, 0.5 * min(spec.sharp_width, width))
         solution = assemble_density(spec, eps).depth_zeros
@@ -718,9 +711,7 @@ class TestCoupledSolve:
                           "offset_1000": (2.5, 1000.0)}[kind]
         h = 1e-5
         for assumption in ("I", "II"):
-            spec = _regime_spec(alpha, factor, offset)
-            if assumption == "II":
-                spec = mirror_transform(spec)
+            spec = regime_spec(alpha, factor, offset, assumption)
             width = spec.target_width
 
             def dual(a, b):
@@ -761,12 +752,10 @@ class TestCoupledSolve:
         # widths: its free zero is ill-conditioned there, and numpy's
         # vector exp and log round per dispatch target, so the 4-ulp stop
         # is met one step apart.  `test_off_dispatch.py` runs the other pin.
-        points = [(_regime_spec(alpha, factor, 0.0), eps) for alpha, eps, factor
+        points = [(regime_spec(alpha, factor, 0.0), eps) for alpha, eps, factor
                   in itertools.product((0.5, 1.0, 4.0), (1e-1, 1e-4), (1.02, 2.5))]
-        for spec, eps in points:
-            assemble_density(spec, eps, 101)
+        steps = sum(_assembled(spec, eps, 101)[1].steps for spec, eps in points)
         passes = len(adaptive_passes)
-        steps = sum(duality._solve_zeros(spec, eps).steps for spec, eps in points)
         recorded = json.loads((REFERENCE_DIR / "dispatch.json").read_text())
         assert (steps, passes) == ((17, 29) if dispatch() == recorded else (16, 28))
 
@@ -783,7 +772,7 @@ class TestCoupledSolve:
         # sharp width to three times it, far from the origin.  At an
         # offset, offset + width may round below the sharp width, which the
         # capacity rule refuses: the far edge then moves up by ulps.
-        spec = _regime_spec(alpha, factor, offset)
+        spec = regime_spec(alpha, factor, offset)
         while spec.target_width < spec.sharp_width:
             lo, hi = spec.target_interval
             spec = uniform_spec(spec.source_interval,
@@ -834,15 +823,15 @@ def _horner_reads(monkeypatch):
 
 
 class TestCertifiedClip:
-    """The clip depth reads only the grid nodes in panels the profile does
-    not certify nonnegative, and the closing node, and equals the read of
-    every node bit for bit; the table and the CDF rows are built on their
-    first read."""
+    """The clip depth reads the closing node alone when the profile
+    certifies every panel nonnegative, and every grid node otherwise, and
+    equals the read of every node bit for bit; the table and the CDF rows
+    are built on their first read."""
 
     CASES = {
         "eps_floor": TestCoupledSolve.REGIMES["eps_floor"],
         "offset_1000": TestCoupledSolve.REGIMES["offset_1000"],
-        "sharp_width": (_regime_spec(1.0, 1.0, 0.0), 1e-3),
+        "sharp_width": (regime_spec(1.0, 1.0, 0.0), 1e-3),
         "full_target": TestCoupledSolve.REGIMES["full_target"],
     }
 
@@ -862,7 +851,7 @@ class TestCertifiedClip:
         rng = np.random.default_rng(47)
         for k in range(24):
             alpha, log_eps, factor, offset, log_grid = rng.random(5)
-            spec = _regime_spec(0.5 + 3.5 * alpha, 1.02 + 1.98 * factor, 1000.0 * offset)
+            spec = regime_spec(0.5 + 3.5 * alpha, 1.02 + 1.98 * factor, 1000.0 * offset)
             if k % 2:
                 spec = mirror_transform(spec)
             sol = assemble_density(spec, 10.0 ** (-1.0 - 5.0 * log_eps),
@@ -1052,9 +1041,7 @@ class TestExpansionStart:
         # there is 1 ulp or less).  A start right to third order only would
         # read about |p3|/eps here: 0.78 at alpha 4, eps 1e-2.
         for offset, assumption in itertools.product((0.0, 1000.0), ("I", "II")):
-            spec = _regime_spec(alpha, 2.5, offset)
-            if assumption == "II":
-                spec = mirror_transform(spec)
+            spec = regime_spec(alpha, 2.5, offset, assumption)
             z0 = spec.sharp_width
             for eps in (1e-2, 1e-3, 1e-4):
                 start = _mapped_series(alpha, eps)
@@ -1092,7 +1079,7 @@ class TestExpansionStart:
         points.append((10.0, 4.0, 20.0))
         at_top = set()
         for eps, alpha, factor in points:
-            spec = _regime_spec(alpha, factor, 0.0)
+            spec = regime_spec(alpha, factor, 0.0)
             at_top.add(_table_read(alpha, eps)[0] == duality._ZERO_TABLE_TOP)
             _assert_contracts(spec, eps)
         assert at_top == {True, False}
@@ -1138,7 +1125,7 @@ class TestScalingLaw:
             if twinned is None:
                 continue
             twin, eps_hat = twinned
-            z, c = assemble_density(_regime_spec(alpha, factor, 0.0), eps).depth_zeros
+            z, c = assemble_density(regime_spec(alpha, factor, 0.0), eps).depth_zeros
             z_hat, c_hat = assemble_density(twin, eps_hat).depth_zeros
             assert abs(c - sigma * c_hat) <= 1e-14 * width
             if z < width:
@@ -1172,7 +1159,7 @@ class TestScalingLaw:
             if twinned is None:
                 continue
             twin, eps_hat = twinned
-            sol = assemble_density(_regime_spec(alpha, factor, 0.0), eps, 101)
+            sol = assemble_density(regime_spec(alpha, factor, 0.0), eps, 101)
             with mock.patch.object(duality, "_CLOSURE_AIM", sigma * duality._CLOSURE_AIM):
                 hat = assemble_density(twin, eps_hat, 101)
             report, twin_report = duality_gap(sol), duality_gap(hat)
@@ -1213,7 +1200,7 @@ class TestTabulatedStart:
         # started there returns from the start's own pass.  A solver
         # change that moves the zeros fails here: studies/06_zero_table.py
         # rebuilds the table.
-        spec = _regime_spec(1.0, 10.0, 0.0)
+        spec = regime_spec(1.0, 10.0, 0.0)
         for eps in np.geomspace(1e-6, 0.995 * duality._ZERO_TABLE_TOP, 50):
             with mock.patch.object(duality, "_tabulated_start", _tent_start):
                 z, c = assemble_density(spec, eps).depth_zeros
@@ -1230,7 +1217,7 @@ class TestTabulatedStart:
         for eps_hat in (1e-8, 0.999 * top, 1.001 * top):
             eps = _unscaled_eps(alpha, eps_hat)
             for factor in (2.5, 1.0):
-                spec = _regime_spec(alpha, factor, 0.0)
+                spec = regime_spec(alpha, factor, 0.0)
                 read, start = _table_read(alpha, eps, spec.target_width)
                 assert read == pytest.approx(min(eps_hat, top), rel=1e-14)
                 with mock.patch.object(duality, "_zero_residuals",
@@ -1276,7 +1263,7 @@ class TestTabulatedStart:
         cut = 0
         for alpha, eps, factor in itertools.product((4.0, 8.0, 20.0, 100.0),
                                                     (30.0, 1e3, 1e4), (1.0, 1.1, 2.0)):
-            spec = _regime_spec(alpha, factor, 0.0)
+            spec = regime_spec(alpha, factor, 0.0)
             width = spec.target_width
             z, c = duality._tabulated_start(alpha, eps, math.inf)
             start = duality._tabulated_start(alpha, eps, width)
@@ -1297,7 +1284,7 @@ class TestTabulatedStart:
         # gains about 1/4: from there alone tau takes more than 20 steps.
         # At alpha 1.3e5 the rounding of k phi's ln alpha term moves tau by
         # about 1e-15, above a stop of 4e-16 max(1, |tau|).
-        _assert_contracts(_regime_spec(alpha, 2.5, 0.0), eps)
+        _assert_contracts(regime_spec(alpha, 2.5, 0.0), eps)
 
     @pytest.mark.parametrize("alpha,eps", [(1e-4, 1e300), (1e-200, 1.0)])
     def test_unsettled_tau_raises(self, alpha, eps):
@@ -1317,7 +1304,7 @@ class TestMirrorExactness:
     def test_mirror_pairs_are_bitwise_equal(self, alpha, offset):
         for factor, eps in itertools.product((1.001, 1.02, 2.5),
                                              (0.1, 1e-3, 1e-6)):
-            spec = _regime_spec(alpha, factor, offset)
+            spec = regime_spec(alpha, factor, offset)
             sol = assemble_density(spec, eps, 201)
             mir = assemble_density(mirror_transform(spec), eps, 201)
             assert np.array_equal(mir.values, sol.values[::-1])

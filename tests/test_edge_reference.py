@@ -30,18 +30,15 @@ change, from the package on the path:
 
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monge1d import duality
+from conftest import counted_passes, regime_spec
 from monge1d.duality import assemble_density
 from monge1d.energy import SinePerturbation, second_variation_probe
-from monge1d.oracles import mirror_transform
-from monge1d.problem import uniform_spec
 from test_reference_artifacts import dispatch
 
 REFERENCE = Path(__file__).resolve().parent / "edge_reference.json"
@@ -64,10 +61,7 @@ def spec_of(target, alpha):
     """The problem on one of the three edge targets."""
     factor, offset = {"offset_0_I": (2.5, 0.0), "offset_1000_II": (2.5, 1000.0),
                       "sharp_width": (1.0, 0.0)}[target]
-    w = factor * 2.0 / math.sqrt(alpha)
-    spec = uniform_spec((offset + w + 0.5, offset + w + 2.5), (offset, offset + w),
-                        "I", alpha)
-    return mirror_transform(spec) if target.endswith("_II") else spec
+    return regime_spec(alpha, factor, offset, "II" if target.endswith("_II") else "I")
 
 
 def _key(target, alpha, eps):
@@ -79,12 +73,15 @@ def _digest(array):
 
 
 def record(target, alpha, eps):
-    """What one solve delivers, floats as `float.hex`."""
+    """What one solve delivers, floats as `float.hex`.  Each Newton step
+    of the solve adds one adaptive pass to its start's, so the steps are
+    the assembly's passes less one."""
     spec = spec_of(target, alpha)
-    sol = assemble_density(spec, eps)
+    with counted_passes() as passes:
+        sol = assemble_density(spec, eps)
     out = {
         "depth_zeros": [x.hex() for x in sol.depth_zeros],
-        "steps": duality._solve_zeros(spec, eps).steps,
+        "steps": len(passes) - 1,
         "zeros": [float(x).hex() for x in sol.dual.zeros],
         "mass": sol.mass.hex(),
         "expectation": sol.expectation.hex(),

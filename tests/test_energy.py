@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import reference_energies as ref
+from conftest import regime_spec
 from monge1d import duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.energy import (
@@ -268,12 +269,7 @@ class TestDualityGap:
 
     @pytest.mark.parametrize("alpha,eps,offset,assumption", REGIMES)
     def test_gap_at_solver_precision(self, alpha, eps, offset, assumption):
-        # Target [offset, offset + 5/sqrt(alpha)], source 0.5 beyond it.
-        w = 5.0 / math.sqrt(alpha)
-        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                            (offset, offset + w), "I", alpha)
-        if assumption == "II":
-            spec = mirror_transform(spec)
+        spec = regime_spec(alpha, 2.5, offset, assumption)
         report = duality_gap(assemble_density(spec, eps, 201))
         assert abs(report.gap_primal_dual) <= 2e-13 * max(1.0, abs(report.primal))
 
@@ -287,11 +283,7 @@ class TestDualityGap:
         # worst difference measured over these regimes is 1.1e-16 of
         # max(1, |energy|), in the dual; the primal and mixed rows agree
         # exactly.
-        w = 5.0 / math.sqrt(alpha)
-        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                            (offset, offset + w), "I", alpha)
-        if assumption == "II":
-            spec = mirror_transform(spec)
+        spec = regime_spec(alpha, 2.5, offset, assumption)
         sol = solved(spec, eps, 201)
         a2 = alpha * alpha
 
@@ -324,15 +316,6 @@ ROW_PASS_GRID = ([(alpha, eps, offset, assumption, 2.5)
                     for eps in (0.3, 1.0) for factor in (2.5, 1.0)])
 
 
-def _grid_spec(alpha, offset, assumption, factor):
-    """Target [offset, offset + w] with w `factor` sharp widths, the source
-    0.5 beyond it, mirrored under II."""
-    w = factor * 2.0 / math.sqrt(alpha)
-    spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                        (offset, offset + w), "I", alpha)
-    return mirror_transform(spec) if assumption == "II" else spec
-
-
 class TestRowPass:
     @pytest.mark.parametrize("alpha,eps,offset,assumption,factor", ROW_PASS_GRID)
     def test_rows_meet_a_pass_in_depth(self, solved, alpha, eps, offset,
@@ -344,7 +327,7 @@ class TestRowPass:
         # measured on this grid is 2.2e-14 of max(1, |row|), at alpha 1,
         # eps 1e-4, offset 1000, where y itself carries rounding of that
         # size.
-        sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
+        sol = solved(regime_spec(alpha, factor, offset, assumption), eps, 201)
         a2, m = alpha * alpha, sol.support_endpoint
 
         def rows(y, l, g):
@@ -377,7 +360,7 @@ class TestRowPass:
             return one(*args)
 
         for factor, ends in ((2.5, 2), (1.0, 3)):
-            sol = assemble_density(_grid_spec(1.0, 0.0, "I", factor), 1e-3)
+            sol = assemble_density(regime_spec(1.0, factor), 1e-3)
             monkeypatch.setattr(duality, "_invert_stress_sq", counted_array)
             monkeypatch.setattr(duality, "_invert_stress_sq_one", counted_one)
             for repeat_ends in (ends, 0):
@@ -393,7 +376,7 @@ class TestRowPass:
         # for 1e-14: rounding noise keeps every panel over its share, so the
         # pass would double its panels each round until memory ran out.
         # The panel budget stops it short of 2^16 panels, in about 0.5 s.
-        sol = assemble_density(_grid_spec(4.0, 1000.0, "I", 2.5), 1e-2)
+        sol = assemble_density(regime_spec(4.0, 2.5, 1000.0), 1e-2)
         x = sol.support[0]
         with pytest.raises(MaxDepth, match=r"would exceed 65536 panels, from \d+ \(row 0: "
                            r"remaining error \d\.\d{3}e-\d+, target 1\.000e-14\)"):
@@ -429,7 +412,7 @@ class TestRowPass:
             return plain(*args)
 
         monkeypatch.setattr(duality, "_row_pass", recorded)
-        sol = assemble_density(_grid_spec(alpha, offset, assumption, factor), eps)
+        sol = assemble_density(regime_spec(alpha, factor, offset, assumption), eps)
         sol.integrate(lambda y, l, g: g)
         (zeros, S, anchor, orientation, alpha_read, eps_read), = seen
         assert [x.hex() for x in zeros] == [x.hex() for x in sol.depth_zeros]
@@ -709,8 +692,7 @@ class TestSecondVariationProbe:
         # solve's mesh, graded 64 ulps deep into each stress zero; on the
         # probe's own mesh it misses by 3.0e-13.
         alpha, eps, t = 0.5, 1e-3, 1e-2
-        w = 1.3 * 2.0 / math.sqrt(alpha)
-        sol = solved(uniform_spec((w + 0.5, w + 2.5), (0.0, w), "I", alpha), eps)
+        sol = solved(regime_spec(alpha, 1.3), eps)
         (lo, hi), a2 = sol.support, alpha * alpha
         tilted = lambda y: 1.0 + 0.1 * (np.asarray(y, dtype=float) - 0.5 * (lo + hi))
         got = second_variation_probe(sol, SinePerturbation(sol.support), (t,),
@@ -760,7 +742,7 @@ class TestSecondVariationProbe:
         # (`reference_quadrature.depth_pass`).  The worst difference
         # measured on this grid is 8.2e-14 of max(1, |delta|), at alpha 4,
         # eps 1e-2, offset 1000.
-        sol = solved(_grid_spec(alpha, offset, assumption, factor), eps, 201)
+        sol = solved(regime_spec(alpha, factor, offset, assumption), eps, 201)
         pert = SinePerturbation(sol.support)
         seen = {}
         plain = duality.DensitySolution.integrate

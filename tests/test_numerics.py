@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import regime_spec
 from monge1d import numerics
 from monge1d.cli import cost_json_document, map_csv
 from monge1d.errors import DomainError, MaxDepth, MaxIterations
 from monge1d.numerics import _XGK, MonotoneProfile, _adaptive, _graded_edges
-from monge1d.oracles import mirror_transform
 from monge1d.problem import SourceDensity, normalize_density, uniform_spec
 from monge1d.transport import build_map, chebyshev_nodes
 import reference_inversion
@@ -517,11 +517,7 @@ class TestInversionMatchesReference:
         for alpha in (0.5, 1.0, 4.0) for eps in (1e-1, 1e-3, 1e-5)
         for offset in (0.0, 1000.0) for assumption in ("I", "II")])
     def test_regime_grid(self, solved, alpha, eps, offset, assumption):
-        w = 5.0 / math.sqrt(alpha)
-        spec = uniform_spec((offset + w + 0.5, offset + w + 2.5),
-                            (offset, offset + w), "I", alpha)
-        if assumption == "II":
-            spec = mirror_transform(spec)
+        spec = regime_spec(alpha, 2.5, offset, assumption)
         prof = solved(spec, eps, 201).profile
         t = chebyshev_nodes(0.0, 1.0, 1000)
         targets = np.concatenate([t, 1.0 - t, np.random.default_rng(3).uniform(size=1000)])

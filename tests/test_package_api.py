@@ -66,9 +66,8 @@ TREES = {path: ast.parse(path.read_text(), filename=str(path))
 # plus the start's), and values in y through the solution's call, `cdf`
 # and `quantile`.
 KERNEL_HOMES = {
-    "_solve_zeros": (("test_duality.py", "test_edge_reference.py"),
-                     "the coupled solve's contracts, steps and planted records; "
-                     "the edge reference records its Newton steps"),
+    "_solve_zeros": (("test_duality.py",),
+                     "the coupled solve's contracts, steps and planted records"),
     "_zero_residuals": (("test_duality.py",),
                         "the solve's residuals, Jacobian and pass count"),
     "_tabulated_start": (("test_duality.py",), "the solve's start and its scaling law"),
@@ -131,10 +130,18 @@ def _definitions():
 
 def _run_traffic(workloads, tmp_path):
     """Run the studies, perfbench's operations on seed 1 and an invalid
-    `validate`; returns the perfbench outcomes and the exit code."""
+    `validate`; returns the perfbench outcomes and the exit code.  Each
+    study must import from the package and print something, and at least
+    five must be found; a study that raises, or imports a name the
+    package no longer defines, fails here."""
+    assert len(STUDIES) >= 5
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for path in STUDIES:
-            runpy.run_path(str(path), run_name="__main__")
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                names = runpy.run_path(str(path), run_name="__main__")
+            assert printed.getvalue().strip(), f"{path.name} printed nothing"
+            assert any(getattr(inspect.getmodule(value), "__name__", "").startswith("monge1d")
+                       for value in names.values()), f"{path.name} imports nothing from monge1d"
         outcomes = [workloads.solve_op(point)
                     for point in workloads.solve_grid_inputs(1)[:4]]
         outcomes += [workloads.analysis_op(pair) for pair in
