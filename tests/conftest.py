@@ -1,7 +1,8 @@
 """Shared fixtures: a session-wide cache of assembled solutions, the
 quadrature reference for a transport map's cost, and a count of
-adaptive quadrature passes; the problem a given number of sharp widths
-wide, and the target's points past a solution's support.
+adaptive quadrature passes; the package's real traffic, run once; the
+problem a given number of sharp widths wide, and the target's points
+past a solution's support.
 
 Assembling a density costs a noticeable fraction of a second, and many
 test modules study the same handful of (spec, epsilon) pairs, so solves
@@ -9,18 +10,29 @@ are cached for the whole session keyed by the hashable spec.
 """
 
 import contextlib
+import importlib
+import inspect
+import io
+import json
 import math
+import runpy
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from monge1d import duality, numerics
+from monge1d import cli, duality, numerics
 from monge1d.duality import assemble_density
 from monge1d.numerics import _graded_edges
 from monge1d.oracles import discrete_primal_minimizer, mirror_transform
 from monge1d.problem import uniform_spec
 from reference_quadrature import integrate
+
+ROOT = Path(__file__).resolve().parents[1]
+STUDIES = sorted((ROOT / "studies").glob("*.py"))
 
 
 def regime_spec(alpha, factor, offset=0.0, assumption="I"):
@@ -121,3 +133,57 @@ def adaptive_passes():
     a point on."""
     with counted_passes() as passes:
         yield passes
+
+
+@pytest.fixture(scope="session")
+def real_traffic(tmp_path_factory):
+    """The package's real traffic, run once for the session: each script
+    under `studies/`, perfbench's operations on seed 1 and a `validate`
+    of a config whose target overlaps the source.  A profile hook records
+    the code of every call while the traffic runs, and only then: `ran`
+    holds each code object's (file, first line).  `outcomes` holds
+    perfbench's outcomes and `code` the invalid `validate`'s exit code.
+    `studies` maps each study's file name to what it printed, whether its
+    namespace holds a name from the package, and what it raised, if
+    anything; a study that raises leaves the rest of the traffic running."""
+    tmp = tmp_path_factory.mktemp("traffic")
+    ran, studies = set(), {}
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                for path in STUDIES:
+                    names, error = {}, None
+                    with contextlib.redirect_stdout(io.StringIO()) as printed:
+                        try:
+                            names = runpy.run_path(str(path), run_name="__main__")
+                        except Exception as raised:
+                            error = raised
+                    studies[path.name] = SimpleNamespace(
+                        printed=printed.getvalue(), error=error, imports_package=any(
+                            getattr(inspect.getmodule(v), "__name__", "").startswith("monge1d")
+                            for v in names.values()))
+                outcomes = [workloads.solve_op(point)
+                            for point in workloads.solve_grid_inputs(1)[:4]]
+                outcomes += [workloads.analysis_op(pair) for pair in
+                             workloads.analyze_setup(workloads.analyze_inputs(1))[:4]]
+                paths = workloads.cli_setup(workloads.cli_inputs(1), tmp)
+                outcomes += [workloads.cli_inprocess_op(command, paths)
+                             for command in workloads.CLI_COMMANDS]
+                overlap = {**workloads.CANONICAL_CONFIG, "out": str(tmp / "overlap")}
+                overlap["problem"] = {**overlap["problem"], "target": [0, 7]}
+                config = tmp / "overlap.json"
+                config.write_text(json.dumps(overlap))
+                code = cli.main(["validate", "--config", str(config)])
+        finally:
+            sys.setprofile(previous)
+    return SimpleNamespace(ran=ran, outcomes=outcomes, code=code, studies=studies)

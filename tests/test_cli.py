@@ -736,51 +736,71 @@ def test_one_capacity_verdict_for_every_command(tmp_path, alpha, eps):
 
 
 _IMPORT_PROBE = """
+import json
 import sys
 import numpy as np
 from monge1d import cli
 
 
 def loaded():
-    return (any(m.startswith("scipy") for m in sys.modules),
-            "monge1d.oracles" in sys.modules, "numpy.ma" in sys.modules)
+    record["scipy"].append(any(m.startswith("scipy") for m in sys.modules))
+    record["oracles"].append("monge1d.oracles" in sys.modules)
+    record["ma"].append("numpy.ma" in sys.modules)
 
 
-record = [loaded()]
+record = {"codes": [], "scipy": [], "oracles": [], "ma": []}
+loaded()
 for command in ("validate", "solve", "map", "sweep", "verify"):
-    record.append((command, cli.main([command, "--config", sys.argv[1], "--quiet"]),
-                   *loaded()))
+    record["codes"].append(cli.main([command, "--config", sys.argv[1], "--quiet"]))
+    loaded()
 from monge1d.oracles import discrete_expectation_optimizer
 from monge1d.problem import uniform_spec
 run = discrete_expectation_optimizer(uniform_spec((6, 8), (0, 5), "I", 1.0), 201)
-record.append((abs(run.density.trapezoid_mass - 1.0) <= 1e-9, "scipy.optimize" in sys.modules))
+record["lp"] = [abs(run.density.trapezoid_mass - 1.0) <= 1e-9, "scipy.optimize" in sys.modules]
 np.unique(np.array([1.0, 1.0]))
-record.append("numpy.ma" in sys.modules)
-print(record)
+record["unique"] = "numpy.ma" in sys.modules
+print(json.dumps(record))
 """
 
 
-def test_import_policy_of_each_command(tmp_path):
-    # One fresh interpreter imports the CLI and runs the five commands on
-    # one config with an LP fixture, recording after each whether scipy,
-    # the oracle layer and numpy.ma are loaded.  scipy is the LP oracle's
-    # alone: no command loads it.  The oracle layer loads only for
-    # `sweep`, which compares against the tent, and `verify`, which reads
-    # the fixture.  numpy.ma, which np.unique imports on its first call
-    # (about 15 ms of a fresh process), loads for none.  The controls at
-    # the end show the probe sees each module once it is imported: the LP
-    # oracle solves to unit mass and loads scipy.optimize on first use,
-    # and np.unique loads numpy.ma.
-    out = tmp_path / "out"
-    TestVerify._lp_fixture(out, 1.0)
-    config = tent_config(tmp_path, grid_n=201, out=str(out))
+@pytest.fixture(scope="module")
+def import_record(tmp_path_factory):
+    # One fresh interpreter imports the CLI and runs `validate`, `solve`,
+    # `map`, `sweep` and `verify` on one config with an LP fixture.  After
+    # the import and after each command it records whether scipy, the
+    # oracle layer and numpy.ma are loaded; it ends with the LP oracle and
+    # np.unique as positive controls.  The three tests below read it.
+    tmp = tmp_path_factory.mktemp("imports")
+    TestVerify._lp_fixture(tmp / "out", 1.0)
+    config = tent_config(tmp, grid_n=201, out=str(tmp / "out"))
     src = str(Path(monge1d.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, config], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == str([
-        (False, False, False),
-        ("validate", 0, False, False, False), ("solve", 0, False, False, False),
-        ("map", 0, False, False, False), ("sweep", 0, False, True, False),
-        ("verify", 5, False, True, False), (True, True), True])
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_scipy(import_record):
+    # scipy is the LP oracle's alone: importing the CLI and running each
+    # command loads none of it, and the oracle still solves to unit mass,
+    # importing its LP on first use.
+    assert import_record["scipy"] == [False] * 6
+    assert import_record["lp"] == [True, True]
+
+
+def test_oracles_load_only_for_the_commands_that_read_them(import_record):
+    # Importing the CLI and running `validate`, `solve` and `map` leaves
+    # the oracle layer unloaded; `sweep`, which compares against the
+    # tent, and `verify`, which reads the fixture, load it.
+    assert import_record["codes"] == [0, 0, 0, 0, 5]
+    assert import_record["oracles"] == [False] * 4 + [True] * 2
+
+
+def test_commands_leave_numpy_ma_unloaded(import_record):
+    # numpy's np.unique imports numpy.ma on its first call, about 15 ms
+    # of a fresh process: no command loads it, and the probe sees the
+    # module once np.unique is called.
+    assert import_record["codes"] == [0, 0, 0, 0, 5]
+    assert import_record["ma"] == [False] * 6
+    assert import_record["unique"] is True

@@ -6,9 +6,11 @@ The traffic is what the package is for, run in this process: each
 script under `studies/`; perfbench's own operations on seed 1 (four cold
 solves, four analyses, and the five CLI commands through `cli.main` on
 the canonical config with an LP oracle fixture); and one `validate` of a
-config whose target overlaps the source, the documented exit 2.  A
-profile hook records the code of every Python call while that traffic
-runs, and only then, so no call from test code counts.  A definition is
+config whose target overlaps the source, the documented exit 2.  It
+runs once per session (`conftest.real_traffic`), and `test_studies.py`
+reads each study's run from the same record.  A profile hook records
+the code of every Python call while that traffic runs, and only then,
+so no call from test code counts.  A definition is
 reached when its own code ran, keyed by file and first line: a method
 that shares another's name does not count for it, and a function called
 through a reference (`cli._COMMANDS`, a name bound by `from ... import`)
@@ -37,23 +39,17 @@ refactor of a kernel rewrites its home and no other test.
 """
 
 import ast
-import contextlib
 import functools
 import importlib
 import inspect
-import io
-import json
 import os
 import re
-import runpy
-import sys
 from pathlib import Path
 
-from monge1d import cli, sweep
+from monge1d import sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monge1d"
-STUDIES = sorted((ROOT / "studies").glob("*.py"))
 TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for folder in ("src", "studies", "perfbench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
@@ -128,35 +124,6 @@ def _definitions():
     return out
 
 
-def _run_traffic(workloads, tmp_path):
-    """Run the studies, perfbench's operations on seed 1 and an invalid
-    `validate`; returns the perfbench outcomes and the exit code.  Each
-    study must import from the package and print something, and at least
-    five must be found; a study that raises, or imports a name the
-    package no longer defines, fails here."""
-    assert len(STUDIES) >= 5
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for path in STUDIES:
-            with contextlib.redirect_stdout(io.StringIO()) as printed:
-                names = runpy.run_path(str(path), run_name="__main__")
-            assert printed.getvalue().strip(), f"{path.name} printed nothing"
-            assert any(getattr(inspect.getmodule(value), "__name__", "").startswith("monge1d")
-                       for value in names.values()), f"{path.name} imports nothing from monge1d"
-        outcomes = [workloads.solve_op(point)
-                    for point in workloads.solve_grid_inputs(1)[:4]]
-        outcomes += [workloads.analysis_op(pair) for pair in
-                     workloads.analyze_setup(workloads.analyze_inputs(1))[:4]]
-        paths = workloads.cli_setup(workloads.cli_inputs(1), tmp_path)
-        outcomes += [workloads.cli_inprocess_op(command, paths)
-                     for command in workloads.CLI_COMMANDS]
-        overlap = {**workloads.CANONICAL_CONFIG, "out": str(tmp_path / "overlap")}
-        overlap["problem"] = {**overlap["problem"], "target": [0, 7]}
-        config = tmp_path / "overlap.json"
-        config.write_text(json.dumps(overlap))
-        code = cli.main(["validate", "--config", str(config)])
-    return outcomes, code
-
-
 def test_definition_keys_are_their_code_objects():
     # The reach test matches the profile hook's (co_filename,
     # co_firstlineno) against these keys, so each key must be the code
@@ -178,28 +145,15 @@ def test_definition_keys_are_their_code_objects():
     assert properties and cached
 
 
-def test_every_public_definition_runs_under_real_traffic(tmp_path, monkeypatch):
+def test_every_public_definition_runs_under_real_traffic(real_traffic):
     definitions = _definitions()
     assert {"duality.assemble_density", "duality.DualField.theta_y",
             "duality.DensitySolution.quantile", "duality.DensitySolution.integrate",
             "problem.ValidationReport.message"} <= set(definitions.values())
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    ran = set()
-
-    def record(frame, event, arg):
-        if event == "call":
-            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        outcomes, code = _run_traffic(workloads, tmp_path)
-    finally:
-        sys.setprofile(previous)
-    assert code == 2
-    assert all(o.failed == 0 for o in outcomes), [o.label for o in outcomes]
-    ran = {(os.path.realpath(file), line) for file, line in ran}
+    assert real_traffic.code == 2
+    assert all(o.failed == 0 for o in real_traffic.outcomes), [
+        o.label for o in real_traffic.outcomes]
+    ran = {(os.path.realpath(file), line) for file, line in real_traffic.ran}
     unreached = sorted(name for (file, line), name in definitions.items()
                        if (os.path.realpath(file), line) not in ran)
     assert not unreached, ("run by none of the studies, perfbench's operations "

@@ -1,52 +1,16 @@
 """The study scripts import only names the package defines, and they
 run.
 
-Each script under `studies/` is parsed, so a name deleted from the
-package fails here instead of at the next run of the study.  Each takes
-about a second at most and also runs in-process, which catches an
-attribute it reads going away.
+Each script under `studies/` runs once per session, inside the
+package's real traffic (`conftest.real_traffic`, which the reach test
+of `test_package_api.py` reads too); these tests read what each study
+left there.  A name deleted from the package raises `ImportError` in the
+study that imports it.
 """
-
-import ast
-import contextlib
-import importlib
-import io
-import runpy
-from pathlib import Path
 
 import pytest
 
-STUDIES = sorted((Path(__file__).resolve().parents[1] / "studies").glob("*.py"))
-
-
-def _package_imports(path):
-    """(module, name) for each `from monge1d... import name` in a script,
-    and (module, None) for each `import monge1d...`."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module.split(".")[0] == "monge1d":
-            for alias in node.names:
-                yield node.module, alias.name
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "monge1d":
-                    yield alias.name, None
-
-
-def _exists(module, name):
-    try:
-        mod = importlib.import_module(module)
-    except ModuleNotFoundError:
-        return False
-    if name is None or hasattr(mod, name):
-        return True
-    # `from monge1d import duality` names a submodule.
-    try:
-        importlib.import_module(f"{module}.{name}")
-    except ModuleNotFoundError:
-        return False
-    return True
+from conftest import STUDIES
 
 
 def test_studies_are_found():
@@ -54,17 +18,17 @@ def test_studies_are_found():
 
 
 @pytest.mark.parametrize("path", STUDIES, ids=lambda p: p.name)
-def test_study_imports_exist(path):
-    imports = list(_package_imports(path))
-    assert imports, f"{path.name} imports nothing from monge1d"
-    missing = [f"{module}.{name}" if name else module
-               for module, name in imports if not _exists(module, name)]
-    assert missing == []
+def test_study_imports_exist(path, real_traffic):
+    study = real_traffic.studies[path.name]
+    assert not isinstance(study.error, ImportError), study.error
+    # A study that raises leaves no namespace; `test_quick_study_runs`
+    # names its error.
+    assert study.error or study.imports_package, f"{path.name} imports nothing from monge1d"
 
 
 @pytest.mark.parametrize("path", STUDIES, ids=lambda p: p.name)
-def test_quick_study_runs(path):
-    printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
-        runpy.run_path(str(path), run_name="__main__")
-    assert printed.getvalue().strip()
+def test_quick_study_runs(path, real_traffic):
+    study = real_traffic.studies[path.name]
+    if study.error is not None:
+        raise study.error
+    assert study.printed.strip()
